@@ -4,6 +4,7 @@
 #include <array>
 #include <optional>
 
+#include "kernels/match_flag.h"
 #include "util/error.h"
 
 namespace acgpu::kernels {
@@ -203,12 +204,20 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
                       (1 + byte[l]) * 4;
       co_await w.global_load_u32();
     }
+    std::array<bool, L> flagged{};
+    bool any_flagged = false;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (w.mask[l]) state[l] = static_cast<std::int32_t>(w.value[l]);
+      if (w.mask[l]) {
+        state[l] = transition_state(w.value[l]);
+        flagged[l] = transition_accepts(w.value[l]);
+        any_flagged |= flagged[l];
+      }
     co_await w.compute(p.compute_per_byte);
+    if (!any_flagged) continue;
 
-    // Match column of the new state.
-    w.mask = scanning;
+    // Match column of the new state, read only by lanes whose transition
+    // word carries the match flag.
+    w.mask = flagged;
     if (p.placement == SttPlacement::kTexture) {
       for (std::uint32_t l = 0; l < w.lane_count; ++l)
         if (w.mask[l]) {
@@ -223,15 +232,8 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
                       static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes;
       co_await w.global_load_u32();
     }
-    bool any_match = false;
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-      oid[l] = 0;
-      if (scanning[l]) {
-        oid[l] = static_cast<std::int32_t>(w.value[l]);
-        if (oid[l] != 0) any_match = true;
-      }
-    }
-    if (!any_match) continue;
+    for (std::uint32_t l = 0; l < w.lane_count; ++l)
+      if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
 
     // ---------------- match emission ----------------
     // Store the minimal record (position, output id); the host expands the
@@ -241,7 +243,7 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     bool any_store = false;
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-      if (!scanning[l] || oid[l] == 0) continue;
+      if (!flagged[l]) continue;
       if (cnt[l] < p.capacity) {
         storing[l] = true;
         w.mask[l] = true;
@@ -394,39 +396,40 @@ WarpTask ac_db_kernel_body(Warp& w, KParams p) {
                           (1 + byte[l]) * 4;
           co_await w.global_load_u32();
         }
+        std::array<bool, L> flagged{};
+        bool any_flagged = false;
         for (std::uint32_t l = 0; l < w.lane_count; ++l)
-          if (w.mask[l]) state[l] = static_cast<std::int32_t>(w.value[l]);
+          if (w.mask[l]) {
+            state[l] = transition_state(w.value[l]);
+            flagged[l] = transition_accepts(w.value[l]);
+            any_flagged |= flagged[l];
+          }
         co_await w.compute(p.compute_per_byte);
 
-        w.mask = scanning;
-        if (p.placement == SttPlacement::kTexture) {
-          for (std::uint32_t l = 0; l < w.lane_count; ++l)
-            if (w.mask[l]) {
-              w.tex_x[l] = 0;
-              w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
-            }
-          co_await w.tex_fetch();
-        } else {
-          for (std::uint32_t l = 0; l < w.lane_count; ++l)
-            if (w.mask[l])
-              w.addr[l] = p.stt_addr +
-                          static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes;
-          co_await w.global_load_u32();
-        }
-        bool any_match = false;
-        for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-          oid[l] = 0;
-          if (scanning[l]) {
-            oid[l] = static_cast<std::int32_t>(w.value[l]);
-            if (oid[l] != 0) any_match = true;
+        if (any_flagged) {
+          w.mask = flagged;
+          if (p.placement == SttPlacement::kTexture) {
+            for (std::uint32_t l = 0; l < w.lane_count; ++l)
+              if (w.mask[l]) {
+                w.tex_x[l] = 0;
+                w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
+              }
+            co_await w.tex_fetch();
+          } else {
+            for (std::uint32_t l = 0; l < w.lane_count; ++l)
+              if (w.mask[l])
+                w.addr[l] = p.stt_addr +
+                            static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes;
+            co_await w.global_load_u32();
           }
-        }
-        if (any_match) {
+          for (std::uint32_t l = 0; l < w.lane_count; ++l)
+            if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
+
           std::array<bool, L> storing{};
           bool any_store = false;
           w.mask_none();
           for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-            if (!scanning[l] || oid[l] == 0) continue;
+            if (!flagged[l]) continue;
             if (cnt[l] < p.capacity) {
               storing[l] = true;
               w.mask[l] = true;

@@ -4,14 +4,11 @@
 #include <array>
 #include <bit>
 
+#include "kernels/match_flag.h"
 #include "kernels/store_scheme.h"
 #include "util/error.h"
 
 namespace acgpu::kernels {
-
-namespace {
-constexpr std::uint32_t kMatchBit = 0x80000000u;
-}
 
 DeviceCompressedDfa::DeviceCompressedDfa(gpusim::DeviceMemory& mem,
                                          const ac::CompressedStt& stt,
@@ -47,11 +44,9 @@ DeviceCompressedDfa::DeviceCompressedDfa(gpusim::DeviceMemory& mem,
                                      (targets.size() + kTargetsWidth - 1) / kTargetsWidth));
   const gpusim::DevAddr targets_addr =
       mem.alloc(static_cast<std::size_t>(rows) * kTargetsWidth * 4);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    std::uint32_t packed = static_cast<std::uint32_t>(targets[i]);
-    if (stt.output_id(targets[i]) != 0) packed |= kMatchBit;
-    mem.store_u32(targets_addr + i * 4, packed);
-  }
+  for (std::size_t i = 0; i < targets.size(); ++i)
+    mem.store_u32(targets_addr + i * 4,
+                  encode_transition(targets[i], stt.output_id(targets[i]) != 0));
   targets_tex_ = gpusim::Texture2D(&mem, targets_addr, kTargetsWidth, rows,
                                    kTargetsWidth);
 
@@ -59,11 +54,8 @@ DeviceCompressedDfa::DeviceCompressedDfa(gpusim::DeviceMemory& mem,
   // memory by every block.
   root_addr_ = mem.alloc(256 * 4);
   for (std::uint32_t b = 0; b < 256; ++b) {
-    std::uint32_t packed =
-        static_cast<std::uint32_t>(stt.root_next(static_cast<std::uint8_t>(b)));
-    if (stt.output_id(stt.root_next(static_cast<std::uint8_t>(b))) != 0)
-      packed |= kMatchBit;
-    mem.store_u32(root_addr_ + b * 4, packed);
+    const std::int32_t next = stt.root_next(static_cast<std::uint8_t>(b));
+    mem.store_u32(root_addr_ + b * 4, encode_transition(next, stt.output_id(next) != 0));
   }
 
   device_bytes_ = static_cast<std::size_t>(states) * pitch * 4 +
@@ -253,8 +245,8 @@ WarpTask compressed_kernel_body(Warp& w, KParams p) {
     bool any_match = false;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
       if (scanning[l]) {
-        state[l] = static_cast<std::int32_t>(packed[l] & ~kMatchBit);
-        if (packed[l] & kMatchBit) any_match = true;
+        state[l] = transition_state(packed[l]);
+        if (transition_accepts(packed[l])) any_match = true;
       }
     co_await w.compute(p.compute_per_byte);
     if (!any_match) continue;
@@ -263,7 +255,7 @@ WarpTask compressed_kernel_body(Warp& w, KParams p) {
     std::array<bool, L> matched{};
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l] && (packed[l] & kMatchBit)) {
+      if (scanning[l] && transition_accepts(packed[l])) {
         matched[l] = true;
         w.mask[l] = true;
         w.tex_x[l] = 16;

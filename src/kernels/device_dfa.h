@@ -2,6 +2,11 @@
 // memory plus the output CSR and pattern-length tables in plain global
 // memory — the phase-1 -> phase-2 handoff the paper describes ("construct
 // the STT on a single CPU core, then copy it to the GPU").
+//
+// The device STT differs from the host ac::SttMatrix in one way: each
+// transition word carries kMatchBit (match_flag.h) when its target state
+// accepts, so the kernels read column 0 only on flagged steps. Column 0
+// still holds the output id, and the host table is left untouched.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,8 @@ class DeviceDfa {
 
   const ac::Dfa& host_dfa() const { return *host_dfa_; }
 
-  /// 2-D texture over the STT (width 257, one row per state).
+  /// 2-D texture over the STT (width 257, one row per state). Transition
+  /// words are flagged; decode them with transition_state().
   const gpusim::Texture2D& texture() const { return texture_; }
 
   /// Raw device address and row pitch of the STT — used by the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "kernels/match_flag.h"
 #include "util/error.h"
 
 namespace acgpu::kernels {
@@ -87,32 +88,33 @@ WarpTask packet_kernel_body(Warp& w, KParams p) {
         w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
       }
     co_await w.tex_fetch();
+    std::array<bool, L> flagged{};
+    bool any_flagged = false;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l]) state[l] = static_cast<std::int32_t>(w.value[l]);
+      if (scanning[l]) {
+        state[l] = transition_state(w.value[l]);
+        flagged[l] = transition_accepts(w.value[l]);
+        any_flagged |= flagged[l];
+      }
     co_await w.compute(p.compute_per_byte);
+    if (!any_flagged) continue;
 
-    w.mask = scanning;
+    // Output id of the new state, for flagged lanes only.
+    w.mask = flagged;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
       if (w.mask[l]) {
         w.tex_x[l] = 0;
         w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
       }
     co_await w.tex_fetch();
-    bool any_match = false;
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-      oid[l] = 0;
-      if (scanning[l]) {
-        oid[l] = static_cast<std::int32_t>(w.value[l]);
-        if (oid[l] != 0) any_match = true;
-      }
-    }
-    if (!any_match) continue;
+    for (std::uint32_t l = 0; l < w.lane_count; ++l)
+      if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
 
     std::array<bool, L> storing{};
     bool any_store = false;
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-      if (!scanning[l] || oid[l] == 0) continue;
+      if (!flagged[l]) continue;
       if (cnt[l] < p.capacity) {
         storing[l] = true;
         w.mask[l] = true;

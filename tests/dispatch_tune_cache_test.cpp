@@ -98,7 +98,7 @@ TEST(DispatchTuneCache, MissingFileAndGarbageAreMissesNotErrors) {
   const std::string path = temp_path("acgpu_tune_garbage.txt");
   {
     std::ofstream out(path, std::ios::binary);
-    out << "acgpu-tune v1\n"
+    out << "acgpu-tune v2\n"
         << "not-a-hash s1.p1.l1.d0.bulk 256 0 0 2 1 0.0\n"
         << "ffff\n"
         << "\n";
@@ -113,6 +113,14 @@ TEST(DispatchTuneCache, MissingFileAndGarbageAreMissesNotErrors) {
   }
   EXPECT_TRUE(cache.load(path).is_ok());
   EXPECT_TRUE(cache.empty()) << "unknown versions are skipped wholesale";
+
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "acgpu-tune v1\n"
+        << "abcd s1.p1.l1.d0.bulk 256 0 0 2 1 0.0\n";
+  }
+  EXPECT_TRUE(cache.load(path).is_ok());
+  EXPECT_TRUE(cache.empty()) << "winners tuned against an older kernel are not replayed";
   std::remove(path.c_str());
 }
 

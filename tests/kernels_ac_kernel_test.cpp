@@ -47,6 +47,10 @@ struct Fixture {
     spec.chunk_bytes = chunk;
     spec.threads_per_block = tpb;
     spec.match_capacity = capacity;
+    return run(spec);
+  }
+
+  AcLaunchOutcome run(AcLaunchSpec spec) {
     spec.sim.mode = gpusim::SimMode::Functional;
     const std::size_t mark = mem.mark();
     auto out = run_ac_kernel(cfg, mem, ddfa, text_addr, text.size(), spec);
@@ -217,6 +221,98 @@ TEST(AcKernel, TimedModeProducesStableExtrapolation) {
   EXPECT_LT(timed.sim.simulated_blocks, full.sim.simulated_blocks);
   // Extrapolated timing within 30% of the fully simulated makespan.
   EXPECT_NEAR(timed.sim.cycles / full.sim.cycles, 1.0, 0.3);
+}
+
+/// STT reads the kernels must make, derived from a host walk of every
+/// thread's chunk (plus overlap), lanes grouped 32 to a warp.
+struct SttReads {
+  std::uint64_t lane_bytes = 0;          ///< scanned (lane, byte) pairs
+  std::uint64_t flagged_lane_steps = 0;  ///< of which land in a match state
+  std::uint64_t warp_steps = 0;          ///< warp steps with a scanning lane
+  std::uint64_t flagged_warp_steps = 0;  ///< warp steps with a flagged lane
+};
+
+SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t tpb) {
+  const std::uint64_t len = f.text.size();
+  const std::uint64_t overlap = f.dfa.max_pattern_length() - 1;
+  const std::uint64_t threads = (len + chunk - 1) / chunk;
+  const std::uint64_t padded = (threads + tpb - 1) / tpb * tpb;
+  SttReads r;
+  for (std::uint64_t warp = 0; warp < padded; warp += gpusim::Warp::kMaxLanes) {
+    std::vector<std::uint64_t> flagged_at;  // step indices with a flagged lane
+    std::uint64_t max_scan = 0;
+    for (std::uint64_t t = warp; t < warp + gpusim::Warp::kMaxLanes; ++t) {
+      const std::uint64_t begin = std::min(len, t * chunk);
+      const std::uint64_t end = std::min(len, std::min(len, begin + chunk) + overlap);
+      max_scan = std::max(max_scan, end - begin);
+      std::int32_t state = 0;
+      for (std::uint64_t i = 0; i < end - begin; ++i) {
+        state = f.dfa.next(state, static_cast<std::uint8_t>(f.text[begin + i]));
+        ++r.lane_bytes;
+        if (f.dfa.is_match(state)) {
+          ++r.flagged_lane_steps;
+          flagged_at.push_back(i);
+        }
+      }
+    }
+    std::sort(flagged_at.begin(), flagged_at.end());
+    r.warp_steps += max_scan;
+    r.flagged_warp_steps += static_cast<std::uint64_t>(
+        std::unique(flagged_at.begin(), flagged_at.end()) - flagged_at.begin());
+  }
+  return r;
+}
+
+std::string repeated_paper_text() {
+  std::string text;
+  while (text.size() < 3000) text += "ushers ushers his sheep hers ";
+  return text;
+}
+
+TEST(AcKernel, TextureReadsColumnZeroOnlyOnFlaggedTransitions) {
+  // One texture fetch per scanned byte, plus one per step that lands in an
+  // accepting state — for both kernel bodies and both staging approaches.
+  Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
+  const SttReads want = expected_stt_reads(f, 32, 64);
+  ASSERT_GT(want.flagged_lane_steps, 0u);
+  ASSERT_LT(want.flagged_warp_steps, want.warp_steps);
+  for (const std::uint32_t tiles : {1u, 2u}) {
+    for (const auto approach : {Approach::kGlobalOnly, Approach::kShared}) {
+      if (tiles > 1 && approach == Approach::kGlobalOnly) continue;
+      AcLaunchSpec spec;
+      spec.approach = approach;
+      spec.chunk_bytes = 32;
+      spec.threads_per_block = 64;
+      spec.tiles_per_block = tiles;
+      const auto out = f.run(spec);
+      SCOPED_TRACE(std::string(to_string(approach)) + " tiles " + std::to_string(tiles));
+      EXPECT_EQ(out.matches.matches, f.expected());
+      EXPECT_EQ(out.sim.metrics.tex_lane_fetches,
+                want.lane_bytes + want.flagged_lane_steps);
+      EXPECT_EQ(out.sim.metrics.tex_requests, want.warp_steps + want.flagged_warp_steps);
+    }
+  }
+}
+
+TEST(AcKernel, GlobalPlacementReadsColumnZeroOnlyOnFlaggedTransitions) {
+  // kGlobal reads the same flagged words through plain loads: the two
+  // placements differ by exactly one global request per STT read.
+  Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
+  const SttReads want = expected_stt_reads(f, 32, 64);
+  for (const auto approach : {Approach::kGlobalOnly, Approach::kShared}) {
+    AcLaunchSpec spec;
+    spec.approach = approach;
+    spec.chunk_bytes = 32;
+    spec.threads_per_block = 64;
+    const auto tex = f.run(spec);
+    spec.stt_placement = SttPlacement::kGlobal;
+    const auto global = f.run(spec);
+    SCOPED_TRACE(to_string(approach));
+    EXPECT_EQ(global.matches.matches, f.expected());
+    EXPECT_EQ(global.sim.metrics.tex_lane_fetches, 0u);
+    EXPECT_EQ(global.sim.metrics.global_requests - tex.sim.metrics.global_requests,
+              want.warp_steps + want.flagged_warp_steps);
+  }
 }
 
 }  // namespace
