@@ -205,7 +205,8 @@ void write_pipeline_json(const PipelineSweepResult& result, std::ostream& out) {
   // The plateau-break criterion: 2.0x at streams >= 4 on the largest
   // dictionary, with streams=4 strictly faster than streams=2 and a queue
   // that actually runs deeper than the old double buffer.
-  out << ",\"criterion\":{\"min_streams\":4,\"required_speedup\":2.0"
+  out << ",\"criterion\":{\"pattern_count\":" << largest_pattern_count(result.points)
+      << ",\"min_streams\":4,\"required_speedup\":2.0"
       << ",\"achieved_speedup\":" << result.best_deep_stream_speedup()
       << ",\"streams4_vs_2_distinct\":"
       << (result.streams4_vs_2_distinct() ? "true" : "false")

@@ -242,22 +242,15 @@ WarpTask compressed_kernel_body(Warp& w, KParams p) {
         if (explicit_lane[l]) packed[l] = w.value[l];
     }
 
-    bool any_match = false;
-    for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l]) {
-        state[l] = transition_state(packed[l]);
-        if (transition_accepts(packed[l])) any_match = true;
-      }
+    std::array<bool, L> matched{};
+    const bool any_match = decode_transitions(packed, scanning, state, matched);
     co_await w.compute(p.compute_per_byte);
     if (!any_match) continue;
 
     // Output id of match states (rows texture column 16), then the records.
-    std::array<bool, L> matched{};
-    w.mask_none();
+    w.mask = matched;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l] && transition_accepts(packed[l])) {
-        matched[l] = true;
-        w.mask[l] = true;
+      if (matched[l]) {
         w.tex_x[l] = 16;
         w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
       }

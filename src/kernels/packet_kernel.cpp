@@ -89,13 +89,7 @@ WarpTask packet_kernel_body(Warp& w, KParams p) {
       }
     co_await w.tex_fetch();
     std::array<bool, L> flagged{};
-    bool any_flagged = false;
-    for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l]) {
-        state[l] = transition_state(w.value[l]);
-        flagged[l] = transition_accepts(w.value[l]);
-        any_flagged |= flagged[l];
-      }
+    const bool any_flagged = decode_transitions(w.value, scanning, state, flagged);
     co_await w.compute(p.compute_per_byte);
     if (!any_flagged) continue;
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,22 @@ TEST(DeviceDfa, EveryByteEndsAMatchFlagsEveryTransition) {
 TEST(DeviceDfa, OnlyTheCompletingTransitionIsFlagged) {
   const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"qzk"}));
   EXPECT_EQ(expect_decodes_to_host(dfa, "single pattern"), 1u);
+}
+
+TEST(MatchFlag, DecodeTransitionsTouchesOnlyActiveLanes) {
+  const std::array<std::uint32_t, 4> words = {
+      encode_transition(7, true), encode_transition(3, false),
+      encode_transition(9, true), encode_transition(5, true)};
+  const std::array<bool, 4> active = {true, true, false, true};
+  std::array<std::int32_t, 4> state = {-1, -1, -1, -1};
+  std::array<bool, 4> flagged = {true, true, true, true};
+  EXPECT_TRUE(decode_transitions(words, active, state, flagged));
+  EXPECT_EQ(state, (std::array<std::int32_t, 4>{7, 3, -1, 5}));
+  EXPECT_EQ(flagged, (std::array<bool, 4>{true, false, false, true}));
+
+  const std::array<bool, 4> unflagged_only = {false, true, false, false};
+  EXPECT_FALSE(decode_transitions(words, unflagged_only, state, flagged));
+  EXPECT_EQ(flagged, (std::array<bool, 4>{false, false, false, false}));
 }
 
 }  // namespace
