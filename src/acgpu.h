@@ -96,7 +96,6 @@
 #include "kernels/compressed_kernel.h"  // internal: use acgpu::Engine
 #include "kernels/device_dfa.h"
 #include "kernels/match_output.h"
-#include "kernels/packet_kernel.h"  // internal: use acgpu::Engine
 #include "kernels/pfac_kernel.h"    // internal: use acgpu::Engine
 #include "kernels/store_scheme.h"
 #include "oracle/conformance.h"
@@ -107,6 +106,5 @@
 #include "workload/dna.h"
 #include "workload/markov_corpus.h"
 #include "workload/pattern_extract.h"
-#include "workload/packet_trace.h"
 #include "workload/seed_text.h"
 #include "workload/snort_rules.h"

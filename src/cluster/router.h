@@ -63,10 +63,10 @@ struct ClusterOptions {
   /// Shard count = independent simulated devices (>= 1).
   std::uint32_t devices = 2;
 
-  /// Per-shard engine template. The deprecated gpu/device_memory_bytes
-  /// fields size each shard's Device; telemetry.metrics_prefix and
-  /// host_observer are managed by the Router (per-shard prefixes, shared
-  /// observer seam) and must be left defaulted.
+  /// Per-shard engine template. Its gpu/device_memory_bytes fields size
+  /// each shard's Device; telemetry.metrics_prefix and host_observer are
+  /// managed by the Router (per-shard prefixes, shared observer seam) and
+  /// must be left defaulted.
   EngineOptions engine;
 
   /// Per-shard serve knobs (see serve::ServeOptions).

@@ -4,10 +4,9 @@
 #include <sstream>
 
 #include "ac/chunking.h"
-#include "ac/serial_matcher.h"
+#include "ac/match.h"
 #include "kernels/ac_kernel.h"
 #include "kernels/compressed_kernel.h"
-#include "kernels/packet_kernel.h"
 #include "kernels/pfac_kernel.h"
 #include "oracle/workload_gen.h"
 #include "pipeline/pipeline.h"
@@ -34,11 +33,8 @@ const TargetInfo kTargets[] = {
     {AuditTarget::kAcSharedDiagonal, "ac-shared-diagonal", kDiagonalBudget},
     {AuditTarget::kAcSharedNaive, "ac-shared-naive", kNaiveBudget},
     {AuditTarget::kAcSharedSequential, "ac-shared-sequential", kNoBudget},
-    {AuditTarget::kAcDbDiagonal, "ac-db-diagonal", kDiagonalBudget},
-    {AuditTarget::kAcDbNaive, "ac-db-naive", kNaiveBudget},
     {AuditTarget::kCompressed, "compressed", kStagingOnlyBudget},
     {AuditTarget::kPfac, "pfac", kNoBudget},
-    {AuditTarget::kPacket, "packet", kNoBudget},
     {AuditTarget::kPipeline, "pipeline", kDiagonalBudget},
 };
 
@@ -99,7 +95,7 @@ kernels::MatchBuffer::Collected collect_audited(const char* who,
     auto collected = launch(capacity);
     if (!collected.overflowed) return collected;
   }
-  ACGPU_CHECK(false, who << ": match buffer overflow at capacity" << (1u << 14));
+  ACGPU_CHECK(false, who << ": match buffer overflow at capacity " << (1u << 14));
   return {};
 }
 
@@ -128,30 +124,17 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
       ls.approach = kernels::Approach::kShared;
       ls.scheme = kernels::StoreScheme::kSequential;
       break;
-    case AuditTarget::kAcDbDiagonal:
-      ls.approach = kernels::Approach::kShared;
-      ls.scheme = kernels::StoreScheme::kDiagonal;
-      ls.tiles_per_block = spec.tiles_per_block;
-      break;
-    case AuditTarget::kAcDbNaive:
-      ls.approach = kernels::Approach::kShared;
-      ls.scheme = kernels::StoreScheme::kCoalescedNaive;
-      ls.tiles_per_block = spec.tiles_per_block;
-      break;
     default:
       ACGPU_CHECK(false, "audit_ac called with a non-ac target");
   }
   ls.chunk_bytes = pick_chunk(w, spec.chunk_floor_bytes);
-  // The double-buffered region is halves * (T+1) * chunk; T=32 keeps even a
-  // 128-byte chunk inside the 16 KB shared budget.
-  ls.threads_per_block =
-      ls.tiles_per_block > 1 ? 32 : spec.threads_per_block;
+  ls.threads_per_block = spec.threads_per_block;
   ls.sim.mode = gpusim::SimMode::Functional;
 
   const gpusim::GpuConfig cfg = audit_config();
   const std::uint64_t threads =
       (w.text().size() + ls.chunk_bytes - 1) / ls.chunk_bytes +
-      ls.threads_per_block * ls.tiles_per_block;
+      ls.threads_per_block;
 
   AuditOutcome outcome;
   const auto collected =
@@ -302,61 +285,6 @@ AuditOutcome audit_pipeline(const CompiledWorkload& w, const AuditSpec& spec) {
   return outcome;
 }
 
-AuditOutcome audit_packet(const CompiledWorkload& w, const AuditSpec& spec) {
-  // Split the workload text into fixed-size packets; each packet is an
-  // independent matching domain, so the reference is one serial scan per
-  // packet.
-  workload::PacketTrace trace;
-  trace.data = w.raw().text;
-  trace.offsets.push_back(0);
-  const std::uint32_t step = std::max(1u, spec.packet_bytes);
-  for (std::uint64_t off = 0; off < trace.data.size(); off += step)
-    trace.offsets.push_back(static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(off + step, trace.data.size())));
-
-  std::vector<kernels::PacketMatch> expected;
-  for (std::size_t p = 0; p + 1 < trace.offsets.size(); ++p) {
-    ac::match_serial(w.dfa(), trace.packet(p), [&](std::uint64_t end,
-                                                   std::int32_t pattern) {
-      expected.push_back(kernels::PacketMatch{
-          static_cast<std::uint32_t>(p), static_cast<std::uint32_t>(end),
-          pattern});
-    });
-  }
-  std::sort(expected.begin(), expected.end());
-
-  const gpusim::GpuConfig cfg = audit_config();
-  AuditOutcome outcome;
-  std::vector<kernels::PacketMatch> got;
-  for (std::uint32_t capacity = 16; capacity <= (1u << 14); capacity *= 4) {
-    kernels::PacketLaunchSpec ls;
-    ls.threads_per_block = spec.threads_per_block;
-    ls.match_capacity = capacity;
-    ls.sim.mode = gpusim::SimMode::Functional;
-    Recorder recorder(spec.recorder);
-    ls.sim.observer = &recorder;
-    gpusim::DeviceMemory mem =
-        make_device(trace.data.size() + 4 * trace.offsets.size(),
-                    trace.packet_count() + spec.threads_per_block, capacity,
-                    w.dfa().stt_bytes());
-    const kernels::DeviceDfa ddfa(mem, w.dfa());
-    const kernels::DeviceBatch batch(mem, trace);
-    auto result = kernels::run_packet_kernel(cfg, mem, ddfa, batch, ls);
-    outcome.report = recorder.take_report();
-    if (!result.overflowed) {
-      got = std::move(result.matches);
-      break;
-    }
-    ACGPU_CHECK(capacity * 4 <= (1u << 14),
-                "packet audit: match buffer overflow at capacity " << capacity);
-  }
-
-  std::sort(got.begin(), got.end());
-  outcome.match_count = got.size();
-  outcome.matches_ok = got == expected;
-  return outcome;
-}
-
 }  // namespace
 
 const char* to_string(AuditTarget target) { return info_of(target).name; }
@@ -427,8 +355,6 @@ AuditOutcome audit_workload(AuditTarget target, const CompiledWorkload& w,
       return audit_compressed(w, spec);
     case AuditTarget::kPfac:
       return audit_pfac(w, spec);
-    case AuditTarget::kPacket:
-      return audit_packet(w, spec);
     case AuditTarget::kPipeline:
       return audit_pipeline(w, spec);
     default:

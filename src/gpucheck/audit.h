@@ -10,11 +10,8 @@
 //   ac-shared-diagonal   max degree 1       required
 //   ac-shared-naive      conflicts EXPECTED required
 //   ac-shared-seq        —                  —   (per-thread serial copy)
-//   ac-db-diagonal       max degree 1       required (incl. async prefetch)
-//   ac-db-naive          conflicts EXPECTED required
 //   compressed           —                  required
 //   pfac                 —                  —   (lane death scatters loads)
-//   packet               —                  —   (packet offsets irregular)
 //   pipeline             max degree 1       required (shared kernel per batch)
 //
 // The degree-1 budget is only sound when chunk_words is a multiple of the
@@ -39,11 +36,8 @@ enum class AuditTarget : std::uint8_t {
   kAcSharedDiagonal,    ///< ac_kernel, shared staging, diagonal scheme
   kAcSharedNaive,       ///< ac_kernel, shared staging, row-major scheme
   kAcSharedSequential,  ///< ac_kernel, per-thread serial staging
-  kAcDbDiagonal,        ///< double-buffered multi-tile kernel, diagonal
-  kAcDbNaive,           ///< double-buffered multi-tile kernel, row-major
   kCompressed,          ///< compressed-STT kernel
   kPfac,                ///< failureless (PFAC) kernel
-  kPacket,              ///< packet-batch kernel
   kPipeline,            ///< batched multi-stream pipeline, shared kernel
 };
 
@@ -71,12 +65,10 @@ Budget target_budget(AuditTarget target);
 void apply_budget(AuditReport& report, const Budget& budget);
 
 struct AuditSpec {
-  std::uint32_t threads_per_block = 64;  ///< db targets use 32 (shared cap)
+  std::uint32_t threads_per_block = 64;
   /// Per-workload chunk floor; always rounded up to a multiple of 64 bytes
   /// and above the dictionary's overlap.
   std::uint32_t chunk_floor_bytes = 64;
-  std::uint32_t tiles_per_block = 3;  ///< double-buffer targets
-  std::uint32_t packet_bytes = 512;   ///< packet split size, packet target
   RecorderOptions recorder{};
 };
 

@@ -33,8 +33,6 @@ const char* op_name(gpusim::OpKind op) {
     case OpKind::TexFetch: return "tex-fetch";
     case OpKind::TexFetch2: return "tex-fetch2";
     case OpKind::Barrier: return "barrier";
-    case OpKind::GlobalLoadU32Async: return "global-load-u32-async";
-    case OpKind::AsyncWait: return "async-wait";
   }
   return "unknown";
 }

@@ -144,7 +144,6 @@ std::uint32_t Recorder::memory_access(const Warp& warp, OpKind kind) {
     case OpKind::GlobalLoadU8:
     case OpKind::GlobalLoadU32:
     case OpKind::GlobalStoreU32:
-    case OpKind::GlobalLoadU32Async:
       return global_access(warp, kind, bs, instr);
     case OpKind::TexFetch:
     case OpKind::TexFetch2:
@@ -364,8 +363,7 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
     const auto ideal = static_cast<std::uint32_t>(
         (span_end - 1) / opts_.segment_bytes - lo / opts_.segment_bytes + 1);
     CoalescingStats& cs = report_.coalescing;
-    const bool staging_class = kind == OpKind::GlobalLoadU32Async ||
-                               (bs.epoch == 0 && kind == OpKind::GlobalLoadU32);
+    const bool staging_class = bs.epoch == 0 && kind == OpKind::GlobalLoadU32;
     ++cs.load_requests;
     cs.load_transactions += c.transactions;
     cs.ideal_transactions += ideal;

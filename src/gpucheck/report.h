@@ -21,11 +21,11 @@ class MetricsRegistry;
 
 namespace acgpu::gpucheck {
 
-/// Warp-load coalescing tally (loads only: GlobalLoadU8 / GlobalLoadU32 /
-/// GlobalLoadU32Async). `ideal` for one request is the number of segments a
-/// contiguous packing of the accessed bytes starting at the request's lowest
-/// address would touch — so unavoidable segment straddles are not penalised,
-/// but scattered or strided lanes are.
+/// Warp-load coalescing tally (loads only: GlobalLoadU8 / GlobalLoadU32).
+/// `ideal` for one request is the number of segments a contiguous packing of
+/// the accessed bytes starting at the request's lowest address would touch —
+/// so unavoidable segment straddles are not penalised, but scattered or
+/// strided lanes are.
 struct CoalescingStats {
   std::uint64_t load_requests = 0;      ///< warp-level load instructions
   std::uint64_t load_transactions = 0;  ///< segments actually touched
@@ -36,10 +36,9 @@ struct CoalescingStats {
   AccessSite worst;  ///< first lane of the worst excess request
 
   /// The subset a kernel CAN keep coalesced and the budgets assert on: the
-  /// cooperative-staging class — blocking 4-byte loads in barrier epoch 0
-  /// plus every async prefetch load. Match-emission CSR loads (epoch >= 1,
-  /// data-dependent scatter) and byte-granular matching loads fall outside
-  /// it by construction.
+  /// cooperative-staging class — 4-byte loads in barrier epoch 0.
+  /// Match-emission CSR loads (epoch >= 1, data-dependent scatter) and
+  /// byte-granular matching loads fall outside it by construction.
   std::uint64_t staging_requests = 0;
   std::uint64_t staging_excess = 0;
   std::uint32_t staging_worst_actual = 0;

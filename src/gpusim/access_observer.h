@@ -39,7 +39,7 @@ class AccessObserver {
   }
   virtual void block_finished(std::uint64_t block_id) { (void)block_id; }
 
-  /// One warp-level memory instruction (global/shared/texture/async load),
+  /// One warp-level memory instruction (global/shared/texture access),
   /// observed BEFORE its data movement. Active lanes are those with
   /// warp.mask[l] set for l < warp.lane_count; addresses/coordinates are in
   /// the warp's lane buffers. Returns a bitmask (bit l = lane l) of lanes to

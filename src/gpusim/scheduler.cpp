@@ -323,46 +323,6 @@ void Scheduler::step_warp(WarpRun* w, double t) {
     case OpKind::GlobalStoreU32:
       ready = handle_global(w, issued);
       break;
-    case OpKind::GlobalLoadU32Async: {
-      ACGPU_CHECK(!w->async_pending,
-                  "async load issued while one is already outstanding");
-      // Same transaction/pipe accounting as a blocking load, but the warp
-      // keeps running; data is captured at issue (consistent memory order)
-      // into the side buffer and the remaining latency is paid at AsyncWait.
-      const std::uint32_t suppress =
-          observer_ ? observer_->memory_access(warp, warp.pending) : 0;
-      std::array<DevAddr, Warp::kMaxLanes> active{};
-      std::size_t n = 0;
-      for (std::uint32_t l = 0; l < warp.lane_count; ++l)
-        if (warp.mask[l]) active[n++] = warp.addr[l];
-      if (n > 0) {
-        const CoalesceResult c = coalesce(std::span<const DevAddr>(active.data(), n),
-                                          4, cfg_.coalesce_segment_bytes);
-        metrics_.global_requests++;
-        metrics_.global_transactions += c.transactions;
-        metrics_.global_bytes += c.bytes;
-        mem_pipe_free_ = std::max(mem_pipe_free_, issued) +
-                         c.transactions * cfg_.cycles_per_segment;
-        for (std::uint32_t l = 0; l < warp.lane_count; ++l)
-          if (warp.mask[l])
-            warp.async_value[l] =
-                ((suppress >> l) & 1u) ? 0 : gmem_.load_u32(warp.addr[l]);
-        w->async_ready = mem_pipe_free_ + cfg_.global_latency_cycles;
-        w->async_pending = true;
-      } else {
-        w->async_ready = issued;
-        w->async_pending = true;
-      }
-      break;
-    }
-    case OpKind::AsyncWait: {
-      ACGPU_CHECK(w->async_pending, "AsyncWait without an outstanding async load");
-      ready = std::max(issued, w->async_ready);
-      metrics_.stall_global_cycles += static_cast<std::uint64_t>(ready - issued);
-      warp.value = warp.async_value;
-      w->async_pending = false;
-      break;
-    }
     case OpKind::SharedLoadU8:
     case OpKind::SharedLoadU32:
     case OpKind::SharedStoreU32:

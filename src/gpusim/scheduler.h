@@ -66,8 +66,6 @@ class Scheduler {
     WarpTask task;
     BlockRun* block = nullptr;
     OpKind last_stall = OpKind::None;
-    double async_ready = 0;     ///< completion time of the outstanding async load
-    bool async_pending = false;
   };
 
   struct BlockRun {

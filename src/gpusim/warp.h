@@ -30,12 +30,6 @@ enum class OpKind : std::uint8_t {
   TexFetch,       ///< (tex_x, tex_y) -> value from the primary texture
   TexFetch2,      ///< same, from the secondary texture binding
   Barrier,        ///< __syncthreads
-  /// Non-blocking load: addr -> async_value; the warp continues immediately
-  /// and pays the remaining latency at the matching AsyncWait. One
-  /// outstanding async load per warp (like an in-flight register load that
-  /// stalls on first use — the CUDA "load early, use late" idiom).
-  GlobalLoadU32Async,
-  AsyncWait,      ///< block until the async load completes; async_value -> value
 };
 
 class Warp {
@@ -58,7 +52,6 @@ class Warp {
   // --- lane operand buffers --------------------------------------------------
   std::array<DevAddr, kMaxLanes> addr{};
   std::array<std::uint32_t, kMaxLanes> value{};
-  std::array<std::uint32_t, kMaxLanes> async_value{};
   std::array<std::uint32_t, kMaxLanes> tex_x{};
   std::array<std::uint32_t, kMaxLanes> tex_y{};
   std::array<bool, kMaxLanes> mask{};
@@ -113,8 +106,6 @@ class Warp {
   Await tex_fetch() { return {*this, OpKind::TexFetch, 1}; }
   Await tex_fetch2() { return {*this, OpKind::TexFetch2, 1}; }
   Await barrier() { return {*this, OpKind::Barrier, 1}; }
-  Await global_load_u32_async() { return {*this, OpKind::GlobalLoadU32Async, 1}; }
-  Await async_wait() { return {*this, OpKind::AsyncWait, 1}; }
 };
 
 }  // namespace acgpu::gpusim

@@ -33,7 +33,7 @@ using gpusim::WarpTask;
 
 constexpr std::uint32_t L = Warp::kMaxLanes;
 
-/// Everything the kernels need, copied by value into the coroutine frame
+/// Everything the kernel body needs, copied by value into the coroutine frame
 /// (mirrors a CUDA kernel's parameter block).
 struct KParams {
   DevAddr text_addr = 0;
@@ -50,13 +50,33 @@ struct KParams {
   DevAddr records = 0;
   std::uint32_t capacity = 0;
   std::uint32_t compute_per_byte = 0;
-  std::uint32_t tiles = 1;  ///< tiles per block (double-buffered kernel)
 };
 
-// The matching loop appears in both kernel bodies below. C++20 coroutines
-// cannot call a sub-coroutine without dedicated task plumbing, and a lambda
-// cannot co_await on behalf of its caller, so the loop is written out twice;
-// kernels_ac_kernel_test pins both variants to the serial matcher.
+/// STT column per lane: 1 + the scanned byte for a transition, 0 for the
+/// output id of an accepting state.
+using Columns = std::array<std::uint32_t, L>;
+constexpr Columns kOutputColumn{};
+
+/// Points every active lane at column `col[l]` of STT row `state[l]` — texel
+/// coordinates or a global address, per the placement — and returns the
+/// fetch. A plain function cannot co_await for the kernel body, but it can
+/// hand back the awaitable for the body to co_await.
+Warp::Await stt_read(Warp& w, const KParams& p, const std::array<std::int32_t, L>& state,
+                     const Columns& col) {
+  if (p.placement == SttPlacement::kTexture) {
+    for (std::uint32_t l = 0; l < w.lane_count; ++l)
+      if (w.mask[l]) {
+        w.tex_x[l] = col[l];
+        w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
+      }
+    return w.tex_fetch();
+  }
+  for (std::uint32_t l = 0; l < w.lane_count; ++l)
+    if (w.mask[l])
+      w.addr[l] = p.stt_addr + static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes +
+                  col[l] * 4;
+  return w.global_load_u32();
+}
 
 WarpTask ac_kernel_body(Warp& w, KParams p) {
   const std::uint64_t chunk = p.chunk_bytes;
@@ -163,7 +183,7 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
   }
 
   std::array<std::int32_t, L> oid{};
-  std::array<std::uint32_t, L> byte{};
+  Columns col{};
 
   for (std::uint64_t i = 0; i < max_scan; ++i) {
     // Byte fetch: from the staged shared block or straight from global.
@@ -185,25 +205,11 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
       co_await w.global_load_u8();
     }
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l]) byte[l] = w.value[l] & 0xff;
+      if (scanning[l]) col[l] = 1 + (w.value[l] & 0xff);
 
     // State transition: one STT lookup per byte (texture or global ablation).
     w.mask = scanning;
-    if (p.placement == SttPlacement::kTexture) {
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l]) {
-          w.tex_x[l] = 1 + byte[l];
-          w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
-        }
-      co_await w.tex_fetch();
-    } else {
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l])
-          w.addr[l] = p.stt_addr +
-                      static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes +
-                      (1 + byte[l]) * 4;
-      co_await w.global_load_u32();
-    }
+    co_await stt_read(w, p, state, col);
     std::array<bool, L> flagged{};
     const bool any_flagged = decode_transitions(w.value, scanning, state, flagged);
     co_await w.compute(p.compute_per_byte);
@@ -212,20 +218,7 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     // Match column of the new state, read only by lanes whose transition
     // word carries the match flag.
     w.mask = flagged;
-    if (p.placement == SttPlacement::kTexture) {
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l]) {
-          w.tex_x[l] = 0;
-          w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
-        }
-      co_await w.tex_fetch();
-    } else {
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l])
-          w.addr[l] = p.stt_addr +
-                      static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes;
-      co_await w.global_load_u32();
-    }
+    co_await stt_read(w, p, state, kOutputColumn);
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
       if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
 
@@ -268,272 +261,6 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
   co_await w.global_store_u32();
 }
 
-// ---------------------------------------------------------------------------
-// Double-buffered variant (extension beyond the paper): each block owns
-// `tiles` consecutive tiles of input. While the block matches tile k out of
-// one half of the shared region, it stages tile k+1 into the other half
-// with asynchronous global loads interleaved into the matching loop.
-// ---------------------------------------------------------------------------
-WarpTask ac_db_kernel_body(Warp& w, KParams p) {
-  const std::uint32_t T = p.threads_per_block;
-  const std::uint32_t chunk_words = p.chunk_bytes / 4;
-  const std::uint32_t half_words = (T + 1) * chunk_words;
-  const std::uint32_t K = p.tiles;
-  const std::uint64_t first_tile = w.block_id * K;
-
-  const auto tile_base = [&](std::uint32_t k) {
-    return (first_tile + k) * static_cast<std::uint64_t>(T) * p.chunk_bytes;
-  };
-  const auto staged_words = [&](std::uint32_t k) -> std::uint32_t {
-    const std::uint64_t base = tile_base(k);
-    if (base >= p.text_len) return 0;
-    const std::uint64_t bytes = std::min<std::uint64_t>(
-        p.text_len - base, static_cast<std::uint64_t>(T) * p.chunk_bytes + p.overlap);
-    return static_cast<std::uint32_t>((bytes + 3) / 4);
-  };
-
-  // ---- synchronous staging of tile 0 into half 0 ----
-  {
-    const std::uint32_t total = staged_words(0);
-    const std::uint32_t steps = (total + T - 1) / T;
-    std::array<std::uint32_t, L> widx{};
-    for (std::uint32_t step = 0; step < steps; ++step) {
-      w.mask_none();
-      for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-        const std::uint32_t wi = step * T + w.thread_in_block(l);
-        if (wi < total) {
-          w.mask[l] = true;
-          widx[l] = wi;
-          w.addr[l] = p.text_addr + tile_base(0) + static_cast<std::uint64_t>(wi) * 4;
-        }
-      }
-      if (!w.any_active()) continue;
-      const std::array<bool, L> loading = w.mask;
-      co_await w.global_load_u32();
-      w.mask = loading;
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l])
-          w.addr[l] = static_cast<DevAddr>(map_word(p.scheme, widx[l] / chunk_words,
-                                                    widx[l] % chunk_words,
-                                                    chunk_words)) *
-                      4;
-      co_await w.shared_store_u32();
-    }
-    co_await w.barrier();
-  }
-
-  std::array<std::int32_t, L> state{};
-  std::array<std::uint32_t, L> cnt{};
-  std::array<std::int32_t, L> oid{};
-  std::array<std::uint32_t, L> byte{};
-  std::array<std::uint64_t, L> begin{}, own_end{}, scan_len{};
-
-  for (std::uint32_t k = 0; k < K; ++k) {
-    const std::uint32_t cur = k & 1u;
-    const std::uint32_t nxt = cur ^ 1u;
-    const std::uint32_t cur_base = cur * half_words * 4;
-
-    std::uint64_t max_scan = 0;
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-      const std::uint64_t vthread =
-          (first_tile + k) * T + w.thread_in_block(l);
-      begin[l] = std::min<std::uint64_t>(p.text_len, vthread * p.chunk_bytes);
-      own_end[l] = std::min<std::uint64_t>(p.text_len, begin[l] + p.chunk_bytes);
-      const std::uint64_t se =
-          std::min<std::uint64_t>(p.text_len, own_end[l] + p.overlap);
-      scan_len[l] = se - begin[l];
-      max_scan = std::max(max_scan, scan_len[l]);
-      state[l] = 0;
-      cnt[l] = 0;
-    }
-
-    // Prefetch bookkeeping for tile k+1.
-    const std::uint32_t pre_total = (k + 1 < K) ? staged_words(k + 1) : 0;
-    const std::uint32_t pre_steps = pre_total ? (pre_total + T - 1) / T : 0;
-    std::uint32_t pre_issued = 0, pre_retired = 0;
-    std::array<std::uint32_t, L> pre_widx{};
-    std::array<bool, L> pre_mask{};
-    const std::uint64_t interval =
-        pre_steps ? std::max<std::uint64_t>(1, max_scan / (pre_steps + 1)) : 0;
-
-    for (std::uint64_t i = 0; i < max_scan; ++i) {
-      // ---- one matching step (same loop as ac_kernel_body's shared path,
-      // reading from the current half) ----
-      w.mask_none();
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (i < scan_len[l]) w.mask[l] = true;
-      const std::array<bool, L> scanning = w.mask;
-      if (w.any_active()) {
-        for (std::uint32_t l = 0; l < w.lane_count; ++l)
-          if (w.mask[l]) {
-            const std::uint32_t logical =
-                w.thread_in_block(l) * p.chunk_bytes + static_cast<std::uint32_t>(i);
-            w.addr[l] = cur_base + map_byte(p.scheme, logical, p.chunk_bytes);
-          }
-        co_await w.shared_load_u8();
-        for (std::uint32_t l = 0; l < w.lane_count; ++l)
-          if (scanning[l]) byte[l] = w.value[l] & 0xff;
-
-        w.mask = scanning;
-        if (p.placement == SttPlacement::kTexture) {
-          for (std::uint32_t l = 0; l < w.lane_count; ++l)
-            if (w.mask[l]) {
-              w.tex_x[l] = 1 + byte[l];
-              w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
-            }
-          co_await w.tex_fetch();
-        } else {
-          for (std::uint32_t l = 0; l < w.lane_count; ++l)
-            if (w.mask[l])
-              w.addr[l] = p.stt_addr +
-                          static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes +
-                          (1 + byte[l]) * 4;
-          co_await w.global_load_u32();
-        }
-        std::array<bool, L> flagged{};
-        const bool any_flagged =
-            decode_transitions(w.value, scanning, state, flagged);
-        co_await w.compute(p.compute_per_byte);
-
-        if (any_flagged) {
-          w.mask = flagged;
-          if (p.placement == SttPlacement::kTexture) {
-            for (std::uint32_t l = 0; l < w.lane_count; ++l)
-              if (w.mask[l]) {
-                w.tex_x[l] = 0;
-                w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
-              }
-            co_await w.tex_fetch();
-          } else {
-            for (std::uint32_t l = 0; l < w.lane_count; ++l)
-              if (w.mask[l])
-                w.addr[l] = p.stt_addr +
-                            static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes;
-            co_await w.global_load_u32();
-          }
-          for (std::uint32_t l = 0; l < w.lane_count; ++l)
-            if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
-
-          std::array<bool, L> storing{};
-          bool any_store = false;
-          w.mask_none();
-          for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-            if (!flagged[l]) continue;
-            if (cnt[l] < p.capacity) {
-              storing[l] = true;
-              w.mask[l] = true;
-              const std::uint64_t vthread =
-                  (first_tile + k) * T + w.thread_in_block(l);
-              w.addr[l] = p.records + (vthread * p.capacity + cnt[l]) * 8;
-              w.value[l] = static_cast<std::uint32_t>(begin[l] + i);
-              any_store = true;
-            }
-            ++cnt[l];
-          }
-          if (any_store) {
-            co_await w.global_store_u32();
-            w.mask = storing;
-            for (std::uint32_t l = 0; l < w.lane_count; ++l)
-              if (w.mask[l]) {
-                w.addr[l] += 4;
-                w.value[l] = static_cast<std::uint32_t>(oid[l]);
-              }
-            co_await w.global_store_u32();
-          }
-        }
-      }
-
-      // ---- interleaved prefetch of tile k+1 ----
-      if (pre_steps && interval && (i + 1) % interval == 0) {
-        if (pre_issued > pre_retired) {
-          // Retire the outstanding async step: wait, then place the words.
-          co_await w.async_wait();
-          w.mask = pre_mask;
-          for (std::uint32_t l = 0; l < w.lane_count; ++l)
-            if (w.mask[l])
-              w.addr[l] = nxt * half_words * 4 +
-                          static_cast<DevAddr>(
-                              map_word(p.scheme, pre_widx[l] / chunk_words,
-                                       pre_widx[l] % chunk_words, chunk_words)) *
-                              4;
-          co_await w.shared_store_u32();
-          ++pre_retired;
-        }
-        if (pre_issued < pre_steps && pre_issued == pre_retired) {
-          w.mask_none();
-          bool any = false;
-          for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-            const std::uint32_t wi = pre_issued * T + w.thread_in_block(l);
-            if (wi < pre_total) {
-              w.mask[l] = true;
-              pre_widx[l] = wi;
-              w.addr[l] =
-                  p.text_addr + tile_base(k + 1) + static_cast<std::uint64_t>(wi) * 4;
-              any = true;
-            }
-          }
-          if (any) {
-            pre_mask = w.mask;
-            co_await w.global_load_u32_async();
-            ++pre_issued;
-          } else {
-            // This warp has no lanes in this step; account it as done.
-            ++pre_issued;
-            ++pre_retired;
-          }
-        }
-      }
-    }
-
-    // Drain the remaining staging steps for tile k+1.
-    while (pre_retired < pre_steps) {
-      if (pre_issued == pre_retired) {
-        w.mask_none();
-        bool any = false;
-        for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-          const std::uint32_t wi = pre_issued * T + w.thread_in_block(l);
-          if (wi < pre_total) {
-            w.mask[l] = true;
-            pre_widx[l] = wi;
-            w.addr[l] =
-                p.text_addr + tile_base(k + 1) + static_cast<std::uint64_t>(wi) * 4;
-            any = true;
-          }
-        }
-        if (!any) {
-          ++pre_issued;
-          ++pre_retired;
-          continue;
-        }
-        pre_mask = w.mask;
-        co_await w.global_load_u32_async();
-        ++pre_issued;
-      }
-      co_await w.async_wait();
-      w.mask = pre_mask;
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l])
-          w.addr[l] = nxt * half_words * 4 +
-                      static_cast<DevAddr>(map_word(p.scheme, pre_widx[l] / chunk_words,
-                                                    pre_widx[l] % chunk_words,
-                                                    chunk_words)) *
-                          4;
-      co_await w.shared_store_u32();
-      ++pre_retired;
-    }
-
-    // Per-tile match counts (virtual thread ids), then swap halves.
-    w.mask_all();
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-      const std::uint64_t vthread = (first_tile + k) * T + w.thread_in_block(l);
-      w.addr[l] = p.counts + vthread * 4;
-      w.value[l] = cnt[l];
-    }
-    co_await w.global_store_u32();
-    co_await w.barrier();
-  }
-}
-
 }  // namespace
 
 gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text) {
@@ -566,14 +293,6 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   ACGPU_CHECK(spec.chunk_bytes > 0 && spec.chunk_bytes % 4 == 0,
               "chunk_bytes must be a positive multiple of 4, got " << spec.chunk_bytes);
   ACGPU_CHECK(spec.threads_per_block > 0, "threads_per_block must be positive");
-  ACGPU_CHECK(spec.tiles_per_block >= 1, "tiles_per_block must be >= 1");
-  const bool double_buffer = spec.tiles_per_block > 1;
-  if (double_buffer) {
-    ACGPU_CHECK(spec.approach == Approach::kShared,
-                "double buffering applies to the shared approach only");
-    ACGPU_CHECK(spec.scheme != StoreScheme::kSequential,
-                "double buffering requires a cooperative staging scheme");
-  }
   const std::uint32_t overlap =
       ddfa.max_pattern_length() > 0 ? ddfa.max_pattern_length() - 1 : 0;
   ACGPU_CHECK(overlap < spec.chunk_bytes,
@@ -581,19 +300,15 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
                   << " requires chunks larger than " << spec.chunk_bytes << "B");
 
   const std::uint64_t threads = (text_len + spec.chunk_bytes - 1) / spec.chunk_bytes;
-  const std::uint64_t threads_per_launch_block =
-      static_cast<std::uint64_t>(spec.threads_per_block) * spec.tiles_per_block;
   const std::uint64_t blocks =
-      (threads + threads_per_launch_block - 1) / threads_per_launch_block;
-  const std::uint64_t threads_padded = blocks * threads_per_launch_block;
+      (threads + spec.threads_per_block - 1) / spec.threads_per_block;
+  const std::uint64_t threads_padded = blocks * spec.threads_per_block;
 
   // Staged region: one chunk-sized area per thread plus a full chunk-sized
-  // tail region (diagonal mapping needs the full region for the overlap);
-  // twice that when double-buffered.
-  const std::uint32_t halves = double_buffer ? 2 : 1;
+  // tail region (diagonal mapping needs the full region for the overlap).
   const std::uint32_t shared_bytes =
       spec.approach == Approach::kShared
-          ? halves * (spec.threads_per_block + 1) * spec.chunk_bytes
+          ? (spec.threads_per_block + 1) * spec.chunk_bytes
           : 0;
   ACGPU_CHECK(shared_bytes <= config.shared_mem_bytes,
               "staged block of " << shared_bytes << "B exceeds the SM's "
@@ -620,16 +335,12 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   p.records = plan.buffer->records_base();
   p.capacity = spec.match_capacity;
   p.compute_per_byte = spec.compute_per_byte;
-  p.tiles = spec.tiles_per_block;
 
   plan.dims.grid_blocks = blocks;
   plan.dims.block_threads = spec.threads_per_block;
   plan.dims.shared_bytes = shared_bytes;
 
-  plan.kernel =
-      double_buffer
-          ? gpusim::KernelFn([p](Warp& w) { return ac_db_kernel_body(w, p); })
-          : gpusim::KernelFn([p](Warp& w) { return ac_kernel_body(w, p); });
+  plan.kernel = [p](Warp& w) { return ac_kernel_body(w, p); };
   return plan;
 }
 

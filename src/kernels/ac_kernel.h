@@ -46,11 +46,6 @@ struct AcLaunchSpec {
   /// arithmetic, bounds checks) — the timing model's main calibration knob.
   std::uint32_t compute_per_byte = 8;
   SttPlacement stt_placement = SttPlacement::kTexture;
-  /// Extension (shared approach only): each block processes this many
-  /// consecutive tiles, staging tile k+1 with asynchronous loads while
-  /// matching tile k out of the other half of a double-buffered shared
-  /// region. 1 = the paper's kernel.
-  std::uint32_t tiles_per_block = 1;
   gpusim::LaunchOptions sim{};
 };
 

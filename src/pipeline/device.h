@@ -20,10 +20,6 @@
 // interleave on one device. Engines on DIFFERENT devices are fully
 // independent and scan concurrently — that is the property the cluster tier
 // scales on.
-//
-// The legacy single-arg Engine::create(patterns, options) remains as a
-// deprecated shim that creates a private Device per engine (see
-// docs/PIPELINE.md for the migration note).
 #pragma once
 
 #include <cstdint>
@@ -81,8 +77,8 @@ class Device {
   gpusim::TrackedMutex& scan_mutex();
 
   /// Fail-stop health flag for the cluster tier: a failed device refuses
-  /// new scans (Engine::scan answers kUnavailableDevice via
-  /// Status::internal) until restore(). Flipping the flag never interrupts
+  /// new scans (Engine::scan answers StatusCode::kUnavailable via
+  /// Status::unavailable) until restore(). Flipping the flag never interrupts
   /// a scan in progress — the failure model is fail-stop-with-drain
   /// (docs/CLUSTER.md).
   bool healthy() const;

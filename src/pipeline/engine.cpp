@@ -35,23 +35,10 @@ pipeline::PipelineOptions to_pipeline_options(const EngineOptions& options) {
   return popt;
 }
 
-/// The deprecated single-arg path builds a private device from the legacy
-/// EngineOptions fields.
-Result<std::unique_ptr<Device>> make_private_device(const EngineOptions& options) {
-  DeviceOptions dopt;
-  dopt.gpu = options.gpu;
-  dopt.memory_bytes = options.device_memory_bytes;
-  dopt.host_observer = options.host_observer;
-  Result<Device> device = Device::create(dopt);
-  if (!device.is_ok()) return device.status();
-  return std::make_unique<Device>(std::move(device).value());
-}
-
 }  // namespace
 
-Result<Engine> Engine::build(Device& device, std::unique_ptr<Device> owned,
-                             const ac::PatternSet* patterns, ac::Dfa* dfa,
-                             const EngineOptions& options) {
+Result<Engine> Engine::build(Device& device, const ac::PatternSet* patterns,
+                             ac::Dfa* dfa, const EngineOptions& options) {
   EngineOptions opts = options;
   // Engines on an audited device inherit its observer seam unless they were
   // wired somewhere else explicitly.
@@ -65,7 +52,6 @@ Result<Engine> Engine::build(Device& device, std::unique_ptr<Device> owned,
   engine.options_ = std::move(opts);
   engine.id_ = g_next_engine_id.fetch_add(1, std::memory_order_relaxed);
   engine.device_ = &device;
-  engine.owned_device_ = std::move(owned);
   try {
     if (patterns != nullptr) {
       engine.patterns_ = *patterns;
@@ -98,7 +84,7 @@ Result<Engine> Engine::build(Device& device, std::unique_ptr<Device> owned,
 Result<Engine> Engine::create(Device& device, const ac::PatternSet& patterns,
                               const EngineOptions& options) {
   if (patterns.empty()) return Status::invalid_argument("empty pattern set");
-  return build(device, nullptr, &patterns, nullptr, options);
+  return build(device, &patterns, nullptr, options);
 }
 
 Result<Engine> Engine::create(Device& device, ac::Dfa dfa,
@@ -109,39 +95,8 @@ Result<Engine> Engine::create(Device& device, ac::Dfa dfa,
     return Status::invalid_argument(
         "PFAC rebuilds its automaton from the pattern set; use "
         "Engine::create(Device&, PatternSet, ...) for variant kPfac");
-  return build(device, nullptr, nullptr, &dfa, options);
+  return build(device, nullptr, &dfa, options);
 }
-
-// Definitions of the deprecated shims themselves (the attribute warns on
-// use, and a definition counts as one on some toolchains).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-Result<Engine> Engine::create(const ac::PatternSet& patterns,
-                              const EngineOptions& options) {
-  if (patterns.empty()) return Status::invalid_argument("empty pattern set");
-  Result<std::unique_ptr<Device>> device = make_private_device(options);
-  if (!device.is_ok()) return device.status();
-  std::unique_ptr<Device> owned = std::move(device).value();
-  Device& ref = *owned;
-  return build(ref, std::move(owned), &patterns, nullptr, options);
-}
-
-Result<Engine> Engine::create(ac::Dfa dfa, const EngineOptions& options) {
-  if (dfa.pattern_count() == 0)
-    return Status::invalid_argument("DFA has no patterns");
-  if (options.variant == pipeline::KernelVariant::kPfac)
-    return Status::invalid_argument(
-        "PFAC rebuilds its automaton from the pattern set; use "
-        "Engine::create(PatternSet, ...) for variant kPfac");
-  Result<std::unique_ptr<Device>> device = make_private_device(options);
-  if (!device.is_ok()) return device.status();
-  std::unique_ptr<Device> owned = std::move(device).value();
-  Device& ref = *owned;
-  return build(ref, std::move(owned), nullptr, &dfa, options);
-}
-
-#pragma GCC diagnostic pop
 
 Result<ScanResult> Engine::scan(std::string_view text) {
   if (pipeline_ == nullptr)

@@ -18,12 +18,6 @@
 //                                       ac::PatternSet({"he", "she"}));
 //   auto scan = engine.value().scan(text);
 //   for (ac::Match m : scan.value().matches) { ... }
-//
-// DEPRECATED: the single-argument Engine::create(patterns, options) remains
-// as a shim that creates a private Device per engine (EngineOptions::gpu /
-// device_memory_bytes / host_observer configure it). It keeps old call sites
-// compiling but cannot share a device across engines — new code should
-// create the Device explicitly. Migration notes: docs/PIPELINE.md.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +98,10 @@ struct EngineOptions {
   /// Timed samples waves for throughput studies and skips match collection.
   gpusim::SimMode mode = gpusim::SimMode::Functional;
 
-  /// DEPRECATED (private-Device shim only): simulated device and its memory
-  /// budget for the legacy create(patterns, options) path. Ignored by the
-  /// Device& overloads — the explicit Device carries its own config.
+  /// Simulated device and its memory budget for the facades that create
+  /// their own Device from these options (serve::StreamService without a
+  /// device, cluster::Router per shard, dispatch::DispatchEngine).
+  /// Engine::create ignores them — the explicit Device carries its own.
   gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   std::size_t device_memory_bytes = 256u << 20;
 
@@ -145,20 +140,6 @@ class Engine {
   static Result<Engine> create(Device& device, ac::Dfa dfa,
                                const EngineOptions& options = {});
 
-  /// DEPRECATED single-device shims: create a private Device per engine
-  /// from EngineOptions::gpu / device_memory_bytes / host_observer. Every
-  /// internal caller has been ported to the explicit-Device overloads (or
-  /// to a facade that owns its device — serve::StreamService,
-  /// dispatch::DispatchEngine); -Werror builds flag new uses. See
-  /// docs/PIPELINE.md for the migration recipe.
-  [[deprecated(
-      "create a Device explicitly and call Engine::create(device, ...)")]]
-  static Result<Engine> create(const ac::PatternSet& patterns,
-                               const EngineOptions& options = {});
-  [[deprecated(
-      "create a Device explicitly and call Engine::create(device, ...)")]]
-  static Result<Engine> create(ac::Dfa dfa, const EngineOptions& options = {});
-
   /// Matches `text` through the batched multi-stream pipeline. Safe to call
   /// repeatedly and from any thread — scans serialize on the device's scan
   /// mutex. Fails kUnavailable when the device is marked failed.
@@ -173,8 +154,7 @@ class Engine {
   /// hostcheck reports in a multi-engine process.
   std::uint32_t id() const { return id_; }
 
-  /// The device the engine is bound to (the private one on the deprecated
-  /// path). Stable for the engine's lifetime.
+  /// The device the engine is bound to. Stable for the engine's lifetime.
   Device& device() { return *device_; }
   const Device& device() const { return *device_; }
 
@@ -188,14 +168,12 @@ class Engine {
  private:
   Engine() = default;
 
-  static Result<Engine> build(Device& device, std::unique_ptr<Device> owned,
-                              const ac::PatternSet* patterns, ac::Dfa* dfa,
-                              const EngineOptions& options);
+  static Result<Engine> build(Device& device, const ac::PatternSet* patterns,
+                              ac::Dfa* dfa, const EngineOptions& options);
 
   EngineOptions options_;
   std::uint32_t id_ = 0;
-  Device* device_ = nullptr;             ///< bound device (never null once built)
-  std::unique_ptr<Device> owned_device_; ///< deprecated shim path only
+  Device* device_ = nullptr;  ///< bound device (never null once built)
   ac::PatternSet patterns_;
   // unique_ptrs keep the Engine movable: DeviceDfa/DevicePfac hold references
   // into the device arena and dfa_/pfac_, which must stay at stable addresses.

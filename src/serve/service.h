@@ -74,9 +74,9 @@ struct ServeOptions {
   EngineOptions engine;
 
   /// The device to bind the engine to. Null = the service creates a private
-  /// device from the deprecated EngineOptions::gpu/device_memory_bytes
-  /// fields (the pre-cluster behavior). The cluster tier passes one
-  /// externally owned acgpu::Device per shard; it must outlive the service.
+  /// device sized by EngineOptions::gpu/device_memory_bytes. The cluster
+  /// tier passes one externally owned acgpu::Device per shard; it must
+  /// outlive the service.
   Device* device = nullptr;
 
   /// Adaptive backend routing (dispatch/dispatcher.h): when set, every

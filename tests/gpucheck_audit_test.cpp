@@ -106,7 +106,7 @@ TEST(GpucheckAudit, ShippedBudgetsMatchTheStoreSchemeContracts) {
   EXPECT_FALSE(target_budget(AuditTarget::kAcSharedDiagonal).expect_bank_conflicts);
   EXPECT_TRUE(target_budget(AuditTarget::kAcSharedNaive).expect_bank_conflicts);
   EXPECT_EQ(target_budget(AuditTarget::kAcSharedNaive).max_bank_degree, 0u);
-  EXPECT_TRUE(target_budget(AuditTarget::kAcDbDiagonal).require_coalesced_staging);
+  EXPECT_TRUE(target_budget(AuditTarget::kAcSharedDiagonal).require_coalesced_staging);
 }
 
 TEST(GpucheckAudit, EmptyTextAuditsCleanEverywhere) {
@@ -124,7 +124,7 @@ TEST(GpucheckAudit, EmptyTextAuditsCleanEverywhere) {
 
 TEST(GpucheckAudit, ConformanceSweepAggregatesPerTarget) {
   const std::vector<AuditTarget> targets = {AuditTarget::kAcGlobal,
-                                            AuditTarget::kPacket};
+                                            AuditTarget::kPfac};
   const std::vector<SweepTargetResult> results =
       audit_conformance(/*seed=*/5, /*iterations=*/4, targets);
   ASSERT_EQ(results.size(), targets.size());

@@ -261,100 +261,6 @@ TEST(Launcher, ExtrapolationIsRoughlyLinearInGridSize) {
   EXPECT_NEAR(t2 / t1, 2.0, 0.2);
 }
 
-TEST(Scheduler, AsyncLoadOverlapsCompute) {
-  GpuConfig cfg = small_config();
-  DeviceMemory mem(8192);
-  const DevAddr src = mem.alloc(256);
-  const DevAddr dst = mem.alloc(256);
-  for (std::uint32_t i = 0; i < 32; ++i) mem.store_u32(src + i * 4, i + 100);
-
-  LaunchDims dims{1, 32, 0};
-  auto run = [&](bool async) {
-    return launch(cfg, mem, nullptr, dims, [=](Warp& w) -> WarpTask {
-      w.mask_all();
-      for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = src + l * 4;
-      if (async) {
-        co_await w.global_load_u32_async();
-        co_await w.compute(200);  // 800 cycles of useful work under the load
-        co_await w.async_wait();
-      } else {
-        co_await w.global_load_u32();
-        co_await w.compute(200);
-      }
-      w.mask_all();
-      for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-        w.addr[l] = dst + l * 4;
-        w.value[l] += 1;
-      }
-      co_await w.global_store_u32();
-    });
-  };
-  const auto blocking = run(false);
-  for (std::uint32_t i = 0; i < 32; ++i)
-    EXPECT_EQ(mem.load_u32(dst + i * 4), i + 101);
-  const auto overlapped = run(true);
-  for (std::uint32_t i = 0; i < 32; ++i)
-    EXPECT_EQ(mem.load_u32(dst + i * 4), i + 101);  // async data flows too
-  // 200 instructions at 4 cycles cover most of the 450-cycle latency.
-  EXPECT_LT(overlapped.cycles, blocking.cycles - 300);
-}
-
-TEST(Scheduler, AsyncWaitWithoutLoadThrows) {
-  GpuConfig cfg = small_config();
-  DeviceMemory mem(4096);
-  LaunchDims dims{1, 32, 0};
-  EXPECT_THROW(launch(cfg, mem, nullptr, dims,
-                      [](Warp& w) -> WarpTask {
-                        w.mask_all();
-                        co_await w.async_wait();
-                      }),
-               Error);
-}
-
-TEST(Scheduler, DoubleAsyncIssueThrows) {
-  GpuConfig cfg = small_config();
-  DeviceMemory mem(4096);
-  const DevAddr src = mem.alloc(256);
-  LaunchDims dims{1, 32, 0};
-  EXPECT_THROW(launch(cfg, mem, nullptr, dims,
-                      [=](Warp& w) -> WarpTask {
-                        w.mask_all();
-                        for (std::uint32_t l = 0; l < w.lane_count; ++l)
-                          w.addr[l] = src + l * 4;
-                        co_await w.global_load_u32_async();
-                        co_await w.global_load_u32_async();
-                      }),
-               Error);
-}
-
-TEST(Scheduler, AsyncValuePreservedAcrossOtherLoads) {
-  GpuConfig cfg = small_config();
-  DeviceMemory mem(8192);
-  const DevAddr a = mem.alloc(256);
-  const DevAddr b = mem.alloc(256);
-  const DevAddr dst = mem.alloc(256);
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    mem.store_u32(a + i * 4, i + 1000);
-    mem.store_u32(b + i * 4, 7);
-  }
-  LaunchDims dims{1, 32, 0};
-  launch(cfg, mem, nullptr, dims, [=](Warp& w) -> WarpTask {
-    w.mask_all();
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = a + l * 4;
-    co_await w.global_load_u32_async();
-    // A blocking load in between must not clobber the in-flight values.
-    w.mask_all();
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = b + l * 4;
-    co_await w.global_load_u32();
-    co_await w.async_wait();
-    w.mask_all();
-    for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = dst + l * 4;
-    co_await w.global_store_u32();
-  });
-  for (std::uint32_t i = 0; i < 32; ++i)
-    EXPECT_EQ(mem.load_u32(dst + i * 4), i + 1000);
-}
-
 TEST(GpuConfig, OccupancyRules) {
   const GpuConfig cfg = GpuConfig::gtx285();
   // Thread-limited: 1024 / 256 = 4 blocks.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "ac/naive_matcher.h"
 #include "ac/serial_matcher.h"
@@ -271,26 +272,30 @@ std::string repeated_paper_text() {
 
 TEST(AcKernel, TextureReadsColumnZeroOnlyOnFlaggedTransitions) {
   // One texture fetch per scanned byte, plus one per step that lands in an
-  // accepting state — for both kernel bodies and both staging approaches.
+  // accepting state — for both approaches, and for every store scheme: the
+  // read count must not depend on how the input was staged.
   Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
   const SttReads want = expected_stt_reads(f, 32, 64);
   ASSERT_GT(want.flagged_lane_steps, 0u);
   ASSERT_LT(want.flagged_warp_steps, want.warp_steps);
-  for (const std::uint32_t tiles : {1u, 2u}) {
-    for (const auto approach : {Approach::kGlobalOnly, Approach::kShared}) {
-      if (tiles > 1 && approach == Approach::kGlobalOnly) continue;
-      AcLaunchSpec spec;
-      spec.approach = approach;
-      spec.chunk_bytes = 32;
-      spec.threads_per_block = 64;
-      spec.tiles_per_block = tiles;
-      const auto out = f.run(spec);
-      SCOPED_TRACE(std::string(to_string(approach)) + " tiles " + std::to_string(tiles));
-      EXPECT_EQ(out.matches.matches, f.expected());
-      EXPECT_EQ(out.sim.metrics.tex_lane_fetches,
-                want.lane_bytes + want.flagged_lane_steps);
-      EXPECT_EQ(out.sim.metrics.tex_requests, want.warp_steps + want.flagged_warp_steps);
-    }
+  const std::pair<Approach, StoreScheme> cases[] = {
+      {Approach::kGlobalOnly, StoreScheme::kDiagonal},
+      {Approach::kShared, StoreScheme::kSequential},
+      {Approach::kShared, StoreScheme::kCoalescedNaive},
+      {Approach::kShared, StoreScheme::kDiagonal},
+  };
+  for (const auto& [approach, scheme] : cases) {
+    AcLaunchSpec spec;
+    spec.approach = approach;
+    spec.scheme = scheme;
+    spec.chunk_bytes = 32;
+    spec.threads_per_block = 64;
+    const auto out = f.run(spec);
+    SCOPED_TRACE(std::string(to_string(approach)) + " " + to_string(scheme));
+    EXPECT_EQ(out.matches.matches, f.expected());
+    EXPECT_EQ(out.sim.metrics.tex_lane_fetches,
+              want.lane_bytes + want.flagged_lane_steps);
+    EXPECT_EQ(out.sim.metrics.tex_requests, want.warp_steps + want.flagged_warp_steps);
   }
 }
 

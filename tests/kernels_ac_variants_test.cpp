@@ -1,14 +1,12 @@
-// Tests for the kernel variants beyond the paper's two: the STT-placement
-// ablation (texture vs global) and the double-buffered multi-tile kernel.
+// Tests for the STT-placement ablation (texture vs global), the one kernel
+// option beyond the paper's two approaches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "ac/serial_matcher.h"
 #include "kernels/ac_kernel.h"
-#include "util/error.h"
 #include "workload/markov_corpus.h"
-#include "workload/pattern_extract.h"
 
 namespace acgpu::kernels {
 namespace {
@@ -83,115 +81,6 @@ TEST(SttPlacement, GlobalPlacementSkipsTextureAndIsSlower) {
   EXPECT_GT(via_global.sim.metrics.global_transactions,
             via_texture.sim.metrics.global_transactions * 4);
   EXPECT_GT(via_global.sim.cycles, via_texture.sim.cycles);
-}
-
-TEST(DoubleBuffer, MatchesSerialAcrossTileCounts) {
-  Fixture f({"boundary", "ound", "the"},
-            workload::make_corpus(40000, 3) + "boundaryboundary");
-  for (std::uint32_t tiles : {2u, 3u, 4u}) {
-    AcLaunchSpec spec = small_spec();
-    spec.approach = Approach::kShared;
-    spec.tiles_per_block = tiles;
-    const auto out = f.run(spec);
-    EXPECT_EQ(out.matches.matches, f.expected()) << tiles << " tiles";
-    EXPECT_FALSE(out.matches.overflowed);
-  }
-}
-
-TEST(DoubleBuffer, MatchesAtTileBoundaries) {
-  // Patterns planted across tile boundaries (tile = tpb * chunk = 2048 B);
-  // positions chosen non-overlapping.
-  std::string text(12000, 'x');
-  for (std::size_t pos : {2040ul, 2060ul, 4090ul, 6140ul, 8185ul})
-    text.replace(pos, 8, "boundary");
-  Fixture f({"boundary"}, std::move(text));
-  AcLaunchSpec spec = small_spec();
-  spec.approach = Approach::kShared;
-  spec.tiles_per_block = 3;
-  const auto out = f.run(spec);
-  EXPECT_EQ(out.matches.matches, f.expected());
-  ASSERT_EQ(out.matches.matches.size(), 5u);
-}
-
-TEST(DoubleBuffer, RaggedTailTile) {
-  // Text not a multiple of the tile size; final tile partially filled and
-  // some blocks have empty trailing tiles.
-  Fixture f({"ab", "abc"}, workload::make_corpus(10007, 4) + "ab");
-  AcLaunchSpec spec = small_spec();
-  spec.approach = Approach::kShared;
-  spec.tiles_per_block = 4;
-  EXPECT_EQ(f.run(spec).matches.matches, f.expected());
-}
-
-TEST(DoubleBuffer, UsesAsyncLoadsAndFewerBlocks) {
-  Fixture f({"qzk"}, workload::make_corpus(32768, 5));
-  AcLaunchSpec base = small_spec();
-  base.approach = Approach::kShared;
-  const auto plain = f.run(base);
-  AcLaunchSpec db = base;
-  db.tiles_per_block = 4;
-  const auto buffered = f.run(db);
-  EXPECT_EQ(buffered.blocks * 4, plain.blocks);
-  EXPECT_EQ(buffered.matches.matches, plain.matches.matches);
-  // Double the staged region (two halves).
-  EXPECT_EQ(buffered.shared_bytes, plain.shared_bytes * 2);
-}
-
-TEST(DoubleBuffer, HidesStagingLatency) {
-  // Controlled comparison at equal occupancy (one resident block per SM —
-  // the regime double buffering exists for): prefetching the next tile
-  // must beat staging it synchronously.
-  gpusim::GpuConfig cfg = gpusim::GpuConfig::gtx285();
-  cfg.max_blocks_per_sm = 1;
-  gpusim::DeviceMemory mem(128 << 20);
-  // Sized so both grids divide evenly across the 30 SMs (no tail-wave
-  // imbalance): 30 SMs * 4 tiles * 192 threads * 32 B * 2.
-  const std::string text = workload::make_corpus(30u * 4 * 192 * 32 * 2, 6);
-  const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"qzkw"}), 8);
-  const DeviceDfa ddfa(mem, dfa);
-  const auto addr = upload_text(mem, text);
-
-  auto timed = [&](std::uint32_t tiles) {
-    AcLaunchSpec spec;
-    spec.approach = Approach::kShared;
-    spec.chunk_bytes = 32;
-    spec.threads_per_block = 192;
-    spec.tiles_per_block = tiles;
-    spec.sim.mode = gpusim::SimMode::Timed;
-    const std::size_t mark = mem.mark();
-    const auto out = run_ac_kernel(cfg, mem, ddfa, addr, text.size(), spec);
-    mem.release(mark);
-    return out.sim.cycles;
-  };
-  const double plain = timed(1);
-  const double buffered = timed(4);
-  EXPECT_LT(buffered, plain);
-}
-
-TEST(DoubleBuffer, ValidatesSpec) {
-  Fixture f({"abc"}, "text with abc");
-  AcLaunchSpec spec = small_spec();
-  spec.tiles_per_block = 2;
-  spec.approach = Approach::kGlobalOnly;
-  EXPECT_THROW(run_ac_kernel(f.cfg, f.mem, f.ddfa, f.text_addr, f.text.size(), spec),
-               Error);
-  spec.approach = Approach::kShared;
-  spec.scheme = StoreScheme::kSequential;
-  EXPECT_THROW(run_ac_kernel(f.cfg, f.mem, f.ddfa, f.text_addr, f.text.size(), spec),
-               Error);
-  spec.scheme = StoreScheme::kDiagonal;
-  spec.tiles_per_block = 0;
-  EXPECT_THROW(run_ac_kernel(f.cfg, f.mem, f.ddfa, f.text_addr, f.text.size(), spec),
-               Error);
-}
-
-TEST(DoubleBuffer, WorksWithNaiveSchemeToo) {
-  Fixture f({"he", "she"}, workload::make_corpus(20000, 7));
-  AcLaunchSpec spec = small_spec();
-  spec.approach = Approach::kShared;
-  spec.scheme = StoreScheme::kCoalescedNaive;
-  spec.tiles_per_block = 2;
-  EXPECT_EQ(f.run(spec).matches.matches, f.expected());
 }
 
 }  // namespace

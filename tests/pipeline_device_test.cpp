@@ -1,6 +1,6 @@
 // acgpu::Device ownership API: process-unique ids, the registry, health
 // flagging (fail-stop), and Engines bound to an explicit Device — including
-// several engines sharing one device and the deprecated private-Device shim.
+// several engines sharing one device.
 #include "pipeline/device.h"
 
 #include <gtest/gtest.h>
@@ -100,23 +100,6 @@ TEST(Device, EnginesShareOneDeviceAndAgree) {
   const std::string text = "xabcababc";
   EXPECT_EQ(a.scan(text).value().matches, ac::find_all(a.dfa(), text));
   EXPECT_EQ(b.scan(text).value().matches, ac::find_all(b.dfa(), text));
-}
-
-TEST(Device, DeprecatedShimStillScansOnPrivateDevice) {
-  EngineOptions opt = fast_engine();
-  opt.gpu.num_sms = 4;
-  opt.device_memory_bytes = 64u << 20;
-  // Deliberate use: this is the one test keeping the deprecated shim
-  // covered until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Engine engine = Engine::create(ac::PatternSet({"he"}), opt).value();
-#pragma GCC diagnostic pop
-  // The shim's private device is real: registered, named, and health-gated.
-  EXPECT_EQ(gpusim::device_name(engine.device().id()), engine.device().name());
-  EXPECT_EQ(engine.scan("ushers").value().matches.size(), 1u);
-  engine.device().mark_failed("");
-  EXPECT_EQ(engine.scan("ushers").status().code(), StatusCode::kUnavailable);
 }
 
 TEST(Device, EngineIdsAreUniqueAcrossDevices) {
