@@ -46,15 +46,23 @@ const TargetInfo& info_of(AuditTarget target) {
   return kTargets[0];
 }
 
-/// Chunk for the shared-staging targets: a multiple of 64 bytes (16 words on
-/// the 16-bank model — the diagonal degree-1 invariant needs chunk_words to
-/// be a bank-count multiple) strictly above the dictionary's overlap.
+std::uint32_t overlap_of(const CompiledWorkload& w) {
+  return ac::required_overlap(w.dfa().max_pattern_length());
+}
+
+/// Chunk for the single-width targets: a multiple of 64 bytes (16 words on
+/// the 16-bank model) strictly above the dictionary's overlap. The naive
+/// scheme's expected conflicts only materialise at such widths: at odd
+/// word counts row-major is conflict-free.
 std::uint32_t pick_chunk(const CompiledWorkload& w, std::uint32_t floor_bytes) {
-  const std::uint32_t overlap =
-      ac::required_overlap(w.dfa().max_pattern_length());
-  const std::uint32_t chunk = std::max(floor_bytes, overlap + 1);
+  const std::uint32_t chunk = std::max(floor_bytes, overlap_of(w) + 1);
   return (chunk + 63) / 64 * 64;
 }
+
+/// Widths the diagonal target audits: 3, 4, 8 and 16 words — what the
+/// pipeline derives for DNA and text dictionaries, its wide-batch chunk, and
+/// the paper's 64 bytes.
+constexpr std::uint32_t kDiagonalChunkBytes[] = {12, 16, 32, 64};
 
 gpusim::DeviceMemory make_device(std::size_t text_bytes, std::uint64_t threads,
                                  std::uint32_t capacity,
@@ -106,7 +114,7 @@ bool same_matches(std::vector<ac::Match> got,
 }
 
 AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
-                      const AuditSpec& spec) {
+                      const AuditSpec& spec, std::uint32_t chunk_bytes) {
   kernels::AcLaunchSpec ls;
   switch (target) {
     case AuditTarget::kAcGlobal:
@@ -127,7 +135,7 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
     default:
       ACGPU_CHECK(false, "audit_ac called with a non-ac target");
   }
-  ls.chunk_bytes = pick_chunk(w, spec.chunk_floor_bytes);
+  ls.chunk_bytes = chunk_bytes;
   ls.threads_per_block = spec.threads_per_block;
   ls.sim.mode = gpusim::SimMode::Functional;
 
@@ -166,6 +174,27 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
   outcome.matches_ok =
       same_matches(collected.matches, oracle::reference_matches(w));
   return outcome;
+}
+
+/// The diagonal scheme at every width in kDiagonalChunkBytes above the
+/// overlap (the single-width chunk when none is), one launch each, merged
+/// into one outcome.
+AuditOutcome audit_diagonal(const CompiledWorkload& w, const AuditSpec& spec) {
+  std::vector<std::uint32_t> widths;
+  for (const std::uint32_t chunk : kDiagonalChunkBytes)
+    if (chunk > overlap_of(w)) widths.push_back(chunk);
+  if (widths.empty()) widths.push_back(pick_chunk(w, spec.chunk_floor_bytes));
+
+  AuditOutcome merged;
+  merged.matches_ok = true;
+  for (const std::uint32_t chunk : widths) {
+    const AuditOutcome one =
+        audit_ac(AuditTarget::kAcSharedDiagonal, w, spec, chunk);
+    merged.report.merge(one.report, spec.recorder.max_hazards);
+    merged.matches_ok = merged.matches_ok && one.matches_ok;
+    merged.match_count = one.match_count;
+  }
+  return merged;
 }
 
 AuditOutcome audit_compressed(const CompiledWorkload& w,
@@ -357,8 +386,10 @@ AuditOutcome audit_workload(AuditTarget target, const CompiledWorkload& w,
       return audit_pfac(w, spec);
     case AuditTarget::kPipeline:
       return audit_pipeline(w, spec);
+    case AuditTarget::kAcSharedDiagonal:
+      return audit_diagonal(w, spec);
     default:
-      return audit_ac(target, w, spec);
+      return audit_ac(target, w, spec, pick_chunk(w, spec.chunk_floor_bytes));
   }
 }
 

@@ -14,12 +14,16 @@
 //   pfac                 —                  —   (lane death scatters loads)
 //   pipeline             max degree 1       required (shared kernel per batch)
 //
-// The degree-1 budget is only sound when chunk_words is a multiple of the
-// bank count, so the harness rounds every per-workload chunk up to 64 bytes
-// (16 words on the 16-bank model). The naive scheme's "conflicts expected"
-// assertion — the paper's Fig. 23 motivation — applies once the text is long
-// enough that at least two threads of a half-warp scan concurrently
-// (text_len > chunk_bytes).
+// ac-shared-diagonal audits each workload at 12, 16, 32 and 64-byte chunks
+// (3/4/8/16 words; the widths above the dictionary's overlap): the
+// generalised rotation keeps the matching reads at degree 1 at every width,
+// and at these widths the staging stores too. The other shared-staging
+// targets round their chunk up to a multiple of 64 bytes (16 words on the
+// 16-bank model): the naive scheme's "conflicts expected" assertion — the
+// paper's Fig. 23 motivation — only holds there (row-major is conflict-free
+// at odd word counts), and it applies once the text is long enough that at
+// least two threads of a half-warp scan concurrently (text_len >
+// chunk_bytes).
 #pragma once
 
 #include <cstdint>
@@ -66,8 +70,9 @@ void apply_budget(AuditReport& report, const Budget& budget);
 
 struct AuditSpec {
   std::uint32_t threads_per_block = 64;
-  /// Per-workload chunk floor; always rounded up to a multiple of 64 bytes
-  /// and above the dictionary's overlap.
+  /// Per-workload chunk floor of the single-width targets (all but
+  /// ac-shared-diagonal); always rounded up to a multiple of 64 bytes and
+  /// above the dictionary's overlap.
   std::uint32_t chunk_floor_bytes = 64;
   RecorderOptions recorder{};
 };

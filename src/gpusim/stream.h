@@ -147,7 +147,7 @@ class StreamSim {
   double enqueue(StreamId stream, StreamOpKind kind, double duration,
                  std::uint64_t bytes, std::string label);
 
-  const GpuConfig& cfg_;
+  GpuConfig cfg_;  // by value: callers may pass a temporary
   DeviceMemory& gmem_;
   HostObserver* host_observer_ = nullptr;
   std::uint32_t sim_id_ = 0;  ///< assigned by the observer on attach

@@ -1,5 +1,7 @@
 #include "kernels/store_scheme.h"
 
+#include <numeric>
+
 #include "util/error.h"
 
 namespace acgpu::kernels {
@@ -22,10 +24,16 @@ std::uint32_t map_word(StoreScheme scheme, std::uint32_t owner, std::uint32_t wo
     case StoreScheme::kSequential:
     case StoreScheme::kCoalescedNaive:
       return owner * chunk_words + word;
-    case StoreScheme::kDiagonal:
-      // Rotate within the owner's region; the tail overlap region (word can
-      // only come from the owner-past-the-end pseudo chunk) stays row-major.
-      return owner * chunk_words + (word + owner) % chunk_words;
+    case StoreScheme::kDiagonal: {
+      // Rotate within the owner's region. Row-major already spreads the
+      // 16/g owners that share one rotation over distinct bank groups
+      // (g = gcd(chunk_words, 16)); rotating by a different residue mod g
+      // per such group fills the remaining banks. When 16 divides
+      // chunk_words that is the paper's rotation by `owner`.
+      const std::uint32_t g = std::gcd(chunk_words, 16u);
+      const std::uint32_t rotation = g == 16 ? owner : owner / (16 / g) % g;
+      return owner * chunk_words + (word + rotation) % chunk_words;
+    }
   }
   return 0;
 }

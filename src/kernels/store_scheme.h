@@ -11,9 +11,12 @@
 //    owner on the SAME bank, so the matching phase's lockstep reads are
 //    16-way conflicts — the paper's motivating problem.
 //  - kDiagonal: the paper's scheme — word w of owner o is rotated to slot
-//    (w + o) mod chunk_words inside o's region, so at every matching step
+//    (w + r) mod chunk_words inside o's region, so at every matching step
 //    the 16 threads of a half-warp hit 16 distinct banks, and the staging
-//    stores are conflict-free too.
+//    stores are conflict-free too. The paper's r = o assumes 16 divides
+//    chunk_words; for other widths r = (o / (16/g)) mod g with
+//    g = gcd(chunk_words, 16), which keeps the matching reads conflict-free
+//    at every chunk width.
 //  - kSequential is the layout used by the no-coalescing baseline (each
 //    thread copies its own chunk serially); physically identical to
 //    kCoalescedNaive, listed separately because the *load* pattern differs.
@@ -34,8 +37,8 @@ const char* to_string(StoreScheme scheme);
 
 /// Physical shared-memory *word* index for logical (owner, word).
 /// `chunk_words` is the per-owner region size in words; the tail overlap
-/// region is addressed as owner == num_chunks and is stored row-major in
-/// every scheme (only one thread ever reads it at a given step).
+/// region is addressed as owner == num_chunks and mapped like any other
+/// owner's region.
 std::uint32_t map_word(StoreScheme scheme, std::uint32_t owner, std::uint32_t word,
                        std::uint32_t chunk_words);
 

@@ -105,8 +105,11 @@ struct EngineOptions {
   gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   std::size_t device_memory_bytes = 256u << 20;
 
-  /// Advanced knobs (0 = derive): per-thread chunk for the AC kernels.
+  /// Advanced knobs: per-thread chunk for the AC kernels; 0 derives chunk
+  /// and block per batch from its slice length (see
+  /// pipeline::PipelineOptions::chunk_bytes).
   std::uint32_t chunk_bytes = 0;
+  /// Threads per block; a ceiling on the derived block when chunk_bytes is 0.
   std::uint32_t threads_per_block = 256;
   std::uint32_t match_capacity = 64;
 

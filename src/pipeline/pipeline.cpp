@@ -91,45 +91,84 @@ void warn_streams_clamped(telemetry::Logger* logger, std::uint32_t requested,
                "pipeline.streams_clamped)");
 }
 
+/// Kernel geometry of one batch launch (chunk_bytes is 0 for PFAC).
 struct BatchGeometry {
-  std::uint32_t overlap = 0;      ///< max_pattern_length - 1 carry bytes
-  std::uint32_t chunk_bytes = 0;  ///< AC kernels only
+  std::uint32_t chunk_bytes = 0;
   std::uint32_t threads_per_block = 0;
-  std::uint64_t slice_cap = 0;  ///< largest device slice (owned + overlap)
 };
 
-/// Derives chunk/block geometry, shrinking the block when the shared-memory
-/// staging region would not fit the SM.
-Result<BatchGeometry> resolve_geometry(const PipelineOptions& opt,
-                                       std::uint64_t batch_bytes,
-                                       const gpusim::GpuConfig& config,
-                                       std::uint32_t max_pattern_length,
-                                       std::uint64_t text_len) {
-  BatchGeometry g;
-  g.overlap = max_pattern_length > 0 ? max_pattern_length - 1 : 0;
-  g.threads_per_block = opt.threads_per_block;
-  g.slice_cap = std::min<std::uint64_t>(batch_bytes, text_len) + g.overlap;
+/// Smallest legal AC chunk: the first multiple of 4 above the overlap.
+std::uint32_t min_chunk(std::uint32_t overlap) { return (overlap + 4) & ~3u; }
 
-  if (opt.variant == KernelVariant::kPfac) return g;
+/// Largest block (a multiple of 32, at most `ceiling`) whose staged region,
+/// (block + 1) chunk-sized areas, fits in `budget` bytes; 0 if none does.
+std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_bytes,
+                                   std::uint32_t budget) {
+  const std::uint32_t regions = budget / chunk_bytes;
+  return regions == 0 ? 0 : std::min(ceiling, (regions - 1) / 32 * 32);
+}
 
-  g.chunk_bytes = opt.chunk_bytes != 0
-                      ? opt.chunk_bytes
-                      : std::max<std::uint32_t>(32, (g.overlap + 4) & ~3u);
-  if (g.overlap >= g.chunk_bytes)
+/// Rejects AC geometry no batch of the run could launch: an explicit chunk
+/// that does not exceed the overlap, or a chunk too wide to stage even a
+/// 32-thread block. Checked once per run, before anything is staged; the
+/// widest chunk resolve_geometry can pick is the one checked.
+Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
+                      std::uint32_t max_pattern_length, std::uint32_t overlap) {
+  if (opt.variant == KernelVariant::kPfac) return Status::ok();
+  const std::uint32_t widest = opt.chunk_bytes != 0
+                                   ? opt.chunk_bytes
+                                   : std::max<std::uint32_t>(32, min_chunk(overlap));
+  if (overlap >= widest)
     return Status::invalid_argument(
-        "chunk_bytes " + std::to_string(g.chunk_bytes) +
+        "chunk_bytes " + std::to_string(widest) +
         " too small for max pattern length " + std::to_string(max_pattern_length));
-  if (opt.variant == KernelVariant::kShared) {
-    // Staging needs (T+1) chunk-sized regions of the SM's shared memory.
-    while (g.threads_per_block > 32 &&
-           (g.threads_per_block + 1) * g.chunk_bytes > config.shared_mem_bytes)
-      g.threads_per_block -= 32;
-    if ((g.threads_per_block + 1) * g.chunk_bytes > config.shared_mem_bytes)
-      return Status::capacity_exceeded(
-          "staged block for chunk_bytes " + std::to_string(g.chunk_bytes) +
-          " exceeds shared memory even at 32 threads/block");
-  }
-  return g;
+  if (opt.variant == KernelVariant::kShared &&
+      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
+    return Status::capacity_exceeded(
+        "staged block for chunk_bytes " + std::to_string(widest) +
+        " exceeds shared memory even at 32 threads/block");
+  return Status::ok();
+}
+
+/// Chunk and block for one batch whose device slice is `slice` bytes.
+/// Explicit chunk_bytes keeps the requested geometry and only shrinks the
+/// block until its staging fits the SM. chunk_bytes == 0 derives both from
+/// the slice, so a small batch still fills the device (texture latency is
+/// hidden only by resident warps):
+///  - chunk: the smallest legal chunk while its threads fit in half the
+///    device's resident thread slots, else max(32, smallest);
+///  - block: the largest multiple of 32 up to threads_per_block that still
+///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' staged
+///    regions share the SM; 32 when none does.
+/// Geometry is a function of the slice length alone, which keeps the Timed
+/// reuse cache (keyed by slice length) valid.
+BatchGeometry resolve_geometry(const PipelineOptions& opt,
+                               const gpusim::GpuConfig& config, std::uint32_t overlap,
+                               std::uint64_t slice) {
+  if (opt.variant == KernelVariant::kPfac) return {0, opt.threads_per_block};
+  const bool shared = opt.variant == KernelVariant::kShared;
+  if (opt.chunk_bytes != 0)
+    return {opt.chunk_bytes,
+            shared ? largest_staged_block(opt.threads_per_block, opt.chunk_bytes,
+                                          config.shared_mem_bytes)
+                   : opt.threads_per_block};
+
+  const std::uint32_t smallest = min_chunk(overlap);
+  const std::uint64_t half_resident =
+      std::uint64_t{config.num_sms} * config.max_threads_per_sm / 2;
+  const std::uint32_t chunk = (slice + smallest - 1) / smallest <= half_resident
+                                  ? smallest
+                                  : std::max<std::uint32_t>(32, smallest);
+  const std::uint64_t threads = (slice + chunk - 1) / chunk;
+  // ceil(threads / block) >= 2 * num_sms  <=>  block <= (threads - 1) / (2 * num_sms - 1)
+  std::uint64_t block = std::min<std::uint64_t>(
+      opt.threads_per_block, (threads - 1) / (2 * std::uint64_t{config.num_sms} - 1));
+  if (shared)
+    block = std::min<std::uint64_t>(
+        block, largest_staged_block(opt.threads_per_block, chunk,
+                                    config.shared_mem_bytes / 2));
+  block = block / 32 * 32;
+  return {chunk, static_cast<std::uint32_t>(std::max<std::uint64_t>(32, block))};
 }
 
 /// Timed-mode timing reuse: batches are homogeneous by construction, so one
@@ -235,18 +274,18 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     warn_streams_clamped(opt.logger, opt.streams, plan.pool_depth,
                          plan.effective_streams);
 
-  Result<BatchGeometry> geo =
-      resolve_geometry(opt, plan.batch_bytes, config_, max_len, text.size());
-  if (!geo) return geo.status();
-  const BatchGeometry g = geo.value();
+  const std::uint32_t overlap = max_len > 0 ? max_len - 1 : 0;
+  if (Status s = check_geometry(opt, config_, max_len, overlap); !s) return s;
+  // Largest device slice: owned bytes plus the overlap carry.
+  const std::uint64_t slice_cap =
+      std::min<std::uint64_t>(plan.batch_bytes, text.size()) + overlap;
 
   const std::uint64_t batch_count =
       (text.size() + plan.batch_bytes - 1) / plan.batch_bytes;
 
   try {
     // split_readback gives the device a dedicated D2H queue (the PCIe link
-    // is full duplex). The sim keeps a reference to its config, so the
-    // adjusted copy must outlive it.
+    // is full duplex).
     gpusim::GpuConfig run_cfg = config_;
     if (opt.split_readback && run_cfg.readback_engines == 0)
       run_cfg.readback_engines = 1;
@@ -259,7 +298,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     // loads never run off the slice); readback leases are 0-byte accounting
     // entries — the kernel launches allocate the real output buffers.
     const std::size_t outer_mark = mem_.mark();
-    StagingPool::Options upload_opt{plan.pool_depth, g.slice_cap, 8, false};
+    StagingPool::Options upload_opt{plan.pool_depth, slice_cap, 8, false};
     upload_opt.observer = opt.host_observer;
     upload_opt.name = "upload";
     upload_opt.sim = sim.sim_id();
@@ -333,7 +372,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       const std::uint64_t base = b * plan.batch_bytes;
       const std::uint64_t owned =
           std::min<std::uint64_t>(plan.batch_bytes, text.size() - base);
-      const std::uint64_t slice = std::min<std::uint64_t>(owned + g.overlap, text.size() - base);
+      const std::uint64_t slice = std::min<std::uint64_t>(owned + overlap, text.size() - base);
       const gpusim::StreamId stream =
           static_cast<gpusim::StreamId>(b % plan.effective_streams);
 
@@ -343,6 +382,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       trace.stream = stream;
       trace.owned_bytes = owned;
       trace.staged_bytes = slice;
+      const BatchGeometry g = resolve_geometry(opt, config_, overlap, slice);
+      trace.chunk_bytes = g.chunk_bytes;
+      trace.threads_per_block = g.threads_per_block;
 
       // Upload staging lease: held from H2D start to KERNEL end (the kernel
       // is the last reader of the staged slice), so this batch never waits

@@ -93,9 +93,14 @@ struct PipelineOptions {
   /// rebalance — matches are exact for any batch size.
   bool rebalance_batches = true;
 
-  /// Per-thread chunk for the AC kernels; 0 derives the smallest legal value
-  /// (>= 32, a multiple of 4, larger than the overlap).
+  /// Per-thread chunk for the AC kernels (a multiple of 4 larger than the
+  /// overlap). 0 derives chunk and block per batch from the batch's slice
+  /// length, aiming for 2 blocks on every SM even for small batches: the
+  /// smallest legal chunk while its threads fit in half the device's
+  /// resident thread slots, else max(32, smallest legal).
   std::uint32_t chunk_bytes = 0;
+  /// Threads per block. With chunk_bytes == 0 this is a ceiling on the
+  /// derived block; either way the block shrinks until its staging fits.
   std::uint32_t threads_per_block = 256;
   std::uint32_t match_capacity = 64;
   /// PFAC runs one thread per byte, so its record slots are priced per input
@@ -157,6 +162,8 @@ struct BatchTrace {
   std::uint64_t owned_bytes = 0;   ///< bytes this batch reports matches for
   std::uint64_t staged_bytes = 0;  ///< H2D payload (owned + overlap carry)
   std::uint64_t output_bytes = 0;  ///< D2H payload (counts + match records)
+  std::uint32_t chunk_bytes = 0;   ///< AC kernel chunk (0 for PFAC)
+  std::uint32_t threads_per_block = 0;  ///< kernel block size
   double submit_seconds = 0;       ///< H2D start (after any backpressure wait)
   double complete_seconds = 0;     ///< D2H end
   double kernel_seconds = 0;

@@ -71,6 +71,22 @@ TEST(StoreScheme, MatchPhaseConflictDegrees) {
   }
 }
 
+// The generalised rotation keeps the matching reads conflict-free at every
+// chunk width, not only at multiples of 16 words: for any 16 consecutive
+// owners, each word index lands on 16 distinct banks.
+TEST(StoreScheme, DiagonalMatchReadsConflictFreeAtEveryChunkWidth) {
+  for (std::uint32_t chunk_words = 1; chunk_words <= 32; ++chunk_words)
+    for (std::uint32_t first = 0; first < 48; ++first)
+      for (std::uint32_t word = 0; word < chunk_words; ++word) {
+        std::vector<std::uint32_t> addrs;
+        for (std::uint32_t owner = first; owner < first + 16; ++owner)
+          addrs.push_back(map_word(StoreScheme::kDiagonal, owner, word, chunk_words) * 4);
+        EXPECT_EQ(gpusim::bank_conflicts(addrs, 16, 16).max_degree, 1u)
+            << chunk_words << "-word chunks, owners " << first << "..+15, word "
+            << word;
+      }
+}
+
 // Staging phase: 16 cooperating threads store 16 consecutive logical words.
 // Both coalesced layouts must be conflict-free within one owner's region.
 TEST(StoreScheme, StagingStoresConflictFreeWithinChunk) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ac/serial_matcher.h"
@@ -326,6 +327,147 @@ TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
   EXPECT_GT(got.value().stats.throughput_gbps(), 0);
   // Timing reuse: identical slice lengths reuse one simulated launch.
   EXPECT_EQ(got.value().stats.batches, 16u);
+}
+
+// ---- Per-batch geometry: chunk_bytes == 0 derives chunk and block from
+// each batch's slice length so small batches still fill the device ----
+
+using Geometry = std::pair<std::uint32_t, std::uint32_t>;  // chunk, block
+
+/// Each batch's (chunk_bytes, threads_per_block) for a Timed run over
+/// `text_bytes` of text against a dictionary whose longest pattern is
+/// `max_len` bytes. The picks do not depend on the simulation mode.
+std::vector<Geometry> batch_geometry(const gpusim::GpuConfig& cfg,
+                                     std::size_t max_len, std::size_t text_bytes,
+                                     PipelineOptions opt) {
+  gpusim::DeviceMemory mem(64u << 20);
+  const ac::PatternSet patterns({std::string(max_len, 'a'), std::string("ab")});
+  const ac::Dfa dfa = ac::build_dfa(patterns, 8);
+  kernels::DeviceDfa ddfa(mem, dfa);
+  opt.mode = gpusim::SimMode::Timed;
+  auto got = MatchPipeline(cfg, mem, ddfa, opt).run(random_text(text_bytes, 53));
+  EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+  std::vector<Geometry> picks;
+  if (got.is_ok())
+    for (const BatchTrace& t : got.value().batches)
+      picks.emplace_back(t.chunk_bytes, t.threads_per_block);
+  return picks;
+}
+
+TEST(PipelineGeometry, PipelineBatchGetsSmallestChunkInBlocksOf64) {
+  const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
+  PipelineOptions opt;
+  opt.batch_bytes = 64u << 10;
+  // 64 KB + 15 B slice: 4,097 threads at 16 B; 64 threads/block is the
+  // largest block leaving 2 blocks per SM. The 15-byte tail batch falls back
+  // to 32 threads.
+  EXPECT_EQ(batch_geometry(gpu, 16, (64u << 10) + 15, opt),
+            (std::vector<Geometry>{{16, 64}, {16, 32}}));
+  // A 12-bp DNA dictionary: 12-byte chunks.
+  EXPECT_EQ(batch_geometry(gpu, 12, (64u << 10) + 11, opt),
+            (std::vector<Geometry>{{12, 64}, {12, 32}}));
+}
+
+TEST(PipelineGeometry, TinyBatchFallsBackTo32ThreadBlocks) {
+  EXPECT_EQ(batch_geometry(gpusim::GpuConfig::gtx285(), 16, 2048, {}),
+            (std::vector<Geometry>{{16, 32}}));
+}
+
+TEST(PipelineGeometry, SlicePastHalfResidencyKeeps32ByteChunksAtTwoBlocksPerSm) {
+  const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
+  PipelineOptions opt;
+  opt.rebalance_batches = false;  // one batch per text
+  // 30 SMs x 1024 threads / 2 = 15,360 threads: exactly that many 16-byte
+  // chunks keep 16 B; one more byte switches to 32 B.
+  EXPECT_EQ(batch_geometry(gpu, 16, 15360 * 16, opt),
+            (std::vector<Geometry>{{16, 256}}));
+  EXPECT_EQ(batch_geometry(gpu, 16, 15360 * 16 + 1, opt),
+            (std::vector<Geometry>{{32, 128}}));
+  // A 1 MB slice: the block shrinks from 256 to 224 so two staged blocks
+  // share one SM's shared memory...
+  const std::vector<Geometry> wide = batch_geometry(gpu, 16, 1u << 20, opt);
+  ASSERT_EQ(wide, (std::vector<Geometry>{{32, 224}}));
+  EXPECT_EQ(gpu.occupancy_blocks(224, (224 + 1) * 32), 2u);
+  // ...which the global-only kernel, staging nothing, does not need.
+  opt.variant = KernelVariant::kGlobalOnly;
+  EXPECT_EQ(batch_geometry(gpu, 16, 1u << 20, opt),
+            (std::vector<Geometry>{{32, 256}}));
+  // threads_per_block is a ceiling on the derived block.
+  opt.variant = KernelVariant::kShared;
+  opt.threads_per_block = 96;
+  EXPECT_EQ(batch_geometry(gpu, 16, 1u << 20, opt),
+            (std::vector<Geometry>{{32, 96}}));
+}
+
+TEST(PipelineGeometry, ExplicitChunkKeepsRequestedGeometry) {
+  const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
+  PipelineOptions opt;
+  opt.chunk_bytes = 64;
+  opt.threads_per_block = 192;
+  opt.batch_bytes = 64u << 10;
+  EXPECT_EQ(batch_geometry(gpu, 16, 2048, opt),
+            (std::vector<Geometry>{{64, 192}}));
+  EXPECT_EQ(batch_geometry(gpu, 16, (64u << 10) + 15, opt),
+            (std::vector<Geometry>{{64, 192}, {64, 192}}));
+  // Explicit geometry still shrinks a block whose staging cannot fit the SM.
+  opt.chunk_bytes = 32;
+  opt.threads_per_block = 512;
+  EXPECT_EQ(batch_geometry(gpu, 16, 2048, opt),
+            (std::vector<Geometry>{{32, 480}}));
+}
+
+// Exact matches in every branch of the rule — smallest vs 32-byte chunk,
+// fallback vs grid-limited block, mixed geometries across one run's batches
+// — under every store scheme and both AC kernels.
+TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
+  struct Variant {
+    KernelVariant variant;
+    kernels::StoreScheme scheme;
+  };
+  const Variant variants[] = {
+      {KernelVariant::kShared, kernels::StoreScheme::kSequential},
+      {KernelVariant::kShared, kernels::StoreScheme::kCoalescedNaive},
+      {KernelVariant::kShared, kernels::StoreScheme::kDiagonal},
+      {KernelVariant::kGlobalOnly, kernels::StoreScheme::kDiagonal},
+  };
+  bool smallest_chunk = false, wide_chunk = false;
+  bool fallback_block = false, grid_block = false;
+  for (const std::size_t max_len : {3u, 8u, 12u, 16u}) {
+    const std::uint32_t smallest = (static_cast<std::uint32_t>(max_len) + 3) & ~3u;
+    // Unbatched 1 KB and 16 KB texts, and an 80 KB text cut into 40 KB
+    // batches (past half residency on 4 SMs) plus a ragged tail.
+    for (const auto& [text_bytes, batch_bytes] :
+         {std::pair<std::size_t, std::uint64_t>{1024, 4u << 20},
+          {16u << 10, 4u << 20},
+          {(80u << 10) + 100, 40u << 10}}) {
+      const std::string text = random_text(text_bytes, 61 + max_len);
+      const std::vector<std::string> patterns = {
+          text.substr(text_bytes / 2, max_len), "ab", "cd", "abc"};
+      const ac::Dfa dfa = ac::build_dfa(ac::PatternSet(patterns), 8);
+      const std::vector<ac::Match> expected = ac::find_all(dfa, text);
+      for (const Variant& v : variants) {
+        PipelineOptions opt;
+        opt.variant = v.variant;
+        opt.scheme = v.scheme;
+        opt.batch_bytes = batch_bytes;
+        opt.rebalance_batches = false;
+        opt.match_capacity = 256;
+        gpusim::DeviceMemory mem(64u << 20);
+        kernels::DeviceDfa ddfa(mem, dfa);
+        auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+        ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+        EXPECT_FALSE(got.value().overflowed);
+        EXPECT_EQ(got.value().matches, expected)
+            << "max pattern " << max_len << ", " << text_bytes << " B, "
+            << to_string(v.variant) << "/" << kernels::to_string(v.scheme);
+        for (const BatchTrace& t : got.value().batches) {
+          (t.chunk_bytes == smallest ? smallest_chunk : wide_chunk) = true;
+          (t.threads_per_block == 32 ? fallback_block : grid_block) = true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(smallest_chunk && wide_chunk && fallback_block && grid_block);
 }
 
 TEST(Engine, ScanMatchesSerialReference) {
