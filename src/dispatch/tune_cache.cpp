@@ -8,7 +8,7 @@
 namespace acgpu::dispatch {
 namespace {
 
-constexpr std::string_view kHeader = "acgpu-tune v2";
+constexpr std::string_view kHeader = "acgpu-tune v3";
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 

@@ -14,7 +14,7 @@
 //
 // File format (docs/DISPATCH.md), one entry per line:
 //
-//   acgpu-tune v2
+//   acgpu-tune v3
 //   <hash-hex> <bucket> <tpb> <chunk> <pool> <streams> <split> <gbps>
 //
 // Unknown versions and malformed lines are skipped (treated as misses),

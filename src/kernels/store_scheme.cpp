@@ -28,10 +28,10 @@ std::uint32_t map_word(StoreScheme scheme, std::uint32_t owner, std::uint32_t wo
       // Rotate within the owner's region. Row-major already spreads the
       // 16/g owners that share one rotation over distinct bank groups
       // (g = gcd(chunk_words, 16)); rotating by a different residue mod g
-      // per such group fills the remaining banks. When 16 divides
-      // chunk_words that is the paper's rotation by `owner`.
+      // per such group fills the remaining banks. At g = 16 this is the
+      // paper's rotation by `owner`, taken mod 16.
       const std::uint32_t g = std::gcd(chunk_words, 16u);
-      const std::uint32_t rotation = g == 16 ? owner : owner / (16 / g) % g;
+      const std::uint32_t rotation = owner / (16 / g) % g;
       return owner * chunk_words + (word + rotation) % chunk_words;
     }
   }

@@ -12,11 +12,13 @@
 //    16-way conflicts — the paper's motivating problem.
 //  - kDiagonal: the paper's scheme — word w of owner o is rotated to slot
 //    (w + r) mod chunk_words inside o's region, so at every matching step
-//    the 16 threads of a half-warp hit 16 distinct banks, and the staging
-//    stores are conflict-free too. The paper's r = o assumes 16 divides
-//    chunk_words; for other widths r = (o / (16/g)) mod g with
-//    g = gcd(chunk_words, 16), which keeps the matching reads conflict-free
-//    at every chunk width.
+//    the 16 threads of a half-warp hit 16 distinct banks. The paper's
+//    r = o assumes 16 divides chunk_words; here r = (o / (16/g)) mod g with
+//    g = gcd(chunk_words, 16), which is o mod 16 at those widths and keeps
+//    the matching reads conflict-free at every chunk width. The staging
+//    stores are conflict-free when chunk_words is odd, divides 16, or is a
+//    multiple of 16 (gpucheck audits 3, 4, 8 and 16 words); other even
+//    widths (6, 12, 24 words...) still reach 2-way staging conflicts.
 //  - kSequential is the layout used by the no-coalescing baseline (each
 //    thread copies its own chunk serially); physically identical to
 //    kCoalescedNaive, listed separately because the *load* pattern differs.

@@ -182,6 +182,14 @@ std::uint32_t pick_chunk_bytes(const CompiledWorkload& w, std::uint32_t floor_by
   return (chunk + 3) / 4 * 4;
 }
 
+/// Chunk option for the pipeline-backed adapters: half the draws pin the
+/// smallest legal chunk of at least 32 B, the other half pass 0 so the
+/// pipeline derives chunk and block per batch (down to 32-thread blocks on
+/// tiny batches).
+std::uint32_t draw_pipeline_chunk(const CompiledWorkload& w, Rng& rng) {
+  return rng.next_bool(0.5) ? 0 : pick_chunk_bytes(w, 32);
+}
+
 /// Simulated device sized for this run: tables + text + match buffer, plus
 /// slack for the 256-byte allocation alignment. Fresh per run so repeated
 /// conformance iterations never leak device allocations into each other.
@@ -346,7 +354,7 @@ class PipelineMatcher final : public Matcher {
                                   ? w.text().size() + 16
                                   : std::min<std::uint64_t>(w.text().size(), 64);
     opt.batch_bytes = rng.next_in(1, std::max<std::uint64_t>(1, cap));
-    opt.chunk_bytes = pick_chunk_bytes(w, 32);
+    opt.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.threads_per_block = 64;
     opt.mode = gpusim::SimMode::Functional;
 
@@ -412,7 +420,7 @@ class ServeMatcher final : public Matcher {
                                   ? w.text().size() + 16
                                   : std::min<std::uint64_t>(w.text().size(), 64);
     opt.engine.batch_bytes = rng.next_in(1, std::max<std::uint64_t>(1, cap));
-    opt.engine.chunk_bytes = pick_chunk_bytes(w, 32);
+    opt.engine.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.engine.threads_per_block = 64;
     opt.engine.mode = gpusim::SimMode::Functional;
     opt.engine.gpu = sim_config();
@@ -505,7 +513,7 @@ class RouterMatcher final : public Matcher {
                                   ? w.text().size() + 16
                                   : std::min<std::uint64_t>(w.text().size(), 64);
     opt.engine.batch_bytes = rng.next_in(1, std::max<std::uint64_t>(1, cap));
-    opt.engine.chunk_bytes = pick_chunk_bytes(w, 32);
+    opt.engine.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.engine.threads_per_block = 64;
     opt.engine.mode = gpusim::SimMode::Functional;
     opt.engine.gpu = sim_config();
@@ -614,7 +622,7 @@ class DispatchMatcher final : public Matcher {
                                   ? w.text().size() + 16
                                   : std::min<std::uint64_t>(w.text().size(), 64);
     opt.engine.batch_bytes = rng.next_in(1, std::max<std::uint64_t>(1, cap));
-    opt.engine.chunk_bytes = pick_chunk_bytes(w, 32);
+    opt.engine.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.engine.threads_per_block = 64;
     opt.engine.mode = gpusim::SimMode::Functional;
     opt.engine.gpu = sim_config();

@@ -108,35 +108,16 @@ std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_by
   return regions == 0 ? 0 : std::min(ceiling, (regions - 1) / 32 * 32);
 }
 
-/// Rejects AC geometry no batch of the run could launch: an explicit chunk
-/// that does not exceed the overlap, or a chunk too wide to stage even a
-/// 32-thread block. Checked once per run, before anything is staged; the
-/// widest chunk resolve_geometry can pick is the one checked.
-Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
-                      std::uint32_t max_pattern_length, std::uint32_t overlap) {
-  if (opt.variant == KernelVariant::kPfac) return Status::ok();
-  const std::uint32_t widest = opt.chunk_bytes != 0
-                                   ? opt.chunk_bytes
-                                   : std::max<std::uint32_t>(32, min_chunk(overlap));
-  if (overlap >= widest)
-    return Status::invalid_argument(
-        "chunk_bytes " + std::to_string(widest) +
-        " too small for max pattern length " + std::to_string(max_pattern_length));
-  if (opt.variant == KernelVariant::kShared &&
-      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
-    return Status::capacity_exceeded(
-        "staged block for chunk_bytes " + std::to_string(widest) +
-        " exceeds shared memory even at 32 threads/block");
-  return Status::ok();
-}
-
 /// Chunk and block for one batch whose device slice is `slice` bytes.
 /// Explicit chunk_bytes keeps the requested geometry and only shrinks the
 /// block until its staging fits the SM. chunk_bytes == 0 derives both from
 /// the slice, so a small batch still fills the device (texture latency is
 /// hidden only by resident warps):
 ///  - chunk: the smallest legal chunk while its threads fit in half the
-///    device's resident thread slots, else max(32, smallest);
+///    device's resident thread slots, else max(32, smallest). Past that
+///    point the device is full either way, and each thread's overlap
+///    re-scan and 4-byte count word make small chunks the slower choice
+///    (DESIGN.md has the measured crossover);
 ///  - block: the largest multiple of 32 up to threads_per_block that still
 ///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' staged
 ///    regions share the SM; 32 when none does.
@@ -169,6 +150,28 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt,
                                     config.shared_mem_bytes / 2));
   block = block / 32 * 32;
   return {chunk, static_cast<std::uint32_t>(std::max<std::uint64_t>(32, block))};
+}
+
+/// Rejects AC geometry no batch of the run could launch: an explicit chunk
+/// that does not exceed the overlap, or a chunk too wide to stage even a
+/// 32-thread block. Checked once per run, before anything is staged. The
+/// chunk never narrows as the slice grows, so the largest slice's chunk is
+/// the widest any batch runs.
+Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
+                      std::uint32_t max_pattern_length, std::uint32_t overlap,
+                      std::uint64_t slice_cap) {
+  if (opt.variant == KernelVariant::kPfac) return Status::ok();
+  const std::uint32_t widest = resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
+  if (overlap >= widest)
+    return Status::invalid_argument(
+        "chunk_bytes " + std::to_string(widest) +
+        " too small for max pattern length " + std::to_string(max_pattern_length));
+  if (opt.variant == KernelVariant::kShared &&
+      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
+    return Status::capacity_exceeded(
+        "staged block for chunk_bytes " + std::to_string(widest) +
+        " exceeds shared memory even at 32 threads/block");
+  return Status::ok();
 }
 
 /// Timed-mode timing reuse: batches are homogeneous by construction, so one
@@ -275,10 +278,10 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
                          plan.effective_streams);
 
   const std::uint32_t overlap = max_len > 0 ? max_len - 1 : 0;
-  if (Status s = check_geometry(opt, config_, max_len, overlap); !s) return s;
   // Largest device slice: owned bytes plus the overlap carry.
   const std::uint64_t slice_cap =
       std::min<std::uint64_t>(plan.batch_bytes, text.size()) + overlap;
+  if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap); !s) return s;
 
   const std::uint64_t batch_count =
       (text.size() + plan.batch_bytes - 1) / plan.batch_bytes;

@@ -98,7 +98,7 @@ TEST(DispatchTuneCache, MissingFileAndGarbageAreMissesNotErrors) {
   const std::string path = temp_path("acgpu_tune_garbage.txt");
   {
     std::ofstream out(path, std::ios::binary);
-    out << "acgpu-tune v2\n"
+    out << "acgpu-tune v3\n"
         << "not-a-hash s1.p1.l1.d0.bulk 256 0 0 2 1 0.0\n"
         << "ffff\n"
         << "\n";
@@ -114,13 +114,16 @@ TEST(DispatchTuneCache, MissingFileAndGarbageAreMissesNotErrors) {
   EXPECT_TRUE(cache.load(path).is_ok());
   EXPECT_TRUE(cache.empty()) << "unknown versions are skipped wholesale";
 
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "acgpu-tune v1\n"
-        << "abcd s1.p1.l1.d0.bulk 256 0 0 2 1 0.0\n";
+  for (const char* stale : {"acgpu-tune v1", "acgpu-tune v2"}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << stale << "\n"
+          << "abcd s1.p1.l1.d0.bulk 256 0 0 2 1 0.0\n";
+    }
+    EXPECT_TRUE(cache.load(path).is_ok());
+    EXPECT_TRUE(cache.empty())
+        << stale << ": winners tuned against an older kernel or geometry are not replayed";
   }
-  EXPECT_TRUE(cache.load(path).is_ok());
-  EXPECT_TRUE(cache.empty()) << "winners tuned against an older kernel are not replayed";
   std::remove(path.c_str());
 }
 
