@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -67,7 +68,8 @@ int cmd_compile(const ArgParser& args) {
 }
 
 int cmd_scan(const ArgParser& args, const std::vector<std::string>& files) {
-  ac::Dfa dfa = resolve_dfa(args);
+  const CompiledPatterns compiled{std::make_shared<const ac::Dfa>(resolve_dfa(args))};
+  const ac::Dfa& dfa = *compiled.dfa;
   const std::string matcher = args.get("matcher");
   const bool quiet = args.get_bool("count-only");
 
@@ -117,14 +119,14 @@ int cmd_scan(const ArgParser& args, const std::vector<std::string>& files) {
       sopt.admission = serve::AdmissionPolicy::kAutoFlush;
       if (want_stats) sopt.metrics = &registry;
       Result<serve::StreamService> created =
-          serve::StreamService::create(ac::Dfa(dfa), sopt);
+          serve::StreamService::create(compiled, sopt);
       ACGPU_CHECK(created.is_ok(), created.status().to_string());
       service.emplace(std::move(created).value());
     } else {
       Result<Device> dev = Device::create();
       ACGPU_CHECK(dev.is_ok(), dev.status().to_string());
       device.emplace(std::move(dev).value());
-      Result<Engine> created = Engine::create(*device, ac::Dfa(dfa), opt);
+      Result<Engine> created = Engine::create(*device, compiled, opt);
       ACGPU_CHECK(created.is_ok(), created.status().to_string());
       engine.emplace(std::move(created).value());
     }

@@ -7,6 +7,7 @@
 // the acgpu::Engine API.
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "acgpu.h"
 
@@ -27,7 +28,9 @@ int main(int argc, char** argv) {
   workload::ExtractConfig ec;
   ec.count = count;
   const ac::PatternSet patterns = workload::extract_patterns(text, ec);
-  const ac::Dfa dfa = ac::build_dfa(patterns, 8);
+  const CompiledPatterns compiled{
+      std::make_shared<const ac::Dfa>(ac::build_dfa(patterns, 8))};
+  const ac::Dfa& dfa = *compiled.dfa;
   std::printf("DFA: %u states, STT %s (texture memory)\n\n", dfa.state_count(),
               format_bytes(dfa.stt_bytes()).c_str());
 
@@ -57,7 +60,7 @@ int main(int argc, char** argv) {
     opt.streams = streams;
     opt.batch_bytes = batch_bytes;
     opt.mode = gpusim::SimMode::Timed;
-    Result<Engine> engine = Engine::create(device.value(), ac::Dfa(dfa), opt);
+    Result<Engine> engine = Engine::create(device.value(), compiled, opt);
     ACGPU_CHECK(engine.is_ok(), engine.status().to_string());
     Result<ScanResult> scan = engine.value().scan(text);
     ACGPU_CHECK(scan.is_ok(), scan.status().to_string());

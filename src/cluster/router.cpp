@@ -99,8 +99,8 @@ Status ClusterOptions::validate() const {
 struct Router::Impl {
   struct Shard {
     std::unique_ptr<Device> device;
+    /// Sessions and bulk scans share the service's engine: one upload.
     std::optional<serve::StreamService> service;
-    std::unique_ptr<Engine> bulk;  ///< lazy: only scan() callers pay for it
     bool failed = false;
     bool draining = false;
     std::uint64_t homed = 0;  ///< sessions currently homed here
@@ -114,7 +114,6 @@ struct Router::Impl {
   };
 
   ClusterOptions options;
-  ac::PatternSet patterns;  ///< kept for lazy bulk-engine compiles
   std::vector<Shard> shards;
   /// Session home lookup; updated on open/close and by every rebalance.
   std::unordered_map<serve::SessionId, std::uint32_t> home;
@@ -208,23 +207,6 @@ struct Router::Impl {
     m.live->set(static_cast<double>(home.size()));
   }
 
-  Status ensure_bulk_engine(std::uint32_t k) {
-    Shard& shard = shards[k];
-    if (shard.bulk != nullptr) return Status::ok();
-    EngineOptions eopt = options.engine;
-    eopt.telemetry.metrics = options.metrics;
-    eopt.telemetry.metrics_prefix = "device." + std::to_string(k) + ".";
-    eopt.telemetry.tracer = shard.tracer.get();
-    eopt.telemetry.recorder = options.recorder;
-    eopt.telemetry.logger = options.logger;
-    eopt.telemetry.shard = k;
-    // host_observer stays null: the engine inherits the device's seam.
-    Result<Engine> engine = Engine::create(*shard.device, patterns, eopt);
-    if (!engine.is_ok()) return engine.status();
-    shard.bulk = std::make_unique<Engine>(std::move(engine).value());
-    return Status::ok();
-  }
-
   /// Migrates every session homed on `from` to healthy shards. The caller
   /// already drained `from` (export_session requires it).
   Status rebalance_away(std::uint32_t from) {
@@ -289,12 +271,15 @@ Router::~Router() {
 
 Result<Router> Router::create(const ac::PatternSet& patterns,
                               const ClusterOptions& options) {
-  if (patterns.empty()) return Status::invalid_argument("empty pattern set");
   if (Status s = options.validate(); !s) return s;
+  // One compile for the whole cluster: every shard's engine and sessions
+  // share it, and each device gets one upload of it.
+  Result<CompiledPatterns> compiled =
+      CompiledPatterns::compile(patterns, options.engine.variant);
+  if (!compiled.is_ok()) return compiled.status();
 
   auto impl = std::make_unique<Impl>();
   impl->options = options;
-  impl->patterns = patterns;
   if (options.host_observer != nullptr) impl->mu.attach(options.host_observer);
   if (options.metrics != nullptr) {
     impl->m.resolve(*options.metrics);
@@ -371,7 +356,7 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
     so.host_observer = options.host_observer;
     so.dispatcher = options.dispatcher;
     Result<serve::StreamService> service =
-        serve::StreamService::create(patterns, so);
+        serve::StreamService::create(compiled.value(), so);
     if (!service.is_ok()) return service.status();
     shard.service.emplace(std::move(service).value());
     impl->shards.push_back(std::move(shard));
@@ -539,6 +524,9 @@ Result<ClusterScanResult> Router::scan(std::string_view text) {
   result.per_device_seconds.assign(im.shards.size(), 0.0);
   if (text.empty()) return result;
 
+  // Every shard shares one compiled automaton.
+  const ac::Dfa& dfa = im.shards.front().service->dfa();
+
   // Adaptive routing: a CPU decision answers from the host DFA without
   // touching a device; a GPU decision takes the scatter below and feeds
   // the merged makespan back into the model afterwards.
@@ -550,7 +538,6 @@ Result<ClusterScanResult> Router::scan(std::string_view text) {
     sig = dsp.signature(text, /*session=*/false);
     decision = dsp.choose(sig);
     if (decision.backend != dispatch::Backend::kGpuPipeline) {
-      const ac::Dfa& dfa = im.shards[healthy.front()].service->dfa();
       const dispatch::CostModelConfig& cfg = dsp.cost_model().config();
       if (decision.backend == dispatch::Backend::kSerialCpu) {
         result.matches = ac::find_all(dfa, text);
@@ -575,10 +562,6 @@ Result<ClusterScanResult> Router::scan(std::string_view text) {
     }
   }
 
-  for (std::uint32_t k : healthy)
-    if (Status s = im.ensure_bulk_engine(k); !s) return s;
-
-  const ac::Dfa& dfa = im.shards[healthy.front()].bulk->dfa();
   const std::uint64_t overlap =
       dfa.max_pattern_length() > 0 ? dfa.max_pattern_length() - 1 : 0;
   const std::uint64_t total = text.size();
@@ -599,7 +582,9 @@ Result<ClusterScanResult> Router::scan(std::string_view text) {
     const std::string_view slice = text.substr(base, staged);
 
     std::vector<ac::Match> matches;
-    Result<ScanResult> scan = im.shards[k].bulk->scan(slice);
+    // The shard's only engine: Engine::scan takes turns with the shard's
+    // superbatches on the device's scan mutex.
+    Result<ScanResult> scan = im.shards[k].service->engine().scan(slice);
     if (scan.is_ok() && !scan.value().overflowed) {
       matches = std::move(scan.value().matches);
       result.per_device_seconds[k] = scan.value().stats.makespan_seconds;

@@ -2,17 +2,18 @@
 // independent simulated devices.
 //
 // The ROADMAP's top open item, and the simulated equivalent of the
-// MPI-sharded multi-GPU deployments in the related work: one process stands
-// up N acgpu::Devices, each carrying its own automaton upload, StreamService
-// shard, and bulk Engine, and the Router in front partitions traffic across
-// them:
+// MPI-sharded multi-GPU deployments in the related work: one process
+// compiles the dictionary once and stands up N acgpu::Devices, each holding
+// one upload of it and one StreamService shard whose Engine serves both
+// traffic paths; the Router in front partitions traffic across them:
 //
 //                          Router ("cluster.router.mu")
+//                   one CompiledPatterns, shared read-only
 //            ┌──────────────┬──┴───────────┬──────────────┐
 //        shard 0        shard 1        shard 2         shard 3
 //      Device 0        Device 1       Device 2        Device 3
-//      ├ StreamService ├ StreamService ├ StreamService ├ StreamService
-//      └ bulk Engine   └ bulk Engine   └ bulk Engine   └ bulk Engine
+//      └ StreamService └ StreamService └ StreamService └ StreamService
+//        └ Engine        └ Engine        └ Engine        └ Engine
 //
 // Two traffic paths:
 //
@@ -31,7 +32,9 @@
 //    uses at batch boundaries), and per-device streams are k-way-merged
 //    back into global-offset order (cluster/merge.h). The cluster makespan
 //    is max over devices of the per-device simulated makespan — devices are
-//    independent simulators running concurrently in wall-clock.
+//    independent simulators running concurrently in wall-clock. Each slab
+//    runs on the shard's serve Engine, interleaving with its superbatches
+//    on the device's scan mutex.
 //
 // Failure model — fail-stop-with-drain (docs/CLUSTER.md): mark_failed(k)
 // flags the device (new scans on it fail kUnavailable; in-flight queued
@@ -179,9 +182,11 @@ struct ClusterScanResult {
 
 class Router {
  public:
-  /// Compiles `patterns` onto every shard (each device gets its own
-  /// automaton upload) and stands the shards up. Fails (no throw) on
-  /// invalid options or any shard's Device/Engine/Service failure.
+  /// Compiles `patterns` once, uploads the result to every shard's device
+  /// (one upload per device, shared by sessions and bulk scans) and stands
+  /// the shards up. Fails (no throw) on invalid options or any shard's
+  /// Device/Engine/Service failure — kCapacityExceeded when the automaton
+  /// does not fit a device.
   static Result<Router> create(const ac::PatternSet& patterns,
                                const ClusterOptions& options = {});
 
@@ -250,7 +255,7 @@ class Router {
   Result<ShardStats> shard_stats(std::uint32_t shard) const;
   std::uint32_t shard_count() const;
   const ClusterOptions& options() const;
-  /// The compiled automaton (shard 0's copy — all shards are identical).
+  /// The compiled automaton every shard shares.
   const ac::Dfa& dfa() const;
 
  private:

@@ -1,10 +1,17 @@
 // Simulated device (global) memory: one flat little-endian address space
 // with a bump allocator, mirroring cudaMalloc + cudaMemcpy.
+//
+// The arena comes from calloc, so its capacity is reserved, not committed:
+// a page costs host memory only once the simulation writes it, and an
+// untouched byte still reads as zero. A 256 MiB device that stages a few
+// megabytes costs a few megabytes. (Sanitizer runtimes may zero-fill calloc
+// and so commit the whole arena; nothing relies on the saving.)
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "util/error.h"
 
@@ -15,11 +22,26 @@ using DevAddr = std::uint64_t;
 
 class DeviceMemory {
  public:
-  /// `capacity` bytes of device memory (GTX 285: 1 GB).
+  /// `capacity` bytes of device memory (GTX 285: 1 GB), all reading zero.
   explicit DeviceMemory(std::size_t capacity);
 
-  std::size_t capacity() const { return bytes_.size(); }
+  /// A moved arena keeps its bytes and allocation point; the source is left
+  /// empty (capacity 0).
+  DeviceMemory(DeviceMemory&& other) noexcept;
+  DeviceMemory& operator=(DeviceMemory&& other) noexcept;
+
+  std::size_t capacity() const { return capacity_; }
   std::size_t allocated() const { return next_; }
+  /// Bytes a default-aligned allocation can still take.
+  std::size_t available() const {
+    const std::size_t base = align_up(next_);
+    return base < capacity_ ? capacity_ - base : 0;
+  }
+  /// `offset` rounded up to `align`, a power of two: where alloc() would
+  /// place a buffer when the allocation point is at `offset`.
+  static std::size_t align_up(std::size_t offset, std::size_t align = 256) {
+    return (offset + align - 1) & ~(align - 1);
+  }
 
   /// Bump allocation, 256-byte aligned by default (texture/segment friendly).
   DevAddr alloc(std::size_t bytes, std::size_t align = 256);
@@ -46,7 +68,7 @@ class DeviceMemory {
   std::uint32_t load_u32(DevAddr a) const {
     bounds_check(a, 4);
     std::uint32_t v;
-    std::memcpy(&v, bytes_.data() + a, 4);
+    std::memcpy(&v, bytes_.get() + a, 4);
     return v;
   }
   std::int32_t load_i32(DevAddr a) const {
@@ -58,7 +80,7 @@ class DeviceMemory {
   }
   void store_u32(DevAddr a, std::uint32_t v) {
     bounds_check(a, 4);
-    std::memcpy(bytes_.data() + a, &v, 4);
+    std::memcpy(bytes_.get() + a, &v, 4);
   }
   void store_i32(DevAddr a, std::int32_t v) {
     store_u32(a, static_cast<std::uint32_t>(v));
@@ -67,17 +89,21 @@ class DeviceMemory {
   /// Direct read-only view (texture binding, bulk verification).
   const std::uint8_t* raw(DevAddr a, std::size_t bytes) const {
     bounds_check(a, bytes);
-    return bytes_.data() + a;
+    return bytes_.get() + a;
   }
 
  private:
   void bounds_check(DevAddr a, std::size_t bytes) const {
-    ACGPU_CHECK(a + bytes <= bytes_.size(),
+    ACGPU_CHECK(a + bytes <= capacity_,
                 "device memory access [" << a << ", " << a + bytes
-                    << ") out of bounds (capacity " << bytes_.size() << ")");
+                    << ") out of bounds (capacity " << capacity_ << ")");
   }
 
-  std::vector<std::uint8_t> bytes_;
+  struct Free {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::uint8_t[], Free> bytes_;
+  std::size_t capacity_ = 0;
   std::size_t next_ = 0;
 };
 

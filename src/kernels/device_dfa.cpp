@@ -1,19 +1,41 @@
 #include "kernels/device_dfa.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "kernels/match_flag.h"
 
 namespace acgpu::kernels {
+namespace {
+
+/// The upload's four allocations, in order: STT, output offsets, output ids
+/// (at least one word, so the address is valid for dictionaries whose DFA
+/// has no output entries — impossible in practice, cheap to allow), and
+/// pattern lengths.
+std::array<std::size_t, 4> allocation_sizes(const ac::Dfa& dfa) {
+  return {dfa.stt().size_bytes(), dfa.output_offsets().size() * 4,
+          std::max<std::size_t>(1, dfa.output_ids().size() * 4),
+          dfa.pattern_lengths().size() * 4};
+}
+
+}  // namespace
+
+std::size_t DeviceDfa::upload_bytes(const ac::Dfa& dfa) {
+  using gpusim::DeviceMemory;
+  const std::array<std::size_t, 4> sizes = allocation_sizes(dfa);
+  return DeviceMemory::align_up(sizes[0]) + DeviceMemory::align_up(sizes[1]) +
+         DeviceMemory::align_up(sizes[2]) + sizes[3];
+}
 
 DeviceDfa::DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa)
     : host_dfa_(&dfa),
       states_(dfa.state_count()),
       max_pattern_length_(dfa.max_pattern_length()),
       stt_bytes_(dfa.stt_bytes()) {
+  const std::array<std::size_t, 4> sizes = allocation_sizes(dfa);
   const ac::SttMatrix& stt = dfa.stt();
-  stt_addr_ = mem.alloc(stt.size_bytes());
+  stt_addr_ = mem.alloc(sizes[0]);
   stt_pitch_ = stt.pitch();
 
   // Upload row by row, flagging every transition into an accepting state
@@ -34,17 +56,15 @@ DeviceDfa::DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa)
                                stt.pitch());
 
   const auto& offsets = dfa.output_offsets();
-  out_begin_addr_ = mem.alloc(offsets.size() * 4);
+  out_begin_addr_ = mem.alloc(sizes[1]);
   mem.copy_in(out_begin_addr_, offsets.data(), offsets.size() * 4);
 
   const auto& ids = dfa.output_ids();
-  // Allocate at least one word so the address is valid for dictionaries
-  // whose DFA has no output entries (impossible in practice, cheap to allow).
-  out_ids_addr_ = mem.alloc(std::max<std::size_t>(1, ids.size() * 4));
+  out_ids_addr_ = mem.alloc(sizes[2]);
   if (!ids.empty()) mem.copy_in(out_ids_addr_, ids.data(), ids.size() * 4);
 
   const auto& lengths = dfa.pattern_lengths();
-  lengths_addr_ = mem.alloc(lengths.size() * 4);
+  lengths_addr_ = mem.alloc(sizes[3]);
   mem.copy_in(lengths_addr_, lengths.data(), lengths.size() * 4);
 }
 

@@ -23,6 +23,10 @@ class DeviceDfa {
   /// device match records); the Dfa must outlive this object.
   DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa);
 
+  /// Device bytes the upload spans from its first (256-byte aligned)
+  /// allocation to its last byte: compare with DeviceMemory::available().
+  static std::size_t upload_bytes(const ac::Dfa& dfa);
+
   const ac::Dfa& host_dfa() const { return *host_dfa_; }
 
   /// 2-D texture over the STT (width 257, one row per state). Transition

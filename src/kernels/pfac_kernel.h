@@ -20,6 +20,10 @@ class DevicePfac {
   /// outlive this object.
   DevicePfac(gpusim::DeviceMemory& mem, const ac::PfacAutomaton& pfac);
 
+  /// Device bytes the upload spans from its first (256-byte aligned)
+  /// allocation to its last byte: compare with DeviceMemory::available().
+  static std::size_t upload_bytes(const ac::PfacAutomaton& pfac);
+
   const ac::PfacAutomaton& host_automaton() const { return *host_; }
 
   const gpusim::Texture2D& texture() const { return texture_; }

@@ -37,14 +37,47 @@ pipeline::PipelineOptions to_pipeline_options(const EngineOptions& options) {
 
 }  // namespace
 
-Result<Engine> Engine::build(Device& device, const ac::PatternSet* patterns,
-                             ac::Dfa* dfa, const EngineOptions& options) {
+Result<CompiledPatterns> CompiledPatterns::compile(
+    const ac::PatternSet& patterns, pipeline::KernelVariant variant) {
+  if (patterns.empty()) return Status::invalid_argument("empty pattern set");
+  CompiledPatterns compiled;
+  try {
+    // The host DFA is built for every variant: dfa() is part of the facade
+    // (serial cross-checks, pattern metadata, session state) even when PFAC
+    // matches.
+    compiled.dfa = std::make_shared<const ac::Dfa>(
+        ac::build_dfa(patterns, /*pad_pitch_to=*/8));
+    if (variant == pipeline::KernelVariant::kPfac)
+      compiled.pfac = std::make_shared<const ac::PfacAutomaton>(patterns);
+  } catch (const std::exception& e) {
+    return Status::from_exception(e);
+  }
+  return compiled;
+}
+
+Result<Engine> Engine::create(Device& device, const ac::PatternSet& patterns,
+                              const EngineOptions& options) {
+  Result<CompiledPatterns> compiled =
+      CompiledPatterns::compile(patterns, options.variant);
+  if (!compiled.is_ok()) return compiled.status();
+  return create(device, compiled.value(), options);
+}
+
+Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
+                              const EngineOptions& options) {
+  if (compiled.dfa == nullptr || compiled.dfa->pattern_count() == 0)
+    return Status::invalid_argument("DFA has no patterns");
+  const bool pfac = options.variant == pipeline::KernelVariant::kPfac;
+  if (pfac && compiled.pfac == nullptr)
+    return Status::invalid_argument(
+        "variant kPfac needs the PFAC automaton, which only a pattern set "
+        "compiles (CompiledPatterns::compile)");
+
   EngineOptions opts = options;
   // Engines on an audited device inherit its observer seam unless they were
   // wired somewhere else explicitly.
   if (opts.host_observer == nullptr)
     opts.host_observer = device.host_observer();
-
   const pipeline::PipelineOptions popt = to_pipeline_options(opts);
   if (Status s = popt.validate(); !s) return s;
 
@@ -52,50 +85,35 @@ Result<Engine> Engine::build(Device& device, const ac::PatternSet* patterns,
   engine.options_ = std::move(opts);
   engine.id_ = g_next_engine_id.fetch_add(1, std::memory_order_relaxed);
   engine.device_ = &device;
+  engine.compiled_ = compiled;
+  // A scan in flight on another engine marks/releases the arena above its
+  // mark; uploading inside that region would be released under us.
+  std::scoped_lock lock(device.scan_mutex());
+  gpusim::DeviceMemory& mem = device.memory();
+  const std::size_t needed =
+      pfac ? kernels::DevicePfac::upload_bytes(*compiled.pfac)
+           : kernels::DeviceDfa::upload_bytes(*compiled.dfa);
+  if (const std::size_t free_bytes = mem.available(); needed > free_bytes)
+    return Status::capacity_exceeded(
+        "the automaton upload needs " + std::to_string(needed) +
+        " B but device '" + device.name() + "' has " + std::to_string(free_bytes) +
+        " B free");
   try {
-    if (patterns != nullptr) {
-      engine.patterns_ = *patterns;
-      if (engine.options_.variant == pipeline::KernelVariant::kPfac) {
-        engine.pfac_ = std::make_unique<ac::PfacAutomaton>(*patterns);
-        engine.dpfac_ = std::make_unique<kernels::DevicePfac>(device.memory(),
-                                                              *engine.pfac_);
-        engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-            device.gpu(), device.memory(), *engine.dpfac_, popt);
-      }
-      // The host DFA is built for every variant: dfa() is part of the facade
-      // (serial cross-checks, pattern metadata) even when PFAC matches.
-      engine.dfa_ = std::make_unique<ac::Dfa>(
-          ac::build_dfa(*patterns, /*pad_pitch_to=*/8));
-    } else {
-      engine.dfa_ = std::make_unique<ac::Dfa>(std::move(*dfa));
-    }
-    if (engine.options_.variant != pipeline::KernelVariant::kPfac) {
-      engine.ddfa_ =
-          std::make_unique<kernels::DeviceDfa>(device.memory(), *engine.dfa_);
+    if (pfac) {
+      engine.dpfac_ =
+          std::make_unique<kernels::DevicePfac>(mem, *engine.compiled_.pfac);
       engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-          device.gpu(), device.memory(), *engine.ddfa_, popt);
+          device.gpu(), mem, *engine.dpfac_, popt);
+    } else {
+      engine.ddfa_ =
+          std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa);
+      engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
+          device.gpu(), mem, *engine.ddfa_, popt);
     }
   } catch (const std::exception& e) {
     return Status::from_exception(e);
   }
   return engine;
-}
-
-Result<Engine> Engine::create(Device& device, const ac::PatternSet& patterns,
-                              const EngineOptions& options) {
-  if (patterns.empty()) return Status::invalid_argument("empty pattern set");
-  return build(device, &patterns, nullptr, options);
-}
-
-Result<Engine> Engine::create(Device& device, ac::Dfa dfa,
-                              const EngineOptions& options) {
-  if (dfa.pattern_count() == 0)
-    return Status::invalid_argument("DFA has no patterns");
-  if (options.variant == pipeline::KernelVariant::kPfac)
-    return Status::invalid_argument(
-        "PFAC rebuilds its automaton from the pattern set; use "
-        "Engine::create(Device&, PatternSet, ...) for variant kPfac");
-  return build(device, nullptr, &dfa, options);
 }
 
 Result<ScanResult> Engine::scan(std::string_view text) {

@@ -18,6 +18,10 @@
 //                                       ac::PatternSet({"he", "she"}));
 //   auto scan = engine.value().scan(text);
 //   for (ac::Match m : scan.value().matches) { ... }
+//
+// The host automaton is a CompiledPatterns: compiled once, immutable, and
+// shared by every engine built from it. Each engine uploads it once to its
+// own device, so N shards cost one compile and N uploads (cluster/router.h).
 #pragma once
 
 #include <cstdint>
@@ -128,19 +132,36 @@ struct EngineOptions {
 /// timing story (see pipeline::PipelineResult).
 using ScanResult = pipeline::PipelineResult;
 
+/// A pattern set compiled once: the host DFA every variant needs, plus
+/// PFAC's failureless automaton for variant kPfac. Immutable, so any number
+/// of engines, services and sessions share one copy — a Router compiles one
+/// for all its shards.
+struct CompiledPatterns {
+  std::shared_ptr<const ac::Dfa> dfa;
+  /// Variant kPfac only (PFAC cannot be rebuilt from the DFA); else null.
+  std::shared_ptr<const ac::PfacAutomaton> pfac = nullptr;
+
+  /// Builds the DFA (STT pitch padded to 8 words) and, for kPfac, the PFAC
+  /// automaton. Fails (no throw) on an empty pattern set.
+  static Result<CompiledPatterns> compile(const ac::PatternSet& patterns,
+                                          pipeline::KernelVariant variant);
+};
+
 class Engine {
  public:
-  /// Compiles `patterns` and uploads the automaton to `device`. The device
-  /// must outlive the engine; engines sharing it serialize their scans on
-  /// its scan mutex. Fails (no throw) on an empty pattern set, inconsistent
-  /// options, or a device-memory budget too small for the automaton.
+  /// Compiles `patterns` (CompiledPatterns::compile), then creates the
+  /// engine from the result as the overload below does.
   static Result<Engine> create(Device& device, const ac::PatternSet& patterns,
                                const EngineOptions& options = {});
 
-  /// Builds the engine from a precompiled automaton (e.g. loaded from the
-  /// binary .acdfa format) when the original pattern set is gone. PFAC
-  /// rebuilds its automaton from the patterns, so variant kPfac fails.
-  static Result<Engine> create(Device& device, ac::Dfa dfa,
+  /// Uploads `compiled` to `device`; the engine shares the host automaton
+  /// rather than copying it. Variant kPfac needs compiled.pfac, which a DFA
+  /// loaded from .acdfa lacks. The device must outlive the engine; engines
+  /// sharing it serialize their scans, and this upload, on its scan mutex.
+  /// Fails (no throw) on an automaton without patterns, inconsistent
+  /// options, or — kCapacityExceeded, naming the bytes needed and free — a
+  /// device whose free arena is smaller than the upload.
+  static Result<Engine> create(Device& device, const CompiledPatterns& compiled,
                                const EngineOptions& options = {});
 
   /// Matches `text` through the batched multi-stream pipeline. Safe to call
@@ -149,8 +170,9 @@ class Engine {
   Result<ScanResult> scan(std::string_view text);
 
   const EngineOptions& options() const { return options_; }
-  const ac::Dfa& dfa() const { return *dfa_; }
-  std::size_t pattern_count() const { return dfa_->pattern_count(); }
+  const CompiledPatterns& compiled() const { return compiled_; }
+  const ac::Dfa& dfa() const { return *compiled_.dfa; }
+  std::size_t pattern_count() const { return compiled_.dfa->pattern_count(); }
 
   /// Process-unique engine id (never reused, monotonically increasing
   /// across all devices) — disambiguates per-engine records in traces and
@@ -171,17 +193,12 @@ class Engine {
  private:
   Engine() = default;
 
-  static Result<Engine> build(Device& device, const ac::PatternSet* patterns,
-                              ac::Dfa* dfa, const EngineOptions& options);
-
   EngineOptions options_;
   std::uint32_t id_ = 0;
   Device* device_ = nullptr;  ///< bound device (never null once built)
-  ac::PatternSet patterns_;
-  // unique_ptrs keep the Engine movable: DeviceDfa/DevicePfac hold references
-  // into the device arena and dfa_/pfac_, which must stay at stable addresses.
-  std::unique_ptr<ac::Dfa> dfa_;
-  std::unique_ptr<ac::PfacAutomaton> pfac_;
+  // Heap objects keep the Engine movable: DeviceDfa/DevicePfac hold
+  // references into the device arena and the shared host automaton.
+  CompiledPatterns compiled_;
   std::unique_ptr<kernels::DeviceDfa> ddfa_;
   std::unique_ptr<kernels::DevicePfac> dpfac_;
   std::unique_ptr<pipeline::MatchPipeline> pipeline_;

@@ -104,9 +104,9 @@ struct StreamService::Impl {
   /// engine options' gpu/device_memory_bytes). Declared before `engine`
   /// so the engine is destroyed first.
   std::unique_ptr<Device> owned_device;
+  /// Sessions read the engine's shared host automaton: its DFA, and for the
+  /// kPfacTail boundary (kPfac variant) its PFAC automaton.
   Engine engine;
-  /// kPfacTail boundary automaton (kPfac variant only).
-  std::unique_ptr<ac::PfacAutomaton> pfac;
   BoundaryMode boundary = BoundaryMode::kDfaState;
 
   /// TrackedMutex so hostcheck can audit lock order; with no observer
@@ -126,12 +126,10 @@ struct StreamService::Impl {
   bool in_flight = false;  ///< a batch is being scanned right now
   std::thread worker;
 
-  Impl(ServeOptions opts, std::unique_ptr<Device> dev, Engine eng,
-       std::unique_ptr<ac::PfacAutomaton> pf)
+  Impl(ServeOptions opts, std::unique_ptr<Device> dev, Engine eng)
       : options(std::move(opts)),
         owned_device(std::move(dev)),
         engine(std::move(eng)),
-        pfac(std::move(pf)),
         boundary(options.engine.variant == pipeline::KernelVariant::kPfac
                      ? BoundaryMode::kPfacTail
                      : BoundaryMode::kDfaState),
@@ -161,6 +159,8 @@ struct StreamService::Impl {
   }
 
   ~Impl() { shutdown(); }
+
+  const ac::PfacAutomaton* pfac() const { return engine.compiled().pfac.get(); }
 
   void publish_queue_locked() {
     stats.queued_chunks = scheduler.queued_chunks();
@@ -335,38 +335,23 @@ Status resolve_device(const ServeOptions& opts,
 
 Result<StreamService> StreamService::create(const ac::PatternSet& patterns,
                                             const ServeOptions& options) {
-  if (Status s = options.validate(); !s) return s;
-  const ServeOptions opts = with_forwarded_observer(options);
-  std::unique_ptr<Device> owned;
-  Device* device = nullptr;
-  if (Status s = resolve_device(opts, owned, &device); !s) return s;
-  Result<Engine> engine = Engine::create(*device, patterns, opts.engine);
-  if (!engine.is_ok()) return engine.status();
-  std::unique_ptr<ac::PfacAutomaton> pfac;
-  if (opts.engine.variant == pipeline::KernelVariant::kPfac) {
-    try {
-      pfac = std::make_unique<ac::PfacAutomaton>(patterns);
-    } catch (const std::exception& e) {
-      return Status::from_exception(e);
-    }
-  }
-  return StreamService(std::make_unique<Impl>(opts, std::move(owned),
-                                              std::move(engine).value(),
-                                              std::move(pfac)));
+  Result<CompiledPatterns> compiled =
+      CompiledPatterns::compile(patterns, options.engine.variant);
+  if (!compiled.is_ok()) return compiled.status();
+  return create(compiled.value(), options);
 }
 
-Result<StreamService> StreamService::create(ac::Dfa dfa,
+Result<StreamService> StreamService::create(const CompiledPatterns& compiled,
                                             const ServeOptions& options) {
   if (Status s = options.validate(); !s) return s;
   const ServeOptions opts = with_forwarded_observer(options);
   std::unique_ptr<Device> owned;
   Device* device = nullptr;
   if (Status s = resolve_device(opts, owned, &device); !s) return s;
-  Result<Engine> engine =
-      Engine::create(*device, std::move(dfa), opts.engine);
+  Result<Engine> engine = Engine::create(*device, compiled, opts.engine);
   if (!engine.is_ok()) return engine.status();
-  return StreamService(std::make_unique<Impl>(
-      opts, std::move(owned), std::move(engine).value(), nullptr));
+  return StreamService(std::make_unique<Impl>(opts, std::move(owned),
+                                              std::move(engine).value()));
 }
 
 Result<SessionId> StreamService::open() {
@@ -375,7 +360,7 @@ Result<SessionId> StreamService::open() {
   if (!im.accepting)
     return Status::invalid_argument("StreamService is shut down");
   std::optional<SessionId> evicted;
-  Session& s = im.manager.open(im.engine.dfa(), im.pfac.get(), im.boundary,
+  Session& s = im.manager.open(im.engine.dfa(), im.pfac(), im.boundary,
                                im.options.session_limits, &evicted);
   ++im.stats.sessions_opened;
   im.stats.sessions_live = im.manager.live();
@@ -549,7 +534,7 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
                                     std::to_string(snapshot.id) +
                                     " is already live here");
   std::optional<SessionId> evicted;
-  im.manager.adopt(snapshot, im.engine.dfa(), im.pfac.get(), &evicted);
+  im.manager.adopt(snapshot, im.engine.dfa(), im.pfac(), &evicted);
   ++im.stats.sessions_imported;
   im.stats.sessions_live = im.manager.live();
   if (evicted.has_value()) {
@@ -606,5 +591,6 @@ ServiceStats StreamService::stats() const {
 
 const ServeOptions& StreamService::options() const { return impl_->options; }
 const ac::Dfa& StreamService::dfa() const { return impl_->engine.dfa(); }
+Engine& StreamService::engine() { return impl_->engine; }
 
 }  // namespace acgpu::serve

@@ -9,7 +9,8 @@
 //   SessionManager  bounded live-session set with LRU eviction
 //   Scheduler       bounded queue + superbatch coalescer + partitioner
 //
-// and one Engine that bulk-scans coalesced superbatches.
+// and one Engine that bulk-scans coalesced superbatches (engine() lends it
+// out for the caller's own bulk scans, so a device holds one upload).
 //
 //   auto service = serve::StreamService::create(patterns, options);
 //   auto id = service.value().open();
@@ -163,13 +164,18 @@ struct ServiceStats {
 
 class StreamService {
  public:
-  /// Compiles `patterns` into an Engine and stands the service up. Fails
-  /// (no throw) on invalid options or Engine::create failure.
+  /// Compiles `patterns` (CompiledPatterns::compile), then stands the
+  /// service up on the result as the overload below does.
   static Result<StreamService> create(const ac::PatternSet& patterns,
                                       const ServeOptions& options = {});
-  /// From a precompiled DFA (e.g. acgpu_cli --dict). Variant kPfac needs
-  /// the pattern set and is rejected here, mirroring Engine::create.
-  static Result<StreamService> create(ac::Dfa dfa,
+  /// Stands the service up on an already compiled automaton: its Engine
+  /// uploads `compiled` to the device, and its sessions carry state over
+  /// the same shared host objects. The cluster Router compiles once and
+  /// hands the result to every shard. Variant kPfac needs compiled.pfac,
+  /// as in Engine::create. Fails (no throw) on invalid options or
+  /// Engine::create failure (kCapacityExceeded when the automaton does not
+  /// fit the device).
+  static Result<StreamService> create(const CompiledPatterns& compiled,
                                       const ServeOptions& options = {});
 
   StreamService(StreamService&&) noexcept;
@@ -226,6 +232,10 @@ class StreamService {
   ServiceStats stats() const;
   const ServeOptions& options() const;
   const ac::Dfa& dfa() const;
+  /// The service's only Engine. Engine::scan serializes on the device's scan
+  /// mutex, so a caller may run its own scans through it from any thread,
+  /// beside the superbatches (the cluster Router serves bulk scans here).
+  Engine& engine();
 
  private:
   struct Impl;

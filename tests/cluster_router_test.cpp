@@ -8,11 +8,14 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ac/serial_matcher.h"
+#include "kernels/device_dfa.h"
 #include "telemetry/metrics_registry.h"
 #include "util/rng.h"
+#include "workload/dna.h"
 
 namespace acgpu::cluster {
 namespace {
@@ -43,6 +46,30 @@ std::vector<ac::Match> reference(const Router& router, const std::string& text) 
 std::string herd_text() {
   std::string text;
   for (int i = 0; i < 200; ++i) text += "ushers and sheep hide his herbs ";
+  return text;
+}
+
+/// `count` random lowercase words of 6-16 letters.
+std::vector<std::string> random_words(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> words(count);
+  for (std::string& w : words) {
+    w.resize(rng.next_in(6, 16));
+    for (char& c : w) c = static_cast<char>('a' + rng.next_below(26));
+  }
+  return words;
+}
+
+/// Random lowercase text of `bytes`, a dictionary word planted every ~200.
+std::string planted_text(const std::vector<std::string>& words, std::size_t bytes,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text(bytes, 'a');
+  for (char& c : text) c = static_cast<char>('a' + rng.next_below(26));
+  for (std::size_t pos = 0; pos + 16 < bytes; pos += rng.next_in(100, 300)) {
+    const std::string& w = words[rng.next_below(words.size())];
+    text.replace(pos, w.size(), w);
+  }
   return text;
 }
 
@@ -264,6 +291,86 @@ TEST(ClusterRouter, PublishesRouterAndPerDeviceSeries) {
   // publishes under its own device.N. namespace.
   EXPECT_FALSE(snapshot.value("serve.sessions.opened").has_value());
   EXPECT_FALSE(snapshot.value("pipeline.runs").has_value());
+}
+
+TEST(ClusterRouter, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
+  ClusterOptions opt = fast_cluster(2);
+  opt.engine.device_memory_bytes = 4096;
+  const auto r = Router::create(ac::PatternSet({"he", "she", "his", "hers"}), opt);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
+  EXPECT_NE(r.status().message().find("4096 B free"), std::string::npos)
+      << r.status().to_string();
+}
+
+TEST(ClusterRouter, DictionaryLargerThanHalfADeviceServesBothPaths) {
+  // Sessions and bulk scans share one upload per device. An STT past half
+  // the device used to serve sessions and fail every bulk scan, whose
+  // second upload ran out of memory.
+  const std::vector<std::string> words = random_words(1000, 17);
+  const std::size_t upload =
+      kernels::DeviceDfa::upload_bytes(ac::build_dfa(ac::PatternSet(words), 8));
+  const std::size_t device_bytes = upload + (2u << 20);
+  ASSERT_GT(2 * upload, device_bytes);
+  const std::string text = planted_text(words, 48u << 10, 5);
+
+  for (std::uint32_t devices : {1u, 2u}) {
+    ClusterOptions opt = fast_cluster(devices);
+    opt.engine.device_memory_bytes = device_bytes;
+    opt.engine.batch_bytes = 16u << 10;
+    Router router = make_router(words, opt);
+    const std::vector<ac::Match> expected = reference(router, text);
+    ASSERT_FALSE(expected.empty());
+
+    const serve::SessionId id = router.open().value();
+    for (std::size_t pos = 0; pos < text.size(); pos += 4096)
+      ASSERT_TRUE(router.feed(id, std::string_view(text).substr(pos, 4096)).is_ok());
+    ASSERT_TRUE(router.drain().is_ok());
+    EXPECT_EQ(router.poll(id).value(), expected) << "devices=" << devices;
+    EXPECT_EQ(router.shard_stats(0).value().service.host_fallbacks, 0u);
+
+    const auto scan = router.scan(text);
+    ASSERT_TRUE(scan.is_ok()) << "devices=" << devices << ": "
+                              << scan.status().to_string();
+    EXPECT_FALSE(scan.value().host_fallback);
+    EXPECT_EQ(scan.value().devices_used, devices);
+    EXPECT_EQ(scan.value().matches, expected) << "devices=" << devices;
+  }
+}
+
+TEST(ClusterRouter, BulkScanDuringABackgroundSessionScanIsExact) {
+  // Regression: Router::scan used to upload a second automaton on first use
+  // without the device's scan mutex. When the shard's worker was inside a
+  // pipeline run at that moment, the run's closing release dropped the
+  // arena's bump pointer below the new upload, and the next run's staging
+  // and match buffers overwrote it. Sizes: the worker's run of a 64 KB
+  // superbatch spans ~400 KB of arena (four 64 KB staging slots plus small
+  // match buffers at capacity 8), while a 2 MB bulk scan stages through
+  // 256 KB slots, so its first H2D copies reach past that high-water mark.
+  const std::string genome = workload::make_dna_sequence(2u << 20, 29);
+  std::vector<std::string> motifs;
+  for (std::uint32_t len = 8; len <= 12; ++len)
+    for (const std::string_view m :
+         workload::extract_dna_motifs(genome, 40, len, 0.05, 31 + len))
+      motifs.emplace_back(m);
+  ClusterOptions opt = fast_cluster(1);
+  opt.background = true;
+  opt.engine.match_capacity = 8;
+  Router router = make_router(motifs, opt);
+
+  const std::string session_text = genome.substr(0, 64u << 10);
+  const serve::SessionId id = router.open().value();
+  ASSERT_TRUE(router.feed(id, session_text).is_ok());
+  // Scan while the worker is inside its run: once it has taken the
+  // superbatch, the queue is empty.
+  while (router.shard_stats(0).value().service.queued_chunks > 0)
+    std::this_thread::yield();
+  const auto scan = router.scan(genome);
+  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+  EXPECT_FALSE(scan.value().host_fallback);
+  EXPECT_EQ(scan.value().matches, reference(router, genome));
+  ASSERT_TRUE(router.drain().is_ok());
+  EXPECT_EQ(router.poll(id).value(), reference(router, session_text));
 }
 
 TEST(ClusterRouter, StatsRollUp) {

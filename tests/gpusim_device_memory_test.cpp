@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "util/error.h"
 
@@ -142,6 +143,42 @@ TEST(DeviceMemory, ReleaseAboveMarkThrows) {
 
 TEST(DeviceMemory, ZeroCapacityThrows) {
   EXPECT_THROW(DeviceMemory(0), Error);
+}
+
+TEST(DeviceMemory, FreshArenaReadsZero) {
+  // The default simulated device: its capacity is reserved, not committed,
+  // yet every byte reads zero before the first write.
+  constexpr std::size_t kCapacity = 256u << 20;
+  DeviceMemory mem(kCapacity);
+  EXPECT_EQ(mem.load_u8(0), 0);
+  EXPECT_EQ(mem.load_u8(kCapacity / 2), 0);
+  EXPECT_EQ(mem.load_u8(kCapacity - 1), 0);
+}
+
+TEST(DeviceMemory, MovedArenaKeepsItsContents) {
+  DeviceMemory a(1024);
+  const DevAddr p = a.alloc(16);
+  a.store_u32(p, 0xfeedf00d);
+  DeviceMemory b(std::move(a));
+  EXPECT_EQ(b.capacity(), 1024u);
+  EXPECT_EQ(b.allocated(), 16u);
+  EXPECT_EQ(b.load_u32(p), 0xfeedf00du);
+
+  DeviceMemory c(64);
+  c = std::move(b);
+  EXPECT_EQ(c.capacity(), 1024u);
+  EXPECT_EQ(c.load_u32(p), 0xfeedf00du);
+  EXPECT_EQ(c.load_u8(1023), 0);
+}
+
+TEST(DeviceMemory, AvailableCountsFromTheNextAlignedAddress) {
+  DeviceMemory mem(1024);
+  EXPECT_EQ(mem.available(), 1024u);
+  mem.alloc(10);
+  EXPECT_EQ(mem.available(), 768u);  // the next 256-aligned base is 256
+  mem.alloc(768);
+  EXPECT_EQ(mem.available(), 0u);
+  EXPECT_EQ(mem.allocated(), 1024u);
 }
 
 }  // namespace

@@ -83,6 +83,19 @@ TEST(DeviceDfa, OnlyTheCompletingTransitionIsFlagged) {
   EXPECT_EQ(expect_decodes_to_host(dfa, "single pattern"), 1u);
 }
 
+TEST(DeviceDfa, UploadBytesIsTheSpanTheUploadTakes) {
+  // Engine::create compares upload_bytes with DeviceMemory::available()
+  // before uploading, so the two must agree with the constructor exactly.
+  for (const ac::Dfa& dfa :
+       {ac::build_dfa(ac::PatternSet({"he", "she", "his", "hers"}), 8),
+        ac::build_dfa(ac::PatternSet({"qzk"}))}) {
+    gpusim::DeviceMemory mem(1 << 20);
+    mem.alloc(3);  // the upload starts at the next aligned address, 256
+    const DeviceDfa ddfa(mem, dfa);
+    EXPECT_EQ(mem.allocated() - 256, DeviceDfa::upload_bytes(dfa));
+  }
+}
+
 TEST(MatchFlag, DecodeTransitionsTouchesOnlyActiveLanes) {
   const std::array<std::uint32_t, 4> words = {
       encode_transition(7, true), encode_transition(3, false),

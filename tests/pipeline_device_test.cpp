@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -118,9 +119,68 @@ TEST(Device, EngineIdsAreUniqueAcrossDevices) {
 
 TEST(Device, DfaOverloadBindsToExplicitDevice) {
   Device device = Device::create(small_device()).value();
-  ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"ab"}), 8);
-  Engine engine = Engine::create(device, std::move(dfa), fast_engine()).value();
+  const CompiledPatterns compiled{
+      std::make_shared<const ac::Dfa>(ac::build_dfa(ac::PatternSet({"ab"}), 8))};
+  Engine engine = Engine::create(device, compiled, fast_engine()).value();
   EXPECT_EQ(engine.scan("abab").value().matches.size(), 2u);
+}
+
+TEST(Device, EngineCreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
+  const ac::PatternSet patterns({"he", "she", "his", "hers"});
+  const std::size_t upload =
+      kernels::DeviceDfa::upload_bytes(ac::build_dfa(patterns, 8));
+  DeviceOptions dopt = small_device();
+  dopt.memory_bytes = upload - 1;
+  Device tight = Device::create(dopt).value();
+  const Result<Engine> refused = Engine::create(tight, patterns, fast_engine());
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCapacityExceeded);
+  const std::string& why = refused.status().message();
+  EXPECT_NE(why.find("needs " + std::to_string(upload) + " B"), std::string::npos)
+      << why;
+  EXPECT_NE(why.find(std::to_string(upload - 1) + " B free"), std::string::npos)
+      << why;
+
+  // Exactly enough room takes one upload, and no second one.
+  dopt.memory_bytes = upload;
+  Device exact = Device::create(dopt).value();
+  ASSERT_TRUE(Engine::create(exact, patterns, fast_engine()).is_ok());
+  EXPECT_EQ(Engine::create(exact, patterns, fast_engine()).status().code(),
+            StatusCode::kCapacityExceeded);
+
+  // PFAC uploads its own automaton and is checked the same way.
+  EngineOptions pfac = fast_engine();
+  pfac.variant = pipeline::KernelVariant::kPfac;
+  dopt.memory_bytes =
+      kernels::DevicePfac::upload_bytes(ac::PfacAutomaton(patterns)) - 1;
+  Device tight_pfac = Device::create(dopt).value();
+  EXPECT_EQ(Engine::create(tight_pfac, patterns, pfac).status().code(),
+            StatusCode::kCapacityExceeded);
+}
+
+TEST(Device, EnginesShareOneCompiledAutomaton) {
+  Device device = Device::create(small_device()).value();
+  Result<CompiledPatterns> compiled = CompiledPatterns::compile(
+      ac::PatternSet({"ab", "b"}), pipeline::KernelVariant::kPfac);
+  ASSERT_TRUE(compiled.is_ok());
+  EngineOptions pfac = fast_engine();
+  pfac.variant = pipeline::KernelVariant::kPfac;
+  Engine a = Engine::create(device, compiled.value(), fast_engine()).value();
+  Engine b = Engine::create(device, compiled.value(), pfac).value();
+  EXPECT_EQ(&a.dfa(), compiled.value().dfa.get());
+  EXPECT_EQ(&b.dfa(), compiled.value().dfa.get());
+  EXPECT_EQ(b.compiled().pfac, compiled.value().pfac);
+  EXPECT_EQ(a.scan("abab").value().matches, b.scan("abab").value().matches);
+
+  // Without the PFAC automaton (say, a DFA loaded from disk), kPfac fails.
+  const CompiledPatterns dfa_only{compiled.value().dfa};
+  EXPECT_EQ(Engine::create(device, dfa_only, pfac).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CompiledPatterns::compile(ac::PatternSet{},
+                                      pipeline::KernelVariant::kShared)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

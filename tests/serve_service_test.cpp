@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -176,8 +177,9 @@ TEST(ServeService, BackgroundAutoFlushIsRejectedAtCreate) {
 }
 
 TEST(ServeService, CreateFromDfaScansAndRejectsPfac) {
-  ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"ab"}), 8);
-  auto r = StreamService::create(std::move(dfa), fast_options());
+  const CompiledPatterns compiled{
+      std::make_shared<const ac::Dfa>(ac::build_dfa(ac::PatternSet({"ab"}), 8))};
+  auto r = StreamService::create(compiled, fast_options());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   StreamService& srv = r.value();
   const SessionId id = srv.open().value();
@@ -187,8 +189,17 @@ TEST(ServeService, CreateFromDfaScansAndRejectsPfac) {
 
   ServeOptions pfac_opt = fast_options();
   pfac_opt.engine.variant = pipeline::KernelVariant::kPfac;
-  ac::Dfa dfa2 = ac::build_dfa(ac::PatternSet({"ab"}), 8);
-  EXPECT_FALSE(StreamService::create(std::move(dfa2), pfac_opt).is_ok());
+  EXPECT_FALSE(StreamService::create(compiled, pfac_opt).is_ok());
+}
+
+TEST(ServeService, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
+  ServeOptions opt = fast_options();
+  opt.engine.device_memory_bytes = 1024;
+  const auto r = StreamService::create(ac::PatternSet({"he", "she"}), opt);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
+  EXPECT_NE(r.status().message().find("1024 B free"), std::string::npos)
+      << r.status().to_string();
 }
 
 TEST(ServeService, PublishesServeMetricFamilies) {
