@@ -46,14 +46,13 @@
 //
 // --mode dispatch gates the adaptive backend dispatcher against
 // bench/baselines/dispatch_baseline.json: the ext_dispatch three-family
-// workload (tiny/mid/large scans through one DispatchEngine, every number
+// sweep (tiny/mid/large scans through one Dispatcher, every number
 // deterministic modeled seconds) pins the dispatch.decisions.* routing
-// census, zero mispredictions, the tune-cache counters, and the two
-// acceptance ratios — dispatched vs best-static per family and dispatched
-// vs best-single-static on the mixed sweep. The --dispatch-force worst
-// demo routes every scan to the predicted-slowest backend: the ratios
-// collapse and the decision census shifts, so the gate must FAIL
-// (WILL_FAIL), proving it bites.
+// census, zero mispredictions, and the two acceptance ratios — dispatched
+// vs best-static per family and dispatched vs best-single-static on the
+// mixed sweep. The --dispatch-force worst demo routes every dispatched scan
+// to the predicted-slowest backend: the ratios collapse and the decision
+// census shifts, so the gate must FAIL (WILL_FAIL), proving it bites.
 //
 // --mode slo gates the SLO/health monitor tier against
 // bench/baselines/slo_baseline.json: a deterministic 16-session replay
@@ -72,6 +71,7 @@
 #include <sstream>
 
 #include "acgpu.h"
+#include "harness/dispatch_experiment.h"
 #include "workload/markov_corpus.h"
 #include "workload/pattern_extract.h"
 
@@ -158,9 +158,6 @@ const std::vector<std::string> kDispatchGatedSeries = {
     "dispatch.decisions.parallel",
     "dispatch.decisions.gpu",
     "dispatch.mispredictions",
-    "dispatch.tune_cache.hits",
-    "dispatch.tune_cache.misses",
-    "dispatch.tune_cache.tunes",
     "dispatch.gate.single_family_min_ratio",
     "dispatch.gate.mixed_win_ratio",
 };
@@ -539,106 +536,30 @@ telemetry::MetricsSnapshot run_slo_workload(const ArgParser& args) {
 }
 
 /// The dispatch workload behind kDispatchGatedSeries: ext_dispatch's
-/// three-family sweep at its default shape (48 tiny 64 B scans, 12 mid
-/// 384 B scans, 3 large 2 MB scans — one family per backend's window),
-/// replayed under the three forced static policies and under the cost
-/// model, single-family and round-robin-mixed. Everything is modeled, so
-/// the decision census, the misprediction count, and both acceptance
-/// ratios are bit-deterministic. --dispatch-force worst swaps the
-/// dispatched sweeps to the predicted-slowest backend.
+/// sweep at its default shape (harness/dispatch_experiment.h). Everything
+/// is modeled, so the decision census, the misprediction count, and both
+/// acceptance ratios are bit-deterministic. --dispatch-force worst swaps
+/// the dispatched column to the predicted-slowest backend.
 telemetry::MetricsSnapshot run_dispatch_workload(const ArgParser& args) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  harness::DispatchSweepConfig config;
+  config.pattern_count = static_cast<std::uint32_t>(args.get_int("patterns"));
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const std::string force_name = args.get("dispatch-force");
-  dispatch::ForcePolicy policy = dispatch::ForcePolicy::kAuto;
   if (force_name == "worst") {
-    policy = dispatch::ForcePolicy::kWorst;
+    config.policy = dispatch::ForcePolicy::kWorst;
   } else {
     ACGPU_CHECK(force_name == "auto",
                 "--dispatch-force must be auto or worst, got '" << force_name
                                                                 << "'");
   }
-
-  struct Fam {
-    const char* name;
-    std::uint64_t bytes;
-    std::uint32_t count;
-  };
-  constexpr Fam kFams[] = {{"tiny", 64, 48}, {"mid", 384, 12},
-                           {"large", 2u << 20, 3}};
-
-  const std::uint64_t pool_bytes = 4u << 20;
-  const std::uint64_t corpus_bytes = 2 * (2u << 20) + pool_bytes;
-  const std::string corpus = workload::make_corpus(corpus_bytes, seed);
-  workload::ExtractConfig ec;
-  ec.count = static_cast<std::uint32_t>(args.get_int("patterns"));
-  ec.min_length = 6;
-  ec.max_length = 16;
-  ec.word_aligned = true;
-  const ac::PatternSet patterns = workload::extract_patterns(
-      {corpus.data() + corpus_bytes - pool_bytes, pool_bytes}, ec);
-
   telemetry::MetricsRegistry registry;
-  dispatch::DispatchEngineOptions opt;
-  opt.engine.variant = pipeline::KernelVariant::kShared;
-  opt.engine.streams = 4;
-  opt.engine.batch_bytes = 1u << 20;
-  opt.engine.mode = gpusim::SimMode::Timed;
-  opt.engine.device_memory_bytes = 1u << 30;
-  opt.dispatcher.metrics = &registry;
-  Result<dispatch::DispatchEngine> created =
-      dispatch::DispatchEngine::create(patterns, opt);
-  ACGPU_CHECK(created.is_ok(), created.status().to_string());
-  dispatch::DispatchEngine& engine = created.value();
+  config.metrics = &registry;
 
-  const auto scan_seconds = [&](std::string_view text,
-                                dispatch::ForcePolicy p) {
-    Result<dispatch::DispatchResult> r = engine.scan_with(text, p);
-    ACGPU_CHECK(r.is_ok(), r.status().to_string());
-    return r.value().modeled_seconds;
-  };
-  constexpr dispatch::ForcePolicy kStatics[3] = {
-      dispatch::ForcePolicy::kSerial,
-      dispatch::ForcePolicy::kParallel,
-      dispatch::ForcePolicy::kGpu,
-  };
-
-  std::vector<std::vector<std::string_view>> texts(std::size(kFams));
-  for (std::size_t fi = 0; fi < std::size(kFams); ++fi) {
-    const Fam& f = kFams[fi];
-    const std::uint64_t span = corpus_bytes - pool_bytes - f.bytes;
-    for (std::uint32_t i = 0; i < f.count; ++i)
-      texts[fi].emplace_back(
-          corpus.data() + (span / std::max(1u, f.count)) * i, f.bytes);
-  }
-
-  double family_min_ratio = 1e300;
-  for (std::size_t fi = 0; fi < std::size(kFams); ++fi) {
-    double seconds[4] = {0, 0, 0, 0};
-    for (std::string_view text : texts[fi]) {
-      for (int b = 0; b < 3; ++b) seconds[b] += scan_seconds(text, kStatics[b]);
-      seconds[3] += scan_seconds(text, policy);
-    }
-    const double best_static = std::min({seconds[0], seconds[1], seconds[2]});
-    family_min_ratio = std::min(
-        family_min_ratio, seconds[3] > 0 ? best_static / seconds[3] : 0.0);
-  }
-
-  double mixed[4] = {0, 0, 0, 0};
-  std::uint32_t max_count = 0;
-  for (const Fam& f : kFams) max_count = std::max(max_count, f.count);
-  for (std::uint32_t i = 0; i < max_count; ++i)
-    for (std::size_t fi = 0; fi < std::size(kFams); ++fi) {
-      if (i >= kFams[fi].count) continue;
-      for (int b = 0; b < 3; ++b)
-        mixed[b] += scan_seconds(texts[fi][i], kStatics[b]);
-      mixed[3] += scan_seconds(texts[fi][i], policy);
-    }
-  const double mixed_best = std::min({mixed[0], mixed[1], mixed[2]});
-
+  const harness::DispatchSweepResult result =
+      harness::run_dispatch_sweep(config);
   registry.gauge("dispatch.gate.single_family_min_ratio")
-      .set(family_min_ratio);
-  registry.gauge("dispatch.gate.mixed_win_ratio")
-      .set(mixed[3] > 0 ? mixed_best / mixed[3] : 0.0);
+      .set(result.single_family_min_ratio());
+  registry.gauge("dispatch.gate.mixed_win_ratio").set(result.mixed_win_ratio());
   return registry.snapshot();
 }
 

@@ -3,26 +3,12 @@
 //   ext_dispatch                         # full gate: 0.97x / 1.15x criteria
 //   ext_dispatch --force gpu             # a static baseline, for comparison
 //   ext_dispatch --force worst           # the anti-policy: the gate must FAIL
-//   ext_dispatch --tune-cache tc --autotune --budget 4    # offline tuning
-//   ext_dispatch --tune-cache tc --require-no-tunes       # cache round-trip
 //
-// Three single-backend-favoring scan families run through one DispatchEngine
-// (pipeline/cpumodel Timed models, so every number is deterministic modeled
-// seconds):
-//
-//   tiny   tens-of-bytes scans: every per-scan overhead (parallel fork/
-//          join, GPU PCIe latency + pipeline fill) dwarfs the work —
-//          serial CPU territory
-//   mid    hundreds-of-bytes scans: big enough that one core's cold-cache
-//          cpb loses to the fork/join price, small enough that device
-//          overhead still stings — parallel-CPU territory
-//   large  multi-MB scans: the batched multi-stream pipeline's regime
-//
-// The windows are narrow because the modeled host (2.2 GHz Core2 walking a
-// cache-cold DFA) is slow and the modeled device overhead is tens of
-// microseconds — exactly the paper's regime: the GPU wins everything that
-// amortizes its fixed costs, so per-scan dispatch only matters at the
-// small end.
+// Three single-backend-favoring scan families (tiny, mid, large; see
+// harness/dispatch_experiment.h) run through one calibrated Dispatcher, with
+// every number deterministic modeled seconds. The GPU wins everything that
+// amortizes its fixed costs — the paper's regime — so per-scan dispatch only
+// matters at the small end.
 //
 // Every family is scanned under all three forced static policies AND under
 // the cost model (auto); then a mixed sweep interleaves the families the way
@@ -33,11 +19,9 @@
 //   mixed sweep:   dispatched >= 1.15x the best SINGLE static policy
 //                  (adapting per scan must beat any one-size-fits-all)
 //
-// --force worst runs the mixed sweep under the predicted-slowest backend per
-// scan — the demo that the criteria (and check_regression --mode dispatch)
-// actually bite. With --tune-cache the GPU-routed buckets consult the
-// on-disk autotune cache; --require-no-tunes asserts the second run resolves
-// every bucket from cache (zero re-tunes), the round-trip CI smoke.
+// --force worst runs the dispatched column under the predicted-slowest
+// backend per scan — the demo that the criteria (and check_regression
+// --mode dispatch) actually bite.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -45,29 +29,11 @@
 #include <vector>
 
 #include "acgpu.h"
-#include "workload/markov_corpus.h"
-#include "workload/pattern_extract.h"
+#include "harness/dispatch_experiment.h"
 
 using namespace acgpu;
 
 namespace {
-
-struct Family {
-  std::string name;
-  std::uint64_t bytes = 0;
-  std::uint32_t count = 0;
-  std::vector<std::string_view> texts;
-};
-
-struct PolicyTotals {
-  double seconds[4] = {0, 0, 0, 0};  // serial, parallel, gpu, dispatched
-};
-
-constexpr dispatch::Backend kStatics[3] = {
-    dispatch::Backend::kSerialCpu,
-    dispatch::Backend::kParallelCpu,
-    dispatch::Backend::kGpuPipeline,
-};
 
 dispatch::ForcePolicy parse_policy(const std::string& name) {
   if (name == "auto") return dispatch::ForcePolicy::kAuto;
@@ -79,13 +45,26 @@ dispatch::ForcePolicy parse_policy(const std::string& name) {
                          "got '" << name << "'");
 }
 
-double scan_seconds(dispatch::DispatchEngine& engine, std::string_view text,
-                    dispatch::ForcePolicy policy) {
-  Result<dispatch::DispatchResult> r = engine.scan_with(text, policy);
-  ACGPU_CHECK(r.is_ok(), r.status().to_string());
-  ACGPU_CHECK(!r.value().overflowed, "dispatch scan overflowed — raise "
-                                     "--match-capacity");  // Timed: never
-  return r.value().modeled_seconds;
+std::vector<std::string> table_row(const std::string& name,
+                                   const std::string& size, std::size_t scans,
+                                   const harness::DispatchTotals& t) {
+  char ratio[16];
+  std::snprintf(ratio, sizeof ratio, "%.3fx", t.ratio());
+  return {name,
+          size,
+          std::to_string(scans),
+          format_seconds(t.serial),
+          format_seconds(t.parallel),
+          format_seconds(t.gpu),
+          format_seconds(t.dispatched),
+          ratio};
+}
+
+void write_totals(std::ostream& out, const harness::DispatchTotals& t) {
+  out << ",\"serial_seconds\":" << t.serial
+      << ",\"parallel_seconds\":" << t.parallel
+      << ",\"gpu_seconds\":" << t.gpu
+      << ",\"dispatched_seconds\":" << t.dispatched;
 }
 
 }  // namespace
@@ -116,15 +95,6 @@ int main(int argc, char** argv) {
   args.add_flag("mixed-threshold",
                 "min dispatched/best-single-static ratio on the mixed sweep",
                 "1.15");
-  args.add_flag("tune-cache",
-                "autotune cache path (empty = no persistence)", "");
-  args.add_bool_flag("autotune",
-                     "tune GPU-routed buckets with no cached winner");
-  args.add_flag("budget", "autotune candidate configs per bucket", "12");
-  args.add_flag("probe", "autotune probe text bytes", "1MB");
-  args.add_bool_flag("require-no-tunes",
-                     "fail unless every bucket resolved from the tune cache "
-                     "(the round-trip smoke)");
   args.add_flag("json", "output path for the BENCH json artifact",
                 "BENCH_dispatch.json");
   args.add_bool_flag("no-gate", "report only; skip the acceptance criteria");
@@ -132,139 +102,37 @@ int main(int argc, char** argv) {
 
   try {
     if (!args.parse(argc, argv)) return 0;
-    const dispatch::ForcePolicy policy = parse_policy(args.get("force"));
-
-    std::vector<Family> families = {
+    harness::DispatchSweepConfig config;
+    config.families = {
         {"tiny", static_cast<std::uint64_t>(args.get_bytes("tiny")),
-         static_cast<std::uint32_t>(args.get_int("tiny-count")),
-         {}},
+         static_cast<std::uint32_t>(args.get_int("tiny-count"))},
         {"mid", static_cast<std::uint64_t>(args.get_bytes("mid")),
-         static_cast<std::uint32_t>(args.get_int("mid-count")),
-         {}},
+         static_cast<std::uint32_t>(args.get_int("mid-count"))},
         {"large", static_cast<std::uint64_t>(args.get_bytes("large")),
-         static_cast<std::uint32_t>(args.get_int("large-count")),
-         {}},
+         static_cast<std::uint32_t>(args.get_int("large-count"))},
     };
-
-    // One corpus serves every family: scan i of a family reads at a rotated
-    // offset so the texts differ without another generator pass.
-    std::uint64_t max_bytes = 0;
-    for (const Family& f : families)
-      max_bytes = std::max(max_bytes, f.bytes);
-    const std::uint64_t pool_bytes = 4u << 20;
-    const std::uint64_t corpus_bytes = 2 * max_bytes + pool_bytes;
-    const std::string corpus = workload::make_corpus(
-        corpus_bytes, static_cast<std::uint64_t>(args.get_int("seed")));
-    workload::ExtractConfig ec;
-    ec.count = static_cast<std::uint32_t>(args.get_int("patterns"));
-    ec.min_length = 6;
-    ec.max_length = 16;
-    ec.word_aligned = true;
-    const ac::PatternSet patterns = workload::extract_patterns(
-        {corpus.data() + corpus_bytes - pool_bytes, pool_bytes}, ec);
-
-    for (Family& f : families) {
-      const std::uint64_t span = corpus_bytes - pool_bytes - f.bytes;
-      for (std::uint32_t i = 0; i < f.count; ++i) {
-        const std::uint64_t offset = (span / std::max(1u, f.count)) * i;
-        f.texts.emplace_back(corpus.data() + offset, f.bytes);
-      }
-    }
-
-    telemetry::MetricsRegistry registry;
-    dispatch::DispatchEngineOptions opt;
-    opt.engine.variant = pipeline::KernelVariant::kShared;
-    opt.engine.streams = 4;
-    opt.engine.batch_bytes = 1u << 20;
-    opt.engine.mode = gpusim::SimMode::Timed;
-    opt.engine.device_memory_bytes = 1u << 30;
-    opt.engine.match_capacity =
+    config.pattern_count = static_cast<std::uint32_t>(args.get_int("patterns"));
+    config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    config.match_capacity =
         static_cast<std::uint32_t>(args.get_int("match-capacity"));
-    opt.dispatcher.metrics = &registry;
-    opt.tune_cache_path = args.get("tune-cache");
-    opt.autotune_on_miss = args.get_bool("autotune");
-    opt.tune_budget.max_configs =
-        static_cast<std::uint32_t>(args.get_int("budget"));
-    opt.tune_budget.probe_bytes =
-        static_cast<std::uint64_t>(args.get_bytes("probe"));
+    config.policy = parse_policy(args.get("force"));
 
-    Result<dispatch::DispatchEngine> created =
-        dispatch::DispatchEngine::create(patterns, opt);
-    ACGPU_CHECK(created.is_ok(), created.status().to_string());
-    dispatch::DispatchEngine& engine = created.value();
+    const harness::DispatchSweepResult result =
+        harness::run_dispatch_sweep(config);
+    const double family_min_ratio = result.single_family_min_ratio();
+    const double mixed_ratio = result.mixed_win_ratio();
+    const dispatch::DispatchStats& stats = result.stats;
 
-    // --- single-family sweeps ---------------------------------------------
-    Table table;
-    table.set_header({"family", "size", "scans", "serial", "parallel", "gpu",
-                      "dispatched", "vs best static"});
-    double family_min_ratio = 1e300;
-    std::vector<PolicyTotals> totals(families.size());
-    for (std::size_t fi = 0; fi < families.size(); ++fi) {
-      const Family& f = families[fi];
-      PolicyTotals& t = totals[fi];
-      for (std::string_view text : f.texts) {
-        for (int b = 0; b < 3; ++b)
-          t.seconds[b] += scan_seconds(
-              engine, text,
-              b == 0   ? dispatch::ForcePolicy::kSerial
-              : b == 1 ? dispatch::ForcePolicy::kParallel
-                       : dispatch::ForcePolicy::kGpu);
-        t.seconds[3] += scan_seconds(engine, text, policy);
-      }
-      const double best_static =
-          std::min({t.seconds[0], t.seconds[1], t.seconds[2]});
-      const double ratio =
-          t.seconds[3] > 0 ? best_static / t.seconds[3] : 0.0;
-      family_min_ratio = std::min(family_min_ratio, ratio);
-      char ratio_s[16];
-      std::snprintf(ratio_s, sizeof ratio_s, "%.3fx", ratio);
-      table.add_row({f.name, format_bytes(f.bytes), std::to_string(f.count),
-                     format_seconds(t.seconds[0]),
-                     format_seconds(t.seconds[1]),
-                     format_seconds(t.seconds[2]),
-                     format_seconds(t.seconds[3]), ratio_s});
-    }
-
-    // --- mixed sweep -------------------------------------------------------
-    // Interleave the families round-robin, the shape of real traffic: many
-    // tiny scans between every mid, a large one now and then. Each static
-    // policy replays the identical sequence.
-    std::vector<std::string_view> mixed;
-    std::uint32_t max_count = 0;
-    for (const Family& f : families)
-      max_count = std::max(max_count, f.count);
-    for (std::uint32_t i = 0; i < max_count; ++i)
-      for (const Family& f : families)
-        if (i < f.count) mixed.push_back(f.texts[i]);
-
-    PolicyTotals mixed_t;
-    for (std::string_view text : mixed) {
-      for (int b = 0; b < 3; ++b)
-        mixed_t.seconds[b] += scan_seconds(
-            engine, text,
-            b == 0   ? dispatch::ForcePolicy::kSerial
-            : b == 1 ? dispatch::ForcePolicy::kParallel
-                     : dispatch::ForcePolicy::kGpu);
-      mixed_t.seconds[3] += scan_seconds(engine, text, policy);
-    }
-    const double mixed_best_static = std::min(
-        {mixed_t.seconds[0], mixed_t.seconds[1], mixed_t.seconds[2]});
-    const double mixed_ratio = mixed_t.seconds[3] > 0
-                                   ? mixed_best_static / mixed_t.seconds[3]
-                                   : 0.0;
-
-    const dispatch::DispatchStats stats = engine.dispatcher().stats();
     if (!args.get_bool("quiet")) {
-      table.add_row({"mixed", "-", std::to_string(mixed.size()),
-                     format_seconds(mixed_t.seconds[0]),
-                     format_seconds(mixed_t.seconds[1]),
-                     format_seconds(mixed_t.seconds[2]),
-                     format_seconds(mixed_t.seconds[3]),
-                     [&] {
-                       char s[16];
-                       std::snprintf(s, sizeof s, "%.3fx", mixed_ratio);
-                       return std::string(s);
-                     }()});
+      Table table;
+      table.set_header({"family", "size", "scans", "serial", "parallel", "gpu",
+                        "dispatched", "vs best static"});
+      for (std::size_t fi = 0; fi < config.families.size(); ++fi) {
+        const harness::DispatchFamily& f = config.families[fi];
+        table.add_row(table_row(f.name, format_bytes(f.bytes), f.count,
+                                result.families[fi]));
+      }
+      table.add_row(table_row("mixed", "-", result.mixed_scans, result.mixed));
       table.print(std::cout);
       std::printf("\n");
     }
@@ -275,22 +143,11 @@ int main(int argc, char** argv) {
         args.get_double("mixed-threshold"));
     std::printf(
         "decisions: serial %llu, parallel %llu, gpu %llu; mispredictions "
-        "%llu; tune cache: %llu hit(s), %llu miss(es), %llu tune(s)\n",
+        "%llu\n",
         static_cast<unsigned long long>(stats.decisions[0]),
         static_cast<unsigned long long>(stats.decisions[1]),
         static_cast<unsigned long long>(stats.decisions[2]),
-        static_cast<unsigned long long>(stats.mispredictions),
-        static_cast<unsigned long long>(stats.tune_cache_hits),
-        static_cast<unsigned long long>(stats.tune_cache_misses),
-        static_cast<unsigned long long>(stats.tunes));
-
-    if (!args.get("tune-cache").empty()) {
-      const Status saved = engine.save_tune_cache();
-      ACGPU_CHECK(saved.is_ok(), saved.to_string());
-      std::printf("tune cache: %zu entr%s at %s\n", engine.tune_cache().size(),
-                  engine.tune_cache().size() == 1 ? "y" : "ies",
-                  args.get("tune-cache").c_str());
-    }
+        static_cast<unsigned long long>(stats.mispredictions));
 
     const std::string json_path = args.get("json");
     if (!json_path.empty()) {
@@ -298,40 +155,24 @@ int main(int argc, char** argv) {
       ACGPU_CHECK(out.good(), "cannot write " << json_path);
       out << "{\"bench\":\"dispatch\",\"force\":\"" << args.get("force")
           << "\",\"families\":[";
-      for (std::size_t fi = 0; fi < families.size(); ++fi) {
-        const Family& f = families[fi];
-        const PolicyTotals& t = totals[fi];
+      for (std::size_t fi = 0; fi < config.families.size(); ++fi) {
+        const harness::DispatchFamily& f = config.families[fi];
         out << (fi == 0 ? "" : ",") << "{\"name\":\"" << f.name
-            << "\",\"bytes\":" << f.bytes << ",\"count\":" << f.count
-            << ",\"serial_seconds\":" << t.seconds[0]
-            << ",\"parallel_seconds\":" << t.seconds[1]
-            << ",\"gpu_seconds\":" << t.seconds[2]
-            << ",\"dispatched_seconds\":" << t.seconds[3] << "}";
+            << "\",\"bytes\":" << f.bytes << ",\"count\":" << f.count;
+        write_totals(out, result.families[fi]);
+        out << "}";
       }
-      out << "],\"mixed\":{\"scans\":" << mixed.size()
-          << ",\"serial_seconds\":" << mixed_t.seconds[0]
-          << ",\"parallel_seconds\":" << mixed_t.seconds[1]
-          << ",\"gpu_seconds\":" << mixed_t.seconds[2]
-          << ",\"dispatched_seconds\":" << mixed_t.seconds[3]
-          << ",\"win_ratio\":" << mixed_ratio << "}"
+      out << "],\"mixed\":{\"scans\":" << result.mixed_scans;
+      write_totals(out, result.mixed);
+      out << ",\"win_ratio\":" << mixed_ratio << "}"
           << ",\"single_family_min_ratio\":" << family_min_ratio
           << ",\"decisions\":{\"serial\":" << stats.decisions[0]
           << ",\"parallel\":" << stats.decisions[1]
           << ",\"gpu\":" << stats.decisions[2] << "}"
-          << ",\"mispredictions\":" << stats.mispredictions
-          << ",\"tune_cache\":{\"hits\":" << stats.tune_cache_hits
-          << ",\"misses\":" << stats.tune_cache_misses
-          << ",\"tunes\":" << stats.tunes << "}}\n";
+          << ",\"mispredictions\":" << stats.mispredictions << "}\n";
       std::printf("wrote %s\n", json_path.c_str());
     }
 
-    if (args.get_bool("require-no-tunes") && stats.tunes > 0) {
-      std::fprintf(stderr,
-                   "ext_dispatch: FAIL — %llu bucket(s) re-tuned; the cache "
-                   "round-trip requires every winner to come from disk\n",
-                   static_cast<unsigned long long>(stats.tunes));
-      return 1;
-    }
     if (!args.get_bool("no-gate")) {
       const double family_threshold = args.get_double("family-threshold");
       const double mixed_threshold = args.get_double("mixed-threshold");

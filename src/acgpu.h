@@ -6,13 +6,13 @@
 // in for the paper's GTX 285 (gpusim/), the paper's two matching kernels and
 // the PFAC variant (kernels/), the batched multi-stream matching pipeline and
 // the acgpu::Engine facade (pipeline/), the adaptive backend dispatcher with
-// its cost model and offline autotuner (dispatch/), the streaming session
-// service for stateful cross-chunk scanning (serve/), the multi-device
-// scatter/gather router tier sharding sessions and bulk scans across N
-// simulated devices (cluster/), a Core2-class serial timing model
-// (cpumodel/), workload generators (workload/), the evaluation harness that
-// regenerates the paper's figures (harness/), and the cross-matcher
-// differential conformance oracle (oracle/).
+// its cost model (dispatch/), the streaming session service for stateful
+// cross-chunk scanning (serve/), the multi-device scatter/gather router tier
+// sharding sessions and bulk scans across N simulated devices (cluster/), a
+// Core2-class serial timing model (cpumodel/), workload generators
+// (workload/), the evaluation harness that regenerates the paper's figures
+// (harness/), and the cross-matcher differential conformance oracle
+// (oracle/).
 #pragma once
 
 // ---------------------------------------------------------------------------
@@ -37,11 +37,9 @@
 #include "ac/trie.h"
 #include "cluster/merge.h"
 #include "cluster/router.h"
-#include "dispatch/autotuner.h"
 #include "dispatch/cost_model.h"
 #include "dispatch/dispatcher.h"
 #include "dispatch/signature.h"
-#include "dispatch/tune_cache.h"
 #include "pipeline/device.h"
 #include "pipeline/engine.h"
 #include "pipeline/pipeline.h"

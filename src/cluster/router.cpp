@@ -6,7 +6,6 @@
 #include <ostream>
 #include <unordered_map>
 
-#include "ac/parallel_matcher.h"
 #include "ac/serial_matcher.h"
 #include "cluster/merge.h"
 #include "dispatch/dispatcher.h"
@@ -538,16 +537,10 @@ Result<ClusterScanResult> Router::scan(std::string_view text) {
     sig = dsp.signature(text, /*session=*/false);
     decision = dsp.choose(sig);
     if (decision.backend != dispatch::Backend::kGpuPipeline) {
-      const dispatch::CostModelConfig& cfg = dsp.cost_model().config();
-      if (decision.backend == dispatch::Backend::kSerialCpu) {
-        result.matches = ac::find_all(dfa, text);
-        result.makespan_seconds =
-            dispatch::modeled_serial_seconds(dfa, text, cfg.cpu);
-      } else {
-        result.matches = ac::find_all_parallel(dfa, text, cfg.parallel_threads);
-        result.makespan_seconds =
-            dispatch::modeled_parallel_seconds(dfa, text, cfg);
-      }
+      dispatch::HostScan host = dispatch::scan_on_host(
+          dfa, text, decision.backend, dsp.cost_model().config());
+      result.matches = std::move(host.matches);
+      result.makespan_seconds = host.modeled_seconds;
       ac::normalize_matches(result.matches);
       dsp.observe(decision, sig, result.makespan_seconds);
       ++im.stats.scans;

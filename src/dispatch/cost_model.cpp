@@ -48,7 +48,7 @@ CostModelConfig seed_config(const gpusim::GpuConfig& gpu,
   // allowance (first batch has no overlap partner).
   config.gpu_overhead_seconds = 2.0 * gpu.pcie_latency_seconds + 40e-6;
   // Sustained slope: PCIe transfer in series with an assumed kernel
-  // throughput. Deliberately rough — the DispatchEngine probe replaces it.
+  // throughput. Deliberately rough — dispatch::calibrate's probe replaces it.
   const double assumed_kernel_bps = 3.0e9;
   config.gpu_bytes_per_second =
       1.0 / (1.0 / gpu.pcie_bytes_per_second + 1.0 / assumed_kernel_bps);

@@ -19,7 +19,7 @@
 //   kGpuPipeline  the batched multi-stream Engine; a per-scan overhead
 //                 (PCIe latency + pipeline fill) + bytes / throughput,
 //                 seeded analytically from gpusim::GpuConfig and replaced
-//                 by a two-point probe fit at DispatchEngine creation.
+//                 by a two-point probe fit when dispatch::calibrate runs.
 //
 // The analytic curves give the crossover *shape*; online refinement keeps
 // them honest: observe() folds actual modeled seconds into a per
@@ -115,7 +115,7 @@ class CostModel {
   /// cpb is captured, not just the asymptote.
   void calibrate_cpu(const ac::Dfa& dfa, std::string_view sample);
 
-  /// Installs a measured GPU curve (from the DispatchEngine's two-point
+  /// Installs a measured GPU curve (from dispatch::calibrate's two-point
   /// probe); replaces the analytic seed.
   void set_gpu_curve(double overhead_seconds, double bytes_per_second);
 

@@ -15,7 +15,7 @@
 // ONCE per automaton (PatternStats) and reused; per-batch extraction touches
 // at most kDensitySampleBytes of the text. Signatures quantize into
 // SignatureBuckets (log2 size classes) — the unit the cost model refines
-// over and the autotuner caches winners for (docs/DISPATCH.md).
+// over (docs/DISPATCH.md).
 #pragma once
 
 #include <cstdint>
@@ -63,8 +63,8 @@ WorkloadSignature make_signature(const ac::Dfa& dfa, std::string_view text,
                                  bool session = false);
 
 /// Quantized signature — the granularity the cost model's online refinement
-/// and the autotuner's cache operate at. Two signatures in the same bucket
-/// are assumed to behave alike.
+/// operates at. Two signatures in the same bucket are assumed to behave
+/// alike.
 struct SignatureBucket {
   std::uint8_t size_class = 0;     ///< floor(log2(text_bytes)), 0 for empty
   std::uint8_t pattern_class = 0;  ///< floor(log2(pattern_count))
@@ -79,7 +79,7 @@ struct SignatureBucket {
 SignatureBucket bucket_of(const WorkloadSignature& sig);
 
 /// Stable textual key, e.g. "s12.p5.l3.d2.bulk" — used as the map key for
-/// online refinement and as the bucket column in the tune cache file.
+/// online refinement.
 std::string bucket_key(const SignatureBucket& bucket);
 
 }  // namespace acgpu::dispatch

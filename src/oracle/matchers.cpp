@@ -587,15 +587,19 @@ class RouterMatcher final : public Matcher {
   }
 };
 
-/// Adaptive-dispatch adapter: drives the DispatchEngine facade
-/// (dispatch/dispatcher.h). The salt draws the kernel variant, stream
-/// count, batch size — and, crucially, the force policy from all five of
-/// {auto, serial, parallel, gpu, worst}: whatever backend the cost model
-/// (or the override) picks, the match multiset must be identical, which is
-/// exactly the dispatcher's correctness contract — routing is a pure
-/// timing decision, invisible to matches. Calibration probes are skipped
-/// (analytic seed only) so Functional-mode trials stay fast. Overrides
-/// try_run to forward the engine's own Status codes.
+/// Adaptive-dispatch adapter: a Router on 1 or 2 devices wired with a
+/// Dispatcher (cluster::ClusterOptions::dispatcher). The salt draws the
+/// device count, kernel variant, stream count, batch size — and, crucially,
+/// the force policy from all five of {auto, serial, parallel, gpu, worst}
+/// and the path: a bulk scan(), which the dispatcher sends whole to the
+/// host DFA or scatters across the devices, or a session fed in random
+/// slices, whose superbatches the serve layer routes one by one. Whatever
+/// backend the cost model (or the override) picks, the match multiset must
+/// be identical, which is exactly the dispatcher's correctness contract —
+/// routing is a pure timing decision, invisible to matches. The analytic
+/// seed prices every decision (no calibration probes), so Functional-mode
+/// trials stay fast. Overrides try_run to forward the Router's own Status
+/// codes.
 class DispatchMatcher final : public Matcher {
  public:
   const std::string& name() const override {
@@ -610,7 +614,18 @@ class DispatchMatcher final : public Matcher {
   Result<std::vector<ac::Match>> try_run(const CompiledWorkload& w,
                                          std::uint64_t salt) const override {
     Rng rng(derive_seed(salt, /*stream=*/17));
-    dispatch::DispatchEngineOptions opt;
+    static constexpr dispatch::ForcePolicy kPolicies[] = {
+        dispatch::ForcePolicy::kAuto,     dispatch::ForcePolicy::kSerial,
+        dispatch::ForcePolicy::kParallel, dispatch::ForcePolicy::kGpu,
+        dispatch::ForcePolicy::kWorst,
+    };
+    dispatch::DispatcherOptions dopt;
+    dopt.force = kPolicies[rng.next_below(std::size(kPolicies))];
+    // Declared before the Router, so it outlives it.
+    dispatch::Dispatcher dispatcher(w.dfa(), dopt);
+
+    cluster::ClusterOptions opt;
+    opt.devices = 1 + static_cast<std::uint32_t>(rng.next_below(2));
     static constexpr pipeline::KernelVariant kVariants[] = {
         pipeline::KernelVariant::kShared,
         pipeline::KernelVariant::kGlobalOnly,
@@ -627,24 +642,35 @@ class DispatchMatcher final : public Matcher {
     opt.engine.mode = gpusim::SimMode::Functional;
     opt.engine.gpu = sim_config();
     opt.engine.device_memory_bytes = 64u << 20;
-    opt.calibrate = false;
-    static constexpr dispatch::ForcePolicy kPolicies[] = {
-        dispatch::ForcePolicy::kAuto,     dispatch::ForcePolicy::kSerial,
-        dispatch::ForcePolicy::kParallel, dispatch::ForcePolicy::kGpu,
-        dispatch::ForcePolicy::kWorst,
-    };
-    opt.dispatcher.force = kPolicies[rng.next_below(std::size(kPolicies))];
+    opt.coalesce_bytes = 1 + rng.next_below(4096);
+    opt.admission = serve::AdmissionPolicy::kAutoFlush;
+    opt.dispatcher = &dispatcher;
 
-    for (std::uint32_t capacity = 64; capacity <= (1u << 14); capacity *= 4) {
-      opt.engine.match_capacity = capacity;
-      Result<dispatch::DispatchEngine> engine =
-          dispatch::DispatchEngine::create(w.patterns(), opt);
-      if (!engine.is_ok()) return engine.status();
-      Result<dispatch::DispatchResult> scan = engine.value().scan(w.text());
+    auto router = cluster::Router::create(w.patterns(), opt);
+    if (!router.is_ok()) return router.status();
+    cluster::Router& cl = router.value();
+    const std::string_view text = w.text();
+
+    if (rng.next_bool(0.5)) {
+      Result<cluster::ClusterScanResult> scan = cl.scan(text);
       if (!scan.is_ok()) return scan.status();
-      if (!scan.value().overflowed) return std::move(scan).value().matches;
+      return std::move(scan).value().matches;
     }
-    return Status::internal("dispatch adapter overflowed at every capacity");
+
+    Result<serve::SessionId> id = cl.open();
+    if (!id.is_ok()) return id.status();
+    for (std::size_t pos = 0; pos < text.size();) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.next_below(256), text.size() - pos);
+      if (Status s = cl.feed(id.value(), text.substr(pos, len)); !s) return s;
+      pos += len;
+    }
+    if (Status s = cl.drain(); !s) return s;
+    Result<std::vector<ac::Match>> polled = cl.poll(id.value());
+    if (!polled.is_ok()) return polled.status();
+    std::vector<ac::Match> out = std::move(polled).value();
+    ac::normalize_matches(out);
+    return out;
   }
 };
 

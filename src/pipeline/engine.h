@@ -33,7 +33,6 @@
 #include "ac/pattern_set.h"
 #include "ac/pfac.h"
 #include "gpusim/config.h"
-#include "gpusim/device_memory.h"
 #include "kernels/device_dfa.h"
 #include "kernels/pfac_kernel.h"
 #include "pipeline/device.h"
@@ -104,8 +103,8 @@ struct EngineOptions {
 
   /// Simulated device and its memory budget for the facades that create
   /// their own Device from these options (serve::StreamService without a
-  /// device, cluster::Router per shard, dispatch::DispatchEngine).
-  /// Engine::create ignores them — the explicit Device carries its own.
+  /// device, cluster::Router per shard). Engine::create ignores them — the
+  /// explicit Device carries its own.
   gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   std::size_t device_memory_bytes = 256u << 20;
 
@@ -182,10 +181,6 @@ class Engine {
   /// The device the engine is bound to. Stable for the engine's lifetime.
   Device& device() { return *device_; }
   const Device& device() const { return *device_; }
-
-  /// The bound device's memory — kept for harness code that co-locates
-  /// extra buffers or inspects allocation.
-  gpusim::DeviceMemory& device_memory() { return device_->memory(); }
 
   Engine(Engine&&) = default;
   Engine& operator=(Engine&&) = default;

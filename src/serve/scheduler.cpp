@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "ac/parallel_matcher.h"
 #include "ac/serial_matcher.h"
 #include "dispatch/dispatcher.h"
 
@@ -155,24 +154,13 @@ BatchScan scan_batch(Engine& engine, const ac::Dfa& dfa,
   const dispatch::WorkloadSignature sig =
       dispatcher->signature(batch.text, /*session=*/true);
   const dispatch::Decision decision = dispatcher->choose(sig);
-  const dispatch::CostModelConfig& cfg = dispatcher->cost_model().config();
-
-  switch (decision.backend) {
-    case dispatch::Backend::kSerialCpu:
-      out.makespan_seconds =
-          dispatch::modeled_serial_seconds(dfa, batch.text, cfg.cpu);
-      partition_matches(ac::find_all(dfa, batch.text), dfa, batch, out);
-      break;
-    case dispatch::Backend::kParallelCpu:
-      out.makespan_seconds =
-          dispatch::modeled_parallel_seconds(dfa, batch.text, cfg);
-      partition_matches(
-          ac::find_all_parallel(dfa, batch.text, cfg.parallel_threads), dfa,
-          batch, out);
-      break;
-    case dispatch::Backend::kGpuPipeline:
-      out = scan_batch(engine, dfa, batch);
-      break;
+  if (decision.backend == dispatch::Backend::kGpuPipeline) {
+    out = scan_batch(engine, dfa, batch);
+  } else {
+    const dispatch::HostScan host = dispatch::scan_on_host(
+        dfa, batch.text, decision.backend, dispatcher->cost_model().config());
+    out.makespan_seconds = host.modeled_seconds;
+    partition_matches(host.matches, dfa, batch, out);
   }
   // The overflow fallback's host rescan is not a GPU timing — it would
   // poison the GPU curve's correction, so only clean executions feed back.

@@ -1,6 +1,6 @@
 // Workload signatures and signature buckets: the dictionary-derived
 // PatternStats, cheap per-batch extraction, log2 quantization, and the
-// stable textual bucket keys the EWMA and the tune cache key on.
+// stable textual bucket keys the EWMA corrections are keyed on.
 #include "dispatch/signature.h"
 
 #include <gtest/gtest.h>
@@ -93,7 +93,7 @@ TEST(DispatchSignature, BucketKeyIsStableAndParseable) {
   const SignatureBucket b = bucket_of(make_signature(fx.dfa, std::string(4096, 'a')));
   const std::string key = bucket_key(b);
   // "s12.p2.l2.d0.bulk" shape: the size class and the bulk/sess suffix are
-  // the contract the tune-cache file format depends on.
+  // the key format docs/DISPATCH.md documents.
   EXPECT_EQ(key.find("s12."), 0u);
   EXPECT_NE(key.find(".bulk"), std::string::npos);
   EXPECT_EQ(key, bucket_key(b)) << "key must be deterministic";
