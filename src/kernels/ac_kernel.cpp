@@ -38,6 +38,7 @@ constexpr std::uint32_t L = Warp::kMaxLanes;
 struct KParams {
   DevAddr text_addr = 0;
   std::uint64_t text_len = 0;
+  std::optional<SymbolTable> symbols;  ///< set: text_addr holds packed text
   std::uint32_t chunk_bytes = 0;
   std::uint32_t overlap = 0;  ///< X-1 extra scan bytes per chunk
   std::uint32_t threads_per_block = 0;
@@ -78,6 +79,50 @@ Warp::Await stt_read(Warp& w, const KParams& p, const std::array<std::int32_t, L
   return w.global_load_u32();
 }
 
+/// Warp instructions that expand one packed staging word, counted from the
+/// sequence a CUDA kernel issues on sm_13 (no bfe or prmt; mul24 is one
+/// instruction). unpack_word (packed_text.cpp) computes it the same way.
+/// Loop-invariant per lane: the symbol table's lane constants T0 and X1-X3,
+/// and in the cooperative loop sh = 8 * ((thread + block_base / 4) % 4), the
+/// packed byte's bit offset in the loaded word w. Per word:
+///   b   = w >> sh                                       shr                1
+///   lo  = mul24(b & 0xf, 0x204081) & 0x01010101         and mul24 and      3
+///   hi  = mul24((b >> 4) & 0xf, 0x204081) & 0x01010101  shr and mul24 and  4
+///   mlo = (lo << 8) - lo;  mhi = (hi << 8) - hi         shl sub shl sub    4
+///   v   = T0 ^ (mhi & X2) ^ (mlo & (X1 ^ (mhi & X3)))   and xor and and xor xor  6
+/// Address arithmetic is not charged, as on the byte path.
+constexpr std::uint32_t kUnpackInstrs = 18;
+/// The sequential loops' offset moves with each step: sh = (sh + 8) & 31.
+constexpr std::uint32_t kUnpackStepInstrs = 2;
+/// The text's partial last word, peeled out of the loop, keeps its first
+/// n = text_len - 4q bytes: v &= (1 << (n << 3)) - 1.   sub shl shl sub and
+constexpr std::uint32_t kUnpackTailInstrs = 5;
+
+/// Global address of the word a lane loads to stage word `wi` of the block
+/// starting at text byte `block_base`: that word for byte text; for packed
+/// text, the aligned word holding the packed byte of its four symbols.
+DevAddr staging_load_addr(const KParams& p, std::uint64_t block_base, std::uint32_t wi) {
+  if (!p.symbols) return p.text_addr + block_base + static_cast<std::uint64_t>(wi) * 4;
+  return p.text_addr + ((block_base / 4 + wi) & ~std::uint64_t{3});
+}
+
+/// Packed text only: replaces each loading lane's word with the four bytes of
+/// its staged word `widx[l]` (what the byte path would have loaded) and hands
+/// back the expansion's ALU charge, `instrs` per word plus the tail mask when
+/// a lane holds the text's partial last word, for the body to co_await.
+Warp::Await unpack_staged(Warp& w, const KParams& p, std::uint64_t block_base,
+                          const std::array<std::uint32_t, L>& widx, std::uint32_t instrs) {
+  bool tail = false;
+  for (std::uint32_t l = 0; l < w.lane_count; ++l)
+    if (w.mask[l]) {
+      const std::uint64_t q = block_base / 4 + widx[l];
+      const auto packed = static_cast<std::uint8_t>(w.value[l] >> (q % 4 * 8));
+      w.value[l] = unpack_word(packed, *p.symbols, q * 4, p.text_len);
+      tail |= q * 4 + 4 > p.text_len;
+    }
+  return w.compute(instrs + (tail ? kUnpackTailInstrs : 0));
+}
+
 WarpTask ac_kernel_body(Warp& w, KParams p) {
   const std::uint64_t chunk = p.chunk_bytes;
   const std::uint32_t chunk_words = p.chunk_bytes / 4;
@@ -97,19 +142,23 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     if (p.scheme == StoreScheme::kSequential) {
       // Baseline: each thread copies its own chunk front-to-back. The lane
       // addresses are chunk_bytes apart, so these loads barely coalesce.
+      std::array<std::uint32_t, L> widx{};
       for (std::uint32_t step = 0; step < chunk_words; ++step) {
         w.mask_none();
         for (std::uint32_t l = 0; l < w.lane_count; ++l) {
           const std::uint32_t wi = w.thread_in_block(l) * chunk_words + step;
           if (wi < total_words) {
             w.mask[l] = true;
-            w.addr[l] = p.text_addr + block_base + static_cast<std::uint64_t>(wi) * 4;
+            widx[l] = wi;
+            w.addr[l] = staging_load_addr(p, block_base, wi);
           }
         }
         if (!w.any_active()) continue;
         const std::array<bool, L> loading = w.mask;
         co_await w.global_load_u32();
         w.mask = loading;
+        if (p.symbols)
+          co_await unpack_staged(w, p, block_base, widx, kUnpackInstrs + kUnpackStepInstrs);
         for (std::uint32_t l = 0; l < w.lane_count; ++l)
           if (w.mask[l])
             w.addr[l] = static_cast<DevAddr>(
@@ -123,10 +172,13 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
         for (std::uint32_t wi = tail_begin; wi < total_words; ++wi) {
           w.mask_none();
           w.mask[0] = true;
-          w.addr[0] = p.text_addr + block_base + static_cast<std::uint64_t>(wi) * 4;
+          widx[0] = wi;
+          w.addr[0] = staging_load_addr(p, block_base, wi);
           co_await w.global_load_u32();
           w.mask_none();
           w.mask[0] = true;
+          if (p.symbols)
+            co_await unpack_staged(w, p, block_base, widx, kUnpackInstrs + kUnpackStepInstrs);
           w.addr[0] = static_cast<DevAddr>(map_word(p.scheme, wi / chunk_words,
                                                     wi % chunk_words, chunk_words)) *
                       4;
@@ -147,13 +199,14 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
           if (wi < total_words) {
             w.mask[l] = true;
             widx[l] = wi;
-            w.addr[l] = p.text_addr + block_base + static_cast<std::uint64_t>(wi) * 4;
+            w.addr[l] = staging_load_addr(p, block_base, wi);
           }
         }
         if (!w.any_active()) continue;
         const std::array<bool, L> loading = w.mask;
         co_await w.global_load_u32();
         w.mask = loading;
+        if (p.symbols) co_await unpack_staged(w, p, block_base, widx, kUnpackInstrs);
         for (std::uint32_t l = 0; l < w.lane_count; ++l)
           if (w.mask[l])
             w.addr[l] = static_cast<DevAddr>(map_word(p.scheme, widx[l] / chunk_words,
@@ -288,8 +341,11 @@ struct AcPlan {
 
 AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem,
                       const DeviceDfa& ddfa, gpusim::DevAddr text_addr,
-                      std::uint64_t text_len, const AcLaunchSpec& spec) {
+                      std::uint64_t text_len, const AcLaunchSpec& spec,
+                      const std::optional<SymbolTable>& symbols) {
   ACGPU_CHECK(text_len > 0, "run_ac_kernel: empty text");
+  ACGPU_CHECK(!symbols || spec.approach == Approach::kShared,
+              "packed text needs the shared approach: only its staging unpacks");
   ACGPU_CHECK(spec.chunk_bytes > 0 && spec.chunk_bytes % 4 == 0,
               "chunk_bytes must be a positive multiple of 4, got " << spec.chunk_bytes);
   ACGPU_CHECK(spec.threads_per_block > 0, "threads_per_block must be positive");
@@ -323,6 +379,7 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   KParams& p = plan.p;
   p.text_addr = text_addr;
   p.text_len = text_len;
+  p.symbols = symbols;
   p.chunk_bytes = spec.chunk_bytes;
   p.overlap = overlap;
   p.threads_per_block = spec.threads_per_block;
@@ -384,8 +441,10 @@ AcLaunchOutcome collect_ac_outcome(const AcPlan& plan, gpusim::LaunchResult sim,
 AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
                               gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
                               gpusim::DevAddr text_addr, std::uint64_t text_len,
-                              const AcLaunchSpec& spec) {
-  const AcPlan plan = plan_ac_launch(config, mem, ddfa, text_addr, text_len, spec);
+                              const AcLaunchSpec& spec,
+                              std::optional<SymbolTable> symbols) {
+  const AcPlan plan =
+      plan_ac_launch(config, mem, ddfa, text_addr, text_len, spec, symbols);
   const gpusim::LaunchResult sim =
       gpusim::launch(config, mem, &ddfa.texture(), plan.dims, plan.kernel, spec.sim);
   return collect_ac_outcome(plan, sim, mem, ddfa, text_len, spec);
@@ -394,10 +453,12 @@ AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
 AcLaunchOutcome run_ac_kernel_stream(gpusim::StreamSim& streams,
                                      gpusim::StreamId stream, const DeviceDfa& ddfa,
                                      gpusim::DevAddr text_addr, std::uint64_t text_len,
-                                     const AcLaunchSpec& spec, std::string label) {
+                                     const AcLaunchSpec& spec,
+                                     std::optional<SymbolTable> symbols, std::string label) {
   const gpusim::GpuConfig& config = streams.config();
   gpusim::DeviceMemory& mem = streams.memory();
-  const AcPlan plan = plan_ac_launch(config, mem, ddfa, text_addr, text_len, spec);
+  const AcPlan plan =
+      plan_ac_launch(config, mem, ddfa, text_addr, text_len, spec, symbols);
   const gpusim::LaunchResult sim =
       streams.launch(stream, &ddfa.texture(), plan.dims, plan.kernel, spec.sim,
                      nullptr, std::move(label));

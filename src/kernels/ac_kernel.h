@@ -4,14 +4,18 @@
 //    global memory; the STT is fetched through the texture path.
 //  - kShared: each thread block first stages its input block into shared
 //    memory (cooperative coalesced 4-byte loads, placement chosen by a
-//    StoreScheme), synchronises, then matches out of shared memory.
+//    StoreScheme), synchronises, then matches out of shared memory. Its
+//    input may also arrive packed at 2 bits per symbol (packed_text.h): the
+//    staging then expands every loaded packed byte into the four bytes the
+//    byte path would have stored, and the shared store onwards is unchanged.
 //
 // Both kernels use the same matching loop, the same X-byte chunk-overlap
-// rule as ac/chunking.h, and write matches to a MatchBuffer (the output
-// CSR + pattern-length tables are read from global memory on a match).
+// rule as ac/chunking.h, and write minimal (position, output id) records to
+// a MatchBuffer; the host expands them through the DFA's output tables.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "ac/dfa.h"
@@ -19,6 +23,7 @@
 #include "gpusim/stream.h"
 #include "kernels/device_dfa.h"
 #include "kernels/match_output.h"
+#include "kernels/packed_text.h"
 #include "kernels/store_scheme.h"
 
 namespace acgpu::kernels {
@@ -65,11 +70,15 @@ gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text);
 
 /// Runs one AC kernel launch over text already resident in device memory.
 /// Allocates a MatchBuffer from `mem` — callers sweeping configurations
-/// should bracket calls with DeviceMemory::mark()/release().
+/// should bracket calls with DeviceMemory::mark()/release(). With `symbols`
+/// set, `text_addr` holds the text packed against that table (pack_text,
+/// followed by 8 zero bytes like upload_text's) and `text_len` still counts
+/// symbols; only Approach::kShared unpacks.
 AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
                               gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
                               gpusim::DevAddr text_addr, std::uint64_t text_len,
-                              const AcLaunchSpec& spec);
+                              const AcLaunchSpec& spec,
+                              std::optional<SymbolTable> symbols = std::nullopt);
 
 /// Stream-aware variant: the launch is enqueued on `stream` of the given
 /// StreamSim, so its simulated duration lands on the multi-stream timeline
@@ -80,6 +89,8 @@ AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
 AcLaunchOutcome run_ac_kernel_stream(gpusim::StreamSim& streams,
                                      gpusim::StreamId stream, const DeviceDfa& ddfa,
                                      gpusim::DevAddr text_addr, std::uint64_t text_len,
-                                     const AcLaunchSpec& spec, std::string label = {});
+                                     const AcLaunchSpec& spec,
+                                     std::optional<SymbolTable> symbols = std::nullopt,
+                                     std::string label = {});
 
 }  // namespace acgpu::kernels

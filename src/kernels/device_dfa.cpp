@@ -1,41 +1,21 @@
 #include "kernels/device_dfa.h"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "kernels/match_flag.h"
 
 namespace acgpu::kernels {
-namespace {
 
-/// The upload's four allocations, in order: STT, output offsets, output ids
-/// (at least one word, so the address is valid for dictionaries whose DFA
-/// has no output entries — impossible in practice, cheap to allow), and
-/// pattern lengths.
-std::array<std::size_t, 4> allocation_sizes(const ac::Dfa& dfa) {
-  return {dfa.stt().size_bytes(), dfa.output_offsets().size() * 4,
-          std::max<std::size_t>(1, dfa.output_ids().size() * 4),
-          dfa.pattern_lengths().size() * 4};
-}
-
-}  // namespace
-
-std::size_t DeviceDfa::upload_bytes(const ac::Dfa& dfa) {
-  using gpusim::DeviceMemory;
-  const std::array<std::size_t, 4> sizes = allocation_sizes(dfa);
-  return DeviceMemory::align_up(sizes[0]) + DeviceMemory::align_up(sizes[1]) +
-         DeviceMemory::align_up(sizes[2]) + sizes[3];
-}
+std::size_t DeviceDfa::upload_bytes(const ac::Dfa& dfa) { return dfa.stt().size_bytes(); }
 
 DeviceDfa::DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa)
     : host_dfa_(&dfa),
       states_(dfa.state_count()),
       max_pattern_length_(dfa.max_pattern_length()),
       stt_bytes_(dfa.stt_bytes()) {
-  const std::array<std::size_t, 4> sizes = allocation_sizes(dfa);
   const ac::SttMatrix& stt = dfa.stt();
-  stt_addr_ = mem.alloc(sizes[0]);
+  stt_addr_ = mem.alloc(upload_bytes(dfa));
   stt_pitch_ = stt.pitch();
 
   // Upload row by row, flagging every transition into an accepting state
@@ -54,18 +34,6 @@ DeviceDfa::DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa)
   }
   texture_ = gpusim::Texture2D(&mem, stt_addr_, ac::SttMatrix::kColumns, stt.rows(),
                                stt.pitch());
-
-  const auto& offsets = dfa.output_offsets();
-  out_begin_addr_ = mem.alloc(sizes[1]);
-  mem.copy_in(out_begin_addr_, offsets.data(), offsets.size() * 4);
-
-  const auto& ids = dfa.output_ids();
-  out_ids_addr_ = mem.alloc(sizes[2]);
-  if (!ids.empty()) mem.copy_in(out_ids_addr_, ids.data(), ids.size() * 4);
-
-  const auto& lengths = dfa.pattern_lengths();
-  lengths_addr_ = mem.alloc(sizes[3]);
-  mem.copy_in(lengths_addr_, lengths.data(), lengths.size() * 4);
 }
 
 }  // namespace acgpu::kernels

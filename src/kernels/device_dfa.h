@@ -1,7 +1,8 @@
 // Device-resident copy of a compiled AC DFA: the STT uploaded to (texture)
-// memory plus the output CSR and pattern-length tables in plain global
 // memory — the phase-1 -> phase-2 handoff the paper describes ("construct
-// the STT on a single CPU core, then copy it to the GPU").
+// the STT on a single CPU core, then copy it to the GPU"). The kernels store
+// (position, output id) records and the host expands them through
+// host_dfa()'s output tables, so no other table goes to the device.
 //
 // The device STT differs from the host ac::SttMatrix in one way: each
 // transition word carries kMatchBit (match_flag.h) when its target state
@@ -19,12 +20,12 @@ namespace acgpu::kernels {
 
 class DeviceDfa {
  public:
-  /// Uploads the DFA. Keeps a reference to `dfa` (for host-side expansion of
+  /// Uploads the STT. Keeps a reference to `dfa` (for host-side expansion of
   /// device match records); the Dfa must outlive this object.
   DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa);
 
-  /// Device bytes the upload spans from its first (256-byte aligned)
-  /// allocation to its last byte: compare with DeviceMemory::available().
+  /// Device bytes the upload takes from its (256-byte aligned) start: the
+  /// STT alone. Compare with DeviceMemory::available().
   static std::size_t upload_bytes(const ac::Dfa& dfa);
 
   const ac::Dfa& host_dfa() const { return *host_dfa_; }
@@ -38,10 +39,6 @@ class DeviceDfa {
   gpusim::DevAddr stt_addr() const { return stt_addr_; }
   std::uint32_t stt_pitch_elems() const { return stt_pitch_; }
 
-  gpusim::DevAddr out_begin_addr() const { return out_begin_addr_; }
-  gpusim::DevAddr out_ids_addr() const { return out_ids_addr_; }
-  gpusim::DevAddr lengths_addr() const { return lengths_addr_; }
-
   std::uint32_t state_count() const { return states_; }
   std::uint32_t max_pattern_length() const { return max_pattern_length_; }
   std::size_t stt_bytes() const { return stt_bytes_; }
@@ -51,9 +48,6 @@ class DeviceDfa {
   gpusim::Texture2D texture_;
   gpusim::DevAddr stt_addr_ = 0;
   std::uint32_t stt_pitch_ = 0;
-  gpusim::DevAddr out_begin_addr_ = 0;
-  gpusim::DevAddr out_ids_addr_ = 0;
-  gpusim::DevAddr lengths_addr_ = 0;
   std::uint32_t states_ = 0;
   std::uint32_t max_pattern_length_ = 0;
   std::size_t stt_bytes_ = 0;

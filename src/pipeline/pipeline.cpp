@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <utility>
 
+#include "kernels/packed_text.h"
 #include "pipeline/staging_pool.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/logger.h"
@@ -121,8 +123,9 @@ std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_by
 ///  - block: the largest multiple of 32 up to threads_per_block that still
 ///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' staged
 ///    regions share the SM; 32 when none does.
-/// Geometry is a function of the slice length alone, which keeps the Timed
-/// reuse cache (keyed by slice length) valid.
+/// Geometry is a function of the slice length alone. The Timed reuse cache
+/// keys on (slice length, packed), so batches that share a key run the same
+/// launch: the same geometry and the same staging loop.
 BatchGeometry resolve_geometry(const PipelineOptions& opt,
                                const gpusim::GpuConfig& config, std::uint32_t overlap,
                                std::uint64_t slice) {
@@ -175,7 +178,10 @@ Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& confi
 }
 
 /// Timed-mode timing reuse: batches are homogeneous by construction, so one
-/// simulated launch per distinct slice length covers the rest.
+/// simulated launch per distinct (slice length, packed) covers the rest. A
+/// packed batch runs a different staging loop from a byte batch of the same
+/// length, so the two never share a timing.
+using TimingKey = std::pair<std::uint64_t, bool>;
 struct CachedTiming {
   double kernel_seconds = 0;
   std::uint64_t output_bytes = 0;
@@ -315,7 +321,8 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
     std::vector<double> completion;  // per batch: D2H end on the timeline
     completion.reserve(batch_count);
-    std::map<std::uint64_t, CachedTiming> timing_cache;  // keyed by slice bytes
+    std::map<TimingKey, CachedTiming> timing_cache;
+    std::vector<std::uint8_t> packed;  // host packing buffer (packed batches only)
     Samples latencies;
 
     // The copy engine serves its queue in issue order, so issuing d2h(b)
@@ -380,11 +387,17 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           static_cast<gpusim::StreamId>(b % plan.effective_streams);
 
       ACGPU_TRACE_SPAN(opt.tracer, "pipeline.batch");
+      // A kShared slice, overlap carry included, of at most 4 distinct byte
+      // values ships at 2 bits per symbol; the kernel's staging unpacks it.
+      const std::string_view slice_text = text.substr(base, slice);
+      const std::optional<kernels::SymbolTable> symbols =
+          opt.variant == KernelVariant::kShared ? kernels::symbol_table(slice_text)
+                                                : std::nullopt;
       BatchTrace trace;
       trace.index = b;
       trace.stream = stream;
       trace.owned_bytes = owned;
-      trace.staged_bytes = slice;
+      trace.staged_bytes = symbols ? kernels::packed_size(slice) : slice;
       const BatchGeometry g = resolve_geometry(opt, config_, overlap, slice);
       trace.chunk_bytes = g.chunk_bytes;
       trace.threads_per_block = g.threads_per_block;
@@ -400,27 +413,34 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         opt.recorder->record(telemetry::FlightEventKind::kLeaseGrant, opt.shard,
                              up.index, 0, /*code=*/0);
         opt.recorder->record(telemetry::FlightEventKind::kBatchIssue, opt.shard,
-                             b, slice);
+                             b, trace.staged_bytes);
       }
       const gpusim::DevAddr dst = up.addr;
       trace.blocked_seconds = std::max(0.0, up.ready - sim.stream_ready(stream));
       sim.wait_until(stream, up.ready);
 
-      const std::uint64_t h2d_id =
-          sim.memcpy_h2d(stream, dst, text.data() + base, slice, "h2d b" + std::to_string(b));
-      mem_.fill(dst + slice, 0, 8);
+      const void* payload = slice_text.data();
+      if (symbols) {
+        packed.resize(trace.staged_bytes);
+        kernels::pack_text(slice_text, *symbols, packed.data());
+        payload = packed.data();
+      }
+      const std::uint64_t h2d_id = sim.memcpy_h2d(stream, dst, payload, trace.staged_bytes,
+                                                  "h2d b" + std::to_string(b));
+      mem_.fill(dst + trace.staged_bytes, 0, 8);
       trace.submit_seconds = sim.timeline()[h2d_id].start;
       trace.issue_index = h2d_id;
 
       // One kernel launch over the slice. Timed runs may reuse the simulated
-      // duration of an earlier same-length batch.
+      // duration of an earlier batch with the same slice length and packing.
       const bool reuse = opt.mode == gpusim::SimMode::Timed && opt.reuse_timing;
-      const auto cached = reuse ? timing_cache.find(slice) : timing_cache.end();
+      const TimingKey key{slice, symbols.has_value()};
+      const auto cached = reuse ? timing_cache.find(key) : timing_cache.end();
       if (cached != timing_cache.end()) {
         const std::uint64_t kid =
             sim.charge_kernel(stream, cached->second.kernel_seconds,
                               "kernel b" + std::to_string(b) + " (reused timing)");
-        sim.annotate(kid, dst, slice, /*is_write=*/false);
+        sim.annotate(kid, dst, trace.staged_bytes, /*is_write=*/false);
         trace.kernel_seconds = cached->second.kernel_seconds;
         trace.output_bytes = cached->second.output_bytes;
       } else {
@@ -466,8 +486,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           spec.match_capacity = opt.match_capacity;
           spec.stt_placement = opt.stt_placement;
           spec.sim = sim_opt;
-          kernels::AcLaunchOutcome out = kernels::run_ac_kernel_stream(
-              sim, stream, *ddfa_, dst, slice, spec, "kernel b" + std::to_string(b));
+          kernels::AcLaunchOutcome out =
+              kernels::run_ac_kernel_stream(sim, stream, *ddfa_, dst, slice, spec, symbols,
+                                            "kernel b" + std::to_string(b));
           trace.kernel_seconds = out.sim.seconds;
           scale = out.sim.scale();
           threads = out.threads;
@@ -482,14 +503,14 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         }
         // The stream runners enqueue exactly one kernel op — annotate it as
         // the last reader of the staged slice for the hostcheck auditor.
-        sim.annotate(sim.timeline().back().id, dst, slice, /*is_write=*/false);
+        sim.annotate(sim.timeline().back().id, dst, trace.staged_bytes, /*is_write=*/false);
         result.total_reported += reported;
         // D2H payload: the per-thread count array plus the (extrapolated in
         // Timed mode) match records.
         trace.output_bytes =
             threads * 4 +
             static_cast<std::uint64_t>(static_cast<double>(reported) * scale) * 8;
-        if (reuse) timing_cache[slice] = {trace.kernel_seconds, trace.output_bytes};
+        if (reuse) timing_cache[key] = {trace.kernel_seconds, trace.output_bytes};
       }
 
       // The kernel was the last reader of the staged slice: the upload

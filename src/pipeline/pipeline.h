@@ -37,6 +37,12 @@
 // max_pattern_length-1 bytes of the next batch, and a match is kept iff its
 // START lies in the batch's owned range — so matches spanning a boundary are
 // reported exactly once, by the earlier batch.
+//
+// A kShared slice (carry included) of at most 4 distinct byte values crosses
+// PCIe packed at 2 bits per symbol against its own symbol table
+// (kernels/packed_text.h), and the kernel's shared-memory staging unpacks it;
+// every other slice ships as bytes. The choice reads the slice's content
+// alone — there is no option for it.
 #pragma once
 
 #include <cstdint>
@@ -160,7 +166,9 @@ struct BatchTrace {
   std::uint32_t stream = 0;        ///< stream the batch's ops were issued on
   std::uint64_t issue_index = 0;   ///< timeline op id of the batch's H2D
   std::uint64_t owned_bytes = 0;   ///< bytes this batch reports matches for
-  std::uint64_t staged_bytes = 0;  ///< H2D payload (owned + overlap carry)
+  /// H2D payload: owned + overlap carry, packed 2 bits per symbol when the
+  /// batch ran packed (kShared, at most 4 distinct bytes in the slice).
+  std::uint64_t staged_bytes = 0;
   std::uint64_t output_bytes = 0;  ///< D2H payload (counts + match records)
   std::uint32_t chunk_bytes = 0;   ///< AC kernel chunk (0 for PFAC)
   std::uint32_t threads_per_block = 0;  ///< kernel block size
@@ -175,7 +183,7 @@ struct BatchTrace {
 struct PipelineStats {
   std::uint64_t batches = 0;
   std::uint64_t input_bytes = 0;   ///< text length
-  std::uint64_t staged_bytes = 0;  ///< total H2D payload (incl. overlap carry)
+  std::uint64_t staged_bytes = 0;  ///< total H2D payload (carry included, packed or not)
   std::uint64_t output_bytes = 0;  ///< total D2H payload
   double makespan_seconds = 0;     ///< simulated end-to-end (copy + compute)
   double copy_busy_seconds = 0;    ///< all transfers (both directions)

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/packed_text.h"
 #include "oracle/workload_gen.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics_registry.h"
@@ -91,6 +92,27 @@ TEST(GpucheckAudit, NaiveSchemeConflictsAndBreaksADegreeOneBudget) {
     if (h.kind == HazardKind::kBankConflictBudget && h.first.valid())
       sited = true;
   EXPECT_TRUE(sited) << "budget hazard should carry the worst access site";
+}
+
+TEST(GpucheckAudit, PipelinePackedStagingIsCoalescedStagingAtDegreeOne) {
+  // overlap-heavy draws its text from {a, b}, so every batch of the pipeline
+  // target ships packed and its staging loads are the packed ones: each
+  // lane loads the word holding its packed byte. They must still count as
+  // staging loads, coalesce with no excess, and leave the diagonal store at
+  // bank degree 1.
+  std::uint64_t audited = 0;
+  for (std::uint64_t i = 0; audited < 3; ++i) {
+    if (std::string(oracle::workload_family_name(i)) != "overlap-heavy") continue;
+    const CompiledWorkload w(oracle::generate_workload(42, i));
+    ASSERT_TRUE(kernels::symbol_table(w.text()).has_value()) << w.name();
+    const AuditOutcome outcome = audit_workload(AuditTarget::kPipeline, w);
+    EXPECT_TRUE(outcome.report.clean()) << w.name();
+    EXPECT_TRUE(outcome.matches_ok) << w.name();
+    EXPECT_GT(outcome.report.coalescing.staging_requests, 0u) << w.name();
+    EXPECT_EQ(outcome.report.coalescing.staging_excess, 0u) << w.name();
+    EXPECT_EQ(outcome.report.bank.max_degree, 1u) << w.name();
+    ++audited;
+  }
 }
 
 TEST(GpucheckAudit, DiagonalReportFailsANaiveExpectation) {

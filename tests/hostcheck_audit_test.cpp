@@ -7,10 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "hostcheck/analyze.h"
 #include "hostcheck/recorder.h"
+#include "kernels/packed_text.h"
 #include "oracle/workload_gen.h"
 #include "pipeline/engine.h"
+#include "pipeline/pipeline.h"
 #include "telemetry/metrics_registry.h"
+#include "workload/dna.h"
 
 namespace acgpu::hostcheck {
 namespace {
@@ -66,6 +75,51 @@ TEST(HostcheckAudit, RepeatedScansOnOneEngineStayClean) {
   const HostAuditReport report = analyze(recorder.trace());
   EXPECT_TRUE(report.clean()) << report.total_hazards() << " hazard(s)";
   EXPECT_EQ(report.sims, 3u);
+}
+
+TEST(HostcheckAudit, PackedBatchesAnnotateTheBytesThatMoved) {
+  // DNA text whose batch 2 owns an N: batches 1 and 2 ship bytes (batch 1
+  // carries the N), the rest ship 2-bit packed payloads. Each batch's H2D
+  // write and kernel read must cover exactly its staged payload, so the
+  // audit checks the bytes that crossed PCIe, not the slice length.
+  std::string text = workload::make_dna_sequence(4096, 29);
+  text[2048 + 3] = 'N';
+  const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({text.substr(1000, 8), "ACGTA"}), 8);
+
+  Recorder recorder;
+  gpusim::DeviceMemory mem(16u << 20);
+  const kernels::DeviceDfa ddfa(mem, dfa);
+  pipeline::PipelineOptions opt;
+  opt.batch_bytes = 1024;
+  opt.rebalance_batches = false;
+  opt.host_observer = &recorder;
+  gpusim::GpuConfig cfg = gpusim::GpuConfig::gtx285();
+  cfg.num_sms = 4;
+  auto run = pipeline::MatchPipeline(cfg, mem, ddfa, opt).run(text);
+  ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+  const std::vector<pipeline::BatchTrace>& batches = run.value().batches;
+  ASSERT_EQ(batches.size(), 4u);
+  EXPECT_EQ(batches[0].staged_bytes, kernels::packed_size(1024 + 7));
+  EXPECT_EQ(batches[1].staged_bytes, 1024u + 7);
+  EXPECT_EQ(batches[2].staged_bytes, 1024u + 7);
+  EXPECT_EQ(batches[3].staged_bytes, kernels::packed_size(1024));
+
+  const HostTrace trace = recorder.trace();
+  std::map<std::uint64_t, std::string> labels;  // op id -> "h2d b1", ...
+  for (const HostTrace::Record& r : trace.records)
+    if (const auto* op = std::get_if<gpusim::HostOpRecord>(&r)) labels[op->op] = op->label;
+  std::size_t checked = 0;
+  for (const HostTrace::Record& r : trace.records) {
+    const auto* access = std::get_if<gpusim::HostAccessRecord>(&r);
+    if (access == nullptr) continue;
+    const std::string& label = labels.at(access->op);
+    const std::size_t b = std::stoul(label.substr(label.find(" b") + 2));
+    EXPECT_EQ(access->bytes, batches.at(b).staged_bytes) << label;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2 * batches.size());  // one H2D write, one kernel read each
+  const HostAuditReport report = analyze(trace);
+  EXPECT_TRUE(report.clean()) << report.total_hazards() << " hazard(s)";
 }
 
 TEST(HostcheckAudit, ServeLayerAuditsCleanAndExercisesTheLocks) {

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "ac/naive_matcher.h"
 #include "ac/serial_matcher.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "workload/dna.h"
 #include "workload/markov_corpus.h"
 #include "workload/pattern_extract.h"
 
@@ -55,6 +59,23 @@ struct Fixture {
     spec.sim.mode = gpusim::SimMode::Functional;
     const std::size_t mark = mem.mark();
     auto out = run_ac_kernel(cfg, mem, ddfa, text_addr, text.size(), spec);
+    mem.release(mark);
+    return out;
+  }
+
+  /// The same launch over the text packed at 2 bits per symbol, laid out
+  /// the way the pipeline stages it: packed bytes, then 8 zero bytes.
+  AcLaunchOutcome run_packed(AcLaunchSpec spec) {
+    spec.sim.mode = gpusim::SimMode::Functional;
+    const std::optional<SymbolTable> symbols = symbol_table(text);
+    EXPECT_TRUE(symbols.has_value()) << "text has more than 4 distinct bytes";
+    const std::size_t mark = mem.mark();
+    std::vector<std::uint8_t> packed(packed_size(text.size()));
+    pack_text(text, *symbols, packed.data());
+    const gpusim::DevAddr addr = mem.alloc(packed.size() + 8);
+    mem.copy_in(addr, packed.data(), packed.size());
+    mem.fill(addr + packed.size(), 0, 8);
+    auto out = run_ac_kernel(cfg, mem, ddfa, addr, text.size(), spec, symbols);
     mem.release(mark);
     return out;
   }
@@ -193,6 +214,49 @@ TEST(AcKernel, ValidatesSpec) {
   spec.threads_per_block = 0;
   EXPECT_THROW(run_ac_kernel(f.cfg, f.mem, f.ddfa, f.text_addr, f.text.size(), spec),
                Error);
+}
+
+TEST(AcKernel, PackedStagingMatchesByteStagingAtEveryChunkSchemeAndTail) {
+  // Packed staging expands each loaded byte into the word the byte path
+  // stores, so everything from the shared store on (matches, bank
+  // conflicts) is the same. Text lengths 1, 2 and 3 mod 4 leave a partial
+  // last packed byte; 12-64 B chunks span the derived and paper widths.
+  for (const std::size_t len : {3001u, 3002u, 3003u}) {
+    const std::string text = workload::make_dna_sequence(len, len);
+    Fixture f({text.substr(100, 8), text.substr(1500, 5), text.substr(len - 6, 6), "ACGT",
+               "TT"},
+              text);
+    ASSERT_GT(f.expected().size(), 0u);
+    for (const std::uint32_t chunk : {12u, 16u, 32u, 64u})
+      for (const StoreScheme scheme : {StoreScheme::kSequential,
+                                       StoreScheme::kCoalescedNaive, StoreScheme::kDiagonal}) {
+        AcLaunchSpec spec;
+        spec.scheme = scheme;
+        spec.chunk_bytes = chunk;
+        spec.threads_per_block = 64;
+        spec.match_capacity = 128;
+        const AcLaunchOutcome bytes = f.run(spec);
+        const AcLaunchOutcome packed = f.run_packed(spec);
+        SCOPED_TRACE("length " + std::to_string(len) + ", chunk " + std::to_string(chunk) +
+                     ", " + to_string(scheme));
+        EXPECT_FALSE(packed.matches.overflowed);
+        EXPECT_EQ(packed.matches.matches, f.expected());
+        EXPECT_EQ(packed.matches.matches, bytes.matches.matches);
+        EXPECT_EQ(packed.sim.metrics.shared_max_degree, bytes.sim.metrics.shared_max_degree);
+        EXPECT_EQ(packed.sim.metrics.shared_conflict_cycles,
+                  bytes.sim.metrics.shared_conflict_cycles);
+        // The same staging loads, each followed by the unpack's ALU work.
+        EXPECT_EQ(packed.sim.metrics.global_requests, bytes.sim.metrics.global_requests);
+        EXPECT_GT(packed.sim.metrics.warp_instructions, bytes.sim.metrics.warp_instructions);
+      }
+  }
+}
+
+TEST(AcKernel, PackedTextNeedsTheSharedApproach) {
+  Fixture f({"ACG"}, workload::make_dna_sequence(256, 3));
+  AcLaunchSpec spec;
+  spec.approach = Approach::kGlobalOnly;
+  EXPECT_THROW(f.run_packed(spec), Error);
 }
 
 TEST(AcKernel, UploadTextPadsForWordLoads) {

@@ -11,6 +11,7 @@
 #include "ac/serial_matcher.h"
 #include "pipeline/engine.h"
 #include "util/rng.h"
+#include "workload/dna.h"
 
 namespace acgpu::pipeline {
 namespace {
@@ -224,7 +225,8 @@ TEST(Pipeline, TimelineShowsOverlapWithTwoStreams) {
   const PipelineStats& st = got.value().stats;
   EXPECT_EQ(st.batches, 16u);
   EXPECT_GT(st.makespan_seconds, 0);
-  EXPECT_GE(st.staged_bytes, st.input_bytes);
+  // Four-letter text ships packed: at least 2 bits per input byte.
+  EXPECT_GE(st.staged_bytes, kernels::packed_size(st.input_bytes));
   EXPECT_GT(st.overlap_seconds, 0);  // some copy hid under some kernel
   EXPECT_GE(st.overlap_ratio, 0);
   EXPECT_LE(st.overlap_ratio, 1.0 + 1e-9);
@@ -327,6 +329,93 @@ TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
   EXPECT_GT(got.value().stats.throughput_gbps(), 0);
   // Timing reuse: identical slice lengths reuse one simulated launch.
   EXPECT_EQ(got.value().stats.batches, 16u);
+}
+
+// ---- Packed input: kShared slices of at most 4 distinct bytes ship at 2 bits
+// per symbol ----
+
+TEST(PipelinePacking, AnNInTheOverlapCarryShipsThatSliceAsBytes) {
+  // Five 1 KB batches of DNA against 12-bp motifs (an 11-byte carry). The
+  // text's only N sits 4 bytes into batch 3, inside batch 2's carry: batch 2
+  // owns only A/C/G/T yet must ship bytes, because the check covers its whole
+  // slice. Batch 3 owns the N and ships bytes too; the rest pack.
+  constexpr std::uint64_t kBatch = 1024;
+  constexpr std::uint64_t kCarry = 11;
+  std::string text = workload::make_dna_sequence(5 * kBatch, 71);
+  text[3 * kBatch + 4] = 'N';
+  const ac::PatternSet patterns({text.substr(2 * kBatch - 6, 12), text.substr(3 * kBatch - 3, 12),
+                                 text.substr(500, 12), "ACGTAC"});
+  const ac::Dfa dfa = ac::build_dfa(patterns, 8);
+  ASSERT_EQ(dfa.max_pattern_length(), kCarry + 1);
+
+  gpusim::DeviceMemory mem(64u << 20);
+  kernels::DeviceDfa ddfa(mem, dfa);
+  PipelineOptions opt;
+  opt.batch_bytes = kBatch;
+  opt.rebalance_batches = false;
+  opt.match_capacity = 128;
+  auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  const PipelineResult& r = got.value();
+  EXPECT_FALSE(r.overflowed);
+  EXPECT_EQ(r.matches, ac::find_all(dfa, text));
+
+  ASSERT_EQ(r.batches.size(), 5u);
+  std::uint64_t payload = 0;
+  for (const BatchTrace& t : r.batches) {
+    const std::uint64_t slice = t.owned_bytes + (t.index + 1 < 5 ? kCarry : 0);
+    const bool bytes = t.index == 2 || t.index == 3;
+    EXPECT_EQ(t.staged_bytes, bytes ? slice : kernels::packed_size(slice)) << "batch " << t.index;
+    payload += t.staged_bytes;
+  }
+  EXPECT_EQ(r.stats.staged_bytes, payload);
+  EXPECT_EQ(payload, 2 * kernels::packed_size(kBatch + kCarry) + 2 * (kBatch + kCarry) +
+                         kernels::packed_size(kBatch));
+}
+
+TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
+  // Equal-length batches alternate packed (pure A/C/G/T) and bytes (one N in
+  // the middle of the owned range), and same-parity slices are identical,
+  // so reusing a simulated launch must give exactly what re-simulating
+  // gives. A cache keyed on slice length alone would hand batch 1 the packed
+  // timing of batch 0.
+  constexpr std::size_t kBatch = 16u << 10;
+  const std::string packed_batch = workload::make_dna_sequence(kBatch, 83);
+  std::string byte_batch = packed_batch;
+  byte_batch[kBatch / 2] = 'N';
+  std::string text;
+  for (int b = 0; b < 5; ++b) text += b % 2 == 0 ? packed_batch : byte_batch;
+  const ac::Dfa dfa = ac::build_dfa(
+      ac::PatternSet({packed_batch.substr(100, 12), packed_batch.substr(9000, 7), "ACGT"}), 8);
+
+  const auto kernel_seconds = [&](bool reuse) {
+    gpusim::DeviceMemory mem(64u << 20);
+    kernels::DeviceDfa ddfa(mem, dfa);
+    PipelineOptions opt;
+    opt.batch_bytes = kBatch;
+    opt.rebalance_batches = false;
+    opt.mode = gpusim::SimMode::Timed;
+    opt.reuse_timing = reuse;
+    auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+    EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+    std::vector<double> seconds;
+    std::vector<std::uint64_t> staged;
+    if (got.is_ok())
+      for (const BatchTrace& t : got.value().batches) {
+        seconds.push_back(t.kernel_seconds);
+        staged.push_back(t.staged_bytes);
+      }
+    const std::uint64_t slice = kBatch + 11;
+    EXPECT_EQ(staged, (std::vector<std::uint64_t>{kernels::packed_size(slice), slice,
+                                                  kernels::packed_size(slice), slice,
+                                                  kernels::packed_size(kBatch)}));
+    return seconds;
+  };
+  const std::vector<double> reused = kernel_seconds(true);
+  const std::vector<double> simulated = kernel_seconds(false);
+  ASSERT_EQ(simulated.size(), 5u);
+  EXPECT_NE(simulated[0], simulated[1]) << "packed and byte batches time alike";
+  EXPECT_EQ(reused, simulated);
 }
 
 // ---- Per-batch geometry: chunk_bytes == 0 derives chunk and block from
