@@ -45,6 +45,9 @@ class PfacAutomaton {
     return out_ids_.data() + out_begin_[static_cast<std::size_t>(oid) + 1];
   }
 
+  /// Distinct output ids, the empty set (id 0) included.
+  std::size_t output_id_count() const { return out_begin_.size() - 1; }
+
   std::uint32_t max_pattern_length() const { return max_pattern_length_; }
   std::uint32_t pattern_length(std::int32_t id) const {
     return pattern_lengths_[static_cast<std::size_t>(id)];

@@ -67,7 +67,7 @@ constexpr std::uint32_t kDiagonalChunkBytes[] = {12, 16, 32, 64};
 gpusim::DeviceMemory make_device(std::size_t text_bytes, std::uint64_t threads,
                                  std::uint32_t capacity,
                                  std::size_t table_bytes) {
-  const std::size_t buffer = threads * (4 + 8ull * capacity);
+  const std::size_t buffer = threads * (2 + 4ull * capacity);  // MatchBuffer at most
   return gpusim::DeviceMemory((8u << 20) + text_bytes + 2 * table_bytes +
                               2 * buffer);
 }

@@ -26,6 +26,7 @@ const char* op_name(gpusim::OpKind op) {
     case OpKind::Compute: return "compute";
     case OpKind::GlobalLoadU8: return "global-load-u8";
     case OpKind::GlobalLoadU32: return "global-load-u32";
+    case OpKind::GlobalStoreU16: return "global-store-u16";
     case OpKind::GlobalStoreU32: return "global-store-u32";
     case OpKind::SharedLoadU8: return "shared-load-u8";
     case OpKind::SharedLoadU32: return "shared-load-u32";

@@ -143,6 +143,7 @@ std::uint32_t Recorder::memory_access(const Warp& warp, OpKind kind) {
       return shared_access(warp, kind, bs, instr);
     case OpKind::GlobalLoadU8:
     case OpKind::GlobalLoadU32:
+    case OpKind::GlobalStoreU16:
     case OpKind::GlobalStoreU32:
       return global_access(warp, kind, bs, instr);
     case OpKind::TexFetch:
@@ -286,8 +287,10 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
 
 std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
                                       BlockState& bs, std::uint64_t instr) {
-  const bool is_store = kind == OpKind::GlobalStoreU32;
-  const std::uint8_t width = kind == OpKind::GlobalLoadU8 ? 1 : 4;
+  const bool is_store = kind == OpKind::GlobalStoreU16 || kind == OpKind::GlobalStoreU32;
+  const std::uint8_t width = kind == OpKind::GlobalLoadU8    ? 1
+                             : kind == OpKind::GlobalStoreU16 ? 2
+                                                              : 4;
   const std::uint64_t limit = warp.gmem ? warp.gmem->allocated() : 0;
   std::uint32_t suppress = 0;
 
@@ -330,8 +333,8 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
           prior.epoch = owner.epoch;
           prior.instr = owner.instr;
           prior.base = owner.base;
-          prior.width = 4;
-          prior.op = OpKind::GlobalStoreU32;
+          prior.width = owner.op == OpKind::GlobalStoreU16 ? 2 : 4;
+          prior.op = owner.op;
           std::ostringstream msg;
           msg << "unordered global stores to byte 0x" << std::hex << b
               << std::dec << ": block " << owner.block << " thread "
@@ -346,6 +349,7 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
         owner.epoch = bs.epoch;
         owner.instr = instr;
         owner.base = a;
+        owner.op = kind;
       }
     }
   }

@@ -108,6 +108,7 @@ class Recorder final : public gpusim::AccessObserver {
     std::uint32_t epoch = 0;
     std::uint64_t instr = 0;
     std::uint64_t base = 0;
+    gpusim::OpKind op{};  ///< the store's opcode, which fixes its width
   };
 
   BlockState& block_state(std::uint64_t block_id);

@@ -71,12 +71,22 @@ class DeviceMemory {
     std::memcpy(&v, bytes_.get() + a, 4);
     return v;
   }
+  std::uint16_t load_u16(DevAddr a) const {
+    bounds_check(a, 2);
+    std::uint16_t v;
+    std::memcpy(&v, bytes_.get() + a, 2);
+    return v;
+  }
   std::int32_t load_i32(DevAddr a) const {
     return static_cast<std::int32_t>(load_u32(a));
   }
   void store_u8(DevAddr a, std::uint8_t v) {
     bounds_check(a, 1);
     bytes_[a] = v;
+  }
+  void store_u16(DevAddr a, std::uint16_t v) {
+    bounds_check(a, 2);
+    std::memcpy(bytes_.get() + a, &v, 2);
   }
   void store_u32(DevAddr a, std::uint32_t v) {
     bounds_check(a, 4);

@@ -84,8 +84,11 @@ void Scheduler::finish_block(BlockRun* block, double time) {
 
 double Scheduler::handle_global(WarpRun* w, double issued) {
   Warp& warp = w->warp;
-  const bool is_store = warp.pending == OpKind::GlobalStoreU32;
-  const std::uint32_t width = warp.pending == OpKind::GlobalLoadU8 ? 1 : 4;
+  const bool is_store = warp.pending == OpKind::GlobalStoreU16 ||
+                        warp.pending == OpKind::GlobalStoreU32;
+  const std::uint32_t width = warp.pending == OpKind::GlobalLoadU8    ? 1
+                              : warp.pending == OpKind::GlobalStoreU16 ? 2
+                                                                       : 4;
   const std::uint32_t suppress =
       observer_ ? observer_->memory_access(warp, warp.pending) : 0;
 
@@ -119,6 +122,9 @@ double Scheduler::handle_global(WarpRun* w, double issued) {
         break;
       case OpKind::GlobalLoadU32:
         warp.value[l] = gmem_.load_u32(warp.addr[l]);
+        break;
+      case OpKind::GlobalStoreU16:
+        gmem_.store_u16(warp.addr[l], static_cast<std::uint16_t>(warp.value[l]));
         break;
       case OpKind::GlobalStoreU32:
         gmem_.store_u32(warp.addr[l], warp.value[l]);
@@ -320,6 +326,7 @@ void Scheduler::step_warp(WarpRun* w, double t) {
       break;
     case OpKind::GlobalLoadU8:
     case OpKind::GlobalLoadU32:
+    case OpKind::GlobalStoreU16:
     case OpKind::GlobalStoreU32:
       ready = handle_global(w, issued);
       break;

@@ -23,6 +23,7 @@ enum class OpKind : std::uint8_t {
   Compute,        ///< pending_instrs warp instructions, no memory
   GlobalLoadU8,   ///< addr -> value (zero-extended byte)
   GlobalLoadU32,  ///< addr -> value
+  GlobalStoreU16, ///< low 16 bits of value -> addr
   GlobalStoreU32, ///< value -> addr
   SharedLoadU8,   ///< addr (shared space) -> value
   SharedLoadU32,
@@ -99,6 +100,7 @@ class Warp {
 
   Await global_load_u8() { return {*this, OpKind::GlobalLoadU8, 1}; }
   Await global_load_u32() { return {*this, OpKind::GlobalLoadU32, 1}; }
+  Await global_store_u16() { return {*this, OpKind::GlobalStoreU16, 1}; }
   Await global_store_u32() { return {*this, OpKind::GlobalStoreU32, 1}; }
   Await shared_load_u8() { return {*this, OpKind::SharedLoadU8, 1}; }
   Await shared_load_u32() { return {*this, OpKind::SharedLoadU32, 1}; }

@@ -34,7 +34,7 @@ std::string SweepConfig::cache_key() const {
   // schema version bumped whenever PointResult's layout or the timing model
   // changes meaningfully.
   std::ostringstream os;
-  os << "schema=8;";
+  os << "schema=9;";
   for (auto s : sizes) os << s << ',';
   os << ';';
   for (auto p : pattern_counts) os << p << ',';

@@ -49,7 +49,9 @@ struct KParams {
   std::uint32_t stt_pitch_bytes = 0;
   DevAddr counts = 0;
   DevAddr records = 0;
-  std::uint32_t capacity = 0;
+  std::uint64_t record_threads = 0;  ///< MatchBuffer threads: the slot stride
+  std::uint32_t slots = 0;
+  std::uint32_t scan_bound = 0;  ///< S = chunk + overlap, the record radix
   std::uint32_t compute_per_byte = 0;
 };
 
@@ -276,42 +278,38 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
       if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
 
     // ---------------- match emission ----------------
-    // Store the minimal record (position, output id); the host expands the
-    // output set and applies the chunk-ownership rule. Per-match table walks
-    // on the device would serialise the warp on global latency.
-    std::array<bool, L> storing{};
+    // One word per record, oid * S + i (one mad24); the host decodes it,
+    // expands the output set and applies the chunk-ownership rule. Per-match
+    // table walks on the device would serialise the warp on global latency.
+    // Slot-major addresses put the lanes storing their k-th record in one
+    // 128 B segment.
     bool any_store = false;
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
       if (!flagged[l]) continue;
-      if (cnt[l] < p.capacity) {
-        storing[l] = true;
+      if (cnt[l] < p.slots) {
         w.mask[l] = true;
-        w.addr[l] = p.records + (w.global_thread(l) * p.capacity + cnt[l]) * 8;
-        w.value[l] = static_cast<std::uint32_t>(begin[l] + i);
+        w.addr[l] = p.records + (cnt[l] * p.record_threads + w.global_thread(l)) * 4;
+        w.value[l] = static_cast<std::uint32_t>(oid[l]) * p.scan_bound +
+                     static_cast<std::uint32_t>(i);
         any_store = true;
       }
       ++cnt[l];
     }
     if (any_store) {
-      co_await w.global_store_u32();
-      w.mask = storing;
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l]) {
-          w.addr[l] += 4;
-          w.value[l] = static_cast<std::uint32_t>(oid[l]);
-        }
+      co_await w.compute(1);
       co_await w.global_store_u32();
     }
   }
 
-  // Final per-thread match count.
+  // Final per-thread match count, clamped to its u16 word (one min).
+  co_await w.compute(1);
   w.mask_all();
   for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-    w.addr[l] = p.counts + w.global_thread(l) * 4;
-    w.value[l] = cnt[l];
+    w.addr[l] = p.counts + w.global_thread(l) * 2;
+    w.value[l] = std::min(cnt[l], MatchBuffer::kMaxCount);
   }
-  co_await w.global_store_u32();
+  co_await w.global_store_u16();
 }
 
 }  // namespace
@@ -370,8 +368,10 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
               "staged block of " << shared_bytes << "B exceeds the SM's "
                                  << config.shared_mem_bytes << "B shared memory");
 
+  const std::uint32_t scan_bound = spec.chunk_bytes + overlap;
   AcPlan plan;
-  plan.buffer.emplace(mem, threads_padded, spec.match_capacity);
+  plan.buffer.emplace(mem, threads_padded, spec.match_capacity, scan_bound,
+                      ddfa.host_dfa().output_id_count());
   plan.threads = threads;
   plan.blocks = blocks;
   plan.shared_bytes = shared_bytes;
@@ -390,7 +390,9 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   p.stt_pitch_bytes = ddfa.stt_pitch_elems() * 4;
   p.counts = plan.buffer->counts_base();
   p.records = plan.buffer->records_base();
-  p.capacity = spec.match_capacity;
+  p.record_threads = plan.buffer->threads();
+  p.slots = plan.buffer->slots();
+  p.scan_bound = scan_bound;
   p.compute_per_byte = spec.compute_per_byte;
 
   plan.dims.grid_blocks = blocks;
@@ -410,29 +412,8 @@ AcLaunchOutcome collect_ac_outcome(const AcPlan& plan, gpusim::LaunchResult sim,
   outcome.threads = plan.threads;
   outcome.blocks = plan.blocks;
   outcome.shared_bytes = plan.shared_bytes;
-
-  // Host-side expansion of the raw (position, output id) records: expand the
-  // output set and keep matches whose START lies in the reporting thread's
-  // own chunk (ac/chunking.h ownership rule). A fresh-state scan can only
-  // produce matches starting at or after the thread's chunk begin, so only
-  // the upper bound needs testing.
-  const ac::Dfa& dfa = ddfa.host_dfa();
-  const MatchBuffer::RawCollected raw = plan.buffer->collect_records(mem);
-  outcome.matches.total_reported = raw.total_reported;
-  outcome.matches.overflowed = raw.overflowed;
-  for (const MatchBuffer::Record& rec : raw.records) {
-    const std::uint64_t pos = rec.word0;
-    const auto out_id = static_cast<std::int32_t>(rec.word1);
-    const std::uint64_t chunk_end =
-        std::min(text_len, (rec.thread + 1) * spec.chunk_bytes);
-    for (const std::int32_t* pid = dfa.id_output_begin(out_id);
-         pid != dfa.id_output_end(out_id); ++pid) {
-      const std::uint64_t start = pos + 1 - dfa.pattern_length(*pid);
-      if (start < chunk_end)
-        outcome.matches.matches.push_back(ac::Match{pos, *pid});
-    }
-  }
-  std::sort(outcome.matches.matches.begin(), outcome.matches.matches.end());
+  outcome.matches =
+      expand_records(*plan.buffer, mem, ddfa.host_dfa(), spec.chunk_bytes, text_len);
   return outcome;
 }
 

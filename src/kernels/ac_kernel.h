@@ -10,8 +10,9 @@
 //    byte path would have stored, and the shared store onwards is unchanged.
 //
 // Both kernels use the same matching loop, the same X-byte chunk-overlap
-// rule as ac/chunking.h, and write minimal (position, output id) records to
-// a MatchBuffer; the host expands them through the DFA's output tables.
+// rule as ac/chunking.h, and write one word per match, output id x S + scan
+// offset, to a slot-major MatchBuffer plus a u16 count per thread; the host
+// decodes the words and expands them through the DFA's output tables.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,9 @@ struct AcLaunchSpec {
   /// giving 8 resident warps per SM.
   std::uint32_t chunk_bytes = 32;
   std::uint32_t threads_per_block = 256;
-  std::uint32_t match_capacity = 64;     ///< record slots per thread
+  /// Record slots per thread, below MatchBuffer::kMaxCount; the buffer
+  /// allocates min(match_capacity, chunk + overlap) of them.
+  std::uint32_t match_capacity = 64;
   /// ALU warp-instructions charged per scanned byte (state update, address
   /// arithmetic, bounds checks) — the timing model's main calibration knob.
   std::uint32_t compute_per_byte = 8;

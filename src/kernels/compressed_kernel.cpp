@@ -80,7 +80,9 @@ struct KParams {
   std::uint32_t root_shared_base = 0;  ///< shared offset of the staged root row
   DevAddr counts = 0;
   DevAddr records = 0;
-  std::uint32_t capacity = 0;
+  std::uint64_t record_threads = 0;  ///< MatchBuffer threads: the slot stride
+  std::uint32_t slots = 0;
+  std::uint32_t scan_bound = 0;  ///< S = chunk + overlap, the record radix
   std::uint32_t compute_per_byte = 0;
 };
 
@@ -256,7 +258,7 @@ WarpTask compressed_kernel_body(Warp& w, KParams p) {
       }
     co_await w.tex_fetch();
 
-    std::array<bool, L> storing{};
+    // One slot-major word per record, oid * S + i (ac_kernel.cpp's emission).
     std::array<std::uint32_t, L> oid{};
     bool any_store = false;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
@@ -264,33 +266,27 @@ WarpTask compressed_kernel_body(Warp& w, KParams p) {
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
       if (!matched[l]) continue;
-      if (cnt[l] < p.capacity) {
-        storing[l] = true;
+      if (cnt[l] < p.slots) {
         w.mask[l] = true;
-        w.addr[l] = p.records + (w.global_thread(l) * p.capacity + cnt[l]) * 8;
-        w.value[l] = static_cast<std::uint32_t>(begin[l] + i);
+        w.addr[l] = p.records + (cnt[l] * p.record_threads + w.global_thread(l)) * 4;
+        w.value[l] = oid[l] * p.scan_bound + static_cast<std::uint32_t>(i);
         any_store = true;
       }
       ++cnt[l];
     }
     if (any_store) {
-      co_await w.global_store_u32();
-      w.mask = storing;
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l]) {
-          w.addr[l] += 4;
-          w.value[l] = oid[l];
-        }
+      co_await w.compute(1);
       co_await w.global_store_u32();
     }
   }
 
+  co_await w.compute(1);
   w.mask_all();
   for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-    w.addr[l] = p.counts + w.global_thread(l) * 4;
-    w.value[l] = cnt[l];
+    w.addr[l] = p.counts + w.global_thread(l) * 2;
+    w.value[l] = std::min(cnt[l], MatchBuffer::kMaxCount);
   }
-  co_await w.global_store_u32();
+  co_await w.global_store_u16();
 }
 
 }  // namespace
@@ -319,7 +315,10 @@ AcLaunchOutcome run_compressed_kernel(const gpusim::GpuConfig& config,
   ACGPU_CHECK(shared_bytes <= config.shared_mem_bytes,
               "staged block of " << shared_bytes << "B exceeds shared memory");
 
-  MatchBuffer buffer(mem, blocks * spec.threads_per_block, spec.match_capacity);
+  const ac::Dfa& dfa = dcdfa.host_dfa();
+  const std::uint32_t scan_bound = spec.chunk_bytes + overlap;
+  MatchBuffer buffer(mem, blocks * spec.threads_per_block, spec.match_capacity,
+                     scan_bound, dfa.output_id_count());
 
   KParams p;
   p.text_addr = text_addr;
@@ -331,7 +330,9 @@ AcLaunchOutcome run_compressed_kernel(const gpusim::GpuConfig& config,
   p.root_shared_base = input_bytes;
   p.counts = buffer.counts_base();
   p.records = buffer.records_base();
-  p.capacity = spec.match_capacity;
+  p.record_threads = buffer.threads();
+  p.slots = buffer.slots();
+  p.scan_bound = scan_bound;
   p.compute_per_byte = spec.compute_per_byte;
 
   gpusim::LaunchDims dims;
@@ -348,23 +349,7 @@ AcLaunchOutcome run_compressed_kernel(const gpusim::GpuConfig& config,
   outcome.blocks = blocks;
   outcome.shared_bytes = shared_bytes;
 
-  const ac::Dfa& dfa = dcdfa.host_dfa();
-  const MatchBuffer::RawCollected raw = buffer.collect_records(mem);
-  outcome.matches.total_reported = raw.total_reported;
-  outcome.matches.overflowed = raw.overflowed;
-  for (const MatchBuffer::Record& rec : raw.records) {
-    const std::uint64_t pos = rec.word0;
-    const auto out_id = static_cast<std::int32_t>(rec.word1);
-    const std::uint64_t chunk_end =
-        std::min(text_len, (rec.thread + 1) * spec.chunk_bytes);
-    for (const std::int32_t* pid = dfa.id_output_begin(out_id);
-         pid != dfa.id_output_end(out_id); ++pid) {
-      const std::uint64_t start = pos + 1 - dfa.pattern_length(*pid);
-      if (start < chunk_end)
-        outcome.matches.matches.push_back(ac::Match{pos, *pid});
-    }
-  }
-  std::sort(outcome.matches.matches.begin(), outcome.matches.matches.end());
+  outcome.matches = expand_records(buffer, mem, dfa, spec.chunk_bytes, text_len);
   return outcome;
 }
 

@@ -1,7 +1,9 @@
-// Device-side match output buffer: per-thread record slots plus a count,
-// written by the kernels with plain global stores and decoded on the host.
+// Device-side match output buffer, one layout for the AC, compressed and PFAC
+// kernels: a 2-byte count per thread plus one 4-byte word per record, written
+// with plain global stores and decoded on the host.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -10,57 +12,112 @@
 
 namespace acgpu::kernels {
 
-/// Layout: counts_addr[thread] (u32) and, per thread, `capacity` records of
-/// two u32 words (match end offset, pattern id). A thread whose matches
-/// exceed the capacity keeps counting but drops the excess records; collect()
-/// reports the overflow so callers can size the buffer up.
+/// Layout, for `threads` threads that each scan at most S bytes (S, the scan
+/// bound: chunk + overlap for the chunked AC kernels, the longest pattern for
+/// PFAC):
+///  - counts: one u16 per thread at counts + thread * 2. The kernel clamps its
+///    count to kMaxCount before the store, and capacities stay below it, so a
+///    count above the capacity still means the thread dropped records.
+///  - records: one u32 per record, oid * S + offset, where offset (< S) is the
+///    scanned byte's index in the thread's scan and oid its output id.
+///    Slot-major: slot k of thread t lives at records + (k * threads + t) * 4,
+///    so the k-th records of a warp's lanes share one 128 B segment.
+///  - min(capacity, S) slots per thread: a thread emits at most one record
+///    per scanned byte. A thread whose matches exceed its slots keeps
+///    counting but drops the excess records; the host sees the overflow.
 class MatchBuffer {
  public:
+  /// Largest count a u16 count word holds; the kernels' count stores
+  /// saturate here.
+  static constexpr std::uint32_t kMaxCount = 0xffff;
+
+  /// `capacity` in [1, kMaxCount), `scan_bound` (S) >= 1, and the writing
+  /// automaton's `output_ids` (0 included) encodable at S.
   MatchBuffer(gpusim::DeviceMemory& mem, std::uint64_t threads,
-              std::uint32_t capacity_per_thread);
+              std::uint32_t capacity, std::uint32_t scan_bound,
+              std::uint64_t output_ids);
+
+  /// Whether every record word oid * S + offset of an automaton with
+  /// `output_ids` output ids (0 included) fits in 32 bits.
+  static bool encodable(std::uint64_t output_ids, std::uint32_t scan_bound) {
+    return output_ids * scan_bound <= (std::uint64_t{1} << 32);
+  }
 
   std::uint64_t threads() const { return threads_; }
   std::uint32_t capacity() const { return capacity_; }
+  /// Record slots per thread: min(capacity, scan_bound).
+  std::uint32_t slots() const { return slots_; }
 
   gpusim::DevAddr count_addr(std::uint64_t thread) const {
-    return counts_addr_ + thread * 4;
+    return counts_addr_ + thread * 2;
   }
   gpusim::DevAddr record_addr(std::uint64_t thread, std::uint32_t slot) const {
-    return records_addr_ + (thread * capacity_ + slot) * 8;
+    return records_addr_ + (slot * threads_ + thread) * 4;
   }
   gpusim::DevAddr counts_base() const { return counts_addr_; }
   gpusim::DevAddr records_base() const { return records_addr_; }
 
-  struct Collected {
-    std::vector<ac::Match> matches;  ///< sorted by (end, pattern)
-    std::uint64_t total_reported = 0;
-    bool overflowed = false;
-  };
-
-  /// Reads counts and records back (cudaMemcpyDeviceToHost equivalent),
-  /// interpreting each record's two words directly as (end, pattern).
-  Collected collect(const gpusim::DeviceMemory& mem) const;
-
-  /// One raw device record with its reporting thread — used by the kernels
-  /// that store (position, output id) and expand on the host, where the
-  /// thread identity determines chunk ownership.
+  /// One decoded device record with its reporting thread, which fixes where
+  /// the thread's scan began and which matches it owns.
   struct Record {
     std::uint64_t thread = 0;
-    std::uint32_t word0 = 0;  ///< position
-    std::uint32_t word1 = 0;  ///< output id
+    std::uint32_t offset = 0;  ///< index of the match's last byte in the scan
+    std::int32_t oid = 0;      ///< output id
   };
   struct RawCollected {
     std::vector<Record> records;  ///< in (thread, slot) order
     std::uint64_t total_reported = 0;
     bool overflowed = false;
   };
+  /// Reads counts and records back (cudaMemcpyDeviceToHost equivalent).
   RawCollected collect_records(const gpusim::DeviceMemory& mem) const;
+
+  /// Expanded matches of one launch (expand_records).
+  struct Collected {
+    std::vector<ac::Match> matches;  ///< sorted by (end, pattern)
+    std::uint64_t total_reported = 0;
+    std::uint64_t stored_records = 0;  ///< sum over threads of min(count, slots)
+    bool overflowed = false;
+  };
 
  private:
   std::uint64_t threads_;
   std::uint32_t capacity_;
+  std::uint32_t scan_bound_;
+  std::uint32_t slots_;
   gpusim::DevAddr counts_addr_;
   gpusim::DevAddr records_addr_;
 };
+
+/// The host half of every kernel's match output. Decodes each stored record to
+/// its end position, thread * stride + offset; expands its output id through
+/// `automaton`'s output table (ac::Dfa or ac::PfacAutomaton); and keeps the
+/// matches that start inside the reporting thread's own `stride` bytes (the
+/// ac/chunking.h ownership rule). A fresh-state scan cannot match before its
+/// first byte, so only the upper bound is tested. PFAC passes stride 1: each
+/// of its threads reports only patterns starting at its own byte, so the rule
+/// keeps every record there.
+template <typename Automaton>
+MatchBuffer::Collected expand_records(const MatchBuffer& buffer,
+                                      const gpusim::DeviceMemory& mem,
+                                      const Automaton& automaton,
+                                      std::uint64_t stride, std::uint64_t text_len) {
+  const MatchBuffer::RawCollected raw = buffer.collect_records(mem);
+  MatchBuffer::Collected out;
+  out.total_reported = raw.total_reported;
+  out.stored_records = raw.records.size();
+  out.overflowed = raw.overflowed;
+  for (const MatchBuffer::Record& rec : raw.records) {
+    const std::uint64_t begin = rec.thread * stride;
+    const std::uint64_t end = begin + rec.offset;
+    const std::uint64_t owned_end = std::min(text_len, begin + stride);
+    for (const std::int32_t* pid = automaton.id_output_begin(rec.oid);
+         pid != automaton.id_output_end(rec.oid); ++pid)
+      if (end + 1 - automaton.pattern_length(*pid) < owned_end)
+        out.matches.push_back(ac::Match{end, *pid});
+  }
+  std::sort(out.matches.begin(), out.matches.end());
+  return out;
+}
 
 }  // namespace acgpu::kernels

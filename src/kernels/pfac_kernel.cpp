@@ -69,7 +69,8 @@ struct KParams {
   std::uint32_t max_len = 0;
   DevAddr counts = 0;
   DevAddr records = 0;
-  std::uint32_t capacity = 0;
+  std::uint64_t record_threads = 0;  ///< MatchBuffer threads: the slot stride
+  std::uint32_t slots = 0;
   std::uint32_t compute_per_byte = 0;
 };
 
@@ -141,39 +142,34 @@ WarpTask pfac_kernel_body(Warp& w, KParams p) {
     }
     if (!any_match) continue;
 
-    // Store (end position, output id); the host expands the terminal set.
-    std::array<bool, L> storing{};
+    // One slot-major word per record, oid * max_len + step (one mad24); the
+    // host expands the terminal set.
     bool any_store = false;
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
       if (!live[l] || oid[l] == 0) continue;
-      if (cnt[l] < p.capacity) {
-        storing[l] = true;
+      if (cnt[l] < p.slots) {
         w.mask[l] = true;
-        w.addr[l] = p.records + (w.global_thread(l) * p.capacity + cnt[l]) * 8;
-        w.value[l] = static_cast<std::uint32_t>(w.global_thread(l) + step);
+        w.addr[l] = p.records + (cnt[l] * p.record_threads + w.global_thread(l)) * 4;
+        w.value[l] = static_cast<std::uint32_t>(oid[l]) * p.max_len + step;
         any_store = true;
       }
       ++cnt[l];
     }
     if (any_store) {
-      co_await w.global_store_u32();
-      w.mask = storing;
-      for (std::uint32_t l = 0; l < w.lane_count; ++l)
-        if (w.mask[l]) {
-          w.addr[l] += 4;
-          w.value[l] = static_cast<std::uint32_t>(oid[l]);
-        }
+      co_await w.compute(1);
       co_await w.global_store_u32();
     }
   }
 
+  // Final per-thread match count, clamped to its u16 word (one min).
+  co_await w.compute(1);
   w.mask_all();
   for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-    w.addr[l] = p.counts + w.global_thread(l) * 4;
-    w.value[l] = cnt[l];
+    w.addr[l] = p.counts + w.global_thread(l) * 2;
+    w.value[l] = std::min(cnt[l], MatchBuffer::kMaxCount);
   }
-  co_await w.global_store_u32();
+  co_await w.global_store_u16();
 }
 
 }  // namespace
@@ -197,7 +193,10 @@ PfacPlan plan_pfac_launch(gpusim::DeviceMemory& mem, const DevicePfac& dpfac,
   PfacPlan plan;
   plan.threads = text_len;  // one thread per byte
   plan.blocks = (plan.threads + spec.threads_per_block - 1) / spec.threads_per_block;
-  plan.buffer.emplace(mem, plan.blocks * spec.threads_per_block, spec.match_capacity);
+  // A thread scans at most max_len bytes: the scan bound S.
+  plan.buffer.emplace(mem, plan.blocks * spec.threads_per_block, spec.match_capacity,
+                      dpfac.max_pattern_length(),
+                      dpfac.host_automaton().output_id_count());
 
   KParams& p = plan.p;
   p.text_addr = text_addr;
@@ -205,7 +204,8 @@ PfacPlan plan_pfac_launch(gpusim::DeviceMemory& mem, const DevicePfac& dpfac,
   p.max_len = dpfac.max_pattern_length();
   p.counts = plan.buffer->counts_base();
   p.records = plan.buffer->records_base();
-  p.capacity = spec.match_capacity;
+  p.record_threads = plan.buffer->threads();
+  p.slots = plan.buffer->slots();
   p.compute_per_byte = spec.compute_per_byte;
 
   plan.dims.grid_blocks = plan.blocks;
@@ -222,20 +222,10 @@ PfacLaunchOutcome collect_pfac_outcome(const PfacPlan& plan, gpusim::LaunchResul
   outcome.threads = plan.threads;
   outcome.blocks = plan.blocks;
 
-  // Expand (end, output id) records against the terminal-output CSR. No
-  // ownership filtering: each PFAC instance only reports patterns starting
-  // at its own byte, so records are already unique.
-  const ac::PfacAutomaton& pfac = dpfac.host_automaton();
-  const MatchBuffer::RawCollected raw = plan.buffer->collect_records(mem);
-  outcome.matches.total_reported = raw.total_reported;
-  outcome.matches.overflowed = raw.overflowed;
-  for (const MatchBuffer::Record& rec : raw.records) {
-    const auto out_id = static_cast<std::int32_t>(rec.word1);
-    for (const std::int32_t* pid = pfac.id_output_begin(out_id);
-         pid != pfac.id_output_end(out_id); ++pid)
-      outcome.matches.matches.push_back(ac::Match{rec.word0, *pid});
-  }
-  std::sort(outcome.matches.matches.begin(), outcome.matches.matches.end());
+  // One thread per byte: stride 1, and each record already starts at its
+  // thread's byte.
+  outcome.matches =
+      expand_records(*plan.buffer, mem, dpfac.host_automaton(), 1, plan.threads);
   return outcome;
 }
 

@@ -195,7 +195,7 @@ std::uint32_t draw_pipeline_chunk(const CompiledWorkload& w, Rng& rng) {
 /// conformance iterations never leak device allocations into each other.
 gpusim::DeviceMemory make_device(const CompiledWorkload& w, std::uint64_t threads,
                                 std::uint32_t capacity, std::size_t table_bytes) {
-  const std::size_t buffer = threads * (4 + 8ull * capacity);
+  const std::size_t buffer = threads * (2 + 4ull * capacity);  // MatchBuffer at most
   return gpusim::DeviceMemory((4u << 20) + w.text().size() + 2 * table_bytes +
                               2 * buffer);
 }

@@ -31,6 +31,15 @@ Status PipelineOptions::validate() const {
     return Status::invalid_argument("chunk_bytes must be a multiple of 4");
   if (threads_per_block == 0 || threads_per_block % 32 != 0)
     return Status::invalid_argument("threads_per_block must be a positive multiple of 32");
+  // A thread's match count crosses D2H as a u16 that saturates at
+  // MatchBuffer::kMaxCount; a capacity below it keeps overflow visible.
+  for (const auto& [name, capacity] : {std::pair{"match_capacity", match_capacity},
+                                       std::pair{"pfac_match_capacity", pfac_match_capacity}})
+    if (capacity == 0 || capacity >= kernels::MatchBuffer::kMaxCount)
+      return Status::invalid_argument(
+          std::string(name) + " must be in [1, " +
+          std::to_string(kernels::MatchBuffer::kMaxCount - 1) + "], got " +
+          std::to_string(capacity));
   if (variant == KernelVariant::kPfac && scheme != kernels::StoreScheme::kDiagonal)
     return Status::invalid_argument(
         "store scheme does not apply to the PFAC kernel (leave it defaulted)");
@@ -118,7 +127,7 @@ std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_by
 ///  - chunk: the smallest legal chunk while its threads fit in half the
 ///    device's resident thread slots, else max(32, smallest). Past that
 ///    point the device is full either way, and each thread's overlap
-///    re-scan and 4-byte count word make small chunks the slower choice
+///    re-scan and 2-byte count word make small chunks the slower choice
 ///    (DESIGN.md has the measured crossover);
 ///  - block: the largest multiple of 32 up to threads_per_block that still
 ///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' staged
@@ -155,25 +164,35 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt,
   return {chunk, static_cast<std::uint32_t>(std::max<std::uint64_t>(32, block))};
 }
 
-/// Rejects AC geometry no batch of the run could launch: an explicit chunk
-/// that does not exceed the overlap, or a chunk too wide to stage even a
-/// 32-thread block. Checked once per run, before anything is staged. The
+/// Rejects geometry no batch of the run could launch: an explicit chunk
+/// that does not exceed the overlap, a chunk too wide to stage even a
+/// 32-thread block, or a per-thread scan bound S (chunk + overlap for AC, the
+/// longest pattern for PFAC) too large for the 32-bit match record
+/// oid * S + offset. Checked once per run, before anything is staged. The
 /// chunk never narrows as the slice grows, so the largest slice's chunk is
 /// the widest any batch runs.
 Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
                       std::uint32_t max_pattern_length, std::uint32_t overlap,
-                      std::uint64_t slice_cap) {
-  if (opt.variant == KernelVariant::kPfac) return Status::ok();
-  const std::uint32_t widest = resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
-  if (overlap >= widest)
-    return Status::invalid_argument(
-        "chunk_bytes " + std::to_string(widest) +
-        " too small for max pattern length " + std::to_string(max_pattern_length));
-  if (opt.variant == KernelVariant::kShared &&
-      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
+                      std::uint64_t slice_cap, std::uint64_t output_ids) {
+  std::uint32_t scan_bound = max_pattern_length;
+  if (opt.variant != KernelVariant::kPfac) {
+    const std::uint32_t widest =
+        resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
+    if (overlap >= widest)
+      return Status::invalid_argument(
+          "chunk_bytes " + std::to_string(widest) +
+          " too small for max pattern length " + std::to_string(max_pattern_length));
+    if (opt.variant == KernelVariant::kShared &&
+        largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
+      return Status::capacity_exceeded(
+          "staged block for chunk_bytes " + std::to_string(widest) +
+          " exceeds shared memory even at 32 threads/block");
+    scan_bound = widest + overlap;
+  }
+  if (!kernels::MatchBuffer::encodable(output_ids, scan_bound))
     return Status::capacity_exceeded(
-        "staged block for chunk_bytes " + std::to_string(widest) +
-        " exceeds shared memory even at 32 threads/block");
+        std::to_string(output_ids) + " output ids x per-thread scan bound " +
+        std::to_string(scan_bound) + " B exceed the 2^32 codes of a match record");
   return Status::ok();
 }
 
@@ -287,7 +306,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   // Largest device slice: owned bytes plus the overlap carry.
   const std::uint64_t slice_cap =
       std::min<std::uint64_t>(plan.batch_bytes, text.size()) + overlap;
-  if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap); !s) return s;
+  const std::uint64_t output_ids = opt.variant == KernelVariant::kPfac
+                                       ? dpfac_->host_automaton().output_id_count()
+                                       : ddfa_->host_dfa().output_id_count();
+  if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap, output_ids); !s)
+    return s;
 
   const std::uint64_t batch_count =
       (text.size() + plan.batch_bytes - 1) / plan.batch_bytes;
@@ -456,7 +479,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         sim_opt.observer = opt.observer;
 
         double scale = 1.0;
-        std::uint64_t threads = 0, reported = 0;
+        std::uint64_t threads = 0, reported = 0, stored = 0;
         if (opt.variant == KernelVariant::kPfac) {
           kernels::PfacLaunchSpec spec;
           spec.threads_per_block = g.threads_per_block;
@@ -468,6 +491,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           scale = out.sim.scale();
           threads = out.threads;
           reported = out.matches.total_reported;
+          stored = out.matches.stored_records;
           result.overflowed |= out.matches.overflowed;
           result.metrics += out.sim.metrics;
           if (opt.mode == gpusim::SimMode::Functional)
@@ -493,6 +517,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           scale = out.sim.scale();
           threads = out.threads;
           reported = out.matches.total_reported;
+          stored = out.matches.stored_records;
           result.overflowed |= out.matches.overflowed;
           result.metrics += out.sim.metrics;
           if (opt.mode == gpusim::SimMode::Functional)
@@ -505,11 +530,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         // the last reader of the staged slice for the hostcheck auditor.
         sim.annotate(sim.timeline().back().id, dst, trace.staged_bytes, /*is_write=*/false);
         result.total_reported += reported;
-        // D2H payload: the per-thread count array plus the (extrapolated in
-        // Timed mode) match records.
+        // D2H payload: the per-thread u16 counts plus the stored one-word
+        // records (extrapolated in Timed mode), charged as if packed.
         trace.output_bytes =
-            threads * 4 +
-            static_cast<std::uint64_t>(static_cast<double>(reported) * scale) * 8;
+            threads * 2 +
+            static_cast<std::uint64_t>(static_cast<double>(stored) * scale) * 4;
         if (reuse) timing_cache[key] = {trace.kernel_seconds, trace.output_bytes};
       }
 

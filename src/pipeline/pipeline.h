@@ -108,9 +108,14 @@ struct PipelineOptions {
   /// Threads per block. With chunk_bytes == 0 this is a ceiling on the
   /// derived block; either way the block shrinks until its staging fits.
   std::uint32_t threads_per_block = 256;
+  /// Match record slots per thread, 1 to 65,534: the per-thread count
+  /// crosses D2H as a u16 that saturates at 65,535, so a larger capacity
+  /// could not tell a full buffer from an overflowed one. A thread emits at
+  /// most one record per scanned byte, so at most chunk + overlap are
+  /// allocated whatever the capacity.
   std::uint32_t match_capacity = 64;
   /// PFAC runs one thread per byte, so its record slots are priced per input
-  /// byte — keep this small (patterns starting at one position).
+  /// byte — keep this small (patterns starting at one position). Same range.
   std::uint32_t pfac_match_capacity = 8;
 
   /// Functional: every block of every batch simulated — matches exact (the
@@ -169,7 +174,8 @@ struct BatchTrace {
   /// H2D payload: owned + overlap carry, packed 2 bits per symbol when the
   /// batch ran packed (kShared, at most 4 distinct bytes in the slice).
   std::uint64_t staged_bytes = 0;
-  std::uint64_t output_bytes = 0;  ///< D2H payload (counts + match records)
+  /// D2H payload: a u16 count per thread plus 4 bytes per stored record.
+  std::uint64_t output_bytes = 0;
   std::uint32_t chunk_bytes = 0;   ///< AC kernel chunk (0 for PFAC)
   std::uint32_t threads_per_block = 0;  ///< kernel block size
   double submit_seconds = 0;       ///< H2D start (after any backpressure wait)

@@ -36,8 +36,10 @@ void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& resu
   const std::uint64_t compute_tid = trace.track(pid, "compute engine");
 
   for (const gpusim::StreamOp& op : result.timeline) {
+    // Round both ends, not the duration: back-to-back ops on one track then
+    // share a boundary exactly and never overlap by a rounding nanosecond.
     const std::uint64_t start = offset_ns + to_ns(op.start);
-    const std::uint64_t dur = to_ns(op.end - op.start);
+    const std::uint64_t dur = to_ns(op.end) - to_ns(op.start);
     std::vector<std::pair<std::string, std::string>> args;
     args.emplace_back("kind", gpusim::to_string(op.kind));
     args.emplace_back("op", std::to_string(op.id));

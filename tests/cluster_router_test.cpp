@@ -373,6 +373,50 @@ TEST(ClusterRouter, BulkScanDuringABackgroundSessionScanIsExact) {
   EXPECT_EQ(router.poll(id).value(), reference(router, session_text));
 }
 
+TEST(ClusterRouter, OverflowingScanFallsBackToExactHostMatches) {
+  // Every byte ends a match (all 256 single bytes), so a thread's 32 B chunk
+  // is its scan bound S and fills S record slots: capacity S keeps the scan
+  // on the device, capacity S - 1 overflows it onto the host DFA.
+  std::vector<std::string> every_byte;
+  for (int b = 0; b < 256; ++b) every_byte.emplace_back(1, static_cast<char>(b));
+  Rng rng(67);
+  std::string text(20000, '\0');
+  for (char& c : text) c = static_cast<char>(rng.next_below(256));
+  for (const std::uint32_t capacity : {32u, 31u}) {
+    ClusterOptions opt = fast_cluster(2);
+    opt.engine.chunk_bytes = 32;
+    opt.engine.match_capacity = capacity;
+    Router router = make_router(every_byte, opt);
+    const auto scan = router.scan(text);
+    ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+    SCOPED_TRACE(capacity);
+    EXPECT_EQ(scan.value().host_fallback, capacity < 32);
+    EXPECT_EQ(scan.value().overflowed, capacity < 32);
+    EXPECT_EQ(scan.value().matches, reference(router, text));
+    EXPECT_EQ(scan.value().matches.size(), text.size());
+  }
+}
+
+TEST(ClusterRouter, ScanBoundPastTheRecordWordIsServedFromTheHost) {
+  // 5,000 three-letter words have over 5,000 output ids; with a 1 MiB chunk
+  // their records need more than 2^32 codes, so every slab's Engine::scan
+  // fails kCapacityExceeded and the Router scans exactly on the host.
+  std::vector<std::string> words;
+  for (int i = 0; i < 5000; ++i)
+    words.push_back({static_cast<char>('a' + i / 676 % 26),
+                     static_cast<char>('a' + i / 26 % 26), static_cast<char>('a' + i % 26)});
+  ClusterOptions opt = fast_cluster(2);
+  opt.engine.variant = pipeline::KernelVariant::kGlobalOnly;
+  opt.engine.chunk_bytes = 1u << 20;
+  Router router = make_router(words, opt);
+  const std::string text = herd_text();
+  const auto scan = router.scan(text);
+  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+  EXPECT_TRUE(scan.value().host_fallback);
+  EXPECT_EQ(scan.value().matches, reference(router, text));
+  EXPECT_FALSE(scan.value().matches.empty());
+}
+
 TEST(ClusterRouter, StatsRollUp) {
   Router router = make_router({"he"}, fast_cluster(4));
   for (int i = 0; i < 6; ++i) router.open().value();

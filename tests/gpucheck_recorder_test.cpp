@@ -248,6 +248,30 @@ TEST(GpucheckRecorder, GlobalOutOfBoundsLoadReadsZeroAndContinues) {
   EXPECT_EQ(mem.load_u32(out + 4), 1u);  // suppressed load produced 0
 }
 
+TEST(GpucheckRecorder, GlobalU16StorePastTheAllocationIsCaughtAndSuppressed) {
+  DeviceMemory mem(1 << 16);
+  const DevAddr out = mem.alloc(128);
+  const std::uint64_t limit = mem.allocated();
+  const AuditReport report =
+      record(LaunchDims{1, 32, 0}, mem, [=](Warp& w) -> WarpTask {
+        w.mask_none();
+        w.mask[0] = w.mask[1] = true;
+        w.addr[0] = out;        // in bounds
+        w.addr[1] = limit - 1;  // its second byte lies past the allocation
+        w.value[0] = w.value[1] = 0xbeef;
+        co_await w.global_store_u16();
+      });
+  ASSERT_EQ(report.count(HazardKind::kGlobalOutOfBounds), 1u);
+  const Hazard& h = report.hazards.at(0);
+  EXPECT_EQ(h.first.thread, 1);
+  EXPECT_EQ(h.first.op, gpusim::OpKind::GlobalStoreU16);
+  EXPECT_EQ(h.first.width, 2u);
+  EXPECT_TRUE(h.first.is_store);
+  EXPECT_NE(h.message.find("store of 2 byte(s)"), std::string::npos) << h.message;
+  EXPECT_EQ(mem.load_u16(out), 0xbeefu);    // lane 0 unaffected
+  EXPECT_EQ(mem.load_u8(limit - 1), 0u);    // suppressed store wrote nothing
+}
+
 TEST(GpucheckRecorder, TextureFetchOutsideBindingIsCaught) {
   DeviceMemory mem(1 << 16);
   const DevAddr base = mem.alloc(64 * 4);

@@ -211,6 +211,47 @@ TEST(Scheduler, TailWarpHasPartialLanes) {
   EXPECT_EQ(stored, 40u);
 }
 
+TEST(Scheduler, GlobalStoreU16WritesTwoLittleEndianBytes) {
+  GpuConfig cfg = small_config();
+  DeviceMemory mem(4096);
+  const DevAddr out = mem.alloc(128);
+  mem.fill(out, 0xff, 128);
+  LaunchDims dims{1, 32, 0};
+  auto result = launch(cfg, mem, nullptr, dims, [=](Warp& w) -> WarpTask {
+    w.mask_all();
+    for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+      w.addr[l] = out + l * 2;
+      w.value[l] = 0xabcd1200u + l;  // only the low 16 bits land
+    }
+    co_await w.global_store_u16();
+  });
+  for (std::uint32_t l = 0; l < 32; ++l) {
+    EXPECT_EQ(mem.load_u8(out + l * 2), l);
+    EXPECT_EQ(mem.load_u8(out + l * 2 + 1), 0x12u);
+    EXPECT_EQ(mem.load_u16(out + l * 2), 0x1200u + l);
+  }
+  EXPECT_EQ(mem.load_u32(out + 64), 0xffffffffu);  // past the warp's 64 B
+  EXPECT_EQ(result.metrics.global_requests, 1u);
+  EXPECT_EQ(result.metrics.global_transactions, 1u);  // 32 x 2 B, one segment
+  EXPECT_EQ(result.metrics.global_bytes, 128u);
+}
+
+TEST(Scheduler, GlobalStoreU16DoesNotStallTheWarp) {
+  GpuConfig cfg = small_config();
+  DeviceMemory mem(4096);
+  const DevAddr out = mem.alloc(64);
+  LaunchDims dims{1, 32, 0};
+  auto result = launch(cfg, mem, nullptr, dims, [=](Warp& w) -> WarpTask {
+    w.mask_all();
+    for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = out + l * 2;
+    co_await w.global_store_u16();
+    co_await w.compute(1);
+  });
+  // The store retires through the memory pipe; the warp issues on.
+  EXPECT_EQ(result.metrics.stall_global_cycles, 0u);
+  EXPECT_LT(result.cycles, cfg.global_latency_cycles);
+}
+
 TEST(Launcher, FunctionalModeRunsEveryBlock) {
   GpuConfig cfg = small_config();
   DeviceMemory mem(1 << 16);

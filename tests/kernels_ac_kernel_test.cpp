@@ -12,6 +12,8 @@
 
 #include "ac/naive_matcher.h"
 #include "ac/serial_matcher.h"
+#include "gpusim/access_observer.h"
+#include "gpusim/coalescer.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workload/dna.h"
@@ -295,9 +297,13 @@ struct SttReads {
   std::uint64_t flagged_lane_steps = 0;  ///< of which land in a match state
   std::uint64_t warp_steps = 0;          ///< warp steps with a scanning lane
   std::uint64_t flagged_warp_steps = 0;  ///< warp steps with a flagged lane
+  /// Warp steps with a flagged lane that still has one of its `slots` free.
+  std::uint64_t storing_warp_steps = 0;
+  std::uint64_t warps = 0;
 };
 
-SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t tpb) {
+SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t tpb,
+                            std::uint32_t slots = ~0u) {
   const std::uint64_t len = f.text.size();
   const std::uint64_t overlap = f.dfa.max_pattern_length() - 1;
   const std::uint64_t threads = (len + chunk - 1) / chunk;
@@ -305,25 +311,33 @@ SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t
   SttReads r;
   for (std::uint64_t warp = 0; warp < padded; warp += gpusim::Warp::kMaxLanes) {
     std::vector<std::uint64_t> flagged_at;  // step indices with a flagged lane
+    std::vector<std::uint64_t> storing_at;  // ... whose lane still has a slot
     std::uint64_t max_scan = 0;
     for (std::uint64_t t = warp; t < warp + gpusim::Warp::kMaxLanes; ++t) {
       const std::uint64_t begin = std::min(len, t * chunk);
       const std::uint64_t end = std::min(len, std::min(len, begin + chunk) + overlap);
       max_scan = std::max(max_scan, end - begin);
       std::int32_t state = 0;
+      std::uint64_t count = 0;
       for (std::uint64_t i = 0; i < end - begin; ++i) {
         state = f.dfa.next(state, static_cast<std::uint8_t>(f.text[begin + i]));
         ++r.lane_bytes;
         if (f.dfa.is_match(state)) {
           ++r.flagged_lane_steps;
           flagged_at.push_back(i);
+          if (count++ < slots) storing_at.push_back(i);
         }
       }
     }
-    std::sort(flagged_at.begin(), flagged_at.end());
+    const auto distinct = [](std::vector<std::uint64_t>& steps) {
+      std::sort(steps.begin(), steps.end());
+      return static_cast<std::uint64_t>(std::unique(steps.begin(), steps.end()) -
+                                        steps.begin());
+    };
     r.warp_steps += max_scan;
-    r.flagged_warp_steps += static_cast<std::uint64_t>(
-        std::unique(flagged_at.begin(), flagged_at.end()) - flagged_at.begin());
+    r.flagged_warp_steps += distinct(flagged_at);
+    r.storing_warp_steps += distinct(storing_at);
+    ++r.warps;
   }
   return r;
 }
@@ -382,6 +396,99 @@ TEST(AcKernel, GlobalPlacementReadsColumnZeroOnlyOnFlaggedTransitions) {
     EXPECT_EQ(global.sim.metrics.global_requests - tex.sim.metrics.global_requests,
               want.warp_steps + want.flagged_warp_steps);
   }
+}
+
+/// Counts a launch's global stores by width, and the most 128 B segments
+/// any one of them touched.
+struct StoreCounter final : gpusim::AccessObserver {
+  std::uint64_t record_stores = 0;  ///< u32 stores: one word per record
+  std::uint64_t count_stores = 0;   ///< u16 stores: the count words
+  std::uint32_t max_record_txn = 0;
+  std::uint32_t max_count_txn = 0;
+
+  std::uint32_t memory_access(const gpusim::Warp& w, gpusim::OpKind kind) override {
+    const bool u16 = kind == gpusim::OpKind::GlobalStoreU16;
+    if (!u16 && kind != gpusim::OpKind::GlobalStoreU32) return 0;
+    std::vector<gpusim::DevAddr> addrs;
+    for (std::uint32_t l = 0; l < w.lane_count; ++l)
+      if (w.mask[l]) addrs.push_back(w.addr[l]);
+    const std::uint32_t txn = gpusim::coalesce(addrs, u16 ? 2 : 4, 128).transactions;
+    ++(u16 ? count_stores : record_stores);
+    std::uint32_t& worst = u16 ? max_count_txn : max_record_txn;
+    worst = std::max(worst, txn);
+    return 0;
+  }
+};
+
+TEST(AcKernel, OneStorePerStoringStepAndOneCountStorePerWarp) {
+  // A storing step writes one record word, and each warp ends with one u16
+  // store of its lanes' counts. At 3 slots some lanes run out and stop
+  // storing; their steps must not store.
+  Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
+  for (const std::uint32_t capacity : {64u, 3u}) {
+    const SttReads want = expected_stt_reads(f, 32, 64, capacity);
+    if (capacity == 3) {
+      ASSERT_LT(want.storing_warp_steps, want.flagged_warp_steps);
+    }
+    for (const auto approach : {Approach::kGlobalOnly, Approach::kShared}) {
+      StoreCounter stores;
+      AcLaunchSpec spec;
+      spec.approach = approach;
+      spec.chunk_bytes = 32;
+      spec.threads_per_block = 64;
+      spec.match_capacity = capacity;
+      spec.sim.observer = &stores;
+      const auto out = f.run(spec);
+      SCOPED_TRACE(std::string(to_string(approach)) + " capacity " +
+                   std::to_string(capacity));
+      EXPECT_EQ(out.matches.overflowed, capacity == 3);
+      EXPECT_EQ(stores.record_stores, want.storing_warp_steps);
+      EXPECT_EQ(stores.count_stores, want.warps);
+      EXPECT_EQ(stores.max_count_txn, 1u);  // 32 lanes x 2 B in one segment
+    }
+  }
+}
+
+TEST(AcKernel, LanesStoringTheSameSlotShareOneSegment) {
+  // Every byte ends a match, so at step i every lane of a warp stores its
+  // i-th record: slot-major addresses make that one 128 B transaction.
+  std::vector<std::string> every_byte;
+  for (int b = 0; b < 256; ++b) every_byte.emplace_back(1, static_cast<char>(b));
+  Rng rng(71);
+  std::string text(64 * 32, '\0');
+  for (char& c : text) c = static_cast<char>(rng.next_below(256));
+  Fixture f(every_byte, text);
+  StoreCounter stores;
+  AcLaunchSpec spec;
+  spec.approach = Approach::kShared;
+  spec.chunk_bytes = 32;
+  spec.threads_per_block = 64;
+  spec.match_capacity = 32;
+  spec.sim.observer = &stores;
+  const auto out = f.run(spec);
+  EXPECT_FALSE(out.matches.overflowed);
+  EXPECT_EQ(out.matches.total_reported, text.size());
+  EXPECT_EQ(out.matches.stored_records, text.size());
+  EXPECT_EQ(out.matches.matches, f.expected());
+  EXPECT_EQ(stores.record_stores, 2u * 32);  // 2 warps x 32 steps
+  EXPECT_EQ(stores.max_record_txn, 1u);
+}
+
+TEST(AcKernel, CountWordSaturatesAtTheU16Limit) {
+  // One thread scans 70,000 matching bytes: its count word clamps to 65,535,
+  // which still reads as overflow past the 8 slots.
+  Fixture f({"a"}, std::string(70000, 'a'));
+  AcLaunchSpec spec;
+  spec.approach = Approach::kGlobalOnly;
+  spec.chunk_bytes = 70000;
+  spec.threads_per_block = 32;
+  spec.match_capacity = 8;
+  const auto out = f.run(spec);
+  EXPECT_TRUE(out.matches.overflowed);
+  EXPECT_EQ(out.matches.total_reported, MatchBuffer::kMaxCount);
+  EXPECT_EQ(out.matches.stored_records, 8u);
+  ASSERT_EQ(out.matches.matches.size(), 8u);
+  EXPECT_EQ(out.matches.matches.back(), (ac::Match{7, 0}));
 }
 
 }  // namespace

@@ -559,6 +559,104 @@ TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
   EXPECT_TRUE(smallest_chunk && wide_chunk && fallback_block && grid_block);
 }
 
+// --- match output: a u16 count per thread and one word per record ---------
+
+/// All 256 single-byte patterns: every scanned byte ends a match.
+ac::PatternSet every_byte_patterns() {
+  std::vector<std::string> pats;
+  for (int b = 0; b < 256; ++b) pats.emplace_back(1, static_cast<char>(b));
+  return ac::PatternSet(pats);
+}
+
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text(n, '\0');
+  for (char& c : text) c = static_cast<char>(rng.next_below(256));
+  return text;
+}
+
+TEST(PipelineOutput, EveryByteEndingAMatchFillsExactlyTheScanBound) {
+  // Overlap 0, so a thread's scan bound S is its 32 B chunk: each thread
+  // emits exactly S records, and S slots always suffice.
+  const ac::PatternSet patterns = every_byte_patterns();
+  const ac::Dfa dfa = ac::build_dfa(patterns, 8);
+  const std::string text = random_bytes(32 * 640, 59);
+  const std::uint64_t threads = text.size() / 32;
+  gpusim::DeviceMemory mem(64u << 20);
+  kernels::DeviceDfa ddfa(mem, dfa);
+  PipelineOptions opt;
+  opt.chunk_bytes = 32;
+  opt.threads_per_block = 64;
+  opt.batch_bytes = text.size();
+  for (const std::uint32_t capacity : {32u, 33u, 1000u}) {
+    opt.match_capacity = capacity;
+    auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    SCOPED_TRACE(capacity);
+    EXPECT_FALSE(got.value().overflowed);
+    EXPECT_EQ(got.value().total_reported, threads * 32);
+    EXPECT_EQ(got.value().matches, ac::find_all(dfa, text));
+    // D2H: a u16 count per thread plus one word per stored record.
+    EXPECT_EQ(got.value().stats.output_bytes, threads * 2 + threads * 32 * 4);
+  }
+  opt.match_capacity = 31;  // S - 1
+  auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_TRUE(got.value().overflowed);
+  EXPECT_EQ(got.value().total_reported, threads * 32);
+  EXPECT_EQ(got.value().stats.output_bytes, threads * 2 + threads * 31 * 4);
+}
+
+TEST(PipelineOutput, CapacitiesMustStayBelowTheCountWordLimit) {
+  // Counts cross D2H as saturating u16 words: a capacity of 65,535 or more
+  // could not tell a saturated count from a complete one.
+  PipelineOptions opt;
+  opt.match_capacity = kernels::MatchBuffer::kMaxCount - 1;
+  opt.pfac_match_capacity = kernels::MatchBuffer::kMaxCount - 1;
+  EXPECT_TRUE(opt.validate().is_ok());
+  for (const std::uint32_t bad : {0u, kernels::MatchBuffer::kMaxCount, 1u << 20}) {
+    PipelineOptions ac_opt;
+    ac_opt.match_capacity = bad;
+    EXPECT_EQ(ac_opt.validate().code(), StatusCode::kInvalidArgument) << bad;
+    PipelineOptions pfac_opt;
+    pfac_opt.variant = KernelVariant::kPfac;
+    pfac_opt.pfac_match_capacity = bad;
+    EXPECT_EQ(pfac_opt.validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+/// The first `count` three-letter words "aaa", "aab", ...
+std::vector<std::string> three_letter_words(std::size_t count) {
+  std::vector<std::string> words;
+  for (std::size_t i = 0; i < count; ++i)
+    words.push_back({static_cast<char>('a' + i / 676 % 26),
+                     static_cast<char>('a' + i / 26 % 26), static_cast<char>('a' + i % 26)});
+  return words;
+}
+
+TEST(PipelineOutput, ScanBoundTooWideForTheRecordWordIsCapacityExceeded) {
+  // 5,000 output ids x a 1 MiB (+2) scan bound is past 2^32 record codes.
+  EngineOptions eopt;
+  eopt.gpu = small_gpu();
+  eopt.variant = KernelVariant::kGlobalOnly;
+  eopt.chunk_bytes = 1u << 20;
+  DeviceOptions dopt;
+  dopt.gpu = eopt.gpu;
+  auto device = Device::create(dopt);
+  ASSERT_TRUE(device.is_ok()) << device.status().to_string();
+  auto engine =
+      Engine::create(device.value(), ac::PatternSet(three_letter_words(5000)), eopt);
+  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+  ASSERT_GE(engine.value().dfa().output_id_count(), 5000u);
+  const std::size_t allocated = device.value().memory().allocated();
+  auto scan = engine.value().scan(random_text(4096, 61));
+  ASSERT_FALSE(scan.is_ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kCapacityExceeded);
+  EXPECT_NE(scan.status().message().find("scan bound 1048578"), std::string::npos)
+      << scan.status().to_string();
+  EXPECT_EQ(device.value().memory().allocated(), allocated);  // nothing staged
+}
+
 TEST(Engine, ScanMatchesSerialReference) {
   const std::vector<std::string> pats = {"he", "she", "his", "hers"};
   const ac::PatternSet patterns(pats);

@@ -4,6 +4,7 @@
 // anything else as garbage.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -195,6 +196,46 @@ TEST(ChromeTrace, TracerSpansExportNestedNotOverlapping) {
   ASSERT_EQ(tracks.size(), 1u);  // one host thread -> one track
   EXPECT_EQ(tracks.begin()->second.size(), 3u);
   expect_tracks_well_formed(tracks);
+}
+
+TEST(ChromeTrace, BackToBackOpsShareTheirRoundedBoundary) {
+  // Op A runs 0.6-2.4 ns and op B starts where A ends. Rounded on its own,
+  // A's 1.8 ns duration becomes 2 ns from a start of 1 ns, so A would end at
+  // 3 ns, past B's rounded start of 2 ns. Rounding both ends keeps them
+  // back to back on the stream track.
+  pipeline::PipelineResult result;
+  gpusim::StreamOp a;
+  a.id = 0;
+  a.kind = gpusim::StreamOpKind::kH2D;
+  a.start = 0.6e-9;
+  a.end = 2.4e-9;
+  a.bytes = 64;
+  a.label = "h2d b0";
+  gpusim::StreamOp b = a;
+  b.id = 1;
+  b.kind = gpusim::StreamOpKind::kKernel;
+  b.start = 2.4e-9;
+  b.end = 5e-9;
+  b.bytes = 0;
+  b.label = "kernel b0";
+  result.timeline = {a, b};
+
+  ChromeTrace trace;
+  pipeline::add_scan_to_trace(trace, result);
+  std::ostringstream out;
+  trace.write(out);
+  const auto tracks = slices_by_track(out.str());
+  const auto ns = [](double us) { return std::llround(us * 1e3); };
+  bool checked = false;
+  for (const auto& [key, slices] : tracks) {
+    if (slices.size() < 2) continue;  // the engine tracks hold one op each
+    ASSERT_EQ(slices.size(), 2u);
+    EXPECT_EQ(ns(slices[0].ts), 1);
+    EXPECT_EQ(ns(slices[0].ts) + ns(slices[0].dur), 2);
+    EXPECT_LE(ns(slices[0].ts) + ns(slices[0].dur), ns(slices[1].ts));
+    checked = true;
+  }
+  EXPECT_TRUE(checked);
 }
 
 // End-to-end: a real (small) multi-stream pipeline run exported through
