@@ -8,12 +8,16 @@
 // Runs the canonical BENCH_pipeline workload (Engine::scan, Timed sim,
 // kShared) twice per iteration: once with TelemetryOptions fully null and
 // once with the always-on production set armed — metrics registry, flight
-// recorder, logger. Wall-clock host time is taken per run and the gate is
+// recorder, logger. The two runs swap order every iteration, so neither
+// always inherits the other's warm caches or lands in the same burst of
+// machine load. Wall-clock host time is taken per run and the gate is
 //
-//   median(enabled) / median(disabled) <= threshold   (default 1.05)
+//   median over iterations of (enabled / disabled) <= threshold   (default 1.05)
 //
-// exit 1 when the ratio exceeds it. Tracing is excluded: the tracer is the
-// opt-in debugging tier, not the always-on tier (docs/OBSERVABILITY.md).
+// exit 1 when the ratio exceeds it. Pairing each enabled run with the
+// disabled run beside it cancels load that drifts slower than one pair.
+// Tracing is excluded: the tracer is the opt-in debugging tier, not the
+// always-on tier (docs/OBSERVABILITY.md).
 //
 // Two zero-cost claims are asserted, not measured:
 //  - Disabled is structurally free: with every telemetry pointer null,
@@ -113,15 +117,22 @@ int main(int argc, char** argv) {
                  scan.value().matches.size()};
     };
 
-    std::vector<double> off_s, on_s;
+    std::vector<double> off_s, on_s, ratios;
     double ref_makespan = 0;
     std::size_t ref_matches = 0;
-    for (std::size_t i = 0; i < iterations; ++i) {
+    const auto run_off = [&] {
       const std::uint64_t recorded_before = recorder.recorded();
       const auto off = run(false);
       ACGPU_CHECK(recorder.recorded() == recorded_before,
                   "the disabled pipeline touched the flight recorder");
-      const auto on = run(true);
+      return off;
+    };
+    for (std::size_t i = 0; i < iterations; ++i) {
+      const bool on_first = i % 2 == 1;
+      const auto first = on_first ? run(true) : run_off();
+      const auto second = on_first ? run_off() : run(true);
+      const auto& off = on_first ? second : first;
+      const auto& on = on_first ? first : second;
       if (i == 0) {
         ref_makespan = off.makespan_s;
         ref_matches = off.matches;
@@ -134,17 +145,18 @@ int main(int argc, char** argv) {
                   "telemetry perturbed the match stream");
       off_s.push_back(off.host_s);
       on_s.push_back(on.host_s);
+      ratios.push_back(off.host_s > 0 ? on.host_s / off.host_s : 0.0);
       if (!args.get_bool("quiet"))
-        std::printf("iter %zu: off %s  on %s\n", i,
-                    format_seconds(off.host_s).c_str(),
-                    format_seconds(on.host_s).c_str());
+        std::printf("iter %zu (%s first): off %s  on %s  ratio %.4f\n", i,
+                    on_first ? "on" : "off", format_seconds(off.host_s).c_str(),
+                    format_seconds(on.host_s).c_str(), ratios.back());
     }
 
     const double off_med = median(off_s);
     const double on_med = median(on_s);
-    const double ratio = off_med > 0 ? on_med / off_med : 0.0;
+    const double ratio = median(ratios);
     std::printf(
-        "observability overhead: off %s, on %s, ratio %.4f (threshold %.2f); "
+        "observability overhead: off %s, on %s, median on/off %.4f (threshold %.2f); "
         "%llu recorder event(s)\n",
         format_seconds(off_med).c_str(), format_seconds(on_med).c_str(), ratio,
         threshold, static_cast<unsigned long long>(recorder.recorded()));

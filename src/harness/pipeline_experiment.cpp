@@ -119,6 +119,7 @@ PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
     pipeline::PipelineOptions single = base;
     single.streams = 1;
     single.batch_bytes = config.text_bytes;
+    single.rebalance_batches = false;
     const double baseline_seconds =
         run_once(config, mem, ddfa, input, single).makespan_seconds;
     if (progress)

@@ -85,8 +85,10 @@ struct EngineOptions {
   /// compute; 1 is the serial-staging baseline). Clamped to the staging
   /// pool depth — never silently: see pipeline.streams_clamped.
   std::uint32_t streams = 2;
-  /// Owned input bytes per pipeline batch (a ceiling — high stream counts
-  /// shrink the effective batch so every lane stays fed).
+  /// Owned input bytes per pipeline batch: a ceiling. Each scan splits
+  /// evenly into the batch count the PCIe link and the engine's fitted
+  /// kernel cost favour, and never into fewer than ceil(text / batch_bytes)
+  /// batches (see pipeline::PipelineOptions::rebalance_batches).
   std::uint64_t batch_bytes = 4u << 20;
   /// Upload staging-pool depth in slice buffers; 0 = 2x streams.
   std::uint32_t pool_depth = 0;

@@ -1,6 +1,8 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <utility>
@@ -49,38 +51,70 @@ Status PipelineOptions::validate() const {
 namespace {
 
 /// Resolved staging-layer geometry: pool depths, the stream clamp, and the
-/// rebalanced batch size (PipelineStats mirrors these for the run).
+/// batch split (PipelineStats mirrors these for the run).
 struct StagingPlan {
   std::uint32_t pool_depth = 0;
   std::uint32_t readback_depth = 0;
   std::uint32_t effective_streams = 0;
   std::uint64_t batch_bytes = 0;
+  std::uint64_t batches = 0;
+  /// The whole text fits a 4-symbol table, so every kShared slice ships
+  /// packed and the run stages a quarter of its length.
+  bool packed = false;
+  /// The tail share the split assumed (see link_batches).
+  double tail_share = 1;
   bool streams_clamped = false;
 };
 
-/// rebalance_batches floor: batches never shrink below this (nor below the
-/// configured batch_bytes when that is already smaller).
-constexpr std::uint64_t kAutoBatchFloor = 64u << 10;
-/// rebalance_batches target: keep every lane at least this many batches deep.
-constexpr std::uint64_t kBatchesPerLane = 4;
+/// Batch count that minimises an upload-bound pipeline's makespan. Split
+/// `staged` bytes into n batches over a link with a fixed per-copy cost t
+/// and bandwidth B. The uploads queue on the link and take n t + S/B; the
+/// last batch's kernel and readback follow them, and cost a fixed part plus
+/// r S/(B n), r the tail share (what a staged byte adds to them, relative
+/// to its upload):
+///   f(n) = n t + S / B + fixed + r S / (B n).
+/// f(n + 1) - f(n) = t - r S / (B n (n + 1)), so f falls until
+/// n (n + 1) >= r S / (B t); the smallest such n, the root of
+/// n^2 + n = r S / (B t) rounded up (about sqrt(r S / (B t))), is the
+/// optimum, and a tie keeps the fewer batches. r = 1 gives
+/// (n + 1) (t + S / (B n)) up to the fixed part. No batch is smaller than a
+/// byte. A link with no fixed cost never stops rewarding more batches, so it
+/// gets one.
+std::uint64_t link_batches(const gpusim::GpuConfig& config, std::uint64_t staged,
+                           double tail_share) {
+  const double fixed_cost_bytes =
+      config.pcie_bytes_per_second * config.pcie_latency_seconds;
+  if (!(fixed_cost_bytes > 0)) return 1;
+  const double ratio = tail_share * static_cast<double>(staged) / fixed_cost_bytes;
+  const double root = (std::sqrt(1 + 4 * ratio) - 1) / 2;
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(std::min(root, static_cast<double>(staged)))));
+}
 
-StagingPlan resolve_staging(const PipelineOptions& opt, std::uint64_t text_len) {
+StagingPlan resolve_staging(const PipelineOptions& opt, const gpusim::GpuConfig& config,
+                            std::uint64_t len, bool packed, double tail_share) {
   StagingPlan plan;
   plan.pool_depth = opt.pool_depth != 0 ? opt.pool_depth : 2 * opt.streams;
   plan.effective_streams = std::min(opt.streams, plan.pool_depth);
   plan.streams_clamped = plan.effective_streams < opt.streams;
   plan.readback_depth =
       opt.readback_depth != 0 ? opt.readback_depth : plan.pool_depth;
+  plan.packed = packed;
+  plan.tail_share = tail_share;
 
+  // rebalance_batches splits the text evenly into the link's optimal batch
+  // count, never into fewer than batch_bytes allows. One lane overlaps
+  // nothing, so there extra batches only add copy latency.
   plan.batch_bytes = opt.batch_bytes;
-  if (opt.rebalance_batches && text_len > 0) {
-    const std::uint64_t lanes = plan.effective_streams;
-    const std::uint64_t target = (text_len + kBatchesPerLane * lanes - 1) /
-                                 (kBatchesPerLane * lanes);
-    if (target < plan.batch_bytes)
-      plan.batch_bytes =
-          std::max(target, std::min<std::uint64_t>(plan.batch_bytes, kAutoBatchFloor));
+  if (opt.rebalance_batches && len > 0) {
+    std::uint64_t n = (len + opt.batch_bytes - 1) / opt.batch_bytes;
+    if (plan.effective_streams > 1)
+      n = std::max(n, link_batches(config, packed ? kernels::packed_size(len) : len,
+                                   tail_share));
+    plan.batch_bytes = (len + n - 1) / n;
   }
+  plan.batches = (len + plan.batch_bytes - 1) / plan.batch_bytes;
   return plan;
 }
 
@@ -279,6 +313,29 @@ MatchPipeline::MatchPipeline(const gpusim::GpuConfig& config,
                              const kernels::DevicePfac& dpfac, PipelineOptions options)
     : config_(config), mem_(mem), dpfac_(&dpfac), options_(std::move(options)) {}
 
+void MatchPipeline::TailFit::add(double x, double y) {
+  min_x = count == 0 ? x : std::min(min_x, x);
+  max_x = std::max(max_x, x);
+  count += 1;
+  const double dx = x - mean_x;
+  mean_x += dx / count;
+  mean_y += (y - mean_y) / count;
+  m2_x += dx * (x - mean_x);
+  c_xy += dx * (y - mean_y);
+}
+
+std::optional<double> MatchPipeline::TailFit::slope() const {
+  // Batches within 2x of one size fit little but the intercept.
+  if (count < 2 || max_x < 2 * min_x || !(m2_x > 0)) return std::nullopt;
+  return c_xy / m2_x;
+}
+
+double MatchPipeline::tail_share(bool packed) const {
+  const std::optional<double> slope = tail_fits_[packed ? 1 : 0].slope();
+  if (!slope || !(config_.pcie_bytes_per_second > 0)) return 1;
+  return std::max(0.0, *slope * config_.pcie_bytes_per_second);
+}
+
 Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   const PipelineOptions& opt = options_;
   if (Status s = opt.validate(); !s) return s;
@@ -292,15 +349,26 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   PipelineResult result;
   if (text.empty()) return result;
 
-  ACGPU_TRACE_SPAN(opt.tracer, "pipeline.run");
+  telemetry::Span run_span(opt.tracer, "pipeline.run");
 
   const std::uint32_t max_len = opt.variant == KernelVariant::kPfac
                                     ? dpfac_->max_pattern_length()
                                     : ddfa_->max_pattern_length();
-  const StagingPlan plan = resolve_staging(opt, text.size());
+  const bool packed_text = opt.variant == KernelVariant::kShared &&
+                           kernels::symbol_table(text).has_value();
+  const StagingPlan plan = resolve_staging(opt, config_, text.size(), packed_text,
+                                           tail_share(packed_text));
   if (plan.streams_clamped)
     warn_streams_clamped(opt.logger, opt.streams, plan.pool_depth,
                          plan.effective_streams);
+  if (opt.tracer != nullptr) {
+    run_span.annotate("batches", std::to_string(plan.batches));
+    run_span.annotate("batch_bytes", std::to_string(plan.batch_bytes));
+    run_span.annotate("packed", plan.packed ? "true" : "false");
+    char share[32];
+    std::snprintf(share, sizeof share, "%.3g", plan.tail_share);
+    run_span.annotate("tail_share", share);
+  }
 
   const std::uint32_t overlap = max_len > 0 ? max_len - 1 : 0;
   // Largest device slice: owned bytes plus the overlap carry.
@@ -311,9 +379,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
                                        : ddfa_->host_dfa().output_id_count();
   if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap, output_ids); !s)
     return s;
-
-  const std::uint64_t batch_count =
-      (text.size() + plan.batch_bytes - 1) / plan.batch_bytes;
 
   try {
     // split_readback gives the device a dedicated D2H queue (the PCIe link
@@ -327,10 +392,15 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
     // Staging pools, allocated below batch_mark so per-batch recycling never
     // frees them. Upload slices carry 8 pad bytes (word-granular staging
-    // loads never run off the slice); readback leases are 0-byte accounting
-    // entries — the kernel launches allocate the real output buffers.
+    // loads never run off the slice), and a run of fewer batches than the
+    // pool is deep allocates one slice per batch: the rest would never be
+    // leased, yet would push the kernels' buffers onto fresh device pages.
+    // Readback leases are 0-byte accounting entries — the kernel launches
+    // allocate the real output buffers.
     const std::size_t outer_mark = mem_.mark();
-    StagingPool::Options upload_opt{plan.pool_depth, slice_cap, 8, false};
+    const auto upload_buffers = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(plan.pool_depth, plan.batches));
+    StagingPool::Options upload_opt{upload_buffers, slice_cap, 8, false};
     upload_opt.observer = opt.host_observer;
     upload_opt.name = "upload";
     upload_opt.sim = sim.sim_id();
@@ -343,7 +413,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     const std::size_t batch_mark = mem_.mark();
 
     std::vector<double> completion;  // per batch: D2H end on the timeline
-    completion.reserve(batch_count);
+    completion.reserve(plan.batches);
     std::map<TimingKey, CachedTiming> timing_cache;
     std::vector<std::uint8_t> packed;  // host packing buffer (packed batches only)
     Samples latencies;
@@ -401,7 +471,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     const ac::PfacAutomaton* pfac =
         dpfac_ != nullptr ? &dpfac_->host_automaton() : nullptr;
 
-    for (std::uint64_t b = 0; b < batch_count; ++b) {
+    for (std::uint64_t b = 0; b < plan.batches; ++b) {
       const std::uint64_t base = b * plan.batch_bytes;
       const std::uint64_t owned =
           std::min<std::uint64_t>(plan.batch_bytes, text.size() - base);
@@ -538,6 +608,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         if (reuse) timing_cache[key] = {trace.kernel_seconds, trace.output_bytes};
       }
 
+      tail_fits_[symbols.has_value() ? 1 : 0].add(
+          static_cast<double>(trace.staged_bytes),
+          trace.kernel_seconds +
+              static_cast<double>(trace.output_bytes) / config_.pcie_bytes_per_second);
+
       // The kernel was the last reader of the staged slice: the upload
       // buffer recycles at kernel end, not D2H end — what lets a deep pool
       // keep feeding lanes while readbacks drain.
@@ -554,7 +629,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     flush_pending();
 
     const gpusim::OverlapStats ov = sim.overlap();
-    result.stats.batches = batch_count;
+    result.stats.batches = plan.batches;
     result.stats.input_bytes = text.size();
     result.stats.makespan_seconds = ov.makespan;
     result.stats.copy_busy_seconds = ov.copy_busy;

@@ -38,6 +38,14 @@
 // START lies in the batch's owned range — so matches spanning a boundary are
 // reported exactly once, by the earlier batch.
 //
+// Every copy pays the link's fixed latency before its bytes, so the batch
+// count comes from the link (`rebalance_batches`): a run splits evenly into
+// the n that minimises an upload-bound pipeline's makespan, about
+// sqrt(r x staged bytes / (bandwidth x latency)), and never into fewer
+// batches than `batch_bytes` allows. r, the tail share, is what a staged
+// byte adds to a batch's kernel and readback relative to its upload; the
+// pipeline fits it over the batches it has run.
+//
 // A kShared slice (carry included) of at most 4 distinct byte values crosses
 // PCIe packed at 2 bits per symbol against its own symbol table
 // (kernels/packed_text.h), and the kernel's shared-memory staging unpacks it;
@@ -45,7 +53,9 @@
 // alone — there is no option for it.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -80,12 +90,13 @@ struct PipelineOptions {
   /// staging-pool depth, with the clamp surfaced (never silent).
   std::uint32_t streams = 2;
   /// Owned input bytes per batch (the device slice adds the overlap carry).
-  /// When `rebalance_batches` is set this is a ceiling: high stream counts
-  /// shrink the effective batch so every lane stays fed.
+  /// When `rebalance_batches` is set this is a ceiling: a run never takes
+  /// fewer than ceil(text / batch_bytes) batches, but may take more.
   std::uint64_t batch_bytes = 4u << 20;
   /// Upload staging-pool depth in device slice buffers. 0 = 2x streams.
   /// Effective streams = min(streams, pool_depth): a pool of D buffers can
-  /// feed at most D lanes (stats.streams_clamped reports the clamp).
+  /// feed at most D lanes (stats.streams_clamped reports the clamp). A run
+  /// of fewer batches allocates one buffer per batch.
   std::uint32_t pool_depth = 0;
   /// Readback staging-pool depth in output buffers. 0 = pool_depth.
   std::uint32_t readback_depth = 0;
@@ -93,10 +104,20 @@ struct PipelineOptions {
   /// false falls back to the GT200 single-copy-queue model, where uploads
   /// and readbacks serialise on one engine — the historical 1.63x plateau.
   bool split_readback = true;
-  /// Shrink the effective batch size when the stream count is high enough
-  /// that `batch_bytes` would leave lanes idle (target: >= 4 batches per
-  /// lane, never below 64 KB or above batch_bytes). Purely a timing
-  /// rebalance — matches are exact for any batch size.
+  /// Split each text evenly into the batch count the link favours. With
+  /// two or more effective streams that is the smallest n with
+  /// n (n + 1) >= r S / (B t), about sqrt(r S / (B t)): S the staged bytes
+  /// (a quarter of the text when all of it packs), B and t the GpuConfig's
+  /// PCIe bandwidth and per-copy latency. It minimises
+  /// n t + S/B + r S/(B n), the makespan of an upload-bound pipeline whose
+  /// last batch's kernel and readback grow by r times what its upload does
+  /// per staged byte. r is the tail share: a fresh pipeline takes r = 1;
+  /// once its byte (or packed) batches have spanned a 2x range of staged
+  /// sizes, it uses the least-squares slope of their kernel seconds plus
+  /// readback payload / B against staged bytes, times B. One effective
+  /// stream overlaps nothing and takes ceil(text / batch_bytes) batches; no
+  /// run takes fewer. false keeps batch_bytes exact. Purely a timing
+  /// choice — matches are exact for any batch size.
   bool rebalance_batches = true;
 
   /// Per-thread chunk for the AC kernels (a multiple of 4 larger than the
@@ -203,9 +224,10 @@ struct PipelineStats {
   std::uint32_t max_queue_depth = 0;
 
   /// Resolved staging geometry for the run — what actually executed, after
-  /// pool-depth defaults, the stream clamp, and batch rebalancing.
+  /// pool-depth defaults, the stream clamp, and the batch split.
   std::uint32_t effective_streams = 0;
-  std::uint32_t pool_depth = 0;      ///< upload staging buffers
+  /// Upload pool depth; the run allocates min(pool_depth, batches) buffers.
+  std::uint32_t pool_depth = 0;
   std::uint32_t readback_depth = 0;  ///< readback staging buffers
   std::uint64_t effective_batch_bytes = 0;
   bool streams_clamped = false;  ///< requested streams exceeded the pool depth
@@ -256,12 +278,28 @@ class MatchPipeline {
   /// or a device-memory budget too small for the slot buffers.
   Result<PipelineResult> run(std::string_view text);
 
+  /// The tail share the next run's batch split assumes for a byte or a
+  /// packed text (see PipelineOptions::rebalance_batches). Like run(), not
+  /// synchronised: read it between runs.
+  double tail_share(bool packed) const;
+
  private:
+  /// Least-squares line through (staged bytes, kernel seconds + readback
+  /// payload / B) over every batch run so far.
+  struct TailFit {
+    double count = 0, mean_x = 0, mean_y = 0, m2_x = 0, c_xy = 0;
+    double min_x = 0, max_x = 0;
+    void add(double x, double y);
+    /// Seconds per staged byte; none until the sizes span 2x.
+    std::optional<double> slope() const;
+  };
+
   gpusim::GpuConfig config_;  // by value: pipelines outlive caller temporaries
   gpusim::DeviceMemory& mem_;
   const kernels::DeviceDfa* ddfa_ = nullptr;
   const kernels::DevicePfac* dpfac_ = nullptr;
   PipelineOptions options_;
+  std::array<TailFit, 2> tail_fits_;  ///< byte batches, packed batches
 };
 
 }  // namespace acgpu::pipeline

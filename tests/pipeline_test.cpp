@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ac/serial_matcher.h"
+#include "hostcheck/recorder.h"
 #include "pipeline/engine.h"
 #include "util/rng.h"
 #include "workload/dna.h"
@@ -26,6 +27,13 @@ std::string random_text(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::string text(n, '\0');
   for (char& c : text) c = static_cast<char>('a' + rng.next_below(4));
+  return text;
+}
+
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text(n, '\0');
+  for (char& c : text) c = static_cast<char>(rng.next_below(256));
   return text;
 }
 
@@ -331,6 +339,181 @@ TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
   EXPECT_EQ(got.value().stats.batches, 16u);
 }
 
+// ---- Batch split: rebalance_batches divides a text evenly into the batch
+// count that minimises an upload-bound pipeline's makespan over the link ----
+
+/// A Timed gtx285 run of `text` against a two-pattern dictionary.
+PipelineResult split_run(const std::string& text, PipelineOptions opt = {}) {
+  gpusim::DeviceMemory mem(64u << 20);
+  const ac::Dfa dfa =
+      ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
+  kernels::DeviceDfa ddfa(mem, dfa);
+  opt.mode = gpusim::SimMode::Timed;
+  auto got = MatchPipeline(gpusim::GpuConfig::gtx285(), mem, ddfa, opt).run(text);
+  EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+  return got.is_ok() ? std::move(got.value()) : PipelineResult{};
+}
+
+std::vector<std::uint64_t> owned_bytes(const PipelineResult& r) {
+  std::vector<std::uint64_t> owned;
+  for (const BatchTrace& t : r.batches) owned.push_back(t.owned_bytes);
+  return owned;
+}
+
+TEST(PipelineBatchSplit, LinkSetsTheBatchCountOnGtx285) {
+  // B t = 4 GB/s x 10 us = 40,000 B; the count is the smallest n with
+  // n (n + 1) >= S / 40,000, S the staged bytes.
+  EXPECT_EQ(split_run(random_bytes(32u << 10, 1)).stats.batches, 1u);
+  EXPECT_EQ(split_run(random_bytes(128u << 10, 2)).stats.batches, 2u);
+  // S / (B t) = 2 at 80,000 B: the tie keeps one batch, a byte more takes two.
+  EXPECT_EQ(split_run(random_bytes(79999, 3)).stats.batches, 1u);
+  EXPECT_EQ(split_run(random_bytes(80000, 3)).stats.batches, 1u);
+  EXPECT_EQ(split_run(random_bytes(80001, 4)).stats.batches, 2u);
+  EXPECT_EQ(split_run(random_bytes(512u << 10, 5)).stats.batches, 4u);
+  // A 4-symbol text stages a quarter of its bytes: 512 KiB splits as 128 KiB.
+  const PipelineResult dna = split_run(workload::make_dna_sequence(512u << 10, 6));
+  EXPECT_EQ(dna.stats.batches, 2u);
+  EXPECT_EQ(dna.stats.staged_bytes, kernels::packed_size((256u << 10) + 2) +
+                                        kernels::packed_size(256u << 10));
+}
+
+TEST(PipelineBatchSplit, LargeTextTakesMoreBatchesThanTheCeilingNeeds) {
+  // 64 MiB: n (n + 1) first reaches 1,677.7 at n = 41, past the 16 batches
+  // the 4 MiB ceiling needs.
+  const PipelineResult r = split_run(random_bytes(64u << 20, 7));
+  EXPECT_EQ(r.stats.batches, 41u);
+  EXPECT_EQ(r.stats.effective_batch_bytes, ((64u << 20) + 40) / 41);
+}
+
+TEST(PipelineBatchSplit, SplitIsEvenAndRespectsTheCeiling) {
+  // 512 KiB + 1 B under a 64 KiB ceiling: the link wants 4 batches, the
+  // ceiling needs 9, and the 9 are even rather than 8 full and a 1-byte tail.
+  PipelineOptions opt;
+  opt.batch_bytes = 64u << 10;
+  const std::uint64_t len = (512u << 10) + 1;
+  const std::vector<std::uint64_t> owned =
+      owned_bytes(split_run(random_bytes(len, 8), opt));
+  ASSERT_EQ(owned.size(), 9u);
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : owned) {
+    EXPECT_LE(b, opt.batch_bytes);
+    EXPECT_GE(b + owned.size(), owned.front());
+    total += b;
+  }
+  EXPECT_EQ(total, len);
+
+  // rebalance_batches = false keeps batch_bytes exact.
+  opt.rebalance_batches = false;
+  const std::vector<std::uint64_t> exact =
+      owned_bytes(split_run(random_bytes(len, 8), opt));
+  ASSERT_EQ(exact.size(), 9u);
+  EXPECT_EQ(exact.front(), opt.batch_bytes);
+  EXPECT_EQ(exact.back(), 1u);
+}
+
+TEST(PipelineBatchSplit, OneLaneSplitsOnlyAtTheCeiling) {
+  // One lane overlaps nothing, so more batches would only add copy latency:
+  // a text within batch_bytes stays whole, a longer one takes
+  // ceil(L / batch_bytes) even batches.
+  PipelineOptions opt;
+  opt.streams = 1;
+  EXPECT_EQ(owned_bytes(split_run(random_bytes(512u << 10, 9), opt)),
+            (std::vector<std::uint64_t>{512u << 10}));
+  opt.batch_bytes = 200u << 10;
+  EXPECT_EQ(owned_bytes(split_run(random_bytes(512u << 10, 9), opt)),
+            (std::vector<std::uint64_t>{174763, 174763, 174762}));
+  // A clamped run is one lane too.
+  opt.streams = 4;
+  opt.pool_depth = 1;
+  opt.batch_bytes = 4u << 20;
+  const PipelineResult clamped = split_run(random_bytes(512u << 10, 9), opt);
+  EXPECT_EQ(clamped.stats.effective_streams, 1u);
+  EXPECT_EQ(clamped.stats.batches, 1u);
+}
+
+TEST(PipelineBatchSplit, RunAllocatesOneUploadBufferPerBatchUpToThePoolDepth) {
+  // Four streams resolve a pool of eight upload buffers; a run of fewer
+  // batches allocates only the buffers it leases.
+  const auto upload_buffers = [](std::size_t text_bytes) {
+    hostcheck::Recorder recorder;
+    PipelineOptions opt;
+    opt.streams = 4;
+    opt.host_observer = &recorder;
+    const PipelineResult r = split_run(random_bytes(text_bytes, 10), opt);
+    EXPECT_EQ(r.stats.pool_depth, 8u);
+    const hostcheck::HostTrace trace = recorder.trace();
+    for (const hostcheck::PoolInfo& pool : trace.pools)
+      if (pool.name == "upload")
+        return std::pair{r.stats.batches, std::uint64_t{pool.buffers}};
+    ADD_FAILURE() << "no upload pool registered";
+    return std::pair<std::uint64_t, std::uint64_t>{};
+  };
+  EXPECT_EQ(upload_buffers(32u << 10), (std::pair<std::uint64_t, std::uint64_t>{1, 1}));
+  EXPECT_EQ(upload_buffers(512u << 10), (std::pair<std::uint64_t, std::uint64_t>{4, 4}));
+  EXPECT_EQ(upload_buffers(4u << 20), (std::pair<std::uint64_t, std::uint64_t>{10, 8}));
+}
+
+TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
+  // A fresh pipeline assumes the tail share r = 1. Once its batches span 2x
+  // in staged size, r is the fitted slope of kernel seconds plus readback
+  // payload / B against staged bytes, times B.
+  gpusim::DeviceMemory mem(64u << 20);
+  const ac::Dfa dfa =
+      ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
+  kernels::DeviceDfa ddfa(mem, dfa);
+  const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
+  PipelineOptions opt;
+  opt.mode = gpusim::SimMode::Timed;
+  MatchPipeline pipe(gpu, mem, ddfa, opt);
+  const auto run = [&](std::size_t bytes, std::uint64_t seed) {
+    auto got = pipe.run(random_bytes(bytes, seed));
+    EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+    return got.is_ok() ? std::move(got.value()) : PipelineResult{};
+  };
+  const auto tail = [&](const BatchTrace& t) {
+    return t.kernel_seconds +
+           static_cast<double>(t.output_bytes) / gpu.pcie_bytes_per_second;
+  };
+
+  EXPECT_EQ(pipe.tail_share(false), 1.0);
+  const PipelineResult small = run(24u << 10, 11);
+  const PipelineResult mid = run(40u << 10, 12);
+  // 24 KiB and 40 KiB are within 2x of each other: still the assumption.
+  EXPECT_EQ(pipe.tail_share(false), 1.0);
+  const PipelineResult large = run(64u << 10, 13);
+  ASSERT_EQ(small.batches.size() + mid.batches.size() + large.batches.size(), 3u);
+
+  // Least-squares slope through the three single-batch runs.
+  const std::vector<BatchTrace> points = {small.batches[0], mid.batches[0],
+                                          large.batches[0]};
+  double mx = 0, my = 0;
+  for (const BatchTrace& t : points) {
+    mx += static_cast<double>(t.staged_bytes) / 3;
+    my += tail(t) / 3;
+  }
+  double sxy = 0, sxx = 0;
+  for (const BatchTrace& t : points) {
+    const double dx = static_cast<double>(t.staged_bytes) - mx;
+    sxy += dx * (tail(t) - my);
+    sxx += dx * dx;
+  }
+  const double share = pipe.tail_share(false);
+  EXPECT_NEAR(share, std::max(0.0, sxy / sxx * gpu.pcie_bytes_per_second), 1e-9);
+  // This dictionary's kernel barely grows with its batch, far below r = 1.
+  EXPECT_LT(share, 0.5);
+  // Packed batches keep a fit of their own, still empty here.
+  EXPECT_EQ(pipe.tail_share(true), 1.0);
+
+  // 200 KiB: r = 1 takes 2 batches (n (n + 1) >= 5.12); the fitted share
+  // sees too little tail to save for a second copy's latency.
+  PipelineOptions fresh = opt;
+  EXPECT_EQ(split_run(random_bytes(200u << 10, 14), fresh).stats.batches, 2u);
+  std::uint64_t n = 1;
+  while (static_cast<double>(n * (n + 1)) < share * (200u << 10) / 40000.0) ++n;
+  EXPECT_EQ(run(200u << 10, 14).stats.batches, n);
+  EXPECT_EQ(n, 1u);
+}
+
 // ---- Packed input: kShared slices of at most 4 distinct bytes ship at 2 bits
 // per symbol ----
 
@@ -447,6 +630,7 @@ TEST(PipelineGeometry, PipelineBatchGetsSmallestChunkInBlocksOf64) {
   const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   PipelineOptions opt;
   opt.batch_bytes = 64u << 10;
+  opt.rebalance_batches = false;  // a 64 KB batch and a 15-byte tail
   // 64 KB + 15 B slice: 4,097 threads at 16 B; 64 threads/block is the
   // largest block leaving 2 blocks per SM. The 15-byte tail batch falls back
   // to 32 threads.
@@ -566,13 +750,6 @@ ac::PatternSet every_byte_patterns() {
   std::vector<std::string> pats;
   for (int b = 0; b < 256; ++b) pats.emplace_back(1, static_cast<char>(b));
   return ac::PatternSet(pats);
-}
-
-std::string random_bytes(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::string text(n, '\0');
-  for (char& c : text) c = static_cast<char>(rng.next_below(256));
-  return text;
 }
 
 TEST(PipelineOutput, EveryByteEndingAMatchFillsExactlyTheScanBound) {

@@ -13,6 +13,7 @@
 #include "pipeline/telemetry_export.h"
 #include "telemetry/json.h"
 #include "telemetry/trace.h"
+#include "workload/dna.h"
 #include "workload/markov_corpus.h"
 #include "workload/pattern_extract.h"
 
@@ -296,6 +297,58 @@ TEST(ChromeTrace, PipelineExportHasStreamAndEngineTracks) {
   }
   EXPECT_TRUE(queue_counter);
   EXPECT_TRUE(busy_counter);
+}
+
+// The pipeline.run span carries the run's batch plan, so a trace shows why
+// a scan split as it did: the batch count, the owned bytes per batch, and
+// whether the whole text staged packed (which prices it at a quarter).
+TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
+  // Scans `texts` on one fresh engine; returns the last pipeline.run span's
+  // args.
+  const auto run_args = [](const std::vector<std::string>& texts) {
+    Tracer tracer;
+    EngineOptions opt;
+    opt.mode = gpusim::SimMode::Timed;
+    opt.telemetry.tracer = &tracer;
+    Result<Device> device = Device::create({});
+    EXPECT_TRUE(device.is_ok()) << device.status().to_string();
+    Result<Engine> engine =
+        Engine::create(device.value(), ac::PatternSet({"ACGTACGT", "the "}), opt);
+    EXPECT_TRUE(engine.is_ok()) << engine.status().to_string();
+    for (const std::string& text : texts) EXPECT_TRUE(engine.value().scan(text).is_ok());
+    const std::vector<TraceEvent> events = tracer.events();
+    const TraceEvent* last_run = nullptr;
+    for (const TraceEvent& e : events)
+      if (e.name == "pipeline.run") last_run = &e;
+    EXPECT_NE(last_run, nullptr);
+    if (last_run == nullptr) return std::map<std::string, std::string>{};
+    std::size_t batch_spans = 0;
+    for (const TraceEvent& e : events)
+      batch_spans += e.name == "pipeline.batch" && e.parent == last_run->id;
+    std::map<std::string, std::string> args(last_run->args.begin(), last_run->args.end());
+    EXPECT_EQ(args["batches"], std::to_string(batch_spans));
+    return args;
+  };
+  // A fresh engine assumes a tail share of 1: 512 KiB of English splits in
+  // four on the GTX 285 link...
+  EXPECT_EQ(run_args({workload::make_corpus(512u << 10, 5)}),
+            (std::map<std::string, std::string>{{"batches", "4"},
+                                                {"batch_bytes", "131072"},
+                                                {"packed", "false"},
+                                                {"tail_share", "1"}}));
+  // ...and 512 KiB of DNA, staged at 2 bits per base, in two.
+  EXPECT_EQ(run_args({workload::make_dna_sequence(512u << 10, 5)}),
+            (std::map<std::string, std::string>{{"batches", "2"},
+                                                {"batch_bytes", "262144"},
+                                                {"packed", "true"},
+                                                {"tail_share", "1"}}));
+  // After scans 4x apart in size the span names the fitted share, and the
+  // split follows it.
+  const std::map<std::string, std::string> fitted =
+      run_args({workload::make_corpus(32u << 10, 6), workload::make_corpus(128u << 10, 7),
+                workload::make_corpus(512u << 10, 5)});
+  EXPECT_NE(fitted.at("tail_share"), "1");
+  EXPECT_EQ(fitted.at("packed"), "false");
 }
 
 }  // namespace
