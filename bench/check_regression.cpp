@@ -17,7 +17,9 @@
 //
 // Updating the baseline after an intentional perf change:
 //   build/bench/check_regression --write-baseline bench/baselines/telemetry_baseline.json
-// re-bands the gated series around the current run (see docs/OBSERVABILITY.md).
+// re-bands the series that file already names around the current run and
+// rewrites it (see docs/OBSERVABILITY.md). The baseline file is the only
+// list of gated names: adding a check is adding it to the file.
 //
 // --mode serve swaps the workload for the streaming session service driver
 // (run_serve_workload below) and gates the serve.* counters against
@@ -79,89 +81,6 @@ using namespace acgpu;
 
 namespace {
 
-/// The gated series — the list --write-baseline re-bands. Order is the
-/// baseline-file order.
-const std::vector<std::string> kGatedSeries = {
-    "pipeline.overlap_ratio",
-    "gpusim.shared.max_degree",
-    "gpusim.tex.hit_rate",
-    "gpusim.global.transactions_per_request",
-};
-
-/// --mode serve gates the streaming session service instead. The driver is
-/// single-threaded and fully seeded, so every one of these counters is
-/// bit-deterministic (bench/baselines/serve_baseline.json pins most of them
-/// exactly, min == max).
-const std::vector<std::string> kServeGatedSeries = {
-    "serve.sessions.opened",
-    "serve.sessions.evicted",
-    "serve.feeds.accepted",
-    "serve.feeds.rejected",
-    "serve.queue.max_depth_chunks",
-    "serve.batches",
-    "serve.scan.host_fallbacks",
-    "serve.matches.delivered",
-    "serve.matches.spanning",
-};
-
-/// --mode latency pins the tail of the under-load latency distribution. The
-/// queueing model is deterministic (fixed trace, simulated makespans), so
-/// these percentiles are stable run to run; the baseline bands them against
-/// the streams=2 reference configuration.
-const std::vector<std::string> kLatencyGatedSeries = {
-    "pipeline.load.latency_ns.p50",
-    "pipeline.load.latency_ns.p99",
-};
-
-/// --mode cluster gates the multi-device router tier. Two probes share one
-/// registry: a deterministic Functional session replay across the shards
-/// with a mid-replay device failure (pins the router.* rebalance counters
-/// and the per-shard device.<k>.serve.batches exactly), and a Timed
-/// scatter/gather scaling probe publishing router.scan.scaling_ratio =
-/// makespan(1 device) / makespan(N devices). The degraded
-/// --cluster-devices 1 run must FAIL: the ratio collapses to 1.0, no
-/// rebalance fires, and the device.1..3 series never exist.
-const std::vector<std::string> kClusterGatedSeries = {
-    "router.sessions.opened",
-    "router.feeds",
-    "router.rebalances",
-    "router.sessions.rebalanced",
-    "router.scan.scaling_ratio",
-    "device.0.serve.batches",
-    "device.1.serve.batches",
-    "device.2.serve.batches",
-    "device.3.serve.batches",
-};
-
-/// --mode slo gates the health monitor's verdicts over the 4-device
-/// reference replay. Everything except feed_p99_ns is exact (Functional
-/// sim, seeded traffic, deterministic placement); the p99 is wall-clock and
-/// banded wide.
-const std::vector<std::string> kSloGatedSeries = {
-    "router.sessions.opened",
-    "router.feeds",
-    "health.0.state",
-    "health.1.state",
-    "health.2.state",
-    "health.3.state",
-    "health.0.error_rate",
-    "health.0.breaches",
-    "health.0.feed_p99_ns",
-};
-
-/// --mode dispatch pins the dispatcher's routing census and acceptance
-/// ratios over the deterministic three-family workload. Everything is
-/// modeled (cpumodel / gpusim Timed), so every series is exact; the two
-/// gate ratios are the same criteria ext_dispatch enforces.
-const std::vector<std::string> kDispatchGatedSeries = {
-    "dispatch.decisions.serial",
-    "dispatch.decisions.parallel",
-    "dispatch.decisions.gpu",
-    "dispatch.mispredictions",
-    "dispatch.gate.single_family_min_ratio",
-    "dispatch.gate.mixed_win_ratio",
-};
-
 telemetry::MetricsSnapshot run_workload(const ArgParser& args) {
   const auto size = static_cast<std::uint64_t>(args.get_bytes("size"));
   const std::uint64_t pool_bytes = 4u << 20;
@@ -183,12 +102,10 @@ telemetry::MetricsSnapshot run_workload(const ArgParser& args) {
   opt.pool_depth = static_cast<std::uint32_t>(args.get_int("pool-depth"));
   opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
   opt.mode = gpusim::SimMode::Timed;
-  opt.device_memory_bytes = 1u << 30;
   opt.telemetry.metrics = &registry;
 
   DeviceOptions dopt;
-  dopt.gpu = opt.gpu;
-  dopt.memory_bytes = opt.device_memory_bytes;
+  dopt.memory_bytes = 1u << 30;
   Result<Device> device = Device::create(dopt);
   ACGPU_CHECK(device.is_ok(), device.status().to_string());
   Result<Engine> engine = Engine::create(device.value(), patterns, opt);
@@ -217,13 +134,13 @@ telemetry::MetricsSnapshot run_serve_workload(const ArgParser& args) {
   telemetry::MetricsRegistry registry;
   serve::ServeOptions opt;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.engine.telemetry.metrics = &registry;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.max_sessions = 32;
   opt.max_queue_chunks = 8;
   opt.coalesce_bytes = 8 * kChunk;
   opt.admission = serve::AdmissionPolicy::kReject;
-  opt.metrics = &registry;
 
   Result<serve::StreamService> service = serve::StreamService::create(
       ac::PatternSet({"he", "she", "his", "hers", "ab"}), opt);
@@ -297,10 +214,8 @@ telemetry::MetricsSnapshot run_latency_workload(const ArgParser& args) {
   opt.pool_depth = static_cast<std::uint32_t>(args.get_int("pool-depth"));
   opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
   opt.mode = gpusim::SimMode::Timed;
-  opt.device_memory_bytes = 1u << 30;
   DeviceOptions dopt;
-  dopt.gpu = opt.gpu;
-  dopt.memory_bytes = opt.device_memory_bytes;
+  dopt.memory_bytes = 1u << 30;
   Result<Device> device = Device::create(dopt);
   ACGPU_CHECK(device.is_ok(), device.status().to_string());
   Result<Engine> engine = Engine::create(device.value(), patterns, opt);
@@ -347,11 +262,17 @@ telemetry::MetricsSnapshot run_latency_workload(const ArgParser& args) {
   return registry.snapshot();
 }
 
-/// The cluster workload behind kClusterGatedSeries (see its comment). Both
-/// probes are fully seeded and single-threaded on the caller side, so every
-/// gated counter is bit-deterministic; each migrated session is also
-/// verified against its serial reference, so the gate doubles as a
-/// zero-loss rebalance check.
+/// The cluster workload. Two probes share one registry: a deterministic
+/// Functional session replay across the shards with a mid-replay device
+/// failure (pins the router.* rebalance counters and the per-shard
+/// device.<k>.serve.batches exactly), and a Timed scatter/gather scaling
+/// probe publishing router.scan.scaling_ratio = makespan(1 device) /
+/// makespan(N devices). The degraded --cluster-devices 1 run must FAIL: the
+/// ratio collapses to 1.0, no rebalance fires, and the device.1..3 series
+/// never exist. Both probes are fully seeded and single-threaded on the
+/// caller side, so every gated counter is bit-deterministic; each migrated
+/// session is also verified against its serial reference, so the gate
+/// doubles as a zero-loss rebalance check.
 telemetry::MetricsSnapshot run_cluster_workload(const ArgParser& args) {
   const auto devices =
       static_cast<std::uint32_t>(args.get_int("cluster-devices"));
@@ -371,8 +292,8 @@ telemetry::MetricsSnapshot run_cluster_workload(const ArgParser& args) {
     cluster::ClusterOptions opt;
     opt.devices = devices;
     opt.engine.mode = gpusim::SimMode::Functional;
-    opt.engine.gpu.num_sms = 4;
-    opt.engine.device_memory_bytes = 64u << 20;
+    opt.device.gpu.num_sms = 4;
+    opt.device.memory_bytes = 64u << 20;
     opt.engine.threads_per_block = 64;
     opt.max_sessions_per_shard = kSessions;
     opt.coalesce_bytes = 8 * kChunk;
@@ -442,7 +363,7 @@ telemetry::MetricsSnapshot run_cluster_workload(const ArgParser& args) {
       opt.engine.threads_per_block = 192;
       opt.engine.streams = static_cast<std::uint32_t>(args.get_int("streams"));
       opt.engine.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
-      opt.engine.device_memory_bytes = 1u << 30;
+      opt.device.memory_bytes = 1u << 30;
       Result<cluster::Router> router = cluster::Router::create(patterns, opt);
       ACGPU_CHECK(router.is_ok(), router.status().to_string());
       Result<cluster::ClusterScanResult> scan =
@@ -458,7 +379,7 @@ telemetry::MetricsSnapshot run_cluster_workload(const ArgParser& args) {
   return registry.snapshot();
 }
 
-/// The SLO reference replay behind kSloGatedSeries: 16 seeded streams
+/// The SLO reference replay: 16 seeded streams
 /// across 4 shards (4 sessions each, deterministic placement), the
 /// serving-default policy with a window sized so every shard's last
 /// evaluation lands exactly on its final feed. In the reference run no
@@ -477,8 +398,8 @@ telemetry::MetricsSnapshot run_slo_workload(const ArgParser& args) {
   cluster::ClusterOptions opt;
   opt.devices = 4;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.max_sessions_per_shard = kSessions;
   opt.coalesce_bytes = 8 * kChunk;
@@ -535,7 +456,7 @@ telemetry::MetricsSnapshot run_slo_workload(const ArgParser& args) {
   return registry.snapshot();
 }
 
-/// The dispatch workload behind kDispatchGatedSeries: ext_dispatch's
+/// The dispatch workload: ext_dispatch's
 /// sweep at its default shape (harness/dispatch_experiment.h). Everything
 /// is modeled, so the decision census, the misprediction count, and both
 /// acceptance ratios are bit-deterministic. --dispatch-force worst swaps
@@ -609,8 +530,8 @@ int main(int argc, char** argv) {
   args.add_flag("seed", "workload seed", "780");
   args.add_flag("snapshot", "also dump the snapshot JSON here (empty = skip)", "");
   args.add_flag("write-baseline",
-                "instead of gating, re-band the gated series around this run "
-                "and write the baseline here",
+                "instead of gating, re-band the checks this baseline file "
+                "names around this run and rewrite it",
                 "");
   args.add_flag("slack", "tolerance band for --write-baseline (fraction)", "0.05");
   args.add_bool_flag("quiet", "suppress the verdict table");
@@ -621,19 +542,13 @@ int main(int argc, char** argv) {
                     mode == "cluster" || mode == "slo" || mode == "dispatch",
                 "--mode must be pipeline, serve, latency, cluster, slo, or "
                 "dispatch, got '" << mode << "'");
-    const bool serve_mode = mode == "serve";
-    const bool latency_mode = mode == "latency";
-    const bool cluster_mode = mode == "cluster";
-    const bool slo_mode = mode == "slo";
-    const bool dispatch_mode = mode == "dispatch";
-
     const telemetry::MetricsSnapshot snapshot =
-        serve_mode      ? run_serve_workload(args)
-        : latency_mode  ? run_latency_workload(args)
-        : cluster_mode  ? run_cluster_workload(args)
-        : slo_mode      ? run_slo_workload(args)
-        : dispatch_mode ? run_dispatch_workload(args)
-                        : run_workload(args);
+        mode == "serve"      ? run_serve_workload(args)
+        : mode == "latency"  ? run_latency_workload(args)
+        : mode == "cluster"  ? run_cluster_workload(args)
+        : mode == "slo"      ? run_slo_workload(args)
+        : mode == "dispatch" ? run_dispatch_workload(args)
+                             : run_workload(args);
 
     const std::string snapshot_path = args.get("snapshot");
     if (!snapshot_path.empty()) {
@@ -642,64 +557,38 @@ int main(int argc, char** argv) {
       snapshot.write_json(out);
     }
 
+    // --write-baseline re-bands the checks its file names; otherwise the
+    // file named by --baseline is gated.
     const std::string write_path = args.get("write-baseline");
-    if (!write_path.empty()) {
-      std::ofstream out(write_path);
-      ACGPU_CHECK(out.good(), "cannot write " << write_path);
-      const std::vector<std::string>& gated =
-          serve_mode      ? kServeGatedSeries
-          : latency_mode  ? kLatencyGatedSeries
-          : cluster_mode  ? kClusterGatedSeries
-          : slo_mode      ? kSloGatedSeries
-          : dispatch_mode ? kDispatchGatedSeries
-                          : kGatedSeries;
-      telemetry::write_baseline(snapshot, gated, args.get_double("slack"), out);
-      std::printf("check_regression: wrote %s (re-banded %zu series)\n",
-                  write_path.c_str(), gated.size());
-      return 0;
-    }
-
-    const std::string baseline_path = args.get("baseline");
+    const std::string baseline_path =
+        write_path.empty() ? args.get("baseline") : write_path;
     Result<telemetry::RegressionBaseline> baseline =
         telemetry::parse_baseline(read_file(baseline_path));
     ACGPU_CHECK(baseline.is_ok(), baseline.status().to_string());
+
+    if (!write_path.empty()) {
+      std::vector<std::string> names;
+      for (const telemetry::RegressionCheck& check : baseline.value().checks)
+        names.push_back(check.name);
+      // Banded in memory first: a series missing from the snapshot throws
+      // here and leaves the file as it was.
+      std::ostringstream text;
+      telemetry::write_baseline(snapshot, names, args.get_double("slack"), text);
+      std::ofstream out(write_path);
+      out << text.str();
+      ACGPU_CHECK(out.good(), "cannot write " << write_path);
+      std::printf("check_regression: wrote %s (re-banded %zu series)\n",
+                  write_path.c_str(), names.size());
+      return 0;
+    }
 
     const telemetry::RegressionVerdict verdict =
         telemetry::check_regression(snapshot, baseline.value());
     if (!args.get_bool("quiet"))
       telemetry::write_verdict_table(snapshot, baseline.value(), std::cout);
     if (verdict.pass()) {
-      if (serve_mode)
-        std::printf("check_regression: PASS (%zu checks, serve @ %lld sessions)\n",
-                    verdict.checks,
-                    static_cast<long long>(args.get_int("serve-sessions")));
-      else if (latency_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, latency @ %lld superbatches "
-            "every %lld us, %lld stream(s))\n",
-            verdict.checks,
-            static_cast<long long>(args.get_int("latency-batches")),
-            static_cast<long long>(args.get_int("latency-interval-us")),
-            static_cast<long long>(args.get_int("streams")));
-      else if (cluster_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, cluster @ %lld device(s))\n",
-            verdict.checks,
-            static_cast<long long>(args.get_int("cluster-devices")));
-      else if (slo_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, slo @ 4 devices, every "
-            "shard ok)\n",
-            verdict.checks);
-      else if (dispatch_mode)
-        std::printf(
-            "check_regression: PASS (%zu checks, dispatch @ 3 families, "
-            "force=%s)\n",
-            verdict.checks, args.get("dispatch-force").c_str());
-      else
-        std::printf("check_regression: PASS (%zu checks, %s @ %lld stream(s))\n",
-                    verdict.checks, format_bytes(args.get_bytes("size")).c_str(),
-                    static_cast<long long>(args.get_int("streams")));
+      std::printf("check_regression: PASS (%zu checks, mode %s)\n",
+                  verdict.checks, mode.c_str());
       return 0;
     }
     std::printf("check_regression: FAIL (%zu of %zu checks violated)\n",

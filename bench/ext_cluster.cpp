@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     opt.engine.threads_per_block = 192;
     opt.engine.streams = static_cast<std::uint32_t>(args.get_int("streams"));
     opt.engine.batch_bytes = args.get_bytes("batch");
-    opt.engine.device_memory_bytes = 1ull << 30;  // GTX 285: 1 GB per device
+    opt.device.memory_bytes = 1ull << 30;  // GTX 285: 1 GB per device
 
     auto router = cluster::Router::create(patterns, opt);
     ACGPU_CHECK(router.is_ok(), router.status().to_string());

@@ -20,10 +20,10 @@
 // always-on tier (docs/OBSERVABILITY.md).
 //
 // Two zero-cost claims are asserted, not measured:
-//  - Disabled is structurally free: with every telemetry pointer null,
-//    TelemetryOptions::enabled() is false and the pipeline's only cost is
-//    that branch — the recorder handed to the enabled runs is asserted
-//    untouched by the disabled ones (recorded() unchanged).
+//  - Disabled is structurally free: with every TelemetryOptions pointer
+//    null, the pipeline's only cost is a null check per event site — the
+//    recorder handed to the enabled runs is asserted untouched by the
+//    disabled ones (recorded() unchanged).
 //  - Zero perturbation: telemetry must observe the simulation, never steer
 //    it — the simulated makespan and match count of every enabled run are
 //    asserted bit-identical to the disabled run's.
@@ -92,15 +92,13 @@ int main(int argc, char** argv) {
       opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
       opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
       opt.mode = gpusim::SimMode::Timed;
-      opt.device_memory_bytes = 1u << 30;
       if (enabled) {
         opt.telemetry.metrics = &registry;
         opt.telemetry.recorder = &recorder;
         opt.telemetry.logger = &logger;
       }
       DeviceOptions dopt;
-      dopt.gpu = opt.gpu;
-      dopt.memory_bytes = opt.device_memory_bytes;
+      dopt.memory_bytes = 1u << 30;
       Result<Device> device = Device::create(dopt);
       ACGPU_CHECK(device.is_ok(), device.status().to_string());
       Result<Engine> engine = Engine::create(device.value(), patterns, opt);

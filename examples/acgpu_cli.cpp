@@ -117,7 +117,6 @@ int cmd_scan(const ArgParser& args, const std::vector<std::string>& files) {
       serve::ServeOptions sopt;
       sopt.engine = opt;
       sopt.admission = serve::AdmissionPolicy::kAutoFlush;
-      if (want_stats) sopt.metrics = &registry;
       Result<serve::StreamService> created =
           serve::StreamService::create(compiled, sopt);
       ACGPU_CHECK(created.is_ok(), created.status().to_string());

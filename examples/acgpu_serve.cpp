@@ -63,13 +63,13 @@ int main(int argc, char** argv) {
     telemetry::MetricsRegistry registry;
     serve::ServeOptions opt;
     opt.engine.mode = gpusim::SimMode::Functional;
-    opt.engine.gpu.num_sms = 4;
-    opt.engine.device_memory_bytes = 64u << 20;
+    opt.device.gpu.num_sms = 4;
+    opt.device.memory_bytes = 64u << 20;
     opt.max_sessions = static_cast<std::uint32_t>(sessions);
     opt.max_queue_chunks = static_cast<std::uint32_t>(args.get_int("queue-chunks"));
     opt.coalesce_bytes = static_cast<std::uint64_t>(args.get_bytes("coalesce"));
     opt.background = args.get_bool("background");
-    if (args.get_bool("stats")) opt.metrics = &registry;
+    if (args.get_bool("stats")) opt.engine.telemetry.metrics = &registry;
 
     auto service = serve::StreamService::create(
         ac::PatternSet({"he", "she", "his", "hers", "ab"}), opt);

@@ -200,8 +200,8 @@ int main(int argc, char** argv) {
     cluster::ClusterOptions opt;
     opt.devices = devices;
     opt.engine.mode = gpusim::SimMode::Functional;
-    opt.engine.gpu.num_sms = 4;
-    opt.engine.device_memory_bytes = 64u << 20;
+    opt.device.gpu.num_sms = 4;
+    opt.device.memory_bytes = 64u << 20;
     opt.max_sessions_per_shard = static_cast<std::uint32_t>(sessions) + 1;
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
     // AutoFlush only scans when a feed finds the queue full, so bound the

@@ -73,8 +73,12 @@ Status ClusterOptions::validate() const {
         "Router (per-shard prefixes); leave it empty");
   if (engine.host_observer != nullptr)
     return Status::invalid_argument(
-        "set ClusterOptions::host_observer, not engine.host_observer — the "
-        "Router wires the shared observer seam into every shard");
+        "set ClusterOptions::device.host_observer, not engine.host_observer — "
+        "the Router wires the shared observer seam into every shard");
+  if (!device.name.empty())
+    return Status::invalid_argument(
+        "ClusterOptions::device.name is managed by the Router (shard k's "
+        "device is device.<k>); leave it empty");
   if (trace && engine.telemetry.tracer != nullptr)
     return Status::invalid_argument(
         "ClusterOptions::trace manages per-shard tracers; leave "
@@ -97,8 +101,8 @@ Status ClusterOptions::validate() const {
 
 struct Router::Impl {
   struct Shard {
-    std::unique_ptr<Device> device;
-    /// Sessions and bulk scans share the service's engine: one upload.
+    /// Owns the shard's device. Sessions and bulk scans share its engine:
+    /// one upload.
     std::optional<serve::StreamService> service;
     bool failed = false;
     bool draining = false;
@@ -279,7 +283,8 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
 
   auto impl = std::make_unique<Impl>();
   impl->options = options;
-  if (options.host_observer != nullptr) impl->mu.attach(options.host_observer);
+  if (options.device.host_observer != nullptr)
+    impl->mu.attach(options.device.host_observer);
   if (options.metrics != nullptr) {
     impl->m.resolve(*options.metrics);
     impl->has_metrics = true;
@@ -317,28 +322,19 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
 
   impl->shards.reserve(options.devices);
   for (std::uint32_t k = 0; k < options.devices; ++k) {
-    const std::string prefix = "device." + std::to_string(k) + ".";
-    DeviceOptions dopt;
-    dopt.gpu = options.engine.gpu;
-    dopt.memory_bytes = options.engine.device_memory_bytes;
-    dopt.host_observer = options.host_observer;
-    dopt.name = "device." + std::to_string(k);
-    Result<Device> device = Device::create(dopt);
-    if (!device.is_ok()) return device.status();
-
     Impl::Shard shard;
-    shard.device = std::make_unique<Device>(std::move(device).value());
     if (options.trace) shard.tracer = std::make_unique<telemetry::Tracer>();
 
     serve::ServeOptions so;
     so.engine = options.engine;
-    so.engine.telemetry.metrics = options.metrics;
-    so.engine.telemetry.metrics_prefix = prefix;
-    so.engine.telemetry.tracer = shard.tracer.get();
-    so.engine.telemetry.recorder = options.recorder;
-    so.engine.telemetry.logger = options.logger;
-    so.engine.telemetry.shard = k;
-    so.device = shard.device.get();
+    so.device = options.device;
+    so.device.name = "device." + std::to_string(k);
+    so.engine.telemetry = {.metrics = options.metrics,
+                           .tracer = shard.tracer.get(),
+                           .recorder = options.recorder,
+                           .logger = options.logger,
+                           .metrics_prefix = so.device.name + ".",
+                           .shard = k};
     so.session_id_namespace = shard_namespace(k);
     so.max_sessions = options.max_sessions_per_shard;
     so.session_limits = options.session_limits;
@@ -347,12 +343,6 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
     so.coalesce_bytes = options.coalesce_bytes;
     so.background = options.background;
     so.admission = options.admission;
-    so.metrics = options.metrics;
-    so.metrics_prefix = prefix;
-    so.tracer = shard.tracer.get();
-    so.recorder = options.recorder;
-    so.shard = k;
-    so.host_observer = options.host_observer;
     so.dispatcher = options.dispatcher;
     Result<serve::StreamService> service =
         serve::StreamService::create(compiled.value(), so);
@@ -640,13 +630,14 @@ Status Router::mark_failed(std::uint32_t shard) {
   // Fail-stop: the device refuses scans from here on. Chunks already
   // accepted drain through the serve layer's exact host-DFA fallback, so
   // nothing accepted is lost.
-  sh.device->mark_failed("cluster mark_failed");
+  Device& device = sh.service->engine().device();
+  device.mark_failed("cluster mark_failed");
   sh.failed = true;
   if (im.options.recorder != nullptr)
     im.options.recorder->record(telemetry::FlightEventKind::kShardFailure,
                                 shard);
   im.log().error("cluster.shard_failed." + std::to_string(shard),
-                 "shard " + std::to_string(shard) + " (" + sh.device->name() +
+                 "shard " + std::to_string(shard) + " (" + device.name() +
                      ") marked failed; draining and migrating its sessions");
   // The black box pays off exactly here: freeze the last window of fleet
   // events + a metrics snapshot before the drain/migration churns state.
@@ -689,7 +680,7 @@ Status Router::restore(std::uint32_t shard) {
                                     " out of range (cluster has " +
                                     std::to_string(im.shards.size()) + ")");
   Impl::Shard& sh = im.shards[shard];
-  sh.device->restore();
+  sh.service->engine().device().restore();
   sh.failed = false;
   sh.draining = false;
   if (im.options.recorder != nullptr)
@@ -725,11 +716,12 @@ Result<ShardStats> Router::shard_stats(std::uint32_t shard) const {
     return Status::invalid_argument("shard " + std::to_string(shard) +
                                     " out of range (cluster has " +
                                     std::to_string(im.shards.size()) + ")");
-  const Impl::Shard& sh = im.shards[shard];
+  Impl::Shard& sh = im.shards[shard];
   ShardStats out;
   out.shard = shard;
-  out.device_id = sh.device->id();
-  out.device_name = sh.device->name();
+  const Device& device = sh.service->engine().device();
+  out.device_id = device.id();
+  out.device_name = device.name();
   out.failed = sh.failed;
   out.draining = sh.draining;
   out.homed_sessions = sh.homed;

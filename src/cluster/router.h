@@ -3,17 +3,18 @@
 //
 // The ROADMAP's top open item, and the simulated equivalent of the
 // MPI-sharded multi-GPU deployments in the related work: one process
-// compiles the dictionary once and stands up N acgpu::Devices, each holding
-// one upload of it and one StreamService shard whose Engine serves both
-// traffic paths; the Router in front partitions traffic across them:
+// compiles the dictionary once and stands up N StreamService shards, each
+// owning one acgpu::Device that holds one upload of it and one Engine that
+// serves both traffic paths; the Router in front partitions traffic across
+// them:
 //
 //                          Router ("cluster.router.mu")
 //                   one CompiledPatterns, shared read-only
 //            ┌──────────────┬──┴───────────┬──────────────┐
 //        shard 0        shard 1        shard 2         shard 3
-//      Device 0        Device 1       Device 2        Device 3
-//      └ StreamService └ StreamService └ StreamService └ StreamService
-//        └ Engine        └ Engine        └ Engine        └ Engine
+//      StreamService   StreamService  StreamService   StreamService
+//      ├ Device 0      ├ Device 1     ├ Device 2      ├ Device 3
+//      └ Engine        └ Engine       └ Engine        └ Engine
 //
 // Two traffic paths:
 //
@@ -66,11 +67,15 @@ struct ClusterOptions {
   /// Shard count = independent simulated devices (>= 1).
   std::uint32_t devices = 2;
 
-  /// Per-shard engine template. Its gpu/device_memory_bytes fields size
-  /// each shard's Device; telemetry.metrics_prefix and host_observer are
-  /// managed by the Router (per-shard prefixes, shared observer seam) and
-  /// must be left defaulted.
+  /// Per-shard engine template. Its telemetry sinks and host_observer are
+  /// managed by the Router (per-shard prefixes and tracers, the shared
+  /// observer seam) and must be left defaulted.
   EngineOptions engine;
+  /// Per-shard device template: the chip, its memory budget, and the
+  /// hostcheck audit hook, which observes the router mutex, every shard's
+  /// serve mutexes, and every device's stream/lease activity (null = off).
+  /// The Router names shard k's device "device.<k>", so leave name empty.
+  DeviceOptions device;
 
   /// Per-shard serve knobs (see serve::ServeOptions).
   std::uint32_t max_sessions_per_shard = 1024;
@@ -116,10 +121,6 @@ struct ClusterOptions {
   telemetry::SloPolicy slo;
   /// Re-judge a shard's health every N feeds routed to it (>= 1).
   std::uint32_t health_eval_interval = 16;
-
-  /// Hostcheck audit hook: observes the router mutex, every shard's serve
-  /// mutexes, and every device's stream/lease activity. Null = off.
-  gpusim::HostObserver* host_observer = nullptr;
 
   /// Adaptive backend routing (dispatch/dispatcher.h): when set, bulk
   /// scan() consults the cost model first — a CPU decision runs the whole

@@ -111,7 +111,6 @@ PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
     base.threads_per_block = config.threads_per_block;
     base.match_capacity = config.match_capacity;
     base.mode = gpusim::SimMode::Timed;
-    base.sample_waves = config.sample_waves;
 
     // The single-buffer baseline: one batch spanning the whole input on one
     // stream, so the H2D copy, the kernel, and the D2H copy run strictly in

@@ -45,7 +45,6 @@ struct PipelineSweepConfig {
   /// Timed mode never collects matches; capacity only sizes the device
   /// buffer and the D2H payload estimate.
   std::uint32_t match_capacity = 8;
-  std::uint32_t sample_waves = 3;
 
   std::uint64_t seed = 780;
   std::uint64_t pattern_pool_bytes = 4ull << 20;

@@ -68,11 +68,8 @@ HostAuditOutcome audit_pipeline(const CompiledWorkload& workload,
     eo.split_readback = config.split_readback;
     eo.batch_bytes = spec.batch_bytes;
     eo.match_capacity = capacity;
-    eo.host_observer = &recorder;
     DeviceOptions dopt;
-    dopt.gpu = eo.gpu;
-    dopt.memory_bytes = eo.device_memory_bytes;
-    dopt.host_observer = eo.host_observer;
+    dopt.host_observer = &recorder;  // the engine inherits it
     Result<Device> device = Device::create(dopt);
     ACGPU_CHECK(device.is_ok(), "hostcheck audit: Device::create failed on "
                                  << workload.name() << ": "
@@ -107,7 +104,7 @@ HostAuditOutcome audit_serve(const CompiledWorkload& workload,
   serve::ServeOptions so;
   so.engine.batch_bytes = spec.batch_bytes;
   so.background = true;
-  so.host_observer = &recorder;
+  so.device.host_observer = &recorder;
   Result<serve::StreamService> service =
       serve::StreamService::create(workload.patterns(), so);
   ACGPU_CHECK(service.is_ok(), "hostcheck audit: StreamService::create failed on "
@@ -177,7 +174,7 @@ HostAuditOutcome audit_cluster(const CompiledWorkload& workload,
   co.engine.batch_bytes = spec.batch_bytes;
   co.engine.streams = std::max(1u, streams);
   co.background = true;  // one pump thread per shard: N devices in flight
-  co.host_observer = &recorder;
+  co.device.host_observer = &recorder;
   Result<cluster::Router> router =
       cluster::Router::create(workload.patterns(), co);
   ACGPU_CHECK(router.is_ok(), "hostcheck audit: Router::create failed on "

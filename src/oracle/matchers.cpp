@@ -423,8 +423,8 @@ class ServeMatcher final : public Matcher {
     opt.engine.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.engine.threads_per_block = 64;
     opt.engine.mode = gpusim::SimMode::Functional;
-    opt.engine.gpu = sim_config();
-    opt.engine.device_memory_bytes = 64u << 20;
+    opt.device.gpu = sim_config();
+    opt.device.memory_bytes = 64u << 20;
     // Tiny bounds so admission control and coalescing both fire; kAutoFlush
     // keeps the adapter total (it scans inline instead of rejecting).
     opt.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
@@ -516,8 +516,8 @@ class RouterMatcher final : public Matcher {
     opt.engine.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.engine.threads_per_block = 64;
     opt.engine.mode = gpusim::SimMode::Functional;
-    opt.engine.gpu = sim_config();
-    opt.engine.device_memory_bytes = 64u << 20;
+    opt.device.gpu = sim_config();
+    opt.device.memory_bytes = 64u << 20;
     opt.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
     opt.coalesce_bytes = 1 + rng.next_below(4096);
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
@@ -640,8 +640,8 @@ class DispatchMatcher final : public Matcher {
     opt.engine.chunk_bytes = draw_pipeline_chunk(w, rng);
     opt.engine.threads_per_block = 64;
     opt.engine.mode = gpusim::SimMode::Functional;
-    opt.engine.gpu = sim_config();
-    opt.engine.device_memory_bytes = 64u << 20;
+    opt.device.gpu = sim_config();
+    opt.device.memory_bytes = 64u << 20;
     opt.coalesce_bytes = 1 + rng.next_below(4096);
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
     opt.dispatcher = &dispatcher;

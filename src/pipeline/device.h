@@ -34,7 +34,8 @@
 namespace acgpu {
 
 struct DeviceOptions {
-  /// Simulated chip model and its memory budget.
+  /// Simulated chip model and its memory budget: the only place either is
+  /// set (ServeOptions::device and ClusterOptions::device are these too).
   gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   std::size_t memory_bytes = 256u << 20;
 

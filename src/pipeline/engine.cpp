@@ -11,30 +11,6 @@ namespace {
 /// Process-unique engine ids, across every device (see Engine::id).
 std::atomic<std::uint32_t> g_next_engine_id{0};
 
-pipeline::PipelineOptions to_pipeline_options(const EngineOptions& options) {
-  pipeline::PipelineOptions popt;
-  popt.variant = options.variant;
-  popt.scheme = options.scheme;
-  popt.stt_placement = options.stt_placement;
-  popt.streams = options.streams;
-  popt.batch_bytes = options.batch_bytes;
-  popt.pool_depth = options.pool_depth;
-  popt.readback_depth = options.readback_depth;
-  popt.split_readback = options.split_readback;
-  popt.chunk_bytes = options.chunk_bytes;
-  popt.threads_per_block = options.threads_per_block;
-  popt.match_capacity = options.match_capacity;
-  popt.mode = options.mode;
-  popt.metrics = options.telemetry.metrics;
-  popt.metrics_prefix = options.telemetry.metrics_prefix;
-  popt.tracer = options.telemetry.tracer;
-  popt.recorder = options.telemetry.recorder;
-  popt.logger = options.telemetry.logger;
-  popt.shard = options.telemetry.shard;
-  popt.host_observer = options.host_observer;
-  return popt;
-}
-
 }  // namespace
 
 Result<CompiledPatterns> CompiledPatterns::compile(
@@ -78,11 +54,9 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
   // wired somewhere else explicitly.
   if (opts.host_observer == nullptr)
     opts.host_observer = device.host_observer();
-  const pipeline::PipelineOptions popt = to_pipeline_options(opts);
-  if (Status s = popt.validate(); !s) return s;
+  if (Status s = opts.validate(); !s) return s;
 
   Engine engine;
-  engine.options_ = std::move(opts);
   engine.id_ = g_next_engine_id.fetch_add(1, std::memory_order_relaxed);
   engine.device_ = &device;
   engine.compiled_ = compiled;
@@ -98,22 +72,48 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
         "the automaton upload needs " + std::to_string(needed) +
         " B but device '" + device.name() + "' has " + std::to_string(free_bytes) +
         " B free");
+  engine.upload_mark_ = mem.mark();
   try {
     if (pfac) {
       engine.dpfac_ =
           std::make_unique<kernels::DevicePfac>(mem, *engine.compiled_.pfac);
       engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-          device.gpu(), mem, *engine.dpfac_, popt);
+          device.gpu(), mem, *engine.dpfac_, std::move(opts));
     } else {
       engine.ddfa_ =
           std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa);
       engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-          device.gpu(), mem, *engine.ddfa_, popt);
+          device.gpu(), mem, *engine.ddfa_, std::move(opts));
     }
   } catch (const std::exception& e) {
+    mem.release(engine.upload_mark_);
     return Status::from_exception(e);
   }
+  engine.upload_end_ = mem.mark();
   return engine;
+}
+
+Engine::~Engine() { release_upload(); }
+
+Engine& Engine::operator=(Engine&& other) noexcept {
+  if (this == &other) return *this;
+  release_upload();
+  id_ = other.id_;
+  device_ = other.device_;
+  upload_mark_ = other.upload_mark_;
+  upload_end_ = other.upload_end_;
+  compiled_ = std::move(other.compiled_);
+  ddfa_ = std::move(other.ddfa_);
+  dpfac_ = std::move(other.dpfac_);
+  pipeline_ = std::move(other.pipeline_);
+  return *this;
+}
+
+void Engine::release_upload() {
+  if (pipeline_ == nullptr) return;  // moved from: the upload moved too
+  std::scoped_lock lock(device_->scan_mutex());
+  gpusim::DeviceMemory& mem = device_->memory();
+  if (mem.mark() == upload_end_) mem.release(upload_mark_);
 }
 
 Result<ScanResult> Engine::scan(std::string_view text) {
@@ -122,7 +122,7 @@ Result<ScanResult> Engine::scan(std::string_view text) {
   if (!device_->healthy())
     return Status::unavailable("device '" + device_->name() +
                                "' is marked failed: " + device_->fail_reason());
-  ACGPU_TRACE_SPAN(options_.telemetry.tracer, "engine.scan");
+  ACGPU_TRACE_SPAN(options().telemetry.tracer, "engine.scan");
   // Engines sharing the device share its arena (each run marks/releases a
   // per-run region), so scans on one device are serialized here. Engines on
   // different devices proceed concurrently.

@@ -338,6 +338,7 @@ double MatchPipeline::tail_share(bool packed) const {
 
 Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   const PipelineOptions& opt = options_;
+  const TelemetryOptions& tel = opt.telemetry;
   if (Status s = opt.validate(); !s) return s;
   if (opt.variant == KernelVariant::kPfac) {
     if (dpfac_ == nullptr)
@@ -349,7 +350,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   PipelineResult result;
   if (text.empty()) return result;
 
-  telemetry::Span run_span(opt.tracer, "pipeline.run");
+  telemetry::Span run_span(tel.tracer, "pipeline.run");
 
   const std::uint32_t max_len = opt.variant == KernelVariant::kPfac
                                     ? dpfac_->max_pattern_length()
@@ -359,9 +360,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   const StagingPlan plan = resolve_staging(opt, config_, text.size(), packed_text,
                                            tail_share(packed_text));
   if (plan.streams_clamped)
-    warn_streams_clamped(opt.logger, opt.streams, plan.pool_depth,
+    warn_streams_clamped(tel.logger, opt.streams, plan.pool_depth,
                          plan.effective_streams);
-  if (opt.tracer != nullptr) {
+  if (tel.tracer != nullptr) {
     run_span.annotate("batches", std::to_string(plan.batches));
     run_span.annotate("batch_bytes", std::to_string(plan.batch_bytes));
     run_span.annotate("packed", plan.packed ? "true" : "false");
@@ -435,8 +436,8 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       // Readback staging lease: held from here (the batch's kernel has long
       // ended) to D2H end, recycled independently of the upload pool.
       const StagingPool::Lease rb = readback.try_acquire().value();
-      if (opt.recorder != nullptr)
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseGrant, opt.shard,
+      if (tel.recorder != nullptr)
+        tel.recorder->record(telemetry::FlightEventKind::kLeaseGrant, tel.shard,
                              rb.index, 0, /*code=*/1);
       t.readback_wait_seconds =
           std::max(0.0, rb.ready - sim.stream_ready(pending->stream));
@@ -445,11 +446,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           pending->stream, t.output_bytes, "d2h b" + std::to_string(t.index));
       t.complete_seconds = sim.op_end(d2h_id);
       readback.release(rb.index, t.complete_seconds);
-      if (opt.recorder != nullptr) {
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
-                             opt.shard, rb.index, 0, /*code=*/1);
-        opt.recorder->record(telemetry::FlightEventKind::kBatchRetire,
-                             opt.shard, t.index, t.output_bytes);
+      if (tel.recorder != nullptr) {
+        tel.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
+                             tel.shard, rb.index, 0, /*code=*/1);
+        tel.recorder->record(telemetry::FlightEventKind::kBatchRetire,
+                             tel.shard, t.index, t.output_bytes);
       }
       completion.push_back(t.complete_seconds);
       t.queue_depth = 1;
@@ -479,7 +480,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       const gpusim::StreamId stream =
           static_cast<gpusim::StreamId>(b % plan.effective_streams);
 
-      ACGPU_TRACE_SPAN(opt.tracer, "pipeline.batch");
+      ACGPU_TRACE_SPAN(tel.tracer, "pipeline.batch");
       // A kShared slice, overlap carry included, of at most 4 distinct byte
       // values ships at 2 bits per symbol; the kernel's staging unpacks it.
       const std::string_view slice_text = text.substr(base, slice);
@@ -502,10 +503,10 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       // single-threaded driver releases every lease within its iteration,
       // so the pool cannot be exhausted here (value() is safe).
       const StagingPool::Lease up = upload.try_acquire().value();
-      if (opt.recorder != nullptr) {
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseGrant, opt.shard,
+      if (tel.recorder != nullptr) {
+        tel.recorder->record(telemetry::FlightEventKind::kLeaseGrant, tel.shard,
                              up.index, 0, /*code=*/0);
-        opt.recorder->record(telemetry::FlightEventKind::kBatchIssue, opt.shard,
+        tel.recorder->record(telemetry::FlightEventKind::kBatchIssue, tel.shard,
                              b, trace.staged_bytes);
       }
       const gpusim::DevAddr dst = up.addr;
@@ -540,12 +541,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         // Recycle the previous batch's match buffer — unless an access
         // observer is attached, whose cross-launch global-write shadow would
         // misread address reuse as a race.
-        ACGPU_TRACE_SPAN(opt.tracer, "kernel.simulate");
+        ACGPU_TRACE_SPAN(tel.tracer, "kernel.simulate");
         if (opt.observer == nullptr) mem_.release(batch_mark);
 
         gpusim::LaunchOptions sim_opt;
         sim_opt.mode = opt.mode;
-        sim_opt.sample_waves = opt.sample_waves;
         sim_opt.observer = opt.observer;
 
         double scale = 1.0;
@@ -578,7 +578,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           spec.chunk_bytes = g.chunk_bytes;
           spec.threads_per_block = g.threads_per_block;
           spec.match_capacity = opt.match_capacity;
-          spec.stt_placement = opt.stt_placement;
           spec.sim = sim_opt;
           kernels::AcLaunchOutcome out =
               kernels::run_ac_kernel_stream(sim, stream, *ddfa_, dst, slice, spec, symbols,
@@ -617,9 +616,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       // buffer recycles at kernel end, not D2H end — what lets a deep pool
       // keep feeding lanes while readbacks drain.
       upload.release(up.index, sim.stream_ready(stream));
-      if (opt.recorder != nullptr)
-        opt.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
-                             opt.shard, up.index, 0, /*code=*/0);
+      if (tel.recorder != nullptr)
+        tel.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
+                             tel.shard, up.index, 0, /*code=*/0);
 
       // Issue the PREVIOUS batch's D2H now that this batch's H2D and kernel
       // are in the copy/compute queues, then hold this one back in turn.
@@ -661,7 +660,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
               if (a.issue_index != b.issue_index) return a.issue_index < b.issue_index;
               return a.index < b.index;
             });
-  if (opt.metrics != nullptr) publish_run(result, *opt.metrics, opt.metrics_prefix);
+  if (tel.metrics != nullptr) publish_run(result, *tel.metrics, tel.metrics_prefix);
   return result;
 }
 

@@ -56,6 +56,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -80,10 +81,43 @@ enum class KernelVariant : std::uint8_t { kGlobalOnly, kShared, kPfac };
 
 const char* to_string(KernelVariant variant);
 
+/// Observability sinks (telemetry/metrics_registry.h, telemetry/trace.h).
+/// All default to null = telemetry off, which costs nothing on the scan path
+/// beyond a branch per batch. When set, every run publishes gpusim.* and
+/// pipeline.* series into the registry and records engine.scan ->
+/// pipeline.run -> pipeline.batch -> kernel.simulate spans;
+/// pipeline/telemetry_export.h turns the result + tracer into a Chrome
+/// trace, and examples/acgpu_prof.cpp is the ready-made frontend. A
+/// serve::StreamService publishes its serve.* series and serve.superbatch
+/// spans through the same sinks.
+struct TelemetryOptions {
+  telemetry::MetricsRegistry* metrics = nullptr;
+  telemetry::Tracer* tracer = nullptr;
+  /// Always-on flight recorder (telemetry/flight_recorder.h): batch
+  /// issue/retire, staging-lease and serve admission events land in its
+  /// per-thread rings for postmortem dumps. Null = no recording (a branch
+  /// per event).
+  telemetry::FlightRecorder* recorder = nullptr;
+  /// Severity/rate-limited log sink (telemetry/logger.h) for one-time
+  /// warnings (stream clamps) and failure events. Null = the process-global
+  /// logger, which writes to stderr.
+  telemetry::Logger* logger = nullptr;
+  /// Prepended to every published series name ("device.3." turns
+  /// pipeline.runs into device.3.pipeline.runs). The cluster tier sets it
+  /// per shard so N devices' series never collide; "" keeps the classic
+  /// single-device names.
+  std::string metrics_prefix;
+  /// Shard/device index stamped on flight-recorder events (0 standalone).
+  std::uint32_t shard = 0;
+};
+
 struct PipelineOptions {
+  /// Device kernel: the paper's shared-memory kernel (default), the
+  /// global-memory ablation, or PFAC.
   KernelVariant variant = KernelVariant::kShared;
+  /// Shared-memory store scheme (kShared only); the diagonal scheme is the
+  /// paper's bank-conflict-free layout.
   kernels::StoreScheme scheme = kernels::StoreScheme::kDiagonal;
-  kernels::SttPlacement stt_placement = kernels::SttPlacement::kTexture;
 
   /// Streams (pipeline lanes) to cycle batches across. 1 = no overlap (the
   /// baseline the BENCH_pipeline numbers compare against). Clamped to the
@@ -143,7 +177,6 @@ struct PipelineOptions {
   /// conformance/audit path). Timed: sampled-wave timing per batch — the
   /// throughput path; match collection is skipped.
   gpusim::SimMode mode = gpusim::SimMode::Functional;
-  std::uint32_t sample_waves = 3;
   /// Timed mode only: batches with the same slice length reuse the first
   /// batch's simulated kernel time instead of re-sampling it (they are
   /// homogeneous by construction), making 100+-batch sweeps cheap.
@@ -155,27 +188,12 @@ struct PipelineOptions {
   /// Host-pipeline audit hook (gpusim/host_observer.h): records every stream
   /// op, staging lease, and ordering edge of the run for the hostcheck
   /// happens-before auditor. Orthogonal to `observer` (which audits device
-  /// thread interleavings inside one kernel). Null = off, zero cost.
+  /// thread interleavings inside one kernel). Null = off, zero cost; an
+  /// Engine left at null inherits its Device's observer.
   gpusim::HostObserver* host_observer = nullptr;
 
-  /// Telemetry sinks (telemetry/metrics_registry.h, telemetry/trace.h).
-  /// Null = off, and the hot path pays one branch per batch. When set, the
-  /// run publishes gpusim.* and pipeline.* series into the registry and
-  /// records host-side spans (run -> batch -> kernel) in the tracer.
-  telemetry::MetricsRegistry* metrics = nullptr;
-  telemetry::Tracer* tracer = nullptr;
-  /// Flight recorder (telemetry/flight_recorder.h): batch issue/retire and
-  /// staging-lease grant/release events. Null = off, one branch per event.
-  telemetry::FlightRecorder* recorder = nullptr;
-  /// Log sink for one-time warnings (the stream clamp). Null = the
-  /// process-global logger (stderr).
-  telemetry::Logger* logger = nullptr;
-  /// Prepended to every published series name ("device.3." =>
-  /// device.3.pipeline.runs, device.3.gpusim.tex.hits, ...). The cluster
-  /// tier sets one per shard; "" keeps the classic single-device names.
-  std::string metrics_prefix;
-  /// Shard/device index stamped on flight-recorder events (0 standalone).
-  std::uint32_t shard = 0;
+  /// Metrics/tracing sinks; zero-cost when left defaulted (off).
+  TelemetryOptions telemetry;
 
   /// Rejects inconsistent combinations (PFAC with a store scheme override,
   /// zero streams, ...). Streams above the pool depth are NOT an error —

@@ -100,10 +100,9 @@ struct MetricHandles {
 
 struct StreamService::Impl {
   ServeOptions options;
-  /// Private device when ServeOptions::device is null (sized by the
-  /// engine options' gpu/device_memory_bytes). Declared before `engine`
-  /// so the engine is destroyed first.
-  std::unique_ptr<Device> owned_device;
+  /// Built from ServeOptions::device. Declared before `engine` so the
+  /// engine is destroyed first.
+  std::unique_ptr<Device> device;
   /// Sessions read the engine's shared host automaton: its DFA, and for the
   /// kPfacTail boundary (kPfac variant) its PFAC automaton.
   Engine engine;
@@ -128,7 +127,7 @@ struct StreamService::Impl {
 
   Impl(ServeOptions opts, std::unique_ptr<Device> dev, Engine eng)
       : options(std::move(opts)),
-        owned_device(std::move(dev)),
+        device(std::move(dev)),
         engine(std::move(eng)),
         boundary(options.engine.variant == pipeline::KernelVariant::kPfac
                      ? BoundaryMode::kPfacTail
@@ -144,21 +143,32 @@ struct StreamService::Impl {
     if (options.admission == AdmissionPolicy::kDefault)
       options.admission = options.background ? AdmissionPolicy::kReject
                                              : AdmissionPolicy::kAutoFlush;
-    if (options.host_observer != nullptr) {
+    if (gpusim::HostObserver* observer = device->host_observer()) {
       // Attach before the worker exists: TrackedMutex::attach is not safe
       // against a concurrent lock().
-      mu.attach(options.host_observer);
-      manager.attach_observer(options.host_observer);
-      scheduler.attach_observer(options.host_observer);
+      mu.attach(observer);
+      manager.attach_observer(observer);
+      scheduler.attach_observer(observer);
     }
-    if (options.metrics != nullptr) {
-      m.resolve(*options.metrics, options.metrics_prefix);
+    if (telemetry().metrics != nullptr) {
+      m.resolve(*telemetry().metrics, telemetry().metrics_prefix);
       has_metrics = true;
     }
     if (options.background) worker = std::thread([this] { worker_loop(); });
   }
 
   ~Impl() { shutdown(); }
+
+  /// The engine's sinks, which the service publishes through too.
+  const pipeline::TelemetryOptions& telemetry() const {
+    return options.engine.telemetry;
+  }
+
+  void record(telemetry::FlightEventKind kind, std::uint64_t a,
+              std::uint64_t b = 0, std::uint32_t code = 0) const {
+    if (telemetry().recorder != nullptr)
+      telemetry().recorder->record(kind, telemetry().shard, a, b, code);
+  }
 
   const ac::PfacAutomaton* pfac() const { return engine.compiled().pfac.get(); }
 
@@ -188,8 +198,8 @@ struct StreamService::Impl {
     // carries the LIST of member trace ids — the cross-batch links that let
     // one Perfetto search join a request's router.feed to the batch that
     // served it.
-    telemetry::Span superbatch(options.tracer, "serve.superbatch");
-    if (options.tracer != nullptr) {
+    telemetry::Span superbatch(telemetry().tracer, "serve.superbatch");
+    if (telemetry().tracer != nullptr) {
       std::vector<std::uint64_t> ids;
       std::vector<SessionId> sessions;
       for (const ChunkSpan& cs : batch.spans) {
@@ -302,37 +312,6 @@ StreamService::~StreamService() {
   if (impl_) impl_->shutdown();
 }
 
-namespace {
-
-/// The service-level hostcheck hook covers the engine too, unless the
-/// caller wired the engine to a different observer explicitly.
-ServeOptions with_forwarded_observer(const ServeOptions& options) {
-  ServeOptions opts = options;
-  if (opts.host_observer != nullptr && opts.engine.host_observer == nullptr)
-    opts.engine.host_observer = opts.host_observer;
-  return opts;
-}
-
-/// Resolves the device the service's engine binds to: the caller's shared
-/// Device, or a private one sized by the engine options' gpu/memory fields.
-/// On success `*device` points at the live device (owned or not).
-Status resolve_device(const ServeOptions& opts,
-                      std::unique_ptr<Device>& owned, Device** device) {
-  *device = opts.device;
-  if (*device != nullptr) return Status::ok();
-  DeviceOptions dopt;
-  dopt.gpu = opts.engine.gpu;
-  dopt.memory_bytes = opts.engine.device_memory_bytes;
-  dopt.host_observer = opts.engine.host_observer;
-  Result<Device> dev = Device::create(dopt);
-  if (!dev.is_ok()) return dev.status();
-  owned = std::make_unique<Device>(std::move(dev.value()));
-  *device = owned.get();
-  return Status::ok();
-}
-
-}  // namespace
-
 Result<StreamService> StreamService::create(const ac::PatternSet& patterns,
                                             const ServeOptions& options) {
   Result<CompiledPatterns> compiled =
@@ -344,13 +323,12 @@ Result<StreamService> StreamService::create(const ac::PatternSet& patterns,
 Result<StreamService> StreamService::create(const CompiledPatterns& compiled,
                                             const ServeOptions& options) {
   if (Status s = options.validate(); !s) return s;
-  const ServeOptions opts = with_forwarded_observer(options);
-  std::unique_ptr<Device> owned;
-  Device* device = nullptr;
-  if (Status s = resolve_device(opts, owned, &device); !s) return s;
-  Result<Engine> engine = Engine::create(*device, compiled, opts.engine);
+  Result<Device> device = Device::create(options.device);
+  if (!device.is_ok()) return device.status();
+  auto owned = std::make_unique<Device>(std::move(device).value());
+  Result<Engine> engine = Engine::create(*owned, compiled, options.engine);
   if (!engine.is_ok()) return engine.status();
-  return StreamService(std::make_unique<Impl>(opts, std::move(owned),
+  return StreamService(std::make_unique<Impl>(options, std::move(owned),
                                               std::move(engine).value()));
 }
 
@@ -368,9 +346,7 @@ Result<SessionId> StreamService::open() {
     ++im.stats.sessions_evicted;
     im.scheduler.forget(*evicted);
     im.publish_queue_locked();
-    if (im.options.recorder != nullptr)
-      im.options.recorder->record(telemetry::FlightEventKind::kEviction,
-                                  im.options.shard, *evicted);
+    im.record(telemetry::FlightEventKind::kEviction, *evicted);
   }
   if (im.has_metrics) {
     im.m.opened->add(1);
@@ -394,10 +370,8 @@ Status StreamService::feed(SessionId id, std::string_view chunk,
   if (Status quota = s->admit_bytes(chunk.size()); !quota) {
     ++im.stats.quota_rejects;
     if (im.has_metrics) im.m.quota_rejects->add(1);
-    if (im.options.recorder != nullptr)
-      im.options.recorder->record(telemetry::FlightEventKind::kReject,
-                                  im.options.shard, id, chunk.size(),
-                                  static_cast<std::uint32_t>(quota.code()));
+    im.record(telemetry::FlightEventKind::kReject, id, chunk.size(),
+              static_cast<std::uint32_t>(quota.code()));
     return quota;
   }
   if (!chunk.empty()) {
@@ -413,10 +387,8 @@ Status StreamService::feed(SessionId id, std::string_view chunk,
     if (!admit) {
       ++im.stats.feeds_rejected;
       if (im.has_metrics) im.m.feeds_rejected->add(1);
-      if (im.options.recorder != nullptr)
-        im.options.recorder->record(telemetry::FlightEventKind::kReject,
-                                    im.options.shard, id, chunk.size(),
-                                    static_cast<std::uint32_t>(admit.code()));
+      im.record(telemetry::FlightEventKind::kReject, id, chunk.size(),
+                static_cast<std::uint32_t>(admit.code()));
       return admit;
     }
   }
@@ -439,9 +411,7 @@ Status StreamService::feed(SessionId id, std::string_view chunk,
                 "admission re-check failed after acceptance: " << admitted.to_string());
     im.publish_queue_locked();
   }
-  if (im.options.recorder != nullptr)
-    im.options.recorder->record(telemetry::FlightEventKind::kAdmission,
-                                im.options.shard, id, chunk.size());
+  im.record(telemetry::FlightEventKind::kAdmission, id, chunk.size());
   if (im.has_metrics) {
     im.m.feeds_accepted->add(1);
     im.m.feed_bytes->add(chunk.size());
@@ -541,9 +511,7 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
     ++im.stats.sessions_evicted;
     im.scheduler.forget(*evicted);
     im.publish_queue_locked();
-    if (im.options.recorder != nullptr)
-      im.options.recorder->record(telemetry::FlightEventKind::kEviction,
-                                  im.options.shard, *evicted);
+    im.record(telemetry::FlightEventKind::kEviction, *evicted);
   }
   if (im.has_metrics) {
     im.m.imported->add(1);

@@ -9,8 +9,9 @@
 //   SessionManager  bounded live-session set with LRU eviction
 //   Scheduler       bounded queue + superbatch coalescer + partitioner
 //
-// and one Engine that bulk-scans coalesced superbatches (engine() lends it
-// out for the caller's own bulk scans, so a device holds one upload).
+// and one Engine, on a Device the service creates from ServeOptions::device,
+// that bulk-scans coalesced superbatches (engine() lends it out for the
+// caller's own bulk scans, so a device holds one upload).
 //
 //   auto service = serve::StreamService::create(patterns, options);
 //   auto id = service.value().open();
@@ -71,14 +72,19 @@ const char* to_string(AdmissionPolicy policy);
 struct ServeOptions {
   /// The bulk-scan engine. The kernel variant also picks the sessions'
   /// boundary mode: kPfac streams carry a tail buffer, the AC-DFA variants
-  /// carry live DFA state.
+  /// carry live DFA state. Its telemetry sinks are the service's too: the
+  /// serve.* series go to engine.telemetry.metrics under its metrics_prefix,
+  /// serve.superbatch spans to its tracer (so engine.scan nests under
+  /// them), and admission/reject/eviction events to its recorder, stamped
+  /// with its shard.
   EngineOptions engine;
 
-  /// The device to bind the engine to. Null = the service creates a private
-  /// device sized by EngineOptions::gpu/device_memory_bytes. The cluster
-  /// tier passes one externally owned acgpu::Device per shard; it must
-  /// outlive the service.
-  Device* device = nullptr;
+  /// The device the service creates and owns for its engine. Its
+  /// host_observer is the hostcheck audit hook: the service mutex, the
+  /// scheduler/session-manager leaf mutexes and — unless engine.host_observer
+  /// diverts it — every Engine scan report their lock and stream activity
+  /// to it. Null = off, zero cost.
+  DeviceOptions device;
 
   /// Adaptive backend routing (dispatch/dispatcher.h): when set, every
   /// coalesced superbatch is routed by the cost model — tiny batches run
@@ -108,31 +114,6 @@ struct ServeOptions {
   /// true: a worker thread consumes the queue; feed() never scans.
   bool background = false;
   AdmissionPolicy admission = AdmissionPolicy::kDefault;
-
-  /// serve.* series sink; null = off. (Engine telemetry is configured
-  /// separately through engine.telemetry.)
-  telemetry::MetricsRegistry* metrics = nullptr;
-  /// Prepended to every published series name ("device.3." =>
-  /// device.3.serve.batches). The cluster tier sets one per shard; "" keeps
-  /// the classic single-service names.
-  std::string metrics_prefix;
-  /// Host-span sink for serve.superbatch spans. The span is opened on the
-  /// scanning thread (the worker in background mode) and annotated with the
-  /// member chunks' trace ids, so one superbatch joins against every
-  /// request it coalesced. Null = off. Independent of
-  /// engine.telemetry.tracer — the cluster tier points both at the shard's
-  /// tracer so engine.scan nests under serve.superbatch.
-  telemetry::Tracer* tracer = nullptr;
-  /// Flight recorder for admission/reject/eviction events; null = off.
-  telemetry::FlightRecorder* recorder = nullptr;
-  /// Shard index stamped on recorder events (0 standalone).
-  std::uint32_t shard = 0;
-
-  /// Hostcheck audit hook (gpusim/host_observer.h): when set, the service
-  /// mutex, the scheduler/session-manager leaf mutexes, and — unless
-  /// engine.host_observer is set separately — every Engine scan report
-  /// their lock and stream activity to the auditor. Null = off, zero cost.
-  gpusim::HostObserver* host_observer = nullptr;
 
   Status validate() const;
 };
@@ -172,9 +153,9 @@ class StreamService {
   /// uploads `compiled` to the device, and its sessions carry state over
   /// the same shared host objects. The cluster Router compiles once and
   /// hands the result to every shard. Variant kPfac needs compiled.pfac,
-  /// as in Engine::create. Fails (no throw) on invalid options or
-  /// Engine::create failure (kCapacityExceeded when the automaton does not
-  /// fit the device).
+  /// as in Engine::create. Fails (no throw) on invalid options, or when
+  /// Device::create or Engine::create fails (kCapacityExceeded when the
+  /// automaton does not fit the device).
   static Result<StreamService> create(const CompiledPatterns& compiled,
                                       const ServeOptions& options = {});
 

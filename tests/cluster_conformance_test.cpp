@@ -20,8 +20,8 @@ ClusterOptions sweep_cluster(std::uint32_t devices) {
   ClusterOptions opt;
   opt.devices = devices;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.admission = serve::AdmissionPolicy::kAutoFlush;
   opt.coalesce_bytes = 2048;
@@ -32,12 +32,10 @@ std::vector<ac::Match> engine_reference(const ac::PatternSet& patterns,
                                         const std::string& text) {
   EngineOptions opt;
   opt.mode = gpusim::SimMode::Functional;
-  opt.gpu.num_sms = 4;
-  opt.device_memory_bytes = 64u << 20;
   opt.threads_per_block = 64;
   DeviceOptions dopt;
-  dopt.gpu = opt.gpu;
-  dopt.memory_bytes = opt.device_memory_bytes;
+  dopt.gpu.num_sms = 4;
+  dopt.memory_bytes = 64u << 20;
   Device device = Device::create(dopt).value();
   Engine engine = Engine::create(device, patterns, opt).value();
   auto scan = engine.scan(text);

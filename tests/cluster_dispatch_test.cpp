@@ -48,8 +48,8 @@ ClusterOptions wired(dispatch::Dispatcher& dispatcher, std::uint32_t devices) {
   ClusterOptions opt;
   opt.devices = devices;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.engine.match_capacity = 256;
   opt.dispatcher = &dispatcher;

@@ -23,8 +23,8 @@ cluster::ClusterOptions base_options(std::uint32_t devices) {
   cluster::ClusterOptions opt;
   opt.devices = devices;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.admission = serve::AdmissionPolicy::kAutoFlush;
   return opt;
 }

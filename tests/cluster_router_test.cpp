@@ -24,8 +24,8 @@ ClusterOptions fast_cluster(std::uint32_t devices) {
   ClusterOptions opt;
   opt.devices = devices;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   return opt;
 }
@@ -80,6 +80,11 @@ TEST(ClusterRouter, ValidatesOptions) {
   EXPECT_FALSE(opt.validate().is_ok());
   opt = fast_cluster(2);
   opt.engine.telemetry.metrics_prefix = "mine.";
+  EXPECT_FALSE(opt.validate().is_ok());
+  // The Router names shard k's device "device.<k>"; a template name would
+  // give every shard the same one.
+  opt = fast_cluster(2);
+  opt.device.name = "mine";
   EXPECT_FALSE(opt.validate().is_ok());
   EXPECT_TRUE(fast_cluster(2).validate().is_ok());
   EXPECT_FALSE(
@@ -295,7 +300,7 @@ TEST(ClusterRouter, PublishesRouterAndPerDeviceSeries) {
 
 TEST(ClusterRouter, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   ClusterOptions opt = fast_cluster(2);
-  opt.engine.device_memory_bytes = 4096;
+  opt.device.memory_bytes = 4096;
   const auto r = Router::create(ac::PatternSet({"he", "she", "his", "hers"}), opt);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
@@ -316,7 +321,7 @@ TEST(ClusterRouter, DictionaryLargerThanHalfADeviceServesBothPaths) {
 
   for (std::uint32_t devices : {1u, 2u}) {
     ClusterOptions opt = fast_cluster(devices);
-    opt.engine.device_memory_bytes = device_bytes;
+    opt.device.memory_bytes = device_bytes;
     opt.engine.batch_bytes = 16u << 10;
     Router router = make_router(words, opt);
     const std::vector<ac::Match> expected = reference(router, text);

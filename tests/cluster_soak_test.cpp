@@ -34,8 +34,8 @@ TEST(ClusterSoak, DeviceFailureMidSoakLosesNothing) {
   ClusterOptions opt;
   opt.devices = 4;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.background = true;  // every shard runs its own pump thread
   opt.max_sessions_per_shard = kSessions;  // no LRU eviction mid-soak

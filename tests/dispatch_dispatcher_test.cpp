@@ -229,8 +229,8 @@ TEST(DispatchDispatcher, ServeWiredDispatcherStaysConformant) {
 
   serve::ServeOptions opt;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.dispatcher = &dispatcher;
   auto srv = serve::StreamService::create(fx.patterns, opt);

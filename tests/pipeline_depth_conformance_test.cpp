@@ -84,12 +84,11 @@ TEST(PipelineDepthConformance, AllStreamDepthCombosMatchSingleShotScan) {
     // The reference: a single-shot scan through the public Engine (one
     // batch, one stream), itself cross-checked against the serial DFA.
     EngineOptions eopt;
-    eopt.gpu = small_gpu();
     eopt.streams = 1;
     eopt.batch_bytes = w.text().size() + 16;
     eopt.threads_per_block = 64;
     DeviceOptions dopt;
-    dopt.gpu = eopt.gpu;
+    dopt.gpu = small_gpu();
     Result<Device> device = Device::create(dopt);
     ASSERT_TRUE(device.is_ok()) << device.status().to_string();
     Result<Engine> engine = Engine::create(device.value(), w.patterns(), eopt);

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ac/serial_matcher.h"
 #include "gpusim/device_registry.h"
 #include "pipeline/engine.h"
+#include "util/rng.h"
 
 namespace acgpu {
 namespace {
@@ -28,6 +30,29 @@ EngineOptions fast_engine() {
   opt.mode = gpusim::SimMode::Functional;
   opt.threads_per_block = 64;
   return opt;
+}
+
+/// `count` random lowercase words of 4-10 letters: a dictionary whose STT
+/// upload runs to megabytes at a few hundred words.
+std::vector<std::string> random_words(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> words(count);
+  for (std::string& w : words) {
+    w.resize(rng.next_in(4, 10));
+    for (char& c : w) c = static_cast<char>('a' + rng.next_below(26));
+  }
+  return words;
+}
+
+/// Space-separated words drawn from `words`, so every scan finds matches.
+std::string text_of(const std::vector<std::string>& words, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text;
+  for (int i = 0; i < 400; ++i) {
+    text += words[rng.next_below(words.size())];
+    text += ' ';
+  }
+  return text;
 }
 
 TEST(Device, IdsAreProcessUniqueAndRegistered) {
@@ -141,10 +166,12 @@ TEST(Device, EngineCreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   EXPECT_NE(why.find(std::to_string(upload - 1) + " B free"), std::string::npos)
       << why;
 
-  // Exactly enough room takes one upload, and no second one.
+  // Exactly enough room takes one upload, and no second one while the
+  // first engine lives.
   dopt.memory_bytes = upload;
   Device exact = Device::create(dopt).value();
-  ASSERT_TRUE(Engine::create(exact, patterns, fast_engine()).is_ok());
+  const Result<Engine> first = Engine::create(exact, patterns, fast_engine());
+  ASSERT_TRUE(first.is_ok());
   EXPECT_EQ(Engine::create(exact, patterns, fast_engine()).status().code(),
             StatusCode::kCapacityExceeded);
 
@@ -156,6 +183,48 @@ TEST(Device, EngineCreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   Device tight_pfac = Device::create(dopt).value();
   EXPECT_EQ(Engine::create(tight_pfac, patterns, pfac).status().code(),
             StatusCode::kCapacityExceeded);
+}
+
+TEST(Device, DroppedEnginesReturnTheirUpload) {
+  // The device holds one upload plus scan buffers, never two uploads: each
+  // create -> scan -> drop cycle must hand its upload back to the arena.
+  const std::vector<std::string> words = random_words(300, 5);
+  const ac::PatternSet patterns(words);
+  const std::size_t upload =
+      kernels::DeviceDfa::upload_bytes(ac::build_dfa(patterns, 8));
+  DeviceOptions dopt = small_device();
+  dopt.memory_bytes = upload + (256u << 10);
+  ASSERT_GT(upload, 256u << 10);
+  Device device = Device::create(dopt).value();
+  const std::size_t available = device.memory().available();
+  const std::string text = text_of(words, 6);
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    Result<Engine> engine = Engine::create(device, patterns, fast_engine());
+    ASSERT_TRUE(engine.is_ok()) << "cycle " << cycle << ": "
+                                << engine.status().to_string();
+    Result<ScanResult> scan = engine.value().scan(text);
+    ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+    EXPECT_EQ(scan.value().matches, ac::find_all(engine.value().dfa(), text));
+  }
+  EXPECT_EQ(device.memory().available(), available);
+}
+
+TEST(Device, DroppingAnEngineUnderALaterUploadKeepsBoth) {
+  // A is dropped while B's upload sits above it: the bump arena cannot give
+  // A's space back, and B must keep scanning from its own intact upload.
+  Device device = Device::create(small_device()).value();
+  const std::vector<std::string> words = random_words(300, 7);
+  std::optional<Engine> a =
+      Engine::create(device, ac::PatternSet({"he", "she", "his"}), fast_engine())
+          .value();
+  Engine b = Engine::create(device, ac::PatternSet(words), fast_engine()).value();
+  const std::size_t available = device.memory().available();
+  a.reset();
+  EXPECT_EQ(device.memory().available(), available);
+  const std::string text = text_of(words, 8);
+  Result<ScanResult> scan = b.scan(text);
+  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+  EXPECT_EQ(scan.value().matches, ac::find_all(b.dfa(), text));
 }
 
 TEST(Device, EnginesShareOneCompiledAutomaton) {

@@ -814,11 +814,10 @@ std::vector<std::string> three_letter_words(std::size_t count) {
 TEST(PipelineOutput, ScanBoundTooWideForTheRecordWordIsCapacityExceeded) {
   // 5,000 output ids x a 1 MiB (+2) scan bound is past 2^32 record codes.
   EngineOptions eopt;
-  eopt.gpu = small_gpu();
   eopt.variant = KernelVariant::kGlobalOnly;
   eopt.chunk_bytes = 1u << 20;
   DeviceOptions dopt;
-  dopt.gpu = eopt.gpu;
+  dopt.gpu = small_gpu();
   auto device = Device::create(dopt);
   ASSERT_TRUE(device.is_ok()) << device.status().to_string();
   auto engine =
@@ -842,10 +841,9 @@ TEST(Engine, ScanMatchesSerialReference) {
   text.replace(2047, 3, "his");  // spans the default... no, interior
 
   EngineOptions eopt;
-  eopt.gpu = small_gpu();
   eopt.batch_bytes = 1024;
   DeviceOptions dopt;
-  dopt.gpu = eopt.gpu;
+  dopt.gpu = small_gpu();
   auto device = Device::create(dopt);
   ASSERT_TRUE(device.is_ok()) << device.status().to_string();
   auto engine = Engine::create(device.value(), patterns, eopt);
@@ -871,11 +869,10 @@ TEST(Engine, EmptyPatternSetFails) {
 
 TEST(Engine, PfacVariantScans) {
   EngineOptions eopt;
-  eopt.gpu = small_gpu();
   eopt.variant = KernelVariant::kPfac;
   eopt.batch_bytes = 512;
   DeviceOptions dopt;
-  dopt.gpu = eopt.gpu;
+  dopt.gpu = small_gpu();
   auto device = Device::create(dopt);
   ASSERT_TRUE(device.is_ok()) << device.status().to_string();
   auto engine = Engine::create(device.value(), ac::PatternSet({"ab", "ba"}), eopt);

@@ -22,8 +22,8 @@ ServeOptions conformance_options(Rng& rng, pipeline::KernelVariant variant) {
   ServeOptions opt;
   opt.engine.variant = variant;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
   opt.engine.batch_bytes = 1 + rng.next_below(4096);
@@ -49,8 +49,8 @@ std::vector<ac::Match> single_shot(const oracle::CompiledWorkload& w,
   EngineOptions opt = engine_opt;
   opt.match_capacity = 1024;
   DeviceOptions dopt;
-  dopt.gpu = opt.gpu;
-  dopt.memory_bytes = opt.device_memory_bytes;
+  dopt.gpu.num_sms = 4;
+  dopt.memory_bytes = 64u << 20;
   auto device = Device::create(dopt);
   ACGPU_CHECK(device.is_ok(), device.status().to_string());
   auto engine = Engine::create(device.value(), w.patterns(), opt);
@@ -115,8 +115,6 @@ TEST_P(ServeFuzzedChunking, MatchesSingleShotAcrossAllWorkloadFamilies) {
     EngineOptions ref_opt;
     ref_opt.variant = variant;
     ref_opt.mode = gpusim::SimMode::Functional;
-    ref_opt.gpu.num_sms = 4;
-    ref_opt.device_memory_bytes = 64u << 20;
     ref_opt.threads_per_block = 64;
     ref_opt.chunk_bytes = legal_chunk_bytes(w.dfa());
     const auto expected = single_shot(w, ref_opt);

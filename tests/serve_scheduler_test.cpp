@@ -121,9 +121,6 @@ struct ScanFixture {
   static EngineOptions options(std::uint32_t match_capacity = 256) {
     EngineOptions opt;
     opt.mode = gpusim::SimMode::Functional;
-    opt.gpu = gpusim::GpuConfig::gtx285();
-    opt.gpu.num_sms = 4;
-    opt.device_memory_bytes = 64u << 20;
     opt.threads_per_block = 64;
     opt.match_capacity = match_capacity;
     return opt;
@@ -134,10 +131,9 @@ struct ScanFixture {
       : patterns(pats),
         dfa(ac::build_dfa(patterns, 8)),
         device([] {
-          const EngineOptions opt = options();
           DeviceOptions dopt;
-          dopt.gpu = opt.gpu;
-          dopt.memory_bytes = opt.device_memory_bytes;
+          dopt.gpu.num_sms = 4;
+          dopt.memory_bytes = 64u << 20;
           auto r = Device::create(dopt);
           ACGPU_CHECK(r.is_ok(), r.status().to_string());
           return std::move(r).value();

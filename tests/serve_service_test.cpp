@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ac/serial_matcher.h"
 #include "telemetry/metrics_registry.h"
+#include "telemetry/trace.h"
 
 namespace acgpu::serve {
 namespace {
@@ -18,8 +20,8 @@ namespace {
 ServeOptions fast_options() {
   ServeOptions opt;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   return opt;
 }
@@ -194,7 +196,7 @@ TEST(ServeService, CreateFromDfaScansAndRejectsPfac) {
 
 TEST(ServeService, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   ServeOptions opt = fast_options();
-  opt.engine.device_memory_bytes = 1024;
+  opt.device.memory_bytes = 1024;
   const auto r = StreamService::create(ac::PatternSet({"he", "she"}), opt);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
@@ -205,7 +207,7 @@ TEST(ServeService, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
 TEST(ServeService, PublishesServeMetricFamilies) {
   telemetry::MetricsRegistry registry;
   ServeOptions opt = fast_options();
-  opt.metrics = &registry;
+  opt.engine.telemetry.metrics = &registry;
   opt.max_sessions = 1;
   StreamService srv = make_service({"ab"}, opt);
   const SessionId a = srv.open().value();
@@ -225,6 +227,36 @@ TEST(ServeService, PublishesServeMetricFamilies) {
   EXPECT_EQ(snapshot.value("serve.feed.bytes"), 4.0);
   // Histograms expand into derived series once observed.
   EXPECT_TRUE(snapshot.value("serve.feed.latency_ns.count").has_value());
+}
+
+TEST(ServeService, PublishesThroughTheEngineTelemetrySinks) {
+  // engine.telemetry is the service's only set of sinks: it carries the
+  // serve.* series beside the pipeline.* ones, and the superbatch spans
+  // that the engine.scan spans nest under.
+  telemetry::MetricsRegistry registry;
+  telemetry::Tracer tracer;
+  ServeOptions opt = fast_options();
+  opt.engine.telemetry.metrics = &registry;
+  opt.engine.telemetry.tracer = &tracer;
+  StreamService srv = make_service({"ab"}, opt);
+  const SessionId id = srv.open().value();
+  ASSERT_TRUE(srv.feed(id, "xxabxxab").is_ok());
+  EXPECT_EQ(drained_matches(srv, id).size(), 2u);
+
+  const auto snapshot = registry.snapshot();
+  EXPECT_GE(snapshot.value("serve.batches").value_or(0), 1.0);
+  EXPECT_GE(snapshot.value("pipeline.runs").value_or(0), 1.0);
+
+  const std::vector<telemetry::TraceEvent> events = tracer.events();
+  std::map<std::uint64_t, std::string> name_of;
+  for (const telemetry::TraceEvent& e : events) name_of[e.id] = e.name;
+  std::size_t scans = 0;
+  for (const telemetry::TraceEvent& e : events) {
+    if (e.name != "engine.scan") continue;
+    ++scans;
+    EXPECT_EQ(name_of[e.parent], "serve.superbatch");
+  }
+  EXPECT_GE(scans, 1u);
 }
 
 TEST(ServeService, StatsCountSpanningMatchesSeparately) {

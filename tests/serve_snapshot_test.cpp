@@ -15,8 +15,8 @@ namespace {
 ServeOptions fast_options() {
   ServeOptions opt;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   return opt;
 }

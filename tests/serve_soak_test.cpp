@@ -30,8 +30,8 @@ std::string session_text(std::size_t session) {
 TEST(ServeSoak, SixtyFourSessionsBoundedQueueCleanDrain) {
   ServeOptions opt;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.background = true;            // one worker owns the engine
   opt.max_sessions = kSessions;     // exactly enough: no eviction mid-soak

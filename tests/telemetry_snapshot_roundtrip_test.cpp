@@ -20,8 +20,8 @@ telemetry::MetricsSnapshot run_cluster_and_snapshot(
   cluster::ClusterOptions opt;
   opt.devices = 2;
   opt.engine.mode = gpusim::SimMode::Functional;
-  opt.engine.gpu.num_sms = 4;
-  opt.engine.device_memory_bytes = 64u << 20;
+  opt.device.gpu.num_sms = 4;
+  opt.device.memory_bytes = 64u << 20;
   opt.admission = serve::AdmissionPolicy::kAutoFlush;
   opt.metrics = &registry;
   opt.slo = telemetry::SloPolicy::serving_defaults();
