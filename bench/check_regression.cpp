@@ -17,7 +17,8 @@
 //
 // Updating the baseline after an intentional perf change:
 //   build/bench/check_regression --write-baseline bench/baselines/telemetry_baseline.json
-// re-bands the series that file already names around the current run and
+// re-bands the checks that file already names around the current run, each
+// keeping its shape (exact pins stay exact, zero bounds stay 0), and
 // rewrites it (see docs/OBSERVABILITY.md). The baseline file is the only
 // list of gated names: adding a check is adding it to the file.
 //
@@ -567,18 +568,16 @@ int main(int argc, char** argv) {
     ACGPU_CHECK(baseline.is_ok(), baseline.status().to_string());
 
     if (!write_path.empty()) {
-      std::vector<std::string> names;
-      for (const telemetry::RegressionCheck& check : baseline.value().checks)
-        names.push_back(check.name);
       // Banded in memory first: a series missing from the snapshot throws
       // here and leaves the file as it was.
       std::ostringstream text;
-      telemetry::write_baseline(snapshot, names, args.get_double("slack"), text);
+      telemetry::write_baseline(snapshot, baseline.value(), args.get_double("slack"),
+                                text);
       std::ofstream out(write_path);
       out << text.str();
       ACGPU_CHECK(out.good(), "cannot write " << write_path);
       std::printf("check_regression: wrote %s (re-banded %zu series)\n",
-                  write_path.c_str(), names.size());
+                  write_path.c_str(), baseline.value().checks.size());
       return 0;
     }
 

@@ -28,8 +28,7 @@ namespace {
 pipeline::KernelVariant parse_variant(const std::string& name) {
   if (name == "shared") return pipeline::KernelVariant::kShared;
   if (name == "global") return pipeline::KernelVariant::kGlobalOnly;
-  if (name == "pfac") return pipeline::KernelVariant::kPfac;
-  ACGPU_CHECK(false, "unknown --variant '" << name << "' (shared|global|pfac)");
+  ACGPU_CHECK(false, "unknown --variant '" << name << "' (shared|global)");
 }
 
 }  // namespace
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
   args.add_flag("pattern-min", "minimum pattern length", "6");
   args.add_flag("pattern-max", "maximum pattern length", "16");
   args.add_flag("seed", "workload seed", "780");
-  args.add_flag("variant", "kernel variant: shared|global|pfac", "shared");
+  args.add_flag("variant", "kernel variant: shared|global", "shared");
   args.add_flag("mode", "sim mode: timed|functional", "timed");
   args.add_flag("trace", "write Chrome trace-event JSON here (empty = skip)", "");
   args.add_flag("metrics", "write the metrics snapshot JSON here (empty = skip)", "");

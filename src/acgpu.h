@@ -4,8 +4,8 @@
 // Algorithm on a GPU" (Tran, Lee, Hong, Choi — IPPS 2013): a complete
 // Aho-Corasick toolkit (ac/), a discrete-event SIMT GPU simulator standing
 // in for the paper's GTX 285 (gpusim/), the paper's two matching kernels and
-// the PFAC variant (kernels/), the batched multi-stream matching pipeline and
-// the acgpu::Engine facade (pipeline/), the adaptive backend dispatcher with
+// the PFAC ablation kernel (kernels/), the batched multi-stream matching
+// pipeline and the acgpu::Engine facade over the AC DFA (pipeline/), the adaptive backend dispatcher with
 // its cost model (dispatch/), the streaming session service for stateful
 // cross-chunk scanning (serve/), the multi-device scatter/gather router tier
 // sharding sessions and bulk scans across N simulated devices (cluster/), a
@@ -69,10 +69,11 @@
 // Internal API. Everything below is the machinery behind the facade —
 // exposed for the harness, benches, tests, and ablation studies, but not a
 // stability surface. In particular the direct kernel-launch entry points
-// (kernels::run_ac_kernel, kernels::run_pfac_kernel, and their _stream
-// variants) bypass the pipeline's batching, stitching, and device-memory
-// management: new code should go through acgpu::Engine instead (see the
-// migration notes in README.md).
+// (kernels::run_ac_kernel and its _stream variant, and
+// kernels::run_pfac_kernel, which only the PFAC ablation drives) bypass the
+// pipeline's batching, stitching, and device-memory management: new code
+// should go through acgpu::Engine instead (see the migration notes in
+// README.md).
 // ---------------------------------------------------------------------------
 #include "cpumodel/cache_model.h"
 #include "cpumodel/serial_timing.h"
@@ -94,7 +95,7 @@
 #include "kernels/compressed_kernel.h"  // internal: use acgpu::Engine
 #include "kernels/device_dfa.h"
 #include "kernels/match_output.h"
-#include "kernels/pfac_kernel.h"    // internal: use acgpu::Engine
+#include "kernels/pfac_kernel.h"    // internal: PFAC ablation only
 #include "kernels/store_scheme.h"
 #include "oracle/conformance.h"
 #include "oracle/differential.h"

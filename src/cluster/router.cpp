@@ -277,8 +277,7 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
   if (Status s = options.validate(); !s) return s;
   // One compile for the whole cluster: every shard's engine and sessions
   // share it, and each device gets one upload of it.
-  Result<CompiledPatterns> compiled =
-      CompiledPatterns::compile(patterns, options.engine.variant);
+  Result<CompiledPatterns> compiled = CompiledPatterns::compile(patterns);
   if (!compiled.is_ok()) return compiled.status();
 
   auto impl = std::make_unique<Impl>();

@@ -160,7 +160,7 @@ void write_pipeline_json(const PipelineSweepResult& result, std::ostream& out) {
   out << "{\"bench\":\"pipeline\"";
   out << ",\"text_bytes\":" << c.text_bytes;
   out << ",\"batch_bytes\":" << c.batch_bytes;
-  out << ",\"variant\":\"" << pipeline::to_string(c.variant) << "\"";
+  out << ",\"variant\":\"" << kernels::to_string(c.variant) << "\"";
   out << ",\"chunk_bytes\":" << c.chunk_bytes;
   out << ",\"threads_per_block\":" << c.threads_per_block;
   out << ",\"seed\":" << c.seed;

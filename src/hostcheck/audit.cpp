@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -61,34 +62,38 @@ HostAuditOutcome audit_pipeline(const CompiledWorkload& workload,
                     << capacity << " on workload " << workload.name());
     recorder.reset();
 
-    EngineOptions eo;
-    eo.streams = config.streams;
-    eo.pool_depth = config.depth;
-    eo.readback_depth = config.depth;
-    eo.split_readback = config.split_readback;
-    eo.batch_bytes = spec.batch_bytes;
-    eo.match_capacity = capacity;
-    DeviceOptions dopt;
-    dopt.host_observer = &recorder;  // the engine inherits it
-    Result<Device> device = Device::create(dopt);
-    ACGPU_CHECK(device.is_ok(), "hostcheck audit: Device::create failed on "
-                                 << workload.name() << ": "
-                                 << device.status().message());
-    Result<Engine> engine =
-        Engine::create(device.value(), workload.patterns(), eo);
-    ACGPU_CHECK(engine.is_ok(), "hostcheck audit: Engine::create failed on "
-                                 << workload.name() << ": "
-                                 << engine.status().message());
-
-    Result<ScanResult> scan = engine.value().scan(workload.text());
-    ACGPU_CHECK(scan.is_ok(), "hostcheck audit: Engine::scan failed on "
-                               << workload.name() << ": "
-                               << scan.status().message());
-    if (scan.value().overflowed) continue;
-
     HostAuditOutcome outcome;
-    outcome.match_count = scan.value().matches.size();
-    outcome.matches_ok = same_matches(scan.value().matches, expected);
+    {
+      // The engine and its device die at the end of this block, before the
+      // trace is analysed: the scan-mutex lock ~Engine takes to return its
+      // upload is part of the audited schedule.
+      EngineOptions eo;
+      eo.streams = config.streams;
+      eo.pool_depth = config.depth;
+      eo.readback_depth = config.depth;
+      eo.split_readback = config.split_readback;
+      eo.batch_bytes = spec.batch_bytes;
+      eo.match_capacity = capacity;
+      DeviceOptions dopt;
+      dopt.host_observer = &recorder;  // the engine inherits it
+      Result<Device> device = Device::create(dopt);
+      ACGPU_CHECK(device.is_ok(), "hostcheck audit: Device::create failed on "
+                                   << workload.name() << ": "
+                                   << device.status().message());
+      Result<Engine> engine =
+          Engine::create(device.value(), workload.patterns(), eo);
+      ACGPU_CHECK(engine.is_ok(), "hostcheck audit: Engine::create failed on "
+                                   << workload.name() << ": "
+                                   << engine.status().message());
+
+      Result<ScanResult> scan = engine.value().scan(workload.text());
+      ACGPU_CHECK(scan.is_ok(), "hostcheck audit: Engine::scan failed on "
+                                 << workload.name() << ": "
+                                 << scan.status().message());
+      if (scan.value().overflowed) continue;
+      outcome.match_count = scan.value().matches.size();
+      outcome.matches_ok = same_matches(scan.value().matches, expected);
+    }
     outcome.report = analyze(recorder.trace(), spec.analyze);
     return outcome;
   }
@@ -105,12 +110,13 @@ HostAuditOutcome audit_serve(const CompiledWorkload& workload,
   so.engine.batch_bytes = spec.batch_bytes;
   so.background = true;
   so.device.host_observer = &recorder;
-  Result<serve::StreamService> service =
+  Result<serve::StreamService> created =
       serve::StreamService::create(workload.patterns(), so);
-  ACGPU_CHECK(service.is_ok(), "hostcheck audit: StreamService::create failed on "
+  ACGPU_CHECK(created.is_ok(), "hostcheck audit: StreamService::create failed on "
                                 << workload.name() << ": "
-                                << service.status().message());
-  serve::StreamService& svc = service.value();
+                                << created.status().message());
+  std::optional<serve::StreamService> service(std::move(created).value());
+  serve::StreamService& svc = *service;
 
   // Each feeder streams the whole text through its own session, so every
   // session must poll exactly the reference matches — while the concurrent
@@ -156,7 +162,9 @@ HostAuditOutcome audit_serve(const CompiledWorkload& workload,
     outcome.matches_ok =
         outcome.matches_ok && same_matches(polled.value(), expected);
   }
-  svc.shutdown();  // quiesce the worker before snapshotting the trace
+  // Destroy the service (its worker, engine and device) before analysing,
+  // so the trace holds the engine's upload-drop lock too.
+  service.reset();
   outcome.report = analyze(recorder.trace(), spec.analyze);
   return outcome;
 }
@@ -175,12 +183,12 @@ HostAuditOutcome audit_cluster(const CompiledWorkload& workload,
   co.engine.streams = std::max(1u, streams);
   co.background = true;  // one pump thread per shard: N devices in flight
   co.device.host_observer = &recorder;
-  Result<cluster::Router> router =
-      cluster::Router::create(workload.patterns(), co);
-  ACGPU_CHECK(router.is_ok(), "hostcheck audit: Router::create failed on "
-                                  << workload.name() << ": "
-                                  << router.status().message());
-  cluster::Router& cl = router.value();
+  Result<cluster::Router> created = cluster::Router::create(workload.patterns(), co);
+  ACGPU_CHECK(created.is_ok(), "hostcheck audit: Router::create failed on "
+                                   << workload.name() << ": "
+                                   << created.status().message());
+  std::optional<cluster::Router> router(std::move(created).value());
+  cluster::Router& cl = *router;
 
   std::vector<serve::SessionId> sessions(feeders);
   for (std::uint32_t f = 0; f < feeders; ++f) {
@@ -240,7 +248,9 @@ HostAuditOutcome audit_cluster(const CompiledWorkload& workload,
     outcome.matches_ok =
         outcome.matches_ok && same_matches(polled.value(), expected);
   }
-  cl.shutdown();  // quiesce every shard worker before snapshotting the trace
+  // Destroy the router (every shard's worker, engine and device) before
+  // analysing, so the trace holds the engines' upload-drop locks too.
+  router.reset();
   outcome.report = analyze(recorder.trace(), spec.analyze);
   return outcome;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
 #include <vector>
 
 #include "util/error.h"
@@ -30,14 +29,6 @@ OutputCsr output_csr(const ac::PfacAutomaton& pfac) {
 }
 
 }  // namespace
-
-std::size_t DevicePfac::upload_bytes(const ac::PfacAutomaton& pfac) {
-  using gpusim::DeviceMemory;
-  const OutputCsr csr = output_csr(pfac);
-  return DeviceMemory::align_up(pfac.stt().size_bytes()) +
-         DeviceMemory::align_up(csr.offsets.size() * 4) +
-         std::max<std::size_t>(1, csr.ids.size() * 4);
-}
 
 DevicePfac::DevicePfac(gpusim::DeviceMemory& mem, const ac::PfacAutomaton& pfac)
     : host_(&pfac), max_pattern_length_(pfac.max_pattern_length()) {
@@ -174,90 +165,45 @@ WarpTask pfac_kernel_body(Warp& w, KParams p) {
 
 }  // namespace
 
-namespace {
-
-struct PfacPlan {
-  KParams p;
-  gpusim::LaunchDims dims;
-  std::uint64_t threads = 0;
-  std::uint64_t blocks = 0;
-  std::optional<MatchBuffer> buffer;
-};
-
-PfacPlan plan_pfac_launch(gpusim::DeviceMemory& mem, const DevicePfac& dpfac,
-                          gpusim::DevAddr text_addr, std::uint64_t text_len,
-                          const PfacLaunchSpec& spec) {
-  ACGPU_CHECK(text_len > 0, "run_pfac_kernel: empty text");
-  ACGPU_CHECK(spec.threads_per_block > 0, "threads_per_block must be positive");
-
-  PfacPlan plan;
-  plan.threads = text_len;  // one thread per byte
-  plan.blocks = (plan.threads + spec.threads_per_block - 1) / spec.threads_per_block;
-  // A thread scans at most max_len bytes: the scan bound S.
-  plan.buffer.emplace(mem, plan.blocks * spec.threads_per_block, spec.match_capacity,
-                      dpfac.max_pattern_length(),
-                      dpfac.host_automaton().output_id_count());
-
-  KParams& p = plan.p;
-  p.text_addr = text_addr;
-  p.text_len = text_len;
-  p.max_len = dpfac.max_pattern_length();
-  p.counts = plan.buffer->counts_base();
-  p.records = plan.buffer->records_base();
-  p.record_threads = plan.buffer->threads();
-  p.slots = plan.buffer->slots();
-  p.compute_per_byte = spec.compute_per_byte;
-
-  plan.dims.grid_blocks = plan.blocks;
-  plan.dims.block_threads = spec.threads_per_block;
-  plan.dims.shared_bytes = 0;
-  return plan;
-}
-
-PfacLaunchOutcome collect_pfac_outcome(const PfacPlan& plan, gpusim::LaunchResult sim,
-                                       const gpusim::DeviceMemory& mem,
-                                       const DevicePfac& dpfac) {
-  PfacLaunchOutcome outcome;
-  outcome.sim = sim;
-  outcome.threads = plan.threads;
-  outcome.blocks = plan.blocks;
-
-  // One thread per byte: stride 1, and each record already starts at its
-  // thread's byte.
-  outcome.matches =
-      expand_records(*plan.buffer, mem, dpfac.host_automaton(), 1, plan.threads);
-  return outcome;
-}
-
-}  // namespace
-
 PfacLaunchOutcome run_pfac_kernel(const gpusim::GpuConfig& config,
                                   gpusim::DeviceMemory& mem, const DevicePfac& dpfac,
                                   gpusim::DevAddr text_addr, std::uint64_t text_len,
                                   const PfacLaunchSpec& spec) {
-  const PfacPlan plan = plan_pfac_launch(mem, dpfac, text_addr, text_len, spec);
-  const KParams p = plan.p;
-  const gpusim::LaunchResult sim = gpusim::launch(
-      config, mem, &dpfac.texture(), plan.dims,
-      [p](Warp& w) { return pfac_kernel_body(w, p); }, spec.sim);
-  return collect_pfac_outcome(plan, sim, mem, dpfac);
-}
+  ACGPU_CHECK(text_len > 0, "run_pfac_kernel: empty text");
+  ACGPU_CHECK(spec.threads_per_block > 0, "threads_per_block must be positive");
 
-PfacLaunchOutcome run_pfac_kernel_stream(gpusim::StreamSim& streams,
-                                         gpusim::StreamId stream,
-                                         const DevicePfac& dpfac,
-                                         gpusim::DevAddr text_addr,
-                                         std::uint64_t text_len,
-                                         const PfacLaunchSpec& spec,
-                                         std::string label) {
-  gpusim::DeviceMemory& mem = streams.memory();
-  const PfacPlan plan = plan_pfac_launch(mem, dpfac, text_addr, text_len, spec);
-  const KParams p = plan.p;
-  const gpusim::LaunchResult sim = streams.launch(
-      stream, &dpfac.texture(), plan.dims,
-      [p](Warp& w) { return pfac_kernel_body(w, p); }, spec.sim, nullptr,
-      std::move(label));
-  return collect_pfac_outcome(plan, sim, mem, dpfac);
+  PfacLaunchOutcome outcome;
+  outcome.threads = text_len;  // one thread per byte
+  outcome.blocks =
+      (outcome.threads + spec.threads_per_block - 1) / spec.threads_per_block;
+  // A thread scans at most max_len bytes: the scan bound S.
+  const MatchBuffer buffer(mem, outcome.blocks * spec.threads_per_block,
+                           spec.match_capacity, dpfac.max_pattern_length(),
+                           dpfac.host_automaton().output_id_count());
+
+  KParams p;
+  p.text_addr = text_addr;
+  p.text_len = text_len;
+  p.max_len = dpfac.max_pattern_length();
+  p.counts = buffer.counts_base();
+  p.records = buffer.records_base();
+  p.record_threads = buffer.threads();
+  p.slots = buffer.slots();
+  p.compute_per_byte = spec.compute_per_byte;
+
+  gpusim::LaunchDims dims;
+  dims.grid_blocks = outcome.blocks;
+  dims.block_threads = spec.threads_per_block;
+  dims.shared_bytes = 0;
+  outcome.sim = gpusim::launch(
+      config, mem, &dpfac.texture(), dims,
+      [p](Warp& w) { return pfac_kernel_body(w, p); }, spec.sim);
+
+  // One thread per byte: stride 1, and each record already starts at its
+  // thread's byte.
+  outcome.matches =
+      expand_records(buffer, mem, dpfac.host_automaton(), 1, outcome.threads);
+  return outcome;
 }
 
 }  // namespace acgpu::kernels

@@ -1,14 +1,14 @@
 // GPU kernel for PFAC (Parallel Failureless Aho-Corasick, Lin et al.) —
 // the related-work design the paper contrasts with: one thread per input
 // BYTE, no failure transitions, each thread dies at the first absent edge.
-// Included as an extension ablation (bench/ext_pfac_vs_ac).
+// Included as a raw-kernel ablation (bench/ext_pfac_vs_ac,
+// examples/dna_search); the Engine and its pipeline run the AC DFA only.
 #pragma once
 
 #include <cstdint>
 
 #include "ac/pfac.h"
 #include "gpusim/launcher.h"
-#include "gpusim/stream.h"
 #include "kernels/match_output.h"
 
 namespace acgpu::kernels {
@@ -19,10 +19,6 @@ class DevicePfac {
   /// Keeps a reference to `pfac` (host-side record expansion); it must
   /// outlive this object.
   DevicePfac(gpusim::DeviceMemory& mem, const ac::PfacAutomaton& pfac);
-
-  /// Device bytes the upload spans from its first (256-byte aligned)
-  /// allocation to its last byte: compare with DeviceMemory::available().
-  static std::size_t upload_bytes(const ac::PfacAutomaton& pfac);
 
   const ac::PfacAutomaton& host_automaton() const { return *host_; }
 
@@ -59,15 +55,5 @@ PfacLaunchOutcome run_pfac_kernel(const gpusim::GpuConfig& config,
                                   gpusim::DeviceMemory& mem, const DevicePfac& dpfac,
                                   gpusim::DevAddr text_addr, std::uint64_t text_len,
                                   const PfacLaunchSpec& spec);
-
-/// Stream-aware variant (see run_ac_kernel_stream): the launch is enqueued
-/// on `stream` of the StreamSim's timeline; config/memory come from it.
-PfacLaunchOutcome run_pfac_kernel_stream(gpusim::StreamSim& streams,
-                                         gpusim::StreamId stream,
-                                         const DevicePfac& dpfac,
-                                         gpusim::DevAddr text_addr,
-                                         std::uint64_t text_len,
-                                         const PfacLaunchSpec& spec,
-                                         std::string label = {});
 
 }  // namespace acgpu::kernels

@@ -190,6 +190,13 @@ std::uint32_t draw_pipeline_chunk(const CompiledWorkload& w, Rng& rng) {
   return rng.next_bool(0.5) ? 0 : pick_chunk_bytes(w, 32);
 }
 
+/// Kernel variant for the pipeline-backed adapters: the paper's two AC
+/// kernels, drawn evenly.
+pipeline::KernelVariant draw_pipeline_variant(Rng& rng) {
+  return rng.next_below(2) == 0 ? pipeline::KernelVariant::kShared
+                                : pipeline::KernelVariant::kGlobalOnly;
+}
+
 /// Simulated device sized for this run: tables + text + match buffer, plus
 /// slack for the 256-byte allocation alignment. Fresh per run so repeated
 /// conformance iterations never leak device allocations into each other.
@@ -315,7 +322,7 @@ class GpuPfacMatcher final : public Matcher {
 /// The batched multi-stream pipeline (src/pipeline/) in Functional mode.
 /// The salt draws the stream count, the kernel variant, and a batch size
 /// biased toward tiny batches, so successive iterations probe the stitch
-/// logic at every batch-boundary offset across the AC and PFAC paths.
+/// logic at every batch-boundary offset on both AC kernels.
 /// Overrides try_run: the pipeline reports Status instead of throwing, so
 /// its own error codes reach the differential report intact.
 class PipelineMatcher final : public Matcher {
@@ -334,12 +341,7 @@ class PipelineMatcher final : public Matcher {
     if (w.text().empty()) return std::vector<ac::Match>{};
     Rng rng(derive_seed(salt, /*stream=*/7));
     pipeline::PipelineOptions opt;
-    static constexpr pipeline::KernelVariant kVariants[] = {
-        pipeline::KernelVariant::kShared,
-        pipeline::KernelVariant::kGlobalOnly,
-        pipeline::KernelVariant::kPfac,
-    };
-    opt.variant = kVariants[rng.next_below(std::size(kVariants))];
+    opt.variant = draw_pipeline_variant(rng);
     opt.streams = 1 + static_cast<std::uint32_t>(rng.next_below(6));
     // Staging-geometry fuzz: shallow pools exercise the stream clamp and
     // buffer recycling, 0 the auto depth; the readback pool and the
@@ -365,21 +367,12 @@ class PipelineMatcher final : public Matcher {
     };
     for (std::uint32_t capacity = 64; capacity <= (1u << 14); capacity *= 4) {
       opt.match_capacity = capacity;
-      opt.pfac_match_capacity = capacity;
       gpusim::DeviceMemory mem(64u << 20);
-      if (opt.variant == pipeline::KernelVariant::kPfac) {
-        const kernels::DevicePfac dpfac(mem, w.pfac());
-        pipeline::MatchPipeline pipe(cfg, mem, dpfac, opt);
-        auto r = pipe.run(w.text());
-        if (!r.is_ok()) return r.status();
-        if (!r.value().overflowed) return finish(std::move(r.value()));
-      } else {
-        const kernels::DeviceDfa ddfa(mem, w.dfa());
-        pipeline::MatchPipeline pipe(cfg, mem, ddfa, opt);
-        auto r = pipe.run(w.text());
-        if (!r.is_ok()) return r.status();
-        if (!r.value().overflowed) return finish(std::move(r.value()));
-      }
+      const kernels::DeviceDfa ddfa(mem, w.dfa());
+      pipeline::MatchPipeline pipe(cfg, mem, ddfa, opt);
+      auto r = pipe.run(w.text());
+      if (!r.is_ok()) return r.status();
+      if (!r.value().overflowed) return finish(std::move(r.value()));
     }
     return Status::capacity_exceeded(
         "pipeline: match buffer overflow at capacity 16384");
@@ -409,12 +402,7 @@ class ServeMatcher final : public Matcher {
                                          std::uint64_t salt) const override {
     Rng rng(derive_seed(salt, /*stream=*/11));
     serve::ServeOptions opt;
-    static constexpr pipeline::KernelVariant kVariants[] = {
-        pipeline::KernelVariant::kShared,
-        pipeline::KernelVariant::kGlobalOnly,
-        pipeline::KernelVariant::kPfac,
-    };
-    opt.engine.variant = kVariants[rng.next_below(std::size(kVariants))];
+    opt.engine.variant = draw_pipeline_variant(rng);
     opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
     const std::uint64_t cap = rng.next_bool(0.25)
                                   ? w.text().size() + 16
@@ -502,12 +490,7 @@ class RouterMatcher final : public Matcher {
     cluster::ClusterOptions opt;
     static constexpr std::uint32_t kDevices[] = {1, 2, 4};
     opt.devices = kDevices[rng.next_below(std::size(kDevices))];
-    static constexpr pipeline::KernelVariant kVariants[] = {
-        pipeline::KernelVariant::kShared,
-        pipeline::KernelVariant::kGlobalOnly,
-        pipeline::KernelVariant::kPfac,
-    };
-    opt.engine.variant = kVariants[rng.next_below(std::size(kVariants))];
+    opt.engine.variant = draw_pipeline_variant(rng);
     opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
     const std::uint64_t cap = rng.next_bool(0.25)
                                   ? w.text().size() + 16
@@ -626,12 +609,7 @@ class DispatchMatcher final : public Matcher {
 
     cluster::ClusterOptions opt;
     opt.devices = 1 + static_cast<std::uint32_t>(rng.next_below(2));
-    static constexpr pipeline::KernelVariant kVariants[] = {
-        pipeline::KernelVariant::kShared,
-        pipeline::KernelVariant::kGlobalOnly,
-        pipeline::KernelVariant::kPfac,
-    };
-    opt.engine.variant = kVariants[rng.next_below(std::size(kVariants))];
+    opt.engine.variant = draw_pipeline_variant(rng);
     opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
     const std::uint64_t cap = rng.next_bool(0.25)
                                   ? w.text().size() + 16

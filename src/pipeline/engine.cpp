@@ -13,18 +13,12 @@ std::atomic<std::uint32_t> g_next_engine_id{0};
 
 }  // namespace
 
-Result<CompiledPatterns> CompiledPatterns::compile(
-    const ac::PatternSet& patterns, pipeline::KernelVariant variant) {
+Result<CompiledPatterns> CompiledPatterns::compile(const ac::PatternSet& patterns) {
   if (patterns.empty()) return Status::invalid_argument("empty pattern set");
   CompiledPatterns compiled;
   try {
-    // The host DFA is built for every variant: dfa() is part of the facade
-    // (serial cross-checks, pattern metadata, session state) even when PFAC
-    // matches.
     compiled.dfa = std::make_shared<const ac::Dfa>(
         ac::build_dfa(patterns, /*pad_pitch_to=*/8));
-    if (variant == pipeline::KernelVariant::kPfac)
-      compiled.pfac = std::make_shared<const ac::PfacAutomaton>(patterns);
   } catch (const std::exception& e) {
     return Status::from_exception(e);
   }
@@ -33,8 +27,7 @@ Result<CompiledPatterns> CompiledPatterns::compile(
 
 Result<Engine> Engine::create(Device& device, const ac::PatternSet& patterns,
                               const EngineOptions& options) {
-  Result<CompiledPatterns> compiled =
-      CompiledPatterns::compile(patterns, options.variant);
+  Result<CompiledPatterns> compiled = CompiledPatterns::compile(patterns);
   if (!compiled.is_ok()) return compiled.status();
   return create(device, compiled.value(), options);
 }
@@ -43,11 +36,6 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
                               const EngineOptions& options) {
   if (compiled.dfa == nullptr || compiled.dfa->pattern_count() == 0)
     return Status::invalid_argument("DFA has no patterns");
-  const bool pfac = options.variant == pipeline::KernelVariant::kPfac;
-  if (pfac && compiled.pfac == nullptr)
-    return Status::invalid_argument(
-        "variant kPfac needs the PFAC automaton, which only a pattern set "
-        "compiles (CompiledPatterns::compile)");
 
   EngineOptions opts = options;
   // Engines on an audited device inherit its observer seam unless they were
@@ -64,9 +52,7 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
   // mark; uploading inside that region would be released under us.
   std::scoped_lock lock(device.scan_mutex());
   gpusim::DeviceMemory& mem = device.memory();
-  const std::size_t needed =
-      pfac ? kernels::DevicePfac::upload_bytes(*compiled.pfac)
-           : kernels::DeviceDfa::upload_bytes(*compiled.dfa);
+  const std::size_t needed = kernels::DeviceDfa::upload_bytes(*compiled.dfa);
   if (const std::size_t free_bytes = mem.available(); needed > free_bytes)
     return Status::capacity_exceeded(
         "the automaton upload needs " + std::to_string(needed) +
@@ -74,17 +60,9 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
         " B free");
   engine.upload_mark_ = mem.mark();
   try {
-    if (pfac) {
-      engine.dpfac_ =
-          std::make_unique<kernels::DevicePfac>(mem, *engine.compiled_.pfac);
-      engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-          device.gpu(), mem, *engine.dpfac_, std::move(opts));
-    } else {
-      engine.ddfa_ =
-          std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa);
-      engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-          device.gpu(), mem, *engine.ddfa_, std::move(opts));
-    }
+    engine.ddfa_ = std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa);
+    engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
+        device.gpu(), mem, *engine.ddfa_, std::move(opts));
   } catch (const std::exception& e) {
     mem.release(engine.upload_mark_);
     return Status::from_exception(e);
@@ -104,7 +82,6 @@ Engine& Engine::operator=(Engine&& other) noexcept {
   upload_end_ = other.upload_end_;
   compiled_ = std::move(other.compiled_);
   ddfa_ = std::move(other.ddfa_);
-  dpfac_ = std::move(other.dpfac_);
   pipeline_ = std::move(other.pipeline_);
   return *this;
 }

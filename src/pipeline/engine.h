@@ -35,10 +35,8 @@
 
 #include "ac/dfa.h"
 #include "ac/pattern_set.h"
-#include "ac/pfac.h"
 #include "gpusim/config.h"
 #include "kernels/device_dfa.h"
-#include "kernels/pfac_kernel.h"
 #include "pipeline/device.h"
 #include "pipeline/pipeline.h"
 #include "util/error.h"
@@ -52,19 +50,16 @@ using EngineOptions = pipeline::PipelineOptions;
 /// timing story (see pipeline::PipelineResult).
 using ScanResult = pipeline::PipelineResult;
 
-/// A pattern set compiled once: the host DFA every variant needs, plus
-/// PFAC's failureless automaton for variant kPfac. Immutable, so any number
-/// of engines, services and sessions share one copy — a Router compiles one
-/// for all its shards.
+/// A pattern set compiled once: the host DFA that every kernel variant
+/// uploads and every session walks. Immutable, so any number of engines,
+/// services and sessions share one copy — a Router compiles one for all its
+/// shards.
 struct CompiledPatterns {
   std::shared_ptr<const ac::Dfa> dfa;
-  /// Variant kPfac only (PFAC cannot be rebuilt from the DFA); else null.
-  std::shared_ptr<const ac::PfacAutomaton> pfac = nullptr;
 
-  /// Builds the DFA (STT pitch padded to 8 words) and, for kPfac, the PFAC
-  /// automaton. Fails (no throw) on an empty pattern set.
-  static Result<CompiledPatterns> compile(const ac::PatternSet& patterns,
-                                          pipeline::KernelVariant variant);
+  /// Builds the DFA (STT pitch padded to 8 words). Fails (no throw) on an
+  /// empty pattern set.
+  static Result<CompiledPatterns> compile(const ac::PatternSet& patterns);
 };
 
 class Engine {
@@ -75,8 +70,7 @@ class Engine {
                                const EngineOptions& options = {});
 
   /// Uploads `compiled` to `device`; the engine shares the host automaton
-  /// rather than copying it. Variant kPfac needs compiled.pfac, which a DFA
-  /// loaded from .acdfa lacks. The device must outlive the engine; engines
+  /// rather than copying it. The device must outlive the engine; engines
   /// sharing it serialize their scans, and this upload, on its scan mutex.
   /// Fails (no throw) on an automaton without patterns, inconsistent
   /// options, or — kCapacityExceeded, naming the bytes needed and free — a
@@ -124,11 +118,10 @@ class Engine {
   Device* device_ = nullptr;  ///< bound device (never null once built)
   std::size_t upload_mark_ = 0;  ///< arena allocation point before the upload
   std::size_t upload_end_ = 0;   ///< and after it
-  // Heap objects keep the Engine movable: DeviceDfa/DevicePfac hold
-  // references into the device arena and the shared host automaton.
+  // Heap objects keep the Engine movable: DeviceDfa holds references into
+  // the device arena and the shared host automaton.
   CompiledPatterns compiled_;
   std::unique_ptr<kernels::DeviceDfa> ddfa_;
-  std::unique_ptr<kernels::DevicePfac> dpfac_;
   std::unique_ptr<pipeline::MatchPipeline> pipeline_;
 };
 

@@ -17,15 +17,6 @@
 
 namespace acgpu::pipeline {
 
-const char* to_string(KernelVariant variant) {
-  switch (variant) {
-    case KernelVariant::kGlobalOnly: return "global-only";
-    case KernelVariant::kShared: return "shared";
-    case KernelVariant::kPfac: return "pfac";
-  }
-  return "?";
-}
-
 Status PipelineOptions::validate() const {
   if (streams == 0) return Status::invalid_argument("streams must be >= 1");
   if (batch_bytes == 0) return Status::invalid_argument("batch_bytes must be >= 1");
@@ -35,16 +26,11 @@ Status PipelineOptions::validate() const {
     return Status::invalid_argument("threads_per_block must be a positive multiple of 32");
   // A thread's match count crosses D2H as a u16 that saturates at
   // MatchBuffer::kMaxCount; a capacity below it keeps overflow visible.
-  for (const auto& [name, capacity] : {std::pair{"match_capacity", match_capacity},
-                                       std::pair{"pfac_match_capacity", pfac_match_capacity}})
-    if (capacity == 0 || capacity >= kernels::MatchBuffer::kMaxCount)
-      return Status::invalid_argument(
-          std::string(name) + " must be in [1, " +
-          std::to_string(kernels::MatchBuffer::kMaxCount - 1) + "], got " +
-          std::to_string(capacity));
-  if (variant == KernelVariant::kPfac && scheme != kernels::StoreScheme::kDiagonal)
+  if (match_capacity == 0 || match_capacity >= kernels::MatchBuffer::kMaxCount)
     return Status::invalid_argument(
-        "store scheme does not apply to the PFAC kernel (leave it defaulted)");
+        "match_capacity must be in [1, " +
+        std::to_string(kernels::MatchBuffer::kMaxCount - 1) + "], got " +
+        std::to_string(match_capacity));
   return Status::ok();
 }
 
@@ -136,7 +122,7 @@ void warn_streams_clamped(telemetry::Logger* logger, std::uint32_t requested,
                "pipeline.streams_clamped)");
 }
 
-/// Kernel geometry of one batch launch (chunk_bytes is 0 for PFAC).
+/// Kernel geometry of one batch launch.
 struct BatchGeometry {
   std::uint32_t chunk_bytes = 0;
   std::uint32_t threads_per_block = 0;
@@ -172,7 +158,6 @@ std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_by
 BatchGeometry resolve_geometry(const PipelineOptions& opt,
                                const gpusim::GpuConfig& config, std::uint32_t overlap,
                                std::uint64_t slice) {
-  if (opt.variant == KernelVariant::kPfac) return {0, opt.threads_per_block};
   const bool shared = opt.variant == KernelVariant::kShared;
   if (opt.chunk_bytes != 0)
     return {opt.chunk_bytes,
@@ -200,29 +185,25 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt,
 
 /// Rejects geometry no batch of the run could launch: an explicit chunk
 /// that does not exceed the overlap, a chunk too wide to stage even a
-/// 32-thread block, or a per-thread scan bound S (chunk + overlap for AC, the
-/// longest pattern for PFAC) too large for the 32-bit match record
-/// oid * S + offset. Checked once per run, before anything is staged. The
-/// chunk never narrows as the slice grows, so the largest slice's chunk is
-/// the widest any batch runs.
+/// 32-thread block, or a per-thread scan bound S (chunk + overlap) too large
+/// for the 32-bit match record oid * S + offset. Checked once per run, before
+/// anything is staged. The chunk never narrows as the slice grows, so the
+/// largest slice's chunk is the widest any batch runs.
 Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
                       std::uint32_t max_pattern_length, std::uint32_t overlap,
                       std::uint64_t slice_cap, std::uint64_t output_ids) {
-  std::uint32_t scan_bound = max_pattern_length;
-  if (opt.variant != KernelVariant::kPfac) {
-    const std::uint32_t widest =
-        resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
-    if (overlap >= widest)
-      return Status::invalid_argument(
-          "chunk_bytes " + std::to_string(widest) +
-          " too small for max pattern length " + std::to_string(max_pattern_length));
-    if (opt.variant == KernelVariant::kShared &&
-        largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
-      return Status::capacity_exceeded(
-          "staged block for chunk_bytes " + std::to_string(widest) +
-          " exceeds shared memory even at 32 threads/block");
-    scan_bound = widest + overlap;
-  }
+  const std::uint32_t widest =
+      resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
+  if (overlap >= widest)
+    return Status::invalid_argument(
+        "chunk_bytes " + std::to_string(widest) +
+        " too small for max pattern length " + std::to_string(max_pattern_length));
+  if (opt.variant == KernelVariant::kShared &&
+      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
+    return Status::capacity_exceeded(
+        "staged block for chunk_bytes " + std::to_string(widest) +
+        " exceeds shared memory even at 32 threads/block");
+  const std::uint32_t scan_bound = widest + overlap;
   if (!kernels::MatchBuffer::encodable(output_ids, scan_bound))
     return Status::capacity_exceeded(
         std::to_string(output_ids) + " output ids x per-thread scan bound " +
@@ -306,12 +287,7 @@ void publish_run(const PipelineResult& result, telemetry::MetricsRegistry& reg,
 MatchPipeline::MatchPipeline(const gpusim::GpuConfig& config,
                              gpusim::DeviceMemory& mem,
                              const kernels::DeviceDfa& ddfa, PipelineOptions options)
-    : config_(config), mem_(mem), ddfa_(&ddfa), options_(std::move(options)) {}
-
-MatchPipeline::MatchPipeline(const gpusim::GpuConfig& config,
-                             gpusim::DeviceMemory& mem,
-                             const kernels::DevicePfac& dpfac, PipelineOptions options)
-    : config_(config), mem_(mem), dpfac_(&dpfac), options_(std::move(options)) {}
+    : config_(config), mem_(mem), ddfa_(ddfa), options_(std::move(options)) {}
 
 void MatchPipeline::TailFit::add(double x, double y) {
   min_x = count == 0 ? x : std::min(min_x, x);
@@ -340,21 +316,14 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   const PipelineOptions& opt = options_;
   const TelemetryOptions& tel = opt.telemetry;
   if (Status s = opt.validate(); !s) return s;
-  if (opt.variant == KernelVariant::kPfac) {
-    if (dpfac_ == nullptr)
-      return Status::invalid_argument("PFAC variant needs a DevicePfac pipeline");
-  } else if (ddfa_ == nullptr) {
-    return Status::invalid_argument("AC variants need a DeviceDfa pipeline");
-  }
 
   PipelineResult result;
   if (text.empty()) return result;
 
   telemetry::Span run_span(tel.tracer, "pipeline.run");
 
-  const std::uint32_t max_len = opt.variant == KernelVariant::kPfac
-                                    ? dpfac_->max_pattern_length()
-                                    : ddfa_->max_pattern_length();
+  const ac::Dfa& dfa = ddfa_.host_dfa();
+  const std::uint32_t max_len = ddfa_.max_pattern_length();
   const bool packed_text = opt.variant == KernelVariant::kShared &&
                            kernels::symbol_table(text).has_value();
   const StagingPlan plan = resolve_staging(opt, config_, text.size(), packed_text,
@@ -375,10 +344,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   // Largest device slice: owned bytes plus the overlap carry.
   const std::uint64_t slice_cap =
       std::min<std::uint64_t>(plan.batch_bytes, text.size()) + overlap;
-  const std::uint64_t output_ids = opt.variant == KernelVariant::kPfac
-                                       ? dpfac_->host_automaton().output_id_count()
-                                       : ddfa_->host_dfa().output_id_count();
-  if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap, output_ids); !s)
+  if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap,
+                                dfa.output_id_count());
+      !s)
     return s;
 
   try {
@@ -468,10 +436,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       pending.reset();
     };
 
-    const ac::Dfa* dfa = ddfa_ != nullptr ? &ddfa_->host_dfa() : nullptr;
-    const ac::PfacAutomaton* pfac =
-        dpfac_ != nullptr ? &dpfac_->host_automaton() : nullptr;
-
     for (std::uint64_t b = 0; b < plan.batches; ++b) {
       const std::uint64_t base = b * plan.batch_bytes;
       const std::uint64_t owned =
@@ -548,62 +512,35 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         sim_opt.mode = opt.mode;
         sim_opt.observer = opt.observer;
 
-        double scale = 1.0;
-        std::uint64_t threads = 0, reported = 0, stored = 0;
-        if (opt.variant == KernelVariant::kPfac) {
-          kernels::PfacLaunchSpec spec;
-          spec.threads_per_block = g.threads_per_block;
-          spec.match_capacity = opt.pfac_match_capacity;
-          spec.sim = sim_opt;
-          kernels::PfacLaunchOutcome out = kernels::run_pfac_kernel_stream(
-              sim, stream, *dpfac_, dst, slice, spec, "kernel b" + std::to_string(b));
-          trace.kernel_seconds = out.sim.seconds;
-          scale = out.sim.scale();
-          threads = out.threads;
-          reported = out.matches.total_reported;
-          stored = out.matches.stored_records;
-          result.overflowed |= out.matches.overflowed;
-          result.metrics += out.sim.metrics;
-          if (opt.mode == gpusim::SimMode::Functional)
-            for (const ac::Match& m : out.matches.matches) {
-              const std::uint64_t start = m.end + 1 - pfac->pattern_length(m.pattern);
-              if (start < owned) result.matches.push_back(ac::Match{base + m.end, m.pattern});
-            }
-        } else {
-          kernels::AcLaunchSpec spec;
-          spec.approach = opt.variant == KernelVariant::kGlobalOnly
-                              ? kernels::Approach::kGlobalOnly
-                              : kernels::Approach::kShared;
-          spec.scheme = opt.scheme;
-          spec.chunk_bytes = g.chunk_bytes;
-          spec.threads_per_block = g.threads_per_block;
-          spec.match_capacity = opt.match_capacity;
-          spec.sim = sim_opt;
-          kernels::AcLaunchOutcome out =
-              kernels::run_ac_kernel_stream(sim, stream, *ddfa_, dst, slice, spec, symbols,
-                                            "kernel b" + std::to_string(b));
-          trace.kernel_seconds = out.sim.seconds;
-          scale = out.sim.scale();
-          threads = out.threads;
-          reported = out.matches.total_reported;
-          stored = out.matches.stored_records;
-          result.overflowed |= out.matches.overflowed;
-          result.metrics += out.sim.metrics;
-          if (opt.mode == gpusim::SimMode::Functional)
-            for (const ac::Match& m : out.matches.matches) {
-              const std::uint64_t start = m.end + 1 - dfa->pattern_length(m.pattern);
-              if (start < owned) result.matches.push_back(ac::Match{base + m.end, m.pattern});
-            }
-        }
-        // The stream runners enqueue exactly one kernel op — annotate it as
+        kernels::AcLaunchSpec spec;
+        spec.approach = opt.variant;
+        spec.scheme = opt.scheme;
+        spec.chunk_bytes = g.chunk_bytes;
+        spec.threads_per_block = g.threads_per_block;
+        spec.match_capacity = opt.match_capacity;
+        spec.sim = sim_opt;
+        kernels::AcLaunchOutcome out =
+            kernels::run_ac_kernel_stream(sim, stream, ddfa_, dst, slice, spec, symbols,
+                                          "kernel b" + std::to_string(b));
+        trace.kernel_seconds = out.sim.seconds;
+        result.overflowed |= out.matches.overflowed;
+        result.metrics += out.sim.metrics;
+        if (opt.mode == gpusim::SimMode::Functional)
+          for (const ac::Match& m : out.matches.matches) {
+            const std::uint64_t start = m.end + 1 - dfa.pattern_length(m.pattern);
+            if (start < owned) result.matches.push_back(ac::Match{base + m.end, m.pattern});
+          }
+        // The stream runner enqueues exactly one kernel op — annotate it as
         // the last reader of the staged slice for the hostcheck auditor.
         sim.annotate(sim.timeline().back().id, dst, trace.staged_bytes, /*is_write=*/false);
-        result.total_reported += reported;
+        result.total_reported += out.matches.total_reported;
         // D2H payload: the per-thread u16 counts plus the stored one-word
         // records (extrapolated in Timed mode), charged as if packed.
         trace.output_bytes =
-            threads * 2 +
-            static_cast<std::uint64_t>(static_cast<double>(stored) * scale) * 4;
+            out.threads * 2 +
+            static_cast<std::uint64_t>(static_cast<double>(out.matches.stored_records) *
+                                       out.sim.scale()) *
+                4;
         if (reuse) timing_cache[key] = {trace.kernel_seconds, trace.output_bytes};
       }
 

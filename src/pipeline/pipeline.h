@@ -64,7 +64,6 @@
 #include "gpusim/metrics.h"
 #include "gpusim/stream.h"
 #include "kernels/ac_kernel.h"
-#include "kernels/pfac_kernel.h"
 #include "util/error.h"
 
 namespace acgpu::telemetry {
@@ -76,10 +75,9 @@ class Logger;
 
 namespace acgpu::pipeline {
 
-/// Which device kernel the pipeline drives per batch.
-enum class KernelVariant : std::uint8_t { kGlobalOnly, kShared, kPfac };
-
-const char* to_string(KernelVariant variant);
+/// Which AC kernel the pipeline drives per batch: the paper's approach A
+/// (global memory only) or approach B (shared-memory staging).
+using KernelVariant = kernels::Approach;
 
 /// Observability sinks (telemetry/metrics_registry.h, telemetry/trace.h).
 /// All default to null = telemetry off, which costs nothing on the scan path
@@ -112,8 +110,8 @@ struct TelemetryOptions {
 };
 
 struct PipelineOptions {
-  /// Device kernel: the paper's shared-memory kernel (default), the
-  /// global-memory ablation, or PFAC.
+  /// Device kernel: the paper's shared-memory kernel (default) or the
+  /// global-memory ablation.
   KernelVariant variant = KernelVariant::kShared;
   /// Shared-memory store scheme (kShared only); the diagonal scheme is the
   /// paper's bank-conflict-free layout.
@@ -169,9 +167,6 @@ struct PipelineOptions {
   /// most one record per scanned byte, so at most chunk + overlap are
   /// allocated whatever the capacity.
   std::uint32_t match_capacity = 64;
-  /// PFAC runs one thread per byte, so its record slots are priced per input
-  /// byte — keep this small (patterns starting at one position). Same range.
-  std::uint32_t pfac_match_capacity = 8;
 
   /// Functional: every block of every batch simulated — matches exact (the
   /// conformance/audit path). Timed: sampled-wave timing per batch — the
@@ -195,8 +190,8 @@ struct PipelineOptions {
   /// Metrics/tracing sinks; zero-cost when left defaulted (off).
   TelemetryOptions telemetry;
 
-  /// Rejects inconsistent combinations (PFAC with a store scheme override,
-  /// zero streams, ...). Streams above the pool depth are NOT an error —
+  /// Rejects inconsistent combinations (zero streams, a chunk that is not a
+  /// multiple of 4, ...). Streams above the pool depth are NOT an error —
   /// they clamp, and the clamp is surfaced in the run's stats/telemetry.
   Status validate() const;
 };
@@ -215,7 +210,7 @@ struct BatchTrace {
   std::uint64_t staged_bytes = 0;
   /// D2H payload: a u16 count per thread plus 4 bytes per stored record.
   std::uint64_t output_bytes = 0;
-  std::uint32_t chunk_bytes = 0;   ///< AC kernel chunk (0 for PFAC)
+  std::uint32_t chunk_bytes = 0;   ///< per-thread kernel chunk
   std::uint32_t threads_per_block = 0;  ///< kernel block size
   double submit_seconds = 0;       ///< H2D start (after any backpressure wait)
   double complete_seconds = 0;     ///< D2H end
@@ -277,17 +272,13 @@ struct PipelineResult {
   std::vector<gpusim::StreamOp> timeline;
 };
 
-/// Drives one device automaton over arbitrarily many inputs. The automaton
-/// (and the DeviceMemory it lives in) must outlive the pipeline; each run()
-/// allocates its slot buffers on top and recycles them per batch.
+/// Drives one device DFA over arbitrarily many inputs. The DFA (and the
+/// DeviceMemory it lives in) must outlive the pipeline; each run() allocates
+/// its slot buffers on top and recycles them per batch.
 class MatchPipeline {
  public:
-  /// AC-DFA pipeline (variant kGlobalOnly or kShared).
   MatchPipeline(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem,
                 const kernels::DeviceDfa& ddfa, PipelineOptions options);
-  /// PFAC pipeline (variant kPfac).
-  MatchPipeline(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem,
-                const kernels::DevicePfac& dpfac, PipelineOptions options);
 
   const PipelineOptions& options() const { return options_; }
 
@@ -314,8 +305,7 @@ class MatchPipeline {
 
   gpusim::GpuConfig config_;  // by value: pipelines outlive caller temporaries
   gpusim::DeviceMemory& mem_;
-  const kernels::DeviceDfa* ddfa_ = nullptr;
-  const kernels::DevicePfac* dpfac_ = nullptr;
+  const kernels::DeviceDfa& ddfa_;
   PipelineOptions options_;
   std::array<TailFit, 2> tail_fits_;  ///< byte batches, packed batches
 };

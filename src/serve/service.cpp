@@ -103,10 +103,8 @@ struct StreamService::Impl {
   /// Built from ServeOptions::device. Declared before `engine` so the
   /// engine is destroyed first.
   std::unique_ptr<Device> device;
-  /// Sessions read the engine's shared host automaton: its DFA, and for the
-  /// kPfacTail boundary (kPfac variant) its PFAC automaton.
+  /// Sessions walk the engine's shared host DFA.
   Engine engine;
-  BoundaryMode boundary = BoundaryMode::kDfaState;
 
   /// TrackedMutex so hostcheck can audit lock order; with no observer
   /// attached it is one branch over a plain mutex. The condition variables
@@ -129,9 +127,6 @@ struct StreamService::Impl {
       : options(std::move(opts)),
         device(std::move(dev)),
         engine(std::move(eng)),
-        boundary(options.engine.variant == pipeline::KernelVariant::kPfac
-                     ? BoundaryMode::kPfacTail
-                     : BoundaryMode::kDfaState),
         manager(options.max_sessions, options.session_id_namespace),
         scheduler([&] {
           SchedulerOptions so;
@@ -169,8 +164,6 @@ struct StreamService::Impl {
     if (telemetry().recorder != nullptr)
       telemetry().recorder->record(kind, telemetry().shard, a, b, code);
   }
-
-  const ac::PfacAutomaton* pfac() const { return engine.compiled().pfac.get(); }
 
   void publish_queue_locked() {
     stats.queued_chunks = scheduler.queued_chunks();
@@ -314,8 +307,7 @@ StreamService::~StreamService() {
 
 Result<StreamService> StreamService::create(const ac::PatternSet& patterns,
                                             const ServeOptions& options) {
-  Result<CompiledPatterns> compiled =
-      CompiledPatterns::compile(patterns, options.engine.variant);
+  Result<CompiledPatterns> compiled = CompiledPatterns::compile(patterns);
   if (!compiled.is_ok()) return compiled.status();
   return create(compiled.value(), options);
 }
@@ -338,8 +330,7 @@ Result<SessionId> StreamService::open() {
   if (!im.accepting)
     return Status::invalid_argument("StreamService is shut down");
   std::optional<SessionId> evicted;
-  Session& s = im.manager.open(im.engine.dfa(), im.pfac(), im.boundary,
-                               im.options.session_limits, &evicted);
+  Session& s = im.manager.open(im.engine.dfa(), im.options.session_limits, &evicted);
   ++im.stats.sessions_opened;
   im.stats.sessions_live = im.manager.live();
   if (evicted.has_value()) {
@@ -494,17 +485,20 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
   std::unique_lock<gpusim::TrackedMutex> lk(im.mu);
   if (!im.accepting)
     return Status::invalid_argument("StreamService is shut down");
-  if (snapshot.mode != im.boundary)
+  // The carried state indexes the STT on the next feed: a hostile or
+  // foreign snapshot must name one of this DFA's states.
+  const std::uint32_t states = im.engine.dfa().state_count();
+  if (snapshot.dfa_state < 0 ||
+      static_cast<std::uint32_t>(snapshot.dfa_state) >= states)
     return Status::invalid_argument(
-        "snapshot boundary mode does not match this service's engine "
-        "variant (" + std::string(to_string(snapshot.mode)) + " vs " +
-        to_string(im.boundary) + ")");
+        "snapshot DFA state " + std::to_string(snapshot.dfa_state) +
+        " is outside this service's " + std::to_string(states) + " states");
   if (im.manager.find(snapshot.id) != nullptr)
     return Status::invalid_argument("session id " +
                                     std::to_string(snapshot.id) +
                                     " is already live here");
   std::optional<SessionId> evicted;
-  im.manager.adopt(snapshot, im.engine.dfa(), im.pfac(), &evicted);
+  im.manager.adopt(snapshot, im.engine.dfa(), &evicted);
   ++im.stats.sessions_imported;
   im.stats.sessions_live = im.manager.live();
   if (evicted.has_value()) {

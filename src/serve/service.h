@@ -70,13 +70,12 @@ enum class AdmissionPolicy : std::uint8_t {
 const char* to_string(AdmissionPolicy policy);
 
 struct ServeOptions {
-  /// The bulk-scan engine. The kernel variant also picks the sessions'
-  /// boundary mode: kPfac streams carry a tail buffer, the AC-DFA variants
-  /// carry live DFA state. Its telemetry sinks are the service's too: the
-  /// serve.* series go to engine.telemetry.metrics under its metrics_prefix,
-  /// serve.superbatch spans to its tracer (so engine.scan nests under
-  /// them), and admission/reject/eviction events to its recorder, stamped
-  /// with its shard.
+  /// The bulk-scan engine; its DFA is the one every session walks across
+  /// chunk boundaries, whatever the kernel variant. Its telemetry sinks are
+  /// the service's too: the serve.* series go to engine.telemetry.metrics
+  /// under its metrics_prefix, serve.superbatch spans to its tracer (so
+  /// engine.scan nests under them), and admission/reject/eviction events to
+  /// its recorder, stamped with its shard.
   EngineOptions engine;
 
   /// The device the service creates and owns for its engine. Its
@@ -152,10 +151,9 @@ class StreamService {
   /// Stands the service up on an already compiled automaton: its Engine
   /// uploads `compiled` to the device, and its sessions carry state over
   /// the same shared host objects. The cluster Router compiles once and
-  /// hands the result to every shard. Variant kPfac needs compiled.pfac,
-  /// as in Engine::create. Fails (no throw) on invalid options, or when
-  /// Device::create or Engine::create fails (kCapacityExceeded when the
-  /// automaton does not fit the device).
+  /// hands the result to every shard. Fails (no throw) on invalid options,
+  /// or when Device::create or Engine::create fails (kCapacityExceeded when
+  /// the automaton does not fit the device).
   static Result<StreamService> create(const CompiledPatterns& compiled,
                                       const ServeOptions& options = {});
 
@@ -195,8 +193,9 @@ class StreamService {
 
   /// Migration in: restores an exported session under its ORIGINAL id (may
   /// LRU-evict, like open). Fails kInvalidArgument when the id is already
-  /// live here, the boundary mode does not match this service's engine
-  /// variant, or the service is shut down.
+  /// live here, the snapshot's DFA state is not one of this service's DFA
+  /// states (0 <= dfa_state < dfa().state_count()), or the service is shut
+  /// down.
   Status import_session(const SessionSnapshot& snapshot);
 
   /// Synchronous mode: scan one coalesced superbatch inline (how kReject

@@ -1,29 +1,16 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <string>
 
 namespace acgpu::serve {
 
-const char* to_string(BoundaryMode mode) {
-  switch (mode) {
-    case BoundaryMode::kDfaState: return "dfa-state";
-    case BoundaryMode::kPfacTail: return "pfac-tail";
-  }
-  return "?";
-}
+Session::Session(SessionId id, const ac::Dfa& dfa, const SessionLimits& limits)
+    : id_(id), dfa_(&dfa), limits_(limits) {}
 
-Session::Session(SessionId id, const ac::Dfa& dfa, const ac::PfacAutomaton* pfac,
-                 BoundaryMode mode, const SessionLimits& limits)
-    : id_(id), dfa_(&dfa), pfac_(pfac), mode_(mode), limits_(limits) {
-  ACGPU_CHECK(mode_ != BoundaryMode::kPfacTail || pfac_ != nullptr,
-              "session " << id << ": kPfacTail needs a PfacAutomaton");
-}
-
-Session::Session(const SessionSnapshot& snapshot, const ac::Dfa& dfa,
-                 const ac::PfacAutomaton* pfac)
-    : Session(snapshot.id, dfa, pfac, snapshot.mode, snapshot.limits) {
+Session::Session(const SessionSnapshot& snapshot, const ac::Dfa& dfa)
+    : Session(snapshot.id, dfa, snapshot.limits) {
   state_ = snapshot.dfa_state;
-  tail_ = snapshot.tail;
   stats_ = snapshot.stats;
   matches_ = snapshot.matches;
 }
@@ -31,9 +18,7 @@ Session::Session(const SessionSnapshot& snapshot, const ac::Dfa& dfa,
 SessionSnapshot Session::snapshot() const {
   SessionSnapshot out;
   out.id = id_;
-  out.mode = mode_;
   out.dfa_state = state_;
-  out.tail = tail_;
   out.limits = limits_;
   out.stats = stats_;
   out.matches = matches_;
@@ -67,15 +52,6 @@ void Session::deliver_spanning(std::uint64_t global_end, std::int32_t pattern) {
 }
 
 void Session::begin_chunk(std::string_view chunk) {
-  if (mode_ == BoundaryMode::kDfaState)
-    begin_chunk_dfa(chunk);
-  else
-    begin_chunk_pfac(chunk);
-  stats_.bytes_fed += chunk.size();
-  ++stats_.chunks_fed;
-}
-
-void Session::begin_chunk_dfa(std::string_view chunk) {
   const std::uint32_t x = dfa_->max_pattern_length();
   const std::uint64_t base = stats_.bytes_fed;
   // A spanning match ends within the first X-1 chunk bytes (it starts at
@@ -105,33 +81,8 @@ void Session::begin_chunk_dfa(std::string_view chunk) {
   }
   // else: prefix == chunk.size() (chunk shorter than X), s is already exact.
   state_ = s;
-}
-
-void Session::begin_chunk_pfac(std::string_view chunk) {
-  const std::uint32_t x = pfac_->max_pattern_length();
-  const std::uint64_t base = stats_.bytes_fed;
-  const std::size_t keep = x > 0 ? x - 1 : 0;
-  if (!tail_.empty() && !chunk.empty()) {
-    // Root one failureless instance at every tail position over tail +
-    // first X-1 chunk bytes; an instance dies within X bytes, so nothing
-    // past that prefix can matter.
-    std::string buf = tail_;
-    buf.append(chunk.substr(0, std::min<std::size_t>(chunk.size(), keep)));
-    const std::size_t tail_len = tail_.size();
-    for (std::size_t t = 0; t < tail_len; ++t)
-      pfac_->run_from(buf, t, [&](std::size_t end, std::int32_t pattern) {
-        // Matches ending inside the tail were reported by earlier feeds;
-        // only those reaching into the new chunk are new.
-        if (end >= tail_len) deliver_spanning(base + (end - tail_len), pattern);
-      });
-  }
-  // New tail: the last X-1 bytes of (history + chunk).
-  if (chunk.size() >= keep) {
-    tail_.assign(chunk.substr(chunk.size() - keep));
-  } else {
-    tail_.append(chunk);
-    if (tail_.size() > keep) tail_.erase(0, tail_.size() - keep);
-  }
+  stats_.bytes_fed += chunk.size();
+  ++stats_.chunks_fed;
 }
 
 std::vector<ac::Match> Session::take_matches() {

@@ -6,36 +6,28 @@
 // chunks, a pattern may straddle arbitrarily many chunk boundaries, and the
 // previous chunk's bytes are gone by the time the next one arrives. A
 // Session therefore carries just enough *state* across feed() calls to make
-// chunked scanning exact without re-scanning history:
+// chunked scanning exact without re-scanning history: one DFA state.
 //
-//  - kDfaState (AC-DFA engine variants): the carried DFA state is, by
-//    construction, the longest suffix of everything fed so far that is a
-//    prefix of some pattern. Advancing it over the first X-1 bytes of a new
-//    chunk discovers every match that *spans* into the chunk (start before
-//    the chunk, end inside it); matches wholly inside the chunk are the bulk
-//    scanner's job. Because that suffix is at most X bytes long, the state
-//    after a long chunk can be recomputed from the chunk's last X bytes
-//    alone — host work per feed is O(X), independent of chunk size.
+// The carried DFA state is, by construction, the longest suffix of
+// everything fed so far that is a prefix of some pattern. Advancing it over
+// the first X-1 bytes of a new chunk discovers every match that *spans* into
+// the chunk (start before the chunk, end inside it); matches wholly inside
+// the chunk are the bulk scanner's job. Because that suffix is at most X
+// bytes long, the state after a long chunk can be recomputed from the
+// chunk's last X bytes alone — host work per feed is O(X), independent of
+// chunk size.
 //
-//  - kPfacTail (failureless/PFAC engine variant): PFAC has no carried state
-//    to resume — an instance is rooted at every start position — so the
-//    session instead keeps a bounded tail buffer of the last X-1 bytes of
-//    history and roots boundary instances at each tail position, keeping
-//    only matches that end inside the new chunk.
-//
-// Either way a boundary match is discovered exactly once, at the feed that
+// A boundary match is therefore discovered exactly once, at the feed that
 // completes it, with a global (stream-absolute) byte offset — and the bulk
 // scanner never needs bytes from more than one chunk.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "ac/dfa.h"
 #include "ac/match.h"
-#include "ac/pfac.h"
 #include "util/error.h"
 
 namespace acgpu::serve {
@@ -43,11 +35,6 @@ namespace acgpu::serve {
 /// Deterministic session identity: the manager hands them out starting at 1
 /// in open() order and never reuses one.
 using SessionId = std::uint64_t;
-
-/// How a session bridges chunk boundaries (picked from the engine variant).
-enum class BoundaryMode : std::uint8_t { kDfaState, kPfacTail };
-
-const char* to_string(BoundaryMode mode);
 
 /// Per-session quotas; 0 = unlimited.
 struct SessionLimits {
@@ -73,11 +60,11 @@ struct SessionStats {
 /// import_session() on a healthy one; because the carried state is O(max
 /// pattern length) and the buffered matches are whatever the client has not
 /// polled yet, a snapshot is small no matter how many bytes were fed.
+/// StreamService::import_session refuses a dfa_state outside the importing
+/// DFA's states.
 struct SessionSnapshot {
   SessionId id = 0;
-  BoundaryMode mode = BoundaryMode::kDfaState;
-  std::int32_t dfa_state = 0;  ///< kDfaState carried state
-  std::string tail;            ///< kPfacTail carried history
+  std::int32_t dfa_state = 0;  ///< carried DFA state
   SessionLimits limits;
   SessionStats stats;               ///< bytes_fed continues global offsets
   std::vector<ac::Match> matches;   ///< buffered, not yet polled
@@ -85,16 +72,13 @@ struct SessionSnapshot {
 
 class Session {
  public:
-  /// `dfa` must outlive the session; `pfac` is required (and used) only in
-  /// kPfacTail mode.
-  Session(SessionId id, const ac::Dfa& dfa, const ac::PfacAutomaton* pfac,
-          BoundaryMode mode, const SessionLimits& limits);
+  /// `dfa` must outlive the session.
+  Session(SessionId id, const ac::Dfa& dfa, const SessionLimits& limits);
 
   /// Restores a migrated session from its snapshot (same id, carried state,
-  /// stats, and buffered matches). The snapshot's mode must match the
-  /// automata handed in, exactly as for the fresh constructor.
-  Session(const SessionSnapshot& snapshot, const ac::Dfa& dfa,
-          const ac::PfacAutomaton* pfac);
+  /// stats, and buffered matches). The snapshot's DFA state must be one of
+  /// `dfa`'s states.
+  Session(const SessionSnapshot& snapshot, const ac::Dfa& dfa);
 
   /// Portable copy of the session's state (see SessionSnapshot). Leaves the
   /// session untouched; the caller (StreamService::export_session) closes
@@ -102,16 +86,15 @@ class Session {
   SessionSnapshot snapshot() const;
 
   SessionId id() const { return id_; }
-  BoundaryMode mode() const { return mode_; }
 
   /// Quota admission for `n` more bytes; checked before any state mutates.
   Status admit_bytes(std::uint64_t n) const;
 
   /// Boundary continuation for the next chunk: emits every match spanning
   /// into `chunk` (global start before the chunk's first byte) into the
-  /// delivery buffer, advances the carried state / tail buffer, and bumps
-  /// the global offset. Must be called exactly once per fed chunk, in feed
-  /// order, *before* the chunk's bulk matches are delivered.
+  /// delivery buffer, advances the carried DFA state, and bumps the global
+  /// offset. Must be called exactly once per fed chunk, in feed order,
+  /// *before* the chunk's bulk matches are delivered.
   void begin_chunk(std::string_view chunk);
 
   /// Delivery from the bulk scanner: `m.end` is a global byte offset. The
@@ -132,21 +115,15 @@ class Session {
 
   /// Carried automaton context — exposed for tests and debugging.
   std::int32_t dfa_state() const { return state_; }
-  std::string_view tail() const { return tail_; }
 
  private:
   void deliver_spanning(std::uint64_t global_end, std::int32_t pattern);
-  void begin_chunk_dfa(std::string_view chunk);
-  void begin_chunk_pfac(std::string_view chunk);
 
   SessionId id_ = 0;
   const ac::Dfa* dfa_ = nullptr;
-  const ac::PfacAutomaton* pfac_ = nullptr;
-  BoundaryMode mode_ = BoundaryMode::kDfaState;
   SessionLimits limits_;
 
-  std::int32_t state_ = 0;  ///< kDfaState: carried DFA state (0 = root)
-  std::string tail_;        ///< kPfacTail: last X-1 bytes of history
+  std::int32_t state_ = 0;  ///< carried DFA state (0 = root)
 
   std::vector<ac::Match> matches_;  ///< delivered, awaiting poll
   SessionStats stats_;

@@ -27,19 +27,17 @@ Session& SessionManager::insert_locked(SessionId id, Session session,
   return it->second.session;
 }
 
-Session& SessionManager::open(const ac::Dfa& dfa, const ac::PfacAutomaton* pfac,
-                              BoundaryMode mode, const SessionLimits& limits,
+Session& SessionManager::open(const ac::Dfa& dfa, const SessionLimits& limits,
                               std::optional<SessionId>* evicted) {
   std::scoped_lock lock(mu_);
   const SessionId id = next_id_++;
-  return insert_locked(id, Session(id, dfa, pfac, mode, limits), evicted);
+  return insert_locked(id, Session(id, dfa, limits), evicted);
 }
 
 Session& SessionManager::adopt(const SessionSnapshot& snapshot, const ac::Dfa& dfa,
-                               const ac::PfacAutomaton* pfac,
                                std::optional<SessionId>* evicted) {
   std::scoped_lock lock(mu_);
-  return insert_locked(snapshot.id, Session(snapshot, dfa, pfac), evicted);
+  return insert_locked(snapshot.id, Session(snapshot, dfa), evicted);
 }
 
 Session* SessionManager::touch(SessionId id) {

@@ -4,7 +4,7 @@
 // cannot hold per-stream state for all of them forever, so the manager caps
 // live sessions at a fixed capacity and evicts the least-recently-touched
 // one to admit a new open(). Eviction is forgetful by design — the evicted
-// stream's carried state, tail buffer, and undelivered matches are dropped
+// stream's carried state and undelivered matches are dropped
 // (an IDS that loses a flow's state re-anchors on the next flow) — and the
 // service reports it through serve.sessions.evicted so operators can size
 // the capacity to their traffic.
@@ -35,8 +35,7 @@ class SessionManager {
 
   /// Opens a new session (most-recently-used position). At capacity, the
   /// LRU session is destroyed first and its id reported via `evicted`.
-  Session& open(const ac::Dfa& dfa, const ac::PfacAutomaton* pfac,
-                BoundaryMode mode, const SessionLimits& limits,
+  Session& open(const ac::Dfa& dfa, const SessionLimits& limits,
                 std::optional<SessionId>* evicted = nullptr);
 
   /// Inserts a migrated session restored from `snapshot`, preserving its
@@ -44,7 +43,6 @@ class SessionManager {
   /// process on an id collision with a live session; at capacity the LRU
   /// session is evicted exactly as in open().
   Session& adopt(const SessionSnapshot& snapshot, const ac::Dfa& dfa,
-                 const ac::PfacAutomaton* pfac,
                  std::optional<SessionId>* evicted = nullptr);
 
   /// Looks a session up and marks it most recently used. Returns nullptr

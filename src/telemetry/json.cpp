@@ -25,13 +25,25 @@ class Parser {
 
   std::optional<JsonValue> parse() {
     std::optional<JsonValue> value = parse_value();
-    if (!value) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
+    if (!value || !at_end()) return std::nullopt;
     return value;
   }
 
+  std::optional<std::vector<JsonMember>> parse_members() {
+    std::vector<JsonMember> members;
+    if (!for_each_member([&](JsonMember m) { members.push_back(std::move(m)); }) ||
+        !at_end())
+      return std::nullopt;
+    return members;
+  }
+
  private:
+  /// Only whitespace is left (trailing garbage fails a document).
+  bool at_end() {
+    skip_ws();
+    return pos_ == text_.size();
+  }
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
@@ -158,22 +170,36 @@ class Parser {
     }
   }
 
-  std::optional<JsonValue> parse_object() {
-    if (!eat('{')) return std::nullopt;
-    JsonValue::Object members;
+  /// Parses the object at pos_, handing `on_member` each member in
+  /// document order; false on malformed input.
+  template <typename OnMember>
+  bool for_each_member(OnMember&& on_member) {
+    if (!eat('{')) return false;
     skip_ws();
-    if (eat('}')) return JsonValue(std::move(members));
+    if (eat('}')) return true;
     while (true) {
       skip_ws();
       std::optional<std::string> key = parse_string();
-      if (!key) return std::nullopt;
-      if (!eat(':')) return std::nullopt;
+      if (!key) return false;
+      if (!eat(':')) return false;
+      skip_ws();
+      const std::size_t start = pos_;
       std::optional<JsonValue> value = parse_value();
-      if (!value) return std::nullopt;
-      members.insert_or_assign(std::move(*key), std::move(*value));
-      if (eat('}')) return JsonValue(std::move(members));
-      if (!eat(',')) return std::nullopt;
+      if (!value) return false;
+      on_member(JsonMember{std::move(*key), std::move(*value),
+                           text_.substr(start, pos_ - start)});
+      if (eat('}')) return true;
+      if (!eat(',')) return false;
     }
+  }
+
+  std::optional<JsonValue> parse_object() {
+    JsonValue::Object members;
+    if (!for_each_member([&](JsonMember m) {
+          members.insert_or_assign(std::move(m.name), std::move(m.value));
+        }))
+      return std::nullopt;
+    return JsonValue(std::move(members));
   }
 
   std::string_view text_;
@@ -184,6 +210,10 @@ class Parser {
 
 std::optional<JsonValue> parse_json(std::string_view text) {
   return Parser(text).parse();
+}
+
+std::optional<std::vector<JsonMember>> parse_json_members(std::string_view text) {
+  return Parser(text).parse_members();
 }
 
 }  // namespace acgpu::telemetry

@@ -2,7 +2,9 @@
 // regression baselines, re-reading metrics snapshots, and round-trip
 // validating emitted Chrome-trace files in tests. Full JSON value model
 // (object/array/string/number/bool/null), no streaming, no writer — every
-// emitter in this codebase writes its JSON by hand.
+// emitter in this codebase writes its JSON by hand, and one that rewrites a
+// document copies the members it does not edit from their source text
+// (parse_json_members).
 #pragma once
 
 #include <map>
@@ -60,5 +62,17 @@ class JsonValue {
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage
 /// not). Returns std::nullopt on malformed input.
 std::optional<JsonValue> parse_json(std::string_view text);
+
+/// One member of a JSON object, with the exact source text of its value.
+struct JsonMember {
+  std::string name;
+  JsonValue value;
+  std::string_view source;  ///< a view into the parsed text
+};
+
+/// Parses a document that must be one JSON object, and returns its members
+/// in document order, duplicates included. std::nullopt on malformed input
+/// or a document that is not an object.
+std::optional<std::vector<JsonMember>> parse_json_members(std::string_view text);
 
 }  // namespace acgpu::telemetry

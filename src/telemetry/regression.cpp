@@ -1,23 +1,30 @@
 #include "telemetry/regression.h"
 
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
 
 #include "telemetry/json.h"
+#include "telemetry/trace.h"
 #include "util/table.h"
 
 namespace acgpu::telemetry {
 
 Result<RegressionBaseline> parse_baseline(std::string_view json_text) {
-  const std::optional<JsonValue> root = parse_json(json_text);
-  if (!root || !root->is_object())
-    return Status::invalid_argument("baseline is not a JSON object");
-  const JsonValue* checks = root->find("checks");
+  const std::optional<std::vector<JsonMember>> members = parse_json_members(json_text);
+  if (!members) return Status::invalid_argument("baseline is not a JSON object");
+  RegressionBaseline baseline;
+  const JsonValue* checks = nullptr;
+  for (const JsonMember& member : *members) {
+    if (member.name == "checks")
+      checks = &member.value;
+    else
+      baseline.members.emplace_back(member.name, std::string(member.source));
+  }
   if (checks == nullptr || !checks->is_array())
     return Status::invalid_argument("baseline has no \"checks\" array");
 
-  RegressionBaseline baseline;
   for (const JsonValue& item : checks->array()) {
     if (!item.is_object())
       return Status::invalid_argument("baseline check is not an object");
@@ -47,6 +54,14 @@ std::string format_number(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
+}
+
+/// The shortest text that parses back to exactly `v`: an exact pin must
+/// survive the round trip.
+std::string exact_number(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
 }
 
 std::optional<RegressionViolation> evaluate(const MetricsSnapshot& snapshot,
@@ -104,22 +119,34 @@ void write_verdict_table(const MetricsSnapshot& snapshot,
 }
 
 void write_baseline(const MetricsSnapshot& snapshot,
-                    const std::vector<std::string>& names, double slack,
+                    const RegressionBaseline& baseline, double slack,
                     std::ostream& out) {
-  out << "{\"checks\":[";
-  bool first = true;
-  for (const std::string& name : names) {
-    const std::optional<double> value = snapshot.value(name);
+  std::ostringstream checks;
+  for (std::size_t i = 0; i < baseline.checks.size(); ++i) {
+    const RegressionCheck& check = baseline.checks[i];
+    const std::optional<double> value = snapshot.value(check.name);
     ACGPU_CHECK(value.has_value(),
-                "cannot band '" << name << "': series missing from snapshot");
-    if (!first) out << ",";
-    first = false;
+                "cannot band '" << check.name << "': series missing from snapshot");
     const double lo = *value >= 0 ? *value * (1 - slack) : *value * (1 + slack);
     const double hi = *value >= 0 ? *value * (1 + slack) : *value * (1 - slack);
-    out << "\n  {\"name\":\"" << name << "\",\"min\":" << lo << ",\"max\":" << hi
-        << "}";
+    const bool pinned = check.min && check.max && *check.min == *check.max;
+    // A zero bound and an exact pin print exactly; a band keeps 6 digits.
+    const auto bound = [&](std::optional<double> old, double banded) {
+      if (pinned) return exact_number(*value);
+      if (*old == 0) return std::string("0");
+      return format_number(banded);
+    };
+    checks << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << json_escape(check.name)
+           << "\"";
+    if (check.min) checks << ", \"min\": " << bound(check.min, lo);
+    if (check.max) checks << ", \"max\": " << bound(check.max, hi);
+    checks << "}";
   }
-  out << "\n]}\n";
+
+  out << "{";
+  for (const auto& [name, source] : baseline.members)
+    out << "\n  \"" << json_escape(name) << "\": " << source << ",";
+  out << "\n  \"checks\": [" << checks.str() << "\n  ]\n}\n";
 }
 
 }  // namespace acgpu::telemetry

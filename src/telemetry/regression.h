@@ -16,14 +16,16 @@
 //   }
 //
 // A check may carry "min", "max", or both; the band between them is the
-// tolerance. A name missing from the snapshot is itself a violation — a
-// deleted series must be a deliberate baseline update, never an accident
-// (the update workflow is in docs/OBSERVABILITY.md).
+// tolerance, and min == max pins the value exactly. A name missing from the
+// snapshot is itself a violation — a deleted series must be a deliberate
+// baseline update, never an accident (the update workflow is in
+// docs/OBSERVABILITY.md).
 #pragma once
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/metrics_registry.h"
@@ -39,6 +41,9 @@ struct RegressionCheck {
 
 struct RegressionBaseline {
   std::vector<RegressionCheck> checks;
+  /// Every other top-level member ("_comment", "workload", ...): its name and
+  /// the source text of its value, in document order.
+  std::vector<std::pair<std::string, std::string>> members;
 };
 
 /// Parses a baseline document. Fails (no throw) on malformed JSON, a check
@@ -66,11 +71,17 @@ RegressionVerdict check_regression(const MetricsSnapshot& snapshot,
 void write_verdict_table(const MetricsSnapshot& snapshot,
                          const RegressionBaseline& baseline, std::ostream& out);
 
-/// Serialises a baseline whose bounds band the snapshot's current values:
-/// lower bounds at value*(1-slack) and upper bounds at value*(1+slack) for
-/// the named series — the --write-baseline update workflow.
+/// Rewrites `baseline` around the snapshot's current values, each check
+/// keeping its shape — the --write-baseline update workflow:
+///  - an exact pin (min == max) is re-pinned at the observed value;
+///  - a bound of exactly 0 stays 0 (latency and SLO floors);
+///  - every other min moves to value*(1-slack) and max to value*(1+slack),
+///    so a one-sided check keeps its one bound.
+/// The baseline's other members are written back verbatim. Throws
+/// acgpu::Error, writing nothing, when a check's series is missing from the
+/// snapshot.
 void write_baseline(const MetricsSnapshot& snapshot,
-                    const std::vector<std::string>& names, double slack,
+                    const RegressionBaseline& baseline, double slack,
                     std::ostream& out);
 
 }  // namespace acgpu::telemetry

@@ -77,6 +77,35 @@ TEST(HostcheckAudit, RepeatedScansOnOneEngineStayClean) {
   EXPECT_EQ(report.sims, 3u);
 }
 
+TEST(HostcheckAudit, PipelineAuditAnalysesTheEngineTeardown) {
+  // ~Engine takes the device's scan mutex to return its upload. The audit
+  // analyses its trace once the engine and device are gone, so that lock is
+  // part of the audited schedule: replay the run by hand and count the lock
+  // events before and after the drop.
+  const oracle::CompiledWorkload w = workload(11, 0);
+  const HostAuditConfig config{2, 2, true};
+  Recorder recorder;
+  std::uint64_t before_drop = 0;
+  {
+    DeviceOptions dopt;
+    dopt.host_observer = &recorder;
+    Result<Device> device = Device::create(dopt);
+    ASSERT_TRUE(device.is_ok()) << device.status().message();
+    EngineOptions eo;
+    eo.streams = config.streams;
+    eo.pool_depth = config.depth;
+    eo.readback_depth = config.depth;
+    eo.batch_bytes = HostAuditSpec{}.batch_bytes;
+    Result<Engine> engine = Engine::create(device.value(), w.patterns(), eo);
+    ASSERT_TRUE(engine.is_ok()) << engine.status().message();
+    ASSERT_TRUE(engine.value().scan(w.text()).is_ok());
+    before_drop = analyze(recorder.trace()).lock_events;
+  }
+  const std::uint64_t after_drop = analyze(recorder.trace()).lock_events;
+  EXPECT_EQ(after_drop, before_drop + 2);  // the drop's acquire and release
+  EXPECT_EQ(audit_pipeline(w, config).report.lock_events, after_drop);
+}
+
 TEST(HostcheckAudit, PackedBatchesAnnotateTheBytesThatMoved) {
   // DNA text whose batch 2 owns an N: batches 1 and 2 ship bytes (batch 1
   // carries the N), the rest ship 2-bit packed payloads. Each batch's H2D

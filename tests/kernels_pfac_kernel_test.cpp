@@ -99,13 +99,5 @@ TEST(PfacKernel, MatchEndsReportedConsistently) {
   for (const auto& m : out.matches.matches) EXPECT_EQ(m.end, 3u);
 }
 
-TEST(PfacKernel, UploadBytesIsTheSpanTheUploadTakes) {
-  const ac::PfacAutomaton pfac(ac::PatternSet({"he", "she", "his", "hers"}));
-  gpusim::DeviceMemory mem(1 << 20);
-  mem.alloc(3);  // the upload starts at the next aligned address, 256
-  const DevicePfac dpfac(mem, pfac);
-  EXPECT_EQ(mem.allocated() - 256, DevicePfac::upload_bytes(pfac));
-}
-
 }  // namespace
 }  // namespace acgpu::kernels

@@ -32,8 +32,7 @@ constexpr std::uint64_t kSeed = 0xDE9C0F;
 constexpr std::uint32_t kStreams[] = {1, 2, 3, 4, 6, 8};
 constexpr std::uint32_t kDepths[] = {2, 4, 8};
 constexpr KernelVariant kVariants[] = {KernelVariant::kShared,
-                                       KernelVariant::kGlobalOnly,
-                                       KernelVariant::kPfac};
+                                       KernelVariant::kGlobalOnly};
 
 /// Runs one staged configuration in Functional mode, growing the match
 /// capacity on overflow (tiny batches concentrate matches per thread).
@@ -54,16 +53,9 @@ Result<std::vector<ac::Match>> run_staged(const oracle::CompiledWorkload& w,
 
   for (std::uint32_t capacity = 64; capacity <= (1u << 14); capacity *= 4) {
     opt.match_capacity = capacity;
-    opt.pfac_match_capacity = capacity;
     gpusim::DeviceMemory mem(64u << 20);
-    Result<PipelineResult> r = [&] {
-      if (variant == KernelVariant::kPfac) {
-        const kernels::DevicePfac dpfac(mem, w.pfac());
-        return MatchPipeline(small_gpu(), mem, dpfac, opt).run(w.text());
-      }
-      const kernels::DeviceDfa ddfa(mem, w.dfa());
-      return MatchPipeline(small_gpu(), mem, ddfa, opt).run(w.text());
-    }();
+    const kernels::DeviceDfa ddfa(mem, w.dfa());
+    Result<PipelineResult> r = MatchPipeline(small_gpu(), mem, ddfa, opt).run(w.text());
     if (!r.is_ok()) return r.status();
     if (r.value().overflowed) continue;
     EXPECT_EQ(r.value().stats.effective_streams,

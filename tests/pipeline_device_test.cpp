@@ -174,15 +174,6 @@ TEST(Device, EngineCreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   ASSERT_TRUE(first.is_ok());
   EXPECT_EQ(Engine::create(exact, patterns, fast_engine()).status().code(),
             StatusCode::kCapacityExceeded);
-
-  // PFAC uploads its own automaton and is checked the same way.
-  EngineOptions pfac = fast_engine();
-  pfac.variant = pipeline::KernelVariant::kPfac;
-  dopt.memory_bytes =
-      kernels::DevicePfac::upload_bytes(ac::PfacAutomaton(patterns)) - 1;
-  Device tight_pfac = Device::create(dopt).value();
-  EXPECT_EQ(Engine::create(tight_pfac, patterns, pfac).status().code(),
-            StatusCode::kCapacityExceeded);
 }
 
 TEST(Device, DroppedEnginesReturnTheirUpload) {
@@ -229,26 +220,18 @@ TEST(Device, DroppingAnEngineUnderALaterUploadKeepsBoth) {
 
 TEST(Device, EnginesShareOneCompiledAutomaton) {
   Device device = Device::create(small_device()).value();
-  Result<CompiledPatterns> compiled = CompiledPatterns::compile(
-      ac::PatternSet({"ab", "b"}), pipeline::KernelVariant::kPfac);
+  Result<CompiledPatterns> compiled =
+      CompiledPatterns::compile(ac::PatternSet({"ab", "b"}));
   ASSERT_TRUE(compiled.is_ok());
-  EngineOptions pfac = fast_engine();
-  pfac.variant = pipeline::KernelVariant::kPfac;
+  EngineOptions global = fast_engine();
+  global.variant = pipeline::KernelVariant::kGlobalOnly;
   Engine a = Engine::create(device, compiled.value(), fast_engine()).value();
-  Engine b = Engine::create(device, compiled.value(), pfac).value();
+  Engine b = Engine::create(device, compiled.value(), global).value();
   EXPECT_EQ(&a.dfa(), compiled.value().dfa.get());
   EXPECT_EQ(&b.dfa(), compiled.value().dfa.get());
-  EXPECT_EQ(b.compiled().pfac, compiled.value().pfac);
   EXPECT_EQ(a.scan("abab").value().matches, b.scan("abab").value().matches);
 
-  // Without the PFAC automaton (say, a DFA loaded from disk), kPfac fails.
-  const CompiledPatterns dfa_only{compiled.value().dfa};
-  EXPECT_EQ(Engine::create(device, dfa_only, pfac).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(CompiledPatterns::compile(ac::PatternSet{},
-                                      pipeline::KernelVariant::kShared)
-                .status()
-                .code(),
+  EXPECT_EQ(CompiledPatterns::compile(ac::PatternSet{}).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -47,15 +47,8 @@ void expect_conforms(const std::vector<std::string>& pattern_strings,
 
   gpusim::DeviceMemory mem(64u << 20);
   opt.mode = gpusim::SimMode::Functional;
-  Result<PipelineResult> got = [&] {
-    if (opt.variant == KernelVariant::kPfac) {
-      ac::PfacAutomaton pfac(patterns);
-      kernels::DevicePfac dpfac(mem, pfac);
-      return MatchPipeline(small_gpu(), mem, dpfac, opt).run(text);
-    }
-    kernels::DeviceDfa ddfa(mem, dfa);
-    return MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
-  }();
+  const kernels::DeviceDfa ddfa(mem, dfa);
+  Result<PipelineResult> got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
   EXPECT_FALSE(got.value().overflowed);
   EXPECT_EQ(got.value().matches, expected);
@@ -156,13 +149,6 @@ TEST(PipelineStitching, GlobalOnlyVariant) {
   expect_conforms({"ab", "bca"}, random_text(3000, 19), opt);
 }
 
-TEST(PipelineStitching, PfacVariant) {
-  PipelineOptions opt;
-  opt.variant = KernelVariant::kPfac;
-  opt.batch_bytes = 400;
-  expect_conforms({"ab", "abab", "ba"}, random_text(1500, 23), opt);
-}
-
 TEST(PipelineStitching, StreamCountDoesNotChangeMatches) {
   const std::string text = random_text(4000, 29);
   for (std::uint32_t streams : {1u, 2u, 4u}) {
@@ -198,11 +184,6 @@ TEST(Pipeline, InvalidOptionsReportStatusNotThrow) {
 
   opt = {};
   opt.chunk_bytes = 6;  // not a multiple of 4
-  got = MatchPipeline(small_gpu(), mem, ddfa, opt).run("abc");
-  ASSERT_FALSE(got.is_ok());
-
-  opt = {};
-  opt.variant = KernelVariant::kPfac;  // but constructed with a DFA
   got = MatchPipeline(small_gpu(), mem, ddfa, opt).run("abc");
   ASSERT_FALSE(got.is_ok());
 }
@@ -789,16 +770,11 @@ TEST(PipelineOutput, CapacitiesMustStayBelowTheCountWordLimit) {
   // could not tell a saturated count from a complete one.
   PipelineOptions opt;
   opt.match_capacity = kernels::MatchBuffer::kMaxCount - 1;
-  opt.pfac_match_capacity = kernels::MatchBuffer::kMaxCount - 1;
   EXPECT_TRUE(opt.validate().is_ok());
   for (const std::uint32_t bad : {0u, kernels::MatchBuffer::kMaxCount, 1u << 20}) {
     PipelineOptions ac_opt;
     ac_opt.match_capacity = bad;
     EXPECT_EQ(ac_opt.validate().code(), StatusCode::kInvalidArgument) << bad;
-    PipelineOptions pfac_opt;
-    pfac_opt.variant = KernelVariant::kPfac;
-    pfac_opt.pfac_match_capacity = bad;
-    EXPECT_EQ(pfac_opt.validate().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 
@@ -865,22 +841,6 @@ TEST(Engine, EmptyPatternSetFails) {
   auto engine = Engine::create(device.value(), ac::PatternSet{});
   ASSERT_FALSE(engine.is_ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(Engine, PfacVariantScans) {
-  EngineOptions eopt;
-  eopt.variant = KernelVariant::kPfac;
-  eopt.batch_bytes = 512;
-  DeviceOptions dopt;
-  dopt.gpu = small_gpu();
-  auto device = Device::create(dopt);
-  ASSERT_TRUE(device.is_ok()) << device.status().to_string();
-  auto engine = Engine::create(device.value(), ac::PatternSet({"ab", "ba"}), eopt);
-  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
-  const std::string text = random_text(2000, 53);
-  auto scan = engine.value().scan(text);
-  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
-  EXPECT_EQ(scan.value().matches, ac::find_all(engine.value().dfa(), text));
 }
 
 }  // namespace

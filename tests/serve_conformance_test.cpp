@@ -126,13 +126,11 @@ TEST_P(ServeFuzzedChunking, MatchesSingleShotAcrossAllWorkloadFamilies) {
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, ServeFuzzedChunking,
                          ::testing::Values(pipeline::KernelVariant::kShared,
-                                           pipeline::KernelVariant::kGlobalOnly,
-                                           pipeline::KernelVariant::kPfac),
+                                           pipeline::KernelVariant::kGlobalOnly),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case pipeline::KernelVariant::kShared: return "Shared";
                              case pipeline::KernelVariant::kGlobalOnly: return "GlobalOnly";
-                             case pipeline::KernelVariant::kPfac: return "Pfac";
                            }
                            return "Unknown";
                          });

@@ -15,8 +15,7 @@ class ServeManager : public ::testing::Test {
       : patterns_({"he", "she"}), dfa_(ac::build_dfa(patterns_, 8)) {}
 
   SessionId open(SessionManager& m, std::optional<SessionId>* evicted = nullptr) {
-    return m.open(dfa_, nullptr, BoundaryMode::kDfaState, SessionLimits{}, evicted)
-        .id();
+    return m.open(dfa_, SessionLimits{}, evicted).id();
   }
 
   ac::PatternSet patterns_;

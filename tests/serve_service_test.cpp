@@ -178,7 +178,7 @@ TEST(ServeService, BackgroundAutoFlushIsRejectedAtCreate) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ServeService, CreateFromDfaScansAndRejectsPfac) {
+TEST(ServeService, CreateFromDfaScans) {
   const CompiledPatterns compiled{
       std::make_shared<const ac::Dfa>(ac::build_dfa(ac::PatternSet({"ab"}), 8))};
   auto r = StreamService::create(compiled, fast_options());
@@ -188,10 +188,6 @@ TEST(ServeService, CreateFromDfaScansAndRejectsPfac) {
   ASSERT_TRUE(srv.feed(id, "a").is_ok());
   ASSERT_TRUE(srv.feed(id, "b").is_ok());
   EXPECT_EQ(drained_matches(srv, id).size(), 1u);
-
-  ServeOptions pfac_opt = fast_options();
-  pfac_opt.engine.variant = pipeline::KernelVariant::kPfac;
-  EXPECT_FALSE(StreamService::create(compiled, pfac_opt).is_ok());
 }
 
 TEST(ServeService, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {

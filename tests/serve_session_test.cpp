@@ -1,6 +1,6 @@
 // Session boundary continuation: spanning matches reported exactly once
-// with global offsets, carried-state correctness in both boundary modes,
-// and the per-session quotas.
+// with global offsets, carried DFA-state correctness, and the per-session
+// quotas.
 #include "serve/session.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ac/pattern_set.h"
-#include "ac/pfac.h"
 #include "ac/serial_matcher.h"
 #include "util/rng.h"
 
@@ -19,10 +18,9 @@ namespace {
 struct Compiled {
   ac::PatternSet patterns;
   ac::Dfa dfa;
-  ac::PfacAutomaton pfac;
 
   explicit Compiled(const std::vector<std::string>& pats)
-      : patterns(pats), dfa(ac::build_dfa(patterns, 8)), pfac(patterns) {}
+      : patterns(pats), dfa(ac::build_dfa(patterns, 8)) {}
 };
 
 /// What the service's bulk scanner contributes for one chunk: every match
@@ -38,10 +36,9 @@ std::vector<ac::Match> bulk_matches(const ac::Dfa& dfa, std::string_view chunk,
 /// Streams `text` through a session in the given chunk sizes and returns
 /// the union of continuation (spanning) and bulk (contained) matches — the
 /// exact decomposition the service performs.
-std::vector<ac::Match> stream_all(const Compiled& c, BoundaryMode mode,
-                                  std::string_view text,
+std::vector<ac::Match> stream_all(const Compiled& c, std::string_view text,
                                   const std::vector<std::size_t>& cuts) {
-  Session session(1, c.dfa, &c.pfac, mode, SessionLimits{});
+  Session session(1, c.dfa, SessionLimits{});
   std::size_t pos = 0;
   for (std::size_t len : cuts) {
     len = std::min(len, text.size() - pos);
@@ -74,12 +71,9 @@ TEST(ServeSession, PaperExampleEveryUniformChunking) {
   const std::string text = "ushers and sheep hide his herbs ushers";
   const auto expected = reference(c, text);
   ASSERT_FALSE(expected.empty());
-  for (BoundaryMode mode : {BoundaryMode::kDfaState, BoundaryMode::kPfacTail}) {
-    for (std::size_t chunk = 1; chunk <= text.size() + 1; ++chunk)
-      EXPECT_EQ(stream_all(c, mode, text, uniform_cuts(text.size(), chunk)),
-                expected)
-          << to_string(mode) << " chunk=" << chunk;
-  }
+  for (std::size_t chunk = 1; chunk <= text.size() + 1; ++chunk)
+    EXPECT_EQ(stream_all(c, text, uniform_cuts(text.size(), chunk)), expected)
+        << "chunk=" << chunk;
 }
 
 TEST(ServeSession, OneByteFeedsSpanManyBoundaries) {
@@ -88,9 +82,7 @@ TEST(ServeSession, OneByteFeedsSpanManyBoundaries) {
   const Compiled c({"aaa", "ab", "aabab"});
   const std::string text = "aaababaababaaabab";
   const auto expected = reference(c, text);
-  for (BoundaryMode mode : {BoundaryMode::kDfaState, BoundaryMode::kPfacTail})
-    EXPECT_EQ(stream_all(c, mode, text, uniform_cuts(text.size(), 1)), expected)
-        << to_string(mode);
+  EXPECT_EQ(stream_all(c, text, uniform_cuts(text.size(), 1)), expected);
 }
 
 TEST(ServeSession, MatchEndingExactlyOnBoundaryIsBulkOnly) {
@@ -98,34 +90,30 @@ TEST(ServeSession, MatchEndingExactlyOnBoundaryIsBulkOnly) {
   // in chunk 0 (bulk's job); the continuation must not duplicate it.
   const Compiled c({"abcd"});
   const std::string text = "abcdxxxx";
-  Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, SessionLimits{});
+  Session session(1, c.dfa, SessionLimits{});
   session.begin_chunk(text.substr(0, 4));
   EXPECT_EQ(session.stats().spanning_matches, 0u);
   session.begin_chunk(text.substr(4));
   EXPECT_EQ(session.stats().spanning_matches, 0u);
-  for (BoundaryMode mode : {BoundaryMode::kDfaState, BoundaryMode::kPfacTail})
-    EXPECT_EQ(stream_all(c, mode, text, {4, 4}), reference(c, text))
-        << to_string(mode);
+  EXPECT_EQ(stream_all(c, text, {4, 4}), reference(c, text));
 }
 
 TEST(ServeSession, MatchStartingExactlyOnBoundaryIsBulkOnly) {
   // "abcd" starts at the cut (byte 4): contained in chunk 1.
   const Compiled c({"abcd"});
   const std::string text = "xxxxabcd";
-  Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, SessionLimits{});
+  Session session(1, c.dfa, SessionLimits{});
   session.begin_chunk(text.substr(0, 4));
   session.begin_chunk(text.substr(4));
   EXPECT_EQ(session.stats().spanning_matches, 0u);
-  for (BoundaryMode mode : {BoundaryMode::kDfaState, BoundaryMode::kPfacTail})
-    EXPECT_EQ(stream_all(c, mode, text, {4, 4}), reference(c, text))
-        << to_string(mode);
+  EXPECT_EQ(stream_all(c, text, {4, 4}), reference(c, text));
 }
 
 TEST(ServeSession, StraddlingMatchReportedOnceByContinuation) {
   const Compiled c({"abcd"});
   const std::string text = "xxabcdxx";
   for (std::size_t cut = 3; cut <= 5; ++cut) {  // cuts inside the match
-    Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, SessionLimits{});
+    Session session(1, c.dfa, SessionLimits{});
     session.begin_chunk(std::string_view(text).substr(0, cut));
     session.begin_chunk(std::string_view(text).substr(cut));
     EXPECT_EQ(session.stats().spanning_matches, 1u) << "cut=" << cut;
@@ -140,7 +128,7 @@ TEST(ServeSession, DfaStateMatchesSerialWalkAfterLongAndShortChunks) {
   const std::string text = "zzzzzzzzzzhershershe";
   Rng rng(99);
   for (int trial = 0; trial < 16; ++trial) {
-    Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, SessionLimits{});
+    Session session(1, c.dfa, SessionLimits{});
     std::size_t pos = 0;
     std::int32_t expected_state = 0;
     while (pos < text.size()) {
@@ -158,39 +146,24 @@ TEST(ServeSession, DfaStateMatchesSerialWalkAfterLongAndShortChunks) {
   }
 }
 
-TEST(ServeSession, PfacTailHoldsLastMaxLenMinusOneBytes) {
-  const Compiled c({"abcde"});  // X = 5 -> tail keeps 4 bytes
-  Session session(1, c.dfa, &c.pfac, BoundaryMode::kPfacTail, SessionLimits{});
-  session.begin_chunk("xy");
-  EXPECT_EQ(session.tail(), "xy");
-  session.begin_chunk("z");
-  EXPECT_EQ(session.tail(), "xyz");
-  session.begin_chunk("123456789");
-  EXPECT_EQ(session.tail(), "6789");
-  session.begin_chunk("");
-  EXPECT_EQ(session.tail(), "6789");
-}
-
 TEST(ServeSession, EmptyChunksAreHarmlessEverywhere) {
   const Compiled c({"ab"});
-  for (BoundaryMode mode : {BoundaryMode::kDfaState, BoundaryMode::kPfacTail}) {
-    Session session(1, c.dfa, &c.pfac, mode, SessionLimits{});
-    session.begin_chunk("");
-    session.begin_chunk("a");
-    session.begin_chunk("");
-    session.begin_chunk("b");  // "ab" spans the a|b boundary
-    session.begin_chunk("");
-    EXPECT_EQ(session.stats().spanning_matches, 1u) << to_string(mode);
-    EXPECT_EQ(session.stats().chunks_fed, 5u);
-    EXPECT_EQ(session.bytes_fed(), 2u);
-  }
+  Session session(1, c.dfa, SessionLimits{});
+  session.begin_chunk("");
+  session.begin_chunk("a");
+  session.begin_chunk("");
+  session.begin_chunk("b");  // "ab" spans the a|b boundary
+  session.begin_chunk("");
+  EXPECT_EQ(session.stats().spanning_matches, 1u);
+  EXPECT_EQ(session.stats().chunks_fed, 5u);
+  EXPECT_EQ(session.bytes_fed(), 2u);
 }
 
 TEST(ServeSession, ByteQuotaRejectsBeforeMutating) {
   const Compiled c({"ab"});
   SessionLimits limits;
   limits.max_bytes = 4;
-  Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, limits);
+  Session session(1, c.dfa, limits);
   EXPECT_TRUE(session.admit_bytes(4).is_ok());
   session.begin_chunk("abcd");
   const Status over = session.admit_bytes(1);
@@ -202,7 +175,7 @@ TEST(ServeSession, MatchQuotaDropsAndMarksTruncated) {
   const Compiled c({"a"});
   SessionLimits limits;
   limits.max_matches = 2;
-  Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, limits);
+  Session session(1, c.dfa, limits);
   EXPECT_TRUE(session.deliver({0, 0}));
   EXPECT_TRUE(session.deliver({1, 0}));
   EXPECT_FALSE(session.deliver({2, 0}));
@@ -215,7 +188,7 @@ TEST(ServeSession, MatchQuotaDropsAndMarksTruncated) {
 
 TEST(ServeSession, TakeMatchesDrainsBuffer) {
   const Compiled c({"a"});
-  Session session(1, c.dfa, nullptr, BoundaryMode::kDfaState, SessionLimits{});
+  Session session(1, c.dfa, SessionLimits{});
   session.deliver({0, 0});
   EXPECT_EQ(session.buffered(), 1u);
   EXPECT_EQ(session.take_matches().size(), 1u);
@@ -232,19 +205,16 @@ TEST(ServeSession, RandomizedChunkingsAgreeWithSerialReference) {
     ch = "hersaix"[text_rng.next_below(7)];
   const auto expected = reference(c, text);
   ASSERT_FALSE(expected.empty());
-  for (BoundaryMode mode : {BoundaryMode::kDfaState, BoundaryMode::kPfacTail}) {
-    for (std::uint64_t salt = 0; salt < 24; ++salt) {
-      Rng rng(derive_seed(salt, 5));
-      std::vector<std::size_t> cuts;
-      std::size_t covered = 0;
-      while (covered < text.size()) {
-        const std::size_t len = rng.next_below(40);  // includes empty chunks
-        cuts.push_back(len);
-        covered += len;
-      }
-      EXPECT_EQ(stream_all(c, mode, text, cuts), expected)
-          << to_string(mode) << " salt=" << salt;
+  for (std::uint64_t salt = 0; salt < 24; ++salt) {
+    Rng rng(derive_seed(salt, 5));
+    std::vector<std::size_t> cuts;
+    std::size_t covered = 0;
+    while (covered < text.size()) {
+      const std::size_t len = rng.next_below(40);  // includes empty chunks
+      cuts.push_back(len);
+      covered += len;
     }
+    EXPECT_EQ(stream_all(c, text, cuts), expected) << "salt=" << salt;
   }
 }
 

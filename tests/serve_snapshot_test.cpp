@@ -1,7 +1,7 @@
 // Session export/import (the cluster rebalance primitive): snapshots carry
 // id, carried boundary state, stats, quotas, and unpolled matches across
 // services; export refuses sessions with undrained work; import refuses
-// live-id collisions and namespace/mode mismatches.
+// live-id collisions and DFA states outside the importing DFA.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -83,30 +83,33 @@ TEST(ServeSnapshot, ImportRejectsLiveIdCollision) {
   EXPECT_EQ(b.import_session(snapshot).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ServeSnapshot, ImportRejectsBoundaryModeMismatch) {
-  ServeOptions pfac = fast_options();
-  pfac.engine.variant = pipeline::KernelVariant::kPfac;
+TEST(ServeSnapshot, ImportRejectsOutOfRangeDfaState) {
+  // The carried state indexes the STT on the next feed, so a hostile or
+  // foreign state must be refused before the session is adopted.
   StreamService a = make_service({"ab"}, fast_options());
-  StreamService b = make_service({"ab"}, pfac);
-  const SessionId id = a.open().value();
-  const auto snapshot = a.export_session(id).value();
-  EXPECT_EQ(b.import_session(snapshot).code(), StatusCode::kInvalidArgument);
-}
+  StreamService b = make_service({"hers", "his"}, fast_options());
+  const SessionId live = b.open().value();
+  ASSERT_TRUE(b.feed(live, "hi").is_ok());
+  a.open().value();
+  const SessionId id = a.open().value();  // id 2: no collision with b's 1
+  SessionSnapshot snapshot = a.export_session(id).value();
+  const auto states = static_cast<std::int32_t>(b.dfa().state_count());
+  for (const std::int32_t bad : {-5, states}) {
+    snapshot.dfa_state = bad;
+    EXPECT_EQ(b.import_session(snapshot).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(b.stats().sessions_imported, 0u);
 
-TEST(ServeSnapshot, PfacTailTravelsWithTheSnapshot) {
-  ServeOptions opt = fast_options();
-  opt.engine.variant = pipeline::KernelVariant::kPfac;
-  StreamService a = make_service({"abcd"}, opt);
-  StreamService b = make_service({"abcd"}, opt);
-  const SessionId id = a.open().value();
-  ASSERT_TRUE(a.feed(id, "xxabc").is_ok());
-  ASSERT_TRUE(a.drain().is_ok());
-  const auto snapshot = a.export_session(id).value();
-  ASSERT_TRUE(b.import_session(snapshot).is_ok());
-  ASSERT_TRUE(b.feed(id, "d").is_ok());
+  // The live session still serves: "his" completes across its two feeds.
+  ASSERT_TRUE(b.feed(live, "s").is_ok());
   ASSERT_TRUE(b.drain().is_ok());
-  const std::vector<ac::Match> expected = {{5, 0}};  // "abcd" across services
-  EXPECT_EQ(b.poll(id).value(), expected);
+  const std::vector<ac::Match> expected = {{2, 1}};
+  EXPECT_EQ(b.poll(live).value(), expected);
+
+  // The same snapshot with the last state in range is adopted.
+  snapshot.dfa_state = states - 1;
+  EXPECT_TRUE(b.import_session(snapshot).is_ok());
 }
 
 TEST(ServeSnapshot, QuotasSurviveMigration) {

@@ -1,9 +1,13 @@
 // The perf-regression gate: baseline parsing, verdicts (including the
 // demonstration that a degraded overlap ratio FAILS the checked-in bounds),
-// and the --write-baseline banding round trip.
+// and the --write-baseline round trip that keeps each check's shape.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "telemetry/metrics_registry.h"
 #include "telemetry/regression.h"
@@ -115,11 +119,14 @@ TEST(Regression, VerdictTableNamesEveryCheck) {
 // snapshot it was derived from passes it.
 TEST(Regression, WriteBaselineBandsCurrentValues) {
   const MetricsSnapshot snap = healthy_snapshot();
+  const Result<RegressionBaseline> banded = parse_baseline(R"({"checks": [
+    {"name": "pipeline.overlap_ratio", "min": 0.5, "max": 0.6},
+    {"name": "gpusim.shared.max_degree", "min": 1, "max": 2},
+    {"name": "gpusim.tex.hit_rate", "min": 0.1, "max": 0.2}
+  ]})");
+  ASSERT_TRUE(banded.is_ok()) << banded.status().to_string();
   std::ostringstream out;
-  write_baseline(snap,
-                 {"pipeline.overlap_ratio", "gpusim.shared.max_degree",
-                  "gpusim.tex.hit_rate"},
-                 /*slack=*/0.10, out);
+  write_baseline(snap, banded.value(), /*slack=*/0.10, out);
   const Result<RegressionBaseline> b = parse_baseline(out.str());
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();
   ASSERT_EQ(b.value().checks.size(), 3u);
@@ -133,6 +140,64 @@ TEST(Regression, WriteBaselineBandsCurrentValues) {
     EXPECT_NEAR(*c.min, value * 0.90, 1e-9);
     EXPECT_NEAR(*c.max, value * 1.10, 1e-9);
   }
+}
+
+// --write-baseline keeps each check's shape and the file's other members:
+// exact pins re-pin at the observed value, zero bounds stay 0, one-sided
+// checks keep their one bound, and only the rest moves to +/- slack.
+TEST(Regression, WriteBaselineKeepsEachCheckShape) {
+  MetricsRegistry reg;
+  reg.counter("serve.batches").add(1234567);  // past 6 significant digits
+  reg.gauge("slo.breaches").set(3);
+  reg.gauge("latency.p99_ns").set(2000);
+  reg.gauge("overlap").set(0.8);
+  reg.gauge("degree").set(2);
+  reg.gauge("ratio").set(1.5);
+  const Result<RegressionBaseline> old = parse_baseline(R"({
+  "_comment": ["kept", "verbatim"],
+  "workload": {"streams": 4, "mode": "serve"},
+  "checks": [
+    {"name": "serve.batches", "min": 96, "max": 96},
+    {"name": "slo.breaches", "min": 0, "max": 0},
+    {"name": "latency.p99_ns", "min": 0, "max": 1000},
+    {"name": "overlap", "min": 0.9},
+    {"name": "degree", "max": 1},
+    {"name": "ratio", "min": 1, "max": 2}
+  ]
+})");
+  ASSERT_TRUE(old.is_ok()) << old.status().to_string();
+
+  std::ostringstream out;
+  write_baseline(reg.snapshot(), old.value(), /*slack=*/0.10, out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find(R"("_comment": ["kept", "verbatim"],)"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find(R"("workload": {"streams": 4, "mode": "serve"},)"),
+            std::string::npos)
+      << text;
+  const Result<RegressionBaseline> b = parse_baseline(text);
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string() << "\n" << text;
+  ASSERT_EQ(b.value().members.size(), 2u);
+  EXPECT_EQ(b.value().members[0].first, "_comment");
+  EXPECT_EQ(b.value().members[1].first, "workload");
+
+  const std::vector<RegressionCheck>& c = b.value().checks;
+  ASSERT_EQ(c.size(), 6u);
+  const auto bounds = [](const RegressionCheck& check) {
+    return std::pair{check.min, check.max};
+  };
+  using Bounds = std::pair<std::optional<double>, std::optional<double>>;
+  EXPECT_EQ(bounds(c[0]), Bounds(1234567.0, 1234567.0));  // re-pinned exactly
+  EXPECT_EQ(bounds(c[1]), Bounds(3.0, 3.0));
+  EXPECT_EQ(c[2].min, 0.0);  // the zero floor stays
+  EXPECT_NEAR(c[2].max.value(), 2200, 1e-9);
+  EXPECT_NEAR(c[3].min.value(), 0.72, 1e-9);  // one-sided stays one-sided
+  EXPECT_FALSE(c[3].max.has_value());
+  EXPECT_FALSE(c[4].min.has_value());
+  EXPECT_NEAR(c[4].max.value(), 2.2, 1e-9);
+  EXPECT_NEAR(c[5].min.value(), 1.35, 1e-9);  // a band moves to +/- slack
+  EXPECT_NEAR(c[5].max.value(), 1.65, 1e-9);
+  EXPECT_TRUE(check_regression(reg.snapshot(), b.value()).pass());
 }
 
 }  // namespace
