@@ -36,9 +36,9 @@
 // that latency distribution are pinned in bench/baselines/
 // latency_baseline.json, generated from a streams=2 run — so a throughput
 // win that regresses tail latency past the old two-stream behaviour fails
-// the gate. A degraded --pool-depth 1 run (no staging depth, the pipeline
-// cannot absorb arrival bursts, the backlog grows without bound) is checked
-// to FAIL (WILL_FAIL) so this gate is also known to bite.
+// the gate. A degraded --streams 1 run (no overlap, the pipeline cannot
+// absorb arrival bursts, the backlog grows without bound) is checked to FAIL
+// (WILL_FAIL) so this gate is also known to bite.
 //
 // --mode cluster gates the multi-device router tier against
 // bench/baselines/cluster_baseline.json: a deterministic session replay
@@ -100,7 +100,6 @@ telemetry::MetricsSnapshot run_workload(const ArgParser& args) {
   EngineOptions opt;
   opt.variant = pipeline::KernelVariant::kShared;
   opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
-  opt.pool_depth = static_cast<std::uint32_t>(args.get_int("pool-depth"));
   opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
   opt.mode = gpusim::SimMode::Timed;
   opt.telemetry.metrics = &registry;
@@ -212,7 +211,6 @@ telemetry::MetricsSnapshot run_latency_workload(const ArgParser& args) {
   EngineOptions opt;
   opt.variant = pipeline::KernelVariant::kShared;
   opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
-  opt.pool_depth = static_cast<std::uint32_t>(args.get_int("pool-depth"));
   opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
   opt.mode = gpusim::SimMode::Timed;
   DeviceOptions dopt;
@@ -526,7 +524,6 @@ int main(int argc, char** argv) {
   args.add_flag("size", "input size for the canonical workload", "8MB");
   args.add_flag("batch", "owned bytes per pipeline batch", "1MB");
   args.add_flag("streams", "pipeline streams", "4");
-  args.add_flag("pool-depth", "staging-pool depth (0 = auto, 2x streams)", "0");
   args.add_flag("patterns", "dictionary size", "2000");
   args.add_flag("seed", "workload seed", "780");
   args.add_flag("snapshot", "also dump the snapshot JSON here (empty = skip)", "");

@@ -1,6 +1,6 @@
 // Extension beyond the paper: staged transfer/compute overlap, measured
 // through the real batched multi-stream pipeline (src/pipeline/) rather than
-// modeled analytically. Sweeps stream counts x staging-pool depths against
+// modeled analytically. Sweeps dictionary sizes x stream counts against
 // the single-buffer baseline (whole input staged, one monolithic kernel,
 // copy back — nothing overlapped) and emits the BENCH_pipeline.json
 // artifact.
@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
   args.add_flag("size", "input size", "64MB");
   args.add_flag("batch", "owned bytes per pipeline batch (ceiling)", "4MB");
   args.add_flag("streams", "comma-separated stream counts to sweep", "1,2,4,8");
-  args.add_flag("depths", "comma-separated staging-pool depths (0 = auto)",
-                "0,2,8");
   args.add_flag("json", "output path for the BENCH json artifact",
                 "BENCH_pipeline.json");
   args.add_bool_flag("quiet", "suppress progress output");
@@ -65,11 +63,10 @@ int main(int argc, char** argv) {
   harness::PipelineSweepConfig config;
   config.text_bytes = static_cast<std::uint64_t>(args.get_bytes("size"));
   config.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
-  if (!parse_u32_list(args.get("streams"), &config.stream_counts) ||
-      !parse_u32_list(args.get("depths"), &config.pool_depths)) {
+  if (!parse_u32_list(args.get("streams"), &config.stream_counts)) {
     std::fprintf(stderr,
-                 "ext_double_buffer: --streams/--depths want comma-separated "
-                 "integers, e.g. --streams 1,2,4,8 --depths 0,2,8\n");
+                 "ext_double_buffer: --streams wants comma-separated integers, "
+                 "e.g. --streams 1,2,4,8\n");
     return 1;
   }
 
@@ -80,18 +77,14 @@ int main(int argc, char** argv) {
       config, args.get_bool("quiet") ? nullptr : &std::cout);
 
   Table table;
-  table.set_header({"patterns", "streams", "depth", "batches", "Gbps",
-                    "overlap", "p99 latency", "vs single-buffer"});
+  table.set_header({"patterns", "streams", "batches", "Gbps", "overlap",
+                    "p99 latency", "vs single-buffer"});
   for (const harness::PipelinePoint& p : result.points) {
     char overlap[16], speedup[16];
     std::snprintf(overlap, sizeof overlap, "%.0f%%", p.stats.overlap_ratio * 100);
     std::snprintf(speedup, sizeof speedup, "%.2fx", p.speedup_vs_single_buffer());
-    const std::string depth =
-        p.pool_depth_request == 0
-            ? "auto(" + std::to_string(p.stats.pool_depth) + ")"
-            : std::to_string(p.stats.pool_depth);
     table.add_row({std::to_string(p.pattern_count), std::to_string(p.streams),
-                   depth, std::to_string(p.stats.batches),
+                   std::to_string(p.stats.batches),
                    format_gbps(p.throughput_gbps()), overlap,
                    format_seconds(p.stats.latency_p99_seconds), speedup});
   }
@@ -111,9 +104,9 @@ int main(int argc, char** argv) {
               result.best_multi_stream_speedup());
   std::printf("best deep-stream (>= 4) speedup at largest dictionary: %.2fx\n",
               result.best_deep_stream_speedup());
-  std::printf("with a staging pool deeper than 2 and a split readback stage, "
-              "uploads, kernels, and readbacks of different batches run "
-              "concurrently; the end-to-end win approaches "
+  std::printf("with two upload buffers per stream and a dedicated readback "
+              "queue, uploads, kernels, and readbacks of different batches "
+              "run concurrently; the end-to-end win approaches "
               "serial(copy+compute) / max(h2d, compute, d2h).\n");
 
   // The acceptance gate applies in its stated regime (>= 64 MB input).

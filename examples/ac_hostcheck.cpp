@@ -1,8 +1,8 @@
 // ac_hostcheck — happens-before audit of the async host pipeline, the
 // host-side sibling of ac_memcheck:
 //
-//   ac_hostcheck                            # full staging-geometry sweep
-//   ac_hostcheck --configs=s2-d2-split      # one geometry
+//   ac_hostcheck                            # full stream-count sweep
+//   ac_hostcheck --configs=s2               # one stream count
 //   ac_hostcheck --iterations 10 --seed 7   # a deeper sweep
 //   ac_hostcheck --cluster                  # audit the multi-device Router
 //                                           # tier instead: devices {1,2,4}
@@ -17,7 +17,7 @@
 //                                           # WILL_FAIL ctest entries)
 //   ac_hostcheck --list                     # config + broken-schedule names
 //
-// Each geometry runs real Engine::scan calls under the hostcheck Recorder;
+// Each config runs real Engine::scan calls under the hostcheck Recorder;
 // the analyzer reconstructs the op DAG (stream FIFO, event edges, the
 // staging pool's release/wait_until handshake) and reports conflicting
 // device accesses that are only ordered by timing luck, lease-protocol
@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <iostream>
 #include <sstream>
-#include <string_view>
 
 #include "hostcheck/audit.h"
 #include "hostcheck/broken.h"
@@ -46,21 +45,12 @@ using namespace acgpu;
 namespace {
 
 hostcheck::HostAuditConfig parse_config(const std::string& name) {
-  hostcheck::HostAuditConfig config;
   unsigned streams = 0;
-  unsigned depth = 0;
-  char mode[8] = {0};
+  char trailing = 0;
   const bool ok =
-      std::sscanf(name.c_str(), "s%u-d%u-%7s", &streams, &depth, mode) == 3 &&
-      streams >= 1 && depth >= 1 &&
-      (std::string_view(mode) == "split" || std::string_view(mode) == "shared");
-  ACGPU_CHECK(ok, "bad config '" << name
-                                 << "' (want s<streams>-d<depth>-split|shared, "
-                                    "e.g. s2-d2-split)");
-  config.streams = streams;
-  config.depth = depth;
-  config.split_readback = std::string_view(mode) == "split";
-  return config;
+      std::sscanf(name.c_str(), "s%u%c", &streams, &trailing) == 1 && streams >= 1;
+  ACGPU_CHECK(ok, "bad config '" << name << "' (want s<streams>, e.g. s2)");
+  return hostcheck::HostAuditConfig{streams};
 }
 
 std::vector<hostcheck::HostAuditConfig> parse_configs(const std::string& csv) {
@@ -168,8 +158,8 @@ int main(int argc, char** argv) {
   args.add_flag("seed", "workload generator seed", "42");
   args.add_flag("iterations", "number of generated workloads", "5");
   args.add_flag("configs",
-                "comma-separated geometries, e.g. s2-d2-split,s4-d1-shared "
-                "(empty = full matrix)",
+                "comma-separated stream counts, e.g. s2,s4 (empty = full "
+                "matrix)",
                 "");
   args.add_bool_flag("cluster",
                      "audit the multi-device Router tier instead: devices "

@@ -70,17 +70,10 @@ struct GpuConfig {
   double pcie_bytes_per_second = 4.0e9;
   /// Fixed per-transfer cost (driver launch + DMA setup).
   double pcie_latency_seconds = 10e-6;
-  /// Concurrent DMA engines. GT200 has a single copy engine: one transfer at
-  /// a time, but it runs concurrently with kernel execution — the overlap
-  /// the stream scheduler (gpusim/stream.h) models.
-  std::uint32_t copy_engines = 1;
-  /// Dedicated device->host DMA queues. 0 (the GT200 default) means D2H
-  /// shares copy_engines — upload and readback serialise on one queue.
-  /// >= 1 gives readback its own engine(s), the Fermi-and-later dual-copy
-  /// layout that exploits the full-duplex PCIe link: an H2D and a D2H can
-  /// be in flight simultaneously. The pipeline's split readback stage
-  /// (pipeline/pipeline.h) opts into this per run.
-  std::uint32_t readback_engines = 0;
+  // The copy layout is Fermi-style on GT200 SMs: one upload queue and one
+  // dedicated readback queue on the full-duplex link, each running beside
+  // the one compute engine (gpusim/stream.h). GT200 itself had a single
+  // copy engine for both directions.
 
   /// Resident blocks per SM for a kernel needing `shared_bytes` of shared
   /// memory and `threads` threads per block (occupancy calculation).

@@ -6,8 +6,8 @@
 //
 //   streams/events   StreamSim op enqueue, cudaEventRecord/WaitEvent, and
 //                    the host-driven wait_until timestamp dependency;
-//   staging leases   StagingPool acquire/release of upload and readback
-//                    buffers (pipeline/staging_pool.h);
+//   staging leases   StagingPool acquire/release of staging buffers
+//                    (pipeline/staging_pool.h);
 //   host locks       the serve-side mutexes (service, session manager,
 //                    scheduler) wrapped in TrackedMutex below.
 //

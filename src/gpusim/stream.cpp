@@ -16,11 +16,7 @@ const char* to_string(StreamOpKind kind) {
 }
 
 StreamSim::StreamSim(const GpuConfig& config, DeviceMemory& gmem)
-    : cfg_(config), gmem_(gmem) {
-  ACGPU_CHECK(cfg_.copy_engines >= 1, "need at least one copy engine");
-  copy_engine_free_.assign(cfg_.copy_engines, 0.0);
-  readback_engine_free_.assign(cfg_.readback_engines, 0.0);
-}
+    : cfg_(config), gmem_(gmem) {}
 
 StreamId StreamSim::create_stream() {
   streams_.push_back({});
@@ -53,15 +49,10 @@ void StreamSim::annotate(std::uint64_t op_id, DevAddr addr, std::uint64_t bytes,
 double StreamSim::enqueue(StreamId stream, StreamOpKind kind, double duration,
                           std::uint64_t bytes, std::string label) {
   StreamState& s = state(stream);
-  double* engine_free = &compute_free_;
-  if (kind == StreamOpKind::kD2H && !readback_engine_free_.empty()) {
-    // Dedicated readback queue(s): a D2H never waits behind an H2D.
-    engine_free = &*std::min_element(readback_engine_free_.begin(),
-                                     readback_engine_free_.end());
-  } else if (kind != StreamOpKind::kKernel) {
-    // With several DMA engines, a transfer grabs whichever frees first.
-    engine_free = &*std::min_element(copy_engine_free_.begin(), copy_engine_free_.end());
-  }
+  // A D2H never waits behind an H2D: each direction has its own queue.
+  double* engine_free = kind == StreamOpKind::kH2D   ? &upload_free_
+                        : kind == StreamOpKind::kD2H ? &readback_free_
+                                                     : &compute_free_;
   const double start = std::max({s.ready, s.pending_dep, *engine_free});
   const double end = start + duration;
   s.ready = end;

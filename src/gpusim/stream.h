@@ -2,15 +2,15 @@
 //
 // The scheduler (gpusim/scheduler.h) times ONE kernel launch; production
 // throughput comes from overlapping host<->device copies with kernel
-// execution across independent streams. StreamSim models that layer the way
-// GT200-era hardware does it: one DMA copy engine (H2D and D2H serialise on
-// it), one compute engine (no concurrent kernels), and per-stream FIFO
-// ordering. GpuConfig::readback_engines >= 1 switches to the Fermi-and-later
-// dual-copy layout: D2H ops occupy their own engine(s), so an upload and a
-// readback overlap on the full-duplex PCIe link. Operations resolve eagerly —
-// enqueue order is issue order, so an op starts at max(stream ready, engine
-// free, recorded dependencies) and the whole timeline is known as soon as the
-// last op is enqueued.
+// execution across independent streams. StreamSim models that layer with a
+// Fermi-style copy layout on the GT200 SMs of GpuConfig: one upload (H2D)
+// queue, one dedicated readback (D2H) queue, so an upload and a readback
+// overlap on the full-duplex PCIe link, one compute engine (no concurrent
+// kernels), and per-stream FIFO ordering. (GT200 itself had one copy engine
+// for both directions.) Operations resolve eagerly — enqueue order is issue
+// order, so an op starts at max(stream ready, engine free, recorded
+// dependencies) and the whole timeline is known as soon as the last op is
+// enqueued.
 //
 // Functional side effects (the actual byte movement, the kernel's stores)
 // happen at enqueue time in program order; only the *clock* is simulated.
@@ -152,9 +152,8 @@ class StreamSim {
   HostObserver* host_observer_ = nullptr;
   std::uint32_t sim_id_ = 0;  ///< assigned by the observer on attach
   std::vector<StreamState> streams_;
-  std::vector<double> copy_engine_free_;  ///< one slot per DMA engine (H2D; D2H too
-                                          ///< when no dedicated readback engine)
-  std::vector<double> readback_engine_free_;  ///< dedicated D2H queues (may be empty)
+  double upload_free_ = 0;    ///< the H2D queue
+  double readback_free_ = 0;  ///< the D2H queue
   double compute_free_ = 0;
   std::vector<StreamOp> timeline_;
   std::vector<double> events_;

@@ -58,13 +58,13 @@ double PipelineSweepResult::best_deep_stream_speedup() const {
 }
 
 bool PipelineSweepResult::streams4_vs_2_distinct() const {
-  // Compare the auto-depth points at the largest dictionary: before the
-  // staging pool, the silent clamp made these two runs byte-identical.
+  // Compare the points at the largest dictionary: under the old fixed
+  // double buffer these two runs were byte-identical.
   const std::uint32_t largest = largest_pattern_count(points);
   const PipelinePoint* two = nullptr;
   const PipelinePoint* four = nullptr;
   for (const PipelinePoint& p : points) {
-    if (p.pattern_count != largest || p.pool_depth_request != 0) continue;
+    if (p.pattern_count != largest) continue;
     if (p.streams == 2) two = &p;
     if (p.streams == 4) four = &p;
   }
@@ -118,7 +118,6 @@ PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
     pipeline::PipelineOptions single = base;
     single.streams = 1;
     single.batch_bytes = config.text_bytes;
-    single.rebalance_batches = false;
     const double baseline_seconds =
         run_once(config, mem, ddfa, input, single).makespan_seconds;
     if (progress)
@@ -126,30 +125,20 @@ PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
                 << format_seconds(baseline_seconds) << "\n";
 
     for (const std::uint32_t streams : config.stream_counts) {
-      // A single lane cannot use a deeper pool: streams=1 runs depth 0 only.
-      const std::vector<std::uint32_t> depths =
-          streams == 1 ? std::vector<std::uint32_t>{0} : config.pool_depths;
-      for (const std::uint32_t depth : depths) {
-        pipeline::PipelineOptions opt = base;
-        opt.streams = streams;
-        opt.pool_depth = depth;
-        opt.batch_bytes = config.batch_bytes;
+      pipeline::PipelineOptions opt = base;
+      opt.streams = streams;
+      opt.batch_bytes = config.batch_bytes;
 
-        PipelinePoint point;
-        point.pattern_count = count;
-        point.streams = streams;
-        point.pool_depth_request = depth;
-        point.stats = run_once(config, mem, ddfa, input, opt);
-        point.baseline_seconds = baseline_seconds;
-        if (progress)
-          *progress << "  " << count << " patterns x " << streams
-                    << " stream(s) depth " << (depth ? std::to_string(depth)
-                                                     : std::string("auto"))
-                    << ": " << format_gbps(point.throughput_gbps()) << " ("
-                    << point.speedup_vs_single_buffer()
-                    << "x vs single-buffer)\n";
-        result.points.push_back(point);
-      }
+      PipelinePoint point;
+      point.pattern_count = count;
+      point.streams = streams;
+      point.stats = run_once(config, mem, ddfa, input, opt);
+      point.baseline_seconds = baseline_seconds;
+      if (progress)
+        *progress << "  " << count << " patterns x " << streams << " stream(s): "
+                  << format_gbps(point.throughput_gbps()) << " ("
+                  << point.speedup_vs_single_buffer() << "x vs single-buffer)\n";
+      result.points.push_back(point);
     }
   }
   return result;
@@ -172,12 +161,7 @@ void write_pipeline_json(const PipelineSweepResult& result, std::ostream& out) {
     if (i > 0) out << ",";
     out << "{\"pattern_count\":" << p.pattern_count;
     out << ",\"streams\":" << p.streams;
-    out << ",\"pool_depth_request\":" << p.pool_depth_request;
-    out << ",\"pool_depth\":" << s.pool_depth;
-    out << ",\"readback_depth\":" << s.readback_depth;
-    out << ",\"effective_streams\":" << s.effective_streams;
     out << ",\"effective_batch_bytes\":" << s.effective_batch_bytes;
-    out << ",\"streams_clamped\":" << (s.streams_clamped ? "true" : "false");
     out << ",\"batches\":" << s.batches;
     out << ",\"input_bytes\":" << s.input_bytes;
     out << ",\"staged_bytes\":" << s.staged_bytes;
@@ -190,8 +174,6 @@ void write_pipeline_json(const PipelineSweepResult& result, std::ostream& out) {
     out << ",\"compute_busy_seconds\":" << s.compute_busy_seconds;
     out << ",\"overlap_seconds\":" << s.overlap_seconds;
     out << ",\"overlap_ratio\":" << s.overlap_ratio;
-    out << ",\"blocked_seconds\":" << s.blocked_seconds;
-    out << ",\"readback_wait_seconds\":" << s.readback_wait_seconds;
     out << ",\"max_queue_depth\":" << s.max_queue_depth;
     out << ",\"latency_p50_seconds\":" << s.latency_p50_seconds;
     out << ",\"latency_p90_seconds\":" << s.latency_p90_seconds;

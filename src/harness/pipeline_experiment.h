@@ -20,9 +20,6 @@ struct PipelineSweepConfig {
   std::uint64_t text_bytes = 64ull << 20;
   std::uint64_t batch_bytes = 4ull << 20;
   std::vector<std::uint32_t> stream_counts = {1, 2, 4, 8};
-  /// Staging-pool depths per stream count (0 = auto, 2x streams). streams=1
-  /// only runs depth 0 — a single lane cannot use a deeper pool.
-  std::vector<std::uint32_t> pool_depths = {0, 2, 8};
   /// The criterion is judged at the largest count. Its clauses (streams=4
   /// beating streams=2, a queue deeper than 2) only show when the kernel
   /// takes at least as long as the upload, so the largest dictionary must
@@ -52,12 +49,11 @@ struct PipelineSweepConfig {
   gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
 };
 
-/// One (pattern count, stream count, pool depth) grid point, with the
-/// single-buffer baseline measured on the same dictionary and input.
+/// One (pattern count, stream count) grid point, with the single-buffer
+/// baseline measured on the same dictionary and input.
 struct PipelinePoint {
   std::uint32_t pattern_count = 0;
   std::uint32_t streams = 0;
-  std::uint32_t pool_depth_request = 0;  ///< 0 = auto (2x streams)
   pipeline::PipelineStats stats;
   double baseline_seconds = 0;  ///< single-buffer: H2D, kernel, D2H in series
 
@@ -85,9 +81,9 @@ struct PipelineSweepResult {
   /// count — the number the >= 2.0x acceptance criterion gates on.
   double best_deep_stream_speedup() const;
 
-  /// True when the streams=4 point beats streams=2 on makespan (auto pool
-  /// depth, largest pattern count) — proof the stream clamp no longer
-  /// collapses the two configurations into byte-identical runs.
+  /// True when the streams=4 point beats streams=2 on makespan (largest
+  /// pattern count) — proof extra lanes still buy overlap, where the old
+  /// fixed double buffer made the two configurations byte-identical runs.
   bool streams4_vs_2_distinct() const;
 
   /// Deepest in-flight batch count observed across the sweep.
@@ -99,7 +95,7 @@ struct PipelineSweepResult {
   bool criterion_pass() const;
 };
 
-/// Runs the streams x pool-depth sweep in Timed mode. Progress lines go to
+/// Runs the pattern-count x streams sweep in Timed mode. Progress lines go to
 /// `progress` when non-null. Throws acgpu::Error if any pipeline run fails.
 PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
                                        std::ostream* progress);

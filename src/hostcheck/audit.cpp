@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -29,21 +28,13 @@ bool same_matches(std::vector<ac::Match> got,
 }  // namespace
 
 std::string to_string(const HostAuditConfig& config) {
-  std::ostringstream name;
-  name << "s" << config.streams << "-d" << config.depth
-       << (config.split_readback ? "-split" : "-shared");
-  return name.str();
+  std::string name = "s";
+  name += std::to_string(config.streams);  // operator+ trips GCC 12's -Wrestrict
+  return name;
 }
 
 const std::vector<HostAuditConfig>& default_config_matrix() {
-  static const std::vector<HostAuditConfig> matrix = [] {
-    std::vector<HostAuditConfig> m;
-    for (const std::uint32_t streams : {1u, 2u, 4u, 8u})
-      for (const std::uint32_t depth : {1u, 2u, 8u})
-        for (const bool split : {true, false})
-          m.push_back(HostAuditConfig{streams, depth, split});
-    return m;
-  }();
+  static const std::vector<HostAuditConfig> matrix = {{1}, {2}, {4}, {8}};
   return matrix;
 }
 
@@ -69,9 +60,6 @@ HostAuditOutcome audit_pipeline(const CompiledWorkload& workload,
       // upload is part of the audited schedule.
       EngineOptions eo;
       eo.streams = config.streams;
-      eo.pool_depth = config.depth;
-      eo.readback_depth = config.depth;
-      eo.split_readback = config.split_readback;
       eo.batch_bytes = spec.batch_bytes;
       eo.match_capacity = capacity;
       DeviceOptions dopt;

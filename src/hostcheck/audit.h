@@ -1,19 +1,14 @@
 // The host-audit harness: drives the production pipeline (and the serve
-// layer) under the Recorder across a staging-geometry matrix, analyses each
-// run for happens-before hazards, and checks the matches against the serial
+// layer) under the Recorder across a stream-count matrix, analyses each run
+// for happens-before hazards, and checks the matches against the serial
 // reference at the same time — a hazard-free run that returns wrong matches
 // is still a failed audit.
 //
-// The matrix axes are the knobs that change the host schedule's SHAPE:
-//
-//   streams          1 (serial baseline) .. 8 (deep lane cycling);
-//   depth            upload/readback pool depth — 1 forces total recycling
-//                    pressure, 8 removes it;
-//   split_readback   dedicated D2H queue vs the GT200 shared copy engine.
-//
-// Every conformant configuration must audit CLEAN on every workload: the
-// pipeline's lease/wait_until handshake is supposed to order every
-// conflicting access by construction, not by engine-serialization luck.
+// The stream count is the one knob that changes the host schedule's SHAPE:
+// 1 is the serial baseline, 8 deep lane cycling over an upload pool of 16.
+// Every configuration must audit CLEAN on every workload: the pipeline's
+// lease/wait_until handshake is supposed to order every conflicting access
+// by construction, not by engine-serialization luck.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +20,15 @@
 
 namespace acgpu::hostcheck {
 
-/// One point of the staging-geometry matrix.
+/// One point of the audit matrix.
 struct HostAuditConfig {
   std::uint32_t streams = 2;
-  std::uint32_t depth = 2;  ///< upload AND readback pool depth
-  bool split_readback = true;
 };
 
-/// "s2-d4-split" / "s2-d4-shared" — used in reports and --config.
+/// "s2" — used in reports and --configs.
 std::string to_string(const HostAuditConfig& config);
 
-/// The default sweep matrix: streams {1,2,4,8} x depth {1,2,8} x
-/// split_readback {on,off}.
+/// The default sweep matrix: streams {1,2,4,8}.
 const std::vector<HostAuditConfig>& default_config_matrix();
 
 struct HostAuditSpec {
@@ -57,7 +49,7 @@ struct HostAuditOutcome {
 };
 
 /// Runs one workload through Engine::scan under the Recorder with the
-/// config's staging geometry and analyses the trace.
+/// config's stream count and analyses the trace.
 HostAuditOutcome audit_pipeline(const oracle::CompiledWorkload& workload,
                                 const HostAuditConfig& config,
                                 const HostAuditSpec& spec = {});

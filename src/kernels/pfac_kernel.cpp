@@ -2,33 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <vector>
 
 #include "util/error.h"
 
 namespace acgpu::kernels {
-namespace {
-
-/// Terminal-output CSR, rebuilt from the automaton's accessors (it does not
-/// expose the raw arrays; terminal sets are tiny, so this stays cheap).
-struct OutputCsr {
-  std::vector<std::uint32_t> offsets = {0, 0};
-  std::vector<std::int32_t> ids;
-};
-
-OutputCsr output_csr(const ac::PfacAutomaton& pfac) {
-  OutputCsr csr;
-  for (std::uint32_t s = 0; s < pfac.state_count(); ++s) {
-    if (pfac.stt().output_id(static_cast<std::int32_t>(s)) == 0) continue;
-    csr.ids.insert(csr.ids.end(), pfac.output_begin(static_cast<std::int32_t>(s)),
-                   pfac.output_end(static_cast<std::int32_t>(s)));
-    // offsets index == output id; ids were assigned in state order.
-    csr.offsets.push_back(static_cast<std::uint32_t>(csr.ids.size()));
-  }
-  return csr;
-}
-
-}  // namespace
 
 DevicePfac::DevicePfac(gpusim::DeviceMemory& mem, const ac::PfacAutomaton& pfac)
     : host_(&pfac), max_pattern_length_(pfac.max_pattern_length()) {
@@ -37,13 +14,6 @@ DevicePfac::DevicePfac(gpusim::DeviceMemory& mem, const ac::PfacAutomaton& pfac)
   mem.copy_in(stt_addr, stt.data(), stt.size_bytes());
   texture_ = gpusim::Texture2D(&mem, stt_addr, ac::SttMatrix::kColumns, stt.rows(),
                                stt.pitch());
-
-  const OutputCsr csr = output_csr(pfac);
-  out_begin_addr_ = mem.alloc(csr.offsets.size() * 4);
-  mem.copy_in(out_begin_addr_, csr.offsets.data(), csr.offsets.size() * 4);
-  out_ids_addr_ = mem.alloc(std::max<std::size_t>(1, csr.ids.size() * 4));
-  if (!csr.ids.empty())
-    mem.copy_in(out_ids_addr_, csr.ids.data(), csr.ids.size() * 4);
 }
 
 namespace {

@@ -13,7 +13,8 @@
 
 namespace acgpu::kernels {
 
-/// Device-resident failureless automaton: STT texture + terminal-output CSR.
+/// Device-resident failureless automaton: the STT texture. Terminal states
+/// store their output id; the host expands ids to patterns.
 class DevicePfac {
  public:
   /// Keeps a reference to `pfac` (host-side record expansion); it must
@@ -23,15 +24,11 @@ class DevicePfac {
   const ac::PfacAutomaton& host_automaton() const { return *host_; }
 
   const gpusim::Texture2D& texture() const { return texture_; }
-  gpusim::DevAddr out_begin_addr() const { return out_begin_addr_; }
-  gpusim::DevAddr out_ids_addr() const { return out_ids_addr_; }
   std::uint32_t max_pattern_length() const { return max_pattern_length_; }
 
  private:
   const ac::PfacAutomaton* host_ = nullptr;
   gpusim::Texture2D texture_;
-  gpusim::DevAddr out_begin_addr_ = 0;
-  gpusim::DevAddr out_ids_addr_ = 0;
   std::uint32_t max_pattern_length_ = 0;
 };
 

@@ -343,13 +343,6 @@ class PipelineMatcher final : public Matcher {
     pipeline::PipelineOptions opt;
     opt.variant = draw_pipeline_variant(rng);
     opt.streams = 1 + static_cast<std::uint32_t>(rng.next_below(6));
-    // Staging-geometry fuzz: shallow pools exercise the stream clamp and
-    // buffer recycling, 0 the auto depth; the readback pool and the
-    // duplex/legacy DMA split are drawn independently. All of it is pure
-    // timing — matches must not move.
-    opt.pool_depth = static_cast<std::uint32_t>(rng.next_below(5));
-    opt.readback_depth = static_cast<std::uint32_t>(rng.next_below(3));
-    opt.split_readback = !rng.next_bool(0.25);
     // Bias toward tiny batches (stitch boundaries everywhere) but
     // occasionally cover the whole text in a single batch.
     const std::uint64_t cap = rng.next_bool(0.25)

@@ -1,10 +1,15 @@
 #include "pipeline/device.h"
 
+#include <atomic>
 #include <mutex>
 
-#include "gpusim/device_registry.h"
-
 namespace acgpu {
+namespace {
+
+/// Process-unique device ids, never reused (see Device::id).
+std::atomic<std::uint32_t> g_next_device_id{0};
+
+}  // namespace
 
 struct Device::Impl {
   DeviceOptions options;
@@ -31,23 +36,13 @@ struct Device::Impl {
 
 Device::Device(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 Device::Device(Device&&) noexcept = default;
-
-Device& Device::operator=(Device&& other) noexcept {
-  if (this != &other) {
-    if (impl_) gpusim::unregister_device(impl_->id);
-    impl_ = std::move(other.impl_);
-  }
-  return *this;
-}
-
-Device::~Device() {
-  if (impl_) gpusim::unregister_device(impl_->id);
-}
+Device& Device::operator=(Device&&) noexcept = default;
+Device::~Device() = default;
 
 Result<Device> Device::create(const DeviceOptions& options) {
   if (options.memory_bytes == 0)
     return Status::invalid_argument("Device memory budget must be > 0");
-  const std::uint32_t id = gpusim::allocate_device_id();
+  const std::uint32_t id = g_next_device_id.fetch_add(1, std::memory_order_relaxed);
   std::string name =
       options.name.empty() ? "device." + std::to_string(id) : options.name;
   std::unique_ptr<Impl> impl;
@@ -56,8 +51,6 @@ Result<Device> Device::create(const DeviceOptions& options) {
   } catch (const std::exception& e) {
     return Status::from_exception(e);
   }
-  gpusim::register_device(
-      gpusim::DeviceInfo{impl->id, impl->name, options.memory_bytes});
   return Device(std::move(impl));
 }
 

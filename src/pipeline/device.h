@@ -2,10 +2,9 @@
 //
 // Before the cluster tier, Engine::create built a private DeviceMemory and
 // the process was implicitly single-device. Device splits that out: it owns
-// the simulated device's identity (a process-unique id from
-// gpusim/device_registry.h), its memory arena, the HostObserver seam, and a
-// scan mutex that serializes the engines sharing it — one process, many
-// devices, many engines:
+// the simulated device's identity (a process-unique id), its memory arena,
+// the HostObserver seam, and a scan mutex that serializes the engines
+// sharing it — one process, many devices, many engines:
 //
 //   Device (identity, DeviceMemory arena, observer seam, scan mutex)
 //     ├── Engine A  (automaton + pipeline bound to Device&)
@@ -51,17 +50,17 @@ struct DeviceOptions {
 
 class Device {
  public:
-  /// Stands a simulated device up: allocates a process-unique id, the
-  /// memory arena, and registers with the device registry. Fails (no throw)
-  /// on a zero memory budget or arena construction failure.
+  /// Stands a simulated device up: allocates a process-unique id and the
+  /// memory arena. Fails (no throw) on a zero memory budget or arena
+  /// construction failure.
   static Result<Device> create(const DeviceOptions& options = {});
 
   Device(Device&&) noexcept;
   Device& operator=(Device&&) noexcept;
-  ~Device();  ///< unregisters from the device registry
+  ~Device();
 
-  /// Process-unique id (gpusim::allocate_device_id) — never reused, so
-  /// traces and metric series from different devices never collide.
+  /// Process-unique id, counted from 0 and never reused, so traces and
+  /// metric series from different devices never collide.
   std::uint32_t id() const;
   /// "device.<id>" unless DeviceOptions::name overrode it. Used as the
   /// metric prefix root and the Chrome-trace process name.

@@ -10,7 +10,6 @@
 #include "kernels/packed_text.h"
 #include "pipeline/staging_pool.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/logger.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/trace.h"
 #include "util/stats.h"
@@ -36,12 +35,8 @@ Status PipelineOptions::validate() const {
 
 namespace {
 
-/// Resolved staging-layer geometry: pool depths, the stream clamp, and the
-/// batch split (PipelineStats mirrors these for the run).
+/// The run's batch split.
 struct StagingPlan {
-  std::uint32_t pool_depth = 0;
-  std::uint32_t readback_depth = 0;
-  std::uint32_t effective_streams = 0;
   std::uint64_t batch_bytes = 0;
   std::uint64_t batches = 0;
   /// The whole text fits a 4-symbol table, so every kShared slice ships
@@ -49,7 +44,6 @@ struct StagingPlan {
   bool packed = false;
   /// The tail share the split assumed (see link_batches).
   double tail_share = 1;
-  bool streams_clamped = false;
 };
 
 /// Batch count that minimises an upload-bound pipeline's makespan. Split
@@ -78,48 +72,21 @@ std::uint64_t link_batches(const gpusim::GpuConfig& config, std::uint64_t staged
              std::ceil(std::min(root, static_cast<double>(staged)))));
 }
 
+/// Splits a non-empty text evenly into the link's optimal batch count,
+/// never into fewer than batch_bytes allows. One lane overlaps nothing, so
+/// there extra batches only add copy latency.
 StagingPlan resolve_staging(const PipelineOptions& opt, const gpusim::GpuConfig& config,
                             std::uint64_t len, bool packed, double tail_share) {
   StagingPlan plan;
-  plan.pool_depth = opt.pool_depth != 0 ? opt.pool_depth : 2 * opt.streams;
-  plan.effective_streams = std::min(opt.streams, plan.pool_depth);
-  plan.streams_clamped = plan.effective_streams < opt.streams;
-  plan.readback_depth =
-      opt.readback_depth != 0 ? opt.readback_depth : plan.pool_depth;
   plan.packed = packed;
   plan.tail_share = tail_share;
-
-  // rebalance_batches splits the text evenly into the link's optimal batch
-  // count, never into fewer than batch_bytes allows. One lane overlaps
-  // nothing, so there extra batches only add copy latency.
-  plan.batch_bytes = opt.batch_bytes;
-  if (opt.rebalance_batches && len > 0) {
-    std::uint64_t n = (len + opt.batch_bytes - 1) / opt.batch_bytes;
-    if (plan.effective_streams > 1)
-      n = std::max(n, link_batches(config, packed ? kernels::packed_size(len) : len,
-                                   tail_share));
-    plan.batch_bytes = (len + n - 1) / n;
-  }
+  std::uint64_t n = (len + opt.batch_bytes - 1) / opt.batch_bytes;
+  if (opt.streams > 1)
+    n = std::max(n, link_batches(config, packed ? kernels::packed_size(len) : len,
+                                 tail_share));
+  plan.batch_bytes = (len + n - 1) / n;
   plan.batches = (len + plan.batch_bytes - 1) / plan.batch_bytes;
   return plan;
-}
-
-/// Stream-clamp warning, routed through the telemetry logger: the
-/// process-global logger emits once per process (its keys never re-arm); a
-/// caller-provided logger applies its own rate limit. Every occurrence still
-/// counts into pipeline.streams_clamped and the run's stats.
-void warn_streams_clamped(telemetry::Logger* logger, std::uint32_t requested,
-                          std::uint32_t pool_depth, std::uint32_t effective) {
-  telemetry::Logger& log =
-      logger != nullptr ? *logger : telemetry::Logger::global();
-  log.warn("pipeline.streams_clamped",
-           "requested " + std::to_string(requested) +
-               " streams exceed the staging pool depth " +
-               std::to_string(pool_depth) + "; running " +
-               std::to_string(effective) +
-               " stream(s). Raise PipelineOptions::pool_depth (or leave it "
-               "0 = 2x streams) to feed every lane. (see "
-               "pipeline.streams_clamped)");
 }
 
 /// Kernel geometry of one batch launch.
@@ -248,24 +215,14 @@ void publish_run(const PipelineResult& result, telemetry::MetricsRegistry& reg,
   reg.gauge(name("pipeline.d2h_busy_seconds")).set(s.d2h_busy_seconds);
   reg.gauge(name("pipeline.compute_busy_seconds")).set(s.compute_busy_seconds);
   reg.gauge(name("pipeline.overlap_seconds")).set(s.overlap_seconds);
-  reg.gauge(name("pipeline.blocked_seconds")).set(s.blocked_seconds);
-  reg.gauge(name("pipeline.readback_wait_seconds")).set(s.readback_wait_seconds);
   reg.gauge(name("pipeline.max_queue_depth")).set_max(s.max_queue_depth);
-  reg.gauge(name("pipeline.pool_depth")).set(s.pool_depth);
-  reg.gauge(name("pipeline.readback_depth")).set(s.readback_depth);
-  reg.gauge(name("pipeline.effective_streams")).set(s.effective_streams);
   reg.gauge(name("pipeline.effective_batch_bytes")).set(
       static_cast<double>(s.effective_batch_bytes));
-  if (s.streams_clamped) reg.counter(name("pipeline.streams_clamped")).add(1);
 
   telemetry::Histogram& latency = reg.histogram(name("pipeline.batch.latency_ns"));
-  telemetry::Histogram& blocked = reg.histogram(name("pipeline.batch.blocked_ns"));
-  telemetry::Histogram& rb_wait = reg.histogram(name("pipeline.batch.readback_wait_ns"));
   telemetry::Histogram& depth = reg.histogram(name("pipeline.batch.queue_depth"));
   for (const BatchTrace& t : result.batches) {
     latency.observe((t.complete_seconds - t.submit_seconds) * kSimNs);
-    blocked.observe(t.blocked_seconds * kSimNs);
-    rb_wait.observe(t.readback_wait_seconds * kSimNs);
     depth.observe(t.queue_depth);
   }
 
@@ -328,9 +285,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
                            kernels::symbol_table(text).has_value();
   const StagingPlan plan = resolve_staging(opt, config_, text.size(), packed_text,
                                            tail_share(packed_text));
-  if (plan.streams_clamped)
-    warn_streams_clamped(tel.logger, opt.streams, plan.pool_depth,
-                         plan.effective_streams);
   if (tel.tracer != nullptr) {
     run_span.annotate("batches", std::to_string(plan.batches));
     run_span.annotate("batch_bytes", std::to_string(plan.batch_bytes));
@@ -350,35 +304,25 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     return s;
 
   try {
-    // split_readback gives the device a dedicated D2H queue (the PCIe link
-    // is full duplex).
-    gpusim::GpuConfig run_cfg = config_;
-    if (opt.split_readback && run_cfg.readback_engines == 0)
-      run_cfg.readback_engines = 1;
-    gpusim::StreamSim sim(run_cfg, mem_);
+    gpusim::StreamSim sim(config_, mem_);
     sim.set_host_observer(opt.host_observer);
-    for (std::uint32_t s = 0; s < plan.effective_streams; ++s) sim.create_stream();
+    for (std::uint32_t s = 0; s < opt.streams; ++s) sim.create_stream();
 
-    // Staging pools, allocated below batch_mark so per-batch recycling never
-    // frees them. Upload slices carry 8 pad bytes (word-granular staging
-    // loads never run off the slice), and a run of fewer batches than the
-    // pool is deep allocates one slice per batch: the rest would never be
-    // leased, yet would push the kernels' buffers onto fresh device pages.
-    // Readback leases are 0-byte accounting entries — the kernel launches
-    // allocate the real output buffers.
+    // The upload pool, allocated below batch_mark so per-batch recycling
+    // never frees it: 2 slices per stream, so a lane's next batch finds the
+    // buffer two rounds back already drained. Slices carry 8 pad bytes
+    // (word-granular staging loads never run off the slice), and a run of
+    // fewer batches than that allocates one slice per batch: the rest would
+    // never be leased, yet would push the kernels' buffers onto fresh device
+    // pages. The kernel launches allocate the output buffers.
     const std::size_t outer_mark = mem_.mark();
     const auto upload_buffers = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(plan.pool_depth, plan.batches));
+        std::min<std::uint64_t>(2 * std::uint64_t{opt.streams}, plan.batches));
     StagingPool::Options upload_opt{upload_buffers, slice_cap, 8, false};
     upload_opt.observer = opt.host_observer;
     upload_opt.name = "upload";
     upload_opt.sim = sim.sim_id();
-    StagingPool::Options readback_opt{plan.readback_depth, 0, 0, false};
-    readback_opt.observer = opt.host_observer;
-    readback_opt.name = "readback";
-    readback_opt.sim = sim.sim_id();
     StagingPool upload(mem_, upload_opt);
-    StagingPool readback(mem_, readback_opt);
     const std::size_t batch_mark = mem_.mark();
 
     std::vector<double> completion;  // per batch: D2H end on the timeline
@@ -387,12 +331,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     std::vector<std::uint8_t> packed;  // host packing buffer (packed batches only)
     Samples latencies;
 
-    // The copy engine serves its queue in issue order, so issuing d2h(b)
-    // right behind kernel(b) head-of-line-blocks h2d(b+1) behind a copy that
-    // cannot start until the kernel ends — false serialization, no overlap.
-    // Standard remedy on single-copy-queue devices: software-pipelined issue
-    // order. Each batch's D2H is held back one iteration and enqueued after
-    // the NEXT batch's H2D + kernel.
+    // Software-pipelined issue order: each batch's D2H is held back one
+    // iteration and enqueued after the NEXT batch's H2D + kernel. On a
+    // single copy queue this kept h2d(b+1) from queueing behind a d2h(b)
+    // that waits on kernel(b); with the dedicated readback queue it moves no
+    // start time, but it fixes the op order every timeline and trace show.
     struct PendingD2H {
       BatchTrace trace;
       gpusim::StreamId stream = 0;
@@ -401,25 +344,12 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     const auto flush_pending = [&]() {
       if (!pending) return;
       BatchTrace& t = pending->trace;
-      // Readback staging lease: held from here (the batch's kernel has long
-      // ended) to D2H end, recycled independently of the upload pool.
-      const StagingPool::Lease rb = readback.try_acquire().value();
-      if (tel.recorder != nullptr)
-        tel.recorder->record(telemetry::FlightEventKind::kLeaseGrant, tel.shard,
-                             rb.index, 0, /*code=*/1);
-      t.readback_wait_seconds =
-          std::max(0.0, rb.ready - sim.stream_ready(pending->stream));
-      sim.wait_until(pending->stream, rb.ready);
       const std::uint64_t d2h_id = sim.charge_d2h(
           pending->stream, t.output_bytes, "d2h b" + std::to_string(t.index));
       t.complete_seconds = sim.op_end(d2h_id);
-      readback.release(rb.index, t.complete_seconds);
-      if (tel.recorder != nullptr) {
-        tel.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
-                             tel.shard, rb.index, 0, /*code=*/1);
+      if (tel.recorder != nullptr)
         tel.recorder->record(telemetry::FlightEventKind::kBatchRetire,
                              tel.shard, t.index, t.output_bytes);
-      }
       completion.push_back(t.complete_seconds);
       t.queue_depth = 1;
       for (std::uint64_t j = 0; j < t.index; ++j)
@@ -428,8 +358,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
       result.stats.staged_bytes += t.staged_bytes;
       result.stats.output_bytes += t.output_bytes;
-      result.stats.blocked_seconds += t.blocked_seconds;
-      result.stats.readback_wait_seconds += t.readback_wait_seconds;
       result.stats.max_queue_depth =
           std::max(result.stats.max_queue_depth, t.queue_depth);
       result.batches.push_back(t);
@@ -441,8 +369,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       const std::uint64_t owned =
           std::min<std::uint64_t>(plan.batch_bytes, text.size() - base);
       const std::uint64_t slice = std::min<std::uint64_t>(owned + overlap, text.size() - base);
-      const gpusim::StreamId stream =
-          static_cast<gpusim::StreamId>(b % plan.effective_streams);
+      const gpusim::StreamId stream = static_cast<gpusim::StreamId>(b % opt.streams);
 
       ACGPU_TRACE_SPAN(tel.tracer, "pipeline.batch");
       // A kShared slice, overlap carry included, of at most 4 distinct byte
@@ -461,9 +388,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       trace.threads_per_block = g.threads_per_block;
 
       // Upload staging lease: held from H2D start to KERNEL end (the kernel
-      // is the last reader of the staged slice), so this batch never waits
-      // on a readback it does not depend on. The pool hands back the buffer
-      // that drains earliest; any wait is genuine upload backpressure. The
+      // is the last reader of the staged slice). The pool hands back the
+      // buffer that drains earliest, and the stream waits for it, which
+      // orders the H2D after the last kernel that read the buffer. The
       // single-threaded driver releases every lease within its iteration,
       // so the pool cannot be exhausted here (value() is safe).
       const StagingPool::Lease up = upload.try_acquire().value();
@@ -474,7 +401,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
                              b, trace.staged_bytes);
       }
       const gpusim::DevAddr dst = up.addr;
-      trace.blocked_seconds = std::max(0.0, up.ready - sim.stream_ready(stream));
       sim.wait_until(stream, up.ready);
 
       const void* payload = slice_text.data();
@@ -491,7 +417,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
       // One kernel launch over the slice. Timed runs may reuse the simulated
       // duration of an earlier batch with the same slice length and packing.
-      const bool reuse = opt.mode == gpusim::SimMode::Timed && opt.reuse_timing;
+      const bool reuse = opt.mode == gpusim::SimMode::Timed;
       const TimingKey key{slice, symbols.has_value()};
       const auto cached = reuse ? timing_cache.find(key) : timing_cache.end();
       if (cached != timing_cache.end()) {
@@ -550,8 +476,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
               static_cast<double>(trace.output_bytes) / config_.pcie_bytes_per_second);
 
       // The kernel was the last reader of the staged slice: the upload
-      // buffer recycles at kernel end, not D2H end — what lets a deep pool
-      // keep feeding lanes while readbacks drain.
+      // buffer recycles at kernel end, not D2H end.
       upload.release(up.index, sim.stream_ready(stream));
       if (tel.recorder != nullptr)
         tel.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
@@ -574,11 +499,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     result.stats.compute_busy_seconds = ov.compute_busy;
     result.stats.overlap_seconds = ov.overlapped;
     result.stats.overlap_ratio = ov.overlap_ratio();
-    result.stats.effective_streams = plan.effective_streams;
-    result.stats.pool_depth = plan.pool_depth;
-    result.stats.readback_depth = plan.readback_depth;
     result.stats.effective_batch_bytes = plan.batch_bytes;
-    result.stats.streams_clamped = plan.streams_clamped;
     result.stats.latency_p50_seconds = latencies.percentile(50);
     result.stats.latency_p90_seconds = latencies.percentile(90);
     result.stats.latency_p99_seconds = latencies.percentile(99);

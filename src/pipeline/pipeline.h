@@ -6,31 +6,23 @@
 // three-stage software pipeline — upload (H2D), compute (kernel), readback
 // (D2H) — cycled across N simulated streams (gpusim/stream.h). Each stream
 // is one pipeline lane; stages of different batches overlap because the
-// upload engine, the compute engine, and the readback engine are independent
+// upload queue, the compute engine, and the readback queue are independent
 // resources:
 //
 //   upload:   [H2D b0][H2D b1][H2D b2][H2D b3]...
 //   compute:          [krn b0][krn b1][krn b2]...
 //   readback:                 [D2H b0][D2H b1]...
 //
-// Staging is a sized buffer pool (pipeline/staging_pool.h), not a fixed
-// double-buffer: `pool_depth` upload slices (leased H2D -> kernel end, the
-// kernel being the last reader of the staged input) and `readback_depth`
-// output buffers (leased kernel end -> D2H end) recycle independently, so a
-// batch's upload never waits on a readback it does not depend on. Requested
-// streams are clamped to the pool depth — a pool of D buffers can only feed
-// D lanes — and the clamp is surfaced (stats.streams_clamped, the
-// pipeline.streams_clamped counter, a one-time warning) instead of silently
-// degrading.
-//
-// Readback runs on its own DMA queue by default (`split_readback`, modelled
-// by gpusim's dedicated readback engine): the PCIe link is full duplex, so
-// an upload and a readback proceed simultaneously and throughput approaches
-// the upload-bound limit serial(copy+compute)/max(h2d, kernel, d2h) instead
-// of plateauing at the shared-engine bound. The driver still issues each
-// batch's D2H after the NEXT batch's H2D + kernel (software-pipelined issue
-// order), which keeps the legacy shared-engine mode (split_readback=false)
-// from head-of-line-blocking uploads behind readbacks.
+// Staging has one shape. The upload pool (pipeline/staging_pool.h) holds
+// min(2 x streams, batches) slice buffers, each leased from H2D start to
+// KERNEL end (the kernel is the last reader of the staged input). Batch b's
+// H2D queues on its stream behind batch b - streams's kernel, and the
+// buffer it is handed was freed by batch b - 2 x streams's kernel, earlier
+// still, so the lease never delays an op. Readback runs on its own DMA queue
+// (the PCIe link is full duplex), so an upload and a readback proceed
+// simultaneously and throughput approaches the upload-bound limit
+// serial(copy+compute)/max(h2d, kernel, d2h). The driver issues each batch's
+// D2H after the NEXT batch's H2D + kernel (software-pipelined issue order).
 //
 // Correctness at batch boundaries uses the same X-byte overlap rule as
 // ac/chunking.h, one level up: each batch's device slice carries
@@ -39,8 +31,8 @@
 // reported exactly once, by the earlier batch.
 //
 // Every copy pays the link's fixed latency before its bytes, so the batch
-// count comes from the link (`rebalance_batches`): a run splits evenly into
-// the n that minimises an upload-bound pipeline's makespan, about
+// count comes from the link: a run splits evenly into the n that minimises
+// an upload-bound pipeline's makespan, about
 // sqrt(r x staged bytes / (bandwidth x latency)), and never into fewer
 // batches than `batch_bytes` allows. r, the tail share, is what a staged
 // byte adds to a batch's kernel and readback relative to its upload; the
@@ -97,8 +89,8 @@ struct TelemetryOptions {
   /// per event).
   telemetry::FlightRecorder* recorder = nullptr;
   /// Severity/rate-limited log sink (telemetry/logger.h) for one-time
-  /// warnings (stream clamps) and failure events. Null = the process-global
-  /// logger, which writes to stderr.
+  /// warnings and failure events. Null = the process-global logger, which
+  /// writes to stderr.
   telemetry::Logger* logger = nullptr;
   /// Prepended to every published series name ("device.3." turns
   /// pipeline.runs into device.3.pipeline.runs). The cluster tier sets it
@@ -118,39 +110,26 @@ struct PipelineOptions {
   kernels::StoreScheme scheme = kernels::StoreScheme::kDiagonal;
 
   /// Streams (pipeline lanes) to cycle batches across. 1 = no overlap (the
-  /// baseline the BENCH_pipeline numbers compare against). Clamped to the
-  /// staging-pool depth, with the clamp surfaced (never silent).
+  /// baseline the BENCH_pipeline numbers compare against). The upload pool
+  /// holds 2 buffers per stream.
   std::uint32_t streams = 2;
-  /// Owned input bytes per batch (the device slice adds the overlap carry).
-  /// When `rebalance_batches` is set this is a ceiling: a run never takes
-  /// fewer than ceil(text / batch_bytes) batches, but may take more.
-  std::uint64_t batch_bytes = 4u << 20;
-  /// Upload staging-pool depth in device slice buffers. 0 = 2x streams.
-  /// Effective streams = min(streams, pool_depth): a pool of D buffers can
-  /// feed at most D lanes (stats.streams_clamped reports the clamp). A run
-  /// of fewer batches allocates one buffer per batch.
-  std::uint32_t pool_depth = 0;
-  /// Readback staging-pool depth in output buffers. 0 = pool_depth.
-  std::uint32_t readback_depth = 0;
-  /// Issue D2H copies on a dedicated readback DMA queue (full-duplex PCIe).
-  /// false falls back to the GT200 single-copy-queue model, where uploads
-  /// and readbacks serialise on one engine — the historical 1.63x plateau.
-  bool split_readback = true;
-  /// Split each text evenly into the batch count the link favours. With
-  /// two or more effective streams that is the smallest n with
-  /// n (n + 1) >= r S / (B t), about sqrt(r S / (B t)): S the staged bytes
-  /// (a quarter of the text when all of it packs), B and t the GpuConfig's
-  /// PCIe bandwidth and per-copy latency. It minimises
+  /// Owned input bytes per batch (the device slice adds the overlap carry),
+  /// as a ceiling: a run never takes fewer than ceil(text / batch_bytes)
+  /// batches, but may take more. Each text splits evenly into the batch
+  /// count the link favours. With two or more streams that is the smallest
+  /// n with n (n + 1) >= r S / (B t), about sqrt(r S / (B t)): S the staged
+  /// bytes (a quarter of the text when all of it packs), B and t the
+  /// GpuConfig's PCIe bandwidth and per-copy latency. It minimises
   /// n t + S/B + r S/(B n), the makespan of an upload-bound pipeline whose
   /// last batch's kernel and readback grow by r times what its upload does
   /// per staged byte. r is the tail share: a fresh pipeline takes r = 1;
   /// once its byte (or packed) batches have spanned a 2x range of staged
   /// sizes, it uses the least-squares slope of their kernel seconds plus
-  /// readback payload / B against staged bytes, times B. One effective
-  /// stream overlaps nothing and takes ceil(text / batch_bytes) batches; no
-  /// run takes fewer. false keeps batch_bytes exact. Purely a timing
-  /// choice — matches are exact for any batch size.
-  bool rebalance_batches = true;
+  /// readback payload / B against staged bytes, times B. One stream
+  /// overlaps nothing and takes ceil(text / batch_bytes) batches; no run
+  /// takes fewer. Purely a timing choice — matches are exact for any batch
+  /// size.
+  std::uint64_t batch_bytes = 4u << 20;
 
   /// Per-thread chunk for the AC kernels (a multiple of 4 larger than the
   /// overlap). 0 derives chunk and block per batch from the batch's slice
@@ -170,12 +149,11 @@ struct PipelineOptions {
 
   /// Functional: every block of every batch simulated — matches exact (the
   /// conformance/audit path). Timed: sampled-wave timing per batch — the
-  /// throughput path; match collection is skipped.
+  /// throughput path; match collection is skipped, and batches with the
+  /// same slice length and packing reuse the first one's simulated kernel
+  /// time (they are homogeneous by construction), making 100+-batch sweeps
+  /// cheap.
   gpusim::SimMode mode = gpusim::SimMode::Functional;
-  /// Timed mode only: batches with the same slice length reuse the first
-  /// batch's simulated kernel time instead of re-sampling it (they are
-  /// homogeneous by construction), making 100+-batch sweeps cheap.
-  bool reuse_timing = true;
   /// Hazard-audit hook forwarded to every batch launch. When set, per-batch
   /// device buffers are not recycled: the recorder's cross-launch global
   /// shadow would misread a reused match-buffer address as a write race.
@@ -191,8 +169,7 @@ struct PipelineOptions {
   TelemetryOptions telemetry;
 
   /// Rejects inconsistent combinations (zero streams, a chunk that is not a
-  /// multiple of 4, ...). Streams above the pool depth are NOT an error —
-  /// they clamp, and the clamp is surfaced in the run's stats/telemetry.
+  /// multiple of 4, ...).
   Status validate() const;
 };
 
@@ -212,11 +189,9 @@ struct BatchTrace {
   std::uint64_t output_bytes = 0;
   std::uint32_t chunk_bytes = 0;   ///< per-thread kernel chunk
   std::uint32_t threads_per_block = 0;  ///< kernel block size
-  double submit_seconds = 0;       ///< H2D start (after any backpressure wait)
+  double submit_seconds = 0;       ///< H2D start
   double complete_seconds = 0;     ///< D2H end
   double kernel_seconds = 0;
-  double blocked_seconds = 0;  ///< time the submit waited for an upload buffer
-  double readback_wait_seconds = 0;  ///< time the D2H waited for a readback buffer
   std::uint32_t queue_depth = 0;  ///< in-flight batches at submit (incl. this)
 };
 
@@ -232,18 +207,9 @@ struct PipelineStats {
   double compute_busy_seconds = 0;
   double overlap_seconds = 0;  ///< both engine classes busy simultaneously
   double overlap_ratio = 0;    ///< overlap / min(copy, compute) busy time
-  double blocked_seconds = 0;  ///< total upload-buffer backpressure wait
-  double readback_wait_seconds = 0;  ///< total readback-buffer wait
   std::uint32_t max_queue_depth = 0;
-
-  /// Resolved staging geometry for the run — what actually executed, after
-  /// pool-depth defaults, the stream clamp, and the batch split.
-  std::uint32_t effective_streams = 0;
-  /// Upload pool depth; the run allocates min(pool_depth, batches) buffers.
-  std::uint32_t pool_depth = 0;
-  std::uint32_t readback_depth = 0;  ///< readback staging buffers
+  /// Owned bytes per batch after the batch split (the last may be shorter).
   std::uint64_t effective_batch_bytes = 0;
-  bool streams_clamped = false;  ///< requested streams exceeded the pool depth
   double latency_p50_seconds = 0;  ///< per-batch submit -> D2H-complete
   double latency_p90_seconds = 0;
   double latency_p99_seconds = 0;
@@ -288,7 +254,7 @@ class MatchPipeline {
   Result<PipelineResult> run(std::string_view text);
 
   /// The tail share the next run's batch split assumes for a byte or a
-  /// packed text (see PipelineOptions::rebalance_batches). Like run(), not
+  /// packed text (see PipelineOptions::batch_bytes). Like run(), not
   /// synchronised: read it between runs.
   double tail_share(bool packed) const;
 

@@ -3,13 +3,10 @@
 // The pipeline's old staging layer was a fixed ring of device slots, each
 // held from the start of its batch's H2D until the batch's D2H completed —
 // so the upload of batch b+slots waited on a readback it did not depend on,
-// and stream counts beyond 2 changed nothing. StagingPool replaces the ring
-// with two independently recycled pools:
-//
-//   upload pool:    device slice buffers, leased from H2D start to KERNEL
-//                   end (the kernel is the last reader of the staged input);
-//   readback pool:  output staging buffers, leased from kernel end to D2H
-//                   end.
+// and stream counts beyond 2 changed nothing. The pipeline's upload pool
+// holds 2 device slice buffers per stream, each leased from H2D start to
+// KERNEL end (the kernel is the last reader of the staged input). The
+// readback needs no pool: its D2H already waits for the one readback queue.
 //
 // A lease records the simulated time its buffer frees (`ready`); acquire()
 // hands out the buffer that frees earliest, so heterogeneous batches never
@@ -60,7 +57,7 @@ class StagingPool {
     bool verify_poison_on_lease = true;
     /// Lease/release recording sink for the hostcheck auditor; null = off.
     gpusim::HostObserver* observer = nullptr;
-    /// Name the observer reports this pool under ("upload", "readback").
+    /// Name the observer reports this pool under ("upload", ...).
     const char* name = "staging";
     /// The StreamSim this pool's buffers serve (StreamSim::sim_id()) —
     /// scopes the auditor's lease attribution to one device's offset space.

@@ -22,9 +22,9 @@ void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& resu
   // Register stream tracks first (ascending ids), then the engine rows, so
   // the Perfetto layout reads top-down: per-stream program order, then the
   // hardware engines the streams contend for. Readback gets its own row:
-  // with the pipeline's split-readback mode an upload and a readback run
-  // simultaneously (full-duplex PCIe), so folding D2H onto the copy row
-  // would draw overlapping slices on one track.
+  // an upload and a readback run simultaneously on their own queues
+  // (full-duplex PCIe), so folding D2H onto the copy row would draw
+  // overlapping slices on one track.
   std::uint32_t max_stream = 0;
   for (const gpusim::StreamOp& op : result.timeline)
     max_stream = std::max(max_stream, op.stream);

@@ -1,11 +1,11 @@
 // telemetry::Logger — severity-filtered, rate-limited diagnostics.
 //
-// Library code used to print straight to stderr (the PR 6 stream-clamp
-// warning guarded itself with a process-global static). That pattern cannot
-// be tested, silenced, or redirected, and it rate-limits per *process*, not
-// per logger. The Logger replaces it: every diagnostic goes through
+// Library code used to print straight to stderr (a one-time warning guarded
+// itself with a process-global static). That pattern cannot be tested,
+// silenced, or redirected, and it rate-limits per *process*, not per
+// logger. The Logger replaces it: every diagnostic goes through
 // log(severity, key, message), where `key` names the event class
-// ("pipeline.streams_clamped", "cluster.shard_failed") and the per-key
+// ("cluster.postmortem_path", "cluster.shard_failed") and the per-key
 // budget decides whether the message reaches the sink or is counted as
 // suppressed. A null Logger* in options structs falls back to
 // Logger::global() (stderr), so default behavior still surfaces warnings —

@@ -1,6 +1,7 @@
 #include "telemetry/regression.h"
 
 #include <charconv>
+#include <system_error>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -35,6 +36,8 @@ Result<RegressionBaseline> parse_baseline(std::string_view json_text) {
     check.name = name->string();
     check.min = item.number_at("min");
     check.max = item.number_at("max");
+    const JsonValue* fixed = item.find("fixed");
+    check.fixed = fixed != nullptr && fixed->is_bool() && fixed->boolean();
     if (!check.min && !check.max)
       return Status::invalid_argument("check '" + check.name +
                                       "' has neither \"min\" nor \"max\"");
@@ -62,6 +65,15 @@ std::string exact_number(double v) {
   char buf[32];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
   return std::string(buf, end);
+}
+
+/// A hand-set bound in plain decimals ("250000000", not "2.5e+08"), still
+/// parsing back to exactly `v`.
+std::string decimal_number(double v) {
+  char buf[64];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed);
+  return ec == std::errc{} ? std::string(buf, end) : exact_number(v);
 }
 
 std::optional<RegressionViolation> evaluate(const MetricsSnapshot& snapshot,
@@ -130,8 +142,10 @@ void write_baseline(const MetricsSnapshot& snapshot,
     const double lo = *value >= 0 ? *value * (1 - slack) : *value * (1 + slack);
     const double hi = *value >= 0 ? *value * (1 + slack) : *value * (1 - slack);
     const bool pinned = check.min && check.max && *check.min == *check.max;
-    // A zero bound and an exact pin print exactly; a band keeps 6 digits.
+    // A fixed bound, a zero bound and an exact pin print exactly; a band
+    // keeps 6 digits.
     const auto bound = [&](std::optional<double> old, double banded) {
+      if (check.fixed) return decimal_number(*old);
       if (pinned) return exact_number(*value);
       if (*old == 0) return std::string("0");
       return format_number(banded);
@@ -140,6 +154,7 @@ void write_baseline(const MetricsSnapshot& snapshot,
            << "\"";
     if (check.min) checks << ", \"min\": " << bound(check.min, lo);
     if (check.max) checks << ", \"max\": " << bound(check.max, hi);
+    if (check.fixed) checks << ", \"fixed\": true";
     checks << "}";
   }
 

@@ -16,7 +16,9 @@
 //   }
 //
 // A check may carry "min", "max", or both; the band between them is the
-// tolerance, and min == max pins the value exactly. A name missing from the
+// tolerance, and min == max pins the value exactly. "fixed": true marks
+// bounds that are not measured from a run (a wall-clock ceiling, say), so
+// --write-baseline keeps them as written. A name missing from the
 // snapshot is itself a violation — a deleted series must be a deliberate
 // baseline update, never an accident (the update workflow is in
 // docs/OBSERVABILITY.md).
@@ -37,6 +39,9 @@ struct RegressionCheck {
   std::string name;
   std::optional<double> min;
   std::optional<double> max;
+  /// The bounds are set by hand, not banded from a run: write_baseline
+  /// writes the check back exactly as parsed. Evaluation ignores it.
+  bool fixed = false;
 };
 
 struct RegressionBaseline {
@@ -73,6 +78,7 @@ void write_verdict_table(const MetricsSnapshot& snapshot,
 
 /// Rewrites `baseline` around the snapshot's current values, each check
 /// keeping its shape — the --write-baseline update workflow:
+///  - a fixed check keeps its bounds;
 ///  - an exact pin (min == max) is re-pinned at the observed value;
 ///  - a bound of exactly 0 stays 0 (latency and SLO floors);
 ///  - every other min moves to value*(1-slack) and max to value*(1+slack),

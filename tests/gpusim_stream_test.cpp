@@ -1,5 +1,5 @@
-// StreamSim: stream/event ordering, single-copy-engine serialisation,
-// copy/compute overlap accounting, and functional data movement.
+// StreamSim: stream/event ordering, per-direction copy queues, copy/compute
+// overlap accounting, and functional data movement.
 #include "gpusim/stream.h"
 
 #include <gtest/gtest.h>
@@ -91,8 +91,7 @@ TEST(StreamSim, CopiesSerialiseOnTheSingleCopyEngine) {
   sim.memcpy_h2d(b, buf + 2048, host.data(), 1000);
 
   const auto& ops = sim.timeline();
-  // Different streams, but GT200 has one DMA engine: back to back, not
-  // concurrent.
+  // Different streams, but one upload queue: back to back, not concurrent.
   EXPECT_DOUBLE_EQ(ops[0].end, 1e-6);
   EXPECT_DOUBLE_EQ(ops[1].start, 1e-6);
   EXPECT_DOUBLE_EQ(ops[1].end, 2e-6);
@@ -191,26 +190,9 @@ TEST(StreamSim, InvalidIdsThrow) {
   EXPECT_THROW(sim.op_end(0), Error);
 }
 
-TEST(StreamSim, MultipleCopyEnginesRunConcurrently) {
-  GpuConfig cfg = test_config();
-  cfg.copy_engines = 2;
-  DeviceMemory mem(1 << 20);
-  StreamSim sim(cfg, mem);
-  const StreamId a = sim.create_stream();
-  const StreamId b = sim.create_stream();
-  const DevAddr buf = mem.alloc(4096);
-  std::vector<char> host(4096);
-
-  sim.memcpy_h2d(a, buf, host.data(), 1000);
-  sim.memcpy_h2d(b, buf + 2048, host.data(), 1000);
-  EXPECT_DOUBLE_EQ(sim.timeline()[1].start, 0);  // second engine picks it up
-}
-
 TEST(StreamSim, DedicatedReadbackEngineDuplexesTransfers) {
-  GpuConfig cfg = test_config();
-  cfg.readback_engines = 1;
   DeviceMemory mem(1 << 20);
-  StreamSim sim(cfg, mem);
+  StreamSim sim(test_config(), mem);
   const StreamId a = sim.create_stream();
   const StreamId b = sim.create_stream();
   const DevAddr buf = mem.alloc(4096);
@@ -237,26 +219,6 @@ TEST(StreamSim, DedicatedReadbackEngineDuplexesTransfers) {
   // Both directions fully overlapped: the union of transfer intervals is
   // half the serialised total.
   EXPECT_DOUBLE_EQ(ov.copy_busy, 2e-6);
-}
-
-TEST(StreamSim, LegacySingleEngineStillSerialisesBothDirections) {
-  // readback_engines = 0 (the GT200 default) must keep the historical
-  // shared-engine behaviour: a D2H queues behind an in-flight H2D.
-  DeviceMemory mem(1 << 20);
-  StreamSim sim(test_config(), mem);
-  const StreamId a = sim.create_stream();
-  const StreamId b = sim.create_stream();
-  const DevAddr buf = mem.alloc(4096);
-  std::vector<char> host(4096);
-
-  sim.memcpy_h2d(a, buf, host.data(), 1000);
-  sim.memcpy_d2h(b, host.data() + 2048, buf, 1000);
-  EXPECT_DOUBLE_EQ(sim.timeline()[1].start, 1e-6);
-
-  const OverlapStats ov = sim.overlap();
-  EXPECT_DOUBLE_EQ(ov.h2d_busy, 1e-6);
-  EXPECT_DOUBLE_EQ(ov.d2h_busy, 1e-6);
-  EXPECT_DOUBLE_EQ(ov.copy_busy, 2e-6);  // no duplexing: intervals abut
 }
 
 }  // namespace

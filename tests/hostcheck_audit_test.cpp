@@ -1,6 +1,6 @@
 // End-to-end audit tests: the REAL pipeline and serve layers, driven under
-// the Recorder over oracle workloads, must be hazard-free on conformant
-// staging geometries — the pipeline's lease/wait_until handshake orders
+// the Recorder over oracle workloads, must be hazard-free at every stream
+// count — the pipeline's lease/wait_until handshake orders
 // every conflicting access by construction, and the audit proves it (the
 // broken-schedule tests prove the auditor is not simply blind).
 #include "hostcheck/audit.h"
@@ -29,23 +29,21 @@ oracle::CompiledWorkload workload(std::uint64_t seed, std::uint64_t i) {
 }
 
 TEST(HostcheckAudit, ConfigNamesRoundTrip) {
-  EXPECT_EQ(to_string(HostAuditConfig{2, 4, true}), "s2-d4-split");
-  EXPECT_EQ(to_string(HostAuditConfig{8, 1, false}), "s8-d1-shared");
-  EXPECT_EQ(default_config_matrix().size(), 4u * 3u * 2u);
+  EXPECT_EQ(to_string(HostAuditConfig{2}), "s2");
+  EXPECT_EQ(to_string(HostAuditConfig{8}), "s8");
+  EXPECT_EQ(default_config_matrix().size(), 4u);
 }
 
 TEST(HostcheckAudit, ConformantPipelineAuditsCleanAcrossGeometries) {
   const oracle::CompiledWorkload w = workload(11, 0);
-  for (const HostAuditConfig& config :
-       {HostAuditConfig{1, 1, true}, HostAuditConfig{2, 2, true},
-        HostAuditConfig{4, 2, false}, HostAuditConfig{8, 8, true}}) {
+  for (const HostAuditConfig& config : default_config_matrix()) {
     const HostAuditOutcome outcome = audit_pipeline(w, config);
     EXPECT_TRUE(outcome.report.clean())
         << to_string(config) << ": " << outcome.report.total_hazards()
         << " hazard(s)";
     EXPECT_TRUE(outcome.matches_ok) << to_string(config);
     // The audit saw real work: ops on the timeline, annotated accesses, and
-    // upload + readback leases all balanced by releases.
+    // upload leases all balanced by releases.
     EXPECT_GT(outcome.report.ops, 0u) << to_string(config);
     EXPECT_GT(outcome.report.accesses, 0u) << to_string(config);
     EXPECT_GT(outcome.report.leases, 0u) << to_string(config);
@@ -83,7 +81,7 @@ TEST(HostcheckAudit, PipelineAuditAnalysesTheEngineTeardown) {
   // part of the audited schedule: replay the run by hand and count the lock
   // events before and after the drop.
   const oracle::CompiledWorkload w = workload(11, 0);
-  const HostAuditConfig config{2, 2, true};
+  const HostAuditConfig config{2};
   Recorder recorder;
   std::uint64_t before_drop = 0;
   {
@@ -93,8 +91,6 @@ TEST(HostcheckAudit, PipelineAuditAnalysesTheEngineTeardown) {
     ASSERT_TRUE(device.is_ok()) << device.status().message();
     EngineOptions eo;
     eo.streams = config.streams;
-    eo.pool_depth = config.depth;
-    eo.readback_depth = config.depth;
     eo.batch_bytes = HostAuditSpec{}.batch_bytes;
     Result<Engine> engine = Engine::create(device.value(), w.patterns(), eo);
     ASSERT_TRUE(engine.is_ok()) << engine.status().message();
@@ -119,8 +115,7 @@ TEST(HostcheckAudit, PackedBatchesAnnotateTheBytesThatMoved) {
   gpusim::DeviceMemory mem(16u << 20);
   const kernels::DeviceDfa ddfa(mem, dfa);
   pipeline::PipelineOptions opt;
-  opt.batch_bytes = 1024;
-  opt.rebalance_batches = false;
+  opt.batch_bytes = 1024;  // 4 KB splits evenly into four 1 KB batches
   opt.host_observer = &recorder;
   gpusim::GpuConfig cfg = gpusim::GpuConfig::gtx285();
   cfg.num_sms = 4;
@@ -165,11 +160,11 @@ TEST(HostcheckAudit, ServeLayerAuditsCleanAndExercisesTheLocks) {
 }
 
 TEST(HostcheckAudit, SweepMergesAcrossWorkloadsAndIncludesServe) {
-  const std::vector<HostAuditConfig> configs = {HostAuditConfig{2, 2, true}};
+  const std::vector<HostAuditConfig> configs = {HostAuditConfig{2}};
   const std::vector<HostSweepResult> results =
       audit_conformance(/*seed=*/11, /*iterations=*/2, configs);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].name, "pipeline s2-d2-split");
+  EXPECT_EQ(results[0].name, "pipeline s2");
   EXPECT_EQ(results[1].name, "serve");
   for (const HostSweepResult& r : results) {
     EXPECT_EQ(r.workloads, 2u) << r.name;
@@ -180,7 +175,7 @@ TEST(HostcheckAudit, SweepMergesAcrossWorkloadsAndIncludesServe) {
 
 TEST(HostcheckAudit, PublishesHostcheckSeries) {
   const HostAuditOutcome outcome =
-      audit_pipeline(workload(11, 0), HostAuditConfig{2, 2, true});
+      audit_pipeline(workload(11, 0), HostAuditConfig{2});
   telemetry::MetricsRegistry registry;
   publish(outcome.report, registry);
   const telemetry::MetricsSnapshot snapshot = registry.snapshot();

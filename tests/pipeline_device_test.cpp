@@ -1,5 +1,5 @@
-// acgpu::Device ownership API: process-unique ids, the registry, health
-// flagging (fail-stop), and Engines bound to an explicit Device — including
+// acgpu::Device ownership API: process-unique ids, health flagging
+// (fail-stop), and Engines bound to an explicit Device — including
 // several engines sharing one device.
 #include "pipeline/device.h"
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ac/serial_matcher.h"
-#include "gpusim/device_registry.h"
 #include "pipeline/engine.h"
 #include "util/rng.h"
 
@@ -60,26 +59,11 @@ TEST(Device, IdsAreProcessUniqueAndRegistered) {
   Device b = Device::create(small_device()).value();
   EXPECT_NE(a.id(), b.id());
   EXPECT_EQ(a.name(), "device." + std::to_string(a.id()));
-  EXPECT_EQ(gpusim::device_name(a.id()), a.name());
-  EXPECT_EQ(gpusim::device_name(b.id()), b.name());
+  EXPECT_EQ(b.name(), "device." + std::to_string(b.id()));
 
-  bool saw_a = false, saw_b = false;
-  for (const gpusim::DeviceInfo& info : gpusim::registered_devices()) {
-    saw_a |= info.id == a.id();
-    saw_b |= info.id == b.id();
-  }
-  EXPECT_TRUE(saw_a);
-  EXPECT_TRUE(saw_b);
-}
-
-TEST(Device, DestructionUnregisters) {
-  std::uint32_t id = 0;
-  {
-    Device d = Device::create(small_device()).value();
-    id = d.id();
-    EXPECT_FALSE(gpusim::device_name(id).empty());
-  }
-  EXPECT_TRUE(gpusim::device_name(id).empty());
+  // A dropped device's id is never handed out again.
+  const std::uint32_t dropped = Device::create(small_device()).value().id();
+  EXPECT_GT(Device::create(small_device()).value().id(), dropped);
 }
 
 TEST(Device, CustomNameAndZeroMemoryRejected) {
@@ -87,7 +71,6 @@ TEST(Device, CustomNameAndZeroMemoryRejected) {
   opt.name = "edge-node-3";
   Device d = Device::create(opt).value();
   EXPECT_EQ(d.name(), "edge-node-3");
-  EXPECT_EQ(gpusim::device_name(d.id()), "edge-node-3");
 
   opt.memory_bytes = 0;
   EXPECT_EQ(Device::create(opt).status().code(), StatusCode::kInvalidArgument);

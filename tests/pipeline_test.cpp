@@ -224,56 +224,50 @@ TEST(Pipeline, TimelineShowsOverlapWithTwoStreams) {
   EXPECT_EQ(got.value().timeline.size(), 3 * 16u);
 }
 
-TEST(Pipeline, StreamsClampToPoolDepthAndSaySo) {
-  gpusim::DeviceMemory mem(64u << 20);
-  const ac::PatternSet patterns({std::string("ab")});
-  const ac::Dfa dfa = ac::build_dfa(patterns, 8);
-  kernels::DeviceDfa ddfa(mem, dfa);
-  const std::string text = random_text(1 << 16, 41);
-
-  // A pool of 2 buffers can feed at most 2 lanes: 4 requested streams clamp.
-  PipelineOptions opt;
-  opt.batch_bytes = 2048;
-  opt.streams = 4;
-  opt.pool_depth = 2;
-  auto clamped = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
-  ASSERT_TRUE(clamped.is_ok());
-  EXPECT_TRUE(clamped.value().stats.streams_clamped);
-  EXPECT_EQ(clamped.value().stats.effective_streams, 2u);
-  EXPECT_EQ(clamped.value().stats.pool_depth, 2u);
-  for (const BatchTrace& b : clamped.value().batches) {
-    EXPECT_LT(b.stream, 2u);  // no batch ran on a lane the pool cannot feed
-    EXPECT_GE(b.complete_seconds, b.submit_seconds);
-  }
-
-  // The clamped run IS the 2-stream run — same simulated makespan, not a
-  // silently degraded in-between.
-  opt.streams = 2;
-  auto two = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
-  ASSERT_TRUE(two.is_ok());
-  EXPECT_FALSE(two.value().stats.streams_clamped);
-  EXPECT_DOUBLE_EQ(two.value().stats.makespan_seconds,
-                   clamped.value().stats.makespan_seconds);
-
-  // With an auto-sized pool (2x streams) nothing clamps and the upload
-  // stage never waits: each lane always finds a drained slice buffer.
-  opt.streams = 4;
-  opt.pool_depth = 0;
-  auto deep = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
-  ASSERT_TRUE(deep.is_ok());
-  EXPECT_FALSE(deep.value().stats.streams_clamped);
-  EXPECT_EQ(deep.value().stats.effective_streams, 4u);
-  EXPECT_EQ(deep.value().stats.pool_depth, 8u);
-  EXPECT_DOUBLE_EQ(deep.value().stats.blocked_seconds, 0);
+TEST(Pipeline, NoLeaseMovesAnOp) {
+  // The upload pool holds 2 buffers per stream, and the buffer a batch is
+  // handed was freed by a kernel that ended before the batch's stream was
+  // ready anyway. So every op starts exactly when its stream and its queue
+  // (upload, compute, readback) are both free: no staging wait moves it.
+  const ac::Dfa dfa =
+      ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
+  const std::string packed_text = random_text(48u << 10, 47);
+  const std::string byte_text = random_bytes(48u << 10, 47);
+  for (const gpusim::SimMode mode : {gpusim::SimMode::Functional, gpusim::SimMode::Timed})
+    for (const std::string* text : {&packed_text, &byte_text})
+      for (const std::uint64_t batch_bytes : {1u << 10, 5u << 10, 16u << 10})
+        for (const std::uint32_t streams : {1u, 2u, 3u, 4u, 8u}) {
+          SCOPED_TRACE(testing::Message()
+                       << (mode == gpusim::SimMode::Timed ? "timed" : "functional")
+                       << (text == &packed_text ? " packed" : " bytes") << " batch "
+                       << batch_bytes << " streams " << streams);
+          gpusim::DeviceMemory mem(64u << 20);
+          kernels::DeviceDfa ddfa(mem, dfa);
+          PipelineOptions opt;
+          opt.streams = streams;
+          opt.batch_bytes = batch_bytes;
+          opt.mode = mode;
+          auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(*text);
+          ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+          ASSERT_GT(got.value().stats.batches, 1u);
+          std::vector<double> stream_end(streams, 0.0);
+          double queue_end[3] = {0, 0, 0};  // indexed by StreamOpKind
+          for (const gpusim::StreamOp& op : got.value().timeline) {
+            double& queue = queue_end[static_cast<int>(op.kind)];
+            EXPECT_EQ(op.start, std::max(stream_end[op.stream], queue)) << op.label;
+            stream_end[op.stream] = op.end;
+            queue = op.end;
+          }
+        }
 }
 
 TEST(Pipeline, MakespanIsMonotonicInStreams) {
   // The historical plateau bug: streams=4 produced a byte-identical timeline
   // to streams=2 because the fixed double-buffer held each slot until D2H
-  // end. With the staging pool + split readback, overlap must strictly beat
-  // serial staging, and extra lanes must never be slower. (The strict
-  // streams=4 < streams=2 separation is a bench-regime property — the
-  // 8000-pattern gate in bench/check_regression enforces it.)
+  // end. With the upload pool + dedicated readback queue, overlap must
+  // strictly beat serial staging, and extra lanes must never be slower.
+  // (The strict streams=4 < streams=2 separation is a bench-regime property
+  // — the 8000-pattern gate in bench/check_regression enforces it.)
   gpusim::DeviceMemory mem(128u << 20);
   const ac::PatternSet patterns({std::string("ab"), std::string("cde")});
   const ac::Dfa dfa = ac::build_dfa(patterns, 8);
@@ -298,8 +292,6 @@ TEST(Pipeline, MakespanIsMonotonicInStreams) {
             one.value().stats.makespan_seconds);
   EXPECT_LE(four.value().stats.makespan_seconds,
             two.value().stats.makespan_seconds);
-  EXPECT_EQ(four.value().stats.effective_streams, 4u);
-  EXPECT_EQ(four.value().stats.pool_depth, 8u);
 }
 
 TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
@@ -320,8 +312,8 @@ TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
   EXPECT_EQ(got.value().stats.batches, 16u);
 }
 
-// ---- Batch split: rebalance_batches divides a text evenly into the batch
-// count that minimises an upload-bound pipeline's makespan over the link ----
+// ---- Batch split: each text divides evenly into the batch count that
+// minimises an upload-bound pipeline's makespan over the link ----
 
 /// A Timed gtx285 run of `text` against a two-pattern dictionary.
 PipelineResult split_run(const std::string& text, PipelineOptions opt = {}) {
@@ -382,14 +374,6 @@ TEST(PipelineBatchSplit, SplitIsEvenAndRespectsTheCeiling) {
     total += b;
   }
   EXPECT_EQ(total, len);
-
-  // rebalance_batches = false keeps batch_bytes exact.
-  opt.rebalance_batches = false;
-  const std::vector<std::uint64_t> exact =
-      owned_bytes(split_run(random_bytes(len, 8), opt));
-  ASSERT_EQ(exact.size(), 9u);
-  EXPECT_EQ(exact.front(), opt.batch_bytes);
-  EXPECT_EQ(exact.back(), 1u);
 }
 
 TEST(PipelineBatchSplit, OneLaneSplitsOnlyAtTheCeiling) {
@@ -403,13 +387,6 @@ TEST(PipelineBatchSplit, OneLaneSplitsOnlyAtTheCeiling) {
   opt.batch_bytes = 200u << 10;
   EXPECT_EQ(owned_bytes(split_run(random_bytes(512u << 10, 9), opt)),
             (std::vector<std::uint64_t>{174763, 174763, 174762}));
-  // A clamped run is one lane too.
-  opt.streams = 4;
-  opt.pool_depth = 1;
-  opt.batch_bytes = 4u << 20;
-  const PipelineResult clamped = split_run(random_bytes(512u << 10, 9), opt);
-  EXPECT_EQ(clamped.stats.effective_streams, 1u);
-  EXPECT_EQ(clamped.stats.batches, 1u);
 }
 
 TEST(PipelineBatchSplit, RunAllocatesOneUploadBufferPerBatchUpToThePoolDepth) {
@@ -421,7 +398,6 @@ TEST(PipelineBatchSplit, RunAllocatesOneUploadBufferPerBatchUpToThePoolDepth) {
     opt.streams = 4;
     opt.host_observer = &recorder;
     const PipelineResult r = split_run(random_bytes(text_bytes, 10), opt);
-    EXPECT_EQ(r.stats.pool_depth, 8u);
     const hostcheck::HostTrace trace = recorder.trace();
     for (const hostcheck::PoolInfo& pool : trace.pools)
       if (pool.name == "upload")
@@ -515,8 +491,7 @@ TEST(PipelinePacking, AnNInTheOverlapCarryShipsThatSliceAsBytes) {
   gpusim::DeviceMemory mem(64u << 20);
   kernels::DeviceDfa ddfa(mem, dfa);
   PipelineOptions opt;
-  opt.batch_bytes = kBatch;
-  opt.rebalance_batches = false;
+  opt.batch_bytes = kBatch;  // 5 KB splits evenly into five 1 KB batches
   opt.match_capacity = 128;
   auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
@@ -540,10 +515,11 @@ TEST(PipelinePacking, AnNInTheOverlapCarryShipsThatSliceAsBytes) {
 TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
   // Equal-length batches alternate packed (pure A/C/G/T) and bytes (one N in
   // the middle of the owned range), and same-parity slices are identical,
-  // so reusing a simulated launch must give exactly what re-simulating
-  // gives. A cache keyed on slice length alone would hand batch 1 the packed
-  // timing of batch 0.
+  // so each batch's reused timing must be exactly what a fresh one-batch
+  // Timed run of its slice simulates. A cache keyed on slice length alone
+  // would hand batch 1 the packed timing of batch 0.
   constexpr std::size_t kBatch = 16u << 10;
+  constexpr std::size_t kCarry = 11;
   const std::string packed_batch = workload::make_dna_sequence(kBatch, 83);
   std::string byte_batch = packed_batch;
   byte_batch[kBatch / 2] = 'N';
@@ -552,34 +528,32 @@ TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
   const ac::Dfa dfa = ac::build_dfa(
       ac::PatternSet({packed_batch.substr(100, 12), packed_batch.substr(9000, 7), "ACGT"}), 8);
 
-  const auto kernel_seconds = [&](bool reuse) {
+  const auto timed_run = [&](std::string_view input, std::uint64_t batch_bytes) {
     gpusim::DeviceMemory mem(64u << 20);
     kernels::DeviceDfa ddfa(mem, dfa);
     PipelineOptions opt;
-    opt.batch_bytes = kBatch;
-    opt.rebalance_batches = false;
+    opt.batch_bytes = batch_bytes;
     opt.mode = gpusim::SimMode::Timed;
-    opt.reuse_timing = reuse;
-    auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+    auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(input);
     EXPECT_TRUE(got.is_ok()) << got.status().to_string();
-    std::vector<double> seconds;
-    std::vector<std::uint64_t> staged;
-    if (got.is_ok())
-      for (const BatchTrace& t : got.value().batches) {
-        seconds.push_back(t.kernel_seconds);
-        staged.push_back(t.staged_bytes);
-      }
-    const std::uint64_t slice = kBatch + 11;
-    EXPECT_EQ(staged, (std::vector<std::uint64_t>{kernels::packed_size(slice), slice,
-                                                  kernels::packed_size(slice), slice,
-                                                  kernels::packed_size(kBatch)}));
-    return seconds;
+    return got.is_ok() ? std::move(got.value()) : PipelineResult{};
   };
-  const std::vector<double> reused = kernel_seconds(true);
-  const std::vector<double> simulated = kernel_seconds(false);
-  ASSERT_EQ(simulated.size(), 5u);
-  EXPECT_NE(simulated[0], simulated[1]) << "packed and byte batches time alike";
-  EXPECT_EQ(reused, simulated);
+  const PipelineResult run = timed_run(text, kBatch);  // five even 16 KB batches
+  ASSERT_EQ(run.batches.size(), 5u);
+  std::vector<double> fresh;
+  for (const BatchTrace& t : run.batches) {
+    SCOPED_TRACE(t.index);
+    const std::uint64_t slice = t.index + 1 < 5 ? kBatch + kCarry : kBatch;
+    const bool packed = t.index % 2 == 0 || t.index + 1 == 5;
+    EXPECT_EQ(t.staged_bytes, packed ? kernels::packed_size(slice) : slice);
+    const PipelineResult one =
+        timed_run(std::string_view(text).substr(t.index * kBatch, slice), slice);
+    ASSERT_EQ(one.batches.size(), 1u);
+    EXPECT_EQ(one.batches[0].staged_bytes, t.staged_bytes);
+    EXPECT_EQ(t.kernel_seconds, one.batches[0].kernel_seconds);
+    fresh.push_back(one.batches[0].kernel_seconds);
+  }
+  EXPECT_NE(fresh[0], fresh[1]) << "packed and byte batches time alike";
 }
 
 // ---- Per-batch geometry: chunk_bytes == 0 derives chunk and block from
@@ -610,16 +584,16 @@ std::vector<Geometry> batch_geometry(const gpusim::GpuConfig& cfg,
 TEST(PipelineGeometry, PipelineBatchGetsSmallestChunkInBlocksOf64) {
   const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   PipelineOptions opt;
-  opt.batch_bytes = 64u << 10;
-  opt.rebalance_batches = false;  // a 64 KB batch and a 15-byte tail
+  opt.batch_bytes = 64u << 10;  // 128 KB splits evenly into two 64 KB batches
   // 64 KB + 15 B slice: 4,097 threads at 16 B; 64 threads/block is the
-  // largest block leaving 2 blocks per SM. The 15-byte tail batch falls back
-  // to 32 threads.
-  EXPECT_EQ(batch_geometry(gpu, 16, (64u << 10) + 15, opt),
-            (std::vector<Geometry>{{16, 64}, {16, 32}}));
+  // largest block leaving 2 blocks per SM. So does the last, uncarried
+  // 64 KB slice; a 15-byte batch falls back to 32 threads.
+  EXPECT_EQ(batch_geometry(gpu, 16, 128u << 10, opt),
+            (std::vector<Geometry>{{16, 64}, {16, 64}}));
+  EXPECT_EQ(batch_geometry(gpu, 16, 15, opt), (std::vector<Geometry>{{16, 32}}));
   // A 12-bp DNA dictionary: 12-byte chunks.
-  EXPECT_EQ(batch_geometry(gpu, 12, (64u << 10) + 11, opt),
-            (std::vector<Geometry>{{12, 64}, {12, 32}}));
+  EXPECT_EQ(batch_geometry(gpu, 12, 128u << 10, opt),
+            (std::vector<Geometry>{{12, 64}, {12, 64}}));
 }
 
 TEST(PipelineGeometry, TinyBatchFallsBackTo32ThreadBlocks) {
@@ -630,7 +604,7 @@ TEST(PipelineGeometry, TinyBatchFallsBackTo32ThreadBlocks) {
 TEST(PipelineGeometry, SlicePastHalfResidencyKeeps32ByteChunksAtTwoBlocksPerSm) {
   const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   PipelineOptions opt;
-  opt.rebalance_batches = false;  // one batch per text
+  opt.streams = 1;  // one batch per text
   // 30 SMs x 1024 threads / 2 = 15,360 threads: exactly that many 16-byte
   // chunks keep 16 B; one more byte switches to 32 B.
   EXPECT_EQ(batch_geometry(gpu, 16, 15360 * 16, opt),
@@ -685,15 +659,16 @@ TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
       {KernelVariant::kGlobalOnly, kernels::StoreScheme::kDiagonal},
   };
   bool smallest_chunk = false, wide_chunk = false;
-  bool fallback_block = false, grid_block = false;
+  bool fallback_block = false, grid_block = false, mixed_run = false;
   for (const std::size_t max_len : {3u, 8u, 12u, 16u}) {
     const std::uint32_t smallest = (static_cast<std::uint32_t>(max_len) + 3) & ~3u;
-    // Unbatched 1 KB and 16 KB texts, and an 80 KB text cut into 40 KB
-    // batches (past half residency on 4 SMs) plus a ragged tail.
+    // Unbatched 1 KB and 16 KB texts, and a 96 KB text cut into three even
+    // 32,760 B batches: past half residency on 4 SMs, a 16-byte pattern's
+    // carried slices take 32 B chunks and the last, uncarried one 16 B.
     for (const auto& [text_bytes, batch_bytes] :
          {std::pair<std::size_t, std::uint64_t>{1024, 4u << 20},
           {16u << 10, 4u << 20},
-          {(80u << 10) + 100, 40u << 10}}) {
+          {3 * 32760, 32760}}) {
       const std::string text = random_text(text_bytes, 61 + max_len);
       const std::vector<std::string> patterns = {
           text.substr(text_bytes / 2, max_len), "ab", "cd", "abc"};
@@ -704,7 +679,6 @@ TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
         opt.variant = v.variant;
         opt.scheme = v.scheme;
         opt.batch_bytes = batch_bytes;
-        opt.rebalance_batches = false;
         opt.match_capacity = 256;
         gpusim::DeviceMemory mem(64u << 20);
         kernels::DeviceDfa ddfa(mem, dfa);
@@ -717,11 +691,13 @@ TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
         for (const BatchTrace& t : got.value().batches) {
           (t.chunk_bytes == smallest ? smallest_chunk : wide_chunk) = true;
           (t.threads_per_block == 32 ? fallback_block : grid_block) = true;
+          mixed_run |= t.chunk_bytes != got.value().batches.front().chunk_bytes;
         }
       }
     }
   }
   EXPECT_TRUE(smallest_chunk && wide_chunk && fallback_block && grid_block);
+  EXPECT_TRUE(mixed_run);
 }
 
 // --- match output: a u16 count per thread and one word per record ---------

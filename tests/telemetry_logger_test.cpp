@@ -50,13 +50,13 @@ TEST(LoggerTest, DefaultIsOncePerKeyForTheLoggerLifetime) {
   std::vector<Captured> out;
   Logger log(capture_into(out));  // burst 1, window_ns 0
 
-  for (int i = 0; i < 5; ++i) log.warn("pipeline.streams_clamped", "clamped");
+  for (int i = 0; i < 5; ++i) log.warn("cluster.postmortem_path", "cannot open");
   log.warn("cluster.shard_failed.0", "failed");
 
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].key, "pipeline.streams_clamped");
+  EXPECT_EQ(out[0].key, "cluster.postmortem_path");
   EXPECT_EQ(out[1].key, "cluster.shard_failed.0");
-  EXPECT_EQ(log.suppressed("pipeline.streams_clamped"), 4u);
+  EXPECT_EQ(log.suppressed("cluster.postmortem_path"), 4u);
   EXPECT_EQ(log.suppressed("cluster.shard_failed.0"), 0u);
   EXPECT_EQ(log.stats().suppressed, 4u);
 }

@@ -200,5 +200,34 @@ TEST(Regression, WriteBaselineKeepsEachCheckShape) {
   EXPECT_TRUE(check_regression(reg.snapshot(), b.value()).pass());
 }
 
+TEST(Regression, WriteBaselineKeepsAFixedCeiling) {
+  // A wall-clock ceiling observed far below its bound: re-banding must not
+  // pull it down to the observed value, however often the file is rewritten.
+  MetricsRegistry reg;
+  reg.gauge("feed_p99_ns").set(6000);
+  reg.gauge("overlap").set(0.8);
+  std::string text = R"({"checks": [
+    {"name": "feed_p99_ns", "max": 250000000, "fixed": true},
+    {"name": "overlap", "min": 0.9}
+  ]})";
+  for (int rewrite = 0; rewrite < 2; ++rewrite) {
+    const Result<RegressionBaseline> old = parse_baseline(text);
+    ASSERT_TRUE(old.is_ok()) << old.status().to_string() << "\n" << text;
+    std::ostringstream out;
+    write_baseline(reg.snapshot(), old.value(), /*slack=*/0.05, out);
+    text = out.str();
+    EXPECT_NE(text.find(R"({"name": "feed_p99_ns", "max": 250000000, "fixed": true})"),
+              std::string::npos)
+        << text;
+  }
+  const Result<RegressionBaseline> b = parse_baseline(text);
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  const std::vector<RegressionCheck>& c = b.value().checks;
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_FALSE(c[0].min.has_value());
+  EXPECT_EQ(c[0].max, 250000000.0);
+  EXPECT_NEAR(c[1].min.value(), 0.8 * 0.95, 1e-9);  // the band still moves
+}
+
 }  // namespace
 }  // namespace acgpu::telemetry
