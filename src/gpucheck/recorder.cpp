@@ -162,8 +162,10 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
   if (bs.shadow.size() < size) bs.shadow.resize(size);
   std::uint32_t suppress = 0;
 
+  // Lane-indexed, so the bank model groups lanes by half-warp (OOB lanes
+  // stay out of the mask).
   std::array<std::uint32_t, Warp::kMaxLanes> bank_addrs{};
-  std::uint32_t n_bank = 0;
+  std::uint32_t bank_lanes = 0;
   std::uint32_t worst_lane = 0;
   std::uint64_t uninit_bytes = 0;
   std::uint64_t first_uninit_addr = 0;
@@ -184,8 +186,9 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
       }
       continue;
     }
-    if (n_bank < bank_addrs.size()) bank_addrs[n_bank++] = a;
-    if (n_bank == 1) worst_lane = l;
+    if (bank_lanes == 0) worst_lane = l;
+    bank_addrs[l] = a;
+    bank_lanes |= 1u << l;
 
     if (!opts_.check_races && !opts_.check_uninit_shared) continue;
     ByteAccess cur;
@@ -270,16 +273,16 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
                        bs.epoch));
   }
 
-  if (n_bank > 0) {
+  if (bank_lanes != 0) {
     const gpusim::BankCost bc = gpusim::bank_conflicts(
-        std::span<const std::uint32_t>(bank_addrs.data(), n_bank), opts_.banks,
-        opts_.conflict_group);
+        std::span<const std::uint32_t>(bank_addrs.data(), warp.lane_count), opts_.banks,
+        opts_.conflict_group, bank_lanes);
     ++report_.bank.accesses;
     if (bc.max_degree > 1) ++report_.bank.conflicted_accesses;
     if (bc.max_degree > report_.bank.max_degree) {
       report_.bank.max_degree = bc.max_degree;
       report_.bank.worst = site_of(warp, worst_lane, kind, instr,
-                                   bank_addrs[0], width, is_store, bs.epoch);
+                                   bank_addrs[worst_lane], width, is_store, bs.epoch);
     }
   }
   return suppress;

@@ -143,19 +143,21 @@ double Scheduler::handle_global(WarpRun* w, double issued) {
 double Scheduler::handle_shared(WarpRun* w, double issued) {
   Warp& warp = w->warp;
   ACGPU_CHECK(warp.smem != nullptr, "shared access in a kernel launched without shared memory");
-  const std::uint32_t width = warp.pending == OpKind::SharedLoadU8 ? 1 : 4;
-  (void)width;
   const std::uint32_t suppress =
       observer_ ? observer_->memory_access(warp, warp.pending) : 0;
 
-  std::array<std::uint32_t, Warp::kMaxLanes> active{};
-  std::size_t n = 0;
+  std::array<std::uint32_t, Warp::kMaxLanes> addrs{};
+  std::uint32_t active = 0;
   for (std::uint32_t l = 0; l < warp.lane_count; ++l)
-    if (warp.mask[l]) active[n++] = static_cast<std::uint32_t>(warp.addr[l]);
-  if (n == 0) return issued;
+    if (warp.mask[l]) {
+      addrs[l] = static_cast<std::uint32_t>(warp.addr[l]);
+      active |= 1u << l;
+    }
+  if (active == 0) return issued;
 
-  const BankCost bc = bank_conflicts(std::span<const std::uint32_t>(active.data(), n),
-                                     cfg_.shared_banks, cfg_.shared_conflict_group);
+  const BankCost bc =
+      bank_conflicts(std::span<const std::uint32_t>(addrs.data(), warp.lane_count),
+                     cfg_.shared_banks, cfg_.shared_conflict_group, active);
   metrics_.shared_requests++;
   metrics_.shared_groups += bc.groups;
   metrics_.shared_conflict_cycles += (bc.total_degree - bc.groups) * cfg_.shared_service_cycles;

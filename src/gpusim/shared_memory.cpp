@@ -7,9 +7,10 @@
 namespace acgpu::gpusim {
 
 BankCost bank_conflicts(std::span<const std::uint32_t> addrs, std::uint32_t banks,
-                        std::uint32_t group) {
+                        std::uint32_t group, std::uint32_t active) {
   ACGPU_CHECK(banks > 0 && banks <= 64, "bank count " << banks << " out of range");
   ACGPU_CHECK(group > 0 && group <= 32, "conflict group " << group << " out of range");
+  ACGPU_CHECK(addrs.size() <= 32, addrs.size() << " lanes exceed a warp");
   BankCost cost;
 
   for (std::size_t begin = 0; begin < addrs.size(); begin += group) {
@@ -21,6 +22,7 @@ BankCost bank_conflicts(std::span<const std::uint32_t> addrs, std::uint32_t bank
     std::array<std::uint32_t, 32> words{};
     std::size_t n_words = 0;
     for (std::size_t i = begin; i < end; ++i) {
+      if (((active >> i) & 1u) == 0) continue;
       const std::uint32_t word = addrs[i] / 4;  // successive words -> successive banks
       bool dup = false;
       for (std::size_t j = 0; j < n_words; ++j)
@@ -30,6 +32,7 @@ BankCost bank_conflicts(std::span<const std::uint32_t> addrs, std::uint32_t bank
         }
       if (!dup) words[n_words++] = word;
     }
+    if (n_words == 0) continue;  // no active lane in this group
 
     std::array<std::uint32_t, 64> per_bank{};
     std::uint32_t degree = 1;  // a group always costs at least one access

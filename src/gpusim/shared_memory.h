@@ -19,13 +19,19 @@ struct BankCost {
   std::uint32_t max_degree = 0;    ///< worst group
 };
 
-/// Computes conflict degrees for one warp-level shared access. `addrs` are
-/// active lanes' byte addresses in shared-memory space, processed in groups
-/// of `group` lanes (16 = half-warp on GT200). Within a group, the degree is
-/// the maximum number of *distinct words* mapped to one bank; all lanes
-/// reading the same word count once (hardware broadcast).
+/// Every lane of a warp takes part (bank_conflicts' default mask).
+inline constexpr std::uint32_t kAllLanes = ~0u;
+
+/// Computes conflict degrees for one warp-level shared access. `addrs[l]` is
+/// lane l's byte address in shared-memory space (at most 32 lanes), and lane
+/// l takes part when bit l of `active` is set. Lanes are grouped by lane
+/// index, `group` to a group (16 = half-warp on GT200), so a masked lane
+/// leaves the lanes after it in their own half-warp; a group with no active
+/// lane costs nothing. Within a group, the degree is the maximum number of
+/// *distinct words* mapped to one bank; all lanes reading the same word
+/// count once (hardware broadcast).
 BankCost bank_conflicts(std::span<const std::uint32_t> addrs, std::uint32_t banks,
-                        std::uint32_t group);
+                        std::uint32_t group, std::uint32_t active = kAllLanes);
 
 /// Storage for one resident block's shared memory.
 class SharedMemory {

@@ -42,12 +42,15 @@ struct BruteBankCost {
 };
 
 BruteBankCost brute_force_conflicts(const std::vector<std::uint32_t>& addrs,
-                                    std::uint32_t banks, std::uint32_t group) {
+                                    std::uint32_t banks, std::uint32_t group,
+                                    std::uint32_t active) {
   BruteBankCost cost;
   for (std::size_t begin = 0; begin < addrs.size(); begin += group) {
     const std::size_t end = std::min(addrs.size(), begin + group);
     std::set<std::uint32_t> words;
-    for (std::size_t i = begin; i < end; ++i) words.insert(addrs[i] / 4);
+    for (std::size_t i = begin; i < end; ++i)
+      if ((active >> i) & 1u) words.insert(addrs[i] / 4);
+    if (words.empty()) continue;
     std::vector<std::uint32_t> per_bank(banks, 0);
     std::uint32_t degree = 1;
     for (std::uint32_t word : words)
@@ -71,8 +74,13 @@ TEST(BankConflictFuzz, AgreesWithBruteForce) {
                           ? l * static_cast<std::uint32_t>(rng.next_in(1, 64)) * 4
                           : static_cast<std::uint32_t>(rng.next_below(4096)));
     }
-    const BankCost fast = bank_conflicts(addrs, banks, group);
-    const BruteBankCost slow = brute_force_conflicts(addrs, banks, group);
+    // Half the rounds mask lanes at random, as divergent lanes do.
+    std::uint32_t active = kAllLanes;
+    if (rng.next_bool(0.5))
+      for (std::uint32_t l = 0; l < lanes; ++l)
+        if (rng.next_bool(0.3)) active &= ~(1u << l);
+    const BankCost fast = bank_conflicts(addrs, banks, group, active);
+    const BruteBankCost slow = brute_force_conflicts(addrs, banks, group, active);
     EXPECT_EQ(fast.total_degree, slow.total_degree) << "round " << round;
     EXPECT_EQ(fast.max_degree, slow.max_degree) << "round " << round;
   }

@@ -124,6 +124,28 @@ TEST(Scheduler, BankConflictsSlowSharedAccess) {
   EXPECT_GT(bad.cycles, free.cycles * 4);
 }
 
+TEST(Scheduler, MaskedLanesDoNotShiftLaterLanesIntoAnotherHalfWarp) {
+  // Lanes 8-15 and 24-31 masked; lanes 0-7 read words 0-7 and lanes 16-23
+  // words 16-23. Banks are grouped by half-warp lane index, so each
+  // half-warp sees 8 distinct banks: conflict-free.
+  GpuConfig cfg = small_config();
+  DeviceMemory mem(4096);
+  LaunchDims dims{1, 32, 4096};
+  const auto result = launch(cfg, mem, nullptr, dims, [](Warp& w) -> WarpTask {
+    w.mask_none();
+    for (std::uint32_t l = 0; l < w.lane_count; ++l)
+      if (l % 16 < 8) {
+        w.mask[l] = true;
+        w.addr[l] = l * 4;
+      }
+    co_await w.shared_load_u32();
+  });
+  EXPECT_EQ(result.metrics.shared_requests, 1u);
+  EXPECT_EQ(result.metrics.shared_groups, 2u);
+  EXPECT_EQ(result.metrics.shared_max_degree, 1u);
+  EXPECT_EQ(result.metrics.shared_conflict_cycles, 0u);
+}
+
 TEST(Scheduler, TextureFetchesAndCacheCounters) {
   GpuConfig cfg = small_config();
   DeviceMemory mem(1 << 16);

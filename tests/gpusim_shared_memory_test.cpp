@@ -155,11 +155,45 @@ TEST(BankConflicts, FullWarpBroadcastIsOneDegreePerGroup) {
   EXPECT_EQ(c.max_degree, 1u);
 }
 
+TEST(BankConflicts, MaskedLanesKeepTheirHalfWarp) {
+  // Lanes 8-15 and 24-31 masked off; lanes 0-7 read words 0-7 and lanes
+  // 16-23 words 16-23. Each half-warp touches 8 distinct banks, so the
+  // access is conflict-free. Grouping the 16 live lanes as if they were
+  // consecutive would put words 0 and 16 in one half-warp: degree 2.
+  std::vector<std::uint32_t> addrs(32, 0);
+  std::uint32_t active = 0;
+  for (std::uint32_t l = 0; l < 32; ++l)
+    if (l % 16 < 8) {
+      addrs[l] = l * 4;
+      active |= 1u << l;
+    }
+  const auto c = bank_conflicts(addrs, 16, 16, active);
+  EXPECT_EQ(c.groups, 2u);
+  EXPECT_EQ(c.total_degree, 2u);
+  EXPECT_EQ(c.max_degree, 1u);
+}
+
+TEST(BankConflicts, GroupWithNoActiveLaneCostsNothing) {
+  // Only the second half-warp is live: one group, not two.
+  std::vector<std::uint32_t> addrs(32, 0);
+  std::uint32_t active = 0;
+  for (std::uint32_t l = 16; l < 32; ++l) {
+    addrs[l] = l * 4;
+    active |= 1u << l;
+  }
+  const auto c = bank_conflicts(addrs, 16, 16, active);
+  EXPECT_EQ(c.groups, 1u);
+  EXPECT_EQ(c.total_degree, 1u);
+  EXPECT_EQ(bank_conflicts(addrs, 16, 16, 0).groups, 0u);
+}
+
 TEST(BankConflicts, ValidatesArguments) {
   std::vector<std::uint32_t> addrs = {0};
   EXPECT_THROW(bank_conflicts(addrs, 0, 16), Error);
   EXPECT_THROW(bank_conflicts(addrs, 16, 0), Error);
   EXPECT_THROW(bank_conflicts(addrs, 16, 64), Error);
+  const std::vector<std::uint32_t> too_many(33, 0);
+  EXPECT_THROW(bank_conflicts(too_many, 16, 16), Error);
 }
 
 TEST(SharedMemory, LoadStoreRoundTrip) {
