@@ -48,12 +48,12 @@ std::uint32_t largest_pattern_count(const std::vector<PipelinePoint>& points) {
 
 }  // namespace
 
-double PipelineSweepResult::best_deep_stream_speedup() const {
+double PipelineSweepResult::best_deep_stream_efficiency() const {
   const std::uint32_t largest = largest_pattern_count(points);
   double best = 0;
   for (const PipelinePoint& p : points)
     if (p.streams >= 4 && p.pattern_count == largest)
-      best = std::max(best, p.speedup_vs_single_buffer());
+      best = std::max(best, p.overlap_efficiency());
   return best;
 }
 
@@ -80,8 +80,8 @@ std::uint64_t PipelineSweepResult::max_queue_depth() const {
 }
 
 bool PipelineSweepResult::criterion_pass() const {
-  return best_deep_stream_speedup() >= 2.0 && streams4_vs_2_distinct() &&
-         max_queue_depth() > 2;
+  return best_deep_stream_efficiency() >= kRequiredEfficiency &&
+         streams4_vs_2_distinct() && max_queue_depth() > 2;
 }
 
 PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
@@ -181,15 +181,17 @@ void write_pipeline_json(const PipelineSweepResult& result, std::ostream& out) {
     out << ",\"baseline_seconds\":" << p.baseline_seconds;
     out << ",\"baseline_gbps\":" << p.baseline_gbps();
     out << ",\"speedup_vs_single_buffer\":" << p.speedup_vs_single_buffer();
+    out << ",\"overlap_efficiency\":" << p.overlap_efficiency();
     out << "}";
   }
   out << "]";
-  // The plateau-break criterion: 2.0x at streams >= 4 on the largest
-  // dictionary, with streams=4 strictly faster than streams=2 and a queue
-  // that actually runs deeper than the old double buffer.
+  // The overlap criterion: at streams >= 4 on the largest dictionary the
+  // makespan is within 1/0.95 of its busiest stage, streams=4 is strictly
+  // faster than streams=2, and the queue runs deeper than a double buffer.
   out << ",\"criterion\":{\"pattern_count\":" << largest_pattern_count(result.points)
-      << ",\"min_streams\":4,\"required_speedup\":2.0"
-      << ",\"achieved_speedup\":" << result.best_deep_stream_speedup()
+      << ",\"min_streams\":4,\"required_efficiency\":"
+      << PipelineSweepResult::kRequiredEfficiency
+      << ",\"achieved_efficiency\":" << result.best_deep_stream_efficiency()
       << ",\"streams4_vs_2_distinct\":"
       << (result.streams4_vs_2_distinct() ? "true" : "false")
       << ",\"max_queue_depth\":" << result.max_queue_depth()

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "harness/pipeline_experiment.h"
 #include "harness/result_cache.h"
 #include "util/byte_units.h"
 #include "util/error.h"
@@ -136,6 +137,67 @@ TEST(SweepConfigTest, EmptyGridRejected) {
   SweepConfig c = SweepConfig::quick();
   c.sizes.clear();
   EXPECT_THROW(run_sweep(c, nullptr), acgpu::Error);
+}
+
+/// A pipeline-sweep point at `count` patterns and `streams` streams with the
+/// given stage busy times and makespan, in ms.
+PipelinePoint pipeline_point(std::uint32_t count, std::uint32_t streams, double h2d,
+                             double kernel, double d2h, double makespan,
+                             double baseline, std::uint32_t depth) {
+  PipelinePoint p;
+  p.pattern_count = count;
+  p.streams = streams;
+  p.stats.h2d_busy_seconds = h2d * 1e-3;
+  p.stats.compute_busy_seconds = kernel * 1e-3;
+  p.stats.d2h_busy_seconds = d2h * 1e-3;
+  p.stats.makespan_seconds = makespan * 1e-3;
+  p.stats.max_queue_depth = depth;
+  p.baseline_seconds = baseline * 1e-3;
+  return p;
+}
+
+TEST(PipelineSweepCriterion, GatesOverlapEfficiencyNotSpeedup) {
+  // The committed 24,000-pattern row: the busiest stage (H2D, 17.187 ms)
+  // fills 0.971 of the 17.707 ms makespan at 4 and 8 streams.
+  PipelineSweepResult r;
+  r.points = {pipeline_point(8000, 4, 17.187, 8.682, 3.291, 17.481, 28.406, 2),
+              pipeline_point(24000, 1, 16.937, 15.292, 5.733, 37.963, 37.675, 2),
+              pipeline_point(24000, 2, 17.187, 15.277, 5.967, 19.686, 37.675, 2),
+              pipeline_point(24000, 4, 17.187, 15.277, 5.967, 17.707, 37.675, 3),
+              pipeline_point(24000, 8, 17.187, 15.277, 5.967, 17.707, 37.675, 3)};
+  EXPECT_NEAR(r.points[1].overlap_efficiency(), 0.4462, 1e-4);
+  EXPECT_NEAR(r.best_deep_stream_efficiency(), 0.9706, 1e-4);
+  EXPECT_TRUE(r.criterion_pass());
+
+  // A faster kernel shrinks the single-buffer baseline, not the pipelined
+  // makespan: the ratio falls under 2.0x while the criterion still holds.
+  for (PipelinePoint& p : r.points) p.baseline_seconds = 34.0e-3;
+  EXPECT_LT(r.points[3].speedup_vs_single_buffer(), 2.0);
+  EXPECT_TRUE(r.criterion_pass());
+
+  // Past 17.187 / 0.95 = 18.09 ms the deep points fail.
+  r.points[3].stats.makespan_seconds = r.points[4].stats.makespan_seconds = 18.2e-3;
+  EXPECT_LT(r.best_deep_stream_efficiency(), PipelineSweepResult::kRequiredEfficiency);
+  EXPECT_FALSE(r.criterion_pass());
+
+  // One stream alone never passes: no deep point, no overlap.
+  PipelineSweepResult single;
+  single.points = {r.points[1]};
+  EXPECT_EQ(single.best_deep_stream_efficiency(), 0.0);
+  EXPECT_FALSE(single.criterion_pass());
+}
+
+TEST(PipelineSweepCriterion, KeepsTheStreamAndQueueClauses) {
+  PipelineSweepResult r;
+  r.points = {pipeline_point(24000, 2, 17.187, 15.277, 5.967, 17.707, 37.675, 3),
+              pipeline_point(24000, 4, 17.187, 15.277, 5.967, 17.707, 37.675, 3)};
+  EXPECT_GE(r.best_deep_stream_efficiency(), PipelineSweepResult::kRequiredEfficiency);
+  EXPECT_FALSE(r.streams4_vs_2_distinct());  // streams=4 must beat streams=2
+  EXPECT_FALSE(r.criterion_pass());
+  r.points[0].stats.makespan_seconds = 19.686e-3;
+  EXPECT_TRUE(r.criterion_pass());
+  for (PipelinePoint& p : r.points) p.stats.max_queue_depth = 2;
+  EXPECT_FALSE(r.criterion_pass());  // a double buffer's depth is not enough
 }
 
 }  // namespace
