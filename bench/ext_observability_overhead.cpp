@@ -7,8 +7,8 @@
 //
 // Runs the canonical BENCH_pipeline workload (Engine::scan, Timed sim,
 // kShared) twice per iteration: once with TelemetryOptions fully null and
-// once with the always-on production set armed — metrics registry, flight
-// recorder, logger. The two runs swap order every iteration, so neither
+// once with the always-on production set armed — metrics registry and
+// flight recorder. The two runs swap order every iteration, so neither
 // always inherits the other's warm caches or lands in the same burst of
 // machine load. Wall-clock host time is taken per run and the gate is
 //
@@ -50,7 +50,7 @@ double median(std::vector<double> v) {
 int main(int argc, char** argv) {
   ArgParser args(
       "ext_observability_overhead: gate the wall-clock cost of the always-on "
-      "observability stack (metrics + flight recorder + logger) against the "
+      "observability stack (metrics + flight recorder) against the "
       "telemetry-off pipeline.\n"
       "usage: ext_observability_overhead [flags]");
   args.add_flag("size", "input size per scan", "8MB");
@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
 
     telemetry::MetricsRegistry registry;
     telemetry::FlightRecorder recorder;
-    telemetry::Logger logger;  // default stderr-less sink config, never fires
 
     const auto run = [&](bool enabled) {
       EngineOptions opt;
@@ -95,7 +94,6 @@ int main(int argc, char** argv) {
       if (enabled) {
         opt.telemetry.metrics = &registry;
         opt.telemetry.recorder = &recorder;
-        opt.telemetry.logger = &logger;
       }
       DeviceOptions dopt;
       dopt.memory_bytes = 1u << 30;

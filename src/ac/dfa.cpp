@@ -1,5 +1,6 @@
 #include "ac/dfa.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -60,6 +61,11 @@ Dfa::Dfa(const Automaton& automaton, const PatternSet& patterns,
   for (std::size_t id = 0; id < patterns.size(); ++id)
     pattern_lengths_.push_back(patterns.length(id));
   max_pattern_length_ = patterns.max_length();
+
+  depth_.resize(stt_.rows());
+  for (std::uint32_t s = 0; s < stt_.rows(); ++s)
+    depth_[s] = static_cast<std::uint8_t>(
+        std::min(trie.depth(static_cast<State>(s)), kMaxDepth));
 }
 
 namespace {
@@ -104,6 +110,32 @@ std::vector<T> read_vec(std::istream& in) {
 
 constexpr char kMagic[8] = {'A', 'C', 'D', 'F', 'A', '0', '0', '1'};
 
+/// Shortest-path length from the root to every state over the STT's
+/// transition columns, saturated at Dfa::kMaxDepth. In an AC DFA that is
+/// the trie depth. A state no input reaches never runs, and gets
+/// kMaxDepth, which never lets a kernel lane leave its scan early.
+std::vector<std::uint8_t> bfs_depths(const SttMatrix& stt) {
+  const std::uint32_t states = stt.rows();
+  std::vector<std::uint8_t> depth(states, static_cast<std::uint8_t>(Dfa::kMaxDepth));
+  std::vector<bool> seen(states, false);
+  std::vector<std::uint32_t> queue{0};
+  seen[0] = true;
+  depth[0] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t s = queue[head];
+    const auto next_depth = static_cast<std::uint8_t>(
+        std::min<std::uint32_t>(depth[s] + 1u, Dfa::kMaxDepth));
+    for (std::uint32_t c = 1; c < SttMatrix::kColumns; ++c) {
+      const auto t = static_cast<std::uint32_t>(stt.at(s, c));
+      if (seen[t]) continue;
+      seen[t] = true;
+      depth[t] = next_depth;
+      queue.push_back(t);
+    }
+  }
+  return depth;
+}
+
 }  // namespace
 
 void Dfa::save(std::ostream& out) const {
@@ -127,6 +159,39 @@ Dfa Dfa::load(std::istream& in) {
   dfa.pattern_lengths_ = read_vec<std::uint32_t>(in);
   dfa.max_pattern_length_ = read_u32(in);
   ACGPU_CHECK(dfa.out_begin_.size() >= 2, "Dfa::load: missing output CSR");
+
+  // Every entry must index inside its table: kernels follow transitions as
+  // row numbers, and the host expands records through the output CSR.
+  const std::uint32_t states = dfa.stt_.rows();
+  const std::size_t oids = dfa.output_id_count();
+  for (std::uint32_t s = 0; s < states; ++s) {
+    for (std::uint32_t c = 1; c < SttMatrix::kColumns; ++c) {
+      const std::int32_t t = dfa.stt_.at(s, c);
+      ACGPU_CHECK(t >= 0 && static_cast<std::uint32_t>(t) < states,
+                  "Dfa::load: state " << s << " column " << c << " points to state " << t
+                                      << " of " << states);
+    }
+    const std::int32_t oid = dfa.stt_.output_id(static_cast<std::int32_t>(s));
+    ACGPU_CHECK(oid >= 0 && static_cast<std::size_t>(oid) < oids,
+                "Dfa::load: state " << s << " has output id " << oid << " of " << oids);
+  }
+  ACGPU_CHECK(dfa.out_begin_.front() == 0 && dfa.out_begin_.back() == dfa.out_ids_.size() &&
+                  std::is_sorted(dfa.out_begin_.begin(), dfa.out_begin_.end()),
+              "Dfa::load: output CSR offsets do not partition its "
+                  << dfa.out_ids_.size() << " pattern ids");
+  for (const std::int32_t id : dfa.out_ids_)
+    ACGPU_CHECK(id >= 0 && static_cast<std::size_t>(id) < dfa.pattern_lengths_.size(),
+                "Dfa::load: pattern id " << id << " of " << dfa.pattern_lengths_.size());
+  // The kernels size their chunk overlap from the longest pattern: one
+  // shorter than a real pattern would drop its matches across chunks.
+  const auto longest =
+      std::max_element(dfa.pattern_lengths_.begin(), dfa.pattern_lengths_.end());
+  ACGPU_CHECK(longest != dfa.pattern_lengths_.end() && *longest == dfa.max_pattern_length_ &&
+                  std::find(dfa.pattern_lengths_.begin(), dfa.pattern_lengths_.end(), 0u) ==
+                      dfa.pattern_lengths_.end(),
+              "Dfa::load: max pattern length " << dfa.max_pattern_length_
+                                               << " disagrees with the pattern lengths");
+  dfa.depth_ = bfs_depths(dfa.stt_);
   return dfa;
 }
 

@@ -24,11 +24,14 @@ ByteMap identity_byte_map();
 ByteMap ascii_fold_map();
 
 /// Immutable AC DFA: the STT plus the output function (pattern-id lists per
-/// match state, stored as CSR and referenced from the STT's match column)
-/// and the pattern lengths (needed to convert match *ends* into match
-/// *starts* for the chunk-overlap dedup rule).
+/// match state, stored as CSR and referenced from the STT's match column),
+/// the pattern lengths (needed to convert match *ends* into match *starts*
+/// for the chunk-overlap dedup rule) and each state's trie depth.
 class Dfa {
  public:
+  /// Depths saturate here: depth() == kMaxDepth means kMaxDepth or more.
+  static constexpr std::uint32_t kMaxDepth = 127;
+
   /// Compiles the NFA-form automaton. `pad_pitch_to` is forwarded to the
   /// SttMatrix (texture-friendly row alignment). When `byte_map` is given,
   /// the automaton must have been built over mapped patterns (see
@@ -48,6 +51,14 @@ class Dfa {
     return stt_.next(state, byte);
   }
   bool is_match(std::int32_t state) const { return stt_.output_id(state) != 0; }
+
+  /// Length of the longest pattern prefix `state` stands for (its trie
+  /// depth), saturated at kMaxDepth. After any input, the DFA's state is the
+  /// longest suffix of the input that is a pattern prefix, so no match that
+  /// a later byte completes can start more than depth() bytes back.
+  std::uint32_t depth(std::int32_t state) const {
+    return depth_[static_cast<std::size_t>(state)];
+  }
 
   /// Pattern ids emitted at `state` (empty span for non-match states).
   /// Pointers remain valid for the Dfa's lifetime.
@@ -86,7 +97,14 @@ class Dfa {
   const std::vector<std::uint32_t>& output_offsets() const { return out_begin_; }
   const std::vector<std::int32_t>& output_ids() const { return out_ids_; }
 
-  /// Binary round-trip of the complete DFA (STT + outputs + lengths).
+  /// Binary round-trip of the complete DFA (STT + outputs + lengths). The
+  /// format carries no depths: load() recomputes them by BFS over the STT,
+  /// since the shortest input that reaches an AC DFA state is its trie
+  /// string. load() throws Error on an entry that points outside its table:
+  /// a transition outside [0, states), an output id outside
+  /// [0, output_id_count()), an output CSR that is not monotonic within the
+  /// id list, a pattern id without a length, a zero length, or a maximum
+  /// length other than the longest pattern's.
   void save(std::ostream& out) const;
   static Dfa load(std::istream& in);
 
@@ -99,6 +117,7 @@ class Dfa {
   std::vector<std::int32_t> out_ids_;
   std::vector<std::uint32_t> pattern_lengths_;
   std::uint32_t max_pattern_length_ = 0;
+  std::vector<std::uint8_t> depth_;  ///< per state, saturated at kMaxDepth
 };
 
 /// Convenience: patterns -> DFA in one call (builds the intermediate

@@ -331,7 +331,6 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
     so.engine.telemetry = {.metrics = options.metrics,
                            .tracer = shard.tracer.get(),
                            .recorder = options.recorder,
-                           .logger = options.logger,
                            .metrics_prefix = so.device.name + ".",
                            .shard = k};
     so.session_id_namespace = shard_namespace(k);

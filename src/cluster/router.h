@@ -61,6 +61,10 @@
 #include "telemetry/health.h"
 #include "util/error.h"
 
+namespace acgpu::telemetry {
+class Logger;
+}
+
 namespace acgpu::cluster {
 
 struct ClusterOptions {

@@ -26,8 +26,8 @@ struct PipelineSweepConfig {
   /// streams=2, a queue deeper than 2) only show when the kernel takes
   /// about as long as the upload, so the largest dictionary keeps the two
   /// close. On the simulated GTX 285 the 24,000-pattern kernel takes
-  /// ~15 ms per 64 MB against ~17 ms of H2D, while at 8,000 patterns
-  /// (~11 ms) the link bounds the run alone.
+  /// ~13 ms per 64 MB against ~17 ms of H2D, while at 8,000 patterns
+  /// (~7 ms) the link bounds the run alone.
   std::vector<std::uint32_t> pattern_counts = {1000, 4000, 8000, 24000};
   /// Pattern lengths, uniform in [min, max] (the paper's range is 4-16).
   /// The floor of 6 keeps the dictionary representative of keyword lists

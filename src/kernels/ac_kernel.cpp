@@ -55,10 +55,13 @@ struct KParams {
   std::uint32_t compute_per_byte = 0;
 };
 
-/// STT column per lane: 1 + the scanned byte for a transition, 0 for the
-/// output id of an accepting state.
+/// STT column per lane: 1 + the scanned byte.
 using Columns = std::array<std::uint32_t, L>;
-constexpr Columns kOutputColumn{};
+
+/// Warp instructions of the overlap-exit test, charged on every step from
+/// the chunk's last byte on: one compares the word's depth field with the
+/// bytes consumed past the chunk, one votes whether any lane still scans.
+constexpr std::uint32_t kExitTestInstrs = 2;
 
 /// Points every active lane at column `col[l]` of STT row `state[l]` — texel
 /// coordinates or a global address, per the placement — and returns the
@@ -223,28 +226,28 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
 
   // ---------------- matching phase ----------------
   std::array<std::uint64_t, L> begin{};
-  std::array<std::uint64_t, L> own_end{};
   std::array<std::uint64_t, L> scan_len{};
   std::array<std::int32_t, L> state{};
   std::array<std::uint32_t, L> cnt{};
+  std::array<bool, L> done{};  ///< left the overlap: no owned match remains
   std::uint64_t max_scan = 0;
   for (std::uint32_t l = 0; l < w.lane_count; ++l) {
     const std::uint64_t tg = w.global_thread(l);
     begin[l] = std::min<std::uint64_t>(p.text_len, tg * chunk);
-    own_end[l] = std::min<std::uint64_t>(p.text_len, begin[l] + chunk);
-    const std::uint64_t se = std::min<std::uint64_t>(p.text_len, own_end[l] + p.overlap);
+    const std::uint64_t own_end = std::min<std::uint64_t>(p.text_len, begin[l] + chunk);
+    const std::uint64_t se = std::min<std::uint64_t>(p.text_len, own_end + p.overlap);
     scan_len[l] = se - begin[l];
     max_scan = std::max(max_scan, scan_len[l]);
   }
 
-  std::array<std::int32_t, L> oid{};
   Columns col{};
 
   for (std::uint64_t i = 0; i < max_scan; ++i) {
     // Byte fetch: from the staged shared block or straight from global.
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (i < scan_len[l]) w.mask[l] = true;
+      if (!done[l] && i < scan_len[l]) w.mask[l] = true;
+    if (!w.any_active()) break;  // every lane has left its overlap
     const std::array<bool, L> scanning = w.mask;
     if (p.approach == Approach::kShared) {
       for (std::uint32_t l = 0; l < w.lane_count; ++l)
@@ -266,23 +269,38 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     w.mask = scanning;
     co_await stt_read(w, p, state, col);
     std::array<bool, L> flagged{};
-    const bool any_flagged = decode_transitions(w.value, scanning, state, flagged);
-    co_await w.compute(p.compute_per_byte);
+    bool any_flagged = decode_transitions(w.value, scanning, state, flagged);
+
+    // Overlap exit. Once the lane has consumed j >= 0 bytes past its chunk,
+    // a later match starting inside the chunk would run through every byte
+    // since then, so the state's string would be longer than j. A state of
+    // depth <= j therefore ends the lane's owned matches, and a match it
+    // accepts here is no longer than j, so it starts past the chunk too:
+    // the lane stops without emitting. A saturated depth may be longer than
+    // any j and never exits. Lanes whose chunk the text cuts short end their
+    // scan there, so j counts from the full chunk.
+    const bool past_chunk = i + 1 >= chunk;
+    co_await w.compute(p.compute_per_byte + (past_chunk ? kExitTestInstrs : 0));
+    if (past_chunk) {
+      const std::uint64_t j = i + 1 - chunk;
+      any_flagged = false;
+      for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+        if (!scanning[l]) continue;
+        const std::uint32_t depth = transition_depth(w.value[l]);
+        if (depth < kMaxWordDepth && depth <= j) done[l] = true;
+        flagged[l] = flagged[l] && !done[l];
+        any_flagged |= flagged[l];
+      }
+    }
     if (!any_flagged) continue;
 
-    // Match column of the new state, read only by lanes whose transition
-    // word carries the match flag.
-    w.mask = flagged;
-    co_await stt_read(w, p, state, kOutputColumn);
-    for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (flagged[l]) oid[l] = static_cast<std::int32_t>(w.value[l]);
-
     // ---------------- match emission ----------------
-    // One word per record, oid * S + i (one mad24); the host decodes it,
-    // expands the output set and applies the chunk-ownership rule. Per-match
-    // table walks on the device would serialise the warp on global latency.
-    // Slot-major addresses put the lanes storing their k-th record in one
-    // 128 B segment.
+    // One word per record, state * S + i (one mad24): the transition word
+    // already says which state accepted, so the host expands its output set
+    // and applies the chunk-ownership rule. Per-match table walks on the
+    // device would serialise the warp on global latency. Slot-major
+    // addresses put the lanes storing their k-th record in one 128 B
+    // segment.
     bool any_store = false;
     w.mask_none();
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
@@ -290,7 +308,7 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
       if (cnt[l] < p.slots) {
         w.mask[l] = true;
         w.addr[l] = p.records + (cnt[l] * p.record_threads + w.global_thread(l)) * 4;
-        w.value[l] = static_cast<std::uint32_t>(oid[l]) * p.scan_bound +
+        w.value[l] = static_cast<std::uint32_t>(state[l]) * p.scan_bound +
                      static_cast<std::uint32_t>(i);
         any_store = true;
       }
@@ -371,7 +389,7 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   const std::uint32_t scan_bound = spec.chunk_bytes + overlap;
   AcPlan plan;
   plan.buffer.emplace(mem, threads_padded, spec.match_capacity, scan_bound,
-                      ddfa.host_dfa().output_id_count());
+                      ddfa.state_count());
   plan.threads = threads;
   plan.blocks = blocks;
   plan.shared_bytes = shared_bytes;
@@ -412,8 +430,8 @@ AcLaunchOutcome collect_ac_outcome(const AcPlan& plan, gpusim::LaunchResult sim,
   outcome.threads = plan.threads;
   outcome.blocks = plan.blocks;
   outcome.shared_bytes = plan.shared_bytes;
-  outcome.matches =
-      expand_records(*plan.buffer, mem, ddfa.host_dfa(), spec.chunk_bytes, text_len);
+  outcome.matches = expand_records(*plan.buffer, mem, StateOutputs{ddfa.host_dfa()},
+                                   spec.chunk_bytes, text_len);
   return outcome;
 }
 

@@ -10,9 +10,11 @@
 //    byte path would have stored, and the shared store onwards is unchanged.
 //
 // Both kernels use the same matching loop, the same X-byte chunk-overlap
-// rule as ac/chunking.h, and write one word per match, output id x S + scan
-// offset, to a slot-major MatchBuffer plus a u16 count per thread; the host
-// decodes the words and expands them through the DFA's output tables.
+// rule as ac/chunking.h (a thread leaves the overlap once no match starting
+// in its chunk can still end: match_flag.h's depth field), and write one
+// word per match, accepting state x S + scan offset, to a slot-major
+// MatchBuffer plus a u16 count per thread; the host decodes the words and
+// expands each state's output set through the DFA.
 #pragma once
 
 #include <cstdint>

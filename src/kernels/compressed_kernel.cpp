@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <vector>
 
 #include "kernels/match_flag.h"
 #include "kernels/store_scheme.h"
@@ -37,7 +38,9 @@ DeviceCompressedDfa::DeviceCompressedDfa(gpusim::DeviceMemory& mem,
   }
   rows_tex_ = gpusim::Texture2D(&mem, rows_addr, kRowColumns, states, pitch);
 
-  // Targets texture: explicit transitions with the match flag in bit 31.
+  // Targets texture: explicit transitions with the target's flag and depth
+  // bits (match_flag.h; this kernel reads only the flag).
+  const std::vector<std::uint8_t> top = state_target_bytes(dfa);
   const auto& targets = stt.targets();
   const std::uint32_t rows =
       std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
@@ -46,7 +49,7 @@ DeviceCompressedDfa::DeviceCompressedDfa(gpusim::DeviceMemory& mem,
       mem.alloc(static_cast<std::size_t>(rows) * kTargetsWidth * 4);
   for (std::size_t i = 0; i < targets.size(); ++i)
     mem.store_u32(targets_addr + i * 4,
-                  encode_transition(targets[i], stt.output_id(targets[i]) != 0));
+                  encode_transition(targets[i], top[static_cast<std::size_t>(targets[i])]));
   targets_tex_ = gpusim::Texture2D(&mem, targets_addr, kTargetsWidth, rows,
                                    kTargetsWidth);
 
@@ -55,7 +58,8 @@ DeviceCompressedDfa::DeviceCompressedDfa(gpusim::DeviceMemory& mem,
   root_addr_ = mem.alloc(256 * 4);
   for (std::uint32_t b = 0; b < 256; ++b) {
     const std::int32_t next = stt.root_next(static_cast<std::uint8_t>(b));
-    mem.store_u32(root_addr_ + b * 4, encode_transition(next, stt.output_id(next) != 0));
+    mem.store_u32(root_addr_ + b * 4,
+                  encode_transition(next, top[static_cast<std::size_t>(next)]));
   }
 
   device_bytes_ = static_cast<std::size_t>(states) * pitch * 4 +
@@ -258,7 +262,8 @@ WarpTask compressed_kernel_body(Warp& w, KParams p) {
       }
     co_await w.tex_fetch();
 
-    // One slot-major word per record, oid * S + i (ac_kernel.cpp's emission).
+    // One slot-major word per record, oid * S + i: ac_kernel.cpp's layout,
+    // with the output id this kernel reads in place of the state.
     std::array<std::uint32_t, L> oid{};
     bool any_store = false;
     for (std::uint32_t l = 0; l < w.lane_count; ++l)

@@ -1,25 +1,37 @@
 // Device-resident copy of a compiled AC DFA: the STT uploaded to (texture)
 // memory — the phase-1 -> phase-2 handoff the paper describes ("construct
-// the STT on a single CPU core, then copy it to the GPU"). The kernels store
-// (position, output id) records and the host expands them through
-// host_dfa()'s output tables, so no other table goes to the device.
+// the STT on a single CPU core, then copy it to the GPU"). The AC kernel
+// stores (position, accepting state) records and the host expands them
+// through host_dfa()'s output sets, so no other table goes to the device.
 //
 // The device STT differs from the host ac::SttMatrix in one way: each
-// transition word carries kMatchBit (match_flag.h) when its target state
-// accepts, so the kernels read column 0 only on flagged steps. Column 0
-// still holds the output id, and the host table is left untouched.
+// transition word carries its target's match flag and trie depth in bits
+// 24-31 (match_flag.h). Column 0 still holds the output id, which only the
+// kGlobal-placement ablation's layout and the compressed kernel's rows
+// mirror; the host table is left untouched.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ac/dfa.h"
 #include "gpusim/device_memory.h"
 #include "gpusim/texture.h"
+#include "util/error.h"
 
 namespace acgpu::kernels {
 
+/// Per state s, the top byte of every device transition word into s:
+/// target_byte(is_match(s), depth(s)) (match_flag.h). One byte per state,
+/// so the upload's lookup table is no larger than a match-flag table.
+std::vector<std::uint8_t> state_target_bytes(const ac::Dfa& dfa);
+
 class DeviceDfa {
  public:
+  /// Ok when a DFA of `states` states fits the transition word's 24-bit
+  /// state field; capacity_exceeded, naming the limit, otherwise.
+  static Status check_state_count(std::uint64_t states);
+
   /// Uploads the STT. Keeps a reference to `dfa` (for host-side expansion of
   /// device match records); the Dfa must outlive this object.
   DeviceDfa(gpusim::DeviceMemory& mem, const ac::Dfa& dfa);
@@ -31,7 +43,7 @@ class DeviceDfa {
   const ac::Dfa& host_dfa() const { return *host_dfa_; }
 
   /// 2-D texture over the STT (width 257, one row per state). Transition
-  /// words are flagged; decode them with transition_state().
+  /// words carry flag and depth bits; decode them with transition_state().
   const gpusim::Texture2D& texture() const { return texture_; }
 
   /// Raw device address and row pitch of the STT — used by the

@@ -6,7 +6,7 @@ namespace acgpu::kernels {
 
 MatchBuffer::MatchBuffer(gpusim::DeviceMemory& mem, std::uint64_t threads,
                          std::uint32_t capacity, std::uint32_t scan_bound,
-                         std::uint64_t output_ids)
+                         std::uint64_t record_ids)
     : threads_(threads), capacity_(capacity), scan_bound_(scan_bound),
       slots_(std::min(capacity, scan_bound)) {
   ACGPU_CHECK(threads > 0, "MatchBuffer: zero threads");
@@ -15,8 +15,8 @@ MatchBuffer::MatchBuffer(gpusim::DeviceMemory& mem, std::uint64_t threads,
               "MatchBuffer: capacity " << capacity << " must stay below the u16 count limit "
                                        << kMaxCount);
   ACGPU_CHECK(scan_bound > 0, "MatchBuffer: zero scan bound");
-  ACGPU_CHECK(encodable(output_ids, scan_bound),
-              "MatchBuffer: " << output_ids << " output ids x scan bound " << scan_bound
+  ACGPU_CHECK(encodable(record_ids, scan_bound),
+              "MatchBuffer: " << record_ids << " record ids x scan bound " << scan_bound
                               << " B do not fit a 32-bit match record");
   counts_addr_ = mem.alloc(threads_ * 2);
   records_addr_ = mem.alloc(threads_ * slots_ * 4);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ac/dfa.h"
 #include "ac/match.h"
 #include "gpusim/device_memory.h"
 
@@ -18,8 +19,10 @@ namespace acgpu::kernels {
 ///  - counts: one u16 per thread at counts + thread * 2. The kernel clamps its
 ///    count to kMaxCount before the store, and capacities stay below it, so a
 ///    count above the capacity still means the thread dropped records.
-///  - records: one u32 per record, oid * S + offset, where offset (< S) is the
-///    scanned byte's index in the thread's scan and oid its output id.
+///  - records: one u32 per record, id * S + offset, where offset (< S) is the
+///    scanned byte's index in the thread's scan. The id is the accepting
+///    state for the AC kernel, which has it in hand from the transition word,
+///    and the output id for the compressed and PFAC kernels, which read it.
 ///    Slot-major: slot k of thread t lives at records + (k * threads + t) * 4,
 ///    so the k-th records of a warp's lanes share one 128 B segment.
 ///  - min(capacity, S) slots per thread: a thread emits at most one record
@@ -32,15 +35,15 @@ class MatchBuffer {
   static constexpr std::uint32_t kMaxCount = 0xffff;
 
   /// `capacity` in [1, kMaxCount), `scan_bound` (S) >= 1, and the writing
-  /// automaton's `output_ids` (0 included) encodable at S.
+  /// kernel's `record_ids` (its id range, 0 included) encodable at S.
   MatchBuffer(gpusim::DeviceMemory& mem, std::uint64_t threads,
               std::uint32_t capacity, std::uint32_t scan_bound,
-              std::uint64_t output_ids);
+              std::uint64_t record_ids);
 
-  /// Whether every record word oid * S + offset of an automaton with
-  /// `output_ids` output ids (0 included) fits in 32 bits.
-  static bool encodable(std::uint64_t output_ids, std::uint32_t scan_bound) {
-    return output_ids * scan_bound <= (std::uint64_t{1} << 32);
+  /// Whether every record word id * S + offset with an id below
+  /// `record_ids` fits in 32 bits.
+  static bool encodable(std::uint64_t record_ids, std::uint32_t scan_bound) {
+    return record_ids * scan_bound <= (std::uint64_t{1} << 32);
   }
 
   std::uint64_t threads() const { return threads_; }
@@ -62,10 +65,11 @@ class MatchBuffer {
   struct Record {
     std::uint64_t thread = 0;
     std::uint32_t offset = 0;  ///< index of the match's last byte in the scan
-    std::int32_t oid = 0;      ///< output id
+    std::int32_t id = 0;       ///< accepting state (AC) or output id
   };
   struct RawCollected {
     std::vector<Record> records;  ///< in (thread, slot) order
+    /// Records the kernel emitted: the sum of the counts, stored or not.
     std::uint64_t total_reported = 0;
     bool overflowed = false;
   };
@@ -75,6 +79,9 @@ class MatchBuffer {
   /// Expanded matches of one launch (expand_records).
   struct Collected {
     std::vector<ac::Match> matches;  ///< sorted by (end, pattern)
+    /// Records emitted (RawCollected::total_reported). The AC kernel emits
+    /// none past its overlap exit, so it counts fewer than the matches
+    /// every scanned byte ends, unowned ones included.
     std::uint64_t total_reported = 0;
     std::uint64_t stored_records = 0;  ///< sum over threads of min(count, slots)
     bool overflowed = false;
@@ -89,9 +96,24 @@ class MatchBuffer {
   gpusim::DevAddr records_addr_;
 };
 
+/// Record ids of the AC kernel: accepting states, expanded through the DFA's
+/// per-state output sets. Pass it to expand_records in place of an
+/// automaton whose records carry output ids.
+struct StateOutputs {
+  const ac::Dfa& dfa;
+  const std::int32_t* id_output_begin(std::int32_t state) const {
+    return dfa.output_begin(state);
+  }
+  const std::int32_t* id_output_end(std::int32_t state) const {
+    return dfa.output_end(state);
+  }
+  std::uint32_t pattern_length(std::int32_t id) const { return dfa.pattern_length(id); }
+};
+
 /// The host half of every kernel's match output. Decodes each stored record to
-/// its end position, thread * stride + offset; expands its output id through
-/// `automaton`'s output table (ac::Dfa or ac::PfacAutomaton); and keeps the
+/// its end position, thread * stride + offset; expands its id through
+/// `automaton`'s id_output_begin/end (StateOutputs for the AC kernel's state
+/// records, ac::Dfa or ac::PfacAutomaton for output ids); and keeps the
 /// matches that start inside the reporting thread's own `stride` bytes (the
 /// ac/chunking.h ownership rule). A fresh-state scan cannot match before its
 /// first byte, so only the upper bound is tested. PFAC passes stride 1: each
@@ -111,8 +133,8 @@ MatchBuffer::Collected expand_records(const MatchBuffer& buffer,
     const std::uint64_t begin = rec.thread * stride;
     const std::uint64_t end = begin + rec.offset;
     const std::uint64_t owned_end = std::min(text_len, begin + stride);
-    for (const std::int32_t* pid = automaton.id_output_begin(rec.oid);
-         pid != automaton.id_output_end(rec.oid); ++pid)
+    for (const std::int32_t* pid = automaton.id_output_begin(rec.id);
+         pid != automaton.id_output_end(rec.id); ++pid)
       if (end + 1 - automaton.pattern_length(*pid) < owned_end)
         out.matches.push_back(ac::Match{end, *pid});
   }

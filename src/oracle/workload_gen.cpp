@@ -145,14 +145,56 @@ Workload gen_overlap_heavy(Rng& rng) {
   return {"overlap-heavy", std::move(patterns), std::move(text)};
 }
 
+/// Where the AC kernel's overlap exit decides (a lane leaves its overlap
+/// once its state is no deeper than the bytes it has consumed past its
+/// chunk). One of three shapes:
+///  - one repeated byte with patterns c^1..c^X: every byte ends X matches,
+///    and the state stays at depth X, so no lane ever leaves early;
+///  - one max-length pattern starting at every offset of a chunk's tail (the
+///    GPU adapters' chunk), in noise of letters it never uses, so every lane
+///    around it leaves as early as the rule allows;
+///  - a 1-byte and a max-length pattern together over two letters.
+Workload gen_exit_edge(Rng& rng) {
+  switch (rng.next_below(3)) {
+    case 0: {
+      const char byte = static_cast<char>(rng.next_below(256));
+      const std::size_t x = 1 + rng.next_below(kChunkFloor);
+      std::vector<std::string> patterns;
+      for (std::size_t k = 1; k <= x; ++k) patterns.emplace_back(k, byte);
+      std::string text(1 + rng.next_below(3000), byte);
+      return {"exit-edge", std::move(patterns), std::move(text)};
+    }
+    case 1: {
+      const std::size_t x = 2 + rng.next_below(kMaxPatternLen - 1);
+      const std::size_t chunk = std::max(kChunkFloor, (x + 3) / 4 * 4);
+      const std::string longest = random_bytes(rng, x, 4, 'a');
+      // Every other chunk carries one placement, at tail offset k = 1..X-1.
+      std::string text = random_bytes(rng, 2 * chunk * x + rng.next_below(chunk), 4, 'w');
+      for (std::size_t k = 1; k < x; ++k) text.replace(2 * k * chunk + chunk - k, x, longest);
+      return {"exit-edge", {longest, "w"}, std::move(text)};
+    }
+    default: {
+      const std::size_t x = kChunkFloor + rng.next_below(kMaxPatternLen - kChunkFloor + 1);
+      const std::string longest = random_bytes(rng, x, 2, 'a');
+      std::string text = random_bytes(rng, x * (4 + rng.next_below(12)), 2, 'a');
+      const std::size_t plants = 2 + rng.next_below(5);
+      for (std::size_t p = 0; p < plants; ++p)
+        text.replace(rng.next_below(text.size() - x), x, longest);
+      return {"exit-edge", {longest, longest.substr(0, 1)}, std::move(text)};
+    }
+  }
+}
+
 using Family = Workload (*)(Rng&);
 constexpr Family kFamilies[] = {
-    gen_corpus,       gen_boundary,     gen_suffix_chain, gen_single_byte,
+    gen_corpus,        gen_boundary,     gen_suffix_chain, gen_single_byte,
     gen_full_alphabet, gen_long_pattern, gen_tiny_text,    gen_overlap_heavy,
+    gen_exit_edge,
 };
 constexpr const char* kFamilyNames[] = {
     "corpus",        "boundary",     "suffix-chain", "single-byte",
     "full-alphabet", "long-pattern", "tiny-text",    "overlap-heavy",
+    "exit-edge",
 };
 
 }  // namespace

@@ -5,7 +5,8 @@
 // chunk/overlap boundaries at X = max pattern length, suffix-of-suffix
 // output chains, patterns longer than a thread chunk, degenerate alphabets
 // (empty/1-byte texts, a single repeated byte, all 256 byte values
-// including 0x00 and 0xFF), and adversarial overlap-heavy dictionaries.
+// including 0x00 and 0xFF), adversarial overlap-heavy dictionaries, and the
+// edges of the AC kernel's overlap exit.
 // generate_workload(seed, i) is a pure function — the same (seed, i) pair
 // always yields byte-identical patterns and text, so any CLI-reported
 // divergence replays exactly.

@@ -36,6 +36,8 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
                               const EngineOptions& options) {
   if (compiled.dfa == nullptr || compiled.dfa->pattern_count() == 0)
     return Status::invalid_argument("DFA has no patterns");
+  if (Status s = kernels::DeviceDfa::check_state_count(compiled.dfa->state_count()); !s)
+    return s;
 
   EngineOptions opts = options;
   // Engines on an audited device inherit its observer seam unless they were

@@ -73,8 +73,9 @@ class Engine {
   /// rather than copying it. The device must outlive the engine; engines
   /// sharing it serialize their scans, and this upload, on its scan mutex.
   /// Fails (no throw) on an automaton without patterns, inconsistent
-  /// options, or — kCapacityExceeded, naming the bytes needed and free — a
-  /// device whose free arena is smaller than the upload.
+  /// options, or with kCapacityExceeded on a DFA of 2^24 or more states
+  /// (DeviceDfa::check_state_count, naming the limit) or a device whose free
+  /// arena is smaller than the upload (naming the bytes needed and free).
   static Result<Engine> create(Device& device, const CompiledPatterns& compiled,
                                const EngineOptions& options = {});
 

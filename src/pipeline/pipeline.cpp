@@ -153,12 +153,13 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt,
 /// Rejects geometry no batch of the run could launch: an explicit chunk
 /// that does not exceed the overlap, a chunk too wide to stage even a
 /// 32-thread block, or a per-thread scan bound S (chunk + overlap) too large
-/// for the 32-bit match record oid * S + offset. Checked once per run, before
-/// anything is staged. The chunk never narrows as the slice grows, so the
-/// largest slice's chunk is the widest any batch runs.
+/// for the 32-bit match record state * S + offset of a DFA with `states`
+/// states. Checked once per run, before anything is staged. The chunk never
+/// narrows as the slice grows, so the largest slice's chunk is the widest
+/// any batch runs.
 Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
                       std::uint32_t max_pattern_length, std::uint32_t overlap,
-                      std::uint64_t slice_cap, std::uint64_t output_ids) {
+                      std::uint64_t slice_cap, std::uint64_t states) {
   const std::uint32_t widest =
       resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
   if (overlap >= widest)
@@ -171,9 +172,9 @@ Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& confi
         "staged block for chunk_bytes " + std::to_string(widest) +
         " exceeds shared memory even at 32 threads/block");
   const std::uint32_t scan_bound = widest + overlap;
-  if (!kernels::MatchBuffer::encodable(output_ids, scan_bound))
+  if (!kernels::MatchBuffer::encodable(states, scan_bound))
     return Status::capacity_exceeded(
-        std::to_string(output_ids) + " output ids x per-thread scan bound " +
+        std::to_string(states) + " DFA states x per-thread scan bound " +
         std::to_string(scan_bound) + " B exceed the 2^32 codes of a match record");
   return Status::ok();
 }
@@ -299,7 +300,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   const std::uint64_t slice_cap =
       std::min<std::uint64_t>(plan.batch_bytes, text.size()) + overlap;
   if (Status s = check_geometry(opt, config_, max_len, overlap, slice_cap,
-                                dfa.output_id_count());
+                                ddfa_.state_count());
       !s)
     return s;
 

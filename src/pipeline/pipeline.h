@@ -62,7 +62,6 @@ namespace acgpu::telemetry {
 class MetricsRegistry;
 class Tracer;
 class FlightRecorder;
-class Logger;
 }
 
 namespace acgpu::pipeline {
@@ -88,10 +87,6 @@ struct TelemetryOptions {
   /// per-thread rings for postmortem dumps. Null = no recording (a branch
   /// per event).
   telemetry::FlightRecorder* recorder = nullptr;
-  /// Severity/rate-limited log sink (telemetry/logger.h) for one-time
-  /// warnings and failure events. Null = the process-global logger, which
-  /// writes to stderr.
-  telemetry::Logger* logger = nullptr;
   /// Prepended to every published series name ("device.3." turns
   /// pipeline.runs into device.3.pipeline.runs). The cluster tier sets it
   /// per shard so N devices' series never collide; "" keeps the classic
@@ -226,6 +221,10 @@ struct PipelineResult {
   /// Global-offset matches, sorted (end, pattern), exactly-once across batch
   /// boundaries. Complete only in Functional mode.
   std::vector<ac::Match> matches;
+  /// Match records the kernels emitted, stored or not. A lane emits none
+  /// past its overlap exit, so this counts fewer records than the matches
+  /// every scanned byte ends, unowned ones included; it is not a match
+  /// count (matches.size() is).
   std::uint64_t total_reported = 0;
   bool overflowed = false;  ///< some per-thread match slot overflowed
   /// Kernel counters summed over every simulated batch launch (batches that

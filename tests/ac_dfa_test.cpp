@@ -109,6 +109,88 @@ TEST(Dfa, SaveLoadRoundTrip) {
   }
 }
 
+TEST(Dfa, LoadedDepthEqualsBuiltDepth) {
+  // The .acdfa format carries no depths: load() recomputes them by BFS over
+  // the STT, which must agree with the trie depth the builder used,
+  // saturation included, for plain and folded tables alike.
+  Rng rng(91);
+  std::vector<std::string> random_patterns;
+  for (int i = 0; i < 60; ++i) {
+    std::string p;
+    const auto len = rng.next_in(1, 10);
+    for (std::uint64_t j = 0; j < len; ++j) p.push_back(static_cast<char>(rng.next_below(6)));
+    random_patterns.push_back(std::move(p));
+  }
+  const Dfa dfas[] = {
+      paper_dfa(),
+      build_dfa(PatternSet(std::move(random_patterns)), 8),
+      build_dfa(PatternSet({std::string(200, 'a'), std::string(150, 'b') + "a", "ab"})),
+      build_dfa_folded(PatternSet({"Hers", "SHE", "his"}), ascii_fold_map()),
+  };
+  for (const Dfa& dfa : dfas) {
+    std::stringstream ss;
+    dfa.save(ss);
+    const Dfa loaded = Dfa::load(ss);
+    ASSERT_EQ(loaded.state_count(), dfa.state_count());
+    for (std::uint32_t st = 0; st < dfa.state_count(); ++st) {
+      const auto state = static_cast<std::int32_t>(st);
+      ASSERT_EQ(loaded.depth(state), dfa.depth(state)) << "state " << st;
+      ASSERT_LE(dfa.depth(state), Dfa::kMaxDepth);
+    }
+  }
+  EXPECT_EQ(dfas[2].depth(dfas[2].next(0, 'b')), 1u);
+}
+
+/// Serialises `dfa`, sets STT entry (state, column) to `value` in the image,
+/// and loads it back.
+Dfa load_with_entry(const Dfa& dfa, std::uint32_t state, std::uint32_t column,
+                    std::int32_t value) {
+  std::stringstream ss;
+  dfa.save(ss);
+  std::string image = ss.str();
+  // Two 8-byte magics and the STT's rows and pitch precede its body.
+  const std::size_t at = 24 + (std::size_t{state} * dfa.stt().pitch() + column) * 4;
+  image.replace(at, 4, reinterpret_cast<const char*>(&value), 4);
+  std::stringstream in(image);
+  return Dfa::load(in);
+}
+
+TEST(Dfa, LoadRejectsAnEntryOutsideItsTable) {
+  // Kernels follow transitions as row numbers and the host expands records
+  // through the state's output id, so neither may point past its table.
+  const Dfa dfa = build_dfa(PatternSet({"he", "she", "his", "hers"}), 8);
+  const auto states = static_cast<std::int32_t>(dfa.state_count());
+  const auto oids = static_cast<std::int32_t>(dfa.output_id_count());
+  const std::uint32_t col_e = SttMatrix::column_for_byte('e');
+  EXPECT_EQ(load_with_entry(dfa, 1, col_e, states - 1).next(1, 'e'), states - 1);
+  EXPECT_THROW(load_with_entry(dfa, 1, col_e, states), Error);
+  EXPECT_THROW(load_with_entry(dfa, 1, col_e, -1), Error);
+  EXPECT_THROW(load_with_entry(dfa, states - 1, 256, 1 << 24), Error);
+  EXPECT_EQ(load_with_entry(dfa, 1, 0, oids - 1).stt().output_id(1), oids - 1);
+  EXPECT_THROW(load_with_entry(dfa, 1, 0, oids), Error);
+  EXPECT_THROW(load_with_entry(dfa, 1, 0, -1), Error);
+}
+
+TEST(Dfa, LoadRejectsAMaxLengthThatIsNotTheLongestPatterns) {
+  // The image ends with the pattern lengths (2, 3, 3, 4 for the paper's
+  // he, she, his, hers) and then the maximum length, which sizes every
+  // kernel's chunk overlap.
+  const Dfa dfa = build_dfa(PatternSet({"he", "she", "his", "hers"}));
+  std::stringstream ss;
+  dfa.save(ss);
+  const std::string image = ss.str();
+  const auto load_with_tail = [&](std::size_t from_end, std::uint32_t value) {
+    std::string copy = image;
+    copy.replace(copy.size() - from_end, 4, reinterpret_cast<const char*>(&value), 4);
+    std::stringstream in(copy);
+    return Dfa::load(in);
+  };
+  EXPECT_EQ(load_with_tail(4, 4).max_pattern_length(), 4u);
+  EXPECT_THROW(load_with_tail(4, 3), Error);  // hers' matches would straddle
+  EXPECT_THROW(load_with_tail(4, 5), Error);
+  EXPECT_THROW(load_with_tail(20, 0), Error);  // "he" of length 0
+}
+
 TEST(Dfa, LoadRejectsGarbage) {
   std::stringstream ss;
   ss << "not a dfa stream at all";

@@ -52,22 +52,57 @@ TEST(SerializationFuzz, HeaderBitFlipsThrowOrRoundTrip) {
   }
 }
 
+/// Fails unless every table entry of `dfa` points inside its table: the
+/// transitions at states, the state output ids into the output CSR, the CSR
+/// into the pattern-id list and the pattern ids at lengths.
+void expect_in_range(const Dfa& dfa, int round) {
+  const std::uint32_t states = dfa.state_count();
+  for (std::uint32_t s = 0; s < states; ++s) {
+    const auto state = static_cast<std::int32_t>(s);
+    for (int b = 0; b < 256; ++b) {
+      const std::int32_t next = dfa.next(state, static_cast<std::uint8_t>(b));
+      ASSERT_TRUE(next >= 0 && static_cast<std::uint32_t>(next) < states)
+          << "round " << round << ": state " << s << " byte " << b << " -> " << next;
+    }
+    const std::int32_t oid = dfa.stt().output_id(state);
+    ASSERT_TRUE(oid >= 0 && static_cast<std::size_t>(oid) < dfa.output_id_count())
+        << "round " << round << ": state " << s << " output id " << oid;
+    ASSERT_LE(dfa.depth(state), Dfa::kMaxDepth);
+  }
+  const std::vector<std::uint32_t>& offsets = dfa.output_offsets();
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i)
+    ASSERT_LE(offsets[i], offsets[i + 1]) << "round " << round;
+  ASSERT_EQ(offsets.back(), dfa.output_ids().size()) << "round " << round;
+  for (const std::int32_t id : dfa.output_ids())
+    ASSERT_TRUE(id >= 0 && static_cast<std::size_t>(id) < dfa.pattern_count())
+        << "round " << round << ": pattern id " << id;
+}
+
 TEST(SerializationFuzz, BodyCorruptionKeepsInvariantsCheckable) {
   // Corrupting the body may or may not be detectable (raw table data), but
-  // it must never produce out-of-contract behaviour in load itself.
+  // a DFA that loads must be walkable and expandable: every entry points
+  // inside its table. Byte values are drawn as often from the small
+  // in-range ones as from the rest, so both verdicts occur.
   const std::string full = serialized_paper_dfa();
   Rng rng(2025);
-  for (int round = 0; round < 100; ++round) {
+  int loaded = 0;
+  int rejected = 0;
+  for (int round = 0; round < 400; ++round) {
     std::string corrupted = full;
     const std::size_t pos = 24 + rng.next_below(corrupted.size() - 24);
-    corrupted[pos] = static_cast<char>(rng.next_below(256));
+    corrupted[pos] = static_cast<char>(rng.next_bool(0.5) ? rng.next_below(16)
+                                                          : rng.next_below(256));
     std::stringstream ss(corrupted);
     try {
-      (void)Dfa::load(ss);
+      const Dfa dfa = Dfa::load(ss);
+      ++loaded;
+      expect_in_range(dfa, round);
     } catch (const Error&) {
+      ++rejected;
     }
   }
-  SUCCEED();
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(SerializationFuzz, SttMatrixTruncationThrows) {

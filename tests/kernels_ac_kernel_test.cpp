@@ -291,9 +291,13 @@ TEST(AcKernel, TimedModeProducesStableExtrapolation) {
 }
 
 /// STT reads the kernels must make, derived from a host walk of every
-/// thread's chunk (plus overlap), lanes grouped 32 to a warp.
+/// thread's chunk plus overlap under the overlap-exit rule — a lane stops at
+/// the first step j >= 0 bytes past its chunk whose state has a depth <= j
+/// below the saturation mark, without emitting there — lanes grouped 32 to
+/// a warp.
 struct SttReads {
   std::uint64_t lane_bytes = 0;          ///< scanned (lane, byte) pairs
+  std::uint64_t full_lane_bytes = 0;     ///< the same without the exit
   std::uint64_t flagged_lane_steps = 0;  ///< of which land in a match state
   std::uint64_t warp_steps = 0;          ///< warp steps with a scanning lane
   std::uint64_t flagged_warp_steps = 0;  ///< warp steps with a flagged lane
@@ -312,29 +316,37 @@ SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t
   for (std::uint64_t warp = 0; warp < padded; warp += gpusim::Warp::kMaxLanes) {
     std::vector<std::uint64_t> flagged_at;  // step indices with a flagged lane
     std::vector<std::uint64_t> storing_at;  // ... whose lane still has a slot
-    std::uint64_t max_scan = 0;
+    std::uint64_t warp_steps = 0;
     for (std::uint64_t t = warp; t < warp + gpusim::Warp::kMaxLanes; ++t) {
       const std::uint64_t begin = std::min(len, t * chunk);
       const std::uint64_t end = std::min(len, std::min(len, begin + chunk) + overlap);
-      max_scan = std::max(max_scan, end - begin);
+      r.full_lane_bytes += end - begin;
       std::int32_t state = 0;
       std::uint64_t count = 0;
-      for (std::uint64_t i = 0; i < end - begin; ++i) {
+      std::uint64_t i = 0;
+      while (i < end - begin) {
         state = f.dfa.next(state, static_cast<std::uint8_t>(f.text[begin + i]));
         ++r.lane_bytes;
+        const std::uint32_t depth = f.dfa.depth(state);
+        if (i + 1 >= chunk && depth < ac::Dfa::kMaxDepth && depth <= i + 1 - chunk) {
+          ++i;
+          break;
+        }
         if (f.dfa.is_match(state)) {
           ++r.flagged_lane_steps;
           flagged_at.push_back(i);
           if (count++ < slots) storing_at.push_back(i);
         }
+        ++i;
       }
+      warp_steps = std::max(warp_steps, i);
     }
     const auto distinct = [](std::vector<std::uint64_t>& steps) {
       std::sort(steps.begin(), steps.end());
       return static_cast<std::uint64_t>(std::unique(steps.begin(), steps.end()) -
                                         steps.begin());
     };
-    r.warp_steps += max_scan;
+    r.warp_steps += warp_steps;
     r.flagged_warp_steps += distinct(flagged_at);
     r.storing_warp_steps += distinct(storing_at);
     ++r.warps;
@@ -348,38 +360,72 @@ std::string repeated_paper_text() {
   return text;
 }
 
-TEST(AcKernel, TextureReadsColumnZeroOnlyOnFlaggedTransitions) {
-  // One texture fetch per scanned byte, plus one per step that lands in an
-  // accepting state — for both approaches, and for every store scheme: the
-  // read count must not depend on how the input was staged.
+/// The launches the read-count and exactness tests below run: global-only, and shared
+/// under each store scheme.
+constexpr std::pair<Approach, StoreScheme> kEveryKernel[] = {
+    {Approach::kGlobalOnly, StoreScheme::kDiagonal},
+    {Approach::kShared, StoreScheme::kSequential},
+    {Approach::kShared, StoreScheme::kCoalescedNaive},
+    {Approach::kShared, StoreScheme::kDiagonal},
+};
+
+/// Counts STT reads of column 0 (the output id) through either placement:
+/// texture fetches at x = 0, and global u32 loads at a row start.
+struct OutputColumnReads final : gpusim::AccessObserver {
+  gpusim::DevAddr stt_addr = 0;
+  std::uint64_t stt_bytes = 0;
+  std::uint32_t pitch_bytes = 0;
+  std::uint64_t lanes = 0;
+
+  explicit OutputColumnReads(const DeviceDfa& ddfa)
+      : stt_addr(ddfa.stt_addr()),
+        stt_bytes(ddfa.stt_bytes()),
+        pitch_bytes(ddfa.stt_pitch_elems() * 4) {}
+
+  std::uint32_t memory_access(const gpusim::Warp& w, gpusim::OpKind kind) override {
+    for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+      if (!w.mask[l]) continue;
+      if (kind == gpusim::OpKind::TexFetch) {
+        lanes += w.tex_x[l] == 0;
+      } else if (kind == gpusim::OpKind::GlobalLoadU32 && w.addr[l] >= stt_addr &&
+                 w.addr[l] < stt_addr + stt_bytes) {
+        lanes += (w.addr[l] - stt_addr) % pitch_bytes == 0;
+      }
+    }
+    return 0;
+  }
+};
+
+TEST(AcKernel, TextureReadsOneWordPerByteScannedUpToEachLanesExit) {
+  // One texture fetch per byte a lane scans before its overlap exit, and
+  // none of column 0: the transition word says which state accepted. For
+  // both approaches and every store scheme: the reads must not depend on
+  // how the input was staged.
   Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
   const SttReads want = expected_stt_reads(f, 32, 64);
   ASSERT_GT(want.flagged_lane_steps, 0u);
-  ASSERT_LT(want.flagged_warp_steps, want.warp_steps);
-  const std::pair<Approach, StoreScheme> cases[] = {
-      {Approach::kGlobalOnly, StoreScheme::kDiagonal},
-      {Approach::kShared, StoreScheme::kSequential},
-      {Approach::kShared, StoreScheme::kCoalescedNaive},
-      {Approach::kShared, StoreScheme::kDiagonal},
-  };
-  for (const auto& [approach, scheme] : cases) {
+  ASSERT_LT(want.lane_bytes, want.full_lane_bytes);  // the exit saves steps
+  for (const auto& [approach, scheme] : kEveryKernel) {
+    OutputColumnReads column0(f.ddfa);
     AcLaunchSpec spec;
     spec.approach = approach;
     spec.scheme = scheme;
     spec.chunk_bytes = 32;
     spec.threads_per_block = 64;
+    spec.sim.observer = &column0;
     const auto out = f.run(spec);
     SCOPED_TRACE(std::string(to_string(approach)) + " " + to_string(scheme));
     EXPECT_EQ(out.matches.matches, f.expected());
-    EXPECT_EQ(out.sim.metrics.tex_lane_fetches,
-              want.lane_bytes + want.flagged_lane_steps);
-    EXPECT_EQ(out.sim.metrics.tex_requests, want.warp_steps + want.flagged_warp_steps);
+    EXPECT_EQ(out.sim.metrics.tex_lane_fetches, want.lane_bytes);
+    EXPECT_EQ(out.sim.metrics.tex_requests, want.warp_steps);
+    EXPECT_EQ(column0.lanes, 0u);
   }
 }
 
-TEST(AcKernel, GlobalPlacementReadsColumnZeroOnlyOnFlaggedTransitions) {
-  // kGlobal reads the same flagged words through plain loads: the two
-  // placements differ by exactly one global request per STT read.
+TEST(AcKernel, GlobalPlacementReadsTheSameWordsWithoutColumnZero) {
+  // kGlobal reads the same transition words through plain loads: the two
+  // placements differ by exactly one global request per warp step, and
+  // neither reads an output id.
   Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
   const SttReads want = expected_stt_reads(f, 32, 64);
   for (const auto approach : {Approach::kGlobalOnly, Approach::kShared}) {
@@ -388,13 +434,81 @@ TEST(AcKernel, GlobalPlacementReadsColumnZeroOnlyOnFlaggedTransitions) {
     spec.chunk_bytes = 32;
     spec.threads_per_block = 64;
     const auto tex = f.run(spec);
+    OutputColumnReads column0(f.ddfa);
     spec.stt_placement = SttPlacement::kGlobal;
+    spec.sim.observer = &column0;
     const auto global = f.run(spec);
     SCOPED_TRACE(to_string(approach));
     EXPECT_EQ(global.matches.matches, f.expected());
     EXPECT_EQ(global.sim.metrics.tex_lane_fetches, 0u);
     EXPECT_EQ(global.sim.metrics.global_requests - tex.sim.metrics.global_requests,
-              want.warp_steps + want.flagged_warp_steps);
+              want.warp_steps);
+    EXPECT_EQ(column0.lanes, 0u);
+  }
+}
+
+/// `n` bytes drawn uniformly from `alphabet`.
+std::string random_over(std::string_view alphabet, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = alphabet[rng.next_below(alphabet.size())];
+  return out;
+}
+
+TEST(AcKernel, OverlapExitKeepsAMaxLengthPatternAtEveryTailOffset) {
+  // A pattern of the dictionary's maximum length X starting at each of a
+  // chunk's last X - 1 owned bytes is the match the overlap exit must not
+  // cut off. A shorter prefix of it, 1- and 2-byte patterns and a noisy
+  // text keep the other lanes shallow, so exits happen all around it.
+  // Chunks 12-64 B span the pipeline's derived widths; X is the chunk, the
+  // widest overlap it allows.
+  for (const std::uint32_t chunk : {12u, 16u, 20u, 32u, 64u}) {
+    const std::string longest = random_over("abcd", chunk, chunk);
+    // Every other chunk carries one placement, at tail offset k = 1..X-1,
+    // so no two placements overlap.
+    std::string text = random_over("abwx", 2 * std::size_t{chunk} * chunk + 7, chunk + 1);
+    for (std::uint32_t k = 1; k < chunk; ++k)
+      text.replace(2 * std::size_t{k} * chunk + chunk - k, chunk, longest);
+    Fixture f({longest, longest.substr(0, chunk / 2), "w", "xa"}, text);
+    const SttReads want = expected_stt_reads(f, chunk, 64);
+    ASSERT_LT(want.lane_bytes, want.full_lane_bytes);
+    for (const auto& [approach, scheme] : kEveryKernel) {
+      const auto out = f.run(approach, scheme, chunk, 64, 128);
+      SCOPED_TRACE("chunk " + std::to_string(chunk) + ", " + to_string(approach) + " " +
+                   to_string(scheme));
+      EXPECT_FALSE(out.matches.overflowed);
+      EXPECT_EQ(out.matches.matches, f.expected());
+      EXPECT_EQ(out.sim.metrics.tex_lane_fetches, want.lane_bytes);
+    }
+  }
+}
+
+TEST(AcKernel, PatternsPastTheDepthFieldStraddleChunksExactly) {
+  // Depths saturate at 127 in the transition word, and a saturated depth
+  // never exits. A 250 B pattern starting at a chunk's last owned byte
+  // reaches depth 128 at 127 bytes past the chunk, where an unsaturated
+  // test would read 127 <= 127 and drop the match.
+  const std::uint32_t chunk = 256;
+  const std::string p250 = random_over("abcd", 250, 1);
+  const std::string p190 = random_over("abcd", 190, 2);
+  const std::string p130 = random_over("abcd", 130, 3);
+  std::string text = random_over("abcdwxyz", 40 * chunk + 13, 4);
+  const std::pair<std::size_t, const std::string*> placements[] = {
+      {2 * chunk - 1, &p250},   {4 * chunk - 130, &p250}, {6 * chunk - 249, &p250},
+      {8 * chunk - 60, &p190},  {10 * chunk - 1, &p190},  {12 * chunk - 129, &p130},
+      {14 * chunk - 1, &p130},  {16 * chunk + 5, &p250},  {19 * chunk - 2, &p250},
+  };
+  for (const auto& [pos, pattern] : placements) text.replace(pos, pattern->size(), *pattern);
+  Fixture f({p250, p190, p130, "a", "wx"}, text);
+  ASSERT_EQ(f.dfa.max_pattern_length(), 250u);
+  const SttReads want = expected_stt_reads(f, chunk, 32);
+  ASSERT_LT(want.lane_bytes, want.full_lane_bytes);
+  for (const auto& [approach, scheme] : kEveryKernel) {
+    const auto out = f.run(approach, scheme, chunk, 32, 512);
+    SCOPED_TRACE(std::string(to_string(approach)) + " " + to_string(scheme));
+    EXPECT_FALSE(out.matches.overflowed);
+    EXPECT_EQ(out.matches.matches, f.expected());
+    EXPECT_EQ(out.sim.metrics.tex_lane_fetches, want.lane_bytes);
   }
 }
 

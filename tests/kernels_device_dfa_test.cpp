@@ -1,6 +1,7 @@
 // The device STT's transition-word encoding: every DeviceDfa entry decodes
-// back to the host table, and the match flag is set exactly on transitions
-// into accepting states.
+// back to the host table, the match flag is set exactly on transitions into
+// accepting states, and the depth field carries the target's saturated trie
+// depth.
 #include "kernels/device_dfa.h"
 
 #include <gtest/gtest.h>
@@ -35,6 +36,7 @@ std::size_t expect_decodes_to_host(const ac::Dfa& dfa, const std::string& label)
       if (c >= 1 && c < ac::SttMatrix::kColumns) {
         ok = transition_state(word) == host &&
              transition_accepts(word) == dfa.is_match(host) &&
+             transition_depth(word) == dfa.depth(host) &&
              ddfa.texture().fetch(c, s) == static_cast<std::int32_t>(word);
         flagged += transition_accepts(word);
       } else {
@@ -96,10 +98,43 @@ TEST(DeviceDfa, UploadBytesIsTheSpanTheUploadTakes) {
   }
 }
 
+TEST(DeviceDfa, DepthFieldSaturatesPastTheWordsSevenBits) {
+  // A 200 B pattern's states run to depth 200; the word holds 127 for
+  // every state from depth 127 on, as the host Dfa does.
+  const std::string long_pattern(200, 'q');
+  const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({long_pattern, "qz"}));
+  expect_decodes_to_host(dfa, "200 B pattern");
+  std::int32_t state = 0;
+  for (std::uint32_t d = 1; d <= 200; ++d) {
+    state = dfa.next(state, 'q');
+    ASSERT_EQ(dfa.depth(state), std::min(d, ac::Dfa::kMaxDepth)) << "depth " << d;
+  }
+  EXPECT_EQ(transition_depth(encode_transition(5, target_byte(false, 500))), kMaxWordDepth);
+}
+
+TEST(DeviceDfa, StateCountLimitIsTheTwentyFourBitStateField) {
+  // Checked through the limit itself: a DFA at the limit would take a
+  // 17.7 GB STT to build.
+  EXPECT_TRUE(DeviceDfa::check_state_count(1).is_ok());
+  EXPECT_TRUE(DeviceDfa::check_state_count((std::uint64_t{1} << 24) - 1).is_ok());
+  for (const std::uint64_t states : {std::uint64_t{1} << 24, std::uint64_t{1} << 31}) {
+    const Status s = DeviceDfa::check_state_count(states);
+    EXPECT_EQ(s.code(), StatusCode::kCapacityExceeded) << states;
+    EXPECT_NE(s.message().find("2^24 - 1 = 16777215"), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find(std::to_string(states)), std::string::npos) << s.message();
+  }
+  // The largest state id survives the word's other fields.
+  const std::uint32_t word =
+      encode_transition((1 << 24) - 1, target_byte(true, ac::Dfa::kMaxDepth));
+  EXPECT_EQ(transition_state(word), (1 << 24) - 1);
+  EXPECT_EQ(transition_depth(word), kMaxWordDepth);
+  EXPECT_TRUE(transition_accepts(word));
+}
+
 TEST(MatchFlag, DecodeTransitionsTouchesOnlyActiveLanes) {
   const std::array<std::uint32_t, 4> words = {
-      encode_transition(7, true), encode_transition(3, false),
-      encode_transition(9, true), encode_transition(5, true)};
+      encode_transition(7, target_byte(true, 2)), encode_transition(3, target_byte(false, 1)),
+      encode_transition(9, target_byte(true, 4)), encode_transition(5, target_byte(true, 3))};
   const std::array<bool, 4> active = {true, true, false, true};
   std::array<std::int32_t, 4> state = {-1, -1, -1, -1};
   std::array<bool, 4> flagged = {true, true, true, true};

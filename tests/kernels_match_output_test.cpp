@@ -20,20 +20,20 @@ TEST(MatchBuffer, CollectReadsRecords) {
   gpusim::DeviceMemory mem(1 << 16);
   const std::uint32_t S = 40;
   MatchBuffer buf(mem, 4, 4, S, 8);
-  // Thread 2 reports two matches: output id 7 at scan offset 39 (the last
-  // byte a thread can scan), then output id 3 at offset 5.
+  // Thread 2 reports two matches: id 7 at scan offset 39 (the last byte a
+  // thread can scan), then id 3 at offset 5.
   mem.store_u16(buf.count_addr(2), 2);
   mem.store_u32(buf.record_addr(2, 0), 7 * S + 39);
   mem.store_u32(buf.record_addr(2, 1), 3 * S + 5);
   const auto c = buf.collect_records(mem);
   ASSERT_EQ(c.records.size(), 2u);
-  // In (thread, slot) order, decoded as (offset, oid).
+  // In (thread, slot) order, decoded as (offset, id).
   EXPECT_EQ(c.records[0].thread, 2u);
   EXPECT_EQ(c.records[0].offset, 39u);
-  EXPECT_EQ(c.records[0].oid, 7);
+  EXPECT_EQ(c.records[0].id, 7);
   EXPECT_EQ(c.records[1].thread, 2u);
   EXPECT_EQ(c.records[1].offset, 5u);
-  EXPECT_EQ(c.records[1].oid, 3);
+  EXPECT_EQ(c.records[1].id, 3);
   EXPECT_EQ(c.total_reported, 2u);
   EXPECT_FALSE(c.overflowed);
 }

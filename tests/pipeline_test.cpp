@@ -764,7 +764,8 @@ std::vector<std::string> three_letter_words(std::size_t count) {
 }
 
 TEST(PipelineOutput, ScanBoundTooWideForTheRecordWordIsCapacityExceeded) {
-  // 5,000 output ids x a 1 MiB (+2) scan bound is past 2^32 record codes.
+  // 5,000 patterns' 5,000-plus DFA states x a 1 MiB (+2) scan bound is past
+  // 2^32 record codes.
   EngineOptions eopt;
   eopt.variant = KernelVariant::kGlobalOnly;
   eopt.chunk_bytes = 1u << 20;
@@ -775,7 +776,7 @@ TEST(PipelineOutput, ScanBoundTooWideForTheRecordWordIsCapacityExceeded) {
   auto engine =
       Engine::create(device.value(), ac::PatternSet(three_letter_words(5000)), eopt);
   ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
-  ASSERT_GE(engine.value().dfa().output_id_count(), 5000u);
+  ASSERT_GE(engine.value().dfa().state_count(), 5000u);
   const std::size_t allocated = device.value().memory().allocated();
   auto scan = engine.value().scan(random_text(4096, 61));
   ASSERT_FALSE(scan.is_ok());

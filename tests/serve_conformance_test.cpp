@@ -1,7 +1,7 @@
 // Fuzzed-chunking conformance: every seeded random chunking of a stream —
 // including empty chunks and 1-byte chunks — must yield byte-identical
 // matches (after ac::normalize_matches) to a single-shot Engine::scan of
-// the concatenated text, across all eight oracle workload families.
+// the concatenated text, across all nine oracle workload families.
 #include <gtest/gtest.h>
 
 #include <string>
