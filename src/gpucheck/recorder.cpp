@@ -14,6 +14,12 @@ using gpusim::Warp;
 
 Recorder::Recorder(RecorderOptions options) : opts_(options) {}
 
+bool Recorder::unordered(const ByteAccess& prior, const ByteAccess& cur) {
+  if (prior.thread == cur.thread) return false;
+  return prior.thread / Warp::kMaxLanes != cur.thread / Warp::kMaxLanes ||
+         prior.instr == cur.instr;
+}
+
 Recorder::BlockState& Recorder::block_state(std::uint64_t block_id) {
   return blocks_[block_id];
 }
@@ -204,13 +210,13 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
         if (opts_.check_races) {
           const ByteAccess* prior = nullptr;
           if (sb.writer.thread >= 0 && sb.writer.epoch == bs.epoch &&
-              sb.writer.thread != cur.thread) {
+              unordered(sb.writer, cur)) {
             prior = &sb.writer;
           } else if (sb.reader.thread >= 0 && sb.reader.epoch == bs.epoch &&
-                     sb.reader.thread != cur.thread) {
+                     unordered(sb.reader, cur)) {
             prior = &sb.reader;
           } else if (sb.reader2.thread >= 0 && sb.reader2.epoch == bs.epoch &&
-                     sb.reader2.thread != cur.thread) {
+                     unordered(sb.reader2, cur)) {
             prior = &sb.reader2;
           }
           if (prior != nullptr &&
@@ -240,7 +246,7 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
             }
           }
         } else if (opts_.check_races && sb.writer.epoch == bs.epoch &&
-                   sb.writer.thread != cur.thread &&
+                   unordered(sb.writer, cur) &&
                    bs.race_pairs.insert({std::min(sb.writer.instr, instr),
                                          std::max(sb.writer.instr, instr)})
                        .second) {

@@ -3,9 +3,11 @@
 // the hazard analyzers of ISSUE's racecheck/memcheck family over the stream:
 //
 //   * shared-memory races   — per-byte shadow of the last writer and the last
-//     two distinct readers; conflicting accesses (>= 1 store) from different
-//     threads in the same barrier epoch are a race. One hazard per
-//     instruction pair, so a 16-lane conflicting store reports once.
+//     two distinct readers; conflicting accesses (>= 1 store) from threads
+//     of different warps, or from two lanes of one warp instruction, in the
+//     same barrier epoch are a race (a warp's lanes run in lockstep, so its
+//     instructions are ordered). One hazard per instruction pair, so a
+//     16-lane conflicting store reports once.
 //   * read-before-write     — a shared load of bytes no thread has stored
 //     since block start (the shadow's writer slot is empty).
 //   * out-of-bounds         — shared accesses past the block's region, device
@@ -110,6 +112,14 @@ class Recorder final : public gpusim::AccessObserver {
     std::uint64_t base = 0;
     gpusim::OpKind op{};  ///< the store's opcode, which fixes its width
   };
+
+  /// Whether two accesses to one shared byte in the same barrier epoch
+  /// race. The modelled GT200 runs a warp's lanes in lockstep: each warp
+  /// instruction completes before the warp issues its next, so the lanes of
+  /// one warp are ordered by their instructions (a warp-synchronous exchange
+  /// through shared memory needs no barrier), and only threads of different
+  /// warps, or two lanes of one instruction, race.
+  static bool unordered(const ByteAccess& prior, const ByteAccess& cur);
 
   BlockState& block_state(std::uint64_t block_id);
   AccessSite site_of(const gpusim::Warp& warp, std::uint32_t lane,

@@ -84,7 +84,7 @@ Warp::Await stt_read(Warp& w, const KParams& p, const std::array<std::int32_t, L
   return w.global_load_u32();
 }
 
-/// Warp instructions that expand one packed staging word, counted from the
+/// Warp instructions that expand one 2-bit staging word, counted from the
 /// sequence a CUDA kernel issues on sm_13 (no bfe or prmt; mul24 is one
 /// instruction). unpack_word (packed_text.cpp) computes it the same way.
 /// Loop-invariant per lane: the symbol table's lane constants T0 and X1-X3,
@@ -97,21 +97,44 @@ Warp::Await stt_read(Warp& w, const KParams& p, const std::array<std::int32_t, L
 ///   v   = T0 ^ (mhi & X2) ^ (mlo & (X1 ^ (mhi & X3)))   and xor and and xor xor  6
 /// Address arithmetic is not charged, as on the byte path.
 constexpr std::uint32_t kUnpackInstrs = 18;
-/// The sequential loops' offset moves with each step: sh = (sh + 8) & 31.
+/// The sequential loops' offset moves with each step: sh = (sh + 8) & 31 for
+/// 2-bit text, (sh + 24) & 31 for 6-bit text.
 constexpr std::uint32_t kUnpackStepInstrs = 2;
 /// The text's partial last word, peeled out of the loop, keeps its first
 /// n = text_len - 4q bytes: v &= (1 << (n << 3)) - 1.   sub shl shl sub and
 constexpr std::uint32_t kUnpackTailInstrs = 5;
 
+/// 6-bit text: warp instructions that turn the one or two words holding a
+/// staged word's 24-bit group into its four codes, with sh the group's bit
+/// offset in the first word (loop-invariant per lane in the cooperative loop;
+/// 32 - sh too):
+///   g  = (w0 >> sh) | (w1 << (32 - sh))    shr shl or        3
+///   c0 = g & 63                            and               1
+///   ck = (g >> 6k) & 63, k = 1..3          shr and (x3)      6
+/// Each code then reads its byte from the warp's table in shared memory
+/// (four shared loads), and
+///   v  = s0 | s1 << 8 | s2 << 16 | s3 << 24   shl or (x3)    6
+/// assembles the staged word. Address arithmetic is not charged.
+constexpr std::uint32_t kGroupInstrs = 10;
+constexpr std::uint32_t kAssembleInstrs = 6;
+
+/// 6-bit text: each warp's area after the staged region holds its own copy of
+/// the 64-byte symbol table, written by the warp before its first decode, and
+/// its exchange, the 24 packed words that hold its 32 staged words. Lanes of
+/// one warp run in lockstep, so neither needs a barrier.
+constexpr std::uint32_t kTableBytes = kMaxSymbols;
+constexpr std::uint32_t kExchangeWords = 24;
+constexpr std::uint32_t kWarpAreaBytes = kTableBytes + kExchangeWords * 4;
+
 /// Global address of the word a lane loads to stage word `wi` of the block
-/// starting at text byte `block_base`: that word for byte text; for packed
+/// starting at text byte `block_base`: that word for byte text; for 2-bit
 /// text, the aligned word holding the packed byte of its four symbols.
 DevAddr staging_load_addr(const KParams& p, std::uint64_t block_base, std::uint32_t wi) {
   if (!p.symbols) return p.text_addr + block_base + static_cast<std::uint64_t>(wi) * 4;
   return p.text_addr + ((block_base / 4 + wi) & ~std::uint64_t{3});
 }
 
-/// Packed text only: replaces each loading lane's word with the four bytes of
+/// 2-bit text only: replaces each loading lane's word with the four bytes of
 /// its staged word `widx[l]` (what the byte path would have loaded) and hands
 /// back the expansion's ALU charge, `instrs` per word plus the tail mask when
 /// a lane holds the text's partial last word, for the body to co_await.
@@ -143,83 +166,144 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     const std::uint32_t staged_bytes =
         static_cast<std::uint32_t>(block_scan_end - block_base);
     const std::uint32_t total_words = (staged_bytes + 3) / 4;
+    const bool six = symbol_bits(p.symbols) == 6;
+    const std::uint32_t table =
+        (p.threads_per_block + 1) * p.chunk_bytes + w.warp_in_block * kWarpAreaBytes;
+    const std::uint32_t exchange = table + kTableBytes;
 
-    if (p.scheme == StoreScheme::kSequential) {
-      // Baseline: each thread copies its own chunk front-to-back. The lane
-      // addresses are chunk_bytes apart, so these loads barely coalesce.
-      std::array<std::uint32_t, L> widx{};
-      for (std::uint32_t step = 0; step < chunk_words; ++step) {
-        w.mask_none();
-        for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-          const std::uint32_t wi = w.thread_in_block(l) * chunk_words + step;
-          if (wi < total_words) {
-            w.mask[l] = true;
-            widx[l] = wi;
-            w.addr[l] = staging_load_addr(p, block_base, wi);
-          }
+    if (six) {
+      // The warp's copy of the table, one word per lane of the first 16.
+      w.mask_none();
+      for (std::uint32_t l = 0; l < kTableBytes / 4; ++l) {
+        w.mask[l] = true;
+        w.addr[l] = table + 4 * l;
+        w.value[l] = 0;
+        for (std::uint32_t k = 0; k < 4; ++k)
+          w.value[l] |= std::uint32_t{p.symbols->values[4 * l + k]} << (8 * k);
+      }
+      co_await w.shared_store_u32();
+    }
+
+    // The paper's cooperative load: in step s, thread t fetches word
+    // s*T + t — consecutive lanes hit consecutive words, so each warp's
+    // load coalesces into a handful of 128-byte transactions. The
+    // sequential baseline instead has each thread copy its own chunk
+    // front-to-back (lane addresses chunk_bytes apart, so its loads barely
+    // coalesce), and thread 0 then copies the overlap tail past the last
+    // chunk word by word.
+    const bool cooperative = p.scheme != StoreScheme::kSequential;
+    const std::uint32_t T = p.threads_per_block;
+    const std::uint32_t tail_begin = T * chunk_words;
+    const std::uint32_t tail_words =
+        w.warp_in_block == 0 && total_words > tail_begin ? total_words - tail_begin : 0;
+    const std::uint32_t steps =
+        cooperative ? (total_words + T - 1) / T : chunk_words + tail_words;
+    std::array<std::uint32_t, L> widx{};
+    for (std::uint32_t step = 0; step < steps; ++step) {
+      w.mask_none();
+      for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+        const std::uint32_t t = w.thread_in_block(l);
+        const std::uint32_t wi = cooperative         ? step * T + t
+                                 : step < chunk_words ? t * chunk_words + step
+                                 : l == 0             ? tail_begin + step - chunk_words
+                                                      : total_words;
+        if (wi < total_words) {
+          w.mask[l] = true;
+          widx[l] = wi;
         }
-        if (!w.any_active()) continue;
-        const std::array<bool, L> loading = w.mask;
+      }
+      if (!w.any_active()) continue;
+      const std::array<bool, L> staging = w.mask;
+
+      if (!six) {
+        for (std::uint32_t l = 0; l < w.lane_count; ++l)
+          if (staging[l]) w.addr[l] = staging_load_addr(p, block_base, widx[l]);
         co_await w.global_load_u32();
-        w.mask = loading;
+        w.mask = staging;
         if (p.symbols)
-          co_await unpack_staged(w, p, block_base, widx, kUnpackInstrs + kUnpackStepInstrs);
-        for (std::uint32_t l = 0; l < w.lane_count; ++l)
-          if (w.mask[l])
-            w.addr[l] = static_cast<DevAddr>(
-                            map_word(p.scheme, w.thread_in_block(l), step, chunk_words)) *
-                        4;
-        co_await w.shared_store_u32();
-      }
-      // The overlap tail past the last chunk is copied by thread 0.
-      if (w.warp_in_block == 0) {
-        const std::uint32_t tail_begin = p.threads_per_block * chunk_words;
-        for (std::uint32_t wi = tail_begin; wi < total_words; ++wi) {
+          co_await unpack_staged(w, p, block_base, widx,
+                                 kUnpackInstrs + (cooperative ? 0 : kUnpackStepInstrs));
+      } else {
+        // The one or two packed words holding each lane's 24-bit group,
+        // starting at byte 3q of the packed text for staged word q.
+        std::array<std::uint32_t, L> shift{};
+        if (cooperative) {
+          // The warp's words are consecutive from a multiple of 32, so their
+          // groups fill whole packed words from lane 0's group on: the first
+          // ceil(3n/4) lanes fetch them in one coalesced load and pass them
+          // through the warp's exchange, where lane l's group starts at byte 3l.
+          std::uint32_t n = 0;
+          while (n < w.lane_count && staging[n]) ++n;
+          const DevAddr first = p.text_addr + 3 * (block_base / 4 + widx[0]);
           w.mask_none();
-          w.mask[0] = true;
-          widx[0] = wi;
-          w.addr[0] = staging_load_addr(p, block_base, wi);
-          co_await w.global_load_u32();
-          w.mask_none();
-          w.mask[0] = true;
-          if (p.symbols)
-            co_await unpack_staged(w, p, block_base, widx, kUnpackInstrs + kUnpackStepInstrs);
-          w.addr[0] = static_cast<DevAddr>(map_word(p.scheme, wi / chunk_words,
-                                                    wi % chunk_words, chunk_words)) *
-                      4;
-          co_await w.shared_store_u32();
-        }
-      }
-    } else {
-      // The paper's cooperative load: in step s, thread t fetches word
-      // s*T + t — consecutive lanes hit consecutive words, so each warp's
-      // load coalesces into a handful of 128-byte transactions.
-      const std::uint32_t T = p.threads_per_block;
-      const std::uint32_t steps = (total_words + T - 1) / T;
-      std::array<std::uint32_t, L> widx{};
-      for (std::uint32_t step = 0; step < steps; ++step) {
-        w.mask_none();
-        for (std::uint32_t l = 0; l < w.lane_count; ++l) {
-          const std::uint32_t wi = step * T + w.thread_in_block(l);
-          if (wi < total_words) {
+          for (std::uint32_t l = 0; l < (3 * n + 3) / 4; ++l) {
             w.mask[l] = true;
-            widx[l] = wi;
-            w.addr[l] = staging_load_addr(p, block_base, wi);
+            w.addr[l] = first + 4 * l;
+          }
+          co_await w.global_load_u32();
+          for (std::uint32_t l = 0; l < (3 * n + 3) / 4; ++l) w.addr[l] = exchange + 4 * l;
+          co_await w.shared_store_u32();
+          w.mask = staging;
+          for (std::uint32_t l = 0; l < n; ++l) {
+            w.addr[l] = exchange + 3 * l / 4 * 4;
+            shift[l] = 3 * l % 4 * 8;
+          }
+        } else {
+          for (std::uint32_t l = 0; l < w.lane_count; ++l)
+            if (staging[l]) {
+              const std::uint64_t byte = 3 * (block_base / 4 + widx[l]);
+              w.addr[l] = p.text_addr + byte / 4 * 4;
+              shift[l] = static_cast<std::uint32_t>(byte % 4 * 8);
+            }
+        }
+        co_await (cooperative ? w.shared_load_u32() : w.global_load_u32());
+        std::array<std::uint32_t, L> group = w.value;
+        // A group that starts at byte 2 or 3 of its word runs into the next.
+        w.mask_none();
+        for (std::uint32_t l = 0; l < w.lane_count; ++l)
+          if (staging[l] && shift[l] >= 16) {
+            w.mask[l] = true;
+            w.addr[l] += 4;
+          }
+        if (w.any_active())
+          co_await (cooperative ? w.shared_load_u32() : w.global_load_u32());
+        for (std::uint32_t l = 0; l < w.lane_count; ++l)
+          if (staging[l])
+            group[l] = group[l] >> shift[l] | (w.mask[l] ? w.value[l] << (32 - shift[l]) : 0);
+        w.mask = staging;
+        co_await w.compute(kGroupInstrs + (cooperative ? 0 : kUnpackStepInstrs));
+
+        // Each code reads its byte from the warp's table.
+        std::array<std::uint32_t, L> word{};
+        for (std::uint32_t k = 0; k < 4; ++k) {
+          for (std::uint32_t l = 0; l < w.lane_count; ++l)
+            if (staging[l]) w.addr[l] = table + (group[l] >> (6 * k) & 63u);
+          co_await w.shared_load_u8();
+          w.mask = staging;
+          for (std::uint32_t l = 0; l < w.lane_count; ++l)
+            if (staging[l]) word[l] |= (w.value[l] & 0xffu) << (8 * k);
+        }
+        // Codes past the text's end are 0, so its partial last word keeps
+        // only its first text_len - 4q bytes, as on the byte path.
+        bool tail = false;
+        for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+          const std::uint64_t q = block_base / 4 + widx[l];
+          if (staging[l] && q * 4 + 4 > p.text_len) {
+            word[l] &= (1u << (8 * (p.text_len - q * 4))) - 1;
+            tail = true;
           }
         }
-        if (!w.any_active()) continue;
-        const std::array<bool, L> loading = w.mask;
-        co_await w.global_load_u32();
-        w.mask = loading;
-        if (p.symbols) co_await unpack_staged(w, p, block_base, widx, kUnpackInstrs);
-        for (std::uint32_t l = 0; l < w.lane_count; ++l)
-          if (w.mask[l])
-            w.addr[l] = static_cast<DevAddr>(map_word(p.scheme, widx[l] / chunk_words,
-                                                      widx[l] % chunk_words,
-                                                      chunk_words)) *
-                        4;
-        co_await w.shared_store_u32();
+        w.value = word;
+        co_await w.compute(kAssembleInstrs + (tail ? kUnpackTailInstrs : 0));
       }
+
+      w.mask = staging;
+      for (std::uint32_t l = 0; l < w.lane_count; ++l)
+        if (staging[l])
+          w.addr[l] = static_cast<DevAddr>(map_word(p.scheme, widx[l] / chunk_words,
+                                                    widx[l] % chunk_words, chunk_words)) *
+                      4;
+      co_await w.shared_store_u32();
     }
     co_await w.barrier();
   }
@@ -332,6 +416,15 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
 
 }  // namespace
 
+std::uint32_t staged_shared_bytes(std::uint32_t chunk_bytes, std::uint32_t threads_per_block,
+                                  std::uint32_t symbol_bits) {
+  // One chunk-sized area per thread plus a full chunk-sized tail region
+  // (diagonal mapping needs the full region for the overlap).
+  const std::uint32_t staged = (threads_per_block + 1) * chunk_bytes;
+  if (symbol_bits != 6) return staged;
+  return staged + (threads_per_block + L - 1) / L * kWarpAreaBytes;
+}
+
 gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text) {
   ACGPU_CHECK(!text.empty(), "upload_text: empty text");
   // Pad with zeros so staging can load whole words past the end.
@@ -376,11 +469,13 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
       (threads + spec.threads_per_block - 1) / spec.threads_per_block;
   const std::uint64_t threads_padded = blocks * spec.threads_per_block;
 
-  // Staged region: one chunk-sized area per thread plus a full chunk-sized
-  // tail region (diagonal mapping needs the full region for the overlap).
+  const std::uint32_t bits = symbol_bits(symbols);
+  ACGPU_CHECK(bits != 6 || spec.threads_per_block % Warp::kMaxLanes == 0,
+              "6-bit packed text needs whole warps per block, got "
+                  << spec.threads_per_block << " threads");
   const std::uint32_t shared_bytes =
       spec.approach == Approach::kShared
-          ? (spec.threads_per_block + 1) * spec.chunk_bytes
+          ? staged_shared_bytes(spec.chunk_bytes, spec.threads_per_block, bits)
           : 0;
   ACGPU_CHECK(shared_bytes <= config.shared_mem_bytes,
               "staged block of " << shared_bytes << "B exceeds the SM's "

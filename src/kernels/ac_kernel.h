@@ -5,9 +5,14 @@
 //  - kShared: each thread block first stages its input block into shared
 //    memory (cooperative coalesced 4-byte loads, placement chosen by a
 //    StoreScheme), synchronises, then matches out of shared memory. Its
-//    input may also arrive packed at 2 bits per symbol (packed_text.h): the
-//    staging then expands every loaded packed byte into the four bytes the
-//    byte path would have stored, and the shared store onwards is unchanged.
+//    input may also arrive packed at 2 or 6 bits per symbol
+//    (packed_text.h): the staging then expands every packed group of four
+//    codes into the four bytes the byte path would have stored, and the
+//    shared store onwards is unchanged. 2-bit codes expand in registers; each
+//    warp stages 6-bit codes from one coalesced load of its 24 packed words,
+//    which it passes to its lanes through a per-warp exchange in shared
+//    memory, and turns each code into its byte through its own copy of the
+//    64-byte symbol table beside the exchange.
 //
 // Both kernels use the same matching loop, the same X-byte chunk-overlap
 // rule as ac/chunking.h (a thread leaves the overlap once no match starting
@@ -63,11 +68,18 @@ struct AcLaunchOutcome {
   gpusim::LaunchResult sim;
   std::uint64_t threads = 0;
   std::uint64_t blocks = 0;
-  std::uint32_t shared_bytes = 0;  ///< staged region per block (0 for global-only)
+  std::uint32_t shared_bytes = 0;  ///< staged_shared_bytes per block (0 for global-only)
   /// Matches written by the simulated kernel. Complete only in Functional
   /// mode; in Timed mode only the sampled blocks produced output.
   MatchBuffer::Collected matches;
 };
+
+/// Shared memory one kShared block takes for text shipped at `symbol_bits`
+/// bits per symbol (8, 6 or 2): (threads + 1) chunk-sized staging areas, and
+/// for 6-bit text 160 more bytes per warp, its symbol table (64 B) and its
+/// packed-word exchange (96 B).
+std::uint32_t staged_shared_bytes(std::uint32_t chunk_bytes, std::uint32_t threads_per_block,
+                                  std::uint32_t symbol_bits);
 
 /// Uploads `text` into device memory with enough zero padding for whole-word
 /// staging loads. Returns the device address.
@@ -78,7 +90,8 @@ gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text);
 /// should bracket calls with DeviceMemory::mark()/release(). With `symbols`
 /// set, `text_addr` holds the text packed against that table (pack_text,
 /// followed by 8 zero bytes like upload_text's) and `text_len` still counts
-/// symbols; only Approach::kShared unpacks.
+/// symbols; only Approach::kShared unpacks, and 6-bit text needs whole warps
+/// per block.
 AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
                               gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
                               gpusim::DevAddr text_addr, std::uint64_t text_len,

@@ -23,52 +23,55 @@ constexpr std::uint32_t spread(std::uint32_t nibble) {
 }  // namespace
 
 std::optional<SymbolTable> symbol_table(std::string_view text) {
-  // The first four distinct values, byte by byte: text with a larger
-  // alphabet stops here within a few bytes.
-  SymbolTable table{};
-  unsigned distinct = 0;
-  std::size_t i = 0;
-  for (; i < text.size() && distinct < table.size(); ++i) {
-    const auto b = static_cast<std::uint8_t>(text[i]);
-    if (std::find(table.begin(), table.begin() + distinct, b) == table.begin() + distinct)
-      table[distinct++] = b;
-  }
-  if (distinct == 0) return std::nullopt;
-  // The rest must be one of those four: a branch-free test per byte that
-  // the compiler vectorises, with an exit at the first block holding a
-  // fifth value.
-  constexpr std::size_t kBlock = 1024;
-  for (std::size_t block = i; block < text.size(); block += kBlock) {
+  if (text.empty()) return std::nullopt;
+  // Which values occur, block by block, with an exit at the first block that
+  // takes the count past kMaxSymbols: random bytes stop within 4 KB.
+  std::array<std::uint8_t, 256> seen{};
+  constexpr std::size_t kBlock = 4096;
+  for (std::size_t block = 0; block < text.size(); block += kBlock) {
     const std::size_t end = std::min(text.size(), block + kBlock);
-    unsigned stray = 0;
-    for (std::size_t j = block; j < end; ++j) {
-      const auto b = static_cast<std::uint8_t>(text[j]);
-      stray |= static_cast<unsigned>((b != table[0]) & (b != table[1]) & (b != table[2]) &
-                                     (b != table[3]));
-    }
-    if (stray != 0) return std::nullopt;
+    for (std::size_t j = block; j < end; ++j) seen[static_cast<std::uint8_t>(text[j])] = 1;
+    if (std::count(seen.begin(), seen.end(), 1) > static_cast<std::ptrdiff_t>(kMaxSymbols))
+      return std::nullopt;
   }
-  std::sort(table.begin(), table.begin() + distinct);
-  for (unsigned n = distinct; n < table.size(); ++n) table[n] = table[n - 1];
+  SymbolTable table;
+  for (unsigned v = 0; v < seen.size(); ++v)
+    if (seen[v] != 0) table.values[table.count++] = static_cast<std::uint8_t>(v);
+  std::fill(table.values.begin() + table.count, table.values.end(),
+            table.values[table.count - 1]);
   return table;
 }
 
 void pack_text(std::string_view text, const SymbolTable& table, std::uint8_t* out) {
   // Walk the table backwards so a repeated entry codes as its first index.
-  std::array<std::uint8_t, 256> planes{};
-  for (unsigned c = table.size(); c-- > 0;) planes[table[c]] = planes_of(c);
-  const auto at = [&](std::size_t i) -> unsigned {
-    return planes[static_cast<std::uint8_t>(text[i])];
+  std::array<std::uint8_t, 256> code{};
+  for (unsigned c = kMaxSymbols; c-- > 0;) code[table.values[c]] = static_cast<std::uint8_t>(c);
+  const auto at = [&](std::size_t i) -> std::uint32_t {
+    return code[static_cast<std::uint8_t>(text[i])];
   };
   const std::size_t n = text.size();
   const std::size_t full = n / 4 * 4;
+  if (table.bits() == 2) {
+    const auto planes = [&](std::size_t i) -> unsigned { return planes_of(at(i)); };
+    for (std::size_t i = 0; i < full; i += 4)
+      out[i / 4] = static_cast<std::uint8_t>(planes(i) | planes(i + 1) << 1 |
+                                             planes(i + 2) << 2 | planes(i + 3) << 3);
+    if (full == n) return;
+    unsigned last = 0;
+    for (std::size_t k = 0; full + k < n; ++k) last |= planes(full + k) << k;
+    out[full / 4] = static_cast<std::uint8_t>(last);
+    return;
+  }
+  const auto put = [&](std::size_t q, std::uint32_t group, std::size_t bytes) {
+    for (std::size_t b = 0; b < bytes; ++b)
+      out[3 * q + b] = static_cast<std::uint8_t>(group >> (8 * b));
+  };
   for (std::size_t i = 0; i < full; i += 4)
-    out[i / 4] =
-        static_cast<std::uint8_t>(at(i) | at(i + 1) << 1 | at(i + 2) << 2 | at(i + 3) << 3);
+    put(i / 4, at(i) | at(i + 1) << 6 | at(i + 2) << 12 | at(i + 3) << 18, 3);
   if (full == n) return;
-  unsigned last = 0;
-  for (std::size_t k = 0; full + k < n; ++k) last |= at(full + k) << k;
-  out[full / 4] = static_cast<std::uint8_t>(last);
+  std::uint32_t last = 0;
+  for (std::size_t k = 0; full + k < n; ++k) last |= at(full + k) << (6 * k);
+  put(full / 4, last, packed_size(n, 6) - 3 * (full / 4));
 }
 
 std::uint32_t unpack_word(std::uint8_t packed, const SymbolTable& table,
@@ -76,10 +79,11 @@ std::uint32_t unpack_word(std::uint8_t packed, const SymbolTable& table,
   // In every byte lane, code lo + 2*hi stands for
   //   t0 ^ lo*(t0^t1) ^ hi*(t0^t2) ^ lo*hi*(t0^t1^t2^t3),
   // and XOR keeps the lanes from carrying into each other.
-  const std::uint32_t t0 = table[0] * kEveryByte;
-  const std::uint32_t x1 = (table[0] ^ table[1]) * kEveryByte;
-  const std::uint32_t x2 = (table[0] ^ table[2]) * kEveryByte;
-  const std::uint32_t x3 = (table[0] ^ table[1] ^ table[2] ^ table[3]) * kEveryByte;
+  const std::array<std::uint8_t, kMaxSymbols>& t = table.values;
+  const std::uint32_t t0 = t[0] * kEveryByte;
+  const std::uint32_t x1 = (t[0] ^ t[1]) * kEveryByte;
+  const std::uint32_t x2 = (t[0] ^ t[2]) * kEveryByte;
+  const std::uint32_t x3 = (t[0] ^ t[1] ^ t[2] ^ t[3]) * kEveryByte;
   const std::uint32_t lo = spread(packed & 0xfu);
   const std::uint32_t hi = spread(packed >> 4u);
   const std::uint32_t lo_mask = (lo << 8) - lo;  // 0x01 -> 0xff in every lane

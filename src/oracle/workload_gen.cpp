@@ -42,18 +42,24 @@ Workload gen_corpus(Rng& rng) {
 
 /// Patterns planted to straddle every multiple of the GPU chunk floor at
 /// every phase (start offsets 1..len-1 before the boundary) — the paper's
-/// X-overlap rule is exercised on each one.
+/// X-overlap rule is exercised on each one. Text and patterns draw from an
+/// alphabet of exactly 4, 5, 64 or 65 byte values, every one of which the
+/// text holds: the edges of the pipeline's 2-bit, 6-bit and byte staging
+/// widths (kernels/packed_text.h), which its salted batch slices cross.
 Workload gen_boundary(Rng& rng) {
+  static constexpr std::uint32_t kAlphabets[] = {4, 5, 64, 65};
+  const std::uint32_t alphabet = kAlphabets[rng.next_below(std::size(kAlphabets))];
   const std::size_t len = 3 + rng.next_below(10);
-  const std::string pattern = random_bytes(rng, len, 4, 'p');
-  std::string filler_pattern = random_bytes(rng, 2 + rng.next_below(4), 4, 'a');
-  std::string text = random_bytes(rng, kChunkFloor * (8 + rng.next_below(24)), 4, 'a');
+  const std::string pattern = random_bytes(rng, len, alphabet, 'a');
+  std::string filler_pattern = random_bytes(rng, 2 + rng.next_below(4), alphabet, 'a');
+  std::string text = random_bytes(rng, kChunkFloor * (8 + rng.next_below(24)), alphabet, 'a');
   for (std::size_t boundary = kChunkFloor; boundary + len < text.size();
        boundary += kChunkFloor) {
     // Straddle: start `back` bytes before the boundary, 1 <= back < len.
     const std::size_t back = 1 + rng.next_below(len - 1);
     if (boundary >= back) text.replace(boundary - back, len, pattern);
   }
+  for (std::uint32_t v = 0; v < alphabet; ++v) text += static_cast<char>('a' + v);
   return {"boundary", {pattern, std::move(filler_pattern)}, std::move(text)};
 }
 

@@ -39,9 +39,10 @@ namespace {
 struct StagingPlan {
   std::uint64_t batch_bytes = 0;
   std::uint64_t batches = 0;
-  /// The whole text fits a 4-symbol table, so every kShared slice ships
-  /// packed and the run stages a quarter of its length.
-  bool packed = false;
+  /// Bits per symbol the whole text's symbol table packs it at (8: bytes).
+  /// Every kShared slice packs at least as tightly, so the run stages about
+  /// symbol_bits / 8 of its length.
+  std::uint32_t symbol_bits = 8;
   /// The tail share the split assumed (see link_batches).
   double tail_share = 1;
 };
@@ -76,60 +77,43 @@ std::uint64_t link_batches(const gpusim::GpuConfig& config, std::uint64_t staged
 /// never into fewer than batch_bytes allows. One lane overlaps nothing, so
 /// there extra batches only add copy latency.
 StagingPlan resolve_staging(const PipelineOptions& opt, const gpusim::GpuConfig& config,
-                            std::uint64_t len, bool packed, double tail_share) {
+                            std::uint64_t len, std::uint32_t symbol_bits, double tail_share) {
   StagingPlan plan;
-  plan.packed = packed;
+  plan.symbol_bits = symbol_bits;
   plan.tail_share = tail_share;
   std::uint64_t n = (len + opt.batch_bytes - 1) / opt.batch_bytes;
   if (opt.streams > 1)
-    n = std::max(n, link_batches(config, packed ? kernels::packed_size(len) : len,
-                                 tail_share));
+    n = std::max(n, link_batches(config, kernels::packed_size(len, symbol_bits), tail_share));
   plan.batch_bytes = (len + n - 1) / n;
   plan.batches = (len + plan.batch_bytes - 1) / plan.batch_bytes;
   return plan;
 }
 
-/// Kernel geometry of one batch launch.
-struct BatchGeometry {
-  std::uint32_t chunk_bytes = 0;
-  std::uint32_t threads_per_block = 0;
-};
-
 /// Smallest legal AC chunk: the first multiple of 4 above the overlap.
 std::uint32_t min_chunk(std::uint32_t overlap) { return (overlap + 4) & ~3u; }
 
-/// Largest block (a multiple of 32, at most `ceiling`) whose staged region,
-/// (block + 1) chunk-sized areas, fits in `budget` bytes; 0 if none does.
+/// Largest block (a multiple of 32, at most `ceiling`) whose shared memory
+/// for text at `symbol_bits` bits per symbol (kernels::staged_shared_bytes:
+/// the staged region, plus the 6-bit table and exchange) fits in `budget`
+/// bytes; 0 if none does.
 std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_bytes,
-                                   std::uint32_t budget) {
-  const std::uint32_t regions = budget / chunk_bytes;
-  return regions == 0 ? 0 : std::min(ceiling, (regions - 1) / 32 * 32);
+                                   std::uint32_t budget, std::uint32_t symbol_bits) {
+  std::uint32_t block = ceiling / 32 * 32;
+  while (block > 0 && kernels::staged_shared_bytes(chunk_bytes, block, symbol_bits) > budget)
+    block -= 32;
+  return block;
 }
 
-/// Chunk and block for one batch whose device slice is `slice` bytes.
-/// Explicit chunk_bytes keeps the requested geometry and only shrinks the
-/// block until its staging fits the SM. chunk_bytes == 0 derives both from
-/// the slice, so a small batch still fills the device (texture latency is
-/// hidden only by resident warps):
-///  - chunk: the smallest legal chunk while its threads fit in half the
-///    device's resident thread slots, else max(32, smallest). Past that
-///    point the device is full either way, and each thread's overlap
-///    re-scan and 2-byte count word make small chunks the slower choice
-///    (DESIGN.md has the measured crossover);
-///  - block: the largest multiple of 32 up to threads_per_block that still
-///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' staged
-///    regions share the SM; 32 when none does.
-/// Geometry is a function of the slice length alone. The Timed reuse cache
-/// keys on (slice length, packed), so batches that share a key run the same
-/// launch: the same geometry and the same staging loop.
-BatchGeometry resolve_geometry(const PipelineOptions& opt,
-                               const gpusim::GpuConfig& config, std::uint32_t overlap,
-                               std::uint64_t slice) {
+}  // namespace
+
+BatchGeometry resolve_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
+                               std::uint32_t overlap, std::uint64_t slice,
+                               std::uint32_t symbol_bits) {
   const bool shared = opt.variant == KernelVariant::kShared;
   if (opt.chunk_bytes != 0)
     return {opt.chunk_bytes,
             shared ? largest_staged_block(opt.threads_per_block, opt.chunk_bytes,
-                                          config.shared_mem_bytes)
+                                          config.shared_mem_bytes, symbol_bits)
                    : opt.threads_per_block};
 
   const std::uint32_t smallest = min_chunk(overlap);
@@ -145,29 +129,32 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt,
   if (shared)
     block = std::min<std::uint64_t>(
         block, largest_staged_block(opt.threads_per_block, chunk,
-                                    config.shared_mem_bytes / 2));
+                                    config.shared_mem_bytes / 2, symbol_bits));
   block = block / 32 * 32;
   return {chunk, static_cast<std::uint32_t>(std::max<std::uint64_t>(32, block))};
 }
 
+namespace {
+
 /// Rejects geometry no batch of the run could launch: an explicit chunk
 /// that does not exceed the overlap, a chunk too wide to stage even a
-/// 32-thread block, or a per-thread scan bound S (chunk + overlap) too large
+/// 32-thread block (with the 6-bit table and exchange, since any slice may
+/// pack to 6 bits), or a per-thread scan bound S (chunk + overlap) too large
 /// for the 32-bit match record state * S + offset of a DFA with `states`
 /// states. Checked once per run, before anything is staged. The chunk never
-/// narrows as the slice grows, so the largest slice's chunk is the widest
-/// any batch runs.
+/// narrows as the slice grows and does not depend on the width, so the
+/// largest slice's chunk is the widest any batch runs.
 Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
                       std::uint32_t max_pattern_length, std::uint32_t overlap,
                       std::uint64_t slice_cap, std::uint64_t states) {
   const std::uint32_t widest =
-      resolve_geometry(opt, config, overlap, slice_cap).chunk_bytes;
+      resolve_geometry(opt, config, overlap, slice_cap, 8).chunk_bytes;
   if (overlap >= widest)
     return Status::invalid_argument(
         "chunk_bytes " + std::to_string(widest) +
         " too small for max pattern length " + std::to_string(max_pattern_length));
   if (opt.variant == KernelVariant::kShared &&
-      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes) == 0)
+      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes, 6) == 0)
     return Status::capacity_exceeded(
         "staged block for chunk_bytes " + std::to_string(widest) +
         " exceeds shared memory even at 32 threads/block");
@@ -180,10 +167,10 @@ Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& confi
 }
 
 /// Timed-mode timing reuse: batches are homogeneous by construction, so one
-/// simulated launch per distinct (slice length, packed) covers the rest. A
-/// packed batch runs a different staging loop from a byte batch of the same
-/// length, so the two never share a timing.
-using TimingKey = std::pair<std::uint64_t, bool>;
+/// simulated launch per distinct (slice length, symbol bits) covers the rest.
+/// Each width runs its own staging loop and 6-bit batches their own block
+/// size, so batches of one length but different widths never share a timing.
+using TimingKey = std::pair<std::uint64_t, std::uint32_t>;
 struct CachedTiming {
   double kernel_seconds = 0;
   std::uint64_t output_bytes = 0;
@@ -264,8 +251,12 @@ std::optional<double> MatchPipeline::TailFit::slope() const {
   return c_xy / m2_x;
 }
 
-double MatchPipeline::tail_share(bool packed) const {
-  const std::optional<double> slope = tail_fits_[packed ? 1 : 0].slope();
+std::size_t MatchPipeline::fit_index(std::uint32_t symbol_bits) {
+  return symbol_bits == 8 ? 0 : symbol_bits == 6 ? 1 : 2;
+}
+
+double MatchPipeline::tail_share(std::uint32_t symbol_bits) const {
+  const std::optional<double> slope = tail_fits_[fit_index(symbol_bits)].slope();
   if (!slope || !(config_.pcie_bytes_per_second > 0)) return 1;
   return std::max(0.0, *slope * config_.pcie_bytes_per_second);
 }
@@ -282,14 +273,15 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
   const ac::Dfa& dfa = ddfa_.host_dfa();
   const std::uint32_t max_len = ddfa_.max_pattern_length();
-  const bool packed_text = opt.variant == KernelVariant::kShared &&
-                           kernels::symbol_table(text).has_value();
-  const StagingPlan plan = resolve_staging(opt, config_, text.size(), packed_text,
-                                           tail_share(packed_text));
+  const std::uint32_t text_bits =
+      opt.variant == KernelVariant::kShared ? kernels::symbol_bits(kernels::symbol_table(text))
+                                            : 8;
+  const StagingPlan plan =
+      resolve_staging(opt, config_, text.size(), text_bits, tail_share(text_bits));
   if (tel.tracer != nullptr) {
     run_span.annotate("batches", std::to_string(plan.batches));
     run_span.annotate("batch_bytes", std::to_string(plan.batch_bytes));
-    run_span.annotate("packed", plan.packed ? "true" : "false");
+    run_span.annotate("symbol_bits", std::to_string(plan.symbol_bits));
     char share[32];
     std::snprintf(share, sizeof share, "%.3g", plan.tail_share);
     run_span.annotate("tail_share", share);
@@ -329,7 +321,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     std::vector<double> completion;  // per batch: D2H end on the timeline
     completion.reserve(plan.batches);
     std::map<TimingKey, CachedTiming> timing_cache;
-    std::vector<std::uint8_t> packed;  // host packing buffer (packed batches only)
     Samples latencies;
 
     // Software-pipelined issue order: each batch's D2H is held back one
@@ -374,7 +365,8 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
       ACGPU_TRACE_SPAN(tel.tracer, "pipeline.batch");
       // A kShared slice, overlap carry included, of at most 4 distinct byte
-      // values ships at 2 bits per symbol; the kernel's staging unpacks it.
+      // values ships at 2 bits per symbol, one of at most 64 at 6 bits, and
+      // any other as bytes; the kernel's staging unpacks the codes.
       const std::string_view slice_text = text.substr(base, slice);
       const std::optional<kernels::SymbolTable> symbols =
           opt.variant == KernelVariant::kShared ? kernels::symbol_table(slice_text)
@@ -383,8 +375,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       trace.index = b;
       trace.stream = stream;
       trace.owned_bytes = owned;
-      trace.staged_bytes = symbols ? kernels::packed_size(slice) : slice;
-      const BatchGeometry g = resolve_geometry(opt, config_, overlap, slice);
+      trace.symbol_bits = kernels::symbol_bits(symbols);
+      trace.staged_bytes = kernels::packed_size(slice, trace.symbol_bits);
+      const BatchGeometry g = resolve_geometry(opt, config_, overlap, slice, trace.symbol_bits);
       trace.chunk_bytes = g.chunk_bytes;
       trace.threads_per_block = g.threads_per_block;
 
@@ -406,9 +399,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
       const void* payload = slice_text.data();
       if (symbols) {
-        packed.resize(trace.staged_bytes);
-        kernels::pack_text(slice_text, *symbols, packed.data());
-        payload = packed.data();
+        if (pack_buffer_.size() < trace.staged_bytes) pack_buffer_.resize(trace.staged_bytes);
+        kernels::pack_text(slice_text, *symbols, pack_buffer_.data());
+        payload = pack_buffer_.data();
       }
       const std::uint64_t h2d_id = sim.memcpy_h2d(stream, dst, payload, trace.staged_bytes,
                                                   "h2d b" + std::to_string(b));
@@ -417,9 +410,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       trace.issue_index = h2d_id;
 
       // One kernel launch over the slice. Timed runs may reuse the simulated
-      // duration of an earlier batch with the same slice length and packing.
+      // duration of an earlier batch with the same slice length and width.
       const bool reuse = opt.mode == gpusim::SimMode::Timed;
-      const TimingKey key{slice, symbols.has_value()};
+      const TimingKey key{slice, trace.symbol_bits};
       const auto cached = reuse ? timing_cache.find(key) : timing_cache.end();
       if (cached != timing_cache.end()) {
         const std::uint64_t kid =
@@ -471,7 +464,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         if (reuse) timing_cache[key] = {trace.kernel_seconds, trace.output_bytes};
       }
 
-      tail_fits_[symbols.has_value() ? 1 : 0].add(
+      tail_fits_[fit_index(trace.symbol_bits)].add(
           static_cast<double>(trace.staged_bytes),
           trace.kernel_seconds +
               static_cast<double>(trace.output_bytes) / config_.pcie_bytes_per_second);

@@ -38,11 +38,12 @@
 // byte adds to a batch's kernel and readback relative to its upload; the
 // pipeline fits it over the batches it has run.
 //
-// A kShared slice (carry included) of at most 4 distinct byte values crosses
-// PCIe packed at 2 bits per symbol against its own symbol table
-// (kernels/packed_text.h), and the kernel's shared-memory staging unpacks it;
-// every other slice ships as bytes. The choice reads the slice's content
-// alone — there is no option for it.
+// A kShared slice (carry included) crosses PCIe packed against its own
+// symbol table (kernels/packed_text.h) when it holds at most 64 distinct
+// byte values: at 2 bits per symbol for at most 4 values, at 6 bits for at
+// most 64. The kernel's shared-memory staging unpacks it; every other slice
+// ships as bytes. The width reads the slice's content alone — there is no
+// option for it.
 #pragma once
 
 #include <array>
@@ -113,14 +114,15 @@ struct PipelineOptions {
   /// batches, but may take more. Each text splits evenly into the batch
   /// count the link favours. With two or more streams that is the smallest
   /// n with n (n + 1) >= r S / (B t), about sqrt(r S / (B t)): S the staged
-  /// bytes (a quarter of the text when all of it packs), B and t the
-  /// GpuConfig's PCIe bandwidth and per-copy latency. It minimises
-  /// n t + S/B + r S/(B n), the makespan of an upload-bound pipeline whose
-  /// last batch's kernel and readback grow by r times what its upload does
-  /// per staged byte. r is the tail share: a fresh pipeline takes r = 1;
-  /// once its byte (or packed) batches have spanned a 2x range of staged
-  /// sizes, it uses the least-squares slope of their kernel seconds plus
-  /// readback payload / B against staged bytes, times B. One stream
+  /// bytes (the text at the width its whole symbol table packs it to: a
+  /// quarter of it at 2 bits, three quarters at 6), B and t the GpuConfig's
+  /// PCIe bandwidth and per-copy latency. It minimises n t + S/B + r S/(B n),
+  /// the makespan of an upload-bound pipeline whose last batch's kernel and
+  /// readback grow by r times what its upload does per staged byte. r is the
+  /// tail share, one per width: a fresh pipeline takes r = 1; once its
+  /// batches of that width have spanned a 2x range of staged sizes, it uses
+  /// the least-squares slope of their kernel seconds plus readback
+  /// payload / B against staged bytes, times B. One stream
   /// overlaps nothing and takes ceil(text / batch_bytes) batches; no run
   /// takes fewer. Purely a timing choice — matches are exact for any batch
   /// size.
@@ -145,9 +147,9 @@ struct PipelineOptions {
   /// Functional: every block of every batch simulated — matches exact (the
   /// conformance/audit path). Timed: sampled-wave timing per batch — the
   /// throughput path; match collection is skipped, and batches with the
-  /// same slice length and packing reuse the first one's simulated kernel
-  /// time (they are homogeneous by construction), making 100+-batch sweeps
-  /// cheap.
+  /// same slice length and symbol width reuse the first one's simulated
+  /// kernel time (they are homogeneous by construction), making 100+-batch
+  /// sweeps cheap.
   gpusim::SimMode mode = gpusim::SimMode::Functional;
   /// Hazard-audit hook forwarded to every batch launch. When set, per-batch
   /// device buffers are not recycled: the recorder's cross-launch global
@@ -177,8 +179,10 @@ struct BatchTrace {
   std::uint32_t stream = 0;        ///< stream the batch's ops were issued on
   std::uint64_t issue_index = 0;   ///< timeline op id of the batch's H2D
   std::uint64_t owned_bytes = 0;   ///< bytes this batch reports matches for
-  /// H2D payload: owned + overlap carry, packed 2 bits per symbol when the
-  /// batch ran packed (kShared, at most 4 distinct bytes in the slice).
+  /// Bits per symbol the slice crossed PCIe at: 2 (kShared, at most 4
+  /// distinct bytes in the slice), 6 (kShared, at most 64) or 8 (bytes).
+  std::uint32_t symbol_bits = 8;
+  /// H2D payload: owned + overlap carry at symbol_bits bits per symbol.
   std::uint64_t staged_bytes = 0;
   /// D2H payload: a u16 count per thread plus 4 bytes per stored record.
   std::uint64_t output_bytes = 0;
@@ -237,6 +241,35 @@ struct PipelineResult {
   std::vector<gpusim::StreamOp> timeline;
 };
 
+/// Kernel geometry of one batch launch.
+struct BatchGeometry {
+  std::uint32_t chunk_bytes = 0;
+  std::uint32_t threads_per_block = 0;
+};
+
+/// Chunk and block for one batch whose device slice is `slice` bytes and
+/// ships at `symbol_bits` bits per symbol (8, 6 or 2). Explicit chunk_bytes
+/// keeps the requested geometry and only shrinks the block until its shared
+/// memory fits the SM. chunk_bytes == 0 derives both from the slice, so a
+/// small batch still fills the device (texture latency is hidden only by
+/// resident warps):
+///  - chunk: the smallest legal chunk (the first multiple of 4 above
+///    `overlap`) while its threads fit in half the device's resident thread
+///    slots, else max(32, smallest). Past that point the device is full
+///    either way, and each thread's overlap re-scan and 2-byte count word
+///    make small chunks the slower choice (DESIGN.md has the measured
+///    crossover);
+///  - block: the largest multiple of 32 up to threads_per_block that still
+///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' shared
+///    memory (kernels::staged_shared_bytes, which counts the 6-bit table and
+///    exchange) share the SM; 32 when none does.
+/// Geometry is a function of the slice length and width alone. The Timed
+/// reuse cache keys on both, so batches that share a key run the same
+/// launch: the same geometry and the same staging loop.
+BatchGeometry resolve_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
+                               std::uint32_t overlap, std::uint64_t slice,
+                               std::uint32_t symbol_bits);
+
 /// Drives one device DFA over arbitrarily many inputs. The DFA (and the
 /// DeviceMemory it lives in) must outlive the pipeline; each run() allocates
 /// its slot buffers on top and recycles them per batch.
@@ -252,10 +285,11 @@ class MatchPipeline {
   /// or a device-memory budget too small for the slot buffers.
   Result<PipelineResult> run(std::string_view text);
 
-  /// The tail share the next run's batch split assumes for a byte or a
-  /// packed text (see PipelineOptions::batch_bytes). Like run(), not
-  /// synchronised: read it between runs.
-  double tail_share(bool packed) const;
+  /// The tail share the next run's batch split assumes for a text that
+  /// ships at `symbol_bits` bits per symbol, 8, 6 or 2 (see
+  /// PipelineOptions::batch_bytes). Like run(), not synchronised: read it
+  /// between runs.
+  double tail_share(std::uint32_t symbol_bits) const;
 
  private:
   /// Least-squares line through (staged bytes, kernel seconds + readback
@@ -268,11 +302,17 @@ class MatchPipeline {
     std::optional<double> slope() const;
   };
 
+  /// tail_fits_ slot of a width: bytes, 6-bit, 2-bit.
+  static std::size_t fit_index(std::uint32_t symbol_bits);
+
   gpusim::GpuConfig config_;  // by value: pipelines outlive caller temporaries
   gpusim::DeviceMemory& mem_;
   const kernels::DeviceDfa& ddfa_;
   PipelineOptions options_;
-  std::array<TailFit, 2> tail_fits_;  ///< byte batches, packed batches
+  std::array<TailFit, 3> tail_fits_;  ///< one per width, in fit_index order
+  /// Host packing buffer, kept across runs: it grows to the largest packed
+  /// slice once instead of being allocated per run.
+  std::vector<std::uint8_t> pack_buffer_;
 };
 
 }  // namespace acgpu::pipeline

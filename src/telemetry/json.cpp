@@ -1,6 +1,7 @@
 #include "telemetry/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace acgpu::telemetry {
@@ -70,8 +71,15 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level recurses once: a cap keeps hostile nesting off the stack.
+        if (depth_ == kMaxJsonDepth) return std::nullopt;
+        ++depth_;
+        std::optional<JsonValue> v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         std::optional<std::string> s = parse_string();
         if (!s) return std::nullopt;
@@ -99,7 +107,9 @@ class Parser {
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return std::nullopt;
+    // A number past the double range (1e999) reads as infinity, which no
+    // emitter writes and none could write back.
+    if (end != token.c_str() + token.size() || !std::isfinite(value)) return std::nullopt;
     return JsonValue(value);
   }
 
@@ -204,6 +214,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 }  // namespace

@@ -7,6 +7,7 @@
 // (parse_json_members).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <optional>
@@ -59,8 +60,14 @@ class JsonValue {
   Object object_;
 };
 
+/// Deepest nesting of arrays and objects the reader accepts. The emitters
+/// write at most four levels; the reader recurses once per level, so deeper
+/// input is rejected rather than allowed to exhaust the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage
-/// not). Returns std::nullopt on malformed input.
+/// not). Returns std::nullopt on malformed input, including arrays and
+/// objects nested deeper than kMaxJsonDepth.
 std::optional<JsonValue> parse_json(std::string_view text);
 
 /// One member of a JSON object, with the exact source text of its value.
@@ -72,7 +79,8 @@ struct JsonMember {
 
 /// Parses a document that must be one JSON object, and returns its members
 /// in document order, duplicates included. std::nullopt on malformed input
-/// or a document that is not an object.
+/// (as parse_json rejects it, the top-level object not counted towards
+/// kMaxJsonDepth) or a document that is not an object.
 std::optional<std::vector<JsonMember>> parse_json_members(std::string_view text);
 
 }  // namespace acgpu::telemetry

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "telemetry/json.h"
+#include "telemetry/trace.h"  // json_escape
 #include "util/error.h"
 #include "util/table.h"
 
@@ -78,17 +80,23 @@ std::string format_value(double v) {
 }  // namespace
 
 void MetricsSnapshot::write_json(std::ostream& out) const {
+  // Every digit a double needs, so parse_snapshot reads back the same
+  // values; names escaped, so a snapshot read from outside writes back as
+  // valid JSON.
+  const std::streamsize precision = out.precision(std::numeric_limits<double>::max_digits10);
   out << "{\"metrics\":{";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out << ",";
-    out << "\"" << entries[i].name << "\":" << json_safe(entries[i].value);
+    out << "\"" << json_escape(entries[i].name) << "\":" << json_safe(entries[i].value);
   }
   out << "},\"kinds\":{";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out << ",";
-    out << "\"" << entries[i].name << "\":\"" << to_string(entries[i].kind) << "\"";
+    out << "\"" << json_escape(entries[i].name) << "\":\"" << to_string(entries[i].kind)
+        << "\"";
   }
   out << "}}\n";
+  out.precision(precision);
 }
 
 void MetricsSnapshot::write_csv(std::ostream& out) const {

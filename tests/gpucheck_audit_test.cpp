@@ -115,6 +115,29 @@ TEST(GpucheckAudit, PipelinePackedStagingIsCoalescedStagingAtDegreeOne) {
   }
 }
 
+TEST(GpucheckAudit, PipelineSixBitStagingIsCoalescedRaceFreeAndAtDegreeOne) {
+  // boundary workloads of 5 or 64 distinct bytes ship every batch at 6 bits:
+  // each warp loads its 24 packed words in one request, passes them to its
+  // lanes through its exchange and decodes through its own table. The loads
+  // must coalesce with no excess, the exchange and table must not race, and
+  // no shared access may conflict.
+  std::uint64_t audited = 0;
+  for (std::uint64_t i = 0; audited < 4; ++i) {
+    if (std::string(oracle::workload_family_name(i)) != "boundary") continue;
+    const CompiledWorkload w(oracle::generate_workload(42, i));
+    const std::optional<kernels::SymbolTable> table = kernels::symbol_table(w.text());
+    if (!table || table->bits() != 6) continue;
+    const AuditOutcome outcome = audit_workload(AuditTarget::kPipeline, w);
+    EXPECT_TRUE(outcome.report.clean()) << w.name();
+    EXPECT_EQ(outcome.report.count(HazardKind::kSharedRace), 0u) << w.name();
+    EXPECT_TRUE(outcome.matches_ok) << w.name();
+    EXPECT_GT(outcome.report.coalescing.staging_requests, 0u) << w.name();
+    EXPECT_EQ(outcome.report.coalescing.staging_excess, 0u) << w.name();
+    EXPECT_EQ(outcome.report.bank.max_degree, 1u) << w.name();
+    ++audited;
+  }
+}
+
 TEST(GpucheckAudit, DiagonalReportFailsANaiveExpectation) {
   AuditOutcome outcome =
       audit_workload(AuditTarget::kAcSharedDiagonal, wide_workload());

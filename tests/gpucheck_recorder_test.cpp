@@ -133,6 +133,43 @@ TEST(GpucheckRecorder, BarrierSeparatedStagingIsClean) {
   EXPECT_EQ(mem.load_u32(out), 7u);
 }
 
+TEST(GpucheckRecorder, LanesOfOneWarpExchangeThroughSharedWithoutABarrier) {
+  // The 6-bit staging's exchange: lanes store words, other lanes of the same
+  // warp read them in a later instruction, and the first lanes store again.
+  // A warp's lanes run in lockstep, so its instructions are ordered and
+  // nothing races; a second warp touching the same words without a barrier
+  // still does.
+  const auto exchange = [](bool second_warp_reads) {
+    DeviceMemory mem(4096);
+    return record(LaunchDims{1, 64, 256}, mem, [=](Warp& w) -> WarpTask {
+      if (w.warp_in_block == 0) {
+        for (int round = 0; round < 2; ++round) {
+          w.mask_none();
+          for (std::uint32_t l = 0; l < 24; ++l) {
+            w.mask[l] = true;
+            w.addr[l] = 4 * l;
+            w.value[l] = l + 100u * round;
+          }
+          co_await w.shared_store_u32();
+          w.mask_all();
+          for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = 3 * l / 4 * 4;
+          co_await w.shared_load_u32();
+        }
+      } else if (second_warp_reads) {
+        w.mask_all();
+        for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = 4 * (l % 24);
+        co_await w.compute(64);  // after warp 0's stores, still no barrier
+        co_await w.shared_load_u32();
+      }
+      w.mask_all();
+      co_await w.barrier();
+    });
+  };
+  const AuditReport one_warp = exchange(false);
+  EXPECT_TRUE(one_warp.clean()) << one_warp.count(HazardKind::kSharedRace) << " race(s)";
+  EXPECT_GE(exchange(true).count(HazardKind::kSharedRace), 1u);
+}
+
 TEST(GpucheckRecorder, WriteAfterReadInSameEpochIsARace) {
   DeviceMemory mem(4096);
   const AuditReport report =

@@ -103,10 +103,10 @@ TEST(HostcheckAudit, PipelineAuditAnalysesTheEngineTeardown) {
 }
 
 TEST(HostcheckAudit, PackedBatchesAnnotateTheBytesThatMoved) {
-  // DNA text whose batch 2 owns an N: batches 1 and 2 ship bytes (batch 1
-  // carries the N), the rest ship 2-bit packed payloads. Each batch's H2D
-  // write and kernel read must cover exactly its staged payload, so the
-  // audit checks the bytes that crossed PCIe, not the slice length.
+  // DNA text whose batch 2 owns an N: batches 1 and 2 ship 6-bit codes
+  // (batch 1 carries the N), the rest ship 2-bit packed payloads. Each
+  // batch's H2D write and kernel read must cover exactly its staged payload,
+  // so the audit checks the bytes that crossed PCIe, not the slice length.
   std::string text = workload::make_dna_sequence(4096, 29);
   text[2048 + 3] = 'N';
   const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({text.substr(1000, 8), "ACGTA"}), 8);
@@ -123,10 +123,10 @@ TEST(HostcheckAudit, PackedBatchesAnnotateTheBytesThatMoved) {
   ASSERT_TRUE(run.is_ok()) << run.status().to_string();
   const std::vector<pipeline::BatchTrace>& batches = run.value().batches;
   ASSERT_EQ(batches.size(), 4u);
-  EXPECT_EQ(batches[0].staged_bytes, kernels::packed_size(1024 + 7));
-  EXPECT_EQ(batches[1].staged_bytes, 1024u + 7);
-  EXPECT_EQ(batches[2].staged_bytes, 1024u + 7);
-  EXPECT_EQ(batches[3].staged_bytes, kernels::packed_size(1024));
+  EXPECT_EQ(batches[0].staged_bytes, kernels::packed_size(1024 + 7, 2));
+  EXPECT_EQ(batches[1].staged_bytes, kernels::packed_size(1024 + 7, 6));
+  EXPECT_EQ(batches[2].staged_bytes, kernels::packed_size(1024 + 7, 6));
+  EXPECT_EQ(batches[3].staged_bytes, kernels::packed_size(1024, 2));
 
   const HostTrace trace = recorder.trace();
   std::map<std::uint64_t, std::string> labels;  // op id -> "h2d b1", ...

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -65,14 +66,15 @@ struct Fixture {
     return out;
   }
 
-  /// The same launch over the text packed at 2 bits per symbol, laid out
-  /// the way the pipeline stages it: packed bytes, then 8 zero bytes.
+  /// The same launch over the text packed against its symbol table (2 or 6
+  /// bits per symbol), laid out the way the pipeline stages it: packed
+  /// bytes, then 8 zero bytes.
   AcLaunchOutcome run_packed(AcLaunchSpec spec) {
     spec.sim.mode = gpusim::SimMode::Functional;
     const std::optional<SymbolTable> symbols = symbol_table(text);
-    EXPECT_TRUE(symbols.has_value()) << "text has more than 4 distinct bytes";
+    EXPECT_TRUE(symbols.has_value()) << "text has more than 64 distinct bytes";
     const std::size_t mark = mem.mark();
-    std::vector<std::uint8_t> packed(packed_size(text.size()));
+    std::vector<std::uint8_t> packed(packed_size(text.size(), symbols->bits()));
     pack_text(text, *symbols, packed.data());
     const gpusim::DevAddr addr = mem.alloc(packed.size() + 8);
     mem.copy_in(addr, packed.data(), packed.size());
@@ -251,6 +253,75 @@ TEST(AcKernel, PackedStagingMatchesByteStagingAtEveryChunkSchemeAndTail) {
         EXPECT_EQ(packed.sim.metrics.global_requests, bytes.sim.metrics.global_requests);
         EXPECT_GT(packed.sim.metrics.warp_instructions, bytes.sim.metrics.warp_instructions);
       }
+  }
+}
+
+/// Every word a launch's staging stores into its blocks' staged regions, by
+/// (block, shared address): what each block staged, whatever the text's
+/// width.
+struct StagedWords final : gpusim::AccessObserver {
+  std::uint32_t region = 0;  ///< staged region bytes, (block + 1) x chunk
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> words;
+
+  std::uint32_t memory_access(const gpusim::Warp& w, gpusim::OpKind kind) override {
+    if (kind != gpusim::OpKind::SharedStoreU32) return 0;
+    for (std::uint32_t l = 0; l < w.lane_count; ++l)
+      if (w.mask[l] && w.addr[l] < region) words[{w.block_id, w.addr[l]}] = w.value[l];
+    return 0;
+  }
+};
+
+TEST(AcKernel, SixBitStagedBlockEqualsTheBytePathsAtEveryChunkSchemeAndTail) {
+  // 6-bit staging turns each packed group back into the word the byte path
+  // stages, through the warp's exchange and table, so every block's staged
+  // region holds the same words, the matches are the same, and the table
+  // and exchange add no bank conflict. Lengths 0-3 mod 4 leave every
+  // partial last group; 12-64 B chunks span the derived and paper widths.
+  for (const std::uint32_t values : {5u, 64u}) {
+    for (const std::size_t len : {3000u, 3001u, 3002u, 3003u}) {
+      Rng rng(values * 7919 + len);
+      std::string text(len, '\0');
+      for (char& c : text) c = static_cast<char>(0x30 + rng.next_below(values));
+      for (std::uint32_t v = 0; v < values; ++v) text[31 * v] = static_cast<char>(0x30 + v);
+      Fixture f({text.substr(100, 8), text.substr(1500, 5), text.substr(len - 6, 6),
+                 text.substr(700, 2), text.substr(2222, 3)},
+                text);
+      ASSERT_EQ(symbol_table(text)->bits(), 6u);
+      ASSERT_GT(f.expected().size(), 0u);
+      for (const std::uint32_t chunk : {12u, 16u, 20u, 32u, 64u})
+        for (const StoreScheme scheme : {StoreScheme::kSequential,
+                                         StoreScheme::kCoalescedNaive, StoreScheme::kDiagonal}) {
+          SCOPED_TRACE(std::to_string(values) + " values, length " + std::to_string(len) +
+                       ", chunk " + std::to_string(chunk) + ", " + to_string(scheme));
+          AcLaunchSpec spec;
+          spec.scheme = scheme;
+          spec.chunk_bytes = chunk;
+          spec.threads_per_block = 64;
+          spec.match_capacity = 128;
+          StagedWords byte_words, six_words;
+          byte_words.region = six_words.region = (spec.threads_per_block + 1) * chunk;
+          spec.sim.observer = &byte_words;
+          const AcLaunchOutcome bytes = f.run(spec);
+          spec.sim.observer = &six_words;
+          const AcLaunchOutcome six = f.run_packed(spec);
+          EXPECT_EQ(six_words.words, byte_words.words);
+          EXPECT_FALSE(six.matches.overflowed);
+          EXPECT_EQ(six.matches.matches, f.expected());
+          EXPECT_EQ(six.matches.matches, bytes.matches.matches);
+          EXPECT_EQ(six.shared_bytes, bytes.shared_bytes + 2 * 160);
+          EXPECT_EQ(six.sim.metrics.shared_max_degree, bytes.sim.metrics.shared_max_degree);
+          EXPECT_EQ(six.sim.metrics.shared_conflict_cycles,
+                    bytes.sim.metrics.shared_conflict_cycles);
+          // Cooperative staging loads each warp's packed words in one request,
+          // as the byte path loads its words; the sequential baseline loads
+          // the one or two words holding each group.
+          if (scheme == StoreScheme::kSequential)
+            EXPECT_GT(six.sim.metrics.global_requests, bytes.sim.metrics.global_requests);
+          else
+            EXPECT_EQ(six.sim.metrics.global_requests, bytes.sim.metrics.global_requests);
+          EXPECT_GT(six.sim.metrics.warp_instructions, bytes.sim.metrics.warp_instructions);
+        }
+    }
   }
 }
 

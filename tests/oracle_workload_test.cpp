@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace acgpu::oracle {
 namespace {
@@ -74,6 +75,24 @@ TEST(WorkloadGen, HardCasesAppearWithinOneCycle) {
   EXPECT_TRUE(nul_byte);
   EXPECT_TRUE(ff_byte);
   EXPECT_TRUE(suffix_chain);
+}
+
+TEST(WorkloadGen, BoundaryFamilyCrossesEveryStagingWidthEdge) {
+  // Exactly 4, 5, 64 or 65 distinct byte values: the last 2-bit, first
+  // 6-bit, last 6-bit and first byte alphabets of the pipeline's staging.
+  std::set<std::size_t> alphabets;
+  for (std::uint64_t i = 0; i < 40 * workload_family_count(); ++i) {
+    if (std::string(workload_family_name(i)) != "boundary") continue;
+    const Workload w = generate_workload(42, i);
+    const std::set<char> values(w.text.begin(), w.text.end());
+    EXPECT_TRUE(values.size() == 4 || values.size() == 5 || values.size() == 64 ||
+                values.size() == 65)
+        << w.name << ": " << values.size() << " values";
+    for (const std::string& p : w.patterns)
+      for (const char c : p) EXPECT_TRUE(values.count(c)) << w.name;
+    alphabets.insert(values.size());
+  }
+  EXPECT_EQ(alphabets, (std::set<std::size_t>{4, 5, 64, 65}));
 }
 
 }  // namespace

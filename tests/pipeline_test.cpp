@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -215,7 +216,7 @@ TEST(Pipeline, TimelineShowsOverlapWithTwoStreams) {
   EXPECT_EQ(st.batches, 16u);
   EXPECT_GT(st.makespan_seconds, 0);
   // Four-letter text ships packed: at least 2 bits per input byte.
-  EXPECT_GE(st.staged_bytes, kernels::packed_size(st.input_bytes));
+  EXPECT_GE(st.staged_bytes, kernels::packed_size(st.input_bytes, 2));
   EXPECT_GT(st.overlap_seconds, 0);  // some copy hid under some kernel
   EXPECT_GE(st.overlap_ratio, 0);
   EXPECT_LE(st.overlap_ratio, 1.0 + 1e-9);
@@ -346,8 +347,8 @@ TEST(PipelineBatchSplit, LinkSetsTheBatchCountOnGtx285) {
   // A 4-symbol text stages a quarter of its bytes: 512 KiB splits as 128 KiB.
   const PipelineResult dna = split_run(workload::make_dna_sequence(512u << 10, 6));
   EXPECT_EQ(dna.stats.batches, 2u);
-  EXPECT_EQ(dna.stats.staged_bytes, kernels::packed_size((256u << 10) + 2) +
-                                        kernels::packed_size(256u << 10));
+  EXPECT_EQ(dna.stats.staged_bytes, kernels::packed_size((256u << 10) + 2, 2) +
+                                        kernels::packed_size(256u << 10, 2));
 }
 
 TEST(PipelineBatchSplit, LargeTextTakesMoreBatchesThanTheCeilingNeeds) {
@@ -432,11 +433,11 @@ TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
            static_cast<double>(t.output_bytes) / gpu.pcie_bytes_per_second;
   };
 
-  EXPECT_EQ(pipe.tail_share(false), 1.0);
+  EXPECT_EQ(pipe.tail_share(8), 1.0);
   const PipelineResult small = run(24u << 10, 11);
   const PipelineResult mid = run(40u << 10, 12);
   // 24 KiB and 40 KiB are within 2x of each other: still the assumption.
-  EXPECT_EQ(pipe.tail_share(false), 1.0);
+  EXPECT_EQ(pipe.tail_share(8), 1.0);
   const PipelineResult large = run(64u << 10, 13);
   ASSERT_EQ(small.batches.size() + mid.batches.size() + large.batches.size(), 3u);
 
@@ -454,12 +455,13 @@ TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
     sxy += dx * (tail(t) - my);
     sxx += dx * dx;
   }
-  const double share = pipe.tail_share(false);
+  const double share = pipe.tail_share(8);
   EXPECT_NEAR(share, std::max(0.0, sxy / sxx * gpu.pcie_bytes_per_second), 1e-9);
   // This dictionary's kernel barely grows with its batch, far below r = 1.
   EXPECT_LT(share, 0.5);
-  // Packed batches keep a fit of their own, still empty here.
-  EXPECT_EQ(pipe.tail_share(true), 1.0);
+  // Packed batches keep a fit per width of their own, still empty here.
+  EXPECT_EQ(pipe.tail_share(2), 1.0);
+  EXPECT_EQ(pipe.tail_share(6), 1.0);
 
   // 200 KiB: r = 1 takes 2 batches (n (n + 1) >= 5.12); the fitted share
   // sees too little tail to save for a second copy's latency.
@@ -474,11 +476,12 @@ TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
 // ---- Packed input: kShared slices of at most 4 distinct bytes ship at 2 bits
 // per symbol ----
 
-TEST(PipelinePacking, AnNInTheOverlapCarryShipsThatSliceAsBytes) {
+TEST(PipelinePacking, AnNInTheOverlapCarrySetsThatSlicesWidth) {
   // Five 1 KB batches of DNA against 12-bp motifs (an 11-byte carry). The
   // text's only N sits 4 bytes into batch 3, inside batch 2's carry: batch 2
-  // owns only A/C/G/T yet must ship bytes, because the check covers its whole
-  // slice. Batch 3 owns the N and ships bytes too; the rest pack.
+  // owns only A/C/G/T yet ships 6-bit codes, because the check covers its
+  // whole slice. Batch 3 owns the N and ships 6-bit codes too; the rest pack
+  // at 2 bits.
   constexpr std::uint64_t kBatch = 1024;
   constexpr std::uint64_t kCarry = 11;
   std::string text = workload::make_dna_sequence(5 * kBatch, 71);
@@ -503,30 +506,62 @@ TEST(PipelinePacking, AnNInTheOverlapCarryShipsThatSliceAsBytes) {
   std::uint64_t payload = 0;
   for (const BatchTrace& t : r.batches) {
     const std::uint64_t slice = t.owned_bytes + (t.index + 1 < 5 ? kCarry : 0);
-    const bool bytes = t.index == 2 || t.index == 3;
-    EXPECT_EQ(t.staged_bytes, bytes ? slice : kernels::packed_size(slice)) << "batch " << t.index;
+    const std::uint32_t bits = t.index == 2 || t.index == 3 ? 6 : 2;
+    EXPECT_EQ(t.symbol_bits, bits) << "batch " << t.index;
+    EXPECT_EQ(t.staged_bytes, kernels::packed_size(slice, bits)) << "batch " << t.index;
     payload += t.staged_bytes;
   }
   EXPECT_EQ(r.stats.staged_bytes, payload);
-  EXPECT_EQ(payload, 2 * kernels::packed_size(kBatch + kCarry) + 2 * (kBatch + kCarry) +
-                         kernels::packed_size(kBatch));
+  EXPECT_EQ(payload, 2 * kernels::packed_size(kBatch + kCarry, 2) +
+                         2 * kernels::packed_size(kBatch + kCarry, 6) +
+                         kernels::packed_size(kBatch, 2));
+}
+
+TEST(PipelinePacking, EachSliceShipsAtTheWidthItsDistinctBytesNeed) {
+  // One batch per run, so each text is one slice: 4 distinct values stage at
+  // 2 bits, 5 and 64 at 6 bits, 65 as bytes. Matches stay exact at every
+  // width.
+  constexpr std::size_t kLen = 3001;
+  for (const std::uint32_t values : {4u, 5u, 64u, 65u}) {
+    SCOPED_TRACE(std::to_string(values) + " distinct bytes");
+    Rng rng(values);
+    std::string text(kLen, '\0');
+    for (char& c : text) c = static_cast<char>(0x20 + rng.next_below(values));
+    for (std::uint32_t v = 0; v < values; ++v) text[17 * v] = static_cast<char>(0x20 + v);
+    const ac::Dfa dfa = ac::build_dfa(
+        ac::PatternSet({text.substr(40, 3), text.substr(1000, 6), text.substr(kLen - 5, 5)}), 8);
+    gpusim::DeviceMemory mem(64u << 20);
+    kernels::DeviceDfa ddfa(mem, dfa);
+    auto got = MatchPipeline(small_gpu(), mem, ddfa, PipelineOptions{}).run(text);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    const PipelineResult& r = got.value();
+    EXPECT_EQ(r.matches, ac::find_all(dfa, text));
+    ASSERT_EQ(r.batches.size(), 1u);
+    const std::uint32_t bits = values <= 4 ? 2 : values <= 64 ? 6 : 8;
+    EXPECT_EQ(r.batches[0].symbol_bits, bits);
+    EXPECT_EQ(r.stats.staged_bytes, kernels::packed_size(kLen, bits));
+  }
 }
 
 TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
-  // Equal-length batches alternate packed (pure A/C/G/T) and bytes (one N in
-  // the middle of the owned range), and same-parity slices are identical,
-  // so each batch's reused timing must be exactly what a fresh one-batch
-  // Timed run of its slice simulates. A cache keyed on slice length alone
-  // would hand batch 1 the packed timing of batch 0.
+  // Equal-length batches cycle through the three widths: 2 bits (pure
+  // A/C/G/T), 6 bits (one N in the middle of the owned range) and bytes (61
+  // more values there), and slices of one width are identical, so each
+  // batch's reused timing must be exactly what a fresh one-batch Timed run
+  // of its slice simulates. A cache keyed on slice length alone would hand
+  // batch 1 the 2-bit timing of batch 0.
   constexpr std::size_t kBatch = 16u << 10;
   constexpr std::size_t kCarry = 11;
-  const std::string packed_batch = workload::make_dna_sequence(kBatch, 83);
-  std::string byte_batch = packed_batch;
-  byte_batch[kBatch / 2] = 'N';
+  const std::string two_bit = workload::make_dna_sequence(kBatch, 83);
+  std::string six_bit = two_bit;
+  six_bit[kBatch / 2] = 'N';
+  std::string bytes = six_bit;
+  for (int v = 0; v < 61; ++v) bytes[kBatch / 2 + 1 + v] = static_cast<char>(0x80 + v);
+  const std::string* kinds[] = {&two_bit, &six_bit, &bytes};
   std::string text;
-  for (int b = 0; b < 5; ++b) text += b % 2 == 0 ? packed_batch : byte_batch;
+  for (int b = 0; b < 5; ++b) text += *kinds[b % 3];
   const ac::Dfa dfa = ac::build_dfa(
-      ac::PatternSet({packed_batch.substr(100, 12), packed_batch.substr(9000, 7), "ACGT"}), 8);
+      ac::PatternSet({two_bit.substr(100, 12), two_bit.substr(9000, 7), "ACGT"}), 8);
 
   const auto timed_run = [&](std::string_view input, std::uint64_t batch_bytes) {
     gpusim::DeviceMemory mem(64u << 20);
@@ -544,8 +579,9 @@ TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
   for (const BatchTrace& t : run.batches) {
     SCOPED_TRACE(t.index);
     const std::uint64_t slice = t.index + 1 < 5 ? kBatch + kCarry : kBatch;
-    const bool packed = t.index % 2 == 0 || t.index + 1 == 5;
-    EXPECT_EQ(t.staged_bytes, packed ? kernels::packed_size(slice) : slice);
+    const std::uint32_t bits = std::array<std::uint32_t, 3>{2, 6, 8}[t.index % 3];
+    EXPECT_EQ(t.symbol_bits, bits);
+    EXPECT_EQ(t.staged_bytes, kernels::packed_size(slice, bits));
     const PipelineResult one =
         timed_run(std::string_view(text).substr(t.index * kBatch, slice), slice);
     ASSERT_EQ(one.batches.size(), 1u);
@@ -553,7 +589,9 @@ TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
     EXPECT_EQ(t.kernel_seconds, one.batches[0].kernel_seconds);
     fresh.push_back(one.batches[0].kernel_seconds);
   }
-  EXPECT_NE(fresh[0], fresh[1]) << "packed and byte batches time alike";
+  EXPECT_NE(fresh[0], fresh[1]) << "2-bit and 6-bit batches time alike";
+  EXPECT_NE(fresh[1], fresh[2]) << "6-bit and byte batches time alike";
+  EXPECT_NE(fresh[0], fresh[2]) << "2-bit and byte batches time alike";
 }
 
 // ---- Per-batch geometry: chunk_bytes == 0 derives chunk and block from
@@ -642,6 +680,43 @@ TEST(PipelineGeometry, ExplicitChunkKeepsRequestedGeometry) {
   opt.threads_per_block = 512;
   EXPECT_EQ(batch_geometry(gpu, 16, 2048, opt),
             (std::vector<Geometry>{{32, 480}}));
+}
+
+TEST(PipelineGeometry, EveryDerivedBlockFitsTwoPerSmWithTheSixBitTableAndExchange) {
+  // Every width's derived (chunk, block) leaves 2 blocks per SM once
+  // kernels::staged_shared_bytes counts the 6-bit table and exchange, for
+  // every overlap whose chunk can fit two 32-thread blocks at all, across
+  // both chunk regimes and every block ceiling.
+  const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
+  const std::uint64_t half_resident = std::uint64_t{gpu.num_sms} * gpu.max_threads_per_sm / 2;
+  std::uint64_t checked = 0;
+  for (const std::uint32_t ceiling : {64u, 256u, 512u, 1024u})
+    for (std::uint32_t overlap = 0; overlap < 128; ++overlap)
+      for (const std::uint32_t bits : {8u, 6u, 2u}) {
+        PipelineOptions opt;
+        opt.threads_per_block = ceiling;
+        const std::uint32_t smallest = (overlap + 4) & ~3u;
+        for (const std::uint64_t slice :
+             {std::uint64_t{1}, std::uint64_t{4096}, half_resident * smallest,
+              half_resident * smallest + 1, std::uint64_t{1} << 20, std::uint64_t{8} << 20}) {
+          const BatchGeometry g = resolve_geometry(opt, gpu, overlap, slice, bits);
+          if (2 * kernels::staged_shared_bytes(g.chunk_bytes, 32, bits) > gpu.shared_mem_bytes)
+            continue;  // not even 32 threads fit twice: the rule's fallback
+          const std::uint32_t shared =
+              kernels::staged_shared_bytes(g.chunk_bytes, g.threads_per_block, bits);
+          EXPECT_LE(2 * shared, gpu.shared_mem_bytes)
+              << "chunk " << g.chunk_bytes << ", block " << g.threads_per_block << ", "
+              << bits << " bits";
+          EXPECT_GE(gpu.occupancy_blocks(g.threads_per_block, shared), 2u);
+          ++checked;
+        }
+      }
+  EXPECT_GT(checked, 4000u);
+  // At 36 B chunks the 224-thread block that bytes stage fits only without
+  // the 6-bit table and exchange (225 x 36 + 7 x 160 = 9,220 B > 8,192 B).
+  const PipelineOptions opt;
+  EXPECT_EQ(resolve_geometry(opt, gpu, 32, 8u << 20, 8).threads_per_block, 224u);
+  EXPECT_EQ(resolve_geometry(opt, gpu, 32, 8u << 20, 6).threads_per_block, 192u);
 }
 
 // Exact matches in every branch of the rule — smallest vs 32-byte chunk,

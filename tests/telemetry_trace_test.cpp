@@ -301,7 +301,8 @@ TEST(ChromeTrace, PipelineExportHasStreamAndEngineTracks) {
 
 // The pipeline.run span carries the run's batch plan, so a trace shows why
 // a scan split as it did: the batch count, the owned bytes per batch, and
-// whether the whole text staged packed (which prices it at a quarter).
+// the bits per symbol the whole text packs to (which prices it at 2/8 or
+// 6/8 of its bytes).
 TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
   // Scans `texts` on one fresh engine; returns the last pipeline.run span's
   // args.
@@ -329,18 +330,26 @@ TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
     EXPECT_EQ(args["batches"], std::to_string(batch_spans));
     return args;
   };
-  // A fresh engine assumes a tail share of 1: 512 KiB of English splits in
-  // four on the GTX 285 link...
+  // A fresh engine assumes a tail share of 1: 512 KiB of English, staged at
+  // 6 bits per symbol, splits in three on the GTX 285 link...
   EXPECT_EQ(run_args({workload::make_corpus(512u << 10, 5)}),
-            (std::map<std::string, std::string>{{"batches", "4"},
-                                                {"batch_bytes", "131072"},
-                                                {"packed", "false"},
+            (std::map<std::string, std::string>{{"batches", "3"},
+                                                {"batch_bytes", "174763"},
+                                                {"symbol_bits", "6"},
                                                 {"tail_share", "1"}}));
-  // ...and 512 KiB of DNA, staged at 2 bits per base, in two.
+  // ...512 KiB of DNA, staged at 2 bits per base, in two, and 512 KiB of
+  // random bytes, staged whole, in four.
   EXPECT_EQ(run_args({workload::make_dna_sequence(512u << 10, 5)}),
             (std::map<std::string, std::string>{{"batches", "2"},
                                                 {"batch_bytes", "262144"},
-                                                {"packed", "true"},
+                                                {"symbol_bits", "2"},
+                                                {"tail_share", "1"}}));
+  std::string bytes(512u << 10, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 131 % 251);
+  EXPECT_EQ(run_args({bytes}),
+            (std::map<std::string, std::string>{{"batches", "4"},
+                                                {"batch_bytes", "131072"},
+                                                {"symbol_bits", "8"},
                                                 {"tail_share", "1"}}));
   // After scans 4x apart in size the span names the fitted share, and the
   // split follows it.
@@ -348,7 +357,7 @@ TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
       run_args({workload::make_corpus(32u << 10, 6), workload::make_corpus(128u << 10, 7),
                 workload::make_corpus(512u << 10, 5)});
   EXPECT_NE(fitted.at("tail_share"), "1");
-  EXPECT_EQ(fitted.at("packed"), "false");
+  EXPECT_EQ(fitted.at("symbol_bits"), "6");
 }
 
 }  // namespace
