@@ -186,10 +186,10 @@ telemetry::MetricsSnapshot run_latency_workload(const ArgParser& args) {
       static_cast<std::uint32_t>(args.get_int("latency-batches"));
   const double interval =
       static_cast<double>(args.get_int("latency-interval-us")) * 1e-6;
-  // 4 MB superbatches: large enough that the staging pool's smaller
-  // rebalanced batches amortise the fixed per-transfer PCIe setup cost, the
-  // regime the pipeline is built for (a 1 MB superbatch would be pure
-  // overhead — 16 transfers of setup against 250 us of payload).
+  // 4 MB superbatches: large enough that the pipeline's batches amortise
+  // the fixed per-transfer PCIe setup cost, the regime the pipeline is
+  // built for (a 1 MB superbatch would be pure overhead — 16 transfers of
+  // setup against 250 us of payload).
   constexpr std::uint64_t kChunkBytes = 1u << 20;
   constexpr std::uint32_t kChunksPerBatch = 4;
   constexpr std::size_t kSessions = 8;

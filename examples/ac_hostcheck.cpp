@@ -12,17 +12,17 @@
 //   ac_hostcheck --broken                   # negative controls: every
 //                                           # seeded-broken schedule must be
 //                                           # flagged with its expected kind
-//   ac_hostcheck --broken-run=early-release # run ONE broken schedule; exits
+//   ac_hostcheck --broken-run=lock-inversion
+//                                           # run ONE broken schedule; exits
 //                                           # 1 when hazards are found (the
 //                                           # WILL_FAIL ctest entries)
 //   ac_hostcheck --list                     # config + broken-schedule names
 //
 // Each config runs real Engine::scan calls under the hostcheck Recorder;
-// the analyzer reconstructs the op DAG (stream FIFO, event edges, the
-// staging pool's release/wait_until handshake) and reports conflicting
-// device accesses that are only ordered by timing luck, lease-protocol
-// violations, and lock-order cycles over the serve mutexes. Match output is
-// diffed against the serial reference at the same time.
+// the analyzer reconstructs the op DAG (stream FIFO, event edges) and
+// reports conflicting device accesses that are only ordered by timing luck,
+// and lock-order cycles over the serve mutexes. Match output is diffed
+// against the serial reference at the same time.
 //
 // Exit status: 0 when every config audits clean and conformant (or every
 // broken schedule is caught), 1 on hazards/mismatches (or a missed broken
@@ -150,10 +150,9 @@ int run_broken_controls(bool json, bool quiet) {
 int main(int argc, char** argv) {
   ArgParser args(
       "Host-pipeline happens-before auditor: drives real Engine scans (and\n"
-      "the streaming serve layer) under the host recorder across a staging\n"
-      "geometry matrix, reconstructs the op DAG from stream, event, and\n"
-      "lease records, and reports unordered conflicting accesses, staging\n"
-      "lease-protocol violations, and lock-order cycles.\n"
+      "the streaming serve layer) under the host recorder across a stream-\n"
+      "count matrix, reconstructs the op DAG from stream and event records,\n"
+      "and reports unordered conflicting accesses and lock-order cycles.\n"
       "usage: ac_hostcheck [flags]");
   args.add_flag("seed", "workload generator seed", "42");
   args.add_flag("iterations", "number of generated workloads", "5");
@@ -249,13 +248,12 @@ int main(int argc, char** argv) {
     }
 
     Table table;
-    table.set_header({"sweep", "workloads", "ops", "accesses", "leases",
-                      "lock edges", "hazards", "mismatches"});
+    table.set_header({"sweep", "workloads", "ops", "accesses", "lock edges",
+                      "hazards", "mismatches"});
     for (const auto& r : results) {
       table.add_row({r.name, std::to_string(r.workloads),
                      std::to_string(r.report.ops),
                      std::to_string(r.report.accesses),
-                     std::to_string(r.report.leases),
                      std::to_string(r.report.lock_edges),
                      std::to_string(r.report.total_hazards()),
                      std::to_string(r.mismatches)});

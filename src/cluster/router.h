@@ -77,7 +77,7 @@ struct ClusterOptions {
   EngineOptions engine;
   /// Per-shard device template: the chip, its memory budget, and the
   /// hostcheck audit hook, which observes the router mutex, every shard's
-  /// serve mutexes, and every device's stream/lease activity (null = off).
+  /// serve mutexes, and every device's stream activity (null = off).
   /// The Router names shard k's device "device.<k>", so leave name empty.
   DeviceOptions device;
 
@@ -106,7 +106,7 @@ struct ClusterOptions {
   /// engine.telemetry.tracer null with this on (the Router manages it).
   bool trace = false;
 
-  /// Flight recorder shared by every layer (admission, batch, lease, shard
+  /// Flight recorder shared by every layer (admission, batch, shard
   /// failure, health events land in it); null = off, zero cost.
   telemetry::FlightRecorder* recorder = nullptr;
   /// When non-empty and a recorder is set, mark_failed(k) writes a

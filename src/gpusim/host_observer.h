@@ -2,12 +2,10 @@
 // happens-before auditor plugs into (the device-side twin is
 // access_observer.h, which gpucheck uses to audit hazards INSIDE a kernel).
 //
-// The async host pipeline synchronizes through three vocabularies:
+// The async host pipeline synchronizes through two vocabularies:
 //
-//   streams/events   StreamSim op enqueue, cudaEventRecord/WaitEvent, and
-//                    the host-driven wait_until timestamp dependency;
-//   staging leases   StagingPool acquire/release of staging buffers
-//                    (pipeline/staging_pool.h);
+//   streams/events   StreamSim op enqueue and cudaEventRecord/WaitEvent,
+//                    plus the device ranges each op reads or writes;
 //   host locks       the serve-side mutexes (service, session manager,
 //                    scheduler) wrapped in TrackedMutex below.
 //
@@ -21,9 +19,9 @@
 //
 // This header lives in gpusim (not hostcheck) because gpusim is the lowest
 // layer every instrumented component already links: StreamSim reports its
-// own ops here, while the staging pools and serve locks sit above and reuse
-// the same interface. Only the analyzer (src/hostcheck/) depends on the
-// records' meaning.
+// own ops here, while the serve locks sit above and reuse the same
+// interface. Only the analyzer (src/hostcheck/) depends on the records'
+// meaning.
 #pragma once
 
 #include <cstdint>
@@ -81,34 +79,6 @@ struct HostWaitEventRecord {
   std::uint32_t event = 0;
 };
 
-/// Host-driven timestamp dependency: the next op on `stream` starts at or
-/// after `seconds`. Ops already enqueued whose end <= seconds are thereby
-/// ordered before it — the lease-recycling handshake the pipeline uses.
-struct HostWaitUntilRecord {
-  std::uint32_t sim = 0;
-  std::uint32_t stream = 0;
-  double seconds = 0;
-};
-
-/// StagingPool::try_acquire / acquire_blocking handed out buffer `buffer`
-/// of pool `pool`. `ready` is the simulated drain time of the previous
-/// lease — the producer must not touch the buffer before then.
-struct HostLeaseRecord {
-  std::uint32_t pool = 0;
-  std::uint32_t buffer = 0;
-  std::uint64_t addr = 0;
-  std::uint64_t bytes = 0;
-  double ready = 0;
-};
-
-/// StagingPool::release: the buffer re-enters the free list, declared
-/// drained at simulated time `drained_at`.
-struct HostReleaseRecord {
-  std::uint32_t pool = 0;
-  std::uint32_t buffer = 0;
-  double drained_at = 0;
-};
-
 /// TrackedMutex acquire/release, keyed by the registered mutex id and the
 /// calling thread. Acquire-while-holding pairs build the lock-order graph.
 struct HostLockRecord {
@@ -122,19 +92,11 @@ class HostObserver {
   virtual ~HostObserver() = default;
 
   /// A StreamSim came up; the returned id scopes its op/stream/event
-  /// numbering. Successive sims are totally ordered by host program order
-  /// (each pipeline run resolves fully before the next begins), so the
-  /// auditor never compares accesses across sims.
+  /// numbering. The auditor never compares accesses across sims: runs on
+  /// one device resolve one after another, and concurrent runs on
+  /// different devices (cluster shards) address different arenas, whose
+  /// offsets overlap without sharing memory.
   virtual std::uint32_t register_sim() = 0;
-  /// A StagingPool came up under `name` ("upload", "readback", ...).
-  /// `sim` is the StreamSim whose timeline the pool's buffers serve:
-  /// device addresses are arena offsets, so pools of different devices
-  /// (cluster shards) occupy overlapping ranges, and the auditor must only
-  /// attribute a sim's accesses to that sim's own pools.
-  virtual std::uint32_t register_pool(const std::string& name,
-                                      std::uint32_t buffers,
-                                      std::uint64_t buffer_bytes,
-                                      std::uint32_t sim) = 0;
   /// A TrackedMutex came up under `name` ("serve.mu", "serve.scheduler.mu").
   virtual std::uint32_t register_mutex(const std::string& name) = 0;
 
@@ -142,9 +104,6 @@ class HostObserver {
   virtual void on_access(const HostAccessRecord& record) = 0;
   virtual void on_event_record(const HostEventRecord& record) = 0;
   virtual void on_wait_event(const HostWaitEventRecord& record) = 0;
-  virtual void on_wait_until(const HostWaitUntilRecord& record) = 0;
-  virtual void on_lease(const HostLeaseRecord& record) = 0;
-  virtual void on_release(const HostReleaseRecord& record) = 0;
   virtual void on_lock(const HostLockRecord& record) = 0;
 };
 

@@ -127,13 +127,6 @@ void StreamSim::wait_event(StreamId stream, EventId event) {
     host_observer_->on_wait_event(HostWaitEventRecord{sim_id_, stream, event});
 }
 
-void StreamSim::wait_until(StreamId stream, double seconds) {
-  StreamState& s = state(stream);
-  s.pending_dep = std::max(s.pending_dep, seconds);
-  if (host_observer_ != nullptr)
-    host_observer_->on_wait_until(HostWaitUntilRecord{sim_id_, stream, seconds});
-}
-
 double StreamSim::event_seconds(EventId event) const {
   ACGPU_CHECK(event < events_.size(), "unknown event id " << event);
   return events_[event];

@@ -97,9 +97,6 @@ class StreamSim {
   /// The next op enqueued on `stream` will not start before the event
   /// completes (cudaStreamWaitEvent). The event must already be recorded.
   void wait_event(StreamId stream, EventId event);
-  /// Host-driven dependency: the next op on `stream` will not start before
-  /// `seconds` — how a bounded-queue producer applies backpressure delays.
-  void wait_until(StreamId stream, double seconds);
 
   double event_seconds(EventId event) const;
   /// Completion time of all work enqueued on `stream` so far.
@@ -123,10 +120,9 @@ class StreamSim {
   /// collide. Zero-cost when unattached (one branch per op).
   void set_host_observer(HostObserver* observer);
   HostObserver* host_observer() const { return host_observer_; }
-  /// This sim's observer registration id (0 when unattached). Staging pools
-  /// serving this sim's timeline register under it, so the auditor can
-  /// scope lease attribution per device (cluster arenas overlap in offset
-  /// space).
+  /// This sim's observer registration id (0 when unattached). Every record
+  /// the sim reports carries it, so the auditor keeps each sim's ops,
+  /// streams and events apart (cluster arenas overlap in offset space).
   std::uint32_t sim_id() const { return sim_id_; }
 
   /// Declares that op `op_id` reads or writes device range

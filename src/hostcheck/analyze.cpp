@@ -13,13 +13,10 @@ namespace {
 
 using gpusim::HostAccessRecord;
 using gpusim::HostEventRecord;
-using gpusim::HostLeaseRecord;
 using gpusim::HostLockRecord;
 using gpusim::HostOpKind;
 using gpusim::HostOpRecord;
-using gpusim::HostReleaseRecord;
 using gpusim::HostWaitEventRecord;
-using gpusim::HostWaitUntilRecord;
 
 const char* op_kind_name(HostOpKind kind) {
   switch (kind) {
@@ -53,8 +50,8 @@ bool happens_before(const OpNode& a, const OpNode& b) {
   return s < b.clock.size() && a.pos <= b.clock[s];
 }
 
-/// Per-StreamSim replay state; sims never share clocks (they are totally
-/// ordered by host program order).
+/// Per-StreamSim replay state; sims never share clocks (analyze.h says
+/// why they are never compared).
 struct SimState {
   std::vector<OpNode> ops;          ///< indexed by op id (timeline index)
   std::vector<Clock> stream_clock;  ///< clock of the stream's last op
@@ -72,17 +69,6 @@ struct SimState {
   }
 };
 
-/// Per-(pool, buffer) lease-protocol state.
-struct BufferState {
-  bool range_known = false;
-  std::uint64_t addr = 0;
-  std::uint64_t bytes = 0;
-  bool leased = false;
-  /// Accesses made under the current lease: (site, op end time). Checked
-  /// against the declared drain time at release.
-  std::vector<std::pair<OpRef, double>> in_lease;
-};
-
 bool ranges_overlap(std::uint64_t a, std::uint64_t an, std::uint64_t b,
                     std::uint64_t bn) {
   return an > 0 && bn > 0 && a < b + bn && b < a + an;
@@ -98,7 +84,6 @@ class Analyzer {
     report_.mutexes = trace_.mutexes.size();
     for (const HostTrace::Record& record : trace_.records)
       std::visit([this](const auto& r) { handle(r); }, record);
-    finish_leases();
     check_conflicts();
     check_lock_order();
     report_.lock_edges = lock_edges_.size();
@@ -126,15 +111,6 @@ class Analyzer {
     return out.str();
   }
 
-  std::string pool_name(std::uint32_t pool) const {
-    return pool < trace_.pools.size() ? trace_.pools[pool].name
-                                      : "pool " + std::to_string(pool);
-  }
-
-  std::uint32_t pool_sim(std::uint32_t pool) const {
-    return pool < trace_.pools.size() ? trace_.pools[pool].sim : 0;
-  }
-
   void handle(const HostOpRecord& r) {
     ++report_.ops;
     SimState& s = sim(r.sim);
@@ -154,38 +130,7 @@ class Analyzer {
 
   void handle(const HostAccessRecord& r) {
     ++report_.accesses;
-    SimState& s = sim(r.sim);
-    s.accesses.push_back(r);
-
-    // Lease-protocol view of the same access: an annotated range that lands
-    // in a registered staging buffer must arrive under a live lease.
-    const double end =
-        r.op < s.ops.size() ? s.ops[r.op].rec.end : 0.0;
-    for (auto& [key, buf] : buffers_) {
-      // Device addresses are per-arena offsets: pools of concurrently-live
-      // sims (cluster shards) occupy overlapping ranges, so only this sim's
-      // own pools can claim the access.
-      if (pool_sim(key.first) != r.sim) continue;
-      if (!buf.range_known ||
-          !ranges_overlap(r.addr, r.bytes, buf.addr, buf.bytes))
-        continue;
-      const OpRef ref{r.sim, static_cast<std::int64_t>(r.op)};
-      if (buf.leased) {
-        buf.in_lease.emplace_back(ref, end);
-      } else {
-        std::ostringstream msg;
-        msg << (r.is_write ? "write to" : "read of") << " buffer "
-            << key.second << " of pool '" << pool_name(key.first)
-            << "' while the buffer is not leased";
-        HostHazard h;
-        h.kind = HazardKind::kUseAfterRelease;
-        h.message = msg.str();
-        h.first = ref;
-        h.pool = key.first;
-        h.buffer = key.second;
-        add(std::move(h));
-      }
-    }
+    sim(r.sim).accesses.push_back(r);
   }
 
   void handle(const HostEventRecord& r) {
@@ -200,76 +145,6 @@ class Analyzer {
     s.ensure_stream(r.stream);
     if (r.event < s.events.size())
       join(s.pending[r.stream], s.events[r.event]);
-  }
-
-  void handle(const HostWaitUntilRecord& r) {
-    // A declared timestamp dependency orders every already-enqueued op that
-    // completes by then. Exact comparison is sound: the release drain time
-    // and the op end are the same double, carried through unchanged.
-    SimState& s = sim(r.sim);
-    s.ensure_stream(r.stream);
-    for (const OpNode& node : s.ops)
-      if (node.pos != 0 && node.rec.end <= r.seconds)
-        join(s.pending[r.stream], node.clock);
-  }
-
-  void handle(const HostLeaseRecord& r) {
-    ++report_.leases;
-    BufferState& buf = buffers_[{r.pool, r.buffer}];
-    if (buf.leased) {
-      std::ostringstream msg;
-      msg << "buffer " << r.buffer << " of pool '" << pool_name(r.pool)
-          << "' leased again while its previous lease is outstanding";
-      HostHazard h;
-      h.kind = HazardKind::kDoubleLease;
-      h.message = msg.str();
-      h.pool = r.pool;
-      h.buffer = r.buffer;
-      add(std::move(h));
-    }
-    buf.leased = true;
-    if (r.bytes > 0) {
-      // The arena recycles: a pool torn down between scans frees its device
-      // range, and the next scan's pool can land on the same addresses.
-      // There is no pool-destroy record, so the new lease IS the signal —
-      // any other buffer whose known range overlaps it is dead; forget it
-      // so its stale range cannot misattribute the new pool's accesses.
-      // Scoped to this pool's arena: an overlapping range on another sim's
-      // pool (a concurrent cluster shard) is live, not stale.
-      for (auto& [other_key, other] : buffers_) {
-        if (other_key == std::pair{r.pool, r.buffer} || !other.range_known)
-          continue;
-        if (pool_sim(other_key.first) != pool_sim(r.pool)) continue;
-        if (ranges_overlap(r.addr, r.bytes, other.addr, other.bytes))
-          other.range_known = false;
-      }
-      buf.range_known = true;
-      buf.addr = r.addr;
-      buf.bytes = r.bytes;
-    }
-    buf.in_lease.clear();
-  }
-
-  void handle(const HostReleaseRecord& r) {
-    ++report_.releases;
-    BufferState& buf = buffers_[{r.pool, r.buffer}];
-    for (const auto& [ref, end] : buf.in_lease) {
-      if (end <= r.drained_at) continue;
-      std::ostringstream msg;
-      msg << "buffer " << r.buffer << " of pool '" << pool_name(r.pool)
-          << "' released as drained at " << r.drained_at
-          << "s but an access under the lease completes at " << end
-          << "s — the next lease will not wait for it";
-      HostHazard h;
-      h.kind = HazardKind::kReleaseWhileInFlight;
-      h.message = msg.str();
-      h.first = ref;
-      h.pool = r.pool;
-      h.buffer = r.buffer;
-      add(std::move(h));
-    }
-    buf.leased = false;
-    buf.in_lease.clear();
   }
 
   void handle(const HostLockRecord& r) {
@@ -287,21 +162,6 @@ class Analyzer {
         held.erase(std::next(it).base());
         break;
       }
-    }
-  }
-
-  void finish_leases() {
-    for (const auto& [key, buf] : buffers_) {
-      if (!buf.leased) continue;
-      std::ostringstream msg;
-      msg << "buffer " << key.second << " of pool '" << pool_name(key.first)
-          << "' still leased at trace end (leaked lease)";
-      HostHazard h;
-      h.kind = HazardKind::kLeakedLease;
-      h.message = msg.str();
-      h.pool = key.first;
-      h.buffer = key.second;
-      add(std::move(h));
     }
   }
 
@@ -405,7 +265,6 @@ class Analyzer {
   AnalyzeOptions options_;
   HostAuditReport report_;
   std::vector<SimState> sims_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, BufferState> buffers_;
   std::map<std::uint64_t, std::vector<std::uint32_t>> held_;
   std::set<std::pair<std::uint32_t, std::uint32_t>> lock_edges_;
 };

@@ -1,34 +1,25 @@
 // The happens-before analyzer: replays a HostTrace into an op DAG and
 // reports schedules that are only correct by timing luck.
 //
-// Ordering model (per sim — sims are totally ordered by host program order
-// and never compared):
+// Ordering model (per sim — a device runs its sims one after another, and
+// concurrent sims of different devices share no memory, so sims are never
+// compared):
 //
 //   same-stream FIFO      op n on stream S happens-before op n+1 on S;
 //   record -> wait        wait_event(S, e) orders everything the event
 //                         captured before the next op on S;
-//   wait_until(S, t)      orders every op already enqueued in the sim with
-//                         end <= t before the next op on S. This is the
-//                         staging-pool handshake: release() declares the
-//                         drain time, the next lease's producer waits for
-//                         it. Declared time, not observed time — that is
-//                         what makes it an ordering EDGE;
 //   engine serialization  deliberately NOT an edge. Two ops that only
 //                         happen to serialise on the copy or compute engine
 //                         are unordered, which is exactly the class of
 //                         timing-luck schedule the auditor exists to catch.
 //
 // Happens-before is computed with per-op vector clocks over the sim's
-// streams. On top of the DAG the analyzer runs three passes:
+// streams. On top of the DAG the analyzer runs two passes:
 //
 //   conflicts   every pair of annotated device accesses that overlap with
 //               >= 1 write must be HB-ordered; unordered pairs classify as
 //               upload-reuse (H2D write vs kernel read), write-during-d2h
 //               (a D2H op involved), or the generic unordered-conflict;
-//   leases      the staging protocol: no access to an un-leased buffer, no
-//               double-lease, release must declare a drain time >= the end
-//               of every access made under the lease, and every lease must
-//               be released by trace end;
 //   locks       the lock-order graph over TrackedMutex records (edge
 //               held -> acquired per thread); any cycle is a latent
 //               deadlock, reported with the full mutex-name cycle.

@@ -5,10 +5,11 @@
 // is still a failed audit.
 //
 // The stream count is the one knob that changes the host schedule's SHAPE:
-// 1 is the serial baseline, 8 deep lane cycling over an upload pool of 16.
-// Every configuration must audit CLEAN on every workload: the pipeline's
-// lease/wait_until handshake is supposed to order every conflicting access
-// by construction, not by engine-serialization luck.
+// 1 is the serial baseline, 8 deep lane cycling over 8 upload buffers.
+// Every configuration must audit CLEAN on every workload: each batch stages
+// into its own stream's upload buffer, so stream order is supposed to put
+// every H2D after the kernel that last read the buffer by construction, not
+// by engine-serialization luck.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,7 @@ const std::vector<HostAuditConfig>& default_config_matrix();
 
 struct HostAuditSpec {
   /// Owned bytes per pipeline batch — small, so even oracle-sized texts
-  /// (0.5–8 KB) split into several batches and exercise lease recycling.
+  /// (0.5–8 KB) split into several batches and recycle upload buffers.
   std::uint64_t batch_bytes = 1024;
   /// Feeder threads for the serve audit (each opens its own session).
   std::uint32_t serve_threads = 2;

@@ -8,7 +8,6 @@
 #include "gpusim/config.h"
 #include "gpusim/device_memory.h"
 #include "gpusim/stream.h"
-#include "pipeline/staging_pool.h"
 #include "util/error.h"
 
 namespace acgpu::hostcheck {
@@ -16,12 +15,7 @@ namespace acgpu::hostcheck {
 const char* to_string(BrokenSchedule schedule) {
   switch (schedule) {
     case BrokenSchedule::kSkippedEventWait: return "skipped-event-wait";
-    case BrokenSchedule::kEarlyRelease: return "early-release";
-    case BrokenSchedule::kReleaseBeforeD2H: return "release-before-d2h";
     case BrokenSchedule::kWriteDuringD2H: return "write-during-d2h";
-    case BrokenSchedule::kUseAfterRelease: return "use-after-release";
-    case BrokenSchedule::kDoubleLease: return "double-lease";
-    case BrokenSchedule::kLeakedLease: return "leaked-lease";
     case BrokenSchedule::kLockInversion: return "lock-inversion";
   }
   return "?";
@@ -29,10 +23,9 @@ const char* to_string(BrokenSchedule schedule) {
 
 const std::vector<BrokenSchedule>& all_broken_schedules() {
   static const std::vector<BrokenSchedule> all = {
-      BrokenSchedule::kSkippedEventWait, BrokenSchedule::kEarlyRelease,
-      BrokenSchedule::kReleaseBeforeD2H, BrokenSchedule::kWriteDuringD2H,
-      BrokenSchedule::kUseAfterRelease,  BrokenSchedule::kDoubleLease,
-      BrokenSchedule::kLeakedLease,      BrokenSchedule::kLockInversion,
+      BrokenSchedule::kSkippedEventWait,
+      BrokenSchedule::kWriteDuringD2H,
+      BrokenSchedule::kLockInversion,
   };
   return all;
 }
@@ -53,14 +46,7 @@ BrokenSchedule broken_schedule_from_name(std::string_view name) {
 HazardKind expected_hazard(BrokenSchedule schedule) {
   switch (schedule) {
     case BrokenSchedule::kSkippedEventWait: return HazardKind::kUploadReuse;
-    case BrokenSchedule::kEarlyRelease:
-      return HazardKind::kReleaseWhileInFlight;
-    case BrokenSchedule::kReleaseBeforeD2H:
-      return HazardKind::kReleaseWhileInFlight;
     case BrokenSchedule::kWriteDuringD2H: return HazardKind::kWriteDuringD2H;
-    case BrokenSchedule::kUseAfterRelease: return HazardKind::kUseAfterRelease;
-    case BrokenSchedule::kDoubleLease: return HazardKind::kDoubleLease;
-    case BrokenSchedule::kLeakedLease: return HazardKind::kLeakedLease;
     case BrokenSchedule::kLockInversion: return HazardKind::kLockOrderCycle;
   }
   return HazardKind::kUnorderedConflict;
@@ -78,15 +64,6 @@ struct Rig {
   std::vector<std::uint8_t> host = std::vector<std::uint8_t>(kBytes, 0xAB);
 
   explicit Rig(Recorder& recorder) { sim.set_host_observer(&recorder); }
-
-  pipeline::StagingPool make_pool(Recorder& recorder, const char* name,
-                                  std::uint64_t buffer_bytes) {
-    pipeline::StagingPool::Options options{2, buffer_bytes, 8, false};
-    options.observer = &recorder;
-    options.name = name;
-    options.sim = sim.sim_id();
-    return pipeline::StagingPool(mem, options);
-  }
 };
 
 void drive_skipped_event_wait(Recorder& recorder) {
@@ -101,33 +78,6 @@ void drive_skipped_event_wait(Recorder& recorder) {
   rig.sim.annotate(kid, buf, kBytes, /*is_write=*/false);
 }
 
-void drive_early_release(Recorder& recorder) {
-  Rig rig(recorder);
-  const gpusim::StreamId s0 = rig.sim.create_stream();
-  pipeline::StagingPool pool = rig.make_pool(recorder, "upload", kBytes);
-  const pipeline::StagingPool::Lease lease = pool.try_acquire().value();
-  const std::uint64_t h2d =
-      rig.sim.memcpy_h2d(s0, lease.addr, rig.host.data(), kBytes, "h2d b0");
-  const std::uint64_t kid = rig.sim.charge_kernel(s0, 1e-3, "kernel b0");
-  rig.sim.annotate(kid, lease.addr, kBytes, /*is_write=*/false);
-  // BUG: drained_at is the H2D end, not the kernel end — the next lease's
-  // wait_until will not cover the kernel still reading the buffer.
-  pool.release(lease.index, rig.sim.op_end(h2d));
-}
-
-void drive_release_before_d2h(Recorder& recorder) {
-  Rig rig(recorder);
-  const gpusim::StreamId s0 = rig.sim.create_stream();
-  pipeline::StagingPool pool = rig.make_pool(recorder, "readback", kBytes);
-  const pipeline::StagingPool::Lease lease = pool.try_acquire().value();
-  const std::uint64_t kid = rig.sim.charge_kernel(s0, 1e-3, "kernel b0");
-  rig.sim.annotate(kid, lease.addr, kBytes, /*is_write=*/true);
-  rig.sim.memcpy_d2h(s0, rig.host.data(), lease.addr, kBytes, "d2h b0");
-  // BUG: released at kernel end; the D2H draining the buffer is still in
-  // flight past that time.
-  pool.release(lease.index, rig.sim.op_end(kid));
-}
-
 void drive_write_during_d2h(Recorder& recorder) {
   Rig rig(recorder);
   const gpusim::StreamId s0 = rig.sim.create_stream();
@@ -136,32 +86,6 @@ void drive_write_during_d2h(Recorder& recorder) {
   rig.sim.memcpy_d2h(s0, rig.host.data(), buf, kBytes, "d2h drain");
   // BUG: the overwrite is on another stream with no edge to the drain.
   rig.sim.memcpy_h2d(s1, buf, rig.host.data(), kBytes, "h2d overwrite");
-}
-
-void drive_use_after_release(Recorder& recorder) {
-  Rig rig(recorder);
-  const gpusim::StreamId s0 = rig.sim.create_stream();
-  pipeline::StagingPool pool = rig.make_pool(recorder, "upload", kBytes);
-  const pipeline::StagingPool::Lease lease = pool.try_acquire().value();
-  pool.release(lease.index, 0.0);
-  // BUG: the stage kept the address past its lease.
-  rig.sim.memcpy_h2d(s0, lease.addr, rig.host.data(), kBytes, "h2d stale");
-}
-
-void drive_double_lease(Recorder& recorder) {
-  // The real pool throws before handing a leased buffer out again, so this
-  // driver emits the records such a bypassed pool would have produced.
-  const std::uint32_t pool = recorder.register_pool("upload", 2, kBytes, 0);
-  recorder.on_lease(gpusim::HostLeaseRecord{pool, 0, 0x1000, kBytes, 0.0});
-  recorder.on_lease(gpusim::HostLeaseRecord{pool, 0, 0x1000, kBytes, 0.0});
-  recorder.on_release(gpusim::HostReleaseRecord{pool, 0, 1.0});
-}
-
-void drive_leaked_lease(Recorder& recorder) {
-  Rig rig(recorder);
-  pipeline::StagingPool pool = rig.make_pool(recorder, "upload", kBytes);
-  const pipeline::StagingPool::Lease lease = pool.try_acquire().value();
-  (void)lease;  // BUG: never released; the trace ends with it outstanding.
 }
 
 void drive_lock_inversion(Recorder& recorder) {
@@ -193,18 +117,9 @@ HostTrace record_broken_schedule(BrokenSchedule schedule) {
     case BrokenSchedule::kSkippedEventWait:
       drive_skipped_event_wait(recorder);
       break;
-    case BrokenSchedule::kEarlyRelease: drive_early_release(recorder); break;
-    case BrokenSchedule::kReleaseBeforeD2H:
-      drive_release_before_d2h(recorder);
-      break;
     case BrokenSchedule::kWriteDuringD2H:
       drive_write_during_d2h(recorder);
       break;
-    case BrokenSchedule::kUseAfterRelease:
-      drive_use_after_release(recorder);
-      break;
-    case BrokenSchedule::kDoubleLease: drive_double_lease(recorder); break;
-    case BrokenSchedule::kLeakedLease: drive_leaked_lease(recorder); break;
     case BrokenSchedule::kLockInversion: drive_lock_inversion(recorder); break;
   }
   return recorder.trace();

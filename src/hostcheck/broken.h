@@ -1,12 +1,12 @@
 // Deliberately-broken host schedules — the auditor's negative controls.
 //
-// Each driver builds a real StreamSim (and, where the hazard lives in the
-// lease protocol, a real StagingPool) under the Recorder and reproduces one
-// canonical orchestration bug: the event wait a refactor dropped, the
-// staging buffer released a step too early, the AB/BA lock inversion. The
-// audit CLI and the WILL_FAIL tests then assert the analyzer flags each
-// schedule with exactly the expected hazard kind — if a future analyzer
-// change stops catching one of these, CI fails before the regression ships.
+// Each driver builds a real StreamSim (or real tracked mutexes) under the
+// Recorder and reproduces one canonical orchestration bug: the event wait a
+// refactor dropped, the readback racing an overwrite, the AB/BA lock
+// inversion. The audit CLI and the WILL_FAIL tests then assert the analyzer
+// flags each schedule with exactly the expected hazard kind — if a future
+// analyzer change stops catching one of these, CI fails before the
+// regression ships.
 //
 // (gpucheck has the same pattern one layer down: deliberately-broken
 // kernels that its recorder must flag.)
@@ -25,23 +25,9 @@ enum class BrokenSchedule : std::uint8_t {
   /// Producer H2D on stream 0, consumer kernel on stream 1, with the
   /// record_event/wait_event handshake dropped.
   kSkippedEventWait,
-  /// Upload buffer released at H2D end instead of kernel end — the kernel
-  /// is still reading it when the next lease could recycle it.
-  kEarlyRelease,
-  /// Readback buffer released at kernel end instead of D2H end — the drain
-  /// copy is still in flight.
-  kReleaseBeforeD2H,
   /// A D2H drains a range while an unordered H2D on another stream
   /// overwrites it.
   kWriteDuringD2H,
-  /// An H2D writes a staging buffer after its lease was released.
-  kUseAfterRelease,
-  /// A buffer handed out twice without an intervening release. The real
-  /// StagingPool refuses this, so the driver emits the record stream the
-  /// pool would have produced had its own assertion been bypassed.
-  kDoubleLease,
-  /// A lease never released before the trace ends.
-  kLeakedLease,
   /// Two threads acquire two service locks in opposite orders (run
   /// sequentially — the order graph shows the cycle without the deadlock).
   kLockInversion,

@@ -9,10 +9,6 @@ const char* to_string(HazardKind kind) {
     case HazardKind::kUnorderedConflict: return "unordered-conflict";
     case HazardKind::kUploadReuse: return "upload-reuse";
     case HazardKind::kWriteDuringD2H: return "write-during-d2h";
-    case HazardKind::kUseAfterRelease: return "use-after-release";
-    case HazardKind::kDoubleLease: return "double-lease";
-    case HazardKind::kReleaseWhileInFlight: return "release-while-in-flight";
-    case HazardKind::kLeakedLease: return "leaked-lease";
     case HazardKind::kLockOrderCycle: return "lock-order-cycle";
   }
   return "?";

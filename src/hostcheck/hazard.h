@@ -4,10 +4,9 @@
 // Where gpucheck's hazards live INSIDE one kernel launch (thread/address
 // terms), hostcheck's live BETWEEN the host-orchestrated async operations:
 // stream ops that touch overlapping device ranges without an ordering edge,
-// staging-lease protocol violations, and host lock-order inversions. A
-// finding is identified in (sim, op) terms — the StreamSim registration id
-// plus the op's timeline index — which pins the exact enqueue call site in
-// the deterministic replay.
+// and host lock-order inversions. A finding is identified in (sim, op)
+// terms — the StreamSim registration id plus the op's timeline index —
+// which pins the exact enqueue call site in the deterministic replay.
 #pragma once
 
 #include <cstdint>
@@ -22,32 +21,22 @@ enum class HazardKind : std::uint8_t {
   /// happens-before edge — correct only by timing luck.
   kUnorderedConflict,
   /// The upload-reuse specialisation: an H2D write unordered against a
-  /// kernel read of the same staging range (a skipped event wait, or a
-  /// buffer recycled before its kernel ended).
+  /// kernel read of the same staging range (a skipped event wait, or an
+  /// upload buffer rewritten from a stream other than its last reader's).
   kUploadReuse,
   /// A D2H read unordered against a write of the range it drains — the
   /// readback races the producer.
   kWriteDuringD2H,
-  /// An op touched a staging buffer while the buffer was NOT under lease.
-  kUseAfterRelease,
-  /// A buffer was leased while its previous lease was still outstanding.
-  kDoubleLease,
-  /// A release declared a drain time EARLIER than the completion of an op
-  /// that accessed the buffer during the lease — the next lease's
-  /// wait_until handshake will not cover that op.
-  kReleaseWhileInFlight,
-  /// A buffer still under lease when the trace ended (drain leak).
-  kLeakedLease,
   /// The lock-order graph over the tracked host mutexes has a cycle
   /// (AB/BA inversion — a latent deadlock).
   kLockOrderCycle,
 };
-constexpr std::size_t kHazardKindCount = 8;
+constexpr std::size_t kHazardKindCount = 4;
 
 const char* to_string(HazardKind kind);
 
 /// One side of a finding: a stream op, addressed as (sim, op id). `op` < 0
-/// marks an empty/unused site (one-sided hazards).
+/// marks an unused site (lock-order cycles name no op).
 struct OpRef {
   std::uint32_t sim = 0;
   std::int64_t op = -1;
@@ -59,15 +48,13 @@ std::ostream& operator<<(std::ostream& out, const OpRef& ref);
 
 /// One finding: the kind, a formatted one-liner, and the structured sites
 /// behind it. For conflict kinds `first` is the earlier-enqueued op and
-/// `second` the one that completed the hazard; lease kinds carry the pool
-/// and buffer; kLockOrderCycle carries the cycle's mutex names instead.
+/// `second` the one that completed the hazard; kLockOrderCycle carries the
+/// cycle's mutex names instead.
 struct HostHazard {
   HazardKind kind{};
   std::string message;
   OpRef first;
   OpRef second;
-  std::int64_t pool = -1;    ///< lease hazards: registered pool id
-  std::int64_t buffer = -1;  ///< lease hazards: buffer index in the pool
   std::vector<std::string> cycle;  ///< kLockOrderCycle: mutex names in order
 };
 

@@ -7,15 +7,6 @@ std::uint32_t Recorder::register_sim() {
   return trace_.sims++;
 }
 
-std::uint32_t Recorder::register_pool(const std::string& name,
-                                      std::uint32_t buffers,
-                                      std::uint64_t buffer_bytes,
-                                      std::uint32_t sim) {
-  std::scoped_lock lock(mu_);
-  trace_.pools.push_back(PoolInfo{name, buffers, buffer_bytes, sim});
-  return static_cast<std::uint32_t>(trace_.pools.size() - 1);
-}
-
 std::uint32_t Recorder::register_mutex(const std::string& name) {
   std::scoped_lock lock(mu_);
   trace_.mutexes.push_back(name);
@@ -38,21 +29,6 @@ void Recorder::on_event_record(const gpusim::HostEventRecord& record) {
 }
 
 void Recorder::on_wait_event(const gpusim::HostWaitEventRecord& record) {
-  std::scoped_lock lock(mu_);
-  trace_.records.emplace_back(record);
-}
-
-void Recorder::on_wait_until(const gpusim::HostWaitUntilRecord& record) {
-  std::scoped_lock lock(mu_);
-  trace_.records.emplace_back(record);
-}
-
-void Recorder::on_lease(const gpusim::HostLeaseRecord& record) {
-  std::scoped_lock lock(mu_);
-  trace_.records.emplace_back(record);
-}
-
-void Recorder::on_release(const gpusim::HostReleaseRecord& record) {
   std::scoped_lock lock(mu_);
   trace_.records.emplace_back(record);
 }

@@ -10,9 +10,8 @@
 // Thread-safety: every callback locks; the serve-side audit records from
 // the worker thread and the feeding threads concurrently. The global record
 // order is the lock-acquisition order, which for the single-threaded
-// pipeline equals program order — the property the lease-protocol and
-// use-after-release passes rely on. (Multi-threaded traces still analyse
-// soundly: stream ops of one sim are always enqueued by one thread.)
+// pipeline equals program order. Multi-threaded traces still analyse
+// soundly: stream ops of one sim are always enqueued by one thread.
 #pragma once
 
 #include <cstdint>
@@ -25,28 +24,15 @@
 
 namespace acgpu::hostcheck {
 
-/// A StagingPool registration (register_pool).
-struct PoolInfo {
-  std::string name;
-  std::uint32_t buffers = 0;
-  std::uint64_t buffer_bytes = 0;
-  /// The sim whose timeline the pool serves — lease attribution is scoped
-  /// to it (device addresses are per-arena offsets; concurrent cluster
-  /// shards overlap in offset space).
-  std::uint32_t sim = 0;
-};
-
 /// The globally ordered record stream plus the registries that name its
 /// ids. Everything the analyzer consumes; plain data, copyable.
 struct HostTrace {
   using Record =
       std::variant<gpusim::HostOpRecord, gpusim::HostAccessRecord,
                    gpusim::HostEventRecord, gpusim::HostWaitEventRecord,
-                   gpusim::HostWaitUntilRecord, gpusim::HostLeaseRecord,
-                   gpusim::HostReleaseRecord, gpusim::HostLockRecord>;
+                   gpusim::HostLockRecord>;
 
   std::uint32_t sims = 0;           ///< StreamSims registered
-  std::vector<PoolInfo> pools;      ///< index = registered pool id
   std::vector<std::string> mutexes; ///< index = registered mutex id
   std::vector<Record> records;      ///< global order (= program order for
                                     ///< single-threaded drivers)
@@ -59,18 +45,12 @@ class Recorder final : public gpusim::HostObserver {
   Recorder() = default;
 
   std::uint32_t register_sim() override;
-  std::uint32_t register_pool(const std::string& name, std::uint32_t buffers,
-                              std::uint64_t buffer_bytes,
-                              std::uint32_t sim) override;
   std::uint32_t register_mutex(const std::string& name) override;
 
   void on_op(const gpusim::HostOpRecord& record) override;
   void on_access(const gpusim::HostAccessRecord& record) override;
   void on_event_record(const gpusim::HostEventRecord& record) override;
   void on_wait_event(const gpusim::HostWaitEventRecord& record) override;
-  void on_wait_until(const gpusim::HostWaitUntilRecord& record) override;
-  void on_lease(const gpusim::HostLeaseRecord& record) override;
-  void on_release(const gpusim::HostReleaseRecord& record) override;
   void on_lock(const gpusim::HostLockRecord& record) override;
 
   /// Snapshot of the trace so far (copies under the lock — call after the

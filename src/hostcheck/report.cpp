@@ -60,8 +60,6 @@ void HostAuditReport::merge(const HostAuditReport& other,
   sims += other.sims;
   ops += other.ops;
   accesses += other.accesses;
-  leases += other.leases;
-  releases += other.releases;
   lock_events += other.lock_events;
   mutexes += other.mutexes;
   lock_edges += other.lock_edges;
@@ -69,9 +67,8 @@ void HostAuditReport::merge(const HostAuditReport& other,
 
 void HostAuditReport::write_text(std::ostream& out) const {
   out << "host audit: " << sims << " sims, " << ops << " ops, " << accesses
-      << " annotated accesses, " << leases << " leases (" << releases
-      << " released), " << lock_events << " lock events over " << mutexes
-      << " mutexes (" << lock_edges << " order edges)\n";
+      << " annotated accesses, " << lock_events << " lock events over "
+      << mutexes << " mutexes (" << lock_edges << " order edges)\n";
   if (clean()) {
     out << "no hazards\n";
     return;
@@ -106,8 +103,7 @@ void HostAuditReport::write_json(std::ostream& out) const {
     write_ref_json(out, h.first);
     out << ",\"second\":";
     write_ref_json(out, h.second);
-    out << ",\"pool\":" << h.pool << ",\"buffer\":" << h.buffer
-        << ",\"cycle\":[";
+    out << ",\"cycle\":[";
     bool c_first = true;
     for (const std::string& name : h.cycle) {
       if (!c_first) out << ",";
@@ -144,9 +140,6 @@ std::vector<std::pair<std::string, double>> telemetry_series(
   series.emplace_back("hostcheck.ops", static_cast<double>(report.ops));
   series.emplace_back("hostcheck.accesses",
                       static_cast<double>(report.accesses));
-  series.emplace_back("hostcheck.leases", static_cast<double>(report.leases));
-  series.emplace_back("hostcheck.releases",
-                      static_cast<double>(report.releases));
   series.emplace_back("hostcheck.lock_events",
                       static_cast<double>(report.lock_events));
   series.emplace_back("hostcheck.lock_edges",

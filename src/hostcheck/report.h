@@ -32,8 +32,6 @@ struct HostAuditReport {
   std::uint64_t sims = 0;      ///< StreamSims analysed
   std::uint64_t ops = 0;       ///< stream ops (H2D/kernel/D2H)
   std::uint64_t accesses = 0;  ///< annotated device-range accesses
-  std::uint64_t leases = 0;    ///< staging-pool acquisitions
-  std::uint64_t releases = 0;
   std::uint64_t lock_events = 0;  ///< TrackedMutex acquires + releases
   std::uint64_t mutexes = 0;      ///< distinct tracked mutexes
   std::uint64_t lock_edges = 0;   ///< distinct held -> acquired pairs

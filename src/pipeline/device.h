@@ -40,7 +40,7 @@ struct DeviceOptions {
 
   /// Hostcheck audit hook (gpusim/host_observer.h): the device's scan mutex
   /// registers here, and engines bound to the device inherit it for their
-  /// stream/lease records unless they were wired to an observer explicitly.
+  /// stream records unless they were wired to an observer explicitly.
   /// Null = off, zero cost.
   gpusim::HostObserver* host_observer = nullptr;
 

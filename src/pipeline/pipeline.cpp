@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "kernels/packed_text.h"
-#include "pipeline/staging_pool.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/trace.h"
@@ -301,21 +300,19 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     sim.set_host_observer(opt.host_observer);
     for (std::uint32_t s = 0; s < opt.streams; ++s) sim.create_stream();
 
-    // The upload pool, allocated below batch_mark so per-batch recycling
-    // never frees it: 2 slices per stream, so a lane's next batch finds the
-    // buffer two rounds back already drained. Slices carry 8 pad bytes
-    // (word-granular staging loads never run off the slice), and a run of
-    // fewer batches than that allocates one slice per batch: the rest would
-    // never be leased, yet would push the kernels' buffers onto fresh device
-    // pages. The kernel launches allocate the output buffers.
+    // One upload buffer per stream, allocated below batch_mark so per-batch
+    // recycling never frees it. Batch b stages into its stream's buffer
+    // (b mod streams), whose last reader, batch b - streams's kernel, sits
+    // earlier on the same stream, so stream order alone keeps each H2D off a
+    // slice still being scanned. Buffers carry 8 pad bytes (word-granular
+    // staging loads never run off the slice), and a run of fewer batches
+    // than streams allocates one per batch: the rest would never be written,
+    // yet would push the kernels' buffers onto fresh device pages. The
+    // kernel launches allocate the output buffers.
     const std::size_t outer_mark = mem_.mark();
-    const auto upload_buffers = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(2 * std::uint64_t{opt.streams}, plan.batches));
-    StagingPool::Options upload_opt{upload_buffers, slice_cap, 8, false};
-    upload_opt.observer = opt.host_observer;
-    upload_opt.name = "upload";
-    upload_opt.sim = sim.sim_id();
-    StagingPool upload(mem_, upload_opt);
+    std::vector<gpusim::DevAddr> upload(
+        std::min<std::uint64_t>(opt.streams, plan.batches));
+    for (gpusim::DevAddr& buffer : upload) buffer = mem_.alloc(slice_cap + 8);
     const std::size_t batch_mark = mem_.mark();
 
     std::vector<double> completion;  // per batch: D2H end on the timeline
@@ -381,21 +378,10 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       trace.chunk_bytes = g.chunk_bytes;
       trace.threads_per_block = g.threads_per_block;
 
-      // Upload staging lease: held from H2D start to KERNEL end (the kernel
-      // is the last reader of the staged slice). The pool hands back the
-      // buffer that drains earliest, and the stream waits for it, which
-      // orders the H2D after the last kernel that read the buffer. The
-      // single-threaded driver releases every lease within its iteration,
-      // so the pool cannot be exhausted here (value() is safe).
-      const StagingPool::Lease up = upload.try_acquire().value();
-      if (tel.recorder != nullptr) {
-        tel.recorder->record(telemetry::FlightEventKind::kLeaseGrant, tel.shard,
-                             up.index, 0, /*code=*/0);
+      if (tel.recorder != nullptr)
         tel.recorder->record(telemetry::FlightEventKind::kBatchIssue, tel.shard,
                              b, trace.staged_bytes);
-      }
-      const gpusim::DevAddr dst = up.addr;
-      sim.wait_until(stream, up.ready);
+      const gpusim::DevAddr dst = upload[stream];
 
       const void* payload = slice_text.data();
       if (symbols) {
@@ -468,13 +454,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
           static_cast<double>(trace.staged_bytes),
           trace.kernel_seconds +
               static_cast<double>(trace.output_bytes) / config_.pcie_bytes_per_second);
-
-      // The kernel was the last reader of the staged slice: the upload
-      // buffer recycles at kernel end, not D2H end.
-      upload.release(up.index, sim.stream_ready(stream));
-      if (tel.recorder != nullptr)
-        tel.recorder->record(telemetry::FlightEventKind::kLeaseRelease,
-                             tel.shard, up.index, 0, /*code=*/0);
 
       // Issue the PREVIOUS batch's D2H now that this batch's H2D and kernel
       // are in the copy/compute queues, then hold this one back in turn.

@@ -13,16 +13,16 @@
 //   compute:          [krn b0][krn b1][krn b2]...
 //   readback:                 [D2H b0][D2H b1]...
 //
-// Staging has one shape. The upload pool (pipeline/staging_pool.h) holds
-// min(2 x streams, batches) slice buffers, each leased from H2D start to
-// KERNEL end (the kernel is the last reader of the staged input). Batch b's
-// H2D queues on its stream behind batch b - streams's kernel, and the
-// buffer it is handed was freed by batch b - 2 x streams's kernel, earlier
-// still, so the lease never delays an op. Readback runs on its own DMA queue
-// (the PCIe link is full duplex), so an upload and a readback proceed
-// simultaneously and throughput approaches the upload-bound limit
-// serial(copy+compute)/max(h2d, kernel, d2h). The driver issues each batch's
-// D2H after the NEXT batch's H2D + kernel (software-pipelined issue order).
+// Staging has one shape: one upload buffer per stream (min(streams,
+// batches) of them). Batch b stages into buffer b mod streams, on stream
+// b mod streams, so its H2D queues on that stream behind batch
+// b - streams's kernel, the last reader of the buffer, and stream order
+// alone keeps the upload off a slice still being scanned. Readback runs on
+// its own DMA queue (the PCIe link is full duplex), so an upload and a
+// readback proceed simultaneously and throughput approaches the
+// upload-bound limit serial(copy+compute)/max(h2d, kernel, d2h). The driver
+// issues each batch's D2H after the NEXT batch's H2D + kernel
+// (software-pipelined issue order).
 //
 // Correctness at batch boundaries uses the same X-byte overlap rule as
 // ac/chunking.h, one level up: each batch's device slice carries
@@ -84,9 +84,8 @@ struct TelemetryOptions {
   telemetry::MetricsRegistry* metrics = nullptr;
   telemetry::Tracer* tracer = nullptr;
   /// Always-on flight recorder (telemetry/flight_recorder.h): batch
-  /// issue/retire, staging-lease and serve admission events land in its
-  /// per-thread rings for postmortem dumps. Null = no recording (a branch
-  /// per event).
+  /// issue/retire and serve admission events land in its per-thread rings
+  /// for postmortem dumps. Null = no recording (a branch per event).
   telemetry::FlightRecorder* recorder = nullptr;
   /// Prepended to every published series name ("device.3." turns
   /// pipeline.runs into device.3.pipeline.runs). The cluster tier sets it
@@ -106,8 +105,8 @@ struct PipelineOptions {
   kernels::StoreScheme scheme = kernels::StoreScheme::kDiagonal;
 
   /// Streams (pipeline lanes) to cycle batches across. 1 = no overlap (the
-  /// baseline the BENCH_pipeline numbers compare against). The upload pool
-  /// holds 2 buffers per stream.
+  /// baseline the BENCH_pipeline numbers compare against). Each stream
+  /// stages its batches into its own upload buffer.
   std::uint32_t streams = 2;
   /// Owned input bytes per batch (the device slice adds the overlap carry),
   /// as a ceiling: a run never takes fewer than ceil(text / batch_bytes)
@@ -156,7 +155,7 @@ struct PipelineOptions {
   /// shadow would misread a reused match-buffer address as a write race.
   gpusim::AccessObserver* observer = nullptr;
   /// Host-pipeline audit hook (gpusim/host_observer.h): records every stream
-  /// op, staging lease, and ordering edge of the run for the hostcheck
+  /// op, staged-slice access, and ordering edge of the run for the hostcheck
   /// happens-before auditor. Orthogonal to `observer` (which audits device
   /// thread interleavings inside one kernel). Null = off, zero cost; an
   /// Engine left at null inherits its Device's observer.

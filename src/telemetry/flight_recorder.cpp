@@ -18,13 +18,9 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kEviction: return "eviction";
     case FlightEventKind::kBatchIssue: return "batch_issue";
     case FlightEventKind::kBatchRetire: return "batch_retire";
-    case FlightEventKind::kLeaseGrant: return "lease_grant";
-    case FlightEventKind::kLeaseRelease: return "lease_release";
     case FlightEventKind::kShardFailure: return "shard_failure";
     case FlightEventKind::kShardRestore: return "shard_restore";
     case FlightEventKind::kHealthTransition: return "health_transition";
-    case FlightEventKind::kHazard: return "hazard";
-    case FlightEventKind::kError: return "error";
     case FlightEventKind::kMark: return "mark";
   }
   return "?";

@@ -2,12 +2,12 @@
 //
 // Metrics aggregate away the story and traces are too heavy to leave on in
 // production; the flight recorder sits between them: every thread appends
-// compact 32-byte binary events (admission, batch issue/retire, staging
-// lease grant/release, shard failure, hazard) into its own fixed-size ring
-// buffer, overwriting the oldest — so at any moment the recorder holds the
-// fleet's last moments at a cost of four relaxed atomic stores per event.
-// When something dies (Router::mark_failed, a hazard report, a fatal
-// Status) or someone asks (dump()), the rings are merged, time-sorted, and
+// compact 32-byte binary events (admission, batch issue/retire, shard
+// failure, health transition) into its own fixed-size ring buffer,
+// overwriting the oldest — so at any moment the recorder holds the fleet's
+// last moments at a cost of four relaxed atomic stores per event. When
+// something dies (Router::mark_failed) or someone asks
+// (write_postmortem()), the rings are merged, time-sorted, and
 // serialized to a postmortem JSON joined with a metrics snapshot: evidence
 // of what every thread was doing in the window before the failure.
 //
@@ -41,14 +41,10 @@ enum class FlightEventKind : std::uint8_t {
   kEviction = 2,       ///< LRU session evicted a=session id
   kBatchIssue = 3,     ///< pipeline batch H2D  a=batch index, b=staged bytes
   kBatchRetire = 4,    ///< pipeline batch D2H  a=batch index, b=output bytes
-  kLeaseGrant = 5,     ///< staging lease out   a=buffer index, code=pool class
-  kLeaseRelease = 6,   ///< staging lease back  a=buffer index, code=pool class
-  kShardFailure = 7,   ///< device marked failed
-  kShardRestore = 8,   ///< device restored
-  kHealthTransition = 9,  ///< a=from HealthState, b=to HealthState
-  kHazard = 10,        ///< auditor-detected hazard, code=hazard kind
-  kError = 11,         ///< fatal/unexpected Status, code=StatusCode
-  kMark = 12,          ///< caller-defined marker (tests, tools)
+  kShardFailure = 5,   ///< device marked failed
+  kShardRestore = 6,   ///< device restored
+  kHealthTransition = 7,  ///< a=from HealthState, b=to HealthState
+  kMark = 8,           ///< caller-defined marker (tests, tools)
 };
 
 const char* to_string(FlightEventKind kind);

@@ -157,20 +157,6 @@ TEST(StreamSim, EventsOrderAcrossStreams) {
   EXPECT_DOUBLE_EQ(sim.timeline().back().start, 4e-6);
 }
 
-TEST(StreamSim, WaitUntilDelaysNextOpOnly) {
-  DeviceMemory mem(1 << 20);
-  StreamSim sim(test_config(), mem);
-  const StreamId s = sim.create_stream();
-
-  sim.wait_until(s, 7e-6);
-  sim.charge_kernel(s, 1e-6, "k1");
-  sim.charge_kernel(s, 1e-6, "k2");
-
-  const auto& ops = sim.timeline();
-  EXPECT_DOUBLE_EQ(ops[0].start, 7e-6);
-  EXPECT_DOUBLE_EQ(ops[1].start, 8e-6);  // no residual delay
-}
-
 TEST(StreamSim, StreamReadyTracksLastOp) {
   DeviceMemory mem(1 << 20);
   StreamSim sim(test_config(), mem);

@@ -1,14 +1,17 @@
 // End-to-end audit tests: the REAL pipeline and serve layers, driven under
 // the Recorder over oracle workloads, must be hazard-free at every stream
-// count — the pipeline's lease/wait_until handshake orders
-// every conflicting access by construction, and the audit proves it (the
-// broken-schedule tests prove the auditor is not simply blind).
+// count — each batch stages into its own stream's upload buffer, so stream
+// order puts every upload after the kernel that last read the buffer, and
+// the audit proves it (the broken-schedule tests prove the auditor is not
+// simply blind).
 #include "hostcheck/audit.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -35,27 +38,37 @@ TEST(HostcheckAudit, ConfigNamesRoundTrip) {
 }
 
 TEST(HostcheckAudit, ConformantPipelineAuditsCleanAcrossGeometries) {
-  const oracle::CompiledWorkload w = workload(11, 0);
+  // A text long enough that every config runs more batches than streams + 1
+  // at the audit's 1 KB batches, so each config rewrites its upload buffers
+  // and a buffer handed to a different stream would surface as upload-reuse.
+  std::uint64_t most_streams = 0;
+  for (const HostAuditConfig& config : default_config_matrix())
+    most_streams = std::max<std::uint64_t>(most_streams, config.streams);
+  oracle::Workload raw = oracle::generate_workload(11, 0);
+  const std::string unit = raw.text;
+  ASSERT_FALSE(unit.empty());
+  while (raw.text.size() <= (most_streams + 1) * HostAuditSpec{}.batch_bytes)
+    raw.text += unit;
+  const oracle::CompiledWorkload w(std::move(raw));
   for (const HostAuditConfig& config : default_config_matrix()) {
     const HostAuditOutcome outcome = audit_pipeline(w, config);
     EXPECT_TRUE(outcome.report.clean())
         << to_string(config) << ": " << outcome.report.total_hazards()
         << " hazard(s)";
     EXPECT_TRUE(outcome.matches_ok) << to_string(config);
-    // The audit saw real work: ops on the timeline, annotated accesses, and
-    // upload leases all balanced by releases.
-    EXPECT_GT(outcome.report.ops, 0u) << to_string(config);
-    EXPECT_GT(outcome.report.accesses, 0u) << to_string(config);
-    EXPECT_GT(outcome.report.leases, 0u) << to_string(config);
-    EXPECT_EQ(outcome.report.leases, outcome.report.releases)
+    // The audit saw real work: an H2D, a kernel and a D2H per batch, and
+    // an annotated write and read of each batch's staged slice.
+    EXPECT_EQ(outcome.report.ops % 3, 0u) << to_string(config);
+    EXPECT_GT(outcome.report.ops / 3, config.streams + 1u) << to_string(config);
+    EXPECT_EQ(outcome.report.accesses, 2 * outcome.report.ops / 3)
         << to_string(config);
   }
 }
 
 TEST(HostcheckAudit, RepeatedScansOnOneEngineStayClean) {
-  // Back-to-back scans recycle the device arena, so the second scan's pools
-  // land on the first scan's addresses — the analyzer must attribute each
-  // access to the pool that is live at that point, not the dead one.
+  // Back-to-back scans recycle the device arena, so the second scan's upload
+  // buffers land on the first scan's addresses. Each scan is its own sim,
+  // and the analyzer never compares accesses across sims.
   const oracle::CompiledWorkload w = workload(13, 1);
   Recorder recorder;
   EngineOptions eo;
@@ -182,7 +195,7 @@ TEST(HostcheckAudit, PublishesHostcheckSeries) {
   ASSERT_TRUE(snapshot.value("hostcheck.hazards").has_value());
   EXPECT_EQ(snapshot.value("hostcheck.hazards"), 0.0);
   EXPECT_TRUE(snapshot.value("hostcheck.ops").has_value());
-  EXPECT_TRUE(snapshot.value("hostcheck.hazard.use_after_release").has_value());
+  EXPECT_TRUE(snapshot.value("hostcheck.hazard.upload_reuse").has_value());
 }
 
 }  // namespace

@@ -61,33 +61,14 @@ TEST(HostcheckBroken, SkippedEventWaitFingersProducerAndConsumer) {
   EXPECT_EQ(h->find("second")->number_at("op"), 1.0);
 }
 
-TEST(HostcheckBroken, EarlyReleaseFingersTheKernelStillReading) {
-  const telemetry::JsonValue json = json_report(BrokenSchedule::kEarlyRelease);
-  const telemetry::JsonValue* h = find_hazard(json, "release-while-in-flight");
+TEST(HostcheckBroken, WriteDuringD2HFingersTheDrainAndTheOverwrite) {
+  const telemetry::JsonValue json = json_report(BrokenSchedule::kWriteDuringD2H);
+  const telemetry::JsonValue* h = find_hazard(json, "write-during-d2h");
   ASSERT_NE(h, nullptr);
-  // Op 0 is the H2D whose end the buggy release declared as the drain time;
-  // op 1 is the kernel whose read outlives it.
-  EXPECT_EQ(h->find("first")->number_at("op"), 1.0);
-  EXPECT_EQ(h->find("pool")->number(), 0.0);
-  EXPECT_EQ(h->find("buffer")->number(), 0.0);
-}
-
-TEST(HostcheckBroken, ReleaseBeforeD2HFingersTheDrainCopy) {
-  const telemetry::JsonValue json =
-      json_report(BrokenSchedule::kReleaseBeforeD2H);
-  const telemetry::JsonValue* h = find_hazard(json, "release-while-in-flight");
-  ASSERT_NE(h, nullptr);
-  // Op 0 is the kernel, op 1 the D2H still draining past the declared time.
-  EXPECT_EQ(h->find("first")->number_at("op"), 1.0);
-}
-
-TEST(HostcheckBroken, UseAfterReleaseFingersTheStaleH2D) {
-  const telemetry::JsonValue json =
-      json_report(BrokenSchedule::kUseAfterRelease);
-  const telemetry::JsonValue* h = find_hazard(json, "use-after-release");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->find("first")->number_at("op"), 0.0);  // the only op
-  EXPECT_EQ(h->find("buffer")->number(), 0.0);
+  // Op 0 is the D2H draining the range on stream 0, op 1 the H2D that
+  // overwrites it from stream 1.
+  EXPECT_EQ(h->find("first")->number_at("op"), 0.0);
+  EXPECT_EQ(h->find("second")->number_at("op"), 1.0);
 }
 
 TEST(HostcheckBroken, LockInversionReportsTheFullCycle) {

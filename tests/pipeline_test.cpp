@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "ac/serial_matcher.h"
@@ -225,11 +228,11 @@ TEST(Pipeline, TimelineShowsOverlapWithTwoStreams) {
   EXPECT_EQ(got.value().timeline.size(), 3 * 16u);
 }
 
-TEST(Pipeline, NoLeaseMovesAnOp) {
-  // The upload pool holds 2 buffers per stream, and the buffer a batch is
-  // handed was freed by a kernel that ended before the batch's stream was
-  // ready anyway. So every op starts exactly when its stream and its queue
-  // (upload, compute, readback) are both free: no staging wait moves it.
+TEST(Pipeline, EveryOpStartsWhenItsStreamAndQueueAreFree) {
+  // Each stream stages into its own upload buffer, whose last reader is the
+  // stream's previous kernel, so the pipeline adds no wait of its own: every
+  // op starts exactly when its stream and its queue (upload, compute,
+  // readback) are both free.
   const ac::Dfa dfa =
       ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
   const std::string packed_text = random_text(48u << 10, 47);
@@ -265,8 +268,9 @@ TEST(Pipeline, NoLeaseMovesAnOp) {
 TEST(Pipeline, MakespanIsMonotonicInStreams) {
   // The historical plateau bug: streams=4 produced a byte-identical timeline
   // to streams=2 because the fixed double-buffer held each slot until D2H
-  // end. With the upload pool + dedicated readback queue, overlap must
-  // strictly beat serial staging, and extra lanes must never be slower.
+  // end. With per-stream upload buffers and a dedicated readback queue,
+  // overlap must strictly beat serial staging, and extra lanes must never
+  // be slower.
   // (The strict streams=4 < streams=2 separation is a bench-regime property
   // — the 8000-pattern gate in bench/check_regression enforces it.)
   gpusim::DeviceMemory mem(128u << 20);
@@ -390,25 +394,35 @@ TEST(PipelineBatchSplit, OneLaneSplitsOnlyAtTheCeiling) {
             (std::vector<std::uint64_t>{174763, 174763, 174762}));
 }
 
-TEST(PipelineBatchSplit, RunAllocatesOneUploadBufferPerBatchUpToThePoolDepth) {
-  // Four streams resolve a pool of eight upload buffers; a run of fewer
-  // batches allocates only the buffers it leases.
+TEST(PipelineBatchSplit, RunAllocatesOneUploadBufferPerBatchUpToTheStreamCount) {
+  // Four streams stage into four upload buffers, batch b into buffer
+  // b mod 4 on stream b mod 4, so each buffer is written from one stream;
+  // a run of fewer batches allocates only the buffers it writes. Counts the
+  // distinct H2D destinations in the recorder's access records.
   const auto upload_buffers = [](std::size_t text_bytes) {
     hostcheck::Recorder recorder;
     PipelineOptions opt;
     opt.streams = 4;
     opt.host_observer = &recorder;
     const PipelineResult r = split_run(random_bytes(text_bytes, 10), opt);
-    const hostcheck::HostTrace trace = recorder.trace();
-    for (const hostcheck::PoolInfo& pool : trace.pools)
-      if (pool.name == "upload")
-        return std::pair{r.stats.batches, std::uint64_t{pool.buffers}};
-    ADD_FAILURE() << "no upload pool registered";
-    return std::pair<std::uint64_t, std::uint64_t>{};
+    std::map<std::uint64_t, gpusim::HostOpRecord> ops;         // by op id
+    std::map<std::uint64_t, std::set<std::uint32_t>> writers;  // by address
+    for (const hostcheck::HostTrace::Record& record : recorder.trace().records) {
+      if (const auto* op = std::get_if<gpusim::HostOpRecord>(&record)) {
+        ops[op->op] = *op;
+      } else if (const auto* access = std::get_if<gpusim::HostAccessRecord>(&record)) {
+        const gpusim::HostOpRecord& writer = ops.at(access->op);
+        if (writer.kind == gpusim::HostOpKind::kH2D)
+          writers[access->addr].insert(writer.stream);
+      }
+    }
+    for (const auto& [addr, streams] : writers)
+      EXPECT_EQ(streams.size(), 1u) << "upload buffer at " << addr;
+    return std::pair{r.stats.batches, std::uint64_t{writers.size()}};
   };
   EXPECT_EQ(upload_buffers(32u << 10), (std::pair<std::uint64_t, std::uint64_t>{1, 1}));
   EXPECT_EQ(upload_buffers(512u << 10), (std::pair<std::uint64_t, std::uint64_t>{4, 4}));
-  EXPECT_EQ(upload_buffers(4u << 20), (std::pair<std::uint64_t, std::uint64_t>{10, 8}));
+  EXPECT_EQ(upload_buffers(4u << 20), (std::pair<std::uint64_t, std::uint64_t>{10, 4}));
 }
 
 TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
