@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   std::printf("best deep-stream (>= 4) overlap efficiency at largest dictionary: "
               "%.4f\n",
               result.best_deep_stream_efficiency());
-  std::printf("with two upload buffers per stream and a dedicated readback "
+  std::printf("with one upload buffer per stream and a dedicated readback "
               "queue, uploads, kernels, and readbacks of different batches "
               "run concurrently; the end-to-end win approaches "
               "serial(copy+compute) / max(h2d, compute, d2h).\n");

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const ac::Dfa dfa = ac::build_dfa(workload::extract_patterns(pool, ec), 8);
   gpusim::DeviceMemory mem(1ull << 30);
   const kernels::DeviceDfa ddfa(mem, dfa);
-  const auto addr = kernels::upload_text(mem, input);
+  const auto addr = kernels::upload_class_text(mem, ddfa, input);
 
   Table table;
   table.set_header({"threads/block", "chunk", "staged/block", "blocks/SM",

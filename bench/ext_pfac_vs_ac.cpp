@@ -48,14 +48,16 @@ int main(int argc, char** argv) {
         max_size + dfa.stt_bytes() * 2 + (max_size + 4096) * 24 + (64 << 20)));
     const kernels::DeviceDfa ddfa(mem, dfa);
     const kernels::DevicePfac dpfac(mem, pfac);
+    // PFAC reads bytes, the AC kernel byte classes.
     const auto text_addr = kernels::upload_text(mem, corpus);
+    const auto class_addr = kernels::upload_class_text(mem, ddfa, corpus);
 
     for (const std::uint64_t size : sizes) {
       std::size_t mark = mem.mark();
       kernels::AcLaunchSpec ac_spec;
       ac_spec.approach = kernels::Approach::kShared;
       const auto ac_out =
-          kernels::run_ac_kernel(cfg, mem, ddfa, text_addr, size, ac_spec);
+          kernels::run_ac_kernel(cfg, mem, ddfa, class_addr, size, ac_spec);
       mem.release(mark);
 
       mark = mem.mark();

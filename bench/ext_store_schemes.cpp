@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const ac::Dfa dfa = ac::build_dfa(workload::extract_patterns(pool, ec), 8);
     gpusim::DeviceMemory mem(1ull << 30);
     const kernels::DeviceDfa ddfa(mem, dfa);
-    const auto addr = kernels::upload_text(mem, input);
+    const auto addr = kernels::upload_class_text(mem, ddfa, input);
 
     auto run = [&](kernels::StoreScheme scheme) {
       kernels::AcLaunchSpec spec;

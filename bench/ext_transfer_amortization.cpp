@@ -4,6 +4,8 @@
 // x16 transfer model over the sweep results: how many scans of the input
 // amortise the STT upload, and what end-to-end throughput looks like when
 // the input copy is charged on every scan.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -48,8 +50,9 @@ int main(int argc, char** argv) {
     const double kernel = r.shared.seconds;
     const double end_to_end =
         static_cast<double>(r.text_bytes) * 8.0 / (kernel + text_copy) / 1e9;
-    // Scans after which the one-time STT copy is <1% of accumulated kernel time.
-    const double scans = stt_copy / (0.01 * kernel);
+    // Scans after which the one-time STT copy is <1% of accumulated kernel
+    // time, at least the one scan it is copied for.
+    const double scans = std::max(1.0, std::ceil(stt_copy / (0.01 * kernel)));
     char scans_s[16];
     std::snprintf(scans_s, sizeof scans_s, "%.0f", scans);
     table.add_row({std::to_string(r.pattern_count),

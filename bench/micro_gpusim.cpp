@@ -53,7 +53,7 @@ void BM_SimulationRate(benchmark::State& state) {
   const ac::Dfa dfa = ac::build_dfa(workload::extract_patterns(text, ec), 8);
   DeviceMemory mem(64 << 20);
   const kernels::DeviceDfa ddfa(mem, dfa);
-  const auto text_addr = kernels::upload_text(mem, text);
+  const auto text_addr = kernels::upload_class_text(mem, ddfa, text);
   kernels::AcLaunchSpec spec;
   spec.approach = kernels::Approach::kShared;
   spec.sim.mode = SimMode::Timed;

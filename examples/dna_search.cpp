@@ -46,7 +46,10 @@ int main(int argc, char** argv) {
   const kernels::DeviceDfa device_dfa(device, dfa);
   const ac::PfacAutomaton pfac(motifs);
   const kernels::DevicePfac device_pfac(device, pfac);
+  // PFAC reads bytes, the AC kernel byte classes.
   const gpusim::DevAddr text_addr = kernels::upload_text(device, genome);
+  const gpusim::DevAddr class_addr =
+      kernels::upload_class_text(device, device_dfa, genome);
 
   Table table;
   table.set_header({"kernel", "sim time", "Gbps", "speedup vs serial", "tex hit"});
@@ -66,7 +69,7 @@ int main(int argc, char** argv) {
     spec.approach = approach;
     const std::size_t mark = device.mark();
     const auto out =
-        kernels::run_ac_kernel(gpu, device, device_dfa, text_addr, genome.size(), spec);
+        kernels::run_ac_kernel(gpu, device, device_dfa, class_addr, genome.size(), spec);
     device.release(mark);
     add_row(name, out.sim.seconds, out.sim.metrics.tex_hit_rate());
   }

@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
   const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   gpusim::DeviceMemory device(512 * kMiB);
   const kernels::DeviceDfa device_dfa(device, dfa);
-  const gpusim::DevAddr text_addr = kernels::upload_text(device, traffic);
+  const gpusim::DevAddr text_addr =
+      kernels::upload_class_text(device, device_dfa, traffic);
 
   kernels::AcLaunchSpec spec;
   spec.approach = kernels::Approach::kShared;

@@ -153,7 +153,7 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
         gpusim::DeviceMemory mem = make_device(w.text().size(), threads,
                                                capacity, w.dfa().stt_bytes());
         const kernels::DeviceDfa ddfa(mem, w.dfa());
-        const auto addr = kernels::upload_text(mem, w.text());
+        const auto addr = kernels::upload_class_text(mem, ddfa, w.text());
         auto matches =
             kernels::run_ac_kernel(cfg, mem, ddfa, addr, w.text().size(), ls)
                 .matches;

@@ -80,7 +80,7 @@ struct PointResult {
   std::uint64_t text_bytes = 0;
   std::uint32_t pattern_count = 0;
   std::uint32_t dfa_states = 0;
-  double stt_mbytes = 0;
+  double stt_mbytes = 0;  ///< the device STT the dictionary uploads
 
   // Serial baseline: modeled Core2 (drives the figures) + host wall-clock
   // on this machine (reported for transparency).

@@ -60,7 +60,11 @@ HostAuditOutcome audit_pipeline(const CompiledWorkload& workload,
       // upload is part of the audited schedule.
       EngineOptions eo;
       eo.streams = config.streams;
-      eo.batch_bytes = spec.batch_bytes;
+      // At most text / (streams + 2) bytes a batch: at least streams + 2
+      // batches, so every stream count rewrites an upload buffer its stream
+      // last staged, with a batch on every other stream in between.
+      eo.batch_bytes = std::clamp<std::uint64_t>(
+          workload.text().size() / (config.streams + 2), 1, spec.batch_bytes);
       eo.match_capacity = capacity;
       DeviceOptions dopt;
       dopt.host_observer = &recorder;  // the engine inherits it

@@ -35,6 +35,8 @@ const std::vector<HostAuditConfig>& default_config_matrix();
 struct HostAuditSpec {
   /// Owned bytes per pipeline batch — small, so even oracle-sized texts
   /// (0.5–8 KB) split into several batches and recycle upload buffers.
+  /// audit_pipeline lowers it to text / (streams + 2) where that is
+  /// smaller, so every stream count reuses an upload buffer.
   std::uint64_t batch_bytes = 1024;
   /// Feeder threads for the serve audit (each opens its own session).
   std::uint32_t serve_threads = 2;

@@ -55,7 +55,7 @@ struct KParams {
   std::uint32_t compute_per_byte = 0;
 };
 
-/// STT column per lane: 1 + the scanned byte.
+/// STT column per lane: the scanned symbol, a byte class id (device_dfa.h).
 using Columns = std::array<std::uint32_t, L>;
 
 /// Warp instructions of the overlap-exit test, charged on every step from
@@ -347,7 +347,7 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
       co_await w.global_load_u8();
     }
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
-      if (scanning[l]) col[l] = 1 + (w.value[l] & 0xff);
+      if (scanning[l]) col[l] = w.value[l] & 0xff;
 
     // State transition: one STT lookup per byte (texture or global ablation).
     w.mask = scanning;
@@ -432,6 +432,11 @@ gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text) {
   mem.copy_in(addr, text.data(), text.size());
   mem.fill(addr + text.size(), 0, 8);
   return addr;
+}
+
+gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
+                                  std::string_view text) {
+  return upload_text(mem, ddfa.classes().map(text));
 }
 
 namespace {

@@ -7,19 +7,21 @@
 //    StoreScheme), synchronises, then matches out of shared memory. Its
 //    input may also arrive packed at 2 or 6 bits per symbol
 //    (packed_text.h): the staging then expands every packed group of four
-//    codes into the four bytes the byte path would have stored, and the
+//    codes into the four symbols the byte path would have stored, and the
 //    shared store onwards is unchanged. 2-bit codes expand in registers; each
 //    warp stages 6-bit codes from one coalesced load of its 24 packed words,
 //    which it passes to its lanes through a per-warp exchange in shared
-//    memory, and turns each code into its byte through its own copy of the
-//    64-byte symbol table beside the exchange.
+//    memory, and turns each code into its symbol through its own copy of
+//    the 64-byte symbol table beside the exchange.
 //
-// Both kernels use the same matching loop, the same X-byte chunk-overlap
-// rule as ac/chunking.h (a thread leaves the overlap once no match starting
-// in its chunk can still end: match_flag.h's depth field), and write one
-// word per match, accepting state x S + scan offset, to a slot-major
-// MatchBuffer plus a u16 count per thread; the host decodes the words and
-// expands each state's output set through the DFA.
+// Both kernels scan text mapped to the DFA's byte classes (device_dfa.h):
+// each staged or loaded symbol is a class id, which is the texture column of
+// its transition. Both use the same matching loop, the same X-byte
+// chunk-overlap rule as ac/chunking.h (a thread leaves the overlap once no
+// match starting in its chunk can still end: match_flag.h's depth field),
+// and write one word per match, accepting state x S + scan offset, to a
+// slot-major MatchBuffer plus a u16 count per thread; the host decodes the
+// words and expands each state's output set through the DFA.
 #pragma once
 
 #include <cstdint>
@@ -82,13 +84,21 @@ std::uint32_t staged_shared_bytes(std::uint32_t chunk_bytes, std::uint32_t threa
                                   std::uint32_t symbol_bits);
 
 /// Uploads `text` into device memory with enough zero padding for whole-word
-/// staging loads. Returns the device address.
+/// staging loads. Returns the device address. The AC kernel reads byte
+/// classes, so its callers upload with upload_class_text; the compressed and
+/// PFAC kernels read raw bytes.
 gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text);
 
-/// Runs one AC kernel launch over text already resident in device memory.
-/// Allocates a MatchBuffer from `mem` — callers sweeping configurations
-/// should bracket calls with DeviceMemory::mark()/release(). With `symbols`
-/// set, `text_addr` holds the text packed against that table (pack_text,
+/// upload_text of `text` mapped through `ddfa`'s byte classes
+/// (ByteClasses::map): the text run_ac_kernel scans.
+gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
+                                  std::string_view text);
+
+/// Runs one AC kernel launch over text already resident in device memory,
+/// mapped to `ddfa`'s byte classes (upload_class_text). Allocates a
+/// MatchBuffer from `mem` — callers sweeping configurations should bracket
+/// calls with DeviceMemory::mark()/release(). With `symbols` set,
+/// `text_addr` holds the class text packed against that table (pack_text,
 /// followed by 8 zero bytes like upload_text's) and `text_len` still counts
 /// symbols; only Approach::kShared unpacks, and 6-bit text needs whole warps
 /// per block.

@@ -2,12 +2,15 @@
 // that connects the paper's ref [19] (Zha/Scarpazza/Sahni's compressed AC)
 // to the GPU memory hierarchy. The trade-off under study:
 //
-//   dense STT:      1 texel fetch per byte, but a table of states x 257
-//                   ints that thrashes the texture caches at large
+//   dense STT:      1 texel fetch per byte, but a table of states x byte
+//                   classes (device_dfa.h; 56 ints a row for English
+//                   dictionaries) that thrashes the texture caches at large
 //                   dictionary sizes;
-//   compressed STT: the table shrinks 10-60x (bitmap rows + explicit
-//                   targets + a shared-memory root row), so the caches stay
-//                   hot, at the price of up to three fetches per byte.
+//   compressed STT: the table is 10-60x smaller than a byte-wide one and
+//                   about 2x smaller than the class table (bitmap rows +
+//                   explicit targets + a shared-memory root row), so the
+//                   caches stay hotter, at the price of up to three fetches
+//                   per byte.
 //
 // Device layout: a "rows" texture of 17 int32 columns per state (8 bitmap
 // words, 8 prefix-popcount bases, 1 output id), a "targets" texture holding

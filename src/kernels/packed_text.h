@@ -1,11 +1,13 @@
-// Input packing for text of at most 64 distinct byte values. The host codes
-// every byte against the text's own sorted symbol table and ships fixed-width
-// codes: 2 bits per symbol when the text holds at most four values (the DNA
-// regime of Thambawita et al. and Kouzinopoulos et al., PAPERS.md), 6 bits
-// when it holds at most 64 (natural-language text). The shared-memory staging
-// of ac_kernel.h turns each group of four codes back into the word the byte
-// path would have staged, so the matching phase reads exact bytes and never
-// sees the packing.
+// Input packing for text of at most 64 distinct symbol values. The AC
+// kernel's symbols are the DFA's byte-class ids (device_dfa.h), so the
+// pipeline packs the class text: bytes in no pattern share one value. The
+// host codes every symbol against the text's own sorted symbol table and
+// ships fixed-width codes: 2 bits per symbol when the text holds at most four
+// values (the DNA regime of Thambawita et al. and Kouzinopoulos et al.,
+// PAPERS.md), 6 bits when it holds at most 64 (natural-language text). The
+// shared-memory staging of ac_kernel.h turns each group of four codes back
+// into the word the byte path would have staged, so the matching phase reads
+// the same class ids either way and never sees the packing.
 //
 // Symbols 4q .. 4q + 3, the text's word q, pack as:
 //  - 2 bits: packed byte q, as two bit planes: bit k is the low bit of

@@ -253,7 +253,7 @@ class GpuAcMatcher final : public Matcher {
       spec.match_capacity = capacity;
       gpusim::DeviceMemory mem = make_device(w, threads, capacity, w.dfa().stt_bytes());
       const kernels::DeviceDfa ddfa(mem, w.dfa());
-      const auto addr = kernels::upload_text(mem, w.text());
+      const auto addr = kernels::upload_class_text(mem, ddfa, w.text());
       return kernels::run_ac_kernel(cfg, mem, ddfa, addr, w.text().size(), spec)
           .matches;
     });

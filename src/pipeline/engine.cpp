@@ -54,7 +54,8 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
   // mark; uploading inside that region would be released under us.
   std::scoped_lock lock(device.scan_mutex());
   gpusim::DeviceMemory& mem = device.memory();
-  const std::size_t needed = kernels::DeviceDfa::upload_bytes(*compiled.dfa);
+  const kernels::ByteClasses classes = kernels::byte_classes(*compiled.dfa);
+  const std::size_t needed = kernels::DeviceDfa::upload_bytes(*compiled.dfa, classes);
   if (const std::size_t free_bytes = mem.available(); needed > free_bytes)
     return Status::capacity_exceeded(
         "the automaton upload needs " + std::to_string(needed) +
@@ -62,7 +63,8 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
         " B free");
   engine.upload_mark_ = mem.mark();
   try {
-    engine.ddfa_ = std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa);
+    engine.ddfa_ =
+        std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa, classes);
     engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
         device.gpu(), mem, *engine.ddfa_, std::move(opts));
   } catch (const std::exception& e) {

@@ -272,9 +272,13 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
   const ac::Dfa& dfa = ddfa_.host_dfa();
   const std::uint32_t max_len = ddfa_.max_pattern_length();
+  // The device alphabet is the DFA's byte classes (kernels/device_dfa.h):
+  // every slice packs and ships from the text mapped once here.
+  const std::string class_text = ddfa_.classes().map(text);
   const std::uint32_t text_bits =
-      opt.variant == KernelVariant::kShared ? kernels::symbol_bits(kernels::symbol_table(text))
-                                            : 8;
+      opt.variant == KernelVariant::kShared
+          ? kernels::symbol_bits(kernels::symbol_table(class_text))
+          : 8;
   const StagingPlan plan =
       resolve_staging(opt, config_, text.size(), text_bits, tail_share(text_bits));
   if (tel.tracer != nullptr) {
@@ -361,10 +365,11 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       const gpusim::StreamId stream = static_cast<gpusim::StreamId>(b % opt.streams);
 
       ACGPU_TRACE_SPAN(tel.tracer, "pipeline.batch");
-      // A kShared slice, overlap carry included, of at most 4 distinct byte
-      // values ships at 2 bits per symbol, one of at most 64 at 6 bits, and
+      // A kShared slice, overlap carry included, of at most 4 distinct
+      // classes ships at 2 bits per symbol, one of at most 64 at 6 bits, and
       // any other as bytes; the kernel's staging unpacks the codes.
-      const std::string_view slice_text = text.substr(base, slice);
+      const std::string_view slice_text =
+          std::string_view(class_text).substr(base, slice);
       const std::optional<kernels::SymbolTable> symbols =
           opt.variant == KernelVariant::kShared ? kernels::symbol_table(slice_text)
                                                 : std::nullopt;

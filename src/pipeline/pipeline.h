@@ -38,12 +38,14 @@
 // byte adds to a batch's kernel and readback relative to its upload; the
 // pipeline fits it over the batches it has run.
 //
-// A kShared slice (carry included) crosses PCIe packed against its own
-// symbol table (kernels/packed_text.h) when it holds at most 64 distinct
-// byte values: at 2 bits per symbol for at most 4 values, at 6 bits for at
-// most 64. The kernel's shared-memory staging unpacks it; every other slice
-// ships as bytes. The width reads the slice's content alone — there is no
-// option for it.
+// The device reads the DFA's byte classes, not bytes
+// (kernels/device_dfa.h), so a run maps its text through the class table
+// once and ships the class text. A kShared slice (carry included) crosses
+// PCIe packed against its own symbol table (kernels/packed_text.h) when it
+// holds at most 64 distinct classes: at 2 bits per symbol for at most 4, at
+// 6 bits for at most 64. The kernel's shared-memory staging unpacks it;
+// every other slice ships one byte per symbol. The width reads the slice's
+// content alone — there is no option for it.
 #pragma once
 
 #include <array>
@@ -179,7 +181,7 @@ struct BatchTrace {
   std::uint64_t issue_index = 0;   ///< timeline op id of the batch's H2D
   std::uint64_t owned_bytes = 0;   ///< bytes this batch reports matches for
   /// Bits per symbol the slice crossed PCIe at: 2 (kShared, at most 4
-  /// distinct bytes in the slice), 6 (kShared, at most 64) or 8 (bytes).
+  /// distinct classes in the slice), 6 (kShared, at most 64) or 8 (bytes).
   std::uint32_t symbol_bits = 8;
   /// H2D payload: owned + overlap carry at symbol_bits bits per symbol.
   std::uint64_t staged_bytes = 0;

@@ -493,6 +493,21 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
     return Status::invalid_argument(
         "snapshot DFA state " + std::to_string(snapshot.dfa_state) +
         " is outside this service's " + std::to_string(states) + " states");
+  // poll() hands the buffered matches back as they are: each must name one
+  // of this DFA's patterns and lie inside the bytes the stream has fed.
+  const ac::Dfa& dfa = im.engine.dfa();
+  for (const ac::Match& m : snapshot.matches) {
+    if (m.pattern < 0 || static_cast<std::size_t>(m.pattern) >= dfa.pattern_count())
+      return Status::invalid_argument(
+          "snapshot match pattern id " + std::to_string(m.pattern) +
+          " is outside this service's " + std::to_string(dfa.pattern_count()) +
+          " patterns");
+    if (m.end >= snapshot.stats.bytes_fed || m.end + 1 < dfa.pattern_length(m.pattern))
+      return Status::invalid_argument(
+          "snapshot match of pattern " + std::to_string(m.pattern) + " ending at " +
+          std::to_string(m.end) + " lies outside the " +
+          std::to_string(snapshot.stats.bytes_fed) + " bytes the session fed");
+  }
   if (im.manager.find(snapshot.id) != nullptr)
     return Status::invalid_argument("session id " +
                                     std::to_string(snapshot.id) +

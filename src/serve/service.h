@@ -194,8 +194,9 @@ class StreamService {
   /// Migration in: restores an exported session under its ORIGINAL id (may
   /// LRU-evict, like open). Fails kInvalidArgument when the id is already
   /// live here, the snapshot's DFA state is not one of this service's DFA
-  /// states (0 <= dfa_state < dfa().state_count()), or the service is shut
-  /// down.
+  /// states (0 <= dfa_state < dfa().state_count()), a buffered match names a
+  /// pattern outside [0, dfa().pattern_count()) or does not lie inside the
+  /// stream's first stats.bytes_fed bytes, or the service is shut down.
   Status import_session(const SessionSnapshot& snapshot);
 
   /// Synchronous mode: scan one coalesced superbatch inline (how kReject

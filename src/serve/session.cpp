@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 namespace acgpu::serve {
@@ -26,6 +27,13 @@ SessionSnapshot Session::snapshot() const {
 }
 
 Status Session::admit_bytes(std::uint64_t n) const {
+  // Match ends are u64 stream offsets, so a feed may not carry bytes_fed past
+  // 2^64 - 1; only an imported snapshot starts that close to it.
+  if (n > std::numeric_limits<std::uint64_t>::max() - stats_.bytes_fed)
+    return Status::capacity_exceeded(
+        "session " + std::to_string(id_) + ": " + std::to_string(n) +
+        " more bytes would carry its stream offset (" + std::to_string(stats_.bytes_fed) +
+        " fed) past 2^64 - 1");
   if (limits_.max_bytes != 0 && stats_.bytes_fed + n > limits_.max_bytes)
     return Status::capacity_exceeded(
         "session " + std::to_string(id_) + ": byte quota " +
@@ -63,10 +71,14 @@ void Session::begin_chunk(std::string_view chunk) {
   for (std::size_t i = 0; i < prefix; ++i) {
     s = dfa_->next(s, static_cast<std::uint8_t>(chunk[i]));
     if (dfa_->is_match(s)) {
-      for (const std::int32_t* p = dfa_->output_begin(s); p != dfa_->output_end(s); ++p)
+      for (const std::int32_t* p = dfa_->output_begin(s); p != dfa_->output_end(s); ++p) {
         // Keep spanning matches only: start = base + i + 1 - len < base.
         // Matches contained in the chunk are the bulk scanner's to report.
-        if (dfa_->pattern_length(*p) > i + 1) deliver_spanning(base + i, *p);
+        // A start before the stream's first byte is impossible unless an
+        // imported snapshot carried a state deeper than its bytes fed.
+        const std::uint32_t len = dfa_->pattern_length(*p);
+        if (len > i + 1 && len <= base + i + 1) deliver_spanning(base + i, *p);
+      }
     }
   }
   if (chunk.size() >= x) {

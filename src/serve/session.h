@@ -61,7 +61,8 @@ struct SessionStats {
 /// pattern length) and the buffered matches are whatever the client has not
 /// polled yet, a snapshot is small no matter how many bytes were fed.
 /// StreamService::import_session refuses a dfa_state outside the importing
-/// DFA's states.
+/// DFA's states, and a buffered match whose pattern id is outside the DFA's
+/// patterns or that does not lie inside the first stats.bytes_fed bytes.
 struct SessionSnapshot {
   SessionId id = 0;
   std::int32_t dfa_state = 0;  ///< carried DFA state
@@ -88,6 +89,7 @@ class Session {
   SessionId id() const { return id_; }
 
   /// Quota admission for `n` more bytes; checked before any state mutates.
+  /// Also refuses a feed that would carry the stream offset past 2^64 - 1.
   Status admit_bytes(std::uint64_t n) const;
 
   /// Boundary continuation for the next chunk: emits every match spanning

@@ -300,11 +300,13 @@ TEST(ClusterRouter, PublishesRouterAndPerDeviceSeries) {
 
 TEST(ClusterRouter, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   ClusterOptions opt = fast_cluster(2);
-  opt.device.memory_bytes = 4096;
+  // The paper's dictionary: 10 states x 8 words (6 byte classes, padded to
+  // a texture line), 320 B.
+  opt.device.memory_bytes = 256;
   const auto r = Router::create(ac::PatternSet({"he", "she", "his", "hers"}), opt);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
-  EXPECT_NE(r.status().message().find("4096 B free"), std::string::npos)
+  EXPECT_NE(r.status().message().find("256 B free"), std::string::npos)
       << r.status().to_string();
 }
 
@@ -312,7 +314,7 @@ TEST(ClusterRouter, DictionaryLargerThanHalfADeviceServesBothPaths) {
   // Sessions and bulk scans share one upload per device. An STT past half
   // the device used to serve sessions and fail every bulk scan, whose
   // second upload ran out of memory.
-  const std::vector<std::string> words = random_words(1000, 17);
+  const std::vector<std::string> words = random_words(2000, 17);
   const std::size_t upload =
       kernels::DeviceDfa::upload_bytes(ac::build_dfa(ac::PatternSet(words), 8));
   const std::size_t device_bytes = upload + (2u << 20);

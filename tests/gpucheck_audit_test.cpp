@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/device_dfa.h"
 #include "kernels/packed_text.h"
 #include "oracle/workload_gen.h"
 #include "telemetry/json.h"
@@ -104,7 +105,8 @@ TEST(GpucheckAudit, PipelinePackedStagingIsCoalescedStagingAtDegreeOne) {
   for (std::uint64_t i = 0; audited < 3; ++i) {
     if (std::string(oracle::workload_family_name(i)) != "overlap-heavy") continue;
     const CompiledWorkload w(oracle::generate_workload(42, i));
-    ASSERT_TRUE(kernels::symbol_table(w.text()).has_value()) << w.name();
+    ASSERT_TRUE(kernels::symbol_table(kernels::byte_classes(w.dfa()).map(w.text())))
+        << w.name();
     const AuditOutcome outcome = audit_workload(AuditTarget::kPipeline, w);
     EXPECT_TRUE(outcome.report.clean()) << w.name();
     EXPECT_TRUE(outcome.matches_ok) << w.name();
@@ -125,7 +127,8 @@ TEST(GpucheckAudit, PipelineSixBitStagingIsCoalescedRaceFreeAndAtDegreeOne) {
   for (std::uint64_t i = 0; audited < 4; ++i) {
     if (std::string(oracle::workload_family_name(i)) != "boundary") continue;
     const CompiledWorkload w(oracle::generate_workload(42, i));
-    const std::optional<kernels::SymbolTable> table = kernels::symbol_table(w.text());
+    const std::optional<kernels::SymbolTable> table =
+        kernels::symbol_table(kernels::byte_classes(w.dfa()).map(w.text()));
     if (!table || table->bits() != 6) continue;
     const AuditOutcome outcome = audit_workload(AuditTarget::kPipeline, w);
     EXPECT_TRUE(outcome.report.clean()) << w.name();

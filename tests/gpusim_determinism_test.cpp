@@ -20,7 +20,7 @@ TEST(Determinism, IdenticalLaunchesIdenticalCycles) {
   auto run_once = [&] {
     DeviceMemory mem(64 << 20);
     const kernels::DeviceDfa ddfa(mem, dfa);
-    const auto addr = kernels::upload_text(mem, text);
+    const auto addr = kernels::upload_class_text(mem, ddfa, text);
     kernels::AcLaunchSpec spec;
     spec.sim.mode = SimMode::Timed;
     return kernels::run_ac_kernel(cfg, mem, ddfa, addr, text.size(), spec);
@@ -49,7 +49,7 @@ TEST(Determinism, FunctionalAndTimedAgreeOnSideEffectsOfSampledBlocks) {
   auto run_mode = [&](SimMode mode) {
     DeviceMemory mem(32 << 20);
     const kernels::DeviceDfa ddfa(mem, dfa);
-    const auto addr = kernels::upload_text(mem, text);
+    const auto addr = kernels::upload_class_text(mem, ddfa, text);
     kernels::AcLaunchSpec spec;
     spec.sim.mode = mode;
     return kernels::run_ac_kernel(cfg, mem, ddfa, addr, text.size(), spec);

@@ -121,8 +121,8 @@ TEST(SweepConfigTest, CacheKeyIsStableAndSensitive) {
   EXPECT_NE(a.cache_key(), SweepConfig::quick().cache_key());
   // Pinned: the key moves with the schema version, which moves whenever the
   // simulated timing does, so a cached sweep of an older model is never
-  // replayed (schema 9: one-word match records and u16 counts).
-  EXPECT_EQ(a.cache_key(), "b61492f9bcd70e22");
+  // replayed (schema 10: the byte-class device STT).
+  EXPECT_EQ(a.cache_key(), "9a5e6455578028fa");
 }
 
 TEST(SweepConfigTest, PaperGridMatchesPaperRanges) {

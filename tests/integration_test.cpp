@@ -35,7 +35,7 @@ TEST(Integration, SnortPipelineEndToEnd) {
   cfg.num_sms = 2;
   gpusim::DeviceMemory mem(32 << 20);
   const kernels::DeviceDfa ddfa(mem, dfa);
-  const auto text_addr = kernels::upload_text(mem, payload);
+  const auto text_addr = kernels::upload_class_text(mem, ddfa, payload);
 
   kernels::AcLaunchSpec spec;
   spec.approach = kernels::Approach::kShared;
@@ -68,7 +68,7 @@ TEST(Integration, DnaPipelineAcrossAllMatchers) {
   cfg.num_sms = 2;
   gpusim::DeviceMemory mem(32 << 20);
   const kernels::DeviceDfa ddfa(mem, dfa);
-  const auto text_addr = kernels::upload_text(mem, genome);
+  const auto text_addr = kernels::upload_class_text(mem, ddfa, genome);
   kernels::AcLaunchSpec spec;
   spec.chunk_bytes = 32;
   spec.threads_per_block = 64;
@@ -99,7 +99,9 @@ TEST(Integration, PfacAgreesWithAcKernelsOnSharedWorkload) {
   const kernels::DeviceDfa ddfa(mem, dfa);
   const ac::PfacAutomaton pfac(patterns);
   const kernels::DevicePfac dpfac(mem, pfac);
+  // PFAC reads bytes, the AC kernel byte classes.
   const auto text_addr = kernels::upload_text(mem, corpus);
+  const auto class_addr = kernels::upload_class_text(mem, ddfa, corpus);
 
   kernels::AcLaunchSpec ac_spec;
   ac_spec.approach = kernels::Approach::kShared;
@@ -107,7 +109,7 @@ TEST(Integration, PfacAgreesWithAcKernelsOnSharedWorkload) {
   ac_spec.threads_per_block = 64;
   ac_spec.sim.mode = gpusim::SimMode::Functional;
   const auto ac_out =
-      kernels::run_ac_kernel(cfg, mem, ddfa, text_addr, corpus.size(), ac_spec);
+      kernels::run_ac_kernel(cfg, mem, ddfa, class_addr, corpus.size(), ac_spec);
 
   kernels::PfacLaunchSpec pfac_spec;
   pfac_spec.sim.mode = gpusim::SimMode::Functional;
@@ -131,7 +133,7 @@ TEST(Integration, DfaSerializationFeedsKernels) {
   cfg.num_sms = 2;
   gpusim::DeviceMemory mem(16 << 20);
   const kernels::DeviceDfa ddfa(mem, loaded);
-  const auto text_addr = kernels::upload_text(mem, text);
+  const auto text_addr = kernels::upload_class_text(mem, ddfa, text);
   kernels::AcLaunchSpec spec;
   spec.approach = kernels::Approach::kShared;
   spec.chunk_bytes = 8;
@@ -157,7 +159,7 @@ TEST(Integration, TexHitRateFallsAsDictionaryGrows) {
     const ac::Dfa dfa = ac::build_dfa(workload::extract_patterns(corpus, ec), 8);
     gpusim::DeviceMemory mem(128 << 20);
     const kernels::DeviceDfa ddfa(mem, dfa);
-    const auto text_addr = kernels::upload_text(mem, corpus);
+    const auto text_addr = kernels::upload_class_text(mem, ddfa, corpus);
     kernels::AcLaunchSpec spec;
     spec.approach = kernels::Approach::kShared;
     spec.sim.mode = gpusim::SimMode::Timed;

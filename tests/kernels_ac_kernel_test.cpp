@@ -43,7 +43,7 @@ struct Fixture {
         text_addr(0),
         text(std::move(text_in)) {
     cfg.num_sms = num_sms;
-    text_addr = upload_text(mem, text);
+    text_addr = upload_class_text(mem, ddfa, text);
   }
 
   AcLaunchOutcome run(Approach approach, StoreScheme scheme,
@@ -66,16 +66,20 @@ struct Fixture {
     return out;
   }
 
-  /// The same launch over the text packed against its symbol table (2 or 6
-  /// bits per symbol), laid out the way the pipeline stages it: packed
+  /// The text mapped to the DFA's byte classes: the kernel's alphabet.
+  std::string class_text() const { return ddfa.classes().map(text); }
+
+  /// The same launch over the class text packed against its symbol table (2
+  /// or 6 bits per symbol), laid out the way the pipeline stages it: packed
   /// bytes, then 8 zero bytes.
   AcLaunchOutcome run_packed(AcLaunchSpec spec) {
     spec.sim.mode = gpusim::SimMode::Functional;
-    const std::optional<SymbolTable> symbols = symbol_table(text);
-    EXPECT_TRUE(symbols.has_value()) << "text has more than 64 distinct bytes";
+    const std::string classes = class_text();
+    const std::optional<SymbolTable> symbols = symbol_table(classes);
+    EXPECT_TRUE(symbols.has_value()) << "text has more than 64 distinct classes";
     const std::size_t mark = mem.mark();
     std::vector<std::uint8_t> packed(packed_size(text.size(), symbols->bits()));
-    pack_text(text, *symbols, packed.data());
+    pack_text(classes, *symbols, packed.data());
     const gpusim::DevAddr addr = mem.alloc(packed.size() + 8);
     mem.copy_in(addr, packed.data(), packed.size());
     mem.fill(addr + packed.size(), 0, 8);
@@ -277,16 +281,21 @@ TEST(AcKernel, SixBitStagedBlockEqualsTheBytePathsAtEveryChunkSchemeAndTail) {
   // region holds the same words, the matches are the same, and the table
   // and exchange add no bank conflict. Lengths 0-3 mod 4 leave every
   // partial last group; 12-64 B chunks span the derived and paper widths.
+  // A doubled-byte pattern per value gives every value its own byte class,
+  // so the class text holds 5 or 64 distinct symbols too.
   for (const std::uint32_t values : {5u, 64u}) {
     for (const std::size_t len : {3000u, 3001u, 3002u, 3003u}) {
       Rng rng(values * 7919 + len);
       std::string text(len, '\0');
       for (char& c : text) c = static_cast<char>(0x30 + rng.next_below(values));
       for (std::uint32_t v = 0; v < values; ++v) text[31 * v] = static_cast<char>(0x30 + v);
-      Fixture f({text.substr(100, 8), text.substr(1500, 5), text.substr(len - 6, 6),
-                 text.substr(700, 2), text.substr(2222, 3)},
-                text);
-      ASSERT_EQ(symbol_table(text)->bits(), 6u);
+      std::vector<std::string> pats = {text.substr(100, 8), text.substr(1500, 5),
+                                       text.substr(len - 6, 6), text.substr(700, 2),
+                                       text.substr(2222, 3)};
+      for (std::uint32_t v = 0; v < values; ++v)
+        pats.emplace_back(2, static_cast<char>(0x30 + v));
+      Fixture f(std::move(pats), text);
+      ASSERT_EQ(symbol_table(f.class_text())->count, values);
       ASSERT_GT(f.expected().size(), 0u);
       for (const std::uint32_t chunk : {12u, 16u, 20u, 32u, 64u})
         for (const StoreScheme scheme : {StoreScheme::kSequential,
@@ -375,6 +384,8 @@ struct SttReads {
   /// Warp steps with a flagged lane that still has one of its `slots` free.
   std::uint64_t storing_warp_steps = 0;
   std::uint64_t warps = 0;
+  /// Scanned (lane, byte) pairs by the byte's class: the STT column read.
+  std::map<std::uint32_t, std::uint64_t> columns;
 };
 
 SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t tpb,
@@ -396,8 +407,10 @@ SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t
       std::uint64_t count = 0;
       std::uint64_t i = 0;
       while (i < end - begin) {
-        state = f.dfa.next(state, static_cast<std::uint8_t>(f.text[begin + i]));
+        const auto byte = static_cast<std::uint8_t>(f.text[begin + i]);
+        state = f.dfa.next(state, byte);
         ++r.lane_bytes;
+        ++r.columns[f.ddfa.classes().of_byte[byte]];
         const std::uint32_t depth = f.dfa.depth(state);
         if (i + 1 >= chunk && depth < ac::Dfa::kMaxDepth && depth <= i + 1 - chunk) {
           ++i;
@@ -440,15 +453,15 @@ constexpr std::pair<Approach, StoreScheme> kEveryKernel[] = {
     {Approach::kShared, StoreScheme::kDiagonal},
 };
 
-/// Counts STT reads of column 0 (the output id) through either placement:
-/// texture fetches at x = 0, and global u32 loads at a row start.
-struct OutputColumnReads final : gpusim::AccessObserver {
+/// Counts STT reads by column through either placement: texture fetches at
+/// x, and global u32 loads inside the STT at their offset in the row.
+struct ColumnReads final : gpusim::AccessObserver {
   gpusim::DevAddr stt_addr = 0;
   std::uint64_t stt_bytes = 0;
   std::uint32_t pitch_bytes = 0;
-  std::uint64_t lanes = 0;
+  std::map<std::uint32_t, std::uint64_t> lanes;  ///< column -> lane reads
 
-  explicit OutputColumnReads(const DeviceDfa& ddfa)
+  explicit ColumnReads(const DeviceDfa& ddfa)
       : stt_addr(ddfa.stt_addr()),
         stt_bytes(ddfa.stt_bytes()),
         pitch_bytes(ddfa.stt_pitch_elems() * 4) {}
@@ -457,10 +470,10 @@ struct OutputColumnReads final : gpusim::AccessObserver {
     for (std::uint32_t l = 0; l < w.lane_count; ++l) {
       if (!w.mask[l]) continue;
       if (kind == gpusim::OpKind::TexFetch) {
-        lanes += w.tex_x[l] == 0;
+        ++lanes[w.tex_x[l]];
       } else if (kind == gpusim::OpKind::GlobalLoadU32 && w.addr[l] >= stt_addr &&
                  w.addr[l] < stt_addr + stt_bytes) {
-        lanes += (w.addr[l] - stt_addr) % pitch_bytes == 0;
+        ++lanes[static_cast<std::uint32_t>((w.addr[l] - stt_addr) % pitch_bytes / 4)];
       }
     }
     return 0;
@@ -468,35 +481,36 @@ struct OutputColumnReads final : gpusim::AccessObserver {
 };
 
 TEST(AcKernel, TextureReadsOneWordPerByteScannedUpToEachLanesExit) {
-  // One texture fetch per byte a lane scans before its overlap exit, and
-  // none of column 0: the transition word says which state accepted. For
-  // both approaches and every store scheme: the reads must not depend on
-  // how the input was staged.
+  // One texture fetch per byte a lane scans before its overlap exit, at the
+  // column of the byte's class: the transition word says which state
+  // accepted, so no other column is read. For both approaches and every
+  // store scheme: the reads must not depend on how the input was staged.
   Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
   const SttReads want = expected_stt_reads(f, 32, 64);
   ASSERT_GT(want.flagged_lane_steps, 0u);
   ASSERT_LT(want.lane_bytes, want.full_lane_bytes);  // the exit saves steps
+  ASSERT_EQ(f.ddfa.classes().count, 6u);  // e, h, r, s, i and the rest
   for (const auto& [approach, scheme] : kEveryKernel) {
-    OutputColumnReads column0(f.ddfa);
+    ColumnReads columns(f.ddfa);
     AcLaunchSpec spec;
     spec.approach = approach;
     spec.scheme = scheme;
     spec.chunk_bytes = 32;
     spec.threads_per_block = 64;
-    spec.sim.observer = &column0;
+    spec.sim.observer = &columns;
     const auto out = f.run(spec);
     SCOPED_TRACE(std::string(to_string(approach)) + " " + to_string(scheme));
     EXPECT_EQ(out.matches.matches, f.expected());
     EXPECT_EQ(out.sim.metrics.tex_lane_fetches, want.lane_bytes);
     EXPECT_EQ(out.sim.metrics.tex_requests, want.warp_steps);
-    EXPECT_EQ(column0.lanes, 0u);
+    EXPECT_EQ(columns.lanes, want.columns);
   }
 }
 
-TEST(AcKernel, GlobalPlacementReadsTheSameWordsWithoutColumnZero) {
+TEST(AcKernel, GlobalPlacementReadsTheSameColumnsAsTheTexture) {
   // kGlobal reads the same transition words through plain loads: the two
-  // placements differ by exactly one global request per warp step, and
-  // neither reads an output id.
+  // placements differ by exactly one global request per warp step, and read
+  // each scanned byte's class column.
   Fixture f({"he", "she", "his", "hers"}, repeated_paper_text());
   const SttReads want = expected_stt_reads(f, 32, 64);
   for (const auto approach : {Approach::kGlobalOnly, Approach::kShared}) {
@@ -505,16 +519,16 @@ TEST(AcKernel, GlobalPlacementReadsTheSameWordsWithoutColumnZero) {
     spec.chunk_bytes = 32;
     spec.threads_per_block = 64;
     const auto tex = f.run(spec);
-    OutputColumnReads column0(f.ddfa);
+    ColumnReads columns(f.ddfa);
     spec.stt_placement = SttPlacement::kGlobal;
-    spec.sim.observer = &column0;
+    spec.sim.observer = &columns;
     const auto global = f.run(spec);
     SCOPED_TRACE(to_string(approach));
     EXPECT_EQ(global.matches.matches, f.expected());
     EXPECT_EQ(global.sim.metrics.tex_lane_fetches, 0u);
     EXPECT_EQ(global.sim.metrics.global_requests - tex.sim.metrics.global_requests,
               want.warp_steps);
-    EXPECT_EQ(column0.lanes, 0u);
+    EXPECT_EQ(columns.lanes, want.columns);
   }
 }
 

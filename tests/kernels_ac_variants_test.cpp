@@ -29,7 +29,7 @@ struct Fixture {
         text_addr(0),
         text(std::move(text_in)) {
     cfg.num_sms = 4;
-    text_addr = upload_text(mem, text);
+    text_addr = upload_class_text(mem, ddfa, text);
   }
 
   AcLaunchOutcome run(AcLaunchSpec spec) {

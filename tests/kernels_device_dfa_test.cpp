@@ -1,5 +1,7 @@
-// The device STT's transition-word encoding: every DeviceDfa entry decodes
-// back to the host table, the match flag is set exactly on transitions into
+// The device STT: one column per byte class, whose every byte the host
+// table sends to the same state, classes ordered by the trie edges they
+// label; and the transition-word encoding: every DeviceDfa entry decodes back
+// to the host table, the match flag is set exactly on transitions into
 // accepting states, and the depth field carries the target's saturated trie
 // depth.
 #include "kernels/device_dfa.h"
@@ -18,36 +20,53 @@
 namespace acgpu::kernels {
 namespace {
 
+/// The device words of `ddfa`'s STT, row-major at its pitch.
+std::vector<std::uint32_t> device_words(const gpusim::DeviceMemory& mem,
+                                        const DeviceDfa& ddfa) {
+  std::vector<std::uint32_t> words(ddfa.stt_bytes() / 4);
+  for (std::size_t i = 0; i < words.size(); ++i)
+    words[i] = mem.load_u32(ddfa.stt_addr() + i * 4);
+  return words;
+}
+
 /// Uploads `dfa` and checks every word the device holds against the host
-/// table, failing at the first mismatch. Returns the flagged-word count.
+/// table, failing at the first mismatch: the word at byte b's class decodes
+/// to the host's transition on b, for all 256 bytes, and the padding past
+/// the last class is zero. Returns the flagged-word count.
 std::size_t expect_decodes_to_host(const ac::Dfa& dfa, const std::string& label) {
   gpusim::DeviceMemory mem(std::max<std::size_t>(1 << 20, 2 * dfa.stt_bytes() + (1 << 16)));
   const DeviceDfa ddfa(mem, dfa);
-  const ac::SttMatrix& stt = dfa.stt();
-  EXPECT_EQ(ddfa.stt_pitch_elems(), stt.pitch()) << label;
+  const ByteClasses& classes = ddfa.classes();
+  EXPECT_EQ(ddfa.stt_pitch_elems() % 8, 0u) << label;
+  EXPECT_LT(ddfa.stt_pitch_elems() - classes.count, 8u) << label;
+  EXPECT_EQ(ddfa.stt_bytes(), std::size_t{dfa.state_count()} * ddfa.stt_pitch_elems() * 4)
+      << label;
+  const std::vector<std::uint32_t> words = device_words(mem, ddfa);
   std::size_t flagged = 0;
-  for (std::uint32_t s = 0; s < stt.rows(); ++s) {
-    const gpusim::DevAddr row =
-        ddfa.stt_addr() + static_cast<std::uint64_t>(s) * stt.pitch() * 4;
-    for (std::uint32_t c = 0; c < stt.pitch(); ++c) {
-      const std::uint32_t word = mem.load_u32(row + c * 4);
-      const std::int32_t host = stt.at(s, c);
-      bool ok = true;
-      if (c >= 1 && c < ac::SttMatrix::kColumns) {
-        ok = transition_state(word) == host &&
-             transition_accepts(word) == dfa.is_match(host) &&
-             transition_depth(word) == dfa.depth(host) &&
-             ddfa.texture().fetch(c, s) == static_cast<std::int32_t>(word);
-        flagged += transition_accepts(word);
-      } else {
-        // Column 0 (output id) and pitch padding are copied verbatim.
-        ok = static_cast<std::int32_t>(word) == host;
-      }
-      if (!ok) {
-        ADD_FAILURE() << label << ": state " << s << " column " << c << " holds 0x"
-                      << std::hex << word << ", host entry " << std::dec << host;
+  for (std::uint32_t s = 0; s < dfa.state_count(); ++s) {
+    const std::uint32_t* row = words.data() + std::size_t{s} * ddfa.stt_pitch_elems();
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      const std::uint32_t c = classes.of_byte[b];
+      const std::uint32_t word = row[c];
+      const std::int32_t host =
+          dfa.next(static_cast<std::int32_t>(s), static_cast<std::uint8_t>(b));
+      if (c >= classes.count || transition_state(word) != host ||
+          transition_accepts(word) != dfa.is_match(host) ||
+          transition_depth(word) != dfa.depth(host) ||
+          ddfa.texture().fetch(c, s) != static_cast<std::int32_t>(word)) {
+        ADD_FAILURE() << label << ": state " << s << " byte " << b << " (class " << c
+                      << ") holds 0x" << std::hex << word << ", host entry " << std::dec
+                      << host;
         return flagged;
       }
+    }
+    for (std::uint32_t c = 0; c < ddfa.stt_pitch_elems(); ++c) {
+      if (c >= classes.count && row[c] != 0) {
+        ADD_FAILURE() << label << ": state " << s << " padding word " << c << " is 0x"
+                      << std::hex << row[c];
+        return flagged;
+      }
+      flagged += c < classes.count && transition_accepts(row[c]);
     }
   }
   return flagged;
@@ -61,10 +80,52 @@ TEST(DeviceDfa, EncodingRoundTripsOverOracleFamilies) {
   }
 }
 
-TEST(DeviceDfa, PaddedPitchKeepsPaddingVerbatim) {
-  const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"he", "she", "his", "hers"}), 64);
-  ASSERT_GT(dfa.stt().pitch(), ac::SttMatrix::kColumns);
-  EXPECT_GT(expect_decodes_to_host(dfa, "paper example, pitch 320"), 0u);
+TEST(DeviceDfa, HostPitchPaddingNeverReachesTheDevice) {
+  // The device table has its own pitch, so a host STT padded to 320 words
+  // uploads the same words as an unpadded one.
+  const ac::PatternSet patterns({"he", "she", "his", "hers"});
+  const ac::Dfa padded = ac::build_dfa(patterns, 64);
+  const ac::Dfa unpadded = ac::build_dfa(patterns);
+  ASSERT_GT(padded.stt().pitch(), ac::SttMatrix::kColumns);
+  EXPECT_GT(expect_decodes_to_host(padded, "paper example, pitch 320"), 0u);
+  gpusim::DeviceMemory mem(1 << 20);
+  const DeviceDfa a(mem, padded);
+  const DeviceDfa b(mem, unpadded);
+  EXPECT_EQ(a.stt_pitch_elems(), 8u);
+  EXPECT_EQ(device_words(mem, a), device_words(mem, b));
+}
+
+TEST(DeviceDfa, ClassesAreOrderedByTrieEdgesAndPaddedToWholeTextureLines) {
+  // Trie edges of {he, she, his, hers}: s labels 3 (root-s, her-hers,
+  // hi-his), e and h 2 each, i and r 1; the 251 other bytes label none.
+  const ac::Dfa paper = ac::build_dfa(ac::PatternSet({"he", "she", "his", "hers"}));
+  const ByteClasses c = byte_classes(paper);
+  ASSERT_EQ(c.count, 6u);
+  EXPECT_EQ(c.pitch(), 8u);
+  EXPECT_EQ(c.of_byte['s'], 0u);
+  EXPECT_EQ(c.of_byte['e'], 1u);  // tied with h: the smaller byte first
+  EXPECT_EQ(c.of_byte['h'], 2u);
+  EXPECT_EQ(c.of_byte['i'], 3u);
+  EXPECT_EQ(c.of_byte['r'], 4u);
+  for (const char other : {'\0', 'a', 'x', '\xff'})
+    EXPECT_EQ(c.of_byte[static_cast<std::uint8_t>(other)], 5u);
+  EXPECT_EQ(c.first[5], 0u);  // the rest, led by byte 0
+  EXPECT_EQ(c.map("shex"), std::string("\0\2\1\5", 4));
+
+  // Bytes the table cannot tell apart share a class: a case-folded DFA
+  // sends 'A' where it sends 'a'.
+  const ByteClasses folded =
+      byte_classes(ac::build_dfa_folded(ac::PatternSet({"ab"}), ac::ascii_fold_map()));
+  EXPECT_EQ(folded.count, 3u);
+  EXPECT_EQ(folded.of_byte['a'], folded.of_byte['A']);
+  EXPECT_EQ(folded.of_byte['b'], folded.of_byte['B']);
+  EXPECT_NE(folded.of_byte['a'], folded.of_byte['b']);
+
+  // Every byte in some pattern: 256 classes, as wide as the host's byte
+  // columns without the output-id column and its padding.
+  std::vector<std::string> every_byte;
+  for (int b = 0; b < 256; ++b) every_byte.emplace_back(1, static_cast<char>(b));
+  EXPECT_EQ(byte_classes(ac::build_dfa(ac::PatternSet(every_byte))).pitch(), 256u);
 }
 
 TEST(DeviceDfa, EveryByteEndsAMatchFlagsEveryTransition) {

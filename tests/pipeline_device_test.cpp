@@ -32,7 +32,7 @@ EngineOptions fast_engine() {
 }
 
 /// `count` random lowercase words of 4-10 letters: a dictionary whose STT
-/// upload runs to megabytes at a few hundred words.
+/// upload runs to hundreds of kilobytes at a few hundred words.
 std::vector<std::string> random_words(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> words(count);
@@ -159,10 +159,36 @@ TEST(Device, EngineCreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
             StatusCode::kCapacityExceeded);
 }
 
+TEST(Device, AClassTableFitsWhereAByteWideOneWouldNot) {
+  // The device STT has one column per byte class (kernels/device_dfa.h):
+  // lowercase words have 27 (the letters and the rest), 32 words a row where
+  // a byte-wide table takes 264. A device one byte short of the byte-wide
+  // table refused the automaton with kCapacityExceeded while that was the
+  // upload; it now takes it and scans exactly.
+  const std::vector<std::string> words = random_words(300, 11);
+  const ac::PatternSet patterns(words);
+  const ac::Dfa dfa = ac::build_dfa(patterns, 8);
+  ASSERT_EQ(dfa.stt().pitch(), 264u);
+  const std::size_t byte_wide = dfa.stt_bytes();
+  const std::size_t upload = kernels::DeviceDfa::upload_bytes(dfa);
+  EXPECT_EQ(upload, std::size_t{dfa.state_count()} * 32 * 4);
+  DeviceOptions dopt = small_device();
+  dopt.memory_bytes = byte_wide - 1;
+  Device device = Device::create(dopt).value();
+  ASSERT_LT(device.memory().available(), byte_wide);
+  Result<Engine> engine = Engine::create(device, patterns, fast_engine());
+  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+  const std::string text = text_of(words, 12);
+  Result<ScanResult> scan = engine.value().scan(text);
+  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+  EXPECT_FALSE(scan.value().matches.empty());
+  EXPECT_EQ(scan.value().matches, ac::find_all(engine.value().dfa(), text));
+}
+
 TEST(Device, DroppedEnginesReturnTheirUpload) {
   // The device holds one upload plus scan buffers, never two uploads: each
   // create -> scan -> drop cycle must hand its upload back to the arena.
-  const std::vector<std::string> words = random_words(300, 5);
+  const std::vector<std::string> words = random_words(400, 5);
   const ac::PatternSet patterns(words);
   const std::size_t upload =
       kernels::DeviceDfa::upload_bytes(ac::build_dfa(patterns, 8));

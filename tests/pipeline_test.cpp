@@ -41,6 +41,18 @@ std::string random_bytes(std::size_t n, std::uint64_t seed) {
   return text;
 }
 
+/// {ab, cde} plus "x" followed by each of 0x80-0xff: 135 byte classes, so
+/// every slice of random_bytes holds far more than 64 distinct class ids
+/// and ships one byte per symbol (against {ab, cde} alone, 6 classes, it
+/// would ship at 6 bits). Only state "x" tells the high bytes apart, so
+/// random bytes still keep to a handful of STT rows.
+ac::PatternSet byte_path_patterns() {
+  std::vector<std::string> patterns = {"ab", "cde"};
+  for (int b = 0x80; b < 0x100; ++b)
+    patterns.push_back(std::string("x") + static_cast<char>(b));
+  return ac::PatternSet(patterns);
+}
+
 /// Runs text through a pipeline built from `patterns` and checks the matches
 /// against the serial reference.
 void expect_conforms(const std::vector<std::string>& pattern_strings,
@@ -233,8 +245,7 @@ TEST(Pipeline, EveryOpStartsWhenItsStreamAndQueueAreFree) {
   // stream's previous kernel, so the pipeline adds no wait of its own: every
   // op starts exactly when its stream and its queue (upload, compute,
   // readback) are both free.
-  const ac::Dfa dfa =
-      ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
+  const ac::Dfa dfa = ac::build_dfa(byte_path_patterns(), 8);
   const std::string packed_text = random_text(48u << 10, 47);
   const std::string byte_text = random_bytes(48u << 10, 47);
   for (const gpusim::SimMode mode : {gpusim::SimMode::Functional, gpusim::SimMode::Timed})
@@ -320,11 +331,10 @@ TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
 // ---- Batch split: each text divides evenly into the batch count that
 // minimises an upload-bound pipeline's makespan over the link ----
 
-/// A Timed gtx285 run of `text` against a two-pattern dictionary.
+/// A Timed gtx285 run of `text` against byte_path_patterns().
 PipelineResult split_run(const std::string& text, PipelineOptions opt = {}) {
   gpusim::DeviceMemory mem(64u << 20);
-  const ac::Dfa dfa =
-      ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
+  const ac::Dfa dfa = ac::build_dfa(byte_path_patterns(), 8);
   kernels::DeviceDfa ddfa(mem, dfa);
   opt.mode = gpusim::SimMode::Timed;
   auto got = MatchPipeline(gpusim::GpuConfig::gtx285(), mem, ddfa, opt).run(text);
@@ -430,8 +440,7 @@ TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
   // in staged size, r is the fitted slope of kernel seconds plus readback
   // payload / B against staged bytes, times B.
   gpusim::DeviceMemory mem(64u << 20);
-  const ac::Dfa dfa =
-      ac::build_dfa(ac::PatternSet({std::string("ab"), std::string("cde")}), 8);
+  const ac::Dfa dfa = ac::build_dfa(byte_path_patterns(), 8);
   kernels::DeviceDfa ddfa(mem, dfa);
   const gpusim::GpuConfig gpu = gpusim::GpuConfig::gtx285();
   PipelineOptions opt;
@@ -487,8 +496,8 @@ TEST(PipelineBatchSplit, FittedTailShareReplacesTheLinkOnlyAssumption) {
   EXPECT_EQ(n, 1u);
 }
 
-// ---- Packed input: kShared slices of at most 4 distinct bytes ship at 2 bits
-// per symbol ----
+// ---- Packed input: kShared slices of at most 4 distinct byte classes ship
+// at 2 bits per symbol ----
 
 TEST(PipelinePacking, AnNInTheOverlapCarrySetsThatSlicesWidth) {
   // Five 1 KB batches of DNA against 12-bp motifs (an 11-byte carry). The
@@ -532,9 +541,9 @@ TEST(PipelinePacking, AnNInTheOverlapCarrySetsThatSlicesWidth) {
 }
 
 TEST(PipelinePacking, EachSliceShipsAtTheWidthItsDistinctBytesNeed) {
-  // One batch per run, so each text is one slice: 4 distinct values stage at
-  // 2 bits, 5 and 64 at 6 bits, 65 as bytes. Matches stay exact at every
-  // width.
+  // One batch per run, so each text is one slice: 4 distinct classes stage
+  // at 2 bits, 5 and 64 at 6 bits, 65 as bytes. A doubled-byte pattern per
+  // value gives every value its own class. Matches stay exact at every width.
   constexpr std::size_t kLen = 3001;
   for (const std::uint32_t values : {4u, 5u, 64u, 65u}) {
     SCOPED_TRACE(std::to_string(values) + " distinct bytes");
@@ -542,8 +551,11 @@ TEST(PipelinePacking, EachSliceShipsAtTheWidthItsDistinctBytesNeed) {
     std::string text(kLen, '\0');
     for (char& c : text) c = static_cast<char>(0x20 + rng.next_below(values));
     for (std::uint32_t v = 0; v < values; ++v) text[17 * v] = static_cast<char>(0x20 + v);
-    const ac::Dfa dfa = ac::build_dfa(
-        ac::PatternSet({text.substr(40, 3), text.substr(1000, 6), text.substr(kLen - 5, 5)}), 8);
+    std::vector<std::string> patterns = {text.substr(40, 3), text.substr(1000, 6),
+                                         text.substr(kLen - 5, 5)};
+    for (std::uint32_t v = 0; v < values; ++v)
+      patterns.emplace_back(2, static_cast<char>(0x20 + v));
+    const ac::Dfa dfa = ac::build_dfa(ac::PatternSet(patterns), 8);
     gpusim::DeviceMemory mem(64u << 20);
     kernels::DeviceDfa ddfa(mem, dfa);
     auto got = MatchPipeline(small_gpu(), mem, ddfa, PipelineOptions{}).run(text);
@@ -555,6 +567,25 @@ TEST(PipelinePacking, EachSliceShipsAtTheWidthItsDistinctBytesNeed) {
     EXPECT_EQ(r.batches[0].symbol_bits, bits);
     EXPECT_EQ(r.stats.staged_bytes, kernels::packed_size(kLen, bits));
   }
+}
+
+TEST(PipelinePacking, BytesInNoPatternShareOneSymbol) {
+  // The width counts byte classes, not bytes: random bytes against {ab, ba}
+  // map to three classes (a, b and the 254 bytes in no pattern) and ship at
+  // 2 bits, with every match exact.
+  const std::string text = random_bytes(3001, 91) + "abab";
+  const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"ab", "ba"}), 8);
+  gpusim::DeviceMemory mem(64u << 20);
+  kernels::DeviceDfa ddfa(mem, dfa);
+  ASSERT_EQ(ddfa.classes().count, 3u);
+  auto got = MatchPipeline(small_gpu(), mem, ddfa, PipelineOptions{}).run(text);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  const PipelineResult& r = got.value();
+  EXPECT_FALSE(r.matches.empty());
+  EXPECT_EQ(r.matches, ac::find_all(dfa, text));
+  ASSERT_EQ(r.batches.size(), 1u);
+  EXPECT_EQ(r.batches[0].symbol_bits, 2u);
+  EXPECT_EQ(r.stats.staged_bytes, kernels::packed_size(text.size(), 2));
 }
 
 TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
@@ -574,8 +605,11 @@ TEST(PipelinePacking, TimingReuseKeysOnPackedAsWellAsSliceLength) {
   const std::string* kinds[] = {&two_bit, &six_bit, &bytes};
   std::string text;
   for (int b = 0; b < 5; ++b) text += *kinds[b % 3];
-  const ac::Dfa dfa = ac::build_dfa(
-      ac::PatternSet({two_bit.substr(100, 12), two_bit.substr(9000, 7), "ACGT"}), 8);
+  // N and each of the 61 values get a byte class of their own.
+  std::vector<std::string> patterns = {two_bit.substr(100, 12), two_bit.substr(9000, 7),
+                                       "ACGT", "NN"};
+  for (int v = 0; v < 61; ++v) patterns.emplace_back(2, static_cast<char>(0x80 + v));
+  const ac::Dfa dfa = ac::build_dfa(ac::PatternSet(patterns), 8);
 
   const auto timed_run = [&](std::string_view input, std::uint64_t batch_bytes) {
     gpusim::DeviceMemory mem(64u << 20);

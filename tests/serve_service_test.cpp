@@ -192,11 +192,13 @@ TEST(ServeService, CreateFromDfaScans) {
 
 TEST(ServeService, CreateFailsCleanlyWhenTheAutomatonDoesNotFit) {
   ServeOptions opt = fast_options();
-  opt.device.memory_bytes = 1024;
+  // {he, she}: 5 states x 8 words (4 byte classes, padded to a texture
+  // line), 160 B.
+  opt.device.memory_bytes = 128;
   const auto r = StreamService::create(ac::PatternSet({"he", "she"}), opt);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
-  EXPECT_NE(r.status().message().find("1024 B free"), std::string::npos)
+  EXPECT_NE(r.status().message().find("128 B free"), std::string::npos)
       << r.status().to_string();
 }
 

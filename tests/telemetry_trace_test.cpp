@@ -313,8 +313,12 @@ TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
     opt.telemetry.tracer = &tracer;
     Result<Device> device = Device::create({});
     EXPECT_TRUE(device.is_ok()) << device.status().to_string();
-    Result<Engine> engine =
-        Engine::create(device.value(), ac::PatternSet({"ACGTACGT", "the "}), opt);
+    // "x" followed by each of 0x80-0xbf gives those bytes classes of their
+    // own: 73 in all, so random bytes ship one byte per symbol.
+    std::vector<std::string> patterns = {"ACGTACGT", "the "};
+    for (int b = 0x80; b < 0xc0; ++b)
+      patterns.push_back(std::string("x") + static_cast<char>(b));
+    Result<Engine> engine = Engine::create(device.value(), ac::PatternSet(patterns), opt);
     EXPECT_TRUE(engine.is_ok()) << engine.status().to_string();
     for (const std::string& text : texts) EXPECT_TRUE(engine.value().scan(text).is_ok());
     const std::vector<TraceEvent> events = tracer.events();
