@@ -98,7 +98,6 @@ telemetry::MetricsSnapshot run_workload(const ArgParser& args) {
 
   telemetry::MetricsRegistry registry;
   EngineOptions opt;
-  opt.variant = pipeline::KernelVariant::kShared;
   opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
   opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
   opt.mode = gpusim::SimMode::Timed;
@@ -209,7 +208,6 @@ telemetry::MetricsSnapshot run_latency_workload(const ArgParser& args) {
 
   telemetry::MetricsRegistry registry;
   EngineOptions opt;
-  opt.variant = pipeline::KernelVariant::kShared;
   opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
   opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
   opt.mode = gpusim::SimMode::Timed;
@@ -357,7 +355,6 @@ telemetry::MetricsSnapshot run_cluster_workload(const ArgParser& args) {
       cluster::ClusterOptions opt;
       opt.devices = w;
       opt.engine.mode = gpusim::SimMode::Timed;
-      opt.engine.variant = pipeline::KernelVariant::kShared;
       opt.engine.chunk_bytes = 64;
       opt.engine.threads_per_block = 192;
       opt.engine.streams = static_cast<std::uint32_t>(args.get_int("streams"));

@@ -110,7 +110,6 @@ int main(int argc, char** argv) {
     // Timed mode: per-device simulated makespans, no match collection — the
     // same regime every throughput figure measures in. GTX 285 geometry.
     opt.engine.mode = gpusim::SimMode::Timed;
-    opt.engine.variant = pipeline::KernelVariant::kShared;
     opt.engine.chunk_bytes = 64;
     opt.engine.threads_per_block = 192;
     opt.engine.streams = static_cast<std::uint32_t>(args.get_int("streams"));

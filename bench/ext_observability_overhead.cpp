@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
 
     const auto run = [&](bool enabled) {
       EngineOptions opt;
-      opt.variant = pipeline::KernelVariant::kShared;
       opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
       opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
       opt.mode = gpusim::SimMode::Timed;

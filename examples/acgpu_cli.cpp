@@ -68,8 +68,8 @@ int cmd_compile(const ArgParser& args) {
 }
 
 int cmd_scan(const ArgParser& args, const std::vector<std::string>& files) {
-  const CompiledPatterns compiled{std::make_shared<const ac::Dfa>(resolve_dfa(args))};
-  const ac::Dfa& dfa = *compiled.dfa;
+  const CompiledPatterns compiled = CompiledPatterns::compile(resolve_dfa(args)).value();
+  const ac::Dfa& dfa = compiled.dfa();
   const std::string matcher = args.get("matcher");
   const bool quiet = args.get_bool("count-only");
 

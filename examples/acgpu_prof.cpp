@@ -23,16 +23,6 @@
 
 using namespace acgpu;
 
-namespace {
-
-pipeline::KernelVariant parse_variant(const std::string& name) {
-  if (name == "shared") return pipeline::KernelVariant::kShared;
-  if (name == "global") return pipeline::KernelVariant::kGlobalOnly;
-  ACGPU_CHECK(false, "unknown --variant '" << name << "' (shared|global)");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   ArgParser args(
       "acgpu_prof: run a synthetic workload through the batched multi-stream\n"
@@ -45,7 +35,6 @@ int main(int argc, char** argv) {
   args.add_flag("pattern-min", "minimum pattern length", "6");
   args.add_flag("pattern-max", "maximum pattern length", "16");
   args.add_flag("seed", "workload seed", "780");
-  args.add_flag("variant", "kernel variant: shared|global", "shared");
   args.add_flag("mode", "sim mode: timed|functional", "timed");
   args.add_flag("trace", "write Chrome trace-event JSON here (empty = skip)", "");
   args.add_flag("metrics", "write the metrics snapshot JSON here (empty = skip)", "");
@@ -78,7 +67,6 @@ int main(int argc, char** argv) {
     telemetry::Tracer tracer;
 
     EngineOptions opt;
-    opt.variant = parse_variant(args.get("variant"));
     opt.streams = static_cast<std::uint32_t>(args.get_int("streams"));
     opt.batch_bytes = static_cast<std::uint64_t>(args.get_bytes("batch"));
     opt.mode = mode_name == "functional" ? gpusim::SimMode::Functional

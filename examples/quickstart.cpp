@@ -36,7 +36,6 @@ int main() {
   Result<Device> device = Device::create();
   ACGPU_CHECK(device.is_ok(), device.status().to_string());
   EngineOptions opt;
-  opt.variant = pipeline::KernelVariant::kShared;  // the paper's best variant
   opt.streams = 2;                 // >= 2 overlaps copy with compute
   opt.batch_bytes = 64 * kKiB;     // small batches so the demo pipelines
   Result<Engine> engine = Engine::create(device.value(), patterns, opt);

@@ -67,10 +67,13 @@ Status ClusterOptions::validate() const {
   if (devices < 1 || devices > 64)
     return Status::invalid_argument("cluster devices must be in [1, 64], got " +
                                     std::to_string(devices));
-  if (!engine.telemetry.metrics_prefix.empty())
+  // Router::create overwrites every shard's engine.telemetry, so a sink set
+  // there would vanish without a word.
+  if (engine.telemetry != pipeline::TelemetryOptions{})
     return Status::invalid_argument(
-        "ClusterOptions::engine.telemetry.metrics_prefix is managed by the "
-        "Router (per-shard prefixes); leave it empty");
+        "leave ClusterOptions::engine.telemetry defaulted: the Router sets each "
+        "shard's sinks, series prefix and index; set ClusterOptions::metrics, "
+        "::trace or ::recorder instead");
   if (engine.host_observer != nullptr)
     return Status::invalid_argument(
         "set ClusterOptions::device.host_observer, not engine.host_observer — "
@@ -79,14 +82,6 @@ Status ClusterOptions::validate() const {
     return Status::invalid_argument(
         "ClusterOptions::device.name is managed by the Router (shard k's "
         "device is device.<k>); leave it empty");
-  if (trace && engine.telemetry.tracer != nullptr)
-    return Status::invalid_argument(
-        "ClusterOptions::trace manages per-shard tracers; leave "
-        "engine.telemetry.tracer null");
-  if (engine.telemetry.recorder != nullptr)
-    return Status::invalid_argument(
-        "set ClusterOptions::recorder, not engine.telemetry.recorder — the "
-        "Router stamps per-shard indices onto every layer's events");
   if (health_eval_interval == 0)
     return Status::invalid_argument("health_eval_interval must be >= 1");
   serve::ServeOptions so;

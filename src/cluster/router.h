@@ -71,9 +71,11 @@ struct ClusterOptions {
   /// Shard count = independent simulated devices (>= 1).
   std::uint32_t devices = 2;
 
-  /// Per-shard engine template. Its telemetry sinks and host_observer are
-  /// managed by the Router (per-shard prefixes and tracers, the shared
-  /// observer seam) and must be left defaulted.
+  /// Per-shard engine template. Its telemetry (every field) and
+  /// host_observer are managed by the Router (per-shard sinks, prefixes,
+  /// tracers and indices; the shared observer seam) and must be left
+  /// defaulted: validate() rejects them. Set metrics, trace and recorder
+  /// below instead.
   EngineOptions engine;
   /// Per-shard device template: the chip, its memory budget, and the
   /// hostcheck audit hook, which observes the router mutex, every shard's
@@ -102,8 +104,7 @@ struct ClusterOptions {
   /// router.scan spans plus one per shard (wired into the shard's serve and
   /// engine layers), mints a TraceContext per request, and write_trace()
   /// exports the joined fleet trace — router process, per-shard host
-  /// processes, per-shard simulated-device processes. Leave
-  /// engine.telemetry.tracer null with this on (the Router manages it).
+  /// processes, per-shard simulated-device processes.
   bool trace = false;
 
   /// Flight recorder shared by every layer (admission, batch, shard

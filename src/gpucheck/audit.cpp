@@ -273,8 +273,6 @@ AuditOutcome audit_pfac(const CompiledWorkload& w, const AuditSpec& spec) {
 /// stitching are both on the record.
 AuditOutcome audit_pipeline(const CompiledWorkload& w, const AuditSpec& spec) {
   pipeline::PipelineOptions opt;
-  opt.variant = pipeline::KernelVariant::kShared;
-  opt.scheme = kernels::StoreScheme::kDiagonal;
   opt.streams = 2;
   opt.chunk_bytes = pick_chunk(w, spec.chunk_floor_bytes);
   opt.threads_per_block = spec.threads_per_block;

@@ -58,7 +58,6 @@ DispatchSweepResult run_dispatch_sweep(const DispatchSweepConfig& config) {
   Result<Device> device = Device::create(dopt);
   ACGPU_CHECK(device.is_ok(), device.status().to_string());
   EngineOptions eopt;
-  eopt.variant = pipeline::KernelVariant::kShared;
   eopt.streams = 4;
   eopt.batch_bytes = 1u << 20;
   eopt.mode = gpusim::SimMode::Timed;

@@ -106,7 +106,6 @@ PipelineSweepResult run_pipeline_sweep(const PipelineSweepConfig& config,
     const kernels::DeviceDfa ddfa(mem, dfa);
 
     pipeline::PipelineOptions base;
-    base.variant = config.variant;
     base.chunk_bytes = config.chunk_bytes;
     base.threads_per_block = config.threads_per_block;
     base.match_capacity = config.match_capacity;
@@ -149,7 +148,7 @@ void write_pipeline_json(const PipelineSweepResult& result, std::ostream& out) {
   out << "{\"bench\":\"pipeline\"";
   out << ",\"text_bytes\":" << c.text_bytes;
   out << ",\"batch_bytes\":" << c.batch_bytes;
-  out << ",\"variant\":\"" << kernels::to_string(c.variant) << "\"";
+  out << ",\"variant\":\"shared\"";
   out << ",\"chunk_bytes\":" << c.chunk_bytes;
   out << ",\"threads_per_block\":" << c.threads_per_block;
   out << ",\"seed\":" << c.seed;

@@ -35,7 +35,6 @@ struct PipelineSweepConfig {
   /// fraction of the input, the regime a production scanner runs in.
   std::uint32_t min_pattern_len = 6;
   std::uint32_t max_pattern_len = 16;
-  pipeline::KernelVariant variant = pipeline::KernelVariant::kShared;
 
   // Shared-approach geometry, as in the paper sweep (harness/experiment.h):
   // 192 threads x 64 B chunks stages 12.3 KB per block.

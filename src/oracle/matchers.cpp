@@ -190,13 +190,6 @@ std::uint32_t draw_pipeline_chunk(const CompiledWorkload& w, Rng& rng) {
   return rng.next_bool(0.5) ? 0 : pick_chunk_bytes(w, 32);
 }
 
-/// Kernel variant for the pipeline-backed adapters: the paper's two AC
-/// kernels, drawn evenly.
-pipeline::KernelVariant draw_pipeline_variant(Rng& rng) {
-  return rng.next_below(2) == 0 ? pipeline::KernelVariant::kShared
-                                : pipeline::KernelVariant::kGlobalOnly;
-}
-
 /// Simulated device sized for this run: tables + text + match buffer, plus
 /// slack for the 256-byte allocation alignment. Fresh per run so repeated
 /// conformance iterations never leak device allocations into each other.
@@ -320,9 +313,9 @@ class GpuPfacMatcher final : public Matcher {
 };
 
 /// The batched multi-stream pipeline (src/pipeline/) in Functional mode.
-/// The salt draws the stream count, the kernel variant, and a batch size
-/// biased toward tiny batches, so successive iterations probe the stitch
-/// logic at every batch-boundary offset on both AC kernels.
+/// The salt draws the stream count and a batch size biased toward tiny
+/// batches, so successive iterations probe the stitch logic at every
+/// batch-boundary offset.
 /// Overrides try_run: the pipeline reports Status instead of throwing, so
 /// its own error codes reach the differential report intact.
 class PipelineMatcher final : public Matcher {
@@ -341,7 +334,6 @@ class PipelineMatcher final : public Matcher {
     if (w.text().empty()) return std::vector<ac::Match>{};
     Rng rng(derive_seed(salt, /*stream=*/7));
     pipeline::PipelineOptions opt;
-    opt.variant = draw_pipeline_variant(rng);
     opt.streams = 1 + static_cast<std::uint32_t>(rng.next_below(6));
     // Bias toward tiny batches (stitch boundaries everywhere) but
     // occasionally cover the whole text in a single batch.
@@ -375,8 +367,8 @@ class PipelineMatcher final : public Matcher {
 /// The streaming session service (src/serve/) end to end: the text is fed
 /// in salt-derived random slices (empty feeds, 1-byte feeds, packet-sized
 /// feeds) so every slice boundary probes the session's boundary
-/// continuation, while the engine variant, stream count, batch size, and
-/// queue/coalesce knobs are drawn from the salt too. A salt-chosen decoy
+/// continuation, while the stream count, batch size, and queue/coalesce
+/// knobs are drawn from the salt too. A salt-chosen decoy
 /// session feeds interleaved traffic through the same service so the
 /// superbatch partitioner is exercised across sessions. Like the pipeline
 /// adapter, overrides try_run to forward the service's own Status codes.
@@ -395,7 +387,6 @@ class ServeMatcher final : public Matcher {
                                          std::uint64_t salt) const override {
     Rng rng(derive_seed(salt, /*stream=*/11));
     serve::ServeOptions opt;
-    opt.engine.variant = draw_pipeline_variant(rng);
     opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
     const std::uint64_t cap = rng.next_bool(0.25)
                                   ? w.text().size() + 16
@@ -458,11 +449,11 @@ class ServeMatcher final : public Matcher {
 
 /// End-to-end cluster adapter: drives the multi-device Router tier
 /// (cluster/router.h). The salt draws the shard count from {1, 2, 4}, the
-/// kernel variant/stream count/batch and queue knobs like the serve
-/// adapter, and — on a coin flip when more than one shard is up — injects a
-/// fail-stop device failure at a salt-chosen midpoint of the stream, so
-/// roughly half of all conformance trials exercise the export -> import
-/// session migration and its boundary-state carry. A second coin flip runs
+/// stream count/batch and queue knobs like the serve adapter, and — on a
+/// coin flip when more than one shard is up — injects a fail-stop device
+/// failure at a salt-chosen midpoint of the stream, so roughly half of all
+/// conformance trials exercise the export -> import session migration and
+/// its boundary-state carry. A second coin flip runs
 /// the bulk scatter/gather scan() path instead of the session path, probing
 /// the slab seam filter and the k-way merge. Overrides try_run to forward
 /// the Router's own Status codes.
@@ -483,7 +474,6 @@ class RouterMatcher final : public Matcher {
     cluster::ClusterOptions opt;
     static constexpr std::uint32_t kDevices[] = {1, 2, 4};
     opt.devices = kDevices[rng.next_below(std::size(kDevices))];
-    opt.engine.variant = draw_pipeline_variant(rng);
     opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
     const std::uint64_t cap = rng.next_bool(0.25)
                                   ? w.text().size() + 16
@@ -565,7 +555,7 @@ class RouterMatcher final : public Matcher {
 
 /// Adaptive-dispatch adapter: a Router on 1 or 2 devices wired with a
 /// Dispatcher (cluster::ClusterOptions::dispatcher). The salt draws the
-/// device count, kernel variant, stream count, batch size — and, crucially,
+/// device count, stream count, batch size — and, crucially,
 /// the force policy from all five of {auto, serial, parallel, gpu, worst}
 /// and the path: a bulk scan(), which the dispatcher sends whole to the
 /// host DFA or scatters across the devices, or a session fed in random
@@ -602,7 +592,6 @@ class DispatchMatcher final : public Matcher {
 
     cluster::ClusterOptions opt;
     opt.devices = 1 + static_cast<std::uint32_t>(rng.next_below(2));
-    opt.engine.variant = draw_pipeline_variant(rng);
     opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
     const std::uint64_t cap = rng.next_bool(0.25)
                                   ? w.text().size() + 16

@@ -15,13 +15,19 @@ std::atomic<std::uint32_t> g_next_engine_id{0};
 
 Result<CompiledPatterns> CompiledPatterns::compile(const ac::PatternSet& patterns) {
   if (patterns.empty()) return Status::invalid_argument("empty pattern set");
-  CompiledPatterns compiled;
   try {
-    compiled.dfa = std::make_shared<const ac::Dfa>(
-        ac::build_dfa(patterns, /*pad_pitch_to=*/8));
+    return compile(ac::build_dfa(patterns, /*pad_pitch_to=*/8));
   } catch (const std::exception& e) {
     return Status::from_exception(e);
   }
+}
+
+Result<CompiledPatterns> CompiledPatterns::compile(ac::Dfa dfa) {
+  if (dfa.pattern_count() == 0) return Status::invalid_argument("DFA has no patterns");
+  CompiledPatterns compiled;
+  compiled.classes_ =
+      std::make_shared<const kernels::ByteClasses>(kernels::byte_classes(dfa));
+  compiled.dfa_ = std::make_shared<const ac::Dfa>(std::move(dfa));
   return compiled;
 }
 
@@ -34,9 +40,7 @@ Result<Engine> Engine::create(Device& device, const ac::PatternSet& patterns,
 
 Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
                               const EngineOptions& options) {
-  if (compiled.dfa == nullptr || compiled.dfa->pattern_count() == 0)
-    return Status::invalid_argument("DFA has no patterns");
-  if (Status s = kernels::DeviceDfa::check_state_count(compiled.dfa->state_count()); !s)
+  if (Status s = kernels::DeviceDfa::check_state_count(compiled.dfa().state_count()); !s)
     return s;
 
   EngineOptions opts = options;
@@ -46,16 +50,15 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
     opts.host_observer = device.host_observer();
   if (Status s = opts.validate(); !s) return s;
 
-  Engine engine;
+  Engine engine(compiled);
   engine.id_ = g_next_engine_id.fetch_add(1, std::memory_order_relaxed);
   engine.device_ = &device;
-  engine.compiled_ = compiled;
   // A scan in flight on another engine marks/releases the arena above its
   // mark; uploading inside that region would be released under us.
   std::scoped_lock lock(device.scan_mutex());
   gpusim::DeviceMemory& mem = device.memory();
-  const kernels::ByteClasses classes = kernels::byte_classes(*compiled.dfa);
-  const std::size_t needed = kernels::DeviceDfa::upload_bytes(*compiled.dfa, classes);
+  const std::size_t needed =
+      kernels::DeviceDfa::upload_bytes(compiled.dfa(), compiled.classes());
   if (const std::size_t free_bytes = mem.available(); needed > free_bytes)
     return Status::capacity_exceeded(
         "the automaton upload needs " + std::to_string(needed) +
@@ -63,8 +66,8 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
         " B free");
   engine.upload_mark_ = mem.mark();
   try {
-    engine.ddfa_ =
-        std::make_unique<kernels::DeviceDfa>(mem, *engine.compiled_.dfa, classes);
+    engine.ddfa_ = std::make_unique<kernels::DeviceDfa>(mem, engine.compiled_.dfa(),
+                                                        engine.compiled_.classes());
     engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
         device.gpu(), mem, *engine.ddfa_, std::move(opts));
   } catch (const std::exception& e) {

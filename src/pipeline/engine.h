@@ -4,9 +4,10 @@
 // object: build it from a pattern set, then scan() any number of inputs
 // through the batched multi-stream pipeline (pipeline/pipeline.h). Its
 // options are the pipeline's own (EngineOptions is pipeline::PipelineOptions:
-// kernel variant, store scheme, streams, batch size, telemetry sinks); the
-// simulated chip and its memory are the Device's (DeviceOptions), and
-// nothing else sets them. The raw kernel-launch entry points
+// streams, batch size, kernel geometry, telemetry sinks); every scan runs
+// the paper's shared-memory kernel with the diagonal store. The simulated
+// chip and its memory are the Device's (DeviceOptions), and nothing else
+// sets them. The raw kernel-launch entry points
 // (kernels::run_ac_kernel and friends) remain available for harness/ablation
 // code but are internal API — see the migration notes in README.md.
 //
@@ -21,9 +22,10 @@
 //   auto scan = engine.value().scan(text);
 //   for (ac::Match m : scan.value().matches) { ... }
 //
-// The host automaton is a CompiledPatterns: compiled once, immutable, and
-// shared by every engine built from it. Each engine uploads it once to its
-// own device, so N shards cost one compile and N uploads (cluster/router.h).
+// The host automaton is a CompiledPatterns: compiled once, with its byte
+// classes, immutable, and shared by every engine built from it. Each engine
+// uploads it once to its own device, so N shards cost one compile and N
+// uploads (cluster/router.h).
 // The upload is bump-allocated in the device arena; dropping the engine
 // returns it only while nothing was allocated above it (see ~Engine).
 #pragma once
@@ -50,16 +52,28 @@ using EngineOptions = pipeline::PipelineOptions;
 /// timing story (see pipeline::PipelineResult).
 using ScanResult = pipeline::PipelineResult;
 
-/// A pattern set compiled once: the host DFA that every kernel variant
-/// uploads and every session walks. Immutable, so any number of engines,
-/// services and sessions share one copy — a Router compiles one for all its
-/// shards.
-struct CompiledPatterns {
-  std::shared_ptr<const ac::Dfa> dfa;
-
-  /// Builds the DFA (STT pitch padded to 8 words). Fails (no throw) on an
-  /// empty pattern set.
+/// A pattern set compiled once: the host DFA that every engine uploads and
+/// every session walks, and its byte classes (kernels::byte_classes), the
+/// device STT's columns. Immutable, so any number of engines, services and
+/// sessions share one copy — a Router compiles one for all its shards. Only
+/// compile() builds one, so the classes always belong to the DFA.
+class CompiledPatterns {
+ public:
+  /// Builds the DFA (STT pitch padded to 8 words) and its classes. Fails
+  /// (no throw) on an empty pattern set.
   static Result<CompiledPatterns> compile(const ac::PatternSet& patterns);
+  /// Takes an already built DFA (a loaded .acdfa image, say) and computes
+  /// its classes. Fails (no throw) on a DFA without patterns.
+  static Result<CompiledPatterns> compile(ac::Dfa dfa);
+
+  const ac::Dfa& dfa() const { return *dfa_; }
+  const kernels::ByteClasses& classes() const { return *classes_; }
+
+ private:
+  CompiledPatterns() = default;
+
+  std::shared_ptr<const ac::Dfa> dfa_;
+  std::shared_ptr<const kernels::ByteClasses> classes_;
 };
 
 class Engine {
@@ -69,11 +83,11 @@ class Engine {
   static Result<Engine> create(Device& device, const ac::PatternSet& patterns,
                                const EngineOptions& options = {});
 
-  /// Uploads `compiled` to `device`; the engine shares the host automaton
-  /// rather than copying it. The device must outlive the engine; engines
-  /// sharing it serialize their scans, and this upload, on its scan mutex.
-  /// Fails (no throw) on an automaton without patterns, inconsistent
-  /// options, or with kCapacityExceeded on a DFA of 2^24 or more states
+  /// Uploads `compiled` over its byte classes to `device`; the engine shares
+  /// the host automaton rather than copying it. The device must outlive the
+  /// engine; engines sharing it serialize their scans, and this upload, on
+  /// its scan mutex. Fails (no throw) on inconsistent options, or with
+  /// kCapacityExceeded on a DFA of 2^24 or more states
   /// (DeviceDfa::check_state_count, naming the limit) or a device whose free
   /// arena is smaller than the upload (naming the bytes needed and free).
   static Result<Engine> create(Device& device, const CompiledPatterns& compiled,
@@ -88,8 +102,8 @@ class Engine {
   /// when it was left null.
   const EngineOptions& options() const { return pipeline_->options(); }
   const CompiledPatterns& compiled() const { return compiled_; }
-  const ac::Dfa& dfa() const { return *compiled_.dfa; }
-  std::size_t pattern_count() const { return compiled_.dfa->pattern_count(); }
+  const ac::Dfa& dfa() const { return compiled_.dfa(); }
+  std::size_t pattern_count() const { return dfa().pattern_count(); }
 
   /// Process-unique engine id (never reused, monotonically increasing
   /// across all devices) — disambiguates per-engine records in traces and
@@ -110,7 +124,7 @@ class Engine {
   Engine& operator=(Engine&& other) noexcept;
 
  private:
-  Engine() = default;
+  explicit Engine(CompiledPatterns compiled) : compiled_(std::move(compiled)) {}
   /// Takes the device's scan mutex and releases the upload to upload_mark_
   /// if it is still the arena's top allocation.
   void release_upload();

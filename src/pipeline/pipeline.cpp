@@ -39,7 +39,7 @@ struct StagingPlan {
   std::uint64_t batch_bytes = 0;
   std::uint64_t batches = 0;
   /// Bits per symbol the whole text's symbol table packs it at (8: bytes).
-  /// Every kShared slice packs at least as tightly, so the run stages about
+  /// Every slice packs at least as tightly, so the run stages about
   /// symbol_bits / 8 of its length.
   std::uint32_t symbol_bits = 8;
   /// The tail share the split assumed (see link_batches).
@@ -108,12 +108,9 @@ std::uint32_t largest_staged_block(std::uint32_t ceiling, std::uint32_t chunk_by
 BatchGeometry resolve_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& config,
                                std::uint32_t overlap, std::uint64_t slice,
                                std::uint32_t symbol_bits) {
-  const bool shared = opt.variant == KernelVariant::kShared;
   if (opt.chunk_bytes != 0)
-    return {opt.chunk_bytes,
-            shared ? largest_staged_block(opt.threads_per_block, opt.chunk_bytes,
-                                          config.shared_mem_bytes, symbol_bits)
-                   : opt.threads_per_block};
+    return {opt.chunk_bytes, largest_staged_block(opt.threads_per_block, opt.chunk_bytes,
+                                                  config.shared_mem_bytes, symbol_bits)};
 
   const std::uint32_t smallest = min_chunk(overlap);
   const std::uint64_t half_resident =
@@ -124,11 +121,9 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt, const gpusim::GpuConf
   const std::uint64_t threads = (slice + chunk - 1) / chunk;
   // ceil(threads / block) >= 2 * num_sms  <=>  block <= (threads - 1) / (2 * num_sms - 1)
   std::uint64_t block = std::min<std::uint64_t>(
-      opt.threads_per_block, (threads - 1) / (2 * std::uint64_t{config.num_sms} - 1));
-  if (shared)
-    block = std::min<std::uint64_t>(
-        block, largest_staged_block(opt.threads_per_block, chunk,
-                                    config.shared_mem_bytes / 2, symbol_bits));
+      {opt.threads_per_block, (threads - 1) / (2 * std::uint64_t{config.num_sms} - 1),
+       largest_staged_block(opt.threads_per_block, chunk, config.shared_mem_bytes / 2,
+                            symbol_bits)});
   block = block / 32 * 32;
   return {chunk, static_cast<std::uint32_t>(std::max<std::uint64_t>(32, block))};
 }
@@ -152,8 +147,7 @@ Status check_geometry(const PipelineOptions& opt, const gpusim::GpuConfig& confi
     return Status::invalid_argument(
         "chunk_bytes " + std::to_string(widest) +
         " too small for max pattern length " + std::to_string(max_pattern_length));
-  if (opt.variant == KernelVariant::kShared &&
-      largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes, 6) == 0)
+  if (largest_staged_block(opt.threads_per_block, widest, config.shared_mem_bytes, 6) == 0)
     return Status::capacity_exceeded(
         "staged block for chunk_bytes " + std::to_string(widest) +
         " exceeds shared memory even at 32 threads/block");
@@ -275,10 +269,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
   // The device alphabet is the DFA's byte classes (kernels/device_dfa.h):
   // every slice packs and ships from the text mapped once here.
   const std::string class_text = ddfa_.classes().map(text);
-  const std::uint32_t text_bits =
-      opt.variant == KernelVariant::kShared
-          ? kernels::symbol_bits(kernels::symbol_table(class_text))
-          : 8;
+  const std::uint32_t text_bits = kernels::symbol_bits(kernels::symbol_table(class_text));
   const StagingPlan plan =
       resolve_staging(opt, config_, text.size(), text_bits, tail_share(text_bits));
   if (tel.tracer != nullptr) {
@@ -365,14 +356,13 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
       const gpusim::StreamId stream = static_cast<gpusim::StreamId>(b % opt.streams);
 
       ACGPU_TRACE_SPAN(tel.tracer, "pipeline.batch");
-      // A kShared slice, overlap carry included, of at most 4 distinct
-      // classes ships at 2 bits per symbol, one of at most 64 at 6 bits, and
-      // any other as bytes; the kernel's staging unpacks the codes.
+      // A slice, overlap carry included, of at most 4 distinct classes
+      // ships at 2 bits per symbol, one of at most 64 at 6 bits, and any
+      // other as bytes; the kernel's staging unpacks the codes.
       const std::string_view slice_text =
           std::string_view(class_text).substr(base, slice);
       const std::optional<kernels::SymbolTable> symbols =
-          opt.variant == KernelVariant::kShared ? kernels::symbol_table(slice_text)
-                                                : std::nullopt;
+          kernels::symbol_table(slice_text);
       BatchTrace trace;
       trace.index = b;
       trace.stream = stream;
@@ -424,8 +414,6 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
         sim_opt.observer = opt.observer;
 
         kernels::AcLaunchSpec spec;
-        spec.approach = opt.variant;
-        spec.scheme = opt.scheme;
         spec.chunk_bytes = g.chunk_bytes;
         spec.threads_per_block = g.threads_per_block;
         spec.match_capacity = opt.match_capacity;

@@ -40,11 +40,11 @@
 //
 // The device reads the DFA's byte classes, not bytes
 // (kernels/device_dfa.h), so a run maps its text through the class table
-// once and ships the class text. A kShared slice (carry included) crosses
-// PCIe packed against its own symbol table (kernels/packed_text.h) when it
-// holds at most 64 distinct classes: at 2 bits per symbol for at most 4, at
-// 6 bits for at most 64. The kernel's shared-memory staging unpacks it;
-// every other slice ships one byte per symbol. The width reads the slice's
+// once and ships the class text. A slice (carry included) crosses PCIe
+// packed against its own symbol table (kernels/packed_text.h) when it holds
+// at most 64 distinct classes: at 2 bits per symbol for at most 4, at 6
+// bits for at most 64. The kernel's shared-memory staging unpacks it; every
+// other slice ships one byte per symbol. The width reads the slice's
 // content alone — there is no option for it.
 #pragma once
 
@@ -69,10 +69,6 @@ class FlightRecorder;
 
 namespace acgpu::pipeline {
 
-/// Which AC kernel the pipeline drives per batch: the paper's approach A
-/// (global memory only) or approach B (shared-memory staging).
-using KernelVariant = kernels::Approach;
-
 /// Observability sinks (telemetry/metrics_registry.h, telemetry/trace.h).
 /// All default to null = telemetry off, which costs nothing on the scan path
 /// beyond a branch per batch. When set, every run publishes gpusim.* and
@@ -96,16 +92,15 @@ struct TelemetryOptions {
   std::string metrics_prefix;
   /// Shard/device index stamped on flight-recorder events (0 standalone).
   std::uint32_t shard = 0;
+
+  bool operator==(const TelemetryOptions&) const = default;
 };
 
+/// Every batch runs the paper's approach B: the slice is staged through
+/// shared memory with the diagonal store. Approach A (global memory only)
+/// and the naive and sequential stores are raw kernels::run_ac_kernel
+/// ablations, not pipeline options.
 struct PipelineOptions {
-  /// Device kernel: the paper's shared-memory kernel (default) or the
-  /// global-memory ablation.
-  KernelVariant variant = KernelVariant::kShared;
-  /// Shared-memory store scheme (kShared only); the diagonal scheme is the
-  /// paper's bank-conflict-free layout.
-  kernels::StoreScheme scheme = kernels::StoreScheme::kDiagonal;
-
   /// Streams (pipeline lanes) to cycle batches across. 1 = no overlap (the
   /// baseline the BENCH_pipeline numbers compare against). Each stream
   /// stages its batches into its own upload buffer.
@@ -180,8 +175,8 @@ struct BatchTrace {
   std::uint32_t stream = 0;        ///< stream the batch's ops were issued on
   std::uint64_t issue_index = 0;   ///< timeline op id of the batch's H2D
   std::uint64_t owned_bytes = 0;   ///< bytes this batch reports matches for
-  /// Bits per symbol the slice crossed PCIe at: 2 (kShared, at most 4
-  /// distinct classes in the slice), 6 (kShared, at most 64) or 8 (bytes).
+  /// Bits per symbol the slice crossed PCIe at: 2 (at most 4 distinct
+  /// classes in the slice), 6 (at most 64) or 8 (bytes).
   std::uint32_t symbol_bits = 8;
   /// H2D payload: owned + overlap carry at symbol_bits bits per symbol.
   std::uint64_t staged_bytes = 0;
@@ -261,8 +256,8 @@ struct BatchGeometry {
 ///    make small chunks the slower choice (DESIGN.md has the measured
 ///    crossover);
 ///  - block: the largest multiple of 32 up to threads_per_block that still
-///    gives the grid 2 blocks per SM and, for kShared, lets 2 blocks' shared
-///    memory (kernels::staged_shared_bytes, which counts the 6-bit table and
+///    gives the grid 2 blocks per SM and lets 2 blocks' shared memory
+///    (kernels::staged_shared_bytes, which counts the 6-bit table and
 ///    exchange) share the SM; 32 when none does.
 /// Geometry is a function of the slice length and width alone. The Timed
 /// reuse cache keys on both, so batches that share a key run the same

@@ -71,7 +71,7 @@ const char* to_string(AdmissionPolicy policy);
 
 struct ServeOptions {
   /// The bulk-scan engine; its DFA is the one every session walks across
-  /// chunk boundaries, whatever the kernel variant. Its telemetry sinks are
+  /// chunk boundaries, whatever the engine's options. Its telemetry sinks are
   /// the service's too: the serve.* series go to engine.telemetry.metrics
   /// under its metrics_prefix, serve.superbatch spans to its tracer (so
   /// engine.scan nests under them), and admission/reject/eviction events to

@@ -277,6 +277,22 @@ TEST(ClusterObservabilityTest, ValidateRejectsRouterManagedTelemetryFields) {
     EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
               StatusCode::kInvalidArgument);
   }
+  // Router::create overwrites every shard's engine.telemetry, so each of
+  // these would vanish silently (the tracer with trace off); the error
+  // names the ClusterOptions fields to set instead.
+  telemetry::MetricsRegistry registry;
+  telemetry::Tracer tracer;
+  cluster::ClusterOptions metrics = base_options(2), tracing = metrics, shard = metrics;
+  metrics.engine.telemetry.metrics = &registry;
+  tracing.engine.telemetry.tracer = &tracer;
+  shard.engine.telemetry.shard = 3;
+  for (const cluster::ClusterOptions& opt : {metrics, tracing, shard}) {
+    const Status s = cluster::Router::create(patterns(), opt).status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("ClusterOptions::metrics, ::trace or ::recorder"),
+              std::string::npos)
+        << s.to_string();
+  }
 }
 
 }  // namespace

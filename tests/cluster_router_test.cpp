@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <thread>
@@ -405,16 +406,18 @@ TEST(ClusterRouter, OverflowingScanFallsBackToExactHostMatches) {
 }
 
 TEST(ClusterRouter, ScanBoundPastTheRecordWordIsServedFromTheHost) {
-  // 5,000 three-letter words have over 5,000 output ids; with a 1 MiB chunk
+  // 5,000 three-letter words have over 5,000 DFA states; with a 1 MiB chunk
   // their records need more than 2^32 codes, so every slab's Engine::scan
-  // fails kCapacityExceeded and the Router scans exactly on the host.
+  // fails kCapacityExceeded and the Router scans exactly on the host. The
+  // chip's shared memory admits a 32-thread block of 1 MiB chunks, so the
+  // record word, not staging, is what refuses.
   std::vector<std::string> words;
   for (int i = 0; i < 5000; ++i)
     words.push_back({static_cast<char>('a' + i / 676 % 26),
                      static_cast<char>('a' + i / 26 % 26), static_cast<char>('a' + i % 26)});
   ClusterOptions opt = fast_cluster(2);
-  opt.engine.variant = pipeline::KernelVariant::kGlobalOnly;
   opt.engine.chunk_bytes = 1u << 20;
+  opt.device.gpu.shared_mem_bytes = 64u << 20;
   Router router = make_router(words, opt);
   const std::string text = herd_text();
   const auto scan = router.scan(text);
@@ -422,6 +425,51 @@ TEST(ClusterRouter, ScanBoundPastTheRecordWordIsServedFromTheHost) {
   EXPECT_TRUE(scan.value().host_fallback);
   EXPECT_EQ(scan.value().matches, reference(router, text));
   EXPECT_FALSE(scan.value().matches.empty());
+}
+
+TEST(ClusterRouter, PatternTooLongToStageIsServedFromTheHost) {
+  // A 600-byte pattern needs 600 B chunks, and a 32-thread block of them
+  // (with the 6-bit table and exchange) outgrows the chip's 16 KB of shared
+  // memory: the Engine refuses every scan before it stages anything, and
+  // the serve and cluster tiers answer exactly from the host DFA.
+  std::string long_pattern;
+  for (int i = 0; i < 600; ++i) long_pattern += static_cast<char>('a' + i % 7);
+  const std::vector<std::string> patterns = {long_pattern, "he", "she"};
+  const std::string text = herd_text() + long_pattern + herd_text();
+  const ClusterOptions opt = fast_cluster(2);
+  ASSERT_EQ(opt.device.gpu.shared_mem_bytes, 16u * 1024);
+
+  Device device = Device::create(opt.device).value();
+  Engine engine = Engine::create(device, ac::PatternSet(patterns), opt.engine).value();
+  const std::size_t allocated = device.memory().allocated();
+  const auto refused = engine.scan(text);
+  EXPECT_EQ(refused.status().code(), StatusCode::kCapacityExceeded);
+  EXPECT_NE(refused.status().message().find("even at 32 threads/block"), std::string::npos)
+      << refused.status().to_string();
+  EXPECT_EQ(device.memory().allocated(), allocated);
+
+  Router router = make_router(patterns, opt);
+  const std::vector<ac::Match> expected = reference(router, text);
+  const ac::Match planted{herd_text().size() + long_pattern.size() - 1, 0};
+  ASSERT_NE(std::find(expected.begin(), expected.end(), planted), expected.end());
+  const auto scan = router.scan(text);
+  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+  EXPECT_TRUE(scan.value().host_fallback);
+  EXPECT_EQ(scan.value().matches, expected);
+
+  serve::ServeOptions sopt;
+  sopt.engine = opt.engine;
+  sopt.device = opt.device;
+  serve::StreamService service =
+      serve::StreamService::create(ac::PatternSet(patterns), sopt).value();
+  const serve::SessionId id = service.open().value();
+  for (std::size_t pos = 0; pos < text.size(); pos += 1000)
+    ASSERT_TRUE(service.feed(id, std::string_view(text).substr(pos, 1000)).is_ok());
+  ASSERT_TRUE(service.drain().is_ok());
+  std::vector<ac::Match> delivered = service.poll(id).value();
+  ac::normalize_matches(delivered);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_GE(service.stats().host_fallbacks, 1u);
 }
 
 TEST(ClusterRouter, StatsRollUp) {

@@ -1,6 +1,6 @@
 // Fuzzed stream x batch-count conformance: every stream count, with fewer
-// and more batches than its upload pool of 2 x streams buffers, must
-// produce exactly the matches of a single-shot Engine::scan, across all
+// and more batches than its upload buffers (one per stream), must produce
+// exactly the matches of a single-shot Engine::scan, across all
 // oracle workload families (oracle/workload_gen.h). Staging is pure timing
 // — a divergence here means a batch was stitched or an upload buffer
 // recycled incorrectly, and the oracle's differential diff pinpoints where.
@@ -33,17 +33,13 @@ constexpr std::uint32_t kStreams[] = {1, 2, 3, 4, 6, 8};
 /// The text is split into about this many batches (the link split may add
 /// more, which is exactly the production path).
 constexpr std::uint64_t kBatchCounts[] = {3, 7, 17};
-constexpr KernelVariant kVariants[] = {KernelVariant::kShared,
-                                       KernelVariant::kGlobalOnly};
 
 /// Runs one staged configuration in Functional mode, growing the match
 /// capacity on overflow (tiny batches concentrate matches per thread).
 Result<std::vector<ac::Match>> run_staged(const oracle::CompiledWorkload& w,
-                                          KernelVariant variant,
                                           std::uint32_t streams,
                                           std::uint64_t batches) {
   PipelineOptions opt;
-  opt.variant = variant;
   opt.streams = streams;
   opt.batch_bytes = std::max<std::uint64_t>(1, w.text().size() / batches);
   opt.threads_per_block = 64;
@@ -88,23 +84,17 @@ TEST(PipelineDepthConformance, AllStreamDepthCombosMatchSingleShotScan) {
     ASSERT_EQ(reference, oracle::reference_matches(w))
         << "single-shot Engine::scan disagrees with the serial DFA";
 
-    std::size_t combo = 0;
     for (const std::uint32_t streams : kStreams) {
       for (const std::uint64_t batches : kBatchCounts) {
-        const KernelVariant variant = kVariants[combo++ % std::size(kVariants)];
         const std::uint64_t salt = streams * 100 + batches;
-        Result<std::vector<ac::Match>> got =
-            run_staged(w, variant, streams, batches);
-        ASSERT_TRUE(got.is_ok())
-            << "streams=" << streams << " batches=" << batches << " variant "
-            << to_string(variant) << ": " << got.status().to_string();
+        Result<std::vector<ac::Match>> got = run_staged(w, streams, batches);
+        ASSERT_TRUE(got.is_ok()) << "streams=" << streams << " batches=" << batches
+                                 << ": " << got.status().to_string();
         const auto divergence = oracle::diff_matches(
             w, std::string("pipeline-s") + std::to_string(streams) + "-b" +
                    std::to_string(batches),
             salt, reference, got.value());
-        EXPECT_FALSE(divergence.has_value())
-            << oracle::describe(*divergence) << " (variant "
-            << to_string(variant) << ")";
+        EXPECT_FALSE(divergence.has_value()) << oracle::describe(*divergence);
       }
     }
   }

@@ -127,8 +127,8 @@ TEST(Device, EngineIdsAreUniqueAcrossDevices) {
 
 TEST(Device, DfaOverloadBindsToExplicitDevice) {
   Device device = Device::create(small_device()).value();
-  const CompiledPatterns compiled{
-      std::make_shared<const ac::Dfa>(ac::build_dfa(ac::PatternSet({"ab"}), 8))};
+  const CompiledPatterns compiled =
+      CompiledPatterns::compile(ac::build_dfa(ac::PatternSet({"ab"}), 8)).value();
   Engine engine = Engine::create(device, compiled, fast_engine()).value();
   EXPECT_EQ(engine.scan("abab").value().matches.size(), 2u);
 }
@@ -228,19 +228,28 @@ TEST(Device, DroppingAnEngineUnderALaterUploadKeepsBoth) {
 }
 
 TEST(Device, EnginesShareOneCompiledAutomaton) {
+  // compile() computes the byte classes once; every engine built from the
+  // result shares its DFA and uploads the STT over those same classes.
   Device device = Device::create(small_device()).value();
-  Result<CompiledPatterns> compiled =
-      CompiledPatterns::compile(ac::PatternSet({"ab", "b"}));
-  ASSERT_TRUE(compiled.is_ok());
-  EngineOptions global = fast_engine();
-  global.variant = pipeline::KernelVariant::kGlobalOnly;
-  Engine a = Engine::create(device, compiled.value(), fast_engine()).value();
-  Engine b = Engine::create(device, compiled.value(), global).value();
-  EXPECT_EQ(&a.dfa(), compiled.value().dfa.get());
-  EXPECT_EQ(&b.dfa(), compiled.value().dfa.get());
+  const CompiledPatterns compiled =
+      CompiledPatterns::compile(ac::PatternSet({"ab", "b"})).value();
+  const kernels::ByteClasses classes = kernels::byte_classes(compiled.dfa());
+  EXPECT_EQ(compiled.classes().of_byte, classes.of_byte);
+  EXPECT_EQ(compiled.classes().count, classes.count);
+  Engine a = Engine::create(device, compiled, fast_engine()).value();
+  EXPECT_EQ(device.memory().allocated(),
+            kernels::DeviceDfa::upload_bytes(compiled.dfa(), compiled.classes()));
+  Engine b = Engine::create(device, compiled, fast_engine()).value();
+  for (const Engine* e : {&a, &b}) {
+    EXPECT_EQ(&e->dfa(), &compiled.dfa());
+    EXPECT_EQ(&e->compiled().classes(), &compiled.classes());
+  }
   EXPECT_EQ(a.scan("abab").value().matches, b.scan("abab").value().matches);
 
   EXPECT_EQ(CompiledPatterns::compile(ac::PatternSet{}).status().code(),
+            StatusCode::kInvalidArgument);
+  const ac::PatternSet none;
+  EXPECT_EQ(CompiledPatterns::compile(ac::Dfa(ac::Automaton(none), none)).status().code(),
             StatusCode::kInvalidArgument);
 }
 

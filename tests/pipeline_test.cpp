@@ -158,13 +158,6 @@ TEST(PipelineStitching, BatchLargerThanText) {
   expect_conforms({"ab", "ca"}, random_text(300, 17), opt);
 }
 
-TEST(PipelineStitching, GlobalOnlyVariant) {
-  PipelineOptions opt;
-  opt.variant = KernelVariant::kGlobalOnly;
-  opt.batch_bytes = 777;  // unaligned boundary
-  expect_conforms({"ab", "bca"}, random_text(3000, 19), opt);
-}
-
 TEST(PipelineStitching, StreamCountDoesNotChangeMatches) {
   const std::string text = random_text(4000, 29);
   for (std::uint32_t streams : {1u, 2u, 4u}) {
@@ -698,16 +691,11 @@ TEST(PipelineGeometry, SlicePastHalfResidencyKeeps32ByteChunksAtTwoBlocksPerSm) 
   EXPECT_EQ(batch_geometry(gpu, 16, 15360 * 16 + 1, opt),
             (std::vector<Geometry>{{32, 128}}));
   // A 1 MB slice: the block shrinks from 256 to 224 so two staged blocks
-  // share one SM's shared memory...
+  // share one SM's shared memory.
   const std::vector<Geometry> wide = batch_geometry(gpu, 16, 1u << 20, opt);
   ASSERT_EQ(wide, (std::vector<Geometry>{{32, 224}}));
   EXPECT_EQ(gpu.occupancy_blocks(224, (224 + 1) * 32), 2u);
-  // ...which the global-only kernel, staging nothing, does not need.
-  opt.variant = KernelVariant::kGlobalOnly;
-  EXPECT_EQ(batch_geometry(gpu, 16, 1u << 20, opt),
-            (std::vector<Geometry>{{32, 256}}));
   // threads_per_block is a ceiling on the derived block.
-  opt.variant = KernelVariant::kShared;
   opt.threads_per_block = 96;
   EXPECT_EQ(batch_geometry(gpu, 16, 1u << 20, opt),
             (std::vector<Geometry>{{32, 96}}));
@@ -768,19 +756,8 @@ TEST(PipelineGeometry, EveryDerivedBlockFitsTwoPerSmWithTheSixBitTableAndExchang
 }
 
 // Exact matches in every branch of the rule — smallest vs 32-byte chunk,
-// fallback vs grid-limited block, mixed geometries across one run's batches
-// — under every store scheme and both AC kernels.
+// fallback vs grid-limited block, mixed geometries across one run's batches.
 TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
-  struct Variant {
-    KernelVariant variant;
-    kernels::StoreScheme scheme;
-  };
-  const Variant variants[] = {
-      {KernelVariant::kShared, kernels::StoreScheme::kSequential},
-      {KernelVariant::kShared, kernels::StoreScheme::kCoalescedNaive},
-      {KernelVariant::kShared, kernels::StoreScheme::kDiagonal},
-      {KernelVariant::kGlobalOnly, kernels::StoreScheme::kDiagonal},
-  };
   bool smallest_chunk = false, wide_chunk = false;
   bool fallback_block = false, grid_block = false, mixed_run = false;
   for (const std::size_t max_len : {3u, 8u, 12u, 16u}) {
@@ -796,26 +773,20 @@ TEST(PipelineGeometry, DerivedGeometryMatchesSerialInEveryBranch) {
       const std::vector<std::string> patterns = {
           text.substr(text_bytes / 2, max_len), "ab", "cd", "abc"};
       const ac::Dfa dfa = ac::build_dfa(ac::PatternSet(patterns), 8);
-      const std::vector<ac::Match> expected = ac::find_all(dfa, text);
-      for (const Variant& v : variants) {
-        PipelineOptions opt;
-        opt.variant = v.variant;
-        opt.scheme = v.scheme;
-        opt.batch_bytes = batch_bytes;
-        opt.match_capacity = 256;
-        gpusim::DeviceMemory mem(64u << 20);
-        kernels::DeviceDfa ddfa(mem, dfa);
-        auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
-        ASSERT_TRUE(got.is_ok()) << got.status().to_string();
-        EXPECT_FALSE(got.value().overflowed);
-        EXPECT_EQ(got.value().matches, expected)
-            << "max pattern " << max_len << ", " << text_bytes << " B, "
-            << to_string(v.variant) << "/" << kernels::to_string(v.scheme);
-        for (const BatchTrace& t : got.value().batches) {
-          (t.chunk_bytes == smallest ? smallest_chunk : wide_chunk) = true;
-          (t.threads_per_block == 32 ? fallback_block : grid_block) = true;
-          mixed_run |= t.chunk_bytes != got.value().batches.front().chunk_bytes;
-        }
+      PipelineOptions opt;
+      opt.batch_bytes = batch_bytes;
+      opt.match_capacity = 256;
+      gpusim::DeviceMemory mem(64u << 20);
+      kernels::DeviceDfa ddfa(mem, dfa);
+      auto got = MatchPipeline(small_gpu(), mem, ddfa, opt).run(text);
+      ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+      EXPECT_FALSE(got.value().overflowed);
+      EXPECT_EQ(got.value().matches, ac::find_all(dfa, text))
+          << "max pattern " << max_len << ", " << text_bytes << " B";
+      for (const BatchTrace& t : got.value().batches) {
+        (t.chunk_bytes == smallest ? smallest_chunk : wide_chunk) = true;
+        (t.threads_per_block == 32 ? fallback_block : grid_block) = true;
+        mixed_run |= t.chunk_bytes != got.value().batches.front().chunk_bytes;
       }
     }
   }
@@ -888,12 +859,13 @@ std::vector<std::string> three_letter_words(std::size_t count) {
 
 TEST(PipelineOutput, ScanBoundTooWideForTheRecordWordIsCapacityExceeded) {
   // 5,000 patterns' 5,000-plus DFA states x a 1 MiB (+2) scan bound is past
-  // 2^32 record codes.
+  // 2^32 record codes. The chip's shared memory admits a 32-thread block of
+  // 1 MiB chunks, so the record word, not staging, is what refuses.
   EngineOptions eopt;
-  eopt.variant = KernelVariant::kGlobalOnly;
   eopt.chunk_bytes = 1u << 20;
   DeviceOptions dopt;
   dopt.gpu = small_gpu();
+  dopt.gpu.shared_mem_bytes = 64u << 20;
   auto device = Device::create(dopt);
   ASSERT_TRUE(device.is_ok()) << device.status().to_string();
   auto engine =

@@ -18,9 +18,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0x5e55104'5e55104ULL;
 
-ServeOptions conformance_options(Rng& rng, pipeline::KernelVariant variant) {
+ServeOptions conformance_options(Rng& rng) {
   ServeOptions opt;
-  opt.engine.variant = variant;
   opt.engine.mode = gpusim::SimMode::Functional;
   opt.device.gpu.num_sms = 4;
   opt.device.memory_bytes = 64u << 20;
@@ -71,10 +70,9 @@ std::vector<ac::Match> single_shot(const oracle::CompiledWorkload& w,
 /// random slices (empty, 1-byte, small, packet-sized) and returns the
 /// normalized matches.
 std::vector<ac::Match> streamed(const oracle::CompiledWorkload& w,
-                                std::uint64_t salt,
-                                pipeline::KernelVariant variant) {
+                                std::uint64_t salt) {
   Rng rng(derive_seed(salt, 21));
-  ServeOptions opt = conformance_options(rng, variant);
+  ServeOptions opt = conformance_options(rng);
   opt.engine.chunk_bytes = legal_chunk_bytes(w.dfa());
   auto service = StreamService::create(w.patterns(), opt);
   EXPECT_TRUE(service.is_ok()) << service.status().to_string();
@@ -103,37 +101,21 @@ std::vector<ac::Match> streamed(const oracle::CompiledWorkload& w,
   return out;
 }
 
-class ServeFuzzedChunking
-    : public ::testing::TestWithParam<pipeline::KernelVariant> {};
-
-TEST_P(ServeFuzzedChunking, MatchesSingleShotAcrossAllWorkloadFamilies) {
-  const pipeline::KernelVariant variant = GetParam();
+TEST(ServeFuzzedChunking, MatchesSingleShotAcrossAllWorkloadFamilies) {
   const std::size_t families = oracle::workload_family_count();
   ASSERT_GE(families, 8u);
   for (std::uint64_t family = 0; family < families; ++family) {
     const oracle::CompiledWorkload w(oracle::generate_workload(kSeed, family));
     EngineOptions ref_opt;
-    ref_opt.variant = variant;
     ref_opt.mode = gpusim::SimMode::Functional;
     ref_opt.threads_per_block = 64;
     ref_opt.chunk_bytes = legal_chunk_bytes(w.dfa());
     const auto expected = single_shot(w, ref_opt);
     for (std::uint64_t salt = 0; salt < 3; ++salt)
-      EXPECT_EQ(streamed(w, derive_seed(family, salt), variant), expected)
+      EXPECT_EQ(streamed(w, derive_seed(family, salt)), expected)
           << oracle::workload_family_name(family) << " salt=" << salt;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllVariants, ServeFuzzedChunking,
-                         ::testing::Values(pipeline::KernelVariant::kShared,
-                                           pipeline::KernelVariant::kGlobalOnly),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case pipeline::KernelVariant::kShared: return "Shared";
-                             case pipeline::KernelVariant::kGlobalOnly: return "GlobalOnly";
-                           }
-                           return "Unknown";
-                         });
 
 TEST(ServeFuzzedChunkingEdge, AllOneByteChunksOnAdversarialOverlaps) {
   // Byte-at-a-time is the worst case: every match longer than one byte
@@ -145,7 +127,7 @@ TEST(ServeFuzzedChunkingEdge, AllOneByteChunksOnAdversarialOverlaps) {
   ac::normalize_matches(expected);
 
   Rng rng(7);
-  ServeOptions opt = conformance_options(rng, pipeline::KernelVariant::kShared);
+  ServeOptions opt = conformance_options(rng);
   opt.engine.chunk_bytes = legal_chunk_bytes(w.dfa());
   StreamService srv = StreamService::create(w.patterns(), opt).value();
   const SessionId id = srv.open().value();

@@ -179,8 +179,8 @@ TEST(ServeService, BackgroundAutoFlushIsRejectedAtCreate) {
 }
 
 TEST(ServeService, CreateFromDfaScans) {
-  const CompiledPatterns compiled{
-      std::make_shared<const ac::Dfa>(ac::build_dfa(ac::PatternSet({"ab"}), 8))};
+  const CompiledPatterns compiled =
+      CompiledPatterns::compile(ac::build_dfa(ac::PatternSet({"ab"}), 8)).value();
   auto r = StreamService::create(compiled, fast_options());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   StreamService& srv = r.value();
