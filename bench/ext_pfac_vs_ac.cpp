@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
 
     // PFAC allocates per-byte output slots, so budget device memory by size.
     gpusim::DeviceMemory mem(static_cast<std::size_t>(
-        max_size + dfa.stt_bytes() * 2 + (max_size + 4096) * 24 + (64 << 20)));
+        max_size + kernels::DeviceDfa::upload_bytes(dfa) + pfac.stt().size_bytes() +
+        (max_size + 4096) * 24 + (64 << 20)));
     const kernels::DeviceDfa ddfa(mem, dfa);
     const kernels::DevicePfac dpfac(mem, pfac);
     // PFAC reads bytes, the AC kernel byte classes.

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   Result<Device> device = Device::create(dopt);
   ACGPU_CHECK(device.is_ok(), device.status().to_string());
   gpusim::DeviceMemory& mem = device.value().memory();
-  const kernels::DeviceDfa ddfa(mem, dfa, compiled.classes());
+  const kernels::DeviceDfa ddfa(mem, dfa);
   const gpusim::DevAddr text_addr = kernels::upload_class_text(mem, ddfa, text);
   using kernels::Approach;
   using kernels::StoreScheme;

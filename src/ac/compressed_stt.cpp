@@ -16,7 +16,7 @@ CompressedStt::CompressedStt(const Dfa& dfa) {
   for (std::uint32_t s = 0; s < states; ++s) {
     Row& row = rows_[s];
     row.base = static_cast<std::uint32_t>(targets_.size());
-    output_ids_[s] = dfa.stt().output_id(static_cast<std::int32_t>(s));
+    output_ids_[s] = dfa.output_id(static_cast<std::int32_t>(s));
     for (std::uint32_t b = 0; b < 256; ++b) {
       const std::int32_t target =
           dfa.next(static_cast<std::int32_t>(s), static_cast<std::uint8_t>(b));
@@ -27,7 +27,7 @@ CompressedStt::CompressedStt(const Dfa& dfa) {
     }
   }
 
-  const double dense = static_cast<double>(dfa.stt_bytes());
+  const double dense = static_cast<double>(dfa.state_count()) * dfa.byte_pitch() * 4;
   ratio_ = dense / static_cast<double>(size_bytes());
 }
 

@@ -47,7 +47,8 @@ class CompressedStt {
 
   /// Compressed footprint in bytes (bitmaps + targets + match column).
   std::size_t size_bytes() const;
-  /// Dense STT bytes / compressed bytes.
+  /// The paper's byte-wide STT bytes (states x Dfa::byte_pitch words) /
+  /// compressed bytes.
   double compression_ratio() const { return ratio_; }
 
   // --- raw accessors for the GPU upload (kernels/compressed_kernel) ---

@@ -10,7 +10,7 @@
 
 namespace acgpu::ac {
 
-/// Scans `text` through the DFA, one STT lookup per byte, invoking
+/// Scans `text` through the DFA, one table lookup per byte, invoking
 /// `sink(end_index, pattern_id)` for every occurrence. `base` is added to
 /// reported end indices (used when scanning a window of a larger text).
 /// Returns the final DFA state (callers resuming a scan can pass it back as
@@ -19,10 +19,9 @@ template <typename Sink>
 std::int32_t match_serial(const Dfa& dfa, std::string_view text, Sink&& sink,
                           std::uint64_t base = 0, std::int32_t start_state = 0) {
   std::int32_t state = start_state;
-  const auto* stt = &dfa.stt();
   for (std::size_t i = 0; i < text.size(); ++i) {
-    state = stt->next(state, static_cast<std::uint8_t>(text[i]));
-    if (stt->output_id(state) != 0) {
+    state = dfa.next(state, static_cast<std::uint8_t>(text[i]));
+    if (dfa.is_match(state)) {
       for (const std::int32_t* p = dfa.output_begin(state); p != dfa.output_end(state); ++p)
         sink(base + i, *p);
     }

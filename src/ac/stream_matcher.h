@@ -24,11 +24,10 @@ class StreamMatcher {
   /// matcher's output.
   template <typename Sink>
   void feed(std::string_view slice, Sink&& sink) {
-    const auto* stt = &dfa_->stt();
     std::int32_t state = state_;
     for (std::size_t i = 0; i < slice.size(); ++i) {
-      state = stt->next(state, static_cast<std::uint8_t>(slice[i]));
-      if (stt->output_id(state) != 0) {
+      state = dfa_->next(state, static_cast<std::uint8_t>(slice[i]));
+      if (dfa_->is_match(state)) {
         for (const std::int32_t* p = dfa_->output_begin(state);
              p != dfa_->output_end(state); ++p)
           sink(consumed_ + i, *p);

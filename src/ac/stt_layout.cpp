@@ -1,5 +1,6 @@
 #include "ac/stt_layout.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -33,19 +34,29 @@ std::uint64_t remaining_bytes(std::istream& in) {
 }  // namespace
 
 SttMatrix::SttMatrix(std::uint32_t rows, std::uint32_t pad_pitch_to)
-    : rows_(rows), pitch_(kColumns) {
+    : rows_(rows), pitch_(padded_pitch(pad_pitch_to)) {
   ACGPU_CHECK(rows > 0, "SttMatrix requires at least one state row");
-  if (pad_pitch_to > 0)
-    pitch_ = (kColumns + pad_pitch_to - 1) / pad_pitch_to * pad_pitch_to;
   data_.assign(static_cast<std::size_t>(rows_) * pitch_, 0);
 }
 
 void SttMatrix::save(std::ostream& out) const {
+  save_rows(out, rows_, pitch_, [&](std::uint32_t r, std::int32_t* words) {
+    std::copy_n(data_.data() + static_cast<std::size_t>(r) * pitch_, pitch_, words);
+  });
+}
+
+void SttMatrix::save_rows(std::ostream& out, std::uint32_t rows, std::uint32_t pitch,
+                          const std::function<void(std::uint32_t, std::int32_t*)>& fill_row) {
   out.write(kMagic, sizeof kMagic);
-  write_u32(out, rows_);
-  write_u32(out, pitch_);
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(size_bytes()));
+  write_u32(out, rows);
+  write_u32(out, pitch);
+  std::vector<std::int32_t> words(pitch);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    std::fill(words.begin(), words.end(), 0);
+    fill_row(r, words.data());
+    out.write(reinterpret_cast<const char*>(words.data()),
+              static_cast<std::streamsize>(words.size() * sizeof(std::int32_t)));
+  }
   ACGPU_CHECK(out.good(), "SttMatrix::save: stream write failed");
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -21,6 +22,12 @@ class SttMatrix {
   /// Column index for input byte b.
   static constexpr std::uint32_t column_for_byte(std::uint8_t b) {
     return 1u + b;
+  }
+  /// Row pitch for `pad_pitch_to` (see the constructor).
+  static constexpr std::uint32_t padded_pitch(std::uint32_t pad_pitch_to) {
+    return pad_pitch_to == 0
+               ? kColumns
+               : (kColumns + pad_pitch_to - 1) / pad_pitch_to * pad_pitch_to;
   }
 
   SttMatrix() = default;
@@ -56,6 +63,12 @@ class SttMatrix {
   /// malformed stream.
   void save(std::ostream& out) const;
   static SttMatrix load(std::istream& in);
+
+  /// Writes what save() writes for a rows x pitch matrix without holding
+  /// it: `fill_row(r, words)` fills row r into `words`, `pitch` zeroed
+  /// elements.
+  static void save_rows(std::ostream& out, std::uint32_t rows, std::uint32_t pitch,
+                        const std::function<void(std::uint32_t, std::int32_t*)>& fill_row);
 
   friend bool operator==(const SttMatrix& a, const SttMatrix& b) {
     return a.rows_ == b.rows_ && a.pitch_ == b.pitch_ && a.data_ == b.data_;

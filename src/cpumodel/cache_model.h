@@ -12,6 +12,9 @@ namespace acgpu::cpumodel {
 
 class SetAssocCache {
  public:
+  /// `bytes` capacity, `line_bytes` per line, `assoc`-way sets, LRU. The
+  /// line size and the set count must be powers of two: a probe indexes by
+  /// shift and mask.
   SetAssocCache(std::uint64_t bytes, std::uint32_t line_bytes, std::uint32_t assoc);
 
   /// Probes (and fills) the line containing `addr`. True on hit.
@@ -34,8 +37,9 @@ class SetAssocCache {
   static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
 
   std::uint32_t line_bytes_;
+  std::uint32_t line_shift_;  ///< log2(line_bytes_)
   std::uint32_t assoc_;
-  std::uint64_t sets_;
+  std::uint64_t set_mask_;  ///< sets - 1
   std::vector<Way> ways_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;

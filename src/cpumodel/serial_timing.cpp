@@ -17,11 +17,12 @@ SerialEstimate estimate_serial(const ac::Dfa& dfa, std::string_view sample,
   SetAssocCache l1(config.l1_bytes, config.l1_line_bytes, config.l1_assoc);
   SetAssocCache l2(config.l2_bytes, config.l2_line_bytes, config.l2_assoc);
 
-  // Address layout for the model: the STT occupies [0, stt_bytes) and the
-  // input text follows it, exactly as a real process would lay them out.
-  const ac::SttMatrix& stt = dfa.stt();
-  const std::uint64_t pitch_bytes = static_cast<std::uint64_t>(stt.pitch()) * 4;
-  const std::uint64_t text_base = static_cast<std::uint64_t>(stt.rows()) * pitch_bytes;
+  // Address layout for the model: the paper's byte-wide STT (Dfa::byte_pitch
+  // words a row: the match column, then one column per byte) occupies
+  // [0, states x pitch) and the input text follows it, exactly as a real
+  // process would lay them out.
+  const std::uint64_t pitch_bytes = static_cast<std::uint64_t>(dfa.byte_pitch()) * 4;
+  const std::uint64_t text_base = static_cast<std::uint64_t>(dfa.state_count()) * pitch_bytes;
 
   std::uint64_t extra_cycles = 0;
   auto touch = [&](std::uint64_t addr) {
@@ -39,7 +40,7 @@ SerialEstimate estimate_serial(const ac::Dfa& dfa, std::string_view sample,
     touch(text_base + i);  // sequential input read
     const std::uint64_t row = static_cast<std::uint64_t>(state) * pitch_bytes;
     touch(row + (1 + byte) * 4);  // next-state entry
-    state = stt.next(state, byte);
+    state = dfa.next(state, byte);
     touch(static_cast<std::uint64_t>(state) * pitch_bytes);  // match column
   }
 

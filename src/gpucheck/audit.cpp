@@ -150,8 +150,9 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
         ls.match_capacity = capacity;
         Recorder recorder(spec.recorder);
         ls.sim.observer = &recorder;
-        gpusim::DeviceMemory mem = make_device(w.text().size(), threads,
-                                               capacity, w.dfa().stt_bytes());
+        gpusim::DeviceMemory mem =
+            make_device(w.text().size(), threads, capacity,
+                        kernels::DeviceDfa::upload_bytes(w.dfa()));
         const kernels::DeviceDfa ddfa(mem, w.dfa());
         const auto addr = kernels::upload_class_text(mem, ddfa, w.text());
         auto matches =

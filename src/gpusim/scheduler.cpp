@@ -220,7 +220,7 @@ double Scheduler::handle_tex(WarpRun* w, double issued, const Texture2D* texture
     if (!warp.mask[l] || ((suppress >> l) & 1u)) continue;
     ++lane_fetches;
     const DevAddr line =
-        texture->addr_of(warp.tex_x[l], warp.tex_y[l]) / sm.tcache->line_bytes();
+        texture->addr_of(warp.tex_x[l], warp.tex_y[l]) >> sm.tcache->line_shift();
     bool dup = false;
     for (std::size_t j = 0; j < n_lines; ++j)
       if (lines[j] == line) {
@@ -234,7 +234,7 @@ double Scheduler::handle_tex(WarpRun* w, double issued, const Texture2D* texture
   std::uint32_t l1_miss_lines = 0;
   std::uint32_t l2_miss_lines = 0;
   for (std::size_t j = 0; j < n_lines; ++j) {
-    const DevAddr line_addr = lines[j] * sm.tcache->line_bytes();
+    const DevAddr line_addr = lines[j] << sm.tcache->line_shift();
     if (sm.tcache->access(line_addr)) continue;
     ++l1_miss_lines;
     if (!tex_l2_->access(line_addr)) ++l2_miss_lines;

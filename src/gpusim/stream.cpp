@@ -50,16 +50,20 @@ double StreamSim::enqueue(StreamId stream, StreamOpKind kind, double duration,
                           std::uint64_t bytes, std::string label) {
   StreamState& s = state(stream);
   // A D2H never waits behind an H2D: each direction has its own queue.
-  double* engine_free = kind == StreamOpKind::kH2D   ? &upload_free_
-                        : kind == StreamOpKind::kD2H ? &readback_free_
-                                                     : &compute_free_;
-  const double start = std::max({s.ready, s.pending_dep, *engine_free});
-  const double end = start + duration;
-  s.ready = end;
-  s.pending_dep = 0;
-  *engine_free = end;
-  timeline_.push_back(StreamOp{static_cast<std::uint64_t>(timeline_.size()), stream,
-                               kind, start, end, bytes, std::move(label)});
+  Mark* engine_free = kind == StreamOpKind::kH2D   ? &upload_free_
+                      : kind == StreamOpKind::kD2H ? &readback_free_
+                                                   : &compute_free_;
+  // The op starts when the latest of the three ends; ties keep the stream.
+  Mark from = s.ready;
+  if (engine_free->at > from.at) from = *engine_free;
+  if (s.pending_dep.at > from.at) from = s.pending_dep;
+  const double end = from.at + duration;
+  const Mark done{end, static_cast<std::uint64_t>(timeline_.size())};
+  s.ready = done;
+  s.pending_dep = Mark{};
+  *engine_free = done;
+  timeline_.push_back(StreamOp{done.op, stream, kind, from.at, end, bytes,
+                               std::move(label), from.op});
   if (host_observer_ != nullptr) {
     const StreamOp& op = timeline_.back();
     host_observer_->on_op(HostOpRecord{
@@ -116,25 +120,25 @@ EventId StreamSim::record_event(StreamId stream) {
   const auto id = static_cast<EventId>(events_.size() - 1);
   if (host_observer_ != nullptr)
     host_observer_->on_event_record(
-        HostEventRecord{sim_id_, id, stream, events_.back()});
+        HostEventRecord{sim_id_, id, stream, events_.back().at});
   return id;
 }
 
 void StreamSim::wait_event(StreamId stream, EventId event) {
   StreamState& s = state(stream);
-  s.pending_dep = std::max(s.pending_dep, event_seconds(event));
+  if (event_seconds(event) > s.pending_dep.at) s.pending_dep = events_[event];
   if (host_observer_ != nullptr)
     host_observer_->on_wait_event(HostWaitEventRecord{sim_id_, stream, event});
 }
 
 double StreamSim::event_seconds(EventId event) const {
   ACGPU_CHECK(event < events_.size(), "unknown event id " << event);
-  return events_[event];
+  return events_[event].at;
 }
 
 double StreamSim::stream_ready(StreamId stream) const {
   ACGPU_CHECK(stream < streams_.size(), "unknown stream id " << stream);
-  return streams_[stream].ready;
+  return streams_[stream].ready.at;
 }
 
 double StreamSim::op_end(std::uint64_t op_id) const {
@@ -144,7 +148,7 @@ double StreamSim::op_end(std::uint64_t op_id) const {
 
 double StreamSim::synchronize() const {
   double latest = 0;
-  for (const StreamState& s : streams_) latest = std::max(latest, s.ready);
+  for (const StreamState& s : streams_) latest = std::max(latest, s.ready.at);
   return latest;
 }
 
@@ -192,6 +196,23 @@ OverlapStats StreamSim::overlap() const {
   all.insert(all.end(), compute.begin(), compute.end());
   stats.overlapped = stats.copy_busy + stats.compute_busy - merged_busy(all);
   return stats;
+}
+
+CriticalPath StreamSim::critical_path() const {
+  CriticalPath path;
+  std::uint64_t op = StreamOp::kNoOp;
+  for (const StreamOp& o : timeline_)
+    if (op == StreamOp::kNoOp || o.end > timeline_[op].end) op = o.id;
+  for (; op != StreamOp::kNoOp; op = timeline_[op].bound_by) {
+    const StreamOp& o = timeline_[op];
+    const double seconds = o.end - o.start;
+    switch (o.kind) {
+      case StreamOpKind::kH2D: path.h2d += seconds; break;
+      case StreamOpKind::kKernel: path.kernel += seconds; break;
+      case StreamOpKind::kD2H: path.d2h += seconds; break;
+    }
+  }
+  return path;
 }
 
 }  // namespace acgpu::gpusim

@@ -38,6 +38,8 @@ const char* to_string(StreamOpKind kind);
 
 /// One resolved operation on the simulated timeline.
 struct StreamOp {
+  static constexpr std::uint64_t kNoOp = ~std::uint64_t{0};
+
   std::uint64_t id = 0;
   StreamId stream = 0;
   StreamOpKind kind{};
@@ -45,6 +47,21 @@ struct StreamOp {
   double end = 0;
   std::uint64_t bytes = 0;  ///< copies: payload size; kernels: 0
   std::string label;
+  /// The earlier op whose end is this op's start: its stream's previous
+  /// op, its engine's previous op, or the op an event it waited on
+  /// recorded (the last op on the event's stream at record time). Ties go
+  /// to the stream, then the engine; kNoOp when the op started at time 0.
+  std::uint64_t bound_by = kNoOp;
+};
+
+/// The chain of ops that bound the makespan, followed back from the op that
+/// ends last through each op's bound_by, split by engine. Each op on it
+/// starts when the one before it ends, so the three parts sum to the
+/// makespan.
+struct CriticalPath {
+  double h2d = 0;
+  double kernel = 0;
+  double d2h = 0;
 };
 
 /// Busy/overlap accounting over a resolved timeline.
@@ -108,6 +125,7 @@ class StreamSim {
 
   const std::vector<StreamOp>& timeline() const { return timeline_; }
   OverlapStats overlap() const;
+  CriticalPath critical_path() const;
 
   DeviceMemory& memory() { return gmem_; }
   const GpuConfig& config() const { return cfg_; }
@@ -134,9 +152,14 @@ class StreamSim {
                 bool is_write);
 
  private:
+  /// A completion time and the op that ends then (kNoOp for time 0).
+  struct Mark {
+    double at = 0;
+    std::uint64_t op = StreamOp::kNoOp;
+  };
   struct StreamState {
-    double ready = 0;        ///< completion of the stream's last op
-    double pending_dep = 0;  ///< dependency applied to the next op
+    Mark ready;        ///< completion of the stream's last op
+    Mark pending_dep;  ///< dependency applied to the next op
   };
 
   StreamState& state(StreamId stream);
@@ -148,11 +171,11 @@ class StreamSim {
   HostObserver* host_observer_ = nullptr;
   std::uint32_t sim_id_ = 0;  ///< assigned by the observer on attach
   std::vector<StreamState> streams_;
-  double upload_free_ = 0;    ///< the H2D queue
-  double readback_free_ = 0;  ///< the D2H queue
-  double compute_free_ = 0;
+  Mark upload_free_;    ///< the H2D queue
+  Mark readback_free_;  ///< the D2H queue
+  Mark compute_free_;
   std::vector<StreamOp> timeline_;
-  std::vector<double> events_;
+  std::vector<Mark> events_;
 };
 
 }  // namespace acgpu::gpusim

@@ -1,24 +1,30 @@
 #include "gpusim/texture_cache.h"
 
+#include <bit>
+
 #include "util/error.h"
 
 namespace acgpu::gpusim {
 
 TextureCache::TextureCache(std::uint32_t bytes, std::uint32_t line_bytes,
                            std::uint32_t assoc)
-    : line_bytes_(line_bytes), assoc_(assoc) {
-  ACGPU_CHECK(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0,
+    : line_bytes_(line_bytes),
+      line_shift_(static_cast<std::uint32_t>(std::countr_zero(line_bytes))),
+      assoc_(assoc) {
+  ACGPU_CHECK(std::has_single_bit(line_bytes),
               "texture cache line size must be a power of two");
   ACGPU_CHECK(assoc > 0, "texture cache associativity must be positive");
   ACGPU_CHECK(bytes >= line_bytes * assoc,
               "texture cache of " << bytes << "B cannot hold one " << assoc << "-way set");
-  sets_ = bytes / (line_bytes * assoc);
-  ACGPU_CHECK(sets_ > 0, "texture cache has zero sets");
-  ways_.assign(static_cast<std::size_t>(sets_) * assoc_, Way{});
+  const std::uint32_t sets = bytes / (line_bytes * assoc);
+  ACGPU_CHECK(std::has_single_bit(sets),
+              "texture cache set count must be a power of two, got " << sets);
+  set_mask_ = sets - 1;
+  ways_.assign(static_cast<std::size_t>(sets) * assoc_, Way{});
 }
 
 bool TextureCache::access(DevAddr addr) {
-  const DevAddr line = addr / line_bytes_;
+  const DevAddr line = addr >> line_shift_;
   Way* set = ways_.data() + set_index(line) * assoc_;
   ++tick_;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
@@ -44,7 +50,7 @@ bool TextureCache::access(DevAddr addr) {
 }
 
 bool TextureCache::contains(DevAddr addr) const {
-  const DevAddr line = addr / line_bytes_;
+  const DevAddr line = addr >> line_shift_;
   const Way* set = ways_.data() + set_index(line) * assoc_;
   for (std::uint32_t w = 0; w < assoc_; ++w)
     if (set[w].tag == line) return true;

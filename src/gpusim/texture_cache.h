@@ -13,7 +13,9 @@ namespace acgpu::gpusim {
 
 class TextureCache {
  public:
-  /// `bytes` capacity, `line_bytes` per line, `assoc`-way sets, LRU.
+  /// `bytes` capacity, `line_bytes` per line, `assoc`-way sets, LRU. The
+  /// line size and the set count must be powers of two: a probe indexes by
+  /// shift and mask.
   TextureCache(std::uint32_t bytes, std::uint32_t line_bytes, std::uint32_t assoc);
 
   /// Probes the line containing `addr`; fills it on miss. Returns true on hit.
@@ -25,7 +27,9 @@ class TextureCache {
   void clear();
 
   std::uint32_t line_bytes() const { return line_bytes_; }
-  std::uint32_t sets() const { return sets_; }
+  /// log2(line_bytes()): an address's line is addr >> line_shift().
+  std::uint32_t line_shift() const { return line_shift_; }
+  std::uint32_t sets() const { return set_mask_ + 1; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
@@ -36,11 +40,12 @@ class TextureCache {
   };
   static constexpr DevAddr kInvalid = ~DevAddr{0};
 
-  std::size_t set_index(DevAddr line) const { return line % sets_; }
+  std::size_t set_index(DevAddr line) const { return line & set_mask_; }
 
   std::uint32_t line_bytes_;
+  std::uint32_t line_shift_;
   std::uint32_t assoc_;
-  std::uint32_t sets_;
+  std::uint32_t set_mask_;  ///< sets - 1
   std::vector<Way> ways_;  // sets_ x assoc_
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;

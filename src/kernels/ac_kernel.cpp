@@ -436,7 +436,7 @@ gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text) {
 
 gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
                                   std::string_view text) {
-  return upload_text(mem, ddfa.classes().map(text));
+  return upload_text(mem, ddfa.host_dfa().classes().map(text));
 }
 
 namespace {

@@ -89,8 +89,8 @@ std::uint32_t staged_shared_bytes(std::uint32_t chunk_bytes, std::uint32_t threa
 /// PFAC kernels read raw bytes.
 gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text);
 
-/// upload_text of `text` mapped through `ddfa`'s byte classes
-/// (ByteClasses::map): the text run_ac_kernel scans.
+/// upload_text of `text` mapped through the DFA's byte classes
+/// (ac::ByteClasses::map): the text run_ac_kernel scans.
 gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
                                   std::string_view text);
 

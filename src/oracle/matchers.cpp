@@ -244,7 +244,8 @@ class GpuAcMatcher final : public Matcher {
         spec.threads_per_block;
     return collect_with_retry(name_.c_str(), [&](std::uint32_t capacity) {
       spec.match_capacity = capacity;
-      gpusim::DeviceMemory mem = make_device(w, threads, capacity, w.dfa().stt_bytes());
+      gpusim::DeviceMemory mem =
+          make_device(w, threads, capacity, kernels::DeviceDfa::upload_bytes(w.dfa()));
       const kernels::DeviceDfa ddfa(mem, w.dfa());
       const auto addr = kernels::upload_class_text(mem, ddfa, w.text());
       return kernels::run_ac_kernel(cfg, mem, ddfa, addr, w.text().size(), spec)

@@ -25,8 +25,6 @@ Result<CompiledPatterns> CompiledPatterns::compile(const ac::PatternSet& pattern
 Result<CompiledPatterns> CompiledPatterns::compile(ac::Dfa dfa) {
   if (dfa.pattern_count() == 0) return Status::invalid_argument("DFA has no patterns");
   CompiledPatterns compiled;
-  compiled.classes_ =
-      std::make_shared<const kernels::ByteClasses>(kernels::byte_classes(dfa));
   compiled.dfa_ = std::make_shared<const ac::Dfa>(std::move(dfa));
   return compiled;
 }
@@ -57,8 +55,7 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
   // mark; uploading inside that region would be released under us.
   std::scoped_lock lock(device.scan_mutex());
   gpusim::DeviceMemory& mem = device.memory();
-  const std::size_t needed =
-      kernels::DeviceDfa::upload_bytes(compiled.dfa(), compiled.classes());
+  const std::size_t needed = kernels::DeviceDfa::upload_bytes(compiled.dfa());
   if (const std::size_t free_bytes = mem.available(); needed > free_bytes)
     return Status::capacity_exceeded(
         "the automaton upload needs " + std::to_string(needed) +
@@ -66,8 +63,7 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
         " B free");
   engine.upload_mark_ = mem.mark();
   try {
-    engine.ddfa_ = std::make_unique<kernels::DeviceDfa>(mem, engine.compiled_.dfa(),
-                                                        engine.compiled_.classes());
+    engine.ddfa_ = std::make_unique<kernels::DeviceDfa>(mem, engine.compiled_.dfa());
     engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
         device.gpu(), mem, *engine.ddfa_, std::move(opts));
   } catch (const std::exception& e) {

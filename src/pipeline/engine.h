@@ -22,10 +22,9 @@
 //   auto scan = engine.value().scan(text);
 //   for (ac::Match m : scan.value().matches) { ... }
 //
-// The host automaton is a CompiledPatterns: compiled once, with its byte
-// classes, immutable, and shared by every engine built from it. Each engine
-// uploads it once to its own device, so N shards cost one compile and N
-// uploads (cluster/router.h).
+// The host automaton is a CompiledPatterns: compiled once, immutable, and
+// shared by every engine built from it. Each engine uploads it once to its
+// own device, so N shards cost one compile and N uploads (cluster/router.h).
 // The upload is bump-allocated in the device arena; dropping the engine
 // returns it only while nothing was allocated above it (see ~Engine).
 #pragma once
@@ -52,28 +51,25 @@ using EngineOptions = pipeline::PipelineOptions;
 /// timing story (see pipeline::PipelineResult).
 using ScanResult = pipeline::PipelineResult;
 
-/// A pattern set compiled once: the host DFA that every engine uploads and
-/// every session walks, and its byte classes (kernels::byte_classes), the
-/// device STT's columns. Immutable, so any number of engines, services and
-/// sessions share one copy — a Router compiles one for all its shards. Only
-/// compile() builds one, so the classes always belong to the DFA.
+/// A pattern set compiled once: the host DFA, in the byte-class layout that
+/// every engine uploads and every session walks. Immutable, so any number of
+/// engines, services and sessions share one copy — a Router compiles one
+/// for all its shards.
 class CompiledPatterns {
  public:
-  /// Builds the DFA (STT pitch padded to 8 words) and its classes. Fails
-  /// (no throw) on an empty pattern set.
+  /// Builds the DFA (its byte-wide pitch padded to 8 words). Fails (no
+  /// throw) on an empty pattern set.
   static Result<CompiledPatterns> compile(const ac::PatternSet& patterns);
-  /// Takes an already built DFA (a loaded .acdfa image, say) and computes
-  /// its classes. Fails (no throw) on a DFA without patterns.
+  /// Takes an already built DFA (a loaded .acdfa image, say). Fails (no
+  /// throw) on a DFA without patterns.
   static Result<CompiledPatterns> compile(ac::Dfa dfa);
 
   const ac::Dfa& dfa() const { return *dfa_; }
-  const kernels::ByteClasses& classes() const { return *classes_; }
 
  private:
   CompiledPatterns() = default;
 
   std::shared_ptr<const ac::Dfa> dfa_;
-  std::shared_ptr<const kernels::ByteClasses> classes_;
 };
 
 class Engine {
@@ -83,7 +79,7 @@ class Engine {
   static Result<Engine> create(Device& device, const ac::PatternSet& patterns,
                                const EngineOptions& options = {});
 
-  /// Uploads `compiled` over its byte classes to `device`; the engine shares
+  /// Uploads `compiled`'s class table to `device`; the engine shares
   /// the host automaton rather than copying it. The device must outlive the
   /// engine; engines sharing it serialize their scans, and this upload, on
   /// its scan mutex. Fails (no throw) on inconsistent options, or with

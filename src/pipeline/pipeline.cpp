@@ -196,6 +196,9 @@ void publish_run(const PipelineResult& result, telemetry::MetricsRegistry& reg,
   reg.gauge(name("pipeline.d2h_busy_seconds")).set(s.d2h_busy_seconds);
   reg.gauge(name("pipeline.compute_busy_seconds")).set(s.compute_busy_seconds);
   reg.gauge(name("pipeline.overlap_seconds")).set(s.overlap_seconds);
+  reg.gauge(name("pipeline.critical_h2d_seconds")).set(s.critical_h2d_seconds);
+  reg.gauge(name("pipeline.critical_kernel_seconds")).set(s.critical_kernel_seconds);
+  reg.gauge(name("pipeline.critical_d2h_seconds")).set(s.critical_d2h_seconds);
   reg.gauge(name("pipeline.max_queue_depth")).set_max(s.max_queue_depth);
   reg.gauge(name("pipeline.effective_batch_bytes")).set(
       static_cast<double>(s.effective_batch_bytes));
@@ -266,9 +269,9 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
   const ac::Dfa& dfa = ddfa_.host_dfa();
   const std::uint32_t max_len = ddfa_.max_pattern_length();
-  // The device alphabet is the DFA's byte classes (kernels/device_dfa.h):
+  // The device alphabet is the DFA's byte classes (ac/dfa.h):
   // every slice packs and ships from the text mapped once here.
-  const std::string class_text = ddfa_.classes().map(text);
+  const std::string class_text = dfa.classes().map(text);
   const std::uint32_t text_bits = kernels::symbol_bits(kernels::symbol_table(class_text));
   const StagingPlan plan =
       resolve_staging(opt, config_, text.size(), text_bits, tail_share(text_bits));
@@ -465,6 +468,10 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
     result.stats.compute_busy_seconds = ov.compute_busy;
     result.stats.overlap_seconds = ov.overlapped;
     result.stats.overlap_ratio = ov.overlap_ratio();
+    const gpusim::CriticalPath critical = sim.critical_path();
+    result.stats.critical_h2d_seconds = critical.h2d;
+    result.stats.critical_kernel_seconds = critical.kernel;
+    result.stats.critical_d2h_seconds = critical.d2h;
     result.stats.effective_batch_bytes = plan.batch_bytes;
     result.stats.latency_p50_seconds = latencies.percentile(50);
     result.stats.latency_p90_seconds = latencies.percentile(90);
@@ -484,6 +491,17 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
               if (a.issue_index != b.issue_index) return a.issue_index < b.issue_index;
               return a.index < b.index;
             });
+  if (tel.tracer != nullptr) {
+    const PipelineStats& st = result.stats;
+    for (const auto& [key, seconds] :
+         {std::pair{"critical_h2d_seconds", st.critical_h2d_seconds},
+          std::pair{"critical_kernel_seconds", st.critical_kernel_seconds},
+          std::pair{"critical_d2h_seconds", st.critical_d2h_seconds}}) {
+      char value[32];
+      std::snprintf(value, sizeof value, "%.6g", seconds);
+      run_span.annotate(key, value);
+    }
+  }
   if (tel.metrics != nullptr) publish_run(result, *tel.metrics, tel.metrics_prefix);
   return result;
 }

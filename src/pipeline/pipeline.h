@@ -202,6 +202,12 @@ struct PipelineStats {
   double compute_busy_seconds = 0;
   double overlap_seconds = 0;  ///< both engine classes busy simultaneously
   double overlap_ratio = 0;    ///< overlap / min(copy, compute) busy time
+  /// The makespan split by the stage of each op on its critical path
+  /// (gpusim::CriticalPath): the three sum to makespan_seconds, and the
+  /// largest names the stage that bounded the scan.
+  double critical_h2d_seconds = 0;
+  double critical_kernel_seconds = 0;
+  double critical_d2h_seconds = 0;
   std::uint32_t max_queue_depth = 0;
   /// Owned bytes per batch after the batch split (the last may be shorter).
   std::uint64_t effective_batch_bytes = 0;

@@ -19,13 +19,21 @@ MarkovModel::MarkovModel(std::string_view training) {
   ACGPU_CHECK(training.size() >= 3, "MarkovModel: training text too short");
   start_[0] = static_cast<std::uint8_t>(training[0]);
   start_[1] = static_cast<std::uint8_t>(training[1]);
-  std::vector<Counts> raw(65536);
+  // Counts only for the contexts the text holds: one per possible context
+  // would zero 64 MB to fill a few hundred.
+  std::vector<std::int32_t> slot(65536, -1);
+  std::vector<Counts> raw;
   Counts uni{};
   for (std::size_t i = 0; i + 2 < training.size(); ++i) {
     const auto a = static_cast<std::uint8_t>(training[i]);
     const auto b = static_cast<std::uint8_t>(training[i + 1]);
     const auto c = static_cast<std::uint8_t>(training[i + 2]);
-    ++raw[key(a, b)][c];
+    std::int32_t& k = slot[key(a, b)];
+    if (k < 0) {
+      k = static_cast<std::int32_t>(raw.size());
+      raw.emplace_back();
+    }
+    ++raw[static_cast<std::size_t>(k)][c];
   }
   for (char ch : training) ++uni[static_cast<std::uint8_t>(ch)];
 
@@ -41,9 +49,10 @@ MarkovModel::MarkovModel(std::string_view training) {
   };
 
   table_.resize(65536);
-  for (std::size_t k = 0; k < raw.size(); ++k) {
-    build(raw[k], table_[k]);
-    if (table_[k].total > 0) ++contexts_observed_;
+  for (std::size_t k = 0; k < slot.size(); ++k) {
+    if (slot[k] < 0) continue;  // never seen: total 0, the unigram fallback
+    build(raw[static_cast<std::size_t>(slot[k])], table_[k]);
+    ++contexts_observed_;
   }
   build(uni, unigram_);
   ACGPU_CHECK(unigram_.total > 0, "MarkovModel: empty unigram distribution");

@@ -29,7 +29,7 @@ TEST(CompressedStt, MatchColumnPreserved) {
   const CompressedStt c(dfa);
   for (std::uint32_t s = 0; s < dfa.state_count(); ++s)
     EXPECT_EQ(c.output_id(static_cast<std::int32_t>(s)),
-              dfa.stt().output_id(static_cast<std::int32_t>(s)));
+              dfa.output_id(static_cast<std::int32_t>(s)));
 }
 
 TEST(CompressedStt, RandomDfaEquivalence) {

@@ -40,13 +40,15 @@ TEST(Dfa, PaperUshersWalk) {
 TEST(Dfa, SttShapeMatchesPaper) {
   Dfa dfa = paper_dfa();
   EXPECT_EQ(dfa.state_count(), 10u);
-  EXPECT_EQ(dfa.stt().pitch(), SttMatrix::kColumns);  // 257, unpadded
-  EXPECT_EQ(dfa.stt_bytes(), 10u * 257 * 4);
+  EXPECT_EQ(dfa.byte_pitch(), SttMatrix::kColumns);  // 257, unpadded
+  // h, e, s, i, r and every other byte: six columns a row.
+  EXPECT_EQ(dfa.classes().count, 6u);
+  EXPECT_EQ(dfa.stt_bytes(), 10u * 6 * 4);
 }
 
 TEST(Dfa, PitchPadding) {
   Dfa dfa = build_dfa(PatternSet({"abc"}), /*pad_pitch_to=*/8);
-  EXPECT_EQ(dfa.stt().pitch(), 264u);  // 257 rounded up to a multiple of 8
+  EXPECT_EQ(dfa.byte_pitch(), 264u);  // 257 rounded up to a multiple of 8
   // Transitions unaffected by padding.
   EXPECT_EQ(dfa.next(0, 'a'), 1);
 }
@@ -96,7 +98,17 @@ TEST(Dfa, SaveLoadRoundTrip) {
   dfa.save(ss);
   Dfa loaded = Dfa::load(ss);
   EXPECT_EQ(loaded.state_count(), dfa.state_count());
-  EXPECT_TRUE(loaded.stt() == dfa.stt());
+  EXPECT_EQ(loaded.byte_pitch(), dfa.byte_pitch());
+  EXPECT_EQ(loaded.classes(), dfa.classes());
+  EXPECT_EQ(loaded.stt_bytes(), dfa.stt_bytes());
+  for (std::int32_t st = 0; st < static_cast<std::int32_t>(dfa.state_count()); ++st) {
+    EXPECT_EQ(loaded.output_id(st), dfa.output_id(st));
+    for (std::uint32_t k = 0; k < dfa.classes().count; ++k)
+      EXPECT_EQ(loaded.row(st)[k], dfa.row(st)[k]) << "state " << st << " class " << k;
+  }
+  std::stringstream again;
+  loaded.save(again);
+  EXPECT_EQ(again.str(), ss.str());
   EXPECT_EQ(loaded.max_pattern_length(), dfa.max_pattern_length());
   EXPECT_EQ(loaded.pattern_lengths(), dfa.pattern_lengths());
   // Behavioural equality on a sample walk.
@@ -149,7 +161,7 @@ Dfa load_with_entry(const Dfa& dfa, std::uint32_t state, std::uint32_t column,
   dfa.save(ss);
   std::string image = ss.str();
   // Two 8-byte magics and the STT's rows and pitch precede its body.
-  const std::size_t at = 24 + (std::size_t{state} * dfa.stt().pitch() + column) * 4;
+  const std::size_t at = 24 + (std::size_t{state} * dfa.byte_pitch() + column) * 4;
   image.replace(at, 4, reinterpret_cast<const char*>(&value), 4);
   std::stringstream in(image);
   return Dfa::load(in);
@@ -166,7 +178,7 @@ TEST(Dfa, LoadRejectsAnEntryOutsideItsTable) {
   EXPECT_THROW(load_with_entry(dfa, 1, col_e, states), Error);
   EXPECT_THROW(load_with_entry(dfa, 1, col_e, -1), Error);
   EXPECT_THROW(load_with_entry(dfa, states - 1, 256, 1 << 24), Error);
-  EXPECT_EQ(load_with_entry(dfa, 1, 0, oids - 1).stt().output_id(1), oids - 1);
+  EXPECT_EQ(load_with_entry(dfa, 1, 0, oids - 1).output_id(1), oids - 1);
   EXPECT_THROW(load_with_entry(dfa, 1, 0, oids), Error);
   EXPECT_THROW(load_with_entry(dfa, 1, 0, -1), Error);
 }

@@ -64,7 +64,7 @@ void expect_in_range(const Dfa& dfa, int round) {
       ASSERT_TRUE(next >= 0 && static_cast<std::uint32_t>(next) < states)
           << "round " << round << ": state " << s << " byte " << b << " -> " << next;
     }
-    const std::int32_t oid = dfa.stt().output_id(state);
+    const std::int32_t oid = dfa.output_id(state);
     ASSERT_TRUE(oid >= 0 && static_cast<std::size_t>(oid) < dfa.output_id_count())
         << "round " << round << ": state " << s << " output id " << oid;
     ASSERT_LE(dfa.depth(state), Dfa::kMaxDepth);

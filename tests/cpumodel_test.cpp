@@ -40,6 +40,9 @@ TEST(SetAssocCache, ValidatesGeometry) {
   EXPECT_THROW(SetAssocCache(1024, 63, 2), acgpu::Error);
   EXPECT_THROW(SetAssocCache(1024, 64, 0), acgpu::Error);
   EXPECT_THROW(SetAssocCache(64, 64, 2), acgpu::Error);
+  // A probe indexes its set by mask: 3 sets of 2 ways cannot be one.
+  EXPECT_THROW(SetAssocCache(3 * 64 * 2, 64, 2), acgpu::Error);
+  EXPECT_NO_THROW(SetAssocCache(4 * 64 * 2, 64, 2));
 }
 
 TEST(SetAssocCache, ClearResets) {

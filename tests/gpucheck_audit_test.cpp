@@ -105,7 +105,7 @@ TEST(GpucheckAudit, PipelinePackedStagingIsCoalescedStagingAtDegreeOne) {
   for (std::uint64_t i = 0; audited < 3; ++i) {
     if (std::string(oracle::workload_family_name(i)) != "overlap-heavy") continue;
     const CompiledWorkload w(oracle::generate_workload(42, i));
-    ASSERT_TRUE(kernels::symbol_table(kernels::byte_classes(w.dfa()).map(w.text())))
+    ASSERT_TRUE(kernels::symbol_table(w.dfa().classes().map(w.text())))
         << w.name();
     const AuditOutcome outcome = audit_workload(AuditTarget::kPipeline, w);
     EXPECT_TRUE(outcome.report.clean()) << w.name();
@@ -128,7 +128,7 @@ TEST(GpucheckAudit, PipelineSixBitStagingIsCoalescedRaceFreeAndAtDegreeOne) {
     if (std::string(oracle::workload_family_name(i)) != "boundary") continue;
     const CompiledWorkload w(oracle::generate_workload(42, i));
     const std::optional<kernels::SymbolTable> table =
-        kernels::symbol_table(kernels::byte_classes(w.dfa()).map(w.text()));
+        kernels::symbol_table(w.dfa().classes().map(w.text()));
     if (!table || table->bits() != 6) continue;
     const AuditOutcome outcome = audit_workload(AuditTarget::kPipeline, w);
     EXPECT_TRUE(outcome.report.clean()) << w.name();

@@ -157,6 +157,51 @@ TEST(StreamSim, EventsOrderAcrossStreams) {
   EXPECT_DOUBLE_EQ(sim.timeline().back().start, 4e-6);
 }
 
+TEST(StreamSim, CriticalPathFollowsTheOpThatBoundEachStart) {
+  // Stream A uploads 1 us then runs a 10 us kernel; stream B's 3 us upload
+  // queues behind A's, its 2 us kernel behind A's kernel. A's 1 us readback
+  // waits on an event after B's kernel, and B's 0.5 us readback queues
+  // behind it. B's upload is off the critical path.
+  DeviceMemory mem(1 << 20);
+  StreamSim sim(test_config(), mem);
+  const StreamId a = sim.create_stream();
+  const StreamId b = sim.create_stream();
+  const DevAddr buf = mem.alloc(4096);
+  std::vector<char> host(4096);
+  sim.memcpy_h2d(a, buf, host.data(), 1000);         // op 0: 0-1 us
+  sim.memcpy_h2d(b, buf + 1024, host.data(), 3000);  // op 1: 1-4 us
+  sim.charge_kernel(a, 10e-6);                       // op 2: 1-11 us
+  sim.charge_kernel(b, 2e-6);                        // op 3: 11-13 us
+  sim.wait_event(a, sim.record_event(b));
+  sim.charge_d2h(a, 1000);  // op 4: 13-14 us
+  sim.charge_d2h(b, 500);   // op 5: 14-14.5 us
+
+  const auto& ops = sim.timeline();
+  ASSERT_EQ(ops.size(), 6u);
+  // Bound by: nothing, the upload queue, stream A, the compute engine,
+  // the event, the readback queue.
+  const std::uint64_t bound_by[] = {StreamOp::kNoOp, 0, 0, 2, 3, 4};
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    EXPECT_EQ(ops[i].bound_by, bound_by[i]) << "op " << i;
+  EXPECT_DOUBLE_EQ(ops[5].end, 14.5e-6);
+
+  // op 5 <- op 4 (readback queue) <- op 3 (event) <- op 2 (compute engine)
+  // <- op 0 (stream A).
+  const CriticalPath path = sim.critical_path();
+  EXPECT_NEAR(path.h2d, 1e-6, 1e-15);
+  EXPECT_NEAR(path.kernel, 12e-6, 1e-15);
+  EXPECT_NEAR(path.d2h, 1.5e-6, 1e-15);
+  EXPECT_NEAR(path.h2d + path.kernel + path.d2h, sim.overlap().makespan, 1e-15);
+}
+
+TEST(StreamSim, CriticalPathOfAnEmptyTimelineIsZero) {
+  DeviceMemory mem(1 << 20);
+  StreamSim sim(test_config(), mem);
+  sim.create_stream();
+  const CriticalPath path = sim.critical_path();
+  EXPECT_EQ(path.h2d + path.kernel + path.d2h, 0.0);
+}
+
 TEST(StreamSim, StreamReadyTracksLastOp) {
   DeviceMemory mem(1 << 20);
   StreamSim sim(test_config(), mem);

@@ -112,6 +112,8 @@ TEST(TextureCache, ValidatesGeometry) {
   EXPECT_THROW(TextureCache(64, 33, 2), Error);   // non-power-of-two line
   EXPECT_THROW(TextureCache(64, 32, 0), Error);   // zero assoc
   EXPECT_THROW(TextureCache(32, 32, 2), Error);   // can't hold one set
+  EXPECT_THROW(TextureCache(96, 32, 1), Error);   // 3 sets: not a mask
+  EXPECT_EQ(TextureCache(128, 32, 1).sets(), 4u);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ struct Fixture {
   }
 
   /// The text mapped to the DFA's byte classes: the kernel's alphabet.
-  std::string class_text() const { return ddfa.classes().map(text); }
+  std::string class_text() const { return dfa.classes().map(text); }
 
   /// The same launch over the class text packed against its symbol table (2
   /// or 6 bits per symbol), laid out the way the pipeline stages it: packed
@@ -410,7 +410,7 @@ SttReads expected_stt_reads(const Fixture& f, std::uint32_t chunk, std::uint32_t
         const auto byte = static_cast<std::uint8_t>(f.text[begin + i]);
         state = f.dfa.next(state, byte);
         ++r.lane_bytes;
-        ++r.columns[f.ddfa.classes().of_byte[byte]];
+        ++r.columns[f.dfa.classes().of_byte[byte]];
         const std::uint32_t depth = f.dfa.depth(state);
         if (i + 1 >= chunk && depth < ac::Dfa::kMaxDepth && depth <= i + 1 - chunk) {
           ++i;
@@ -489,7 +489,7 @@ TEST(AcKernel, TextureReadsOneWordPerByteScannedUpToEachLanesExit) {
   const SttReads want = expected_stt_reads(f, 32, 64);
   ASSERT_GT(want.flagged_lane_steps, 0u);
   ASSERT_LT(want.lane_bytes, want.full_lane_bytes);  // the exit saves steps
-  ASSERT_EQ(f.ddfa.classes().count, 6u);  // e, h, r, s, i and the rest
+  ASSERT_EQ(f.dfa.classes().count, 6u);  // e, h, r, s, i and the rest
   for (const auto& [approach, scheme] : kEveryKernel) {
     ColumnReads columns(f.ddfa);
     AcLaunchSpec spec;

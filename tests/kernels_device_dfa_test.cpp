@@ -34,9 +34,10 @@ std::vector<std::uint32_t> device_words(const gpusim::DeviceMemory& mem,
 /// to the host's transition on b, for all 256 bytes, and the padding past
 /// the last class is zero. Returns the flagged-word count.
 std::size_t expect_decodes_to_host(const ac::Dfa& dfa, const std::string& label) {
-  gpusim::DeviceMemory mem(std::max<std::size_t>(1 << 20, 2 * dfa.stt_bytes() + (1 << 16)));
+  gpusim::DeviceMemory mem(
+      std::max<std::size_t>(1 << 20, DeviceDfa::upload_bytes(dfa) + (1 << 16)));
   const DeviceDfa ddfa(mem, dfa);
-  const ByteClasses& classes = ddfa.classes();
+  const ac::ByteClasses& classes = dfa.classes();
   EXPECT_EQ(ddfa.stt_pitch_elems() % 8, 0u) << label;
   EXPECT_LT(ddfa.stt_pitch_elems() - classes.count, 8u) << label;
   EXPECT_EQ(ddfa.stt_bytes(), std::size_t{dfa.state_count()} * ddfa.stt_pitch_elems() * 4)
@@ -86,7 +87,7 @@ TEST(DeviceDfa, HostPitchPaddingNeverReachesTheDevice) {
   const ac::PatternSet patterns({"he", "she", "his", "hers"});
   const ac::Dfa padded = ac::build_dfa(patterns, 64);
   const ac::Dfa unpadded = ac::build_dfa(patterns);
-  ASSERT_GT(padded.stt().pitch(), ac::SttMatrix::kColumns);
+  ASSERT_GT(padded.byte_pitch(), ac::SttMatrix::kColumns);
   EXPECT_GT(expect_decodes_to_host(padded, "paper example, pitch 320"), 0u);
   gpusim::DeviceMemory mem(1 << 20);
   const DeviceDfa a(mem, padded);
@@ -99,9 +100,9 @@ TEST(DeviceDfa, ClassesAreOrderedByTrieEdgesAndPaddedToWholeTextureLines) {
   // Trie edges of {he, she, his, hers}: s labels 3 (root-s, her-hers,
   // hi-his), e and h 2 each, i and r 1; the 251 other bytes label none.
   const ac::Dfa paper = ac::build_dfa(ac::PatternSet({"he", "she", "his", "hers"}));
-  const ByteClasses c = byte_classes(paper);
+  const ac::ByteClasses& c = paper.classes();
   ASSERT_EQ(c.count, 6u);
-  EXPECT_EQ(c.pitch(), 8u);
+  EXPECT_EQ(DeviceDfa::upload_bytes(paper), std::size_t{paper.state_count()} * 8 * 4);
   EXPECT_EQ(c.of_byte['s'], 0u);
   EXPECT_EQ(c.of_byte['e'], 1u);  // tied with h: the smaller byte first
   EXPECT_EQ(c.of_byte['h'], 2u);
@@ -114,8 +115,8 @@ TEST(DeviceDfa, ClassesAreOrderedByTrieEdgesAndPaddedToWholeTextureLines) {
 
   // Bytes the table cannot tell apart share a class: a case-folded DFA
   // sends 'A' where it sends 'a'.
-  const ByteClasses folded =
-      byte_classes(ac::build_dfa_folded(ac::PatternSet({"ab"}), ac::ascii_fold_map()));
+  const ac::ByteClasses folded =
+      ac::build_dfa_folded(ac::PatternSet({"ab"}), ac::ascii_fold_map()).classes();
   EXPECT_EQ(folded.count, 3u);
   EXPECT_EQ(folded.of_byte['a'], folded.of_byte['A']);
   EXPECT_EQ(folded.of_byte['b'], folded.of_byte['B']);
@@ -125,7 +126,9 @@ TEST(DeviceDfa, ClassesAreOrderedByTrieEdgesAndPaddedToWholeTextureLines) {
   // columns without the output-id column and its padding.
   std::vector<std::string> every_byte;
   for (int b = 0; b < 256; ++b) every_byte.emplace_back(1, static_cast<char>(b));
-  EXPECT_EQ(byte_classes(ac::build_dfa(ac::PatternSet(every_byte))).pitch(), 256u);
+  const ac::Dfa every = ac::build_dfa(ac::PatternSet(every_byte));
+  EXPECT_EQ(every.classes().count, 256u);
+  EXPECT_EQ(DeviceDfa::upload_bytes(every), std::size_t{every.state_count()} * 256 * 4);
 }
 
 TEST(DeviceDfa, EveryByteEndsAMatchFlagsEveryTransition) {

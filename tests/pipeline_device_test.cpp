@@ -168,8 +168,8 @@ TEST(Device, AClassTableFitsWhereAByteWideOneWouldNot) {
   const std::vector<std::string> words = random_words(300, 11);
   const ac::PatternSet patterns(words);
   const ac::Dfa dfa = ac::build_dfa(patterns, 8);
-  ASSERT_EQ(dfa.stt().pitch(), 264u);
-  const std::size_t byte_wide = dfa.stt_bytes();
+  ASSERT_EQ(dfa.byte_pitch(), 264u);
+  const std::size_t byte_wide = std::size_t{dfa.state_count()} * dfa.byte_pitch() * 4;
   const std::size_t upload = kernels::DeviceDfa::upload_bytes(dfa);
   EXPECT_EQ(upload, std::size_t{dfa.state_count()} * 32 * 4);
   DeviceOptions dopt = small_device();
@@ -228,21 +228,18 @@ TEST(Device, DroppingAnEngineUnderALaterUploadKeepsBoth) {
 }
 
 TEST(Device, EnginesShareOneCompiledAutomaton) {
-  // compile() computes the byte classes once; every engine built from the
-  // result shares its DFA and uploads the STT over those same classes.
+  // compile() builds the DFA once; every engine built from the result
+  // shares it and uploads its class table.
   Device device = Device::create(small_device()).value();
   const CompiledPatterns compiled =
       CompiledPatterns::compile(ac::PatternSet({"ab", "b"})).value();
-  const kernels::ByteClasses classes = kernels::byte_classes(compiled.dfa());
-  EXPECT_EQ(compiled.classes().of_byte, classes.of_byte);
-  EXPECT_EQ(compiled.classes().count, classes.count);
+  EXPECT_EQ(compiled.dfa().classes().count, 3u);  // a, b and the rest
   Engine a = Engine::create(device, compiled, fast_engine()).value();
-  EXPECT_EQ(device.memory().allocated(),
-            kernels::DeviceDfa::upload_bytes(compiled.dfa(), compiled.classes()));
+  EXPECT_EQ(device.memory().allocated(), kernels::DeviceDfa::upload_bytes(compiled.dfa()));
   Engine b = Engine::create(device, compiled, fast_engine()).value();
   for (const Engine* e : {&a, &b}) {
     EXPECT_EQ(&e->dfa(), &compiled.dfa());
-    EXPECT_EQ(&e->compiled().classes(), &compiled.classes());
+    EXPECT_EQ(&e->compiled().dfa(), &compiled.dfa());
   }
   EXPECT_EQ(a.scan("abab").value().matches, b.scan("abab").value().matches);
 

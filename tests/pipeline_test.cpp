@@ -209,6 +209,16 @@ TEST(Pipeline, DeviceBudgetTooSmallReportsCapacity) {
   ASSERT_FALSE(got.is_ok());
 }
 
+/// The critical path's three stages sum to the makespan, and none exceeds
+/// its stage's busy time.
+void expect_critical_path_sums_to_makespan(const PipelineStats& st) {
+  EXPECT_NEAR(st.critical_h2d_seconds + st.critical_kernel_seconds + st.critical_d2h_seconds,
+              st.makespan_seconds, st.makespan_seconds * 1e-12);
+  EXPECT_LE(st.critical_h2d_seconds, st.h2d_busy_seconds * (1 + 1e-12));
+  EXPECT_LE(st.critical_kernel_seconds, st.compute_busy_seconds * (1 + 1e-12));
+  EXPECT_LE(st.critical_d2h_seconds, st.d2h_busy_seconds * (1 + 1e-12));
+}
+
 TEST(Pipeline, TimelineShowsOverlapWithTwoStreams) {
   gpusim::DeviceMemory mem(64u << 20);
   const ac::PatternSet patterns({std::string("ab")});
@@ -229,6 +239,7 @@ TEST(Pipeline, TimelineShowsOverlapWithTwoStreams) {
   EXPECT_GE(st.overlap_ratio, 0);
   EXPECT_LE(st.overlap_ratio, 1.0 + 1e-9);
   EXPECT_GE(st.latency_p99_seconds, st.latency_p50_seconds);
+  expect_critical_path_sums_to_makespan(st);
   // Timeline carries all three op kinds, one triple per batch.
   EXPECT_EQ(got.value().timeline.size(), 3 * 16u);
 }
@@ -260,12 +271,19 @@ TEST(Pipeline, EveryOpStartsWhenItsStreamAndQueueAreFree) {
           ASSERT_GT(got.value().stats.batches, 1u);
           std::vector<double> stream_end(streams, 0.0);
           double queue_end[3] = {0, 0, 0};  // indexed by StreamOpKind
-          for (const gpusim::StreamOp& op : got.value().timeline) {
+          const std::vector<gpusim::StreamOp>& timeline = got.value().timeline;
+          for (const gpusim::StreamOp& op : timeline) {
             double& queue = queue_end[static_cast<int>(op.kind)];
             EXPECT_EQ(op.start, std::max(stream_end[op.stream], queue)) << op.label;
             stream_end[op.stream] = op.end;
             queue = op.end;
+            // The op that bound it ended exactly then.
+            if (op.bound_by != gpusim::StreamOp::kNoOp)
+              EXPECT_EQ(op.start, timeline[op.bound_by].end) << op.label;
+            else
+              EXPECT_EQ(op.start, 0.0) << op.label;
           }
+          expect_critical_path_sums_to_makespan(got.value().stats);
         }
 }
 
@@ -301,6 +319,8 @@ TEST(Pipeline, MakespanIsMonotonicInStreams) {
             one.value().stats.makespan_seconds);
   EXPECT_LE(four.value().stats.makespan_seconds,
             two.value().stats.makespan_seconds);
+  for (const auto* run : {&one, &two, &four})
+    expect_critical_path_sums_to_makespan(run->value().stats);
 }
 
 TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
@@ -570,7 +590,7 @@ TEST(PipelinePacking, BytesInNoPatternShareOneSymbol) {
   const ac::Dfa dfa = ac::build_dfa(ac::PatternSet({"ab", "ba"}), 8);
   gpusim::DeviceMemory mem(64u << 20);
   kernels::DeviceDfa ddfa(mem, dfa);
-  ASSERT_EQ(ddfa.classes().count, 3u);
+  ASSERT_EQ(ddfa.host_dfa().classes().count, 3u);
   auto got = MatchPipeline(small_gpu(), mem, ddfa, PipelineOptions{}).run(text);
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
   const PipelineResult& r = got.value();

@@ -305,7 +305,8 @@ TEST(ChromeTrace, PipelineExportHasStreamAndEngineTracks) {
 // 6/8 of its bytes).
 TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
   // Scans `texts` on one fresh engine; returns the last pipeline.run span's
-  // args.
+  // plan args, after checking that its critical-path args sum to the last
+  // scan's makespan.
   const auto run_args = [](const std::vector<std::string>& texts) {
     Tracer tracer;
     EngineOptions opt;
@@ -320,7 +321,12 @@ TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
       patterns.push_back(std::string("x") + static_cast<char>(b));
     Result<Engine> engine = Engine::create(device.value(), ac::PatternSet(patterns), opt);
     EXPECT_TRUE(engine.is_ok()) << engine.status().to_string();
-    for (const std::string& text : texts) EXPECT_TRUE(engine.value().scan(text).is_ok());
+    double makespan = 0;
+    for (const std::string& text : texts) {
+      Result<ScanResult> scan = engine.value().scan(text);
+      EXPECT_TRUE(scan.is_ok());
+      if (scan.is_ok()) makespan = scan.value().stats.makespan_seconds;
+    }
     const std::vector<TraceEvent> events = tracer.events();
     const TraceEvent* last_run = nullptr;
     for (const TraceEvent& e : events)
@@ -332,6 +338,14 @@ TEST(Tracer, PipelineRunSpanCarriesTheBatchPlan) {
       batch_spans += e.name == "pipeline.batch" && e.parent == last_run->id;
     std::map<std::string, std::string> args(last_run->args.begin(), last_run->args.end());
     EXPECT_EQ(args["batches"], std::to_string(batch_spans));
+    double critical = 0;
+    for (const char* key :
+         {"critical_h2d_seconds", "critical_kernel_seconds", "critical_d2h_seconds"}) {
+      EXPECT_EQ(args.count(key), 1u) << key;
+      critical += std::stod(args[key]);
+      args.erase(key);
+    }
+    EXPECT_NEAR(critical, makespan, makespan * 1e-5);
     return args;
   };
   // A fresh engine assumes a tail share of 1: 512 KiB of English, staged at
