@@ -8,8 +8,8 @@
 #include "gpusim/coalescer.h"
 #include "gpusim/launcher.h"
 #include "gpusim/shared_memory.h"
-#include "gpusim/texture_cache.h"
 #include "kernels/ac_kernel.h"
+#include "util/set_assoc_cache.h"
 #include "workload/markov_corpus.h"
 #include "workload/pattern_extract.h"
 
@@ -34,7 +34,7 @@ void BM_BankConflicts(benchmark::State& state) {
 BENCHMARK(BM_BankConflicts)->Arg(1)->Arg(16);
 
 void BM_TextureCacheAccess(benchmark::State& state) {
-  TextureCache cache(8 * 1024, 32, 4);
+  util::SetAssocCache cache(8 * 1024, 32, 4);  // a texture L1's geometry
   DevAddr a = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.access(a));

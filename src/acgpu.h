@@ -61,6 +61,7 @@
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/set_assoc_cache.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -75,7 +76,6 @@
 // should go through acgpu::Engine instead (see the migration notes in
 // README.md).
 // ---------------------------------------------------------------------------
-#include "cpumodel/cache_model.h"
 #include "cpumodel/serial_timing.h"
 #include "gpusim/config.h"
 #include "gpusim/coalescer.h"
@@ -86,7 +86,6 @@
 #include "gpusim/shared_memory.h"
 #include "gpusim/stream.h"
 #include "gpusim/texture.h"
-#include "gpusim/texture_cache.h"
 #include "harness/experiment.h"
 #include "harness/figures.h"
 #include "harness/report.h"

@@ -8,8 +8,11 @@
 // wall-clock is still measured and reported alongside (harness).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "ac/dfa.h"
 
@@ -47,9 +50,26 @@ struct SerialEstimate {
 
 /// Walks the DFA over `sample` (typically a prefix of the real input),
 /// simulating the cache behaviour of every STT and input access, then
-/// scales cycles/byte to `full_text_len` bytes.
+/// scales cycles/byte to `full_text_len` bytes. The one-prefix case of
+/// estimate_serial_prefixes.
 SerialEstimate estimate_serial(const ac::Dfa& dfa, std::string_view sample,
                                std::uint64_t full_text_len,
                                const CpuConfig& config = CpuConfig::core2());
+
+/// One walk of `sample` that reports every prefix: element i is exactly
+/// what estimate_serial(dfa, sample.substr(0, prefixes[i]), prefixes[i],
+/// config) returns, since a fresh walk of a prefix ends where the longer
+/// walk stands at that byte. `prefixes` must ascend strictly from at least
+/// 1 to at most sample.size().
+///
+/// The cache simulation splits across worker threads by the address bits
+/// that index both caches' sets: an LRU set changes only when its own lines
+/// are accessed, so each worker walks the DFA and simulates only the sets
+/// of its share, and the shares' integer counts sum to one walk's. The
+/// worker count is a power of two no larger than the hardware thread count,
+/// the shares those common index bits allow, and one per 256 KB walked.
+std::vector<SerialEstimate> estimate_serial_prefixes(
+    const ac::Dfa& dfa, std::string_view sample, std::span<const std::size_t> prefixes,
+    const CpuConfig& config = CpuConfig::core2());
 
 }  // namespace acgpu::cpumodel

@@ -70,25 +70,28 @@ void CostModel::calibrate_cpu(const ac::Dfa& dfa, std::string_view sample) {
   static constexpr std::size_t kAnchorBytes[] = {64,        256,      1u << 10,
                                                  4u << 10,  16u << 10,
                                                  64u << 10};
-  std::vector<std::pair<double, double>> anchors;
+  // One walk prices every rung and, as its last prefix, the whole sample.
+  std::vector<std::size_t> prefixes;
   for (std::size_t bytes : kAnchorBytes) {
     const std::size_t n = std::min(bytes, sample.size());
-    if (!anchors.empty() && static_cast<double>(n) <= anchors.back().first)
-      continue;
-    cpumodel::SerialEstimate est = cpumodel::estimate_serial(
-        dfa, sample.substr(0, n), n, config_.cpu);
-    if (est.seconds > 0.0)
-      anchors.emplace_back(static_cast<double>(n), est.seconds);
+    if (prefixes.empty() || n > prefixes.back()) prefixes.push_back(n);
   }
+  const std::size_t rungs = prefixes.size();
+  if (sample.size() > prefixes.back()) prefixes.push_back(sample.size());
+  const std::vector<cpumodel::SerialEstimate> est =
+      cpumodel::estimate_serial_prefixes(dfa, sample, prefixes, config_.cpu);
+
+  std::vector<std::pair<double, double>> anchors;
+  for (std::size_t k = 0; k < rungs; ++k)
+    if (est[k].seconds > 0.0)
+      anchors.emplace_back(static_cast<double>(prefixes[k]), est[k].seconds);
   if (anchors.empty()) return;
   serial_anchors_ = std::move(anchors);
   // Keep the scalar accessor meaningful: the asymptotic slope of the
   // calibrated curve (its last segment), which is also what extrapolation
   // past the largest anchor uses.
-  cpumodel::SerialEstimate full =
-      cpumodel::estimate_serial(dfa, sample, sample.size(), config_.cpu);
-  if (full.cycles_per_byte > 0.0)
-    serial_cycles_per_byte_ = full.cycles_per_byte;
+  if (est.back().cycles_per_byte > 0.0)
+    serial_cycles_per_byte_ = est.back().cycles_per_byte;
 }
 
 void CostModel::set_gpu_curve(double overhead_seconds,

@@ -108,11 +108,12 @@ class CostModel {
  public:
   explicit CostModel(const CostModelConfig& config = {});
 
-  /// Calibrates the serial cost curve from cpumodel::estimate_serial over
-  /// `sample` (typically a prefix of real traffic or synthetic text built
-  /// from the dictionary): prices a log-spaced ladder of sample prefixes
-  /// into (bytes, seconds) anchors so the size-dependent cache-warm-up
-  /// cpb is captured, not just the asymptote.
+  /// Calibrates the serial cost curve from cpumodel over `sample`
+  /// (typically a prefix of real traffic or synthetic text built from the
+  /// dictionary): prices a log-spaced ladder of sample prefixes into
+  /// (bytes, seconds) anchors so the size-dependent cache-warm-up cpb is
+  /// captured, not just the asymptote. One estimate_serial_prefixes walk
+  /// prices every rung and the whole sample.
   void calibrate_cpu(const ac::Dfa& dfa, std::string_view sample);
 
   /// Installs a measured GPU curve (from dispatch::calibrate's two-point
@@ -135,6 +136,11 @@ class CostModel {
   double correction(Backend backend, const WorkloadSignature& sig) const;
 
   double serial_cycles_per_byte() const { return serial_cycles_per_byte_; }
+  /// The calibrated (bytes, seconds) anchors, ascending in bytes; empty
+  /// until calibrate_cpu runs.
+  const std::vector<std::pair<double, double>>& serial_anchors() const {
+    return serial_anchors_;
+  }
   double gpu_overhead_seconds() const { return gpu_overhead_seconds_; }
   double gpu_bytes_per_second() const { return gpu_bytes_per_second_; }
   const CostModelConfig& config() const { return config_; }

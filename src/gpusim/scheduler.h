@@ -24,8 +24,8 @@
 #include "gpusim/config.h"
 #include "gpusim/metrics.h"
 #include "gpusim/task.h"
-#include "gpusim/texture_cache.h"
 #include "gpusim/warp.h"
+#include "util/set_assoc_cache.h"
 
 namespace acgpu::gpusim {
 
@@ -82,7 +82,7 @@ class Scheduler {
     double issue_free = 0;
     double shared_free = 0;
     double tex_free = 0;
-    std::unique_ptr<TextureCache> tcache;
+    std::unique_ptr<util::SetAssocCache> tcache;  ///< texture L1
     std::uint32_t resident = 0;
   };
 
@@ -123,7 +123,7 @@ class Scheduler {
   std::uint32_t warps_per_block_;
 
   std::vector<Sm> sms_;
-  std::unique_ptr<TextureCache> tex_l2_;  ///< GPU-wide texture L2
+  std::unique_ptr<util::SetAssocCache> tex_l2_;  ///< GPU-wide texture L2
   double mem_pipe_free_ = 0;  ///< global memory system bandwidth pipe
   std::vector<std::uint64_t> pending_blocks_;  // stack of not-yet-dispatched ids
   std::vector<std::unique_ptr<BlockRun>> active_blocks_;

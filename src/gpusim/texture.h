@@ -1,8 +1,9 @@
 // 2-D int32 texture view over device memory — how the paper binds the STT.
 //
 // A texture is read-only, addressed by (x=column, y=row), with a row pitch
-// so rows can be segment-aligned. The texture cache (texture_cache.h) models
-// the on-chip caching; this class only does addressing and data fetch.
+// so rows can be segment-aligned. The scheduler's texture caches
+// (util::SetAssocCache) model the on-chip caching; this class only does
+// addressing and data fetch.
 #pragma once
 
 #include <cstdint>

@@ -493,8 +493,38 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
     return Status::invalid_argument(
         "snapshot DFA state " + std::to_string(snapshot.dfa_state) +
         " is outside this service's " + std::to_string(states) + " states");
+  // The limits and stats must be ones a session can reach: within its
+  // quotas, no more buffered matches than it delivered, and truncated
+  // exactly when the match quota dropped one.
+  const SessionLimits& limits = snapshot.limits;
+  const SessionStats& stats = snapshot.stats;
+  if (limits.max_bytes != 0 && stats.bytes_fed > limits.max_bytes)
+    return Status::invalid_argument(
+        "snapshot fed " + std::to_string(stats.bytes_fed) + " bytes, past its " +
+        std::to_string(limits.max_bytes) + "-byte quota");
+  if (limits.max_matches != 0 && stats.matches_delivered > limits.max_matches)
+    return Status::invalid_argument(
+        "snapshot delivered " + std::to_string(stats.matches_delivered) +
+        " matches, past its " + std::to_string(limits.max_matches) + "-match quota");
+  if (snapshot.matches.size() > stats.matches_delivered)
+    return Status::invalid_argument(
+        "snapshot buffers " + std::to_string(snapshot.matches.size()) +
+        " matches but delivered " + std::to_string(stats.matches_delivered));
+  if (stats.truncated != (stats.matches_dropped > 0))
+    return Status::invalid_argument(
+        "snapshot truncated flag disagrees with its " +
+        std::to_string(stats.matches_dropped) + " dropped matches");
   // poll() hands the buffered matches back as they are: each must name one
-  // of this DFA's patterns and lie inside the bytes the stream has fed.
+  // of this DFA's patterns and lie inside the bytes the stream has fed, and
+  // none may be buffered twice. Their order is not checked: spanning matches
+  // are delivered at feed time, ahead of earlier chunks' scanned ones.
+  std::vector<ac::Match> sorted = snapshot.matches;
+  ac::normalize_matches(sorted);
+  const auto twice = std::adjacent_find(sorted.begin(), sorted.end());
+  if (twice != sorted.end())
+    return Status::invalid_argument(
+        "snapshot buffers the match of pattern " + std::to_string(twice->pattern) +
+        " ending at " + std::to_string(twice->end) + " twice");
   const ac::Dfa& dfa = im.engine.dfa();
   for (const ac::Match& m : snapshot.matches) {
     if (m.pattern < 0 || static_cast<std::size_t>(m.pattern) >= dfa.pattern_count())

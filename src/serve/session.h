@@ -63,6 +63,10 @@ struct SessionStats {
 /// StreamService::import_session refuses a dfa_state outside the importing
 /// DFA's states, and a buffered match whose pattern id is outside the DFA's
 /// patterns or that does not lie inside the first stats.bytes_fed bytes.
+/// It also refuses stats no session can reach: bytes_fed or
+/// matches_delivered past a set quota, more buffered matches than
+/// matches_delivered, one (end, pattern) buffered twice, and truncated
+/// disagreeing with matches_dropped > 0.
 struct SessionSnapshot {
   SessionId id = 0;
   std::int32_t dfa_state = 0;  ///< carried DFA state

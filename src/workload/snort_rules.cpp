@@ -19,20 +19,50 @@ int hex_val(char c) {
   return c - 'A' + 10;
 }
 
-/// Extracts the value of `option:"..."` occurrences inside the rule body.
-std::vector<std::string> option_values(std::string_view body, std::string_view option) {
-  std::vector<std::string> values;
-  std::size_t pos = 0;
-  const std::string needle = std::string(option) + ":\"";
-  while ((pos = body.find(needle, pos)) != std::string_view::npos) {
-    pos += needle.size();
-    const std::size_t end = body.find('"', pos);
-    ACGPU_CHECK(end != std::string_view::npos,
-                "unterminated " << option << " string in rule body");
-    values.emplace_back(body.substr(pos, end - pos));
-    pos = end + 1;
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
+  return s;
+}
+
+/// One `name` or `name:value` option of a rule body, both trimmed.
+struct Option {
+  std::string_view name;
+  std::string_view value;
+};
+
+/// Splits a rule body at the ';' that lie outside quoted strings, so text
+/// inside a msg or content string is never read as an option.
+std::vector<Option> body_options(std::string_view body, std::size_t line_no) {
+  std::vector<Option> options;
+  bool quoted = false;
+  std::size_t start = 0;
+  std::size_t colon = std::string_view::npos;
+  for (std::size_t i = 0; i <= body.size(); ++i) {
+    const char c = i < body.size() ? body[i] : ';';
+    if (c == '"') quoted = !quoted;
+    if (quoted) continue;
+    if (c == ':' && colon == std::string_view::npos) colon = i;
+    if (c != ';') continue;
+    const std::size_t name_end = colon == std::string_view::npos ? i : colon;
+    Option opt{trim(body.substr(start, name_end - start)), {}};
+    if (colon != std::string_view::npos) opt.value = trim(body.substr(colon + 1, i - colon - 1));
+    if (!opt.name.empty() || !opt.value.empty()) options.push_back(opt);
+    start = i + 1;
+    colon = std::string_view::npos;
   }
-  return values;
+  ACGPU_CHECK(!quoted, "rule on line " << line_no << " has an unterminated string");
+  return options;
+}
+
+/// The text between the quotes of a `"..."` option value.
+std::string_view quoted_value(const Option& opt, std::size_t line_no) {
+  const std::string_view v = opt.value;
+  ACGPU_CHECK(v.size() >= 2 && v.front() == '"' && v.back() == '"' &&
+                  v.find('"', 1) == v.size() - 1,
+              "rule on line " << line_no << ": " << opt.name
+                              << " takes one quoted string, got '" << v << "'");
+  return v.substr(1, v.size() - 2);
 }
 
 }  // namespace
@@ -72,10 +102,7 @@ std::vector<SnortRule> parse_snort_rules(std::string_view text) {
     ++line_no;
 
     // Trim and skip comments/blanks.
-    while (!line.empty() && std::isspace(static_cast<unsigned char>(line.front())))
-      line.remove_prefix(1);
-    while (!line.empty() && std::isspace(static_cast<unsigned char>(line.back())))
-      line.remove_suffix(1);
+    line = trim(line);
     if (line.empty() || line.front() == '#') continue;
 
     const std::size_t open = line.find('(');
@@ -91,11 +118,20 @@ std::vector<SnortRule> parse_snort_rules(std::string_view text) {
                 "rule on line " << line_no << " has a malformed header");
 
     const std::string_view body = line.substr(open + 1, close - open - 1);
-    const auto msgs = option_values(body, "msg");
-    if (!msgs.empty()) rule.message = msgs.front();
-    for (const auto& raw : option_values(body, "content"))
-      rule.contents.push_back(decode_content(raw));
-    rule.nocase = body.find("nocase") != std::string_view::npos;
+    bool has_message = false;
+    for (const Option& opt : body_options(body, line_no)) {
+      if (opt.name == "msg") {
+        const std::string_view message = quoted_value(opt, line_no);
+        if (!has_message) rule.message = message;
+        has_message = true;
+      } else if (opt.name == "content") {
+        std::string content = decode_content(quoted_value(opt, line_no));
+        ACGPU_CHECK(!content.empty(), "rule on line " << line_no << " has an empty content");
+        rule.contents.push_back(std::move(content));
+      } else if (opt.name == "nocase") {
+        rule.nocase = true;
+      }
+    }
     ACGPU_CHECK(!rule.contents.empty(),
                 "rule on line " << line_no << " has no content option (nothing to match)");
     rules.push_back(std::move(rule));

@@ -20,7 +20,7 @@ struct SnortRule {
   std::string protocol;  ///< tcp / udp / icmp / ip
   std::string message;   ///< msg:"..." option, empty if absent
   std::vector<std::string> contents;  ///< content:"..." byte strings, decoded
-  bool nocase = false;   ///< rule carries a `nocase;` modifier
+  bool nocase = false;   ///< rule carries a `nocase;` option (never text in a string)
 };
 
 /// True when every rule is case-insensitive — the whole dictionary can then
@@ -28,7 +28,10 @@ struct SnortRule {
 bool all_nocase(const std::vector<SnortRule>& rules);
 
 /// Parses a rule file: one rule per line, '#' comments and blank lines
-/// ignored. Throws acgpu::Error with a line number on malformed rules.
+/// ignored. A rule body is `name:value;` and `name;` options, split at the
+/// ';' outside quoted strings; msg and content take one quoted string.
+/// Throws acgpu::Error with a line number on malformed rules, among them a
+/// rule without content and a content that decodes to no bytes.
 std::vector<SnortRule> parse_snort_rules(std::string_view text);
 
 /// Flattens every content string of every rule into one PatternSet, and

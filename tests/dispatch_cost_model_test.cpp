@@ -1,17 +1,23 @@
 // The cost model's three analytic curves, the anchor-ladder CPU
 // calibration (cpumodel's cold-cache warm-up must make small scans more
-// expensive per byte than the asymptote), the GPU curve install, and the
-// per-bucket EWMA refinement with its clamped observation ratio.
+// expensive per byte than the asymptote; over a large sample, the one
+// split walk prices every rung exactly as a fresh reference walk), the GPU
+// curve install, and the per-bucket EWMA refinement with its clamped
+// observation ratio.
 #include "dispatch/cost_model.h"
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "ac/automaton.h"
 #include "ac/dfa.h"
 #include "ac/pattern_set.h"
 #include "dispatch/signature.h"
+#include "reference_serial_model.h"
+#include "workload/markov_corpus.h"
+#include "workload/pattern_extract.h"
 
 namespace acgpu::dispatch {
 namespace {
@@ -80,6 +86,37 @@ TEST(DispatchCostModel, CalibrationCapturesTheColdCacheWarmup) {
     EXPECT_GT(s, prev) << "at " << bytes;
     prev = s;
   }
+}
+
+TEST(DispatchCostModel, CalibrationOverALargeSampleMatchesFreshReferenceWalks) {
+  // A 1 MB sample walks in several shares (one worker per 256 KB, as many
+  // as the hardware threads allow). Every anchor must equal a fresh
+  // single-threaded reference walk of its rung, and the asymptotic cpb
+  // one of the whole sample.
+  const std::string corpus = workload::make_corpus(2u << 20, 17);
+  workload::ExtractConfig ec;
+  ec.count = 1000;
+  const ac::Dfa dfa =
+      ac::build_dfa(workload::extract_patterns(std::string_view(corpus).substr(1u << 20), ec));
+  const std::string_view sample = std::string_view(corpus).substr(0, 1u << 20);
+  CostModel model;
+  model.calibrate_cpu(dfa, sample);
+
+  const cpumodel::CpuConfig& cpu = model.config().cpu;
+  static constexpr std::size_t kRungs[] = {64, 256, 1024, 4096, 16384, 65536};
+  const auto& anchors = model.serial_anchors();
+  ASSERT_EQ(anchors.size(), std::size(kRungs));
+  for (std::size_t k = 0; k < anchors.size(); ++k) {
+    EXPECT_EQ(anchors[k].first, static_cast<double>(kRungs[k]));
+    EXPECT_EQ(anchors[k].second,
+              cpumodel::reference::estimate_serial(dfa, sample.substr(0, kRungs[k]),
+                                                   kRungs[k], cpu)
+                  .seconds)
+        << "rung " << kRungs[k];
+  }
+  EXPECT_EQ(model.serial_cycles_per_byte(),
+            cpumodel::reference::estimate_serial(dfa, sample, sample.size(), cpu)
+                .cycles_per_byte);
 }
 
 TEST(DispatchCostModel, InterpolationStaysBetweenAnchors) {

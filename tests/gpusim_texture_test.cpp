@@ -1,9 +1,9 @@
 #include "gpusim/texture.h"
-#include "gpusim/texture_cache.h"
 
 #include <gtest/gtest.h>
 
 #include "util/error.h"
+#include "util/set_assoc_cache.h"
 
 namespace acgpu::gpusim {
 namespace {
@@ -54,8 +54,9 @@ TEST(Texture2D, DefaultIsUnbound) {
   EXPECT_FALSE(tex.bound());
 }
 
+// The texture L1s and the texture L2 are util::SetAssocCache with 32 B lines.
 TEST(TextureCache, HitAfterFill) {
-  TextureCache cache(1024, 32, 4);
+  util::SetAssocCache cache(1024, 32, 4);
   EXPECT_FALSE(cache.access(100));
   EXPECT_TRUE(cache.access(100));
   EXPECT_TRUE(cache.access(96));   // same 32B line
@@ -65,7 +66,7 @@ TEST(TextureCache, HitAfterFill) {
 }
 
 TEST(TextureCache, ContainsDoesNotFill) {
-  TextureCache cache(1024, 32, 4);
+  util::SetAssocCache cache(1024, 32, 4);
   EXPECT_FALSE(cache.contains(0));
   EXPECT_FALSE(cache.access(0));
   EXPECT_TRUE(cache.contains(0));
@@ -73,7 +74,7 @@ TEST(TextureCache, ContainsDoesNotFill) {
 
 TEST(TextureCache, LruEvictionWithinSet) {
   // 4 sets of 2 ways, 32B lines: lines 0, 4, 8 all map to set 0.
-  TextureCache cache(256, 32, 2);
+  util::SetAssocCache cache(256, 32, 2);
   ASSERT_EQ(cache.sets(), 4u);
   cache.access(0 * 32);
   cache.access(4 * 32);
@@ -85,7 +86,7 @@ TEST(TextureCache, LruEvictionWithinSet) {
 }
 
 TEST(TextureCache, CapacityWorkingSetAllHits) {
-  TextureCache cache(1024, 32, 4);  // 32 lines
+  util::SetAssocCache cache(1024, 32, 4);  // 32 lines
   for (int rep = 0; rep < 3; ++rep)
     for (DevAddr line = 0; line < 32; ++line) cache.access(line * 32);
   EXPECT_EQ(cache.misses(), 32u);
@@ -93,7 +94,7 @@ TEST(TextureCache, CapacityWorkingSetAllHits) {
 }
 
 TEST(TextureCache, ThrashingWorkingSetMisses) {
-  TextureCache cache(256, 32, 2);  // 8 lines capacity
+  util::SetAssocCache cache(256, 32, 2);  // 8 lines capacity
   // Cycle 24 lines: with LRU every access misses.
   for (int rep = 0; rep < 2; ++rep)
     for (DevAddr line = 0; line < 24; ++line) cache.access(line * 32);
@@ -101,7 +102,7 @@ TEST(TextureCache, ThrashingWorkingSetMisses) {
 }
 
 TEST(TextureCache, ClearResets) {
-  TextureCache cache(256, 32, 2);
+  util::SetAssocCache cache(256, 32, 2);
   cache.access(0);
   cache.clear();
   EXPECT_FALSE(cache.contains(0));
@@ -109,11 +110,11 @@ TEST(TextureCache, ClearResets) {
 }
 
 TEST(TextureCache, ValidatesGeometry) {
-  EXPECT_THROW(TextureCache(64, 33, 2), Error);   // non-power-of-two line
-  EXPECT_THROW(TextureCache(64, 32, 0), Error);   // zero assoc
-  EXPECT_THROW(TextureCache(32, 32, 2), Error);   // can't hold one set
-  EXPECT_THROW(TextureCache(96, 32, 1), Error);   // 3 sets: not a mask
-  EXPECT_EQ(TextureCache(128, 32, 1).sets(), 4u);
+  EXPECT_THROW(util::SetAssocCache(64, 33, 2), Error);   // non-power-of-two line
+  EXPECT_THROW(util::SetAssocCache(64, 32, 0), Error);   // zero assoc
+  EXPECT_THROW(util::SetAssocCache(32, 32, 2), Error);   // can't hold one set
+  EXPECT_THROW(util::SetAssocCache(96, 32, 1), Error);   // 3 sets: not a mask
+  EXPECT_EQ(util::SetAssocCache(128, 32, 1).sets(), 4u);
 }
 
 }  // namespace

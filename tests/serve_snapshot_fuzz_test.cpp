@@ -1,11 +1,13 @@
 // Session snapshots are a decoder like the .acdfa loader: a rebalance hands
 // import_session whatever another shard exported, and a hostile or corrupted
-// one must end in a Status, never in a session that poll()s garbage or walks
-// the STT out of range. Seeded mutations of every field of an exported
-// snapshot; each import either round-trips (the session re-exports exactly
-// as imported and keeps serving) or is refused with kInvalidArgument.
+// one must end in a Status, never in a session that poll()s garbage, walks
+// the STT out of range, or holds stats no session can reach. Seeded
+// mutations of every field of an exported snapshot; each import either
+// round-trips (the session re-exports exactly as imported and keeps
+// serving) or is refused with kInvalidArgument.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -68,7 +70,7 @@ std::uint64_t edge_value(Rng& rng, std::uint64_t near) {
 void mutate(SessionSnapshot& s, Rng& rng) {
   const std::uint64_t fields = 1 + rng.next_below(3);
   for (std::uint64_t k = 0; k < fields; ++k) {
-    switch (rng.next_below(10)) {
+    switch (rng.next_below(11)) {
       case 0: s.id = edge_value(rng, s.id); break;
       case 1: s.dfa_state = static_cast<std::int32_t>(edge_value(rng, 10)); break;
       case 2: s.limits.max_bytes = edge_value(rng, s.stats.bytes_fed); break;
@@ -85,6 +87,10 @@ void mutate(SessionSnapshot& s, Rng& rng) {
         if (!s.matches.empty())
           s.matches[rng.next_below(s.matches.size())].end =
               edge_value(rng, s.stats.bytes_fed);
+        break;
+      case 9:
+        if (!s.matches.empty())
+          s.matches.push_back(s.matches[rng.next_below(s.matches.size())]);
         break;
       default:
         if (rng.next_bool(0.5) && !s.matches.empty())
@@ -128,6 +134,57 @@ TEST(SnapshotImportFuzz, AStateDeeperThanTheStreamReportsNoMatchBeforeIt) {
   EXPECT_TRUE(b.poll(7).value().empty());
 }
 
+/// The import of `s` into a fresh service.
+Status import_into_fresh(const SessionSnapshot& s) {
+  StreamService b = make_service();
+  return b.import_session(s);
+}
+
+TEST(SnapshotImportFuzz, BytesFedPastTheByteQuotaAreRefused) {
+  SessionSnapshot s = exported_snapshot();
+  s.limits.max_bytes = s.stats.bytes_fed;
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  s.limits.max_bytes = s.stats.bytes_fed - 1;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotImportFuzz, DeliveriesPastTheMatchQuotaAreRefused) {
+  SessionSnapshot s = exported_snapshot();
+  s.limits.max_matches = s.stats.matches_delivered;
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  s.limits.max_matches = s.stats.matches_delivered - 1;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotImportFuzz, MoreBufferedMatchesThanDeliveredAreRefused) {
+  SessionSnapshot s = exported_snapshot();
+  ASSERT_EQ(s.stats.matches_delivered, s.matches.size());
+  s.stats.matches_delivered = s.matches.size() - 1;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotImportFuzz, AMatchBufferedTwiceIsRefused) {
+  // A poll would report it twice. Order alone is no fault: spanning
+  // matches are buffered at feed time, ahead of earlier chunks' scanned
+  // ones, so a reversed buffer still imports.
+  SessionSnapshot s = exported_snapshot();
+  std::reverse(s.matches.begin(), s.matches.end());
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  s.matches.push_back(s.matches.front());
+  ++s.stats.matches_delivered;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotImportFuzz, TruncatedMustAgreeWithDroppedMatches) {
+  SessionSnapshot s = exported_snapshot();
+  s.stats.truncated = true;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+  s.stats.matches_dropped = 2;
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  s.stats.truncated = false;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SnapshotImportFuzz, MutatedSnapshotsRoundTripOrAreRefused) {
   const SessionSnapshot original = exported_snapshot();
   ASSERT_GE(original.matches.size(), 4u);
@@ -142,12 +199,21 @@ TEST(SnapshotImportFuzz, MutatedSnapshotsRoundTripOrAreRefused) {
     mutate(s, rng);
     SCOPED_TRACE("round " + std::to_string(round));
     const Status status = b.import_session(s);
-    bool in_range = s.dfa_state >= 0 && s.dfa_state < states;
+    bool importable = s.dfa_state >= 0 && s.dfa_state < states;
     for (const ac::Match& m : s.matches)
-      in_range = in_range && m.pattern >= 0 && m.pattern < patterns &&
-                 m.end < s.stats.bytes_fed &&
-                 m.end + 1 >= b.dfa().pattern_length(m.pattern);
-    EXPECT_EQ(status.is_ok(), in_range) << status.to_string();
+      importable = importable && m.pattern >= 0 && m.pattern < patterns &&
+                   m.end < s.stats.bytes_fed &&
+                   m.end + 1 >= b.dfa().pattern_length(m.pattern);
+    std::vector<ac::Match> sorted = s.matches;
+    ac::normalize_matches(sorted);
+    importable = importable &&
+                 (s.limits.max_bytes == 0 || s.stats.bytes_fed <= s.limits.max_bytes) &&
+                 (s.limits.max_matches == 0 ||
+                  s.stats.matches_delivered <= s.limits.max_matches) &&
+                 s.matches.size() <= s.stats.matches_delivered &&
+                 s.stats.truncated == (s.stats.matches_dropped > 0) &&
+                 std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+    EXPECT_EQ(status.is_ok(), importable) << status.to_string();
     if (!status.is_ok()) {
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
       ++refused;

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ac/dfa.h"
+#include "ac/match.h"
+#include "ac/naive_matcher.h"
 #include "ac/serial_matcher.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace acgpu::workload {
 namespace {
@@ -110,6 +116,121 @@ TEST(SnortRules, AllNocaseEnablesFoldedDictionary) {
 
 TEST(SnortRules, AllNocaseFalseForEmptyRuleset) {
   EXPECT_FALSE(all_nocase({}));
+}
+
+TEST(SnortRules, NocaseInsideAStringIsNotAnOption) {
+  // Only a `nocase;` option folds a rule: the word in its message or
+  // content is text, and the rule stays case-sensitive.
+  const auto rules = parse_snort_rules(
+      "alert tcp any any -> any any (msg:\"nocase bypass\"; content:\"abc\";)\n"
+      "alert tcp any any -> any any (msg:\"b\"; content:\"x; nocase\";)\n");
+  ASSERT_EQ(rules.size(), 2u);
+  EXPECT_EQ(rules[0].message, "nocase bypass");
+  EXPECT_FALSE(rules[0].nocase);
+  EXPECT_EQ(rules[1].contents[0], "x; nocase");
+  EXPECT_FALSE(rules[1].nocase);
+  EXPECT_FALSE(all_nocase(rules));
+}
+
+TEST(SnortRules, EmptyContentIsRejectedWithItsLine) {
+  for (const char* content : {"\"\"", "\"||\"", "\"| |\""}) {
+    try {
+      parse_snort_rules(std::string("alert tcp a b (msg:\"ok\"; content:\"x\";)\n"
+                                    "alert tcp a b (msg:\"m\"; content:") +
+                        content + ";)\n");
+      ADD_FAILURE() << "content:" << content << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(SnortRules, OptionValuesMustBeOneQuotedString) {
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (content:abc;)"), Error);
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (content:\"a\"b\";)"), Error);
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (content:\"abc;)"), Error);
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (msg:oops; content:\"abc\";)"), Error);
+}
+
+// --- Seeded mutations of a rule file: a clean error or an exact dictionary ---
+
+constexpr const char* kFuzzRules = R"(# seed ruleset
+alert tcp any any -> any 80 (msg:"shellcode NOP sled"; content:"|90 90 90 90|";)
+alert tcp any any -> any any (msg:"mailer"; content:"X-Mailer: evilbot"; nocase;)
+log udp any any -> any 53 (msg:"dns; tunnel"; content:"tunnel"; content:"|0d 0a|";)
+alert tcp any any -> any any (msg:"cmd"; content:"CmD.eXe"; nocase; sid:1001;)
+)";
+
+/// Applies one to four random edits: byte deletions, insertions of rule
+/// syntax, byte replacements and duplicated slices.
+std::string mutate_rules(std::string text, Rng& rng) {
+  static const char* const kTokens[] = {
+      "\"", ";", ":", "|", "(", ")", " ", "\n", "#", "nocase;", "content:\"\";",
+      "content:\"||\";", "content:\"", "msg:\"", "|0", "41|", "zz"};
+  for (std::uint64_t n = rng.next_in(1, 4); n > 0; --n) {
+    const std::size_t at = static_cast<std::size_t>(rng.next_below(text.size() + 1));
+    switch (rng.next_below(4)) {
+      case 0:
+        text.erase(at, static_cast<std::size_t>(rng.next_in(1, 3)));
+        break;
+      case 1:
+        text.insert(at, kTokens[rng.next_below(std::size(kTokens))]);
+        break;
+      case 2:
+        if (at < text.size()) text[at] = static_cast<char>(rng.next_below(256));
+        break;
+      default: {
+        const std::size_t from = static_cast<std::size_t>(rng.next_below(text.size() + 1));
+        text.insert(at, text.substr(from, static_cast<std::size_t>(rng.next_in(1, 40))));
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+/// Random letters with every pattern planted, some of them case-flipped.
+std::string traffic_for(const ac::PatternSet& patterns, Rng& rng) {
+  std::string text;
+  for (int i = 0; i < 64; ++i) {
+    for (std::uint64_t k = rng.next_below(24); k > 0; --k)
+      text.push_back(static_cast<char>('A' + rng.next_below(58)));
+    std::string p(patterns[rng.next_below(patterns.size())]);
+    if (rng.next_bool(0.3))
+      for (auto& c : p) c = static_cast<char>(c ^ 0x20);
+    text += p;
+  }
+  return text;
+}
+
+TEST(SnortRuleFuzz, MutatedRuleFilesThrowOrYieldExactDictionaries) {
+  Rng rng(2031);
+  int parsed = 0, rejected = 0;
+  for (int round = 0; round < 600; ++round) {
+    const std::string text = mutate_rules(kFuzzRules, rng);
+    SCOPED_TRACE("round " + std::to_string(round) + ":\n" + text);
+    std::vector<SnortRule> rules;
+    try {
+      rules = parse_snort_rules(text);
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    if (rules.empty()) continue;
+    // Accepted: every content is a pattern, and the dictionary compiles
+    // and matches exactly what the naive matcher finds.
+    ac::PatternSet patterns;
+    ASSERT_NO_THROW(patterns = rules_to_patterns(rules, nullptr));
+    const ac::Dfa dfa = ac::build_dfa(patterns);
+    const std::string traffic = traffic_for(patterns, rng);
+    std::vector<ac::Match> got = ac::find_all(dfa, traffic);
+    std::vector<ac::Match> want = ac::find_all_naive(patterns, traffic);
+    EXPECT_EQ(ac::normalize_matches(got), ac::normalize_matches(want));
+  }
+  // The mutations reach both outcomes.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace
