@@ -211,28 +211,23 @@ double Scheduler::handle_tex(WarpRun* w, double issued, const Texture2D* texture
   for (std::uint32_t l = 0; l < warp.lane_count; ++l)
     if (warp.mask[l] && ((suppress >> l) & 1u)) warp.value[l] = 0;
 
-  // Distinct cache lines touched by the warp's active lanes, in the order
-  // the lanes first touch them: that order sets the caches' LRU state. An
-  // open-addressed table of twice the lane count finds each repeat.
+  // Distinct cache lines touched by the warp's active lanes.
   Sm& sm = sms_[w->block->sm];
   std::array<DevAddr, Warp::kMaxLanes> lines{};
   std::size_t n_lines = 0;
-  constexpr DevAddr kNoLine = ~DevAddr{0};
-  constexpr std::size_t kSlots = 2 * Warp::kMaxLanes;
-  static_assert(kSlots == 64, "the slot hash keeps the top 6 bits");
-  std::array<DevAddr, kSlots> seen;
-  seen.fill(kNoLine);
   std::uint32_t lane_fetches = 0;
   for (std::uint32_t l = 0; l < warp.lane_count; ++l) {
     if (!warp.mask[l] || ((suppress >> l) & 1u)) continue;
     ++lane_fetches;
     const DevAddr line =
         texture->addr_of(warp.tex_x[l], warp.tex_y[l]) >> sm.tcache->line_shift();
-    std::size_t slot = static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ULL) >> 58);
-    while (seen[slot] != kNoLine && seen[slot] != line) slot = (slot + 1) % kSlots;
-    if (seen[slot] == line) continue;
-    seen[slot] = line;
-    lines[n_lines++] = line;
+    bool dup = false;
+    for (std::size_t j = 0; j < n_lines; ++j)
+      if (lines[j] == line) {
+        dup = true;
+        break;
+      }
+    if (!dup) lines[n_lines++] = line;
   }
   if (lane_fetches == 0) return issued;
 

@@ -16,24 +16,6 @@ BankCost bank_conflicts(std::span<const std::uint32_t> addrs, std::uint32_t bank
   for (std::size_t begin = 0; begin < addrs.size(); begin += group) {
     const std::size_t end = std::min(addrs.size(), begin + group);
 
-    // Fast path: active lanes on pairwise distinct banks read distinct
-    // words, one per bank, so the group costs one access.
-    std::uint64_t banks_hit = 0;
-    bool distinct = true;
-    for (std::size_t i = begin; i < end && distinct; ++i) {
-      if (((active >> i) & 1u) == 0) continue;
-      const std::uint64_t bit = std::uint64_t{1} << ((addrs[i] / 4) % banks);
-      distinct = (banks_hit & bit) == 0;
-      banks_hit |= bit;
-    }
-    if (distinct) {
-      if (banks_hit == 0) continue;  // no active lane in this group
-      ++cost.groups;
-      cost.total_degree += 1;
-      cost.max_degree = std::max(cost.max_degree, 1u);
-      continue;
-    }
-
     // Distinct words accessed within this half-warp. Lanes hitting the same
     // word are satisfied by one access (hardware broadcast); lanes hitting
     // different words on the same bank serialise.

@@ -51,10 +51,6 @@ class SetAssocCache {
   std::uint64_t sets() const { return set_mask_ + 1; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  double miss_rate() const {
-    const std::uint64_t n = hits_ + misses_;
-    return n == 0 ? 0.0 : static_cast<double>(misses_) / static_cast<double>(n);
-  }
 
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};

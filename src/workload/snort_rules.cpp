@@ -1,5 +1,6 @@
 #include "workload/snort_rules.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -55,14 +56,33 @@ std::vector<Option> body_options(std::string_view body, std::size_t line_no) {
   return options;
 }
 
-/// The text between the quotes of a `"..."` option value.
-std::string_view quoted_value(const Option& opt, std::size_t line_no) {
+/// A msg or content value: one quoted string, then (Snort 3 style, for a
+/// content) the modifiers after a ',', as in `content:"abc", nocase;`.
+struct QuotedValue {
+  std::string_view text;       ///< between the quotes
+  std::string_view modifiers;  ///< after the ',', trimmed; empty if none
+};
+
+QuotedValue quoted_value(const Option& opt, std::size_t line_no) {
   const std::string_view v = opt.value;
-  ACGPU_CHECK(v.size() >= 2 && v.front() == '"' && v.back() == '"' &&
-                  v.find('"', 1) == v.size() - 1,
+  const std::size_t close = v.size() >= 2 && v.front() == '"' ? v.find('"', 1)
+                                                             : std::string_view::npos;
+  const std::string_view rest =
+      close == std::string_view::npos ? v : trim(v.substr(close + 1));
+  ACGPU_CHECK(close != std::string_view::npos && (rest.empty() || rest.front() == ','),
               "rule on line " << line_no << ": " << opt.name
                               << " takes one quoted string, got '" << v << "'");
-  return v.substr(1, v.size() - 2);
+  return {v.substr(1, close - 1), rest.empty() ? rest : trim(rest.substr(1))};
+}
+
+/// True when the comma-separated `modifiers` hold `name`.
+bool has_modifier(std::string_view modifiers, std::string_view name) {
+  while (!modifiers.empty()) {
+    const std::size_t comma = std::min(modifiers.find(','), modifiers.size());
+    if (trim(modifiers.substr(0, comma)) == name) return true;
+    modifiers.remove_prefix(std::min(comma + 1, modifiers.size()));
+  }
+  return false;
 }
 
 }  // namespace
@@ -121,13 +141,18 @@ std::vector<SnortRule> parse_snort_rules(std::string_view text) {
     bool has_message = false;
     for (const Option& opt : body_options(body, line_no)) {
       if (opt.name == "msg") {
-        const std::string_view message = quoted_value(opt, line_no);
+        const std::string_view message = quoted_value(opt, line_no).text;
         if (!has_message) rule.message = message;
         has_message = true;
-      } else if (opt.name == "content") {
-        std::string content = decode_content(quoted_value(opt, line_no));
+      } else if (opt.name == "content" || opt.name == "uricontent") {
+        // A negated content (`content:!"x";`) is text the rule needs absent:
+        // it never enters the dictionary.
+        if (opt.value.starts_with('!')) continue;
+        const QuotedValue value = quoted_value(opt, line_no);
+        std::string content = decode_content(value.text);
         ACGPU_CHECK(!content.empty(), "rule on line " << line_no << " has an empty content");
         rule.contents.push_back(std::move(content));
+        if (has_modifier(value.modifiers, "nocase")) rule.nocase = true;
       } else if (opt.name == "nocase") {
         rule.nocase = true;
       }

@@ -19,8 +19,8 @@ struct SnortRule {
   std::string action;    ///< alert / log / drop ...
   std::string protocol;  ///< tcp / udp / icmp / ip
   std::string message;   ///< msg:"..." option, empty if absent
-  std::vector<std::string> contents;  ///< content:"..." byte strings, decoded
-  bool nocase = false;   ///< rule carries a `nocase;` option (never text in a string)
+  std::vector<std::string> contents;  ///< content / uricontent byte strings, decoded
+  bool nocase = false;   ///< a `nocase` option or content modifier (never text in a string)
 };
 
 /// True when every rule is case-insensitive — the whole dictionary can then
@@ -29,9 +29,12 @@ bool all_nocase(const std::vector<SnortRule>& rules);
 
 /// Parses a rule file: one rule per line, '#' comments and blank lines
 /// ignored. A rule body is `name:value;` and `name;` options, split at the
-/// ';' outside quoted strings; msg and content take one quoted string.
-/// Throws acgpu::Error with a line number on malformed rules, among them a
-/// rule without content and a content that decodes to no bytes.
+/// ';' outside quoted strings. msg, content and uricontent take one quoted
+/// string; a content may carry Snort 3's modifiers after a comma
+/// (`content:"abc", nocase;`), and a negated content (`content:!"abc";`)
+/// is skipped, since the rule needs it absent. Throws acgpu::Error with a
+/// line number on malformed rules, among them a value that is not a quoted
+/// string, a rule without a content and a content that decodes to no bytes.
 std::vector<SnortRule> parse_snort_rules(std::string_view text);
 
 /// Flattens every content string of every rule into one PatternSet, and

@@ -55,6 +55,8 @@ class TickLruCache {
     return false;
   }
 
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
   double miss_rate() const {
     const std::uint64_t n = hits_ + misses_;
     return n == 0 ? 0.0 : static_cast<double>(misses_) / static_cast<double>(n);

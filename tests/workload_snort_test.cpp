@@ -149,7 +149,37 @@ TEST(SnortRules, OptionValuesMustBeOneQuotedString) {
   EXPECT_THROW(parse_snort_rules("alert tcp a b (content:abc;)"), Error);
   EXPECT_THROW(parse_snort_rules("alert tcp a b (content:\"a\"b\";)"), Error);
   EXPECT_THROW(parse_snort_rules("alert tcp a b (content:\"abc;)"), Error);
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (content:\"abc\" nocase;)"), Error);
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (uricontent:abc;)"), Error);
   EXPECT_THROW(parse_snort_rules("alert tcp a b (msg:oops; content:\"abc\";)"), Error);
+}
+
+TEST(SnortRules, NegatedContentIsLeftOutOfTheDictionary) {
+  // The rule needs "evil" absent: matching it would flag clean traffic.
+  const auto rules = parse_snort_rules(
+      "alert tcp a b (msg:\"m\"; content:!\"evil\"; content:\"good\";)\n");
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0].contents, std::vector<std::string>{"good"});
+  // A rule of negated contents alone has nothing to match.
+  EXPECT_THROW(parse_snort_rules("alert tcp a b (content:!\"evil\";)"), Error);
+}
+
+TEST(SnortRules, UricontentIsAContent) {
+  const auto rules = parse_snort_rules(
+      "alert tcp a b (msg:\"cgi\"; uricontent:\"/cgi-bin/|70|hf\";)\n");
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0].contents, std::vector<std::string>{"/cgi-bin/phf"});
+}
+
+TEST(SnortRules, Snort3ModifiersFollowTheContent) {
+  const auto rules = parse_snort_rules(
+      "alert http (msg:\"a\"; content:\"AbC\", offset 4, nocase;)\n"
+      "alert http (msg:\"b\"; content:\"XyZ\", fast_pattern;)\n");
+  ASSERT_EQ(rules.size(), 2u);
+  EXPECT_EQ(rules[0].contents, std::vector<std::string>{"AbC"});
+  EXPECT_TRUE(rules[0].nocase);
+  EXPECT_EQ(rules[1].contents, std::vector<std::string>{"XyZ"});
+  EXPECT_FALSE(rules[1].nocase);
 }
 
 // --- Seeded mutations of a rule file: a clean error or an exact dictionary ---
@@ -166,7 +196,8 @@ alert tcp any any -> any any (msg:"cmd"; content:"CmD.eXe"; nocase; sid:1001;)
 std::string mutate_rules(std::string text, Rng& rng) {
   static const char* const kTokens[] = {
       "\"", ";", ":", "|", "(", ")", " ", "\n", "#", "nocase;", "content:\"\";",
-      "content:\"||\";", "content:\"", "msg:\"", "|0", "41|", "zz"};
+      "content:\"||\";", "content:\"", "msg:\"", "|0", "41|", "zz", "!", ",",
+      ", nocase", "uri"};
   for (std::uint64_t n = rng.next_in(1, 4); n > 0; --n) {
     const std::size_t at = static_cast<std::size_t>(rng.next_below(text.size() + 1));
     switch (rng.next_below(4)) {
