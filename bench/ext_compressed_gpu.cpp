@@ -1,9 +1,10 @@
 // Extension: dense vs compressed STT on the GPU (connecting the paper's
-// ref [19] to its memory-hierarchy story). The dense table costs one texel
-// fetch per byte but grows with states x byte classes; the compressed table
-// needs up to three fetches per byte but is about half as large. The
-// interesting question is where the crossover falls on the pattern-count
-// axis.
+// ref [19] to its memory-hierarchy story). Both runs are one AC kernel over
+// the same class text with the same spec; only the table differs. The dense
+// table costs one texel fetch per byte but grows with states x byte classes;
+// the compressed table needs up to three fetches per byte but is a quarter
+// of the size or less. The interesting question is where the crossover falls
+// on the pattern-count axis.
 #include <cstdio>
 #include <iostream>
 
@@ -12,7 +13,7 @@
 using namespace acgpu;
 
 int main(int argc, char** argv) {
-  ArgParser args("Extension: dense-STT kernel vs compressed-STT kernel.");
+  ArgParser args("Extension: the AC kernel over the dense vs the compressed STT.");
   args.add_flag("size", "input size", "16MB");
   if (!args.parse(argc, argv)) return 0;
 
@@ -38,23 +39,20 @@ int main(int argc, char** argv) {
     gpusim::DeviceMemory mem(1ull << 30);
     const kernels::DeviceDfa ddfa(mem, dfa);
     const kernels::DeviceCompressedDfa dcdfa(mem, cstt, dfa);
-    // The compressed kernel reads bytes, the dense one byte classes.
-    const auto addr = kernels::upload_text(mem, input);
     const auto class_addr = kernels::upload_class_text(mem, ddfa, input);
 
+    kernels::AcLaunchSpec spec;
+    spec.approach = kernels::Approach::kShared;
+    spec.chunk_bytes = 64;
+    spec.threads_per_block = 192;
     std::size_t mark = mem.mark();
-    kernels::AcLaunchSpec dense_spec;
-    dense_spec.approach = kernels::Approach::kShared;
-    dense_spec.chunk_bytes = 64;
-    dense_spec.threads_per_block = 192;
     const auto dense =
-        kernels::run_ac_kernel(cfg, mem, ddfa, class_addr, input.size(), dense_spec);
+        kernels::run_ac_kernel(cfg, mem, ddfa, class_addr, input.size(), spec);
     mem.release(mark);
 
     mark = mem.mark();
-    kernels::CompressedLaunchSpec comp_spec;
     const auto comp =
-        kernels::run_compressed_kernel(cfg, mem, dcdfa, addr, input.size(), comp_spec);
+        kernels::run_ac_kernel(cfg, mem, dcdfa, class_addr, input.size(), spec);
     mem.release(mark);
 
     const double dense_gbps = to_gbps(input.size(), dense.sim.seconds);
@@ -72,9 +70,8 @@ int main(int argc, char** argv) {
   std::printf("ext: dense vs compressed STT on the simulated GTX 285 (%s input)\n\n",
               format_bytes(size).c_str());
   table.print(std::cout);
-  std::printf("\nthe compressed table trades extra fetches per byte for a "
-              "texture working set about half the dense byte-class table's; "
-              "it would win once the dense table stops fitting the texture "
-              "caches.\n");
+  std::printf("\nthe compressed table trades up to three fetches per byte for a "
+              "texture working set a quarter of the dense byte-class table's "
+              "or less.\n");
   return 0;
 }

@@ -4,25 +4,26 @@
 
 namespace acgpu::ac {
 
-CompressedStt::CompressedStt(const Dfa& dfa) {
+CompressedStt::CompressedStt(const Dfa& dfa)
+    : classes_(dfa.classes()), words_((dfa.classes().count + 31) / 32) {
   const std::uint32_t states = dfa.state_count();
   ACGPU_CHECK(states > 0, "CompressedStt: empty DFA");
 
-  for (std::uint32_t b = 0; b < 256; ++b)
-    root_row_[b] = dfa.next(0, static_cast<std::uint8_t>(b));
-
-  rows_.resize(states);
+  const std::uint32_t classes = classes_.count;
+  root_row_.assign(dfa.row(0), dfa.row(0) + classes);
+  bitmaps_.resize(std::size_t{states} * words_);
+  bases_.resize(states);
   output_ids_.resize(states);
   for (std::uint32_t s = 0; s < states; ++s) {
-    Row& row = rows_[s];
-    row.base = static_cast<std::uint32_t>(targets_.size());
-    output_ids_[s] = dfa.output_id(static_cast<std::int32_t>(s));
-    for (std::uint32_t b = 0; b < 256; ++b) {
-      const std::int32_t target =
-          dfa.next(static_cast<std::int32_t>(s), static_cast<std::uint8_t>(b));
-      if (s != 0 && target == root_row_[b]) continue;  // root-default entry
-      if (s == 0) continue;  // the root row itself lives in root_row_
-      row.bitmap[b >> 5] |= 1u << (b & 31);
+    const auto state = static_cast<std::int32_t>(s);
+    bases_[s] = static_cast<std::uint32_t>(targets_.size());
+    output_ids_[s] = dfa.output_id(state);
+    if (s == 0) continue;  // the root row itself lives in root_row_
+    std::uint32_t* bits = bitmaps_.data() + std::size_t{s} * words_;
+    for (std::uint32_t c = 0; c < classes; ++c) {
+      const std::int32_t target = dfa.row(state)[c];
+      if (target == root_row_[c]) continue;  // root-default entry
+      bits[c >> 5] |= 1u << (c & 31);
       targets_.push_back(target);
     }
   }
@@ -32,8 +33,8 @@ CompressedStt::CompressedStt(const Dfa& dfa) {
 }
 
 std::size_t CompressedStt::size_bytes() const {
-  return rows_.size() * sizeof(Row) + targets_.size() * sizeof(std::int32_t) +
-         output_ids_.size() * sizeof(std::int32_t) + sizeof(root_row_);
+  return (bitmaps_.size() + bases_.size()) * sizeof(std::uint32_t) +
+         (targets_.size() + output_ids_.size() + root_row_.size()) * sizeof(std::int32_t);
 }
 
 }  // namespace acgpu::ac

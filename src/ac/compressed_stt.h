@@ -1,14 +1,17 @@
 // Compressed State Transition Table.
 //
-// The dense STT costs states x 257 x 4 bytes (123 MB at 20,000 patterns) —
-// the paper's refs [19] (Zha, Scarpazza, Sahni) compress it to fit tighter
-// memories. This implements the bitmap scheme: for every state, transitions
-// that differ from the ROOT row's transition for the same byte are stored
-// explicitly (a 256-bit bitmap plus a popcount-indexed target array);
-// everything else falls back to the root row. Deep states differ from the
-// root in only a handful of bytes, so the table shrinks by ~10-60x.
+// The paper's byte-wide STT costs states x 257 x 4 bytes (123 MB at 20,000
+// patterns) — its ref [19] (Zha, Scarpazza, Sahni) compresses it to fit
+// tighter memories. This implements the bitmap scheme in the DFA's byte-class
+// space (ac::ByteClasses): for every state, the classes whose transition
+// differs from the ROOT row's transition for the same class are stored
+// explicitly (a bitmap of ceil(classes / 32) words plus a popcount-indexed
+// target array, in class order); every other class falls back to the root
+// row. Deep states differ from the root in only a handful of classes, so the
+// table shrinks by ~10-60x against the byte-wide one.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -22,21 +25,25 @@ class CompressedStt {
  public:
   explicit CompressedStt(const Dfa& dfa);
 
-  std::uint32_t state_count() const { return static_cast<std::uint32_t>(rows_.size()); }
+  std::uint32_t state_count() const { return static_cast<std::uint32_t>(bases_.size()); }
+  /// The DFA's byte classes: the table's columns.
+  const ByteClasses& classes() const { return classes_; }
+  /// Bitmap words per row: ceil(classes().count / 32), 1 to 8.
+  std::uint32_t bitmap_words() const { return words_; }
 
-  /// Exact equivalent of Dfa::next.
+  /// Exact equivalent of Dfa::next: maps the byte to its class, then reads
+  /// the explicit target or the root row's entry.
   std::int32_t next(std::int32_t state, std::uint8_t byte) const {
-    const Row& row = rows_[static_cast<std::size_t>(state)];
-    const std::uint32_t word = byte >> 5;          // 8 words of 32 bits
-    const std::uint32_t bit = byte & 31;
-    const std::uint32_t mask = row.bitmap[word];
-    if ((mask >> bit & 1) == 0) return root_row_[byte];
-    // Rank of this bit: explicit targets are packed in byte order.
-    std::uint32_t rank = row.base;
+    const std::uint32_t c = classes_.of_byte[byte];
+    const std::uint32_t* bits = row_bits(state);
+    const std::uint32_t word = c >> 5;
+    const std::uint32_t bit = 1u << (c & 31);
+    if ((bits[word] & bit) == 0) return root_row_[c];
+    // Rank of this bit: explicit targets are packed in class order.
+    std::uint32_t rank = bases_[static_cast<std::size_t>(state)];
     for (std::uint32_t w = 0; w < word; ++w)
-      rank += static_cast<std::uint32_t>(__builtin_popcount(row.bitmap[w]));
-    rank += static_cast<std::uint32_t>(
-        __builtin_popcount(mask & ((bit == 0 ? 0u : (~0u >> (32 - bit))))));
+      rank += static_cast<std::uint32_t>(std::popcount(bits[w]));
+    rank += static_cast<std::uint32_t>(std::popcount(bits[word] & (bit - 1)));
     return targets_[rank];
   }
 
@@ -45,7 +52,8 @@ class CompressedStt {
     return output_ids_[static_cast<std::size_t>(state)];
   }
 
-  /// Compressed footprint in bytes (bitmaps + targets + match column).
+  /// Compressed footprint in bytes (bitmaps, bases, targets, match column
+  /// and root row).
   std::size_t size_bytes() const;
   /// The paper's byte-wide STT bytes (states x Dfa::byte_pitch words) /
   /// compressed bytes.
@@ -53,24 +61,28 @@ class CompressedStt {
 
   // --- raw accessors for the GPU upload (kernels/compressed_kernel) ---
   std::uint32_t row_bitmap(std::int32_t state, std::uint32_t word) const {
-    return rows_[static_cast<std::size_t>(state)].bitmap[word];
+    return row_bits(state)[word];
   }
+  /// Index of the state's first explicit target.
   std::uint32_t row_base(std::int32_t state) const {
-    return rows_[static_cast<std::size_t>(state)].base;
+    return bases_[static_cast<std::size_t>(state)];
   }
   const std::vector<std::int32_t>& targets() const { return targets_; }
-  std::int32_t root_next(std::uint8_t byte) const { return root_row_[byte]; }
+  /// The root's transition on every class: classes().count entries.
+  const std::vector<std::int32_t>& root_row() const { return root_row_; }
 
  private:
-  struct Row {
-    std::uint32_t bitmap[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::uint32_t base = 0;  ///< index of this row's first explicit target
-  };
+  const std::uint32_t* row_bits(std::int32_t state) const {
+    return bitmaps_.data() + static_cast<std::size_t>(state) * words_;
+  }
 
-  std::vector<Row> rows_;
+  ByteClasses classes_;
+  std::uint32_t words_ = 0;
+  std::vector<std::uint32_t> bitmaps_;  ///< words_ per state
+  std::vector<std::uint32_t> bases_;
   std::vector<std::int32_t> targets_;
   std::vector<std::int32_t> output_ids_;
-  std::int32_t root_row_[256] = {};
+  std::vector<std::int32_t> root_row_;
   double ratio_ = 1.0;
 };
 

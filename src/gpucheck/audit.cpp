@@ -6,7 +6,6 @@
 #include "ac/chunking.h"
 #include "ac/match.h"
 #include "kernels/ac_kernel.h"
-#include "kernels/compressed_kernel.h"
 #include "kernels/pfac_kernel.h"
 #include "oracle/workload_gen.h"
 #include "pipeline/pipeline.h"
@@ -132,6 +131,10 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
       ls.approach = kernels::Approach::kShared;
       ls.scheme = kernels::StoreScheme::kSequential;
       break;
+    case AuditTarget::kCompressed:
+      ls.approach = kernels::Approach::kShared;
+      ls.scheme = kernels::StoreScheme::kDiagonal;
+      break;
     default:
       ACGPU_CHECK(false, "audit_ac called with a non-ac target");
   }
@@ -143,6 +146,10 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
   const std::uint64_t threads =
       (w.text().size() + ls.chunk_bytes - 1) / ls.chunk_bytes +
       ls.threads_per_block;
+  const bool compressed = target == AuditTarget::kCompressed;
+  const std::size_t table_bytes = compressed
+                                      ? w.compressed().size_bytes() + (1u << 20)
+                                      : kernels::DeviceDfa::upload_bytes(w.dfa());
 
   AuditOutcome outcome;
   const auto collected =
@@ -151,13 +158,16 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
         Recorder recorder(spec.recorder);
         ls.sim.observer = &recorder;
         gpusim::DeviceMemory mem =
-            make_device(w.text().size(), threads, capacity,
-                        kernels::DeviceDfa::upload_bytes(w.dfa()));
-        const kernels::DeviceDfa ddfa(mem, w.dfa());
-        const auto addr = kernels::upload_class_text(mem, ddfa, w.text());
+            make_device(w.text().size(), threads, capacity, table_bytes);
+        const auto launch = [&](const auto& table) {
+          const auto addr = kernels::upload_class_text(mem, table, w.text());
+          return kernels::run_ac_kernel(cfg, mem, table, addr, w.text().size(), ls)
+              .matches;
+        };
         auto matches =
-            kernels::run_ac_kernel(cfg, mem, ddfa, addr, w.text().size(), ls)
-                .matches;
+            compressed
+                ? launch(kernels::DeviceCompressedDfa(mem, w.compressed(), w.dfa()))
+                : launch(kernels::DeviceDfa(mem, w.dfa()));
         outcome.report = recorder.take_report();
         return matches;
       });
@@ -196,45 +206,6 @@ AuditOutcome audit_diagonal(const CompiledWorkload& w, const AuditSpec& spec) {
     merged.match_count = one.match_count;
   }
   return merged;
-}
-
-AuditOutcome audit_compressed(const CompiledWorkload& w,
-                              const AuditSpec& spec) {
-  kernels::CompressedLaunchSpec ls;
-  ls.chunk_bytes = pick_chunk(w, spec.chunk_floor_bytes);
-  ls.threads_per_block = spec.threads_per_block;
-  ls.sim.mode = gpusim::SimMode::Functional;
-
-  const gpusim::GpuConfig cfg = audit_config();
-  const std::uint64_t threads =
-      (w.text().size() + ls.chunk_bytes - 1) / ls.chunk_bytes +
-      ls.threads_per_block;
-
-  AuditOutcome outcome;
-  const auto collected =
-      collect_audited("compressed", [&](std::uint32_t capacity) {
-        ls.match_capacity = capacity;
-        Recorder recorder(spec.recorder);
-        ls.sim.observer = &recorder;
-        gpusim::DeviceMemory mem =
-            make_device(w.text().size(), threads, capacity,
-                        w.compressed().size_bytes() + (1u << 20));
-        const kernels::DeviceCompressedDfa dcdfa(mem, w.compressed(), w.dfa());
-        const auto addr = kernels::upload_text(mem, w.text());
-        auto matches = kernels::run_compressed_kernel(cfg, mem, dcdfa, addr,
-                                                      w.text().size(), ls)
-                           .matches;
-        outcome.report = recorder.take_report();
-        return matches;
-      });
-
-  Budget budget = info_of(AuditTarget::kCompressed).budget;
-  budget.max_hazards = spec.recorder.max_hazards;
-  apply_budget(outcome.report, budget);
-  outcome.match_count = collected.matches.size();
-  outcome.matches_ok =
-      same_matches(collected.matches, oracle::reference_matches(w));
-  return outcome;
 }
 
 AuditOutcome audit_pfac(const CompiledWorkload& w, const AuditSpec& spec) {
@@ -379,8 +350,6 @@ AuditOutcome audit_workload(AuditTarget target, const CompiledWorkload& w,
     return outcome;
   }
   switch (target) {
-    case AuditTarget::kCompressed:
-      return audit_compressed(w, spec);
     case AuditTarget::kPfac:
       return audit_pfac(w, spec);
     case AuditTarget::kPipeline:

@@ -10,7 +10,7 @@
 //   ac-shared-diagonal   max degree 1       required
 //   ac-shared-naive      conflicts EXPECTED required
 //   ac-shared-seq        —                  —   (per-thread serial copy)
-//   compressed           —                  required
+//   compressed           —                  required (root-row reads scatter)
 //   pfac                 —                  —   (lane death scatters loads)
 //   pipeline             max degree 1       required (shared kernel per batch)
 //
@@ -40,7 +40,7 @@ enum class AuditTarget : std::uint8_t {
   kAcSharedDiagonal,    ///< ac_kernel, shared staging, diagonal scheme
   kAcSharedNaive,       ///< ac_kernel, shared staging, row-major scheme
   kAcSharedSequential,  ///< ac_kernel, per-thread serial staging
-  kCompressed,          ///< compressed-STT kernel
+  kCompressed,          ///< ac_kernel over the compressed STT, diagonal scheme
   kPfac,                ///< failureless (PFAC) kernel
   kPipeline,            ///< batched multi-stream pipeline, shared kernel
 };

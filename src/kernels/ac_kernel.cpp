@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <optional>
 
+#include "kernels/compressed_kernel.h"
 #include "kernels/match_flag.h"
 #include "util/error.h"
 
@@ -33,6 +35,31 @@ using gpusim::WarpTask;
 
 constexpr std::uint32_t L = Warp::kMaxLanes;
 
+/// The transition table a launch reads: the dense class STT, or the
+/// compressed rows, targets and root row (compressed_kernel.h).
+struct Table {
+  DevAddr stt_addr = 0;  ///< dense: the STT the kGlobal placement loads
+  std::uint32_t stt_pitch_bytes = 0;
+  std::uint32_t bitmap_words = 0;  ///< compressed: W; 0 for the dense table
+  DevAddr root_addr = 0;           ///< compressed: the root row ...
+  std::uint32_t root_entries = 0;  ///< ... of one entry per class
+};
+
+Table table_of(const DeviceDfa& ddfa) {
+  Table t;
+  t.stt_addr = ddfa.stt_addr();
+  t.stt_pitch_bytes = ddfa.stt_pitch_elems() * 4;
+  return t;
+}
+
+Table table_of(const DeviceCompressedDfa& dcdfa) {
+  Table t;
+  t.bitmap_words = dcdfa.bitmap_words();
+  t.root_addr = dcdfa.root_row_addr();
+  t.root_entries = dcdfa.host_dfa().classes().count;
+  return t;
+}
+
 /// Everything the kernel body needs, copied by value into the coroutine frame
 /// (mirrors a CUDA kernel's parameter block).
 struct KParams {
@@ -45,8 +72,8 @@ struct KParams {
   Approach approach{};
   StoreScheme scheme{};
   SttPlacement placement{};
-  DevAddr stt_addr = 0;
-  std::uint32_t stt_pitch_bytes = 0;
+  Table table;
+  std::uint32_t root_shared = 0;  ///< compressed: shared offset of the staged root row
   DevAddr counts = 0;
   DevAddr records = 0;
   std::uint64_t record_threads = 0;  ///< MatchBuffer threads: the slot stride
@@ -62,6 +89,12 @@ using Columns = std::array<std::uint32_t, L>;
 /// the chunk's last byte on: one compares the word's depth field with the
 /// bytes consumed past the chunk, one votes whether any lane still scans.
 constexpr std::uint32_t kExitTestInstrs = 2;
+
+/// Warp instructions the compressed table adds to every step: the bit test
+/// that picks the root row or an explicit target, and the target's rank
+/// (prefix base plus the popcount of the row bits below the class). It keeps
+/// the compressed table's charge at 10 per byte against the dense default of 8.
+constexpr std::uint32_t kRankInstrs = 2;
 
 /// Points every active lane at column `col[l]` of STT row `state[l]` — texel
 /// coordinates or a global address, per the placement — and returns the
@@ -79,8 +112,8 @@ Warp::Await stt_read(Warp& w, const KParams& p, const std::array<std::int32_t, L
   }
   for (std::uint32_t l = 0; l < w.lane_count; ++l)
     if (w.mask[l])
-      w.addr[l] = p.stt_addr + static_cast<std::uint64_t>(state[l]) * p.stt_pitch_bytes +
-                  col[l] * 4;
+      w.addr[l] = p.table.stt_addr + col[l] * 4 +
+                  static_cast<std::uint64_t>(state[l]) * p.table.stt_pitch_bytes;
   return w.global_load_u32();
 }
 
@@ -305,6 +338,21 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
                       4;
       co_await w.shared_store_u32();
     }
+
+    // The compressed table's root row, one class a thread, after the text.
+    for (std::uint32_t first = 0; first < p.table.root_entries; first += T) {
+      w.mask_none();
+      for (std::uint32_t l = 0; l < w.lane_count; ++l)
+        if (first + w.thread_in_block(l) < p.table.root_entries) {
+          w.mask[l] = true;
+          w.addr[l] = p.table.root_addr + (first + w.thread_in_block(l)) * 4;
+        }
+      if (!w.any_active()) continue;
+      co_await w.global_load_u32();
+      for (std::uint32_t l = 0; l < w.lane_count; ++l)
+        if (w.mask[l]) w.addr[l] = p.root_shared + (w.addr[l] - p.table.root_addr);
+      co_await w.shared_store_u32();
+    }
     co_await w.barrier();
   }
 
@@ -349,9 +397,53 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     for (std::uint32_t l = 0; l < w.lane_count; ++l)
       if (scanning[l]) col[l] = w.value[l] & 0xff;
 
-    // State transition: one STT lookup per byte (texture or global ablation).
+    // State transition: one STT lookup per byte (texture or global ablation),
+    // or up to three over the compressed table.
     w.mask = scanning;
-    co_await stt_read(w, p, state, col);
+    if (p.table.bitmap_words == 0) {
+      co_await stt_read(w, p, state, col);
+    } else {
+      // The bitmap word holding the class's bit.
+      for (std::uint32_t l = 0; l < w.lane_count; ++l)
+        if (scanning[l]) {
+          w.tex_x[l] = col[l] >> 5;
+          w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
+        }
+      co_await w.tex_fetch();
+      // Each lane's transition word lands in its own w.value: masked-off
+      // lanes keep theirs, as a GPU register does under a divergent branch.
+      const Columns bits = w.value;
+      const auto bit_set = [&](std::uint32_t l) {
+        return (bits[l] >> (col[l] & 31) & 1) != 0;
+      };
+      // A clear bit takes the root's transition from the staged root row.
+      for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+        w.mask[l] = scanning[l] && !bit_set(l);
+        if (w.mask[l]) w.addr[l] = p.root_shared + col[l] * 4;
+      }
+      if (w.any_active()) co_await w.shared_load_u32();
+      // A set bit reads its word's prefix base, then the target at its rank.
+      for (std::uint32_t l = 0; l < w.lane_count; ++l) {
+        w.mask[l] = scanning[l] && bit_set(l);
+        if (w.mask[l]) {
+          w.tex_x[l] = p.table.bitmap_words + (col[l] >> 5);
+          w.tex_y[l] = static_cast<std::uint32_t>(state[l]);
+        }
+      }
+      if (w.any_active()) {
+        co_await w.tex_fetch();
+        for (std::uint32_t l = 0; l < w.lane_count; ++l)
+          if (w.mask[l]) {
+            const std::uint32_t below = bits[l] & ((1u << (col[l] & 31)) - 1);
+            const std::uint32_t rank =
+                w.value[l] + static_cast<std::uint32_t>(std::popcount(below));
+            w.tex_x[l] = rank % DeviceCompressedDfa::kTargetsWidth;
+            w.tex_y[l] = rank / DeviceCompressedDfa::kTargetsWidth;
+          }
+        co_await w.tex_fetch2();
+      }
+      w.mask = scanning;
+    }
     std::array<bool, L> flagged{};
     bool any_flagged = decode_transitions(w.value, scanning, state, flagged);
 
@@ -364,7 +456,9 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     // any j and never exits. Lanes whose chunk the text cuts short end their
     // scan there, so j counts from the full chunk.
     const bool past_chunk = i + 1 >= chunk;
-    co_await w.compute(p.compute_per_byte + (past_chunk ? kExitTestInstrs : 0));
+    co_await w.compute(p.compute_per_byte +
+                       (p.table.bitmap_words != 0 ? kRankInstrs : 0) +
+                       (past_chunk ? kExitTestInstrs : 0));
     if (past_chunk) {
       const std::uint64_t j = i + 1 - chunk;
       any_flagged = false;
@@ -439,6 +533,12 @@ gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& dd
   return upload_text(mem, ddfa.host_dfa().classes().map(text));
 }
 
+gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem,
+                                  const DeviceCompressedDfa& dcdfa,
+                                  std::string_view text) {
+  return upload_text(mem, dcdfa.host_dfa().classes().map(text));
+}
+
 namespace {
 
 /// Everything run_ac_kernel computes before the launch — shared between the
@@ -454,19 +554,25 @@ struct AcPlan {
 };
 
 AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem,
-                      const DeviceDfa& ddfa, gpusim::DevAddr text_addr,
+                      const ac::Dfa& dfa, const Table& table, gpusim::DevAddr text_addr,
                       std::uint64_t text_len, const AcLaunchSpec& spec,
                       const std::optional<SymbolTable>& symbols) {
   ACGPU_CHECK(text_len > 0, "run_ac_kernel: empty text");
   ACGPU_CHECK(!symbols || spec.approach == Approach::kShared,
               "packed text needs the shared approach: only its staging unpacks");
+  const bool compressed = table.bitmap_words != 0;
+  ACGPU_CHECK(!compressed || spec.approach == Approach::kShared,
+              "the compressed table needs the shared approach: only its staging "
+              "stages the root row");
+  ACGPU_CHECK(!compressed || spec.stt_placement == SttPlacement::kTexture,
+              "the compressed table is read through the texture path only");
   ACGPU_CHECK(spec.chunk_bytes > 0 && spec.chunk_bytes % 4 == 0,
               "chunk_bytes must be a positive multiple of 4, got " << spec.chunk_bytes);
   ACGPU_CHECK(spec.threads_per_block > 0, "threads_per_block must be positive");
   const std::uint32_t overlap =
-      ddfa.max_pattern_length() > 0 ? ddfa.max_pattern_length() - 1 : 0;
+      dfa.max_pattern_length() > 0 ? dfa.max_pattern_length() - 1 : 0;
   ACGPU_CHECK(overlap < spec.chunk_bytes,
-              "max pattern length " << ddfa.max_pattern_length()
+              "max pattern length " << dfa.max_pattern_length()
                   << " requires chunks larger than " << spec.chunk_bytes << "B");
 
   const std::uint64_t threads = (text_len + spec.chunk_bytes - 1) / spec.chunk_bytes;
@@ -478,10 +584,12 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   ACGPU_CHECK(bits != 6 || spec.threads_per_block % Warp::kMaxLanes == 0,
               "6-bit packed text needs whole warps per block, got "
                   << spec.threads_per_block << " threads");
-  const std::uint32_t shared_bytes =
+  // The compressed table's root row follows the staged text.
+  const std::uint32_t root_shared =
       spec.approach == Approach::kShared
           ? staged_shared_bytes(spec.chunk_bytes, spec.threads_per_block, bits)
           : 0;
+  const std::uint32_t shared_bytes = root_shared + table.root_entries * 4;
   ACGPU_CHECK(shared_bytes <= config.shared_mem_bytes,
               "staged block of " << shared_bytes << "B exceeds the SM's "
                                  << config.shared_mem_bytes << "B shared memory");
@@ -489,7 +597,7 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   const std::uint32_t scan_bound = spec.chunk_bytes + overlap;
   AcPlan plan;
   plan.buffer.emplace(mem, threads_padded, spec.match_capacity, scan_bound,
-                      ddfa.state_count());
+                      dfa.state_count());
   plan.threads = threads;
   plan.blocks = blocks;
   plan.shared_bytes = shared_bytes;
@@ -504,8 +612,8 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   p.approach = spec.approach;
   p.scheme = spec.scheme;
   p.placement = spec.stt_placement;
-  p.stt_addr = ddfa.stt_addr();
-  p.stt_pitch_bytes = ddfa.stt_pitch_elems() * 4;
+  p.table = table;
+  p.root_shared = root_shared;
   p.counts = plan.buffer->counts_base();
   p.records = plan.buffer->records_base();
   p.record_threads = plan.buffer->threads();
@@ -522,16 +630,15 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
 }
 
 AcLaunchOutcome collect_ac_outcome(const AcPlan& plan, gpusim::LaunchResult sim,
-                                   const gpusim::DeviceMemory& mem,
-                                   const DeviceDfa& ddfa, std::uint64_t text_len,
-                                   const AcLaunchSpec& spec) {
+                                   const gpusim::DeviceMemory& mem, const ac::Dfa& dfa,
+                                   std::uint64_t text_len, const AcLaunchSpec& spec) {
   AcLaunchOutcome outcome;
   outcome.sim = sim;
   outcome.threads = plan.threads;
   outcome.blocks = plan.blocks;
   outcome.shared_bytes = plan.shared_bytes;
-  outcome.matches = expand_records(*plan.buffer, mem, StateOutputs{ddfa.host_dfa()},
-                                   spec.chunk_bytes, text_len);
+  outcome.matches =
+      expand_records(*plan.buffer, mem, StateOutputs{dfa}, spec.chunk_bytes, text_len);
   return outcome;
 }
 
@@ -542,11 +649,25 @@ AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
                               gpusim::DevAddr text_addr, std::uint64_t text_len,
                               const AcLaunchSpec& spec,
                               std::optional<SymbolTable> symbols) {
-  const AcPlan plan =
-      plan_ac_launch(config, mem, ddfa, text_addr, text_len, spec, symbols);
+  const ac::Dfa& dfa = ddfa.host_dfa();
+  const AcPlan plan = plan_ac_launch(config, mem, dfa, table_of(ddfa), text_addr,
+                                     text_len, spec, symbols);
   const gpusim::LaunchResult sim =
       gpusim::launch(config, mem, &ddfa.texture(), plan.dims, plan.kernel, spec.sim);
-  return collect_ac_outcome(plan, sim, mem, ddfa, text_len, spec);
+  return collect_ac_outcome(plan, sim, mem, dfa, text_len, spec);
+}
+
+AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem,
+                              const DeviceCompressedDfa& dcdfa, gpusim::DevAddr text_addr,
+                              std::uint64_t text_len, const AcLaunchSpec& spec,
+                              std::optional<SymbolTable> symbols) {
+  const ac::Dfa& dfa = dcdfa.host_dfa();
+  const AcPlan plan = plan_ac_launch(config, mem, dfa, table_of(dcdfa), text_addr,
+                                     text_len, spec, symbols);
+  const gpusim::LaunchResult sim =
+      gpusim::launch(config, mem, &dcdfa.rows_texture(), plan.dims, plan.kernel, spec.sim,
+                     &dcdfa.targets_texture());
+  return collect_ac_outcome(plan, sim, mem, dfa, text_len, spec);
 }
 
 AcLaunchOutcome run_ac_kernel_stream(gpusim::StreamSim& streams,
@@ -556,12 +677,13 @@ AcLaunchOutcome run_ac_kernel_stream(gpusim::StreamSim& streams,
                                      std::optional<SymbolTable> symbols, std::string label) {
   const gpusim::GpuConfig& config = streams.config();
   gpusim::DeviceMemory& mem = streams.memory();
-  const AcPlan plan =
-      plan_ac_launch(config, mem, ddfa, text_addr, text_len, spec, symbols);
+  const ac::Dfa& dfa = ddfa.host_dfa();
+  const AcPlan plan = plan_ac_launch(config, mem, dfa, table_of(ddfa), text_addr,
+                                     text_len, spec, symbols);
   const gpusim::LaunchResult sim =
       streams.launch(stream, &ddfa.texture(), plan.dims, plan.kernel, spec.sim,
                      nullptr, std::move(label));
-  return collect_ac_outcome(plan, sim, mem, ddfa, text_len, spec);
+  return collect_ac_outcome(plan, sim, mem, dfa, text_len, spec);
 }
 
 }  // namespace acgpu::kernels

@@ -22,6 +22,13 @@
 // and write one word per match, accepting state x S + scan offset, to a
 // slot-major MatchBuffer plus a u16 count per thread; the host decodes the
 // words and expands each state's output set through the DFA.
+//
+// The loop reads either device table, picked by the run_ac_kernel overload:
+// the dense class STT (device_dfa.h), one fetch per step, or the compressed
+// table (compressed_kernel.h), whose step fetches the row's bitmap word and
+// then either the root row, which the shared approach's staging stages
+// after the text, or the word's prefix base and the target at its rank. The
+// transition fetch is the only code the two tables do not share.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +38,7 @@
 #include "ac/dfa.h"
 #include "gpusim/launcher.h"
 #include "gpusim/stream.h"
+#include "kernels/compressed_kernel.h"
 #include "kernels/device_dfa.h"
 #include "kernels/match_output.h"
 #include "kernels/packed_text.h"
@@ -70,7 +78,9 @@ struct AcLaunchOutcome {
   gpusim::LaunchResult sim;
   std::uint64_t threads = 0;
   std::uint64_t blocks = 0;
-  std::uint32_t shared_bytes = 0;  ///< staged_shared_bytes per block (0 for global-only)
+  /// Shared memory per block: staged_shared_bytes, plus the compressed
+  /// table's root row (0 for global-only).
+  std::uint32_t shared_bytes = 0;
   /// Matches written by the simulated kernel. Complete only in Functional
   /// mode; in Timed mode only the sampled blocks produced output.
   MatchBuffer::Collected matches;
@@ -85,13 +95,16 @@ std::uint32_t staged_shared_bytes(std::uint32_t chunk_bytes, std::uint32_t threa
 
 /// Uploads `text` into device memory with enough zero padding for whole-word
 /// staging loads. Returns the device address. The AC kernel reads byte
-/// classes, so its callers upload with upload_class_text; the compressed and
-/// PFAC kernels read raw bytes.
+/// classes, so its callers upload with upload_class_text; the PFAC kernel
+/// reads raw bytes.
 gpusim::DevAddr upload_text(gpusim::DeviceMemory& mem, std::string_view text);
 
 /// upload_text of `text` mapped through the DFA's byte classes
-/// (ac::ByteClasses::map): the text run_ac_kernel scans.
+/// (ac::ByteClasses::map): the text run_ac_kernel scans over either table.
 gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
+                                  std::string_view text);
+gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem,
+                                  const DeviceCompressedDfa& dcdfa,
                                   std::string_view text);
 
 /// Runs one AC kernel launch over text already resident in device memory,
@@ -104,6 +117,16 @@ gpusim::DevAddr upload_class_text(gpusim::DeviceMemory& mem, const DeviceDfa& dd
 /// per block.
 AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
                               gpusim::DeviceMemory& mem, const DeviceDfa& ddfa,
+                              gpusim::DevAddr text_addr, std::uint64_t text_len,
+                              const AcLaunchSpec& spec,
+                              std::optional<SymbolTable> symbols = std::nullopt);
+
+/// The same launch over the compressed table: the same text, spec and
+/// outcome. It needs Approach::kShared, whose staging also stages the root
+/// row (staged_shared_bytes plus 4 bytes per class of shared memory), and
+/// SttPlacement::kTexture; both checks throw acgpu::Error.
+AcLaunchOutcome run_ac_kernel(const gpusim::GpuConfig& config,
+                              gpusim::DeviceMemory& mem, const DeviceCompressedDfa& dcdfa,
                               gpusim::DevAddr text_addr, std::uint64_t text_len,
                               const AcLaunchSpec& spec,
                               std::optional<SymbolTable> symbols = std::nullopt);

@@ -1,38 +1,43 @@
-// GPU kernel over the COMPRESSED STT (ac/compressed_stt.h) — the extension
+// Device copy of the COMPRESSED STT (ac/compressed_stt.h) — the extension
 // that connects the paper's ref [19] (Zha/Scarpazza/Sahni's compressed AC)
-// to the GPU memory hierarchy. The trade-off under study:
+// to the GPU memory hierarchy. run_ac_kernel launches over it (ac_kernel.h):
+// the same class text, staging and matching loop as over the dense table,
+// with a different transition fetch. The trade-off under study:
 //
 //   dense STT:      1 texel fetch per byte, but a table of states x byte
 //                   classes (device_dfa.h; 56 ints a row for English
 //                   dictionaries) that thrashes the texture caches at large
 //                   dictionary sizes;
-//   compressed STT: the table is 10-60x smaller than a byte-wide one and
-//                   about 2x smaller than the class table (bitmap rows +
-//                   explicit targets + a shared-memory root row), so the
+//   compressed STT: a quarter of the dense class table or less (bitmap rows
+//                   + explicit targets + a shared-memory root row), so the
 //                   caches stay hotter, at the price of up to three fetches
 //                   per byte.
 //
-// Device layout: a "rows" texture of 17 int32 columns per state (8 bitmap
-// words, 8 prefix-popcount bases, 1 output id), a "targets" texture holding
-// explicit transitions with the match flag packed into bit 31, and the
-// 256-entry root row staged into shared memory (it is touched every time a
-// byte falls back to the root default — almost every byte on deep states).
+// Device layout, W = ceil(classes / 32) bitmap words per row:
+//  - a "rows" texture of 2W int32 columns per state: W bitmap words, then W
+//    prefix bases (the index of the first explicit target of each word's
+//    classes), 16 B a state at W = 2;
+//  - a "targets" texture holding the explicit transitions in class order;
+//  - the root row, one entry per class, which every block stages into shared
+//    memory (a class whose bit is clear takes the root's transition: almost
+//    every byte on deep states).
+// Targets and root row carry the target's flag and depth bits
+// (match_flag.h), as dense transition words do.
 #pragma once
 
 #include <cstdint>
 
 #include "ac/compressed_stt.h"
-#include "gpusim/launcher.h"
-#include "kernels/ac_kernel.h"
-#include "kernels/device_dfa.h"
-#include "kernels/match_output.h"
+#include "gpusim/device_memory.h"
+#include "gpusim/texture.h"
 
 namespace acgpu::kernels {
 
 class DeviceCompressedDfa {
  public:
-  /// Uploads the compressed table; keeps references to both host objects
-  /// (they must outlive this object).
+  /// Uploads `stt`, which must be `dfa`'s compressed table. Keeps a
+  /// reference to `dfa` (for host-side expansion of the launch's state
+  /// records); the Dfa must outlive this object.
   DeviceCompressedDfa(gpusim::DeviceMemory& mem, const ac::CompressedStt& stt,
                       const ac::Dfa& dfa);
 
@@ -40,37 +45,22 @@ class DeviceCompressedDfa {
   const gpusim::Texture2D& targets_texture() const { return targets_tex_; }
   gpusim::DevAddr root_row_addr() const { return root_addr_; }
   const ac::Dfa& host_dfa() const { return *dfa_; }
-  std::uint32_t max_pattern_length() const { return dfa_->max_pattern_length(); }
+  /// W: bitmap words per row, and the rows texture's column of the first
+  /// prefix base.
+  std::uint32_t bitmap_words() const { return words_; }
+  /// Device bytes of the rows, the targets and the root row.
   std::size_t device_bytes() const { return device_bytes_; }
 
   /// Width of the targets texture (targets index -> (x, y)).
   static constexpr std::uint32_t kTargetsWidth = 4096;
-  /// rows texture columns: 0-7 bitmap, 8-15 prefix base, 16 output id.
-  static constexpr std::uint32_t kRowColumns = 17;
 
  private:
   const ac::Dfa* dfa_ = nullptr;
+  std::uint32_t words_ = 0;
   gpusim::Texture2D rows_tex_;
   gpusim::Texture2D targets_tex_;
   gpusim::DevAddr root_addr_ = 0;
   std::size_t device_bytes_ = 0;
 };
-
-struct CompressedLaunchSpec {
-  std::uint32_t chunk_bytes = 64;
-  std::uint32_t threads_per_block = 192;
-  std::uint32_t match_capacity = 8;
-  std::uint32_t compute_per_byte = 10;  ///< popcount/rank adds a couple ALU ops
-  gpusim::LaunchOptions sim{};
-};
-
-/// Shared-memory approach (diagonal staging) over the compressed table.
-/// Outcome fields mirror run_ac_kernel's.
-AcLaunchOutcome run_compressed_kernel(const gpusim::GpuConfig& config,
-                                      gpusim::DeviceMemory& mem,
-                                      const DeviceCompressedDfa& dcdfa,
-                                      gpusim::DevAddr text_addr,
-                                      std::uint64_t text_len,
-                                      const CompressedLaunchSpec& spec);
 
 }  // namespace acgpu::kernels

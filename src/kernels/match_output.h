@@ -1,6 +1,6 @@
-// Device-side match output buffer, one layout for the AC, compressed and PFAC
-// kernels: a 2-byte count per thread plus one 4-byte word per record, written
-// with plain global stores and decoded on the host.
+// Device-side match output buffer, one layout for the AC kernel (over either
+// STT) and the PFAC kernel: a 2-byte count per thread plus one 4-byte word
+// per record, written with plain global stores and decoded on the host.
 #pragma once
 
 #include <algorithm>
@@ -21,8 +21,9 @@ namespace acgpu::kernels {
 ///    count above the capacity still means the thread dropped records.
 ///  - records: one u32 per record, id * S + offset, where offset (< S) is the
 ///    scanned byte's index in the thread's scan. The id is the accepting
-///    state for the AC kernel, which has it in hand from the transition word,
-///    and the output id for the compressed and PFAC kernels, which read it.
+///    state for the AC kernel over either table, which has it in hand from
+///    the transition word, and the output id for the PFAC kernel, which
+///    reads it.
 ///    Slot-major: slot k of thread t lives at records + (k * threads + t) * 4,
 ///    so the k-th records of a warp's lanes share one 128 B segment.
 ///  - min(capacity, S) slots per thread: a thread emits at most one record
@@ -65,7 +66,7 @@ class MatchBuffer {
   struct Record {
     std::uint64_t thread = 0;
     std::uint32_t offset = 0;  ///< index of the match's last byte in the scan
-    std::int32_t id = 0;       ///< accepting state (AC) or output id
+    std::int32_t id = 0;       ///< accepting state (AC) or output id (PFAC)
   };
   struct RawCollected {
     std::vector<Record> records;  ///< in (thread, slot) order
@@ -113,7 +114,7 @@ struct StateOutputs {
 /// The host half of every kernel's match output. Decodes each stored record to
 /// its end position, thread * stride + offset; expands its id through
 /// `automaton`'s id_output_begin/end (StateOutputs for the AC kernel's state
-/// records, ac::Dfa or ac::PfacAutomaton for output ids); and keeps the
+/// records, ac::PfacAutomaton for PFAC's output ids); and keeps the
 /// matches that start inside the reporting thread's own `stride` bytes (the
 /// ac/chunking.h ownership rule). A fresh-state scan cannot match before its
 /// first byte, so only the upper bound is tested. PFAC passes stride 1: each

@@ -14,7 +14,6 @@
 #include "ac/stream_matcher.h"
 #include "gpusim/device_memory.h"
 #include "kernels/ac_kernel.h"
-#include "kernels/compressed_kernel.h"
 #include "kernels/pfac_kernel.h"
 #include "oracle/matcher.h"
 #include "pipeline/pipeline.h"
@@ -222,11 +221,14 @@ std::vector<ac::Match> collect_with_retry(const char* who, Launch&& launch) {
   return {};
 }
 
+/// The AC kernel over the dense class table, or with `compressed` over the
+/// compressed one (gpu-compressed): the same loop and spec either way.
 class GpuAcMatcher final : public Matcher {
  public:
   GpuAcMatcher(std::string name, kernels::Approach approach,
-               kernels::StoreScheme scheme)
-      : name_(std::move(name)), approach_(approach), scheme_(scheme) {}
+               kernels::StoreScheme scheme, bool compressed = false)
+      : name_(std::move(name)), approach_(approach), scheme_(scheme),
+        compressed_(compressed) {}
 
   const std::string& name() const override { return name_; }
 
@@ -242,14 +244,20 @@ class GpuAcMatcher final : public Matcher {
     const std::uint64_t threads =
         (w.text().size() + spec.chunk_bytes - 1) / spec.chunk_bytes +
         spec.threads_per_block;
+    const std::size_t table_bytes = compressed_
+                                        ? w.compressed().size_bytes() + (1u << 20)
+                                        : kernels::DeviceDfa::upload_bytes(w.dfa());
     return collect_with_retry(name_.c_str(), [&](std::uint32_t capacity) {
       spec.match_capacity = capacity;
-      gpusim::DeviceMemory mem =
-          make_device(w, threads, capacity, kernels::DeviceDfa::upload_bytes(w.dfa()));
-      const kernels::DeviceDfa ddfa(mem, w.dfa());
-      const auto addr = kernels::upload_class_text(mem, ddfa, w.text());
-      return kernels::run_ac_kernel(cfg, mem, ddfa, addr, w.text().size(), spec)
-          .matches;
+      gpusim::DeviceMemory mem = make_device(w, threads, capacity, table_bytes);
+      const auto launch = [&](const auto& table) {
+        const auto addr = kernels::upload_class_text(mem, table, w.text());
+        return kernels::run_ac_kernel(cfg, mem, table, addr, w.text().size(), spec)
+            .matches;
+      };
+      if (compressed_)
+        return launch(kernels::DeviceCompressedDfa(mem, w.compressed(), w.dfa()));
+      return launch(kernels::DeviceDfa(mem, w.dfa()));
     });
   }
 
@@ -257,35 +265,7 @@ class GpuAcMatcher final : public Matcher {
   std::string name_;
   kernels::Approach approach_;
   kernels::StoreScheme scheme_;
-};
-
-class GpuCompressedMatcher final : public Matcher {
- public:
-  const std::string& name() const override {
-    static const std::string n = "gpu-compressed";
-    return n;
-  }
-  std::vector<ac::Match> run(const CompiledWorkload& w, std::uint64_t) const override {
-    if (w.text().empty()) return {};
-    const gpusim::GpuConfig cfg = sim_config();
-    kernels::CompressedLaunchSpec spec;
-    spec.chunk_bytes = pick_chunk_bytes(w, 32);
-    spec.threads_per_block = 64;
-    spec.sim.mode = gpusim::SimMode::Functional;
-    const std::uint64_t threads =
-        (w.text().size() + spec.chunk_bytes - 1) / spec.chunk_bytes +
-        spec.threads_per_block;
-    return collect_with_retry("gpu-compressed", [&](std::uint32_t capacity) {
-      spec.match_capacity = capacity;
-      gpusim::DeviceMemory mem =
-          make_device(w, threads, capacity, w.compressed().size_bytes() + (1u << 20));
-      const kernels::DeviceCompressedDfa dcdfa(mem, w.compressed(), w.dfa());
-      const auto addr = kernels::upload_text(mem, w.text());
-      return kernels::run_compressed_kernel(cfg, mem, dcdfa, addr, w.text().size(),
-                                            spec)
-          .matches;
-    });
-  }
+  bool compressed_;
 };
 
 class GpuPfacMatcher final : public Matcher {
@@ -658,7 +638,9 @@ std::unique_ptr<Matcher> instantiate(std::string_view name) {
     return std::make_unique<GpuAcMatcher>("gpu-shared-naive",
                                           kernels::Approach::kShared,
                                           kernels::StoreScheme::kCoalescedNaive);
-  if (name == "gpu-compressed") return std::make_unique<GpuCompressedMatcher>();
+  if (name == "gpu-compressed")
+    return std::make_unique<GpuAcMatcher>("gpu-compressed", kernels::Approach::kShared,
+                                          kernels::StoreScheme::kDiagonal, true);
   if (name == "gpu-pfac") return std::make_unique<GpuPfacMatcher>();
   if (name == "pipeline") return std::make_unique<PipelineMatcher>();
   if (name == "serve") return std::make_unique<ServeMatcher>();

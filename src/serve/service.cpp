@@ -494,8 +494,9 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
         "snapshot DFA state " + std::to_string(snapshot.dfa_state) +
         " is outside this service's " + std::to_string(states) + " states");
   // The limits and stats must be ones a session can reach: within its
-  // quotas, no more buffered matches than it delivered, and truncated
-  // exactly when the match quota dropped one.
+  // quotas, no more buffered matches than it delivered, truncated exactly
+  // when the match quota dropped one, no more spanning matches than it
+  // delivered and dropped, and fed bytes only in chunks.
   const SessionLimits& limits = snapshot.limits;
   const SessionStats& stats = snapshot.stats;
   if (limits.max_bytes != 0 && stats.bytes_fed > limits.max_bytes)
@@ -514,6 +515,17 @@ Status StreamService::import_session(const SessionSnapshot& snapshot) {
     return Status::invalid_argument(
         "snapshot truncated flag disagrees with its " +
         std::to_string(stats.matches_dropped) + " dropped matches");
+  // Every spanning match was delivered or dropped, and every fed byte came
+  // in a chunk.
+  if (stats.spanning_matches > stats.matches_delivered &&
+      stats.spanning_matches - stats.matches_delivered > stats.matches_dropped)
+    return Status::invalid_argument(
+        "snapshot counts " + std::to_string(stats.spanning_matches) +
+        " spanning matches but delivered " + std::to_string(stats.matches_delivered) +
+        " and dropped " + std::to_string(stats.matches_dropped));
+  if (stats.bytes_fed > 0 && stats.chunks_fed == 0)
+    return Status::invalid_argument("snapshot fed " + std::to_string(stats.bytes_fed) +
+                                    " bytes in no chunk");
   // poll() hands the buffered matches back as they are: each must name one
   // of this DFA's patterns and lie inside the bytes the stream has fed, and
   // none may be buffered twice. Their order is not checked: spanning matches

@@ -196,7 +196,9 @@ class StreamService {
   /// live here, the snapshot's DFA state is not one of this service's DFA
   /// states (0 <= dfa_state < dfa().state_count()), a buffered match names a
   /// pattern outside [0, dfa().pattern_count()) or does not lie inside the
-  /// stream's first stats.bytes_fed bytes, or the service is shut down.
+  /// stream's first stats.bytes_fed bytes, its limits and stats are ones no
+  /// session can reach (SessionSnapshot lists them), or the service is shut
+  /// down.
   Status import_session(const SessionSnapshot& snapshot);
 
   /// Synchronous mode: scan one coalesced superbatch inline (how kReject

@@ -65,8 +65,9 @@ struct SessionStats {
 /// patterns or that does not lie inside the first stats.bytes_fed bytes.
 /// It also refuses stats no session can reach: bytes_fed or
 /// matches_delivered past a set quota, more buffered matches than
-/// matches_delivered, one (end, pattern) buffered twice, and truncated
-/// disagreeing with matches_dropped > 0.
+/// matches_delivered, one (end, pattern) buffered twice, truncated
+/// disagreeing with matches_dropped > 0, more spanning_matches than
+/// matches_delivered + matches_dropped, and bytes_fed without chunks_fed.
 struct SessionSnapshot {
   SessionId id = 0;
   std::int32_t dfa_state = 0;  ///< carried DFA state

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <ostream>
 #include <sstream>
 
 #include "util/error.h"
@@ -75,6 +76,16 @@ QuotedValue quoted_value(const Option& opt, std::size_t line_no) {
   return {v.substr(1, close - 1), rest.empty() ? rest : trim(rest.substr(1))};
 }
 
+/// Names a rule's line in an error message; line 0 names none.
+struct Line {
+  std::size_t no;
+};
+
+std::ostream& operator<<(std::ostream& os, Line line) {
+  if (line.no != 0) os << "rule on line " << line.no << ": ";
+  return os;
+}
+
 /// True when the comma-separated `modifiers` hold `name`.
 bool has_modifier(std::string_view modifiers, std::string_view name) {
   while (!modifiers.empty()) {
@@ -87,7 +98,7 @@ bool has_modifier(std::string_view modifiers, std::string_view name) {
 
 }  // namespace
 
-std::string decode_content(std::string_view raw) {
+std::string decode_content(std::string_view raw, std::size_t line_no) {
   std::string out;
   bool in_hex = false;
   for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -102,11 +113,13 @@ std::string decode_content(std::string_view raw) {
     }
     if (std::isspace(static_cast<unsigned char>(c))) continue;
     ACGPU_CHECK(is_hex(c) && i + 1 < raw.size() && is_hex(raw[i + 1]),
-                "bad hex escape in content '" << std::string(raw) << "'");
+                Line{line_no} << "bad hex escape in content '" << std::string(raw)
+                              << "'");
     out.push_back(static_cast<char>(hex_val(c) * 16 + hex_val(raw[i + 1])));
     ++i;
   }
-  ACGPU_CHECK(!in_hex, "unterminated |hex| block in content '" << std::string(raw) << "'");
+  ACGPU_CHECK(!in_hex, Line{line_no} << "unterminated |hex| block in content '"
+                                     << std::string(raw) << "'");
   return out;
 }
 
@@ -139,6 +152,10 @@ std::vector<SnortRule> parse_snort_rules(std::string_view text) {
 
     const std::string_view body = line.substr(open + 1, close - open - 1);
     bool has_message = false;
+    // A `nocase` option modifies the content before it; one after a negated
+    // content modifies text that stays out of the dictionary.
+    std::vector<bool> folded;  // parallel to rule.contents
+    enum class Before { kNothing, kNegated, kContent } before = Before::kNothing;
     for (const Option& opt : body_options(body, line_no)) {
       if (opt.name == "msg") {
         const std::string_view message = quoted_value(opt, line_no).text;
@@ -147,18 +164,25 @@ std::vector<SnortRule> parse_snort_rules(std::string_view text) {
       } else if (opt.name == "content" || opt.name == "uricontent") {
         // A negated content (`content:!"x";`) is text the rule needs absent:
         // it never enters the dictionary.
-        if (opt.value.starts_with('!')) continue;
+        if (opt.value.starts_with('!')) {
+          before = Before::kNegated;
+          continue;
+        }
         const QuotedValue value = quoted_value(opt, line_no);
-        std::string content = decode_content(value.text);
+        std::string content = decode_content(value.text, line_no);
         ACGPU_CHECK(!content.empty(), "rule on line " << line_no << " has an empty content");
         rule.contents.push_back(std::move(content));
-        if (has_modifier(value.modifiers, "nocase")) rule.nocase = true;
+        folded.push_back(has_modifier(value.modifiers, "nocase"));
+        before = Before::kContent;
       } else if (opt.name == "nocase") {
-        rule.nocase = true;
+        ACGPU_CHECK(before != Before::kNothing,
+                    "rule on line " << line_no << ": nocase follows no content");
+        if (before == Before::kContent) folded.back() = true;
       }
     }
     ACGPU_CHECK(!rule.contents.empty(),
                 "rule on line " << line_no << " has no content option (nothing to match)");
+    rule.nocase = std::all_of(folded.begin(), folded.end(), [](bool f) { return f; });
     rules.push_back(std::move(rule));
   }
   return rules;

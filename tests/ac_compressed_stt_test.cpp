@@ -50,6 +50,35 @@ TEST(CompressedStt, RandomDfaEquivalence) {
                 dfa.next(static_cast<std::int32_t>(s), static_cast<std::uint8_t>(b)));
 }
 
+TEST(CompressedStt, ClassSpaceRowsMatchDenseAtEveryWidth) {
+  // One bitmap word per 32 classes: 1 for a folded dictionary (each letter
+  // class holds two bytes), 2 for 40-odd classes, 8 when every byte value
+  // is its own class.
+  std::vector<std::string> all_bytes, forty;
+  for (int b = 0; b < 256; b += 4)
+    all_bytes.push_back(std::string{static_cast<char>(b), static_cast<char>(b + 1),
+                                    static_cast<char>(b + 2), static_cast<char>(b + 3)});
+  for (char c = '0'; c <= 'z' && forty.size() < 40; ++c) forty.push_back({c, c, '!'});
+  const Dfa dfas[] = {
+      build_dfa_folded(PatternSet({"Attack", "EVIL", "evil-agent", "tAcK"}),
+                       ascii_fold_map()),
+      build_dfa(PatternSet(forty)),
+      build_dfa(PatternSet(all_bytes)),
+  };
+  const std::uint32_t words[] = {1, 2, 8};
+  for (std::size_t d = 0; d < std::size(dfas); ++d) {
+    const Dfa& dfa = dfas[d];
+    const CompressedStt c(dfa);
+    EXPECT_EQ(c.bitmap_words(), words[d]) << dfa.classes().count << " classes";
+    EXPECT_EQ(c.root_row().size(), dfa.classes().count);
+    for (std::uint32_t s = 0; s < dfa.state_count(); ++s)
+      for (int b = 0; b < 256; ++b)
+        ASSERT_EQ(c.next(static_cast<std::int32_t>(s), static_cast<std::uint8_t>(b)),
+                  dfa.next(static_cast<std::int32_t>(s), static_cast<std::uint8_t>(b)))
+            << "dfa " << d << " state " << s << " byte " << b;
+  }
+}
+
 TEST(CompressedStt, MatcherEqualsSerial) {
   const std::string corpus = workload::make_corpus(30000, 44);
   workload::ExtractConfig ec;

@@ -112,6 +112,7 @@ TEST(SnapshotImportFuzz, AFeedPastTheLastStreamOffsetIsRefused) {
   SessionSnapshot s;
   s.id = 7;
   s.stats.bytes_fed = ~std::uint64_t{0} - 2;
+  s.stats.chunks_fed = 1;
   ASSERT_TRUE(b.import_session(s).is_ok());
   EXPECT_EQ(b.feed(7, "xx hers his").code(), StatusCode::kCapacityExceeded);
   ASSERT_TRUE(b.feed(7, "xh").is_ok());  // ends at offset 2^64 - 1
@@ -128,6 +129,7 @@ TEST(SnapshotImportFuzz, AStateDeeperThanTheStreamReportsNoMatchBeforeIt) {
   s.id = 7;
   s.dfa_state = b.dfa().next(b.dfa().next(0, 'h'), 'e');
   s.stats.bytes_fed = 1;
+  s.stats.chunks_fed = 1;
   ASSERT_TRUE(b.import_session(s).is_ok());
   ASSERT_TRUE(b.feed(7, "rs").is_ok());
   ASSERT_TRUE(b.drain().is_ok());
@@ -183,6 +185,38 @@ TEST(SnapshotImportFuzz, TruncatedMustAgreeWithDroppedMatches) {
   ASSERT_TRUE(import_into_fresh(s).is_ok());
   s.stats.truncated = false;
   EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotImportFuzz, MoreSpanningMatchesThanDeliveredOrDroppedAreRefused) {
+  // Every spanning match is delivered or dropped at the quota. The sum is
+  // compared without overflow: a near-2^64 count must not wrap past it.
+  SessionSnapshot s = exported_snapshot();
+  s.stats.spanning_matches = s.stats.matches_delivered;
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  ++s.stats.spanning_matches;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+  s.stats.matches_dropped = 1;
+  s.stats.truncated = true;
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  s.stats.matches_dropped = ~std::uint64_t{0};
+  s.stats.spanning_matches = ~std::uint64_t{0};
+  ASSERT_TRUE(import_into_fresh(s).is_ok());
+  s.stats.matches_dropped = ~std::uint64_t{0} - s.stats.matches_delivered - 1;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotImportFuzz, BytesFedInNoChunkAreRefused) {
+  SessionSnapshot s = exported_snapshot();
+  ASSERT_GT(s.stats.bytes_fed, 0u);
+  s.stats.chunks_fed = 0;
+  EXPECT_EQ(import_into_fresh(s).code(), StatusCode::kInvalidArgument);
+  // A session that fed nothing may have fed no chunk, or only empty ones.
+  s.matches.clear();
+  s.stats.matches_delivered = 0;
+  s.stats.bytes_fed = 0;
+  EXPECT_TRUE(import_into_fresh(s).is_ok());
+  s.stats.chunks_fed = 3;
+  EXPECT_TRUE(import_into_fresh(s).is_ok());
 }
 
 TEST(SnapshotImportFuzz, MutatedSnapshotsRoundTripOrAreRefused) {

@@ -145,6 +145,45 @@ TEST(SnortRules, EmptyContentIsRejectedWithItsLine) {
   }
 }
 
+TEST(SnortRules, ContentDecodeErrorsNameTheirLine) {
+  for (const char* content : {"\"|4g|\"", "\"|41\""}) {
+    try {
+      parse_snort_rules(std::string("# c\nalert tcp a b (content:") + content + ";)\n");
+      ADD_FAILURE() << "content:" << content << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(SnortRules, NocaseModifiesOnlyTheContentBeforeIt) {
+  const auto rules = parse_snort_rules(
+      "alert tcp a b (msg:\"a\"; content:\"ABC\"; nocase; content:\"XyZ\";)\n"
+      "alert tcp a b (msg:\"b\"; content:\"ABC\", nocase; content:\"XyZ\";)\n"
+      "alert tcp a b (msg:\"c\"; content:\"ABC\"; content:\"XyZ\"; nocase;)\n"
+      "alert tcp a b (msg:\"d\"; content:\"ABC\"; content:!\"q\"; nocase;)\n"
+      "alert tcp a b (msg:\"e\"; content:\"ABC\"; nocase; content:\"XyZ\", nocase;)\n");
+  ASSERT_EQ(rules.size(), 5u);
+  for (std::size_t r = 0; r < 4; ++r) EXPECT_FALSE(rules[r].nocase) << rules[r].message;
+  EXPECT_TRUE(rules[4].nocase);
+  // So the dictionary is not folded, and "XyZ" stays case-sensitive.
+  const std::vector<SnortRule> first(rules.begin(), rules.begin() + 1);
+  ASSERT_FALSE(all_nocase(first));
+  const ac::Dfa dfa = ac::build_dfa(rules_to_patterns(first, nullptr));
+  EXPECT_EQ(ac::count_matches(dfa, "ABC xyz XyZ"), 2u);
+}
+
+TEST(SnortRules, NocaseAfterNoContentIsRejectedWithItsLine) {
+  try {
+    parse_snort_rules(
+        "alert tcp a b (msg:\"ok\"; content:\"x\"; nocase;)\n"
+        "alert tcp a b (msg:\"m\"; nocase; content:\"abc\";)\n");
+    ADD_FAILURE() << "a leading nocase parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+}
+
 TEST(SnortRules, OptionValuesMustBeOneQuotedString) {
   EXPECT_THROW(parse_snort_rules("alert tcp a b (content:abc;)"), Error);
   EXPECT_THROW(parse_snort_rules("alert tcp a b (content:\"a\"b\";)"), Error);
