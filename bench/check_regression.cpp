@@ -137,8 +137,8 @@ telemetry::MetricsSnapshot run_serve_workload(const ArgParser& args) {
   opt.device.gpu.num_sms = 4;
   opt.device.memory_bytes = 64u << 20;
   opt.max_sessions = 32;
-  opt.max_queue_chunks = 8;
-  opt.coalesce_bytes = 8 * kChunk;
+  opt.queue.max_queue_chunks = 8;
+  opt.queue.coalesce_bytes = 8 * kChunk;
   opt.admission = serve::AdmissionPolicy::kReject;
 
   Result<serve::StreamService> service = serve::StreamService::create(
@@ -293,7 +293,7 @@ telemetry::MetricsSnapshot run_cluster_workload(const ArgParser& args) {
     opt.device.memory_bytes = 64u << 20;
     opt.engine.threads_per_block = 64;
     opt.max_sessions_per_shard = kSessions;
-    opt.coalesce_bytes = 8 * kChunk;
+    opt.queue.coalesce_bytes = 8 * kChunk;
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
     opt.metrics = &registry;
     Result<cluster::Router> router = cluster::Router::create(
@@ -398,7 +398,7 @@ telemetry::MetricsSnapshot run_slo_workload(const ArgParser& args) {
   opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.max_sessions_per_shard = kSessions;
-  opt.coalesce_bytes = 8 * kChunk;
+  opt.queue.coalesce_bytes = 8 * kChunk;
   opt.admission = serve::AdmissionPolicy::kAutoFlush;
   opt.metrics = &registry;
   opt.slo = telemetry::SloPolicy::serving_defaults();

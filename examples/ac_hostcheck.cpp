@@ -69,7 +69,6 @@ std::vector<hostcheck::HostAuditConfig> parse_configs(const std::string& csv) {
 std::vector<hostcheck::HostSweepResult> run_cluster_sweep(
     std::uint64_t seed, std::uint64_t iterations) {
   std::vector<hostcheck::HostSweepResult> results;
-  const hostcheck::HostAuditSpec spec;
   for (const std::uint32_t devices : {1u, 2u, 4u}) {
     for (const std::uint32_t streams : {2u, 4u}) {
       hostcheck::HostSweepResult result;
@@ -78,8 +77,8 @@ std::vector<hostcheck::HostSweepResult> run_cluster_sweep(
       for (std::uint64_t i = 0; i < iterations; ++i) {
         const oracle::CompiledWorkload w(oracle::generate_workload(seed, i));
         const hostcheck::HostAuditOutcome outcome =
-            hostcheck::audit_cluster(w, devices, streams, spec);
-        result.report.merge(outcome.report, spec.analyze.max_hazards);
+            hostcheck::audit_cluster(w, devices, streams);
+        result.report.merge(outcome.report, hostcheck::AnalyzeOptions{}.max_hazards);
         ++result.workloads;
         if (!outcome.matches_ok) ++result.mismatches;
       }

@@ -173,9 +173,7 @@ int cmd_scan(const ArgParser& args, const std::vector<std::string>& files) {
       count = scan.value().matches.size();
       if (!trace_path.empty()) {
         // One Chrome process per file so sequential scans don't overprint.
-        pipeline::TraceExportOptions texport;
-        texport.process_name = "device: " + path;
-        pipeline::add_scan_to_trace(chrome, scan.value(), texport);
+        pipeline::add_scan_to_trace(chrome, scan.value(), "device: " + path);
       }
       matches = std::move(scan.value().matches);
     } else {

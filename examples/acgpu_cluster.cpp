@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     opt.device.gpu.num_sms = 4;
     opt.device.memory_bytes = 64u << 20;
     opt.max_sessions_per_shard = static_cast<std::uint32_t>(sessions);
-    opt.coalesce_bytes = 16u << 10;
+    opt.queue.coalesce_bytes = 16u << 10;
     opt.background = args.get_bool("background");
     // Synchronous mode auto-flushes on a full queue; background mode keeps
     // the default reject policy and the feed loop below absorbs kOverloaded.

@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
     opt.device.gpu.num_sms = 4;
     opt.device.memory_bytes = 64u << 20;
     opt.max_sessions = static_cast<std::uint32_t>(sessions);
-    opt.max_queue_chunks = static_cast<std::uint32_t>(args.get_int("queue-chunks"));
-    opt.coalesce_bytes = static_cast<std::uint64_t>(args.get_bytes("coalesce"));
+    opt.queue.max_queue_chunks = static_cast<std::uint32_t>(args.get_int("queue-chunks"));
+    opt.queue.coalesce_bytes = static_cast<std::uint64_t>(args.get_bytes("coalesce"));
     opt.background = args.get_bool("background");
     if (args.get_bool("stats")) opt.engine.telemetry.metrics = &registry;
 

@@ -207,9 +207,9 @@ int main(int argc, char** argv) {
     // AutoFlush only scans when a feed finds the queue full, so bound the
     // per-shard queue at a frame's worth of chunks: superbatches then flush
     // inline while the board is up and the dispatch census advances live.
-    opt.coalesce_bytes = 2 * chunk;
-    opt.max_queue_chunks = 4;
-    opt.max_queue_bytes = 4 * chunk;
+    opt.queue.coalesce_bytes = 2 * chunk;
+    opt.queue.max_queue_chunks = 4;
+    opt.queue.max_queue_bytes = 4 * chunk;
     opt.metrics = &registry;
     opt.recorder = &recorder;
     opt.dispatcher = &dispatcher;

@@ -74,21 +74,17 @@ Status ClusterOptions::validate() const {
         "leave ClusterOptions::engine.telemetry defaulted: the Router sets each "
         "shard's sinks, series prefix and index; set ClusterOptions::metrics, "
         "::trace or ::recorder instead");
-  if (engine.host_observer != nullptr)
-    return Status::invalid_argument(
-        "set ClusterOptions::device.host_observer, not engine.host_observer — "
-        "the Router wires the shared observer seam into every shard");
   if (!device.name.empty())
     return Status::invalid_argument(
         "ClusterOptions::device.name is managed by the Router (shard k's "
         "device is device.<k>); leave it empty");
   if (health_eval_interval == 0)
     return Status::invalid_argument("health_eval_interval must be >= 1");
+  if (slo.enabled())
+    if (Status s = slo.validate(); !s) return s;
   serve::ServeOptions so;
   so.max_sessions = max_sessions_per_shard;
-  so.max_queue_bytes = max_queue_bytes;
-  so.max_queue_chunks = max_queue_chunks;
-  so.coalesce_bytes = coalesce_bytes;
+  so.queue = queue;
   so.background = background;
   so.admission = admission;
   return so.validate();
@@ -331,9 +327,7 @@ Result<Router> Router::create(const ac::PatternSet& patterns,
     so.session_id_namespace = shard_namespace(k);
     so.max_sessions = options.max_sessions_per_shard;
     so.session_limits = options.session_limits;
-    so.max_queue_bytes = options.max_queue_bytes;
-    so.max_queue_chunks = options.max_queue_chunks;
-    so.coalesce_bytes = options.coalesce_bytes;
+    so.queue = options.queue;
     so.background = options.background;
     so.admission = options.admission;
     so.dispatcher = options.dispatcher;
@@ -740,9 +734,8 @@ Status Router::write_trace(std::ostream& out) const {
     if (sh.tracer != nullptr)
       trace.add_tracer(*sh.tracer, "shard " + std::to_string(k) + " host");
     if (sh.last_bulk != nullptr) {
-      pipeline::TraceExportOptions eopt;
-      eopt.process_name = "shard " + std::to_string(k) + " device sim";
-      pipeline::add_scan_to_trace(trace, *sh.last_bulk, eopt);
+      pipeline::add_scan_to_trace(trace, *sh.last_bulk,
+                                  "shard " + std::to_string(k) + " device sim");
     }
   }
   trace.write(out);

@@ -71,11 +71,10 @@ struct ClusterOptions {
   /// Shard count = independent simulated devices (>= 1).
   std::uint32_t devices = 2;
 
-  /// Per-shard engine template. Its telemetry (every field) and
-  /// host_observer are managed by the Router (per-shard sinks, prefixes,
-  /// tracers and indices; the shared observer seam) and must be left
-  /// defaulted: validate() rejects them. Set metrics, trace and recorder
-  /// below instead.
+  /// Per-shard engine template. Its telemetry (every field) is managed by
+  /// the Router (per-shard sinks, prefixes, tracers and indices) and must
+  /// be left defaulted: validate() rejects it. Set metrics, trace and
+  /// recorder below instead.
   EngineOptions engine;
   /// Per-shard device template: the chip, its memory budget, and the
   /// hostcheck audit hook, which observes the router mutex, every shard's
@@ -86,9 +85,7 @@ struct ClusterOptions {
   /// Per-shard serve knobs (see serve::ServeOptions).
   std::uint32_t max_sessions_per_shard = 1024;
   serve::SessionLimits session_limits;
-  std::uint64_t max_queue_bytes = 32u << 20;
-  std::uint32_t max_queue_chunks = 4096;
-  std::uint64_t coalesce_bytes = 4u << 20;
+  serve::SchedulerOptions queue;
   /// true: every shard runs its own pump thread — N devices scanning
   /// concurrently (the configuration the hostcheck cluster audit covers).
   bool background = false;
@@ -122,7 +119,8 @@ struct ClusterOptions {
   /// placement becomes health-aware — degraded shards are deprioritized for
   /// new sessions, unhealthy shards are treated as failed-soft (skipped by
   /// open() and bulk scans whenever any better shard exists). Default: no
-  /// targets, no monitor, classic least-loaded placement.
+  /// targets, no monitor, classic least-loaded placement. With a target set,
+  /// validate() runs SloPolicy::validate.
   telemetry::SloPolicy slo;
   /// Re-judge a shard's health every N feeds routed to it (>= 1).
   std::uint32_t health_eval_interval = 16;

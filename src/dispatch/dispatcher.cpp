@@ -8,16 +8,19 @@
 
 namespace acgpu::dispatch {
 
+/// An auto decision counts as mispredicted when its actual modeled seconds
+/// exceed the predicted runner-up by this fraction.
+constexpr double kMispredictMargin = 0.10;
+
 Dispatcher::Dispatcher(const ac::Dfa& dfa, const DispatcherOptions& options)
     : options_(options), stats_(compute_pattern_stats(dfa)),
       model_(options.cost) {
   if (options_.metrics != nullptr) {
     telemetry::MetricsRegistry& m = *options_.metrics;
-    const std::string& p = options_.metrics_prefix;
     for (int b = 0; b < kBackendCount; ++b)
-      decision_counters_[b] = &m.counter(
-          p + ".decisions." + to_string(static_cast<Backend>(b)));
-    mispredict_counter_ = &m.counter(p + ".mispredictions");
+      decision_counters_[b] = &m.counter(std::string("dispatch.decisions.") +
+                                         to_string(static_cast<Backend>(b)));
+    mispredict_counter_ = &m.counter("dispatch.mispredictions");
   }
 }
 
@@ -68,7 +71,7 @@ void Dispatcher::observe(const Decision& decision,
   model_.observe(decision.backend, sig, actual_seconds);
   if (decision.forced) return;
   if (actual_seconds > decision.prediction.runner_up_seconds *
-                           (1.0 + options_.mispredict_margin)) {
+                           (1.0 + kMispredictMargin)) {
     mispredictions_.fetch_add(1, std::memory_order_relaxed);
     if (mispredict_counter_ != nullptr) mispredict_counter_->add(1);
   }

@@ -42,13 +42,9 @@ enum class ForcePolicy : std::uint8_t {
 struct DispatcherOptions {
   CostModelConfig cost;
   ForcePolicy force = ForcePolicy::kAuto;
-  /// An auto decision counts as mispredicted when its actual modeled
-  /// seconds exceed the predicted runner-up by this fraction.
-  double mispredict_margin = 0.10;
   /// Optional dispatch.* series (decisions per backend, mispredictions).
   /// Null = counters still kept in-process.
   telemetry::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "dispatch";
 };
 
 struct Decision {

@@ -23,9 +23,15 @@ struct TargetInfo {
 };
 
 constexpr Budget kNoBudget{};
-constexpr Budget kDiagonalBudget{1, false, true, 64};
-constexpr Budget kNaiveBudget{0, true, true, 64};
-constexpr Budget kStagingOnlyBudget{0, false, true, 64};
+constexpr Budget kDiagonalBudget{1, false, true};
+constexpr Budget kNaiveBudget{0, true, true};
+constexpr Budget kStagingOnlyBudget{0, false, true};
+
+/// Block size of every audited launch.
+constexpr std::uint32_t kThreadsPerBlock = 64;
+/// Chunk floor of the single-width targets (all but ac-shared-diagonal),
+/// before pick_chunk rounds it up past the dictionary's overlap.
+constexpr std::uint32_t kChunkFloorBytes = 64;
 
 const TargetInfo kTargets[] = {
     {AuditTarget::kAcGlobal, "ac-global", kNoBudget},
@@ -53,8 +59,8 @@ std::uint32_t overlap_of(const CompiledWorkload& w) {
 /// the 16-bank model) strictly above the dictionary's overlap. The naive
 /// scheme's expected conflicts only materialise at such widths: at odd
 /// word counts row-major is conflict-free.
-std::uint32_t pick_chunk(const CompiledWorkload& w, std::uint32_t floor_bytes) {
-  const std::uint32_t chunk = std::max(floor_bytes, overlap_of(w) + 1);
+std::uint32_t pick_chunk(const CompiledWorkload& w) {
+  const std::uint32_t chunk = std::max(kChunkFloorBytes, overlap_of(w) + 1);
   return (chunk + 63) / 64 * 64;
 }
 
@@ -78,10 +84,9 @@ gpusim::GpuConfig audit_config() {
 }
 
 void push_budget_hazard(AuditReport& report, HazardKind kind,
-                        std::string message, AccessSite site,
-                        std::size_t max_hazards) {
+                        std::string message, AccessSite site) {
   ++report.occurrences[static_cast<std::size_t>(kind)];
-  if (report.hazards.size() >= max_hazards) {
+  if (report.hazards.size() >= kMaxHazards) {
     ++report.dropped_hazards;
     return;
   }
@@ -113,7 +118,7 @@ bool same_matches(std::vector<ac::Match> got,
 }
 
 AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
-                      const AuditSpec& spec, std::uint32_t chunk_bytes) {
+                      std::uint32_t chunk_bytes) {
   kernels::AcLaunchSpec ls;
   switch (target) {
     case AuditTarget::kAcGlobal:
@@ -139,7 +144,7 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
       ACGPU_CHECK(false, "audit_ac called with a non-ac target");
   }
   ls.chunk_bytes = chunk_bytes;
-  ls.threads_per_block = spec.threads_per_block;
+  ls.threads_per_block = kThreadsPerBlock;
   ls.sim.mode = gpusim::SimMode::Functional;
 
   const gpusim::GpuConfig cfg = audit_config();
@@ -155,7 +160,7 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
   const auto collected =
       collect_audited(to_string(target), [&](std::uint32_t capacity) {
         ls.match_capacity = capacity;
-        Recorder recorder(spec.recorder);
+        Recorder recorder;
         ls.sim.observer = &recorder;
         gpusim::DeviceMemory mem =
             make_device(w.text().size(), threads, capacity, table_bytes);
@@ -178,7 +183,6 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
   if (ls.approach != kernels::Approach::kShared ||
       w.text().size() <= ls.chunk_bytes)
     budget.expect_bank_conflicts = false;
-  budget.max_hazards = spec.recorder.max_hazards;
   apply_budget(outcome.report, budget);
 
   outcome.match_count = collected.matches.size();
@@ -190,27 +194,26 @@ AuditOutcome audit_ac(AuditTarget target, const CompiledWorkload& w,
 /// The diagonal scheme at every width in kDiagonalChunkBytes above the
 /// overlap (the single-width chunk when none is), one launch each, merged
 /// into one outcome.
-AuditOutcome audit_diagonal(const CompiledWorkload& w, const AuditSpec& spec) {
+AuditOutcome audit_diagonal(const CompiledWorkload& w) {
   std::vector<std::uint32_t> widths;
   for (const std::uint32_t chunk : kDiagonalChunkBytes)
     if (chunk > overlap_of(w)) widths.push_back(chunk);
-  if (widths.empty()) widths.push_back(pick_chunk(w, spec.chunk_floor_bytes));
+  if (widths.empty()) widths.push_back(pick_chunk(w));
 
   AuditOutcome merged;
   merged.matches_ok = true;
   for (const std::uint32_t chunk : widths) {
-    const AuditOutcome one =
-        audit_ac(AuditTarget::kAcSharedDiagonal, w, spec, chunk);
-    merged.report.merge(one.report, spec.recorder.max_hazards);
+    const AuditOutcome one = audit_ac(AuditTarget::kAcSharedDiagonal, w, chunk);
+    merged.report.merge(one.report);
     merged.matches_ok = merged.matches_ok && one.matches_ok;
     merged.match_count = one.match_count;
   }
   return merged;
 }
 
-AuditOutcome audit_pfac(const CompiledWorkload& w, const AuditSpec& spec) {
+AuditOutcome audit_pfac(const CompiledWorkload& w) {
   kernels::PfacLaunchSpec ls;
-  ls.threads_per_block = spec.threads_per_block;
+  ls.threads_per_block = kThreadsPerBlock;
   ls.sim.mode = gpusim::SimMode::Functional;
 
   const gpusim::GpuConfig cfg = audit_config();
@@ -219,7 +222,7 @@ AuditOutcome audit_pfac(const CompiledWorkload& w, const AuditSpec& spec) {
   AuditOutcome outcome;
   const auto collected = collect_audited("pfac", [&](std::uint32_t capacity) {
     ls.match_capacity = capacity;
-    Recorder recorder(spec.recorder);
+    Recorder recorder;
     ls.sim.observer = &recorder;
     gpusim::DeviceMemory mem = make_device(w.text().size(), threads, capacity,
                                            w.pfac().stt().size_bytes());
@@ -243,11 +246,11 @@ AuditOutcome audit_pfac(const CompiledWorkload& w, const AuditSpec& spec) {
 /// the whole batched run (slot staging, per-batch buffers) as one history.
 /// The batch size targets a handful of batches so slot cycling and boundary
 /// stitching are both on the record.
-AuditOutcome audit_pipeline(const CompiledWorkload& w, const AuditSpec& spec) {
+AuditOutcome audit_pipeline(const CompiledWorkload& w) {
   pipeline::PipelineOptions opt;
   opt.streams = 2;
-  opt.chunk_bytes = pick_chunk(w, spec.chunk_floor_bytes);
-  opt.threads_per_block = spec.threads_per_block;
+  opt.chunk_bytes = pick_chunk(w);
+  opt.threads_per_block = kThreadsPerBlock;
   opt.mode = gpusim::SimMode::Functional;
   opt.batch_bytes =
       std::max<std::uint64_t>(opt.chunk_bytes, (w.text().size() + 2) / 3);
@@ -257,7 +260,7 @@ AuditOutcome audit_pipeline(const CompiledWorkload& w, const AuditSpec& spec) {
   std::vector<ac::Match> matches;
   for (std::uint32_t capacity = 64; capacity <= (1u << 14); capacity *= 4) {
     opt.match_capacity = capacity;
-    Recorder recorder(spec.recorder);
+    Recorder recorder;
     opt.observer = &recorder;
     // Observer-attached runs keep every batch's buffers live (the recorder's
     // cross-launch shadow would misread recycling); budget for all of them.
@@ -275,9 +278,7 @@ AuditOutcome audit_pipeline(const CompiledWorkload& w, const AuditSpec& spec) {
                 "pipeline audit: match buffer overflow at capacity " << capacity);
   }
 
-  Budget budget = info_of(AuditTarget::kPipeline).budget;
-  budget.max_hazards = spec.recorder.max_hazards;
-  apply_budget(outcome.report, budget);
+  apply_budget(outcome.report, info_of(AuditTarget::kPipeline).budget);
   outcome.match_count = matches.size();
   outcome.matches_ok =
       same_matches(std::move(matches), oracle::reference_matches(w));
@@ -315,7 +316,7 @@ void apply_budget(AuditReport& report, const Budget& budget) {
     msg << "shared conflict degree " << report.bank.max_degree
         << " exceeds the target budget of " << budget.max_bank_degree;
     push_budget_hazard(report, HazardKind::kBankConflictBudget, msg.str(),
-                       report.bank.worst, budget.max_hazards);
+                       report.bank.worst);
   }
   if (budget.expect_bank_conflicts && report.bank.max_degree <= 1 &&
       report.bank.accesses > 0) {
@@ -323,8 +324,7 @@ void apply_budget(AuditReport& report, const Budget& budget) {
     msg << "expected bank conflicts are absent: the scheme audited at degree "
         << report.bank.max_degree << " over " << report.bank.accesses
         << " shared accesses (is the audit wired to the right layout?)";
-    push_budget_hazard(report, HazardKind::kBankConflictBudget, msg.str(), {},
-                       budget.max_hazards);
+    push_budget_hazard(report, HazardKind::kBankConflictBudget, msg.str(), {});
   }
   if (budget.require_coalesced_staging &&
       report.coalescing.staging_excess > 0) {
@@ -336,12 +336,11 @@ void apply_budget(AuditReport& report, const Budget& budget) {
         << report.coalescing.staging_worst_actual << " vs "
         << report.coalescing.staging_worst_ideal << ")";
     push_budget_hazard(report, HazardKind::kCoalescingExcess, msg.str(),
-                       report.coalescing.staging_worst, budget.max_hazards);
+                       report.coalescing.staging_worst);
   }
 }
 
-AuditOutcome audit_workload(AuditTarget target, const CompiledWorkload& w,
-                            const AuditSpec& spec) {
+AuditOutcome audit_workload(AuditTarget target, const CompiledWorkload& w) {
   if (w.text().empty()) {
     // The kernels have no work on an empty text (the adapters return {} the
     // same way); a trivially clean report with an empty-match diff.
@@ -351,19 +350,19 @@ AuditOutcome audit_workload(AuditTarget target, const CompiledWorkload& w,
   }
   switch (target) {
     case AuditTarget::kPfac:
-      return audit_pfac(w, spec);
+      return audit_pfac(w);
     case AuditTarget::kPipeline:
-      return audit_pipeline(w, spec);
+      return audit_pipeline(w);
     case AuditTarget::kAcSharedDiagonal:
-      return audit_diagonal(w, spec);
+      return audit_diagonal(w);
     default:
-      return audit_ac(target, w, spec, pick_chunk(w, spec.chunk_floor_bytes));
+      return audit_ac(target, w, pick_chunk(w));
   }
 }
 
 std::vector<SweepTargetResult> audit_conformance(
     std::uint64_t seed, std::uint64_t iterations,
-    const std::vector<AuditTarget>& targets, const AuditSpec& spec) {
+    const std::vector<AuditTarget>& targets) {
   const std::vector<AuditTarget>& picked =
       targets.empty() ? all_audit_targets() : targets;
   std::vector<SweepTargetResult> results(picked.size());
@@ -372,8 +371,8 @@ std::vector<SweepTargetResult> audit_conformance(
   for (std::uint64_t i = 0; i < iterations; ++i) {
     const CompiledWorkload w(oracle::generate_workload(seed, i));
     for (std::size_t t = 0; t < picked.size(); ++t) {
-      AuditOutcome outcome = audit_workload(picked[t], w, spec);
-      results[t].report.merge(outcome.report, spec.recorder.max_hazards);
+      AuditOutcome outcome = audit_workload(picked[t], w);
+      results[t].report.merge(outcome.report);
       ++results[t].workloads;
       if (!outcome.matches_ok) ++results[t].mismatches;
     }

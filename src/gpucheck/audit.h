@@ -57,7 +57,6 @@ struct Budget {
   std::uint32_t max_bank_degree = 0;     ///< 0 = no cap
   bool expect_bank_conflicts = false;    ///< degree must EXCEED 1 (naive)
   bool require_coalesced_staging = false;
-  std::size_t max_hazards = 64;
 };
 
 /// The static budget of one audit target (the dynamic naive-scheme
@@ -68,15 +67,6 @@ Budget target_budget(AuditTarget target);
 /// kCoalescingExcess) to `report` based on its statistics.
 void apply_budget(AuditReport& report, const Budget& budget);
 
-struct AuditSpec {
-  std::uint32_t threads_per_block = 64;
-  /// Per-workload chunk floor of the single-width targets (all but
-  /// ac-shared-diagonal); always rounded up to a multiple of 64 bytes and
-  /// above the dictionary's overlap.
-  std::uint32_t chunk_floor_bytes = 64;
-  RecorderOptions recorder{};
-};
-
 struct AuditOutcome {
   AuditReport report;
   bool matches_ok = false;  ///< kernel output equals the serial reference
@@ -86,8 +76,7 @@ struct AuditOutcome {
 /// Runs `target` over one compiled workload under the Recorder, applies the
 /// target's budget, and diffs the matches against the serial reference.
 AuditOutcome audit_workload(AuditTarget target,
-                            const oracle::CompiledWorkload& workload,
-                            const AuditSpec& spec = {});
+                            const oracle::CompiledWorkload& workload);
 
 struct SweepTargetResult {
   AuditTarget target{};
@@ -101,6 +90,6 @@ struct SweepTargetResult {
 /// over each of them. An empty `targets` list means all targets.
 std::vector<SweepTargetResult> audit_conformance(
     std::uint64_t seed, std::uint64_t iterations,
-    const std::vector<AuditTarget>& targets = {}, const AuditSpec& spec = {});
+    const std::vector<AuditTarget>& targets = {});
 
 }  // namespace acgpu::gpucheck

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "gpusim/coalescer.h"
+#include "gpusim/config.h"
 #include "gpusim/shared_memory.h"
 #include "gpusim/texture.h"
 
@@ -12,7 +13,13 @@ namespace acgpu::gpucheck {
 using gpusim::OpKind;
 using gpusim::Warp;
 
-Recorder::Recorder(RecorderOptions options) : opts_(options) {}
+Recorder::Recorder(std::size_t max_hazards) : max_hazards_(max_hazards) {}
+
+void Recorder::launch_started(const gpusim::GpuConfig& config) {
+  banks_ = config.shared_banks;
+  conflict_group_ = config.shared_conflict_group;
+  segment_bytes_ = config.coalesce_segment_bytes;
+}
 
 bool Recorder::unordered(const ByteAccess& prior, const ByteAccess& cur) {
   if (prior.thread == cur.thread) return false;
@@ -62,7 +69,7 @@ AccessSite Recorder::site_of_byte(std::uint64_t block_id,
 void Recorder::add_hazard(HazardKind kind, std::string message,
                           AccessSite first, AccessSite second) {
   ++report_.occurrences[static_cast<std::size_t>(kind)];
-  if (report_.hazards.size() >= opts_.max_hazards) {
+  if (report_.hazards.size() >= max_hazards_) {
     ++report_.dropped_hazards;
     return;
   }
@@ -180,7 +187,7 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
   for (std::uint32_t l = 0; l < warp.lane_count; ++l) {
     if (!warp.mask[l]) continue;
     const auto a = static_cast<std::uint32_t>(warp.addr[l]);
-    if (opts_.check_oob && a + std::uint64_t{width} > size) {
+    if (a + std::uint64_t{width} > size) {
       suppress |= 1u << l;
       if (bs.oob_instrs.insert(instr).second) {
         std::ostringstream msg;
@@ -196,7 +203,6 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
     bank_addrs[l] = a;
     bank_lanes |= 1u << l;
 
-    if (!opts_.check_races && !opts_.check_uninit_shared) continue;
     ByteAccess cur;
     cur.thread = warp.thread_in_block(l);
     cur.epoch = bs.epoch;
@@ -207,45 +213,41 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
     for (std::uint32_t b = a; b < a + width; ++b) {
       SharedByte& sb = bs.shadow[b];
       if (is_store) {
-        if (opts_.check_races) {
-          const ByteAccess* prior = nullptr;
-          if (sb.writer.thread >= 0 && sb.writer.epoch == bs.epoch &&
-              unordered(sb.writer, cur)) {
-            prior = &sb.writer;
-          } else if (sb.reader.thread >= 0 && sb.reader.epoch == bs.epoch &&
-                     unordered(sb.reader, cur)) {
-            prior = &sb.reader;
-          } else if (sb.reader2.thread >= 0 && sb.reader2.epoch == bs.epoch &&
-                     unordered(sb.reader2, cur)) {
-            prior = &sb.reader2;
-          }
-          if (prior != nullptr &&
-              bs.race_pairs.insert({std::min(prior->instr, instr),
-                                    std::max(prior->instr, instr)})
-                  .second) {
-            const bool prior_store = prior == &sb.writer;
-            std::ostringstream msg;
-            msg << "conflicting shared accesses to byte 0x" << std::hex << b
-                << std::dec << " in barrier epoch " << bs.epoch << ": thread "
-                << prior->thread << " (" << (prior_store ? "store" : "load")
-                << ") vs thread " << cur.thread
-                << " (store) with no __syncthreads between them";
-            add_hazard(HazardKind::kSharedRace, msg.str(),
-                       site_of_byte(warp.block_id, *prior, prior_store),
-                       site_of(warp, l, kind, instr, a, width, true, bs.epoch));
-          }
+        const ByteAccess* prior = nullptr;
+        if (sb.writer.thread >= 0 && sb.writer.epoch == bs.epoch &&
+            unordered(sb.writer, cur)) {
+          prior = &sb.writer;
+        } else if (sb.reader.thread >= 0 && sb.reader.epoch == bs.epoch &&
+                   unordered(sb.reader, cur)) {
+          prior = &sb.reader;
+        } else if (sb.reader2.thread >= 0 && sb.reader2.epoch == bs.epoch &&
+                   unordered(sb.reader2, cur)) {
+          prior = &sb.reader2;
+        }
+        if (prior != nullptr &&
+            bs.race_pairs.insert({std::min(prior->instr, instr),
+                                  std::max(prior->instr, instr)})
+                .second) {
+          const bool prior_store = prior == &sb.writer;
+          std::ostringstream msg;
+          msg << "conflicting shared accesses to byte 0x" << std::hex << b
+              << std::dec << " in barrier epoch " << bs.epoch << ": thread "
+              << prior->thread << " (" << (prior_store ? "store" : "load")
+              << ") vs thread " << cur.thread
+              << " (store) with no __syncthreads between them";
+          add_hazard(HazardKind::kSharedRace, msg.str(),
+                     site_of_byte(warp.block_id, *prior, prior_store),
+                     site_of(warp, l, kind, instr, a, width, true, bs.epoch));
         }
         sb.writer = cur;
       } else {
         if (sb.writer.thread < 0) {
-          if (opts_.check_uninit_shared) {
-            ++uninit_bytes;
-            if (first_uninit_lane < 0) {
-              first_uninit_lane = static_cast<std::int32_t>(l);
-              first_uninit_addr = b;
-            }
+          ++uninit_bytes;
+          if (first_uninit_lane < 0) {
+            first_uninit_lane = static_cast<std::int32_t>(l);
+            first_uninit_addr = b;
           }
-        } else if (opts_.check_races && sb.writer.epoch == bs.epoch &&
+        } else if (sb.writer.epoch == bs.epoch &&
                    unordered(sb.writer, cur) &&
                    bs.race_pairs.insert({std::min(sb.writer.instr, instr),
                                          std::max(sb.writer.instr, instr)})
@@ -281,8 +283,8 @@ std::uint32_t Recorder::shared_access(const Warp& warp, OpKind kind,
 
   if (bank_lanes != 0) {
     const gpusim::BankCost bc = gpusim::bank_conflicts(
-        std::span<const std::uint32_t>(bank_addrs.data(), warp.lane_count), opts_.banks,
-        opts_.conflict_group, bank_lanes);
+        std::span<const std::uint32_t>(bank_addrs.data(), warp.lane_count), banks_,
+        conflict_group_, bank_lanes);
     ++report_.bank.accesses;
     if (bc.max_degree > 1) ++report_.bank.conflicted_accesses;
     if (bc.max_degree > report_.bank.max_degree) {
@@ -310,7 +312,7 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
   for (std::uint32_t l = 0; l < warp.lane_count; ++l) {
     if (!warp.mask[l]) continue;
     const std::uint64_t a = warp.addr[l];
-    if (opts_.check_oob && a + width > limit) {
+    if (a + width > limit) {
       suppress |= 1u << l;
       if (bs.oob_instrs.insert(instr).second) {
         std::ostringstream msg;
@@ -326,7 +328,7 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
     if (n == 0) first_lane = l;
     if (n < in_bounds.size()) in_bounds[n++] = a;
 
-    if (is_store && opts_.check_global_races) {
+    if (is_store) {
       const std::int64_t thread = warp.thread_in_block(l);
       for (std::uint64_t b = a; b < a + width; ++b) {
         GlobalByte& owner = global_shadow_[b];
@@ -363,10 +365,10 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
     }
   }
 
-  if (!is_store && opts_.lint_coalescing && n > 0) {
+  if (!is_store && n > 0) {
     const gpusim::CoalesceResult c =
         gpusim::coalesce(std::span<const gpusim::DevAddr>(in_bounds.data(), n),
-                         width, opts_.segment_bytes);
+                         width, segment_bytes_);
     const gpusim::DevAddr lo =
         *std::min_element(in_bounds.begin(), in_bounds.begin() + n);
     // Ideal: the segments a contiguous packing of the accessed bytes would
@@ -374,7 +376,7 @@ std::uint32_t Recorder::global_access(const Warp& warp, OpKind kind,
     // kernel cannot avoid is not penalised, scatter and stride are.
     const std::uint64_t span_end = lo + std::uint64_t{n} * width;
     const auto ideal = static_cast<std::uint32_t>(
-        (span_end - 1) / opts_.segment_bytes - lo / opts_.segment_bytes + 1);
+        (span_end - 1) / segment_bytes_ - lo / segment_bytes_ + 1);
     CoalescingStats& cs = report_.coalescing;
     const bool staging_class = bs.epoch == 0 && kind == OpKind::GlobalLoadU32;
     ++cs.load_requests;
@@ -409,7 +411,7 @@ std::uint32_t Recorder::tex_access(const Warp& warp, OpKind kind,
                                    BlockState& bs, std::uint64_t instr) {
   const gpusim::Texture2D* tex =
       kind == OpKind::TexFetch ? warp.tex : warp.tex2;
-  if (tex == nullptr || !tex->bound() || !opts_.check_oob) return 0;
+  if (tex == nullptr || !tex->bound()) return 0;
   std::uint32_t suppress = 0;
   for (std::uint32_t l = 0; l < warp.lane_count; ++l) {
     if (!warp.mask[l]) continue;

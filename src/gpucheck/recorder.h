@@ -20,6 +20,9 @@
 //     audit layer turns budget breaches into hazards).
 //   * bank-conflict stats   — per shared access conflict degree through
 //     gpusim::bank_conflicts (stats; budgets applied by the audit layer).
+//     Banks, conflict group and coalescing segment are the observed launch's
+//     own (AccessObserver::launch_started), so the audit costs accesses on
+//     the geometry gpusim simulates.
 //   * barrier divergence    — the scheduler's divergence callback, plus a
 //     per-warp arrival-count cross-check when the block retires.
 //
@@ -41,26 +44,16 @@
 
 namespace acgpu::gpucheck {
 
-struct RecorderOptions {
-  bool check_races = true;          ///< shared-memory race analyzer
-  bool check_uninit_shared = true;  ///< read-before-write analyzer
-  bool check_oob = true;            ///< bounds analyzers (+ lane suppression)
-  bool check_global_races = true;   ///< device-memory write-race analyzer
-  bool lint_coalescing = true;      ///< per-load transaction statistics
-  std::size_t max_hazards = 64;     ///< exemplar cap (occurrences keep counting)
-  std::uint32_t banks = 16;         ///< shared bank model for the statistics
-  std::uint32_t conflict_group = 16;
-  std::uint32_t segment_bytes = 128;  ///< coalescing window
-};
-
 class Recorder final : public gpusim::AccessObserver {
  public:
-  explicit Recorder(RecorderOptions options = {});
+  /// Keeps at most `max_hazards` exemplars; occurrences keep counting.
+  explicit Recorder(std::size_t max_hazards = kMaxHazards);
 
   const AuditReport& report() const { return report_; }
   AuditReport take_report() { return std::move(report_); }
 
   // --- gpusim::AccessObserver ------------------------------------------------
+  void launch_started(const gpusim::GpuConfig& config) override;
   void block_started(std::uint64_t block_id, std::uint32_t num_warps,
                      std::uint32_t block_threads,
                      std::uint32_t shared_bytes) override;
@@ -138,7 +131,11 @@ class Recorder final : public gpusim::AccessObserver {
   std::uint32_t tex_access(const gpusim::Warp& warp, gpusim::OpKind kind,
                            BlockState& bs, std::uint64_t instr);
 
-  RecorderOptions opts_;
+  std::size_t max_hazards_;
+  /// The observed launch's shared-memory and coalescing geometry.
+  std::uint32_t banks_ = 0;
+  std::uint32_t conflict_group_ = 0;
+  std::uint32_t segment_bytes_ = 0;
   AuditReport report_;
   std::unordered_map<std::uint64_t, BlockState> blocks_;
   std::unordered_map<std::uint64_t, GlobalByte> global_shadow_;

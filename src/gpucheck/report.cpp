@@ -86,9 +86,9 @@ std::uint64_t AuditReport::total_hazards() const {
   return total;
 }
 
-void AuditReport::merge(const AuditReport& other, std::size_t max_hazards) {
+void AuditReport::merge(const AuditReport& other) {
   for (const Hazard& h : other.hazards) {
-    if (hazards.size() < max_hazards)
+    if (hazards.size() < kMaxHazards)
       hazards.push_back(h);
     else
       ++dropped_hazards;

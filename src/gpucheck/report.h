@@ -21,6 +21,9 @@ class MetricsRegistry;
 
 namespace acgpu::gpucheck {
 
+/// Hazard exemplars a report keeps; occurrences keep counting past it.
+constexpr std::size_t kMaxHazards = 64;
+
 /// Warp-load coalescing tally (loads only: GlobalLoadU8 / GlobalLoadU32).
 /// `ideal` for one request is the number of segments a contiguous packing of
 /// the accessed bytes starting at the request's lowest address would touch —
@@ -82,8 +85,8 @@ struct AuditReport {
   /// a report with bank conflicts but no budget hazard is still clean).
   bool clean() const { return total_hazards() == 0; }
 
-  /// Folds `other` into this report, keeping at most `max_hazards` exemplars.
-  void merge(const AuditReport& other, std::size_t max_hazards);
+  /// Folds `other` into this report, keeping at most kMaxHazards exemplars.
+  void merge(const AuditReport& other);
 
   void write_text(std::ostream& out) const;
   void write_json(std::ostream& out) const;

@@ -1,7 +1,9 @@
 // Access-recording hook points for the simulator — the seam the gpucheck/
 // hazard auditor plugs into (LaunchOptions::observer).
 //
-// The scheduler calls the observer at block dispatch/retire, once per
+// The scheduler calls the observer once when a launch starts (with the chip
+// it simulates, so an auditor costs bank conflicts and coalescing on the
+// launch's own geometry), at block dispatch/retire, once per
 // warp-level memory instruction (before the data movement is performed), at
 // every barrier arrival/release, and when a warp's coroutine completes. The
 // observer sees the live Warp — identity, active mask, lane addresses,
@@ -23,12 +25,16 @@
 
 namespace acgpu::gpusim {
 
+struct GpuConfig;
 class Warp;
 enum class OpKind : std::uint8_t;
 
 class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
+
+  /// A launch on `config` starts; called before its first block.
+  virtual void launch_started(const GpuConfig& config) { (void)config; }
 
   /// A block's warps were created and scheduled (Functional mode: every
   /// block; Timed mode: the sampled ones).

@@ -25,6 +25,7 @@ Scheduler::Scheduler(const GpuConfig& config, DeviceMemory& gmem,
   tex_l2_ = std::make_unique<util::SetAssocCache>(cfg_.tex_l2_bytes,
                                                   cfg_.tex_cache_line_bytes,
                                                   cfg_.tex_l2_assoc);
+  if (observer_) observer_->launch_started(cfg_);
 }
 
 void Scheduler::schedule(WarpRun* w, double time) {

@@ -86,7 +86,7 @@ HostAuditOutcome audit_pipeline(const CompiledWorkload& workload,
       outcome.match_count = scan.value().matches.size();
       outcome.matches_ok = same_matches(scan.value().matches, expected);
     }
-    outcome.report = analyze(recorder.trace(), spec.analyze);
+    outcome.report = analyze(recorder.trace());
     return outcome;
   }
 }
@@ -157,7 +157,7 @@ HostAuditOutcome audit_serve(const CompiledWorkload& workload,
   // Destroy the service (its worker, engine and device) before analysing,
   // so the trace holds the engine's upload-drop lock too.
   service.reset();
-  outcome.report = analyze(recorder.trace(), spec.analyze);
+  outcome.report = analyze(recorder.trace());
   return outcome;
 }
 
@@ -243,7 +243,7 @@ HostAuditOutcome audit_cluster(const CompiledWorkload& workload,
   // Destroy the router (every shard's worker, engine and device) before
   // analysing, so the trace holds the engines' upload-drop locks too.
   router.reset();
-  outcome.report = analyze(recorder.trace(), spec.analyze);
+  outcome.report = analyze(recorder.trace());
   return outcome;
 }
 
@@ -265,7 +265,7 @@ std::vector<HostSweepResult> audit_conformance(
     result.name = "pipeline " + to_string(config);
     for (const CompiledWorkload& w : workloads) {
       const HostAuditOutcome outcome = audit_pipeline(w, config, spec);
-      result.report.merge(outcome.report, spec.analyze.max_hazards);
+      result.report.merge(outcome.report, AnalyzeOptions{}.max_hazards);
       ++result.workloads;
       if (!outcome.matches_ok) ++result.mismatches;
     }
@@ -276,7 +276,7 @@ std::vector<HostSweepResult> audit_conformance(
     result.name = "serve";
     for (const CompiledWorkload& w : workloads) {
       const HostAuditOutcome outcome = audit_serve(w, spec);
-      result.report.merge(outcome.report, spec.analyze.max_hazards);
+      result.report.merge(outcome.report, AnalyzeOptions{}.max_hazards);
       ++result.workloads;
       if (!outcome.matches_ok) ++result.mismatches;
     }

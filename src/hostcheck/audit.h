@@ -42,7 +42,6 @@ struct HostAuditSpec {
   std::uint32_t serve_threads = 2;
   /// Chunks each serve feeder splits the text into.
   std::uint32_t serve_chunks = 7;
-  AnalyzeOptions analyze{};
 };
 
 struct HostAuditOutcome {

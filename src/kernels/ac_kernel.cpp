@@ -79,11 +79,14 @@ struct KParams {
   std::uint64_t record_threads = 0;  ///< MatchBuffer threads: the slot stride
   std::uint32_t slots = 0;
   std::uint32_t scan_bound = 0;  ///< S = chunk + overlap, the record radix
-  std::uint32_t compute_per_byte = 0;
 };
 
 /// STT column per lane: the scanned symbol, a byte class id (device_dfa.h).
 using Columns = std::array<std::uint32_t, L>;
+
+/// ALU warp instructions charged per scanned byte (state update, address
+/// arithmetic, bounds checks): the timing model's main calibration constant.
+constexpr std::uint32_t kComputePerByte = 8;
 
 /// Warp instructions of the overlap-exit test, charged on every step from
 /// the chunk's last byte on: one compares the word's depth field with the
@@ -93,7 +96,7 @@ constexpr std::uint32_t kExitTestInstrs = 2;
 /// Warp instructions the compressed table adds to every step: the bit test
 /// that picks the root row or an explicit target, and the target's rank
 /// (prefix base plus the popcount of the row bits below the class). It keeps
-/// the compressed table's charge at 10 per byte against the dense default of 8.
+/// the compressed table's charge at 10 per byte against the dense table's 8.
 constexpr std::uint32_t kRankInstrs = 2;
 
 /// Points every active lane at column `col[l]` of STT row `state[l]` — texel
@@ -456,7 +459,7 @@ WarpTask ac_kernel_body(Warp& w, KParams p) {
     // any j and never exits. Lanes whose chunk the text cuts short end their
     // scan there, so j counts from the full chunk.
     const bool past_chunk = i + 1 >= chunk;
-    co_await w.compute(p.compute_per_byte +
+    co_await w.compute(kComputePerByte +
                        (p.table.bitmap_words != 0 ? kRankInstrs : 0) +
                        (past_chunk ? kExitTestInstrs : 0));
     if (past_chunk) {
@@ -619,7 +622,6 @@ AcPlan plan_ac_launch(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem
   p.record_threads = plan.buffer->threads();
   p.slots = plan.buffer->slots();
   p.scan_bound = scan_bound;
-  p.compute_per_byte = spec.compute_per_byte;
 
   plan.dims.grid_blocks = blocks;
   plan.dims.block_threads = spec.threads_per_block;

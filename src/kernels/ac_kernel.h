@@ -67,9 +67,6 @@ struct AcLaunchSpec {
   /// Record slots per thread, below MatchBuffer::kMaxCount; the buffer
   /// allocates min(match_capacity, chunk + overlap) of them.
   std::uint32_t match_capacity = 64;
-  /// ALU warp-instructions charged per scanned byte (state update, address
-  /// arithmetic, bounds checks) — the timing model's main calibration knob.
-  std::uint32_t compute_per_byte = 8;
   SttPlacement stt_placement = SttPlacement::kTexture;
   gpusim::LaunchOptions sim{};
 };

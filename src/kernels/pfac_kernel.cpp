@@ -32,8 +32,10 @@ struct KParams {
   DevAddr records = 0;
   std::uint64_t record_threads = 0;  ///< MatchBuffer threads: the slot stride
   std::uint32_t slots = 0;
-  std::uint32_t compute_per_byte = 0;
 };
+
+/// ALU warp instructions charged per scanned byte.
+constexpr std::uint32_t kComputePerByte = 6;
 
 WarpTask pfac_kernel_body(Warp& w, KParams p) {
   // Lane l starts matching at text position global_thread(l); state -1 (dead)
@@ -80,7 +82,7 @@ WarpTask pfac_kernel_body(Warp& w, KParams p) {
         if (state[l] == ac::PfacAutomaton::kDead) alive[l] = false;
         else any_alive = true;
       }
-    co_await w.compute(p.compute_per_byte);
+    co_await w.compute(kComputePerByte);
     if (!any_alive) break;
 
     // Terminal-output check for surviving lanes.
@@ -159,7 +161,6 @@ PfacLaunchOutcome run_pfac_kernel(const gpusim::GpuConfig& config,
   p.records = buffer.records_base();
   p.record_threads = buffer.threads();
   p.slots = buffer.slots();
-  p.compute_per_byte = spec.compute_per_byte;
 
   gpusim::LaunchDims dims;
   dims.grid_blocks = outcome.blocks;

@@ -35,7 +35,6 @@ class DevicePfac {
 struct PfacLaunchSpec {
   std::uint32_t threads_per_block = 256;
   std::uint32_t match_capacity = 8;  ///< patterns starting at one position
-  std::uint32_t compute_per_byte = 6;
   gpusim::LaunchOptions sim{};
 };
 

@@ -380,8 +380,8 @@ class ServeMatcher final : public Matcher {
     opt.device.memory_bytes = 64u << 20;
     // Tiny bounds so admission control and coalescing both fire; kAutoFlush
     // keeps the adapter total (it scans inline instead of rejecting).
-    opt.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
-    opt.coalesce_bytes = 1 + rng.next_below(4096);
+    opt.queue.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
+    opt.queue.coalesce_bytes = 1 + rng.next_below(4096);
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
 
     auto service = serve::StreamService::create(w.patterns(), opt);
@@ -465,8 +465,8 @@ class RouterMatcher final : public Matcher {
     opt.engine.mode = gpusim::SimMode::Functional;
     opt.device.gpu = sim_config();
     opt.device.memory_bytes = 64u << 20;
-    opt.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
-    opt.coalesce_bytes = 1 + rng.next_below(4096);
+    opt.queue.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
+    opt.queue.coalesce_bytes = 1 + rng.next_below(4096);
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
 
     auto router = cluster::Router::create(w.patterns(), opt);
@@ -583,7 +583,7 @@ class DispatchMatcher final : public Matcher {
     opt.engine.mode = gpusim::SimMode::Functional;
     opt.device.gpu = sim_config();
     opt.device.memory_bytes = 64u << 20;
-    opt.coalesce_bytes = 1 + rng.next_below(4096);
+    opt.queue.coalesce_bytes = 1 + rng.next_below(4096);
     opt.admission = serve::AdmissionPolicy::kAutoFlush;
     opt.dispatcher = &dispatcher;
 

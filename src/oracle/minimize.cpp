@@ -8,18 +8,27 @@
 namespace acgpu::oracle {
 namespace {
 
+/// Upper bound on shrink-to-fixpoint rounds (each round is a full pattern +
+/// text + truncation sweep); the loop stops early when a round makes no
+/// progress.
+constexpr std::size_t kMaxRounds = 8;
+/// Cap on candidate evaluations (each one recompiles the workload and
+/// re-runs the matcher); minimization stops, keeping the best reproducer
+/// found so far, when it is exhausted.
+constexpr std::size_t kMaxEvaluations = 4000;
+
 /// Evaluation budgeter + predicate: does the candidate still diverge?
 class Shrinker {
  public:
-  Shrinker(const Matcher& matcher, std::uint64_t salt, const MinimizeOptions& options)
-      : matcher_(matcher), salt_(salt), options_(options) {}
+  Shrinker(const Matcher& matcher, std::uint64_t salt)
+      : matcher_(matcher), salt_(salt) {}
 
   /// Returns the divergence if the candidate reproduces one, nullopt
   /// otherwise (including when the candidate fails to compile or the
   /// matcher throws — a *different* failure is not the bug being shrunk).
   std::optional<Divergence> diverges(const Workload& candidate) {
     if (candidate.patterns.empty()) return std::nullopt;
-    if (++evaluations_ > options_.max_evaluations) return std::nullopt;
+    if (++evaluations_ > kMaxEvaluations) return std::nullopt;
     try {
       const CompiledWorkload compiled(candidate);
       const auto reference = reference_matches(compiled);
@@ -30,12 +39,11 @@ class Shrinker {
     }
   }
 
-  bool budget_left() const { return evaluations_ <= options_.max_evaluations; }
+  bool budget_left() const { return evaluations_ <= kMaxEvaluations; }
 
  private:
   const Matcher& matcher_;
   std::uint64_t salt_;
-  const MinimizeOptions& options_;
   std::size_t evaluations_ = 0;
 };
 
@@ -173,14 +181,13 @@ std::uint64_t fingerprint(const Reproducer& r) {
 
 std::optional<Reproducer> minimize_divergence(const Workload& workload,
                                               const Matcher& matcher,
-                                              std::uint64_t salt,
-                                              const MinimizeOptions& options) {
-  Shrinker shrink(matcher, salt, options);
+                                              std::uint64_t salt) {
+  Shrinker shrink(matcher, salt);
   Workload best = workload;
   auto divergence = shrink.diverges(best);
   if (!divergence) return std::nullopt;
 
-  for (std::size_t round = 0; round < options.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     bool progressed = false;
     progressed |= shrink_patterns(best, shrink);
     progressed |= shrink_text_ends(best, shrink);
@@ -190,7 +197,7 @@ std::optional<Reproducer> minimize_divergence(const Workload& workload,
   }
 
   // Recompute the divergence on the final workload so the report matches it.
-  Shrinker confirm(matcher, salt, options);
+  Shrinker confirm(matcher, salt);
   divergence = confirm.diverges(best);
   ACGPU_CHECK(divergence.has_value(),
               "minimizer invariant violated: shrunk workload no longer diverges");

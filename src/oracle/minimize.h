@@ -13,17 +13,6 @@
 
 namespace acgpu::oracle {
 
-struct MinimizeOptions {
-  /// Upper bound on shrink-to-fixpoint rounds (each round is a full pattern
-  /// + text + truncation sweep); the loop stops early when a round makes no
-  /// progress.
-  std::size_t max_rounds = 8;
-  /// Cap on candidate evaluations (each one recompiles the workload and
-  /// re-runs the matcher); minimization stops — keeping the best reproducer
-  /// found so far — when it is exhausted.
-  std::size_t max_evaluations = 4000;
-};
-
 /// A shrunk diverging input. `divergence` is recomputed on the minimized
 /// workload, so its expected/got records match what the pasted test sees.
 struct Reproducer {
@@ -37,10 +26,11 @@ struct Reproducer {
 /// the serial reference. Returns nullopt when the input does not diverge in
 /// the first place. Candidates that fail to compile or throw while matching
 /// are treated as uninteresting (only the original divergence counts).
+/// Shrinking stops at a fixpoint or when its round or evaluation budget
+/// (minimize.cpp) runs out, keeping the best reproducer found so far.
 std::optional<Reproducer> minimize_divergence(const Workload& workload,
                                               const Matcher& matcher,
-                                              std::uint64_t salt,
-                                              const MinimizeOptions& options = {});
+                                              std::uint64_t salt);
 
 /// Renders a reproducer as a self-contained gtest TEST(...) body asserting
 /// that the matcher agrees with the serial reference on the minimized

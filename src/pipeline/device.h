@@ -39,8 +39,8 @@ struct DeviceOptions {
   std::size_t memory_bytes = 256u << 20;
 
   /// Hostcheck audit hook (gpusim/host_observer.h): the device's scan mutex
-  /// registers here, and engines bound to the device inherit it for their
-  /// stream records unless they were wired to an observer explicitly.
+  /// registers here, and every engine bound to the device records its
+  /// stream activity here. The only place an Engine's observer is set.
   /// Null = off, zero cost.
   gpusim::HostObserver* host_observer = nullptr;
 

@@ -41,12 +41,7 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
   if (Status s = kernels::DeviceDfa::check_state_count(compiled.dfa().state_count()); !s)
     return s;
 
-  EngineOptions opts = options;
-  // Engines on an audited device inherit its observer seam unless they were
-  // wired somewhere else explicitly.
-  if (opts.host_observer == nullptr)
-    opts.host_observer = device.host_observer();
-  if (Status s = opts.validate(); !s) return s;
+  if (Status s = options.validate(); !s) return s;
 
   Engine engine(compiled);
   engine.id_ = g_next_engine_id.fetch_add(1, std::memory_order_relaxed);
@@ -65,7 +60,7 @@ Result<Engine> Engine::create(Device& device, const CompiledPatterns& compiled,
   try {
     engine.ddfa_ = std::make_unique<kernels::DeviceDfa>(mem, engine.compiled_.dfa());
     engine.pipeline_ = std::make_unique<pipeline::MatchPipeline>(
-        device.gpu(), mem, *engine.ddfa_, std::move(opts));
+        device.gpu(), mem, *engine.ddfa_, options, device.host_observer());
   } catch (const std::exception& e) {
     mem.release(engine.upload_mark_);
     return Status::from_exception(e);

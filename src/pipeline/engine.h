@@ -94,8 +94,7 @@ class Engine {
   /// mutex. Fails kUnavailable when the device is marked failed.
   Result<ScanResult> scan(std::string_view text);
 
-  /// The options as validated, with host_observer resolved to the device's
-  /// when it was left null.
+  /// The options as validated.
   const EngineOptions& options() const { return pipeline_->options(); }
   const CompiledPatterns& compiled() const { return compiled_; }
   const ac::Dfa& dfa() const { return compiled_.dfa(); }

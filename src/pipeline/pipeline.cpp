@@ -227,8 +227,10 @@ void publish_run(const PipelineResult& result, telemetry::MetricsRegistry& reg,
 
 MatchPipeline::MatchPipeline(const gpusim::GpuConfig& config,
                              gpusim::DeviceMemory& mem,
-                             const kernels::DeviceDfa& ddfa, PipelineOptions options)
-    : config_(config), mem_(mem), ddfa_(ddfa), options_(std::move(options)) {}
+                             const kernels::DeviceDfa& ddfa, PipelineOptions options,
+                             gpusim::HostObserver* host_observer)
+    : config_(config), mem_(mem), ddfa_(ddfa), options_(std::move(options)),
+      host_observer_(host_observer) {}
 
 void MatchPipeline::TailFit::add(double x, double y) {
   min_x = count == 0 ? x : std::min(min_x, x);
@@ -295,7 +297,7 @@ Result<PipelineResult> MatchPipeline::run(std::string_view text) {
 
   try {
     gpusim::StreamSim sim(config_, mem_);
-    sim.set_host_observer(opt.host_observer);
+    sim.set_host_observer(host_observer_);
     for (std::uint32_t s = 0; s < opt.streams; ++s) sim.create_stream();
 
     // One upload buffer per stream, allocated below batch_mark so per-batch

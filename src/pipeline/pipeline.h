@@ -151,12 +151,6 @@ struct PipelineOptions {
   /// device buffers are not recycled: the recorder's cross-launch global
   /// shadow would misread a reused match-buffer address as a write race.
   gpusim::AccessObserver* observer = nullptr;
-  /// Host-pipeline audit hook (gpusim/host_observer.h): records every stream
-  /// op, staged-slice access, and ordering edge of the run for the hostcheck
-  /// happens-before auditor. Orthogonal to `observer` (which audits device
-  /// thread interleavings inside one kernel). Null = off, zero cost; an
-  /// Engine left at null inherits its Device's observer.
-  gpusim::HostObserver* host_observer = nullptr;
 
   /// Metrics/tracing sinks; zero-cost when left defaulted (off).
   TelemetryOptions telemetry;
@@ -277,8 +271,15 @@ BatchGeometry resolve_geometry(const PipelineOptions& opt, const gpusim::GpuConf
 /// its slot buffers on top and recycles them per batch.
 class MatchPipeline {
  public:
+  /// `host_observer` is the host-pipeline audit hook (gpusim/host_observer.h):
+  /// it records every stream op, staged-slice access and ordering edge of
+  /// each run for the hostcheck happens-before auditor, and must outlive the
+  /// pipeline. Orthogonal to PipelineOptions::observer, which audits device
+  /// thread interleavings inside one kernel. Null = off, zero cost; an
+  /// Engine passes its Device's.
   MatchPipeline(const gpusim::GpuConfig& config, gpusim::DeviceMemory& mem,
-                const kernels::DeviceDfa& ddfa, PipelineOptions options);
+                const kernels::DeviceDfa& ddfa, PipelineOptions options,
+                gpusim::HostObserver* host_observer = nullptr);
 
   const PipelineOptions& options() const { return options_; }
 
@@ -311,6 +312,7 @@ class MatchPipeline {
   gpusim::DeviceMemory& mem_;
   const kernels::DeviceDfa& ddfa_;
   PipelineOptions options_;
+  gpusim::HostObserver* host_observer_;
   std::array<TailFit, 3> tail_fits_;  ///< one per width, in fit_index order
   /// Host packing buffer, kept across runs: it grows to the largest packed
   /// slice once instead of being allocated per run.

@@ -15,9 +15,8 @@ std::uint64_t to_ns(double seconds) {
 }  // namespace
 
 void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& result,
-                       const TraceExportOptions& options) {
-  const std::uint64_t pid = trace.process(options.process_name);
-  const std::uint64_t offset_ns = to_ns(options.time_offset_seconds);
+                       std::string_view process_name) {
+  const std::uint64_t pid = trace.process(process_name);
 
   // Register stream tracks first (ascending ids), then the engine rows, so
   // the Perfetto layout reads top-down: per-stream program order, then the
@@ -38,7 +37,7 @@ void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& resu
   for (const gpusim::StreamOp& op : result.timeline) {
     // Round both ends, not the duration: back-to-back ops on one track then
     // share a boundary exactly and never overlap by a rounding nanosecond.
-    const std::uint64_t start = offset_ns + to_ns(op.start);
+    const std::uint64_t start = to_ns(op.start);
     const std::uint64_t dur = to_ns(op.end) - to_ns(op.start);
     std::vector<std::pair<std::string, std::string>> args;
     args.emplace_back("kind", gpusim::to_string(op.kind));
@@ -63,8 +62,8 @@ void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& resu
   };
   std::vector<Edge> queue_edges;
   for (const BatchTrace& b : result.batches) {
-    queue_edges.push_back({offset_ns + to_ns(b.submit_seconds), +1});
-    queue_edges.push_back({offset_ns + to_ns(b.complete_seconds), -1});
+    queue_edges.push_back({to_ns(b.submit_seconds), +1});
+    queue_edges.push_back({to_ns(b.complete_seconds), -1});
   }
   const auto emit_counter = [&](std::vector<Edge> edges, const char* series) {
     std::stable_sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
@@ -85,8 +84,8 @@ void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& resu
   // glance; the regions at 2 are exactly PipelineStats::overlap_seconds.
   std::vector<Edge> busy_edges;
   for (const gpusim::StreamOp& op : result.timeline) {
-    busy_edges.push_back({offset_ns + to_ns(op.start), +1});
-    busy_edges.push_back({offset_ns + to_ns(op.end), -1});
+    busy_edges.push_back({to_ns(op.start), +1});
+    busy_edges.push_back({to_ns(op.end), -1});
   }
   emit_counter(busy_edges, "device.engines_busy");
 }

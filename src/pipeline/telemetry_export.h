@@ -12,25 +12,18 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
+#include <string_view>
 
 #include "pipeline/pipeline.h"
 #include "telemetry/trace.h"
 
 namespace acgpu::pipeline {
 
-struct TraceExportOptions {
-  /// Chrome process name for the simulated-device tracks. Give each scan its
-  /// own name ("device scan 0", ...) to stack multiple runs in one file.
-  std::string process_name = "acgpu simulated device";
-  /// Added to every simulated timestamp (seconds) — lets sequential scans
-  /// land end-to-end on one timeline instead of overprinting at t=0.
-  double time_offset_seconds = 0;
-};
-
-/// Appends the run's stream/engine tracks and counter tracks to `trace`.
+/// Appends the run's stream/engine tracks and counter tracks to `trace`,
+/// under the Chrome process `process_name`. Give each scan its own name
+/// ("device scan 0", ...) to stack several runs in one file.
 void add_scan_to_trace(telemetry::ChromeTrace& trace, const PipelineResult& result,
-                       const TraceExportOptions& options = {});
+                       std::string_view process_name = "acgpu simulated device");
 
 /// One-call export: device tracks for `result`, host spans from `tracer`
 /// when non-null, written as Chrome trace-event JSON.

@@ -53,6 +53,8 @@ struct PendingChunk {
   telemetry::TraceContext trace;
 };
 
+/// Bounded-queue admission control and coalescing: the only declaration of
+/// these settings (ServeOptions::queue and ClusterOptions::queue hold one).
 struct SchedulerOptions {
   std::uint64_t max_queue_bytes = 32u << 20;
   std::uint32_t max_queue_chunks = 4096;

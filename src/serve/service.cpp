@@ -25,11 +25,7 @@ const char* to_string(AdmissionPolicy policy) {
 Status ServeOptions::validate() const {
   if (max_sessions == 0)
     return Status::invalid_argument("max_sessions must be >= 1");
-  SchedulerOptions so;
-  so.max_queue_bytes = max_queue_bytes;
-  so.max_queue_chunks = max_queue_chunks;
-  so.coalesce_bytes = coalesce_bytes;
-  if (Status s = so.validate(); !s) return s;
+  if (Status s = queue.validate(); !s) return s;
   if (background && admission == AdmissionPolicy::kAutoFlush)
     return Status::invalid_argument(
         "AdmissionPolicy::kAutoFlush is synchronous-only; background mode "
@@ -128,13 +124,7 @@ struct StreamService::Impl {
         device(std::move(dev)),
         engine(std::move(eng)),
         manager(options.max_sessions, options.session_id_namespace),
-        scheduler([&] {
-          SchedulerOptions so;
-          so.max_queue_bytes = options.max_queue_bytes;
-          so.max_queue_chunks = options.max_queue_chunks;
-          so.coalesce_bytes = options.coalesce_bytes;
-          return so;
-        }()) {
+        scheduler(options.queue) {
     if (options.admission == AdmissionPolicy::kDefault)
       options.admission = options.background ? AdmissionPolicy::kReject
                                              : AdmissionPolicy::kAutoFlush;

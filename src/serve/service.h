@@ -80,9 +80,8 @@ struct ServeOptions {
 
   /// The device the service creates and owns for its engine. Its
   /// host_observer is the hostcheck audit hook: the service mutex, the
-  /// scheduler/session-manager leaf mutexes and — unless engine.host_observer
-  /// diverts it — every Engine scan report their lock and stream activity
-  /// to it. Null = off, zero cost.
+  /// scheduler/session-manager leaf mutexes and every Engine scan report
+  /// their lock and stream activity to it. Null = off, zero cost.
   DeviceOptions device;
 
   /// Adaptive backend routing (dispatch/dispatcher.h): when set, every
@@ -105,10 +104,8 @@ struct ServeOptions {
   /// Quotas stamped onto every session at open().
   SessionLimits session_limits;
 
-  /// Bounded-queue admission control (see SchedulerOptions).
-  std::uint64_t max_queue_bytes = 32u << 20;
-  std::uint32_t max_queue_chunks = 4096;
-  std::uint64_t coalesce_bytes = 4u << 20;
+  /// Bounded-queue admission control and superbatch coalescing.
+  SchedulerOptions queue;
 
   /// true: a worker thread consumes the queue; feed() never scans.
   bool background = false;

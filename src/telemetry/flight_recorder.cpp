@@ -108,7 +108,6 @@ std::uint64_t FlightRecorder::dropped() const {
 }
 
 std::vector<FlightEvent> FlightRecorder::events(std::uint64_t window_ns) const {
-  if (window_ns == 0) window_ns = options_.dump_window_ns;
   const std::uint64_t now = now_ns();
   const std::uint64_t cutoff =
       window_ns == 0 || window_ns > now ? 0 : now - window_ns;
@@ -152,8 +151,7 @@ void FlightRecorder::write_postmortem(std::ostream& out, std::string_view reason
   out << "{\"postmortem\":{";
   out << "\"reason\":\"" << json_escape(reason) << "\"";
   out << ",\"dumped_t_ns\":" << now_ns();
-  out << ",\"window_ns\":"
-      << (window_ns != 0 ? window_ns : options_.dump_window_ns);
+  out << ",\"window_ns\":" << window_ns;
   out << ",\"recorded\":" << recorded();
   out << ",\"dropped\":" << dropped();
   out << ",\"events\":[";

@@ -66,9 +66,6 @@ struct FlightRecorderOptions {
   std::uint32_t ring_capacity = 1u << 12;
   /// Rings available; threads beyond this drop events (counted).
   std::uint32_t max_threads = 64;
-  /// Default postmortem window: only events newer than now - window are
-  /// dumped. 0 = everything still in the rings.
-  std::uint64_t dump_window_ns = 0;
 };
 
 class FlightRecorder {
@@ -85,7 +82,7 @@ class FlightRecorder {
   std::uint64_t dropped() const;
 
   /// Merged, time-sorted copy of every ring's retained events, filtered to
-  /// the last `window_ns` (0 = the options default; options 0 = no filter).
+  /// the last `window_ns` (0 = every retained event).
   std::vector<FlightEvent> events(std::uint64_t window_ns = 0) const;
 
   /// Serializes events(window_ns) + `reason` + an optional metrics snapshot

@@ -24,11 +24,22 @@ SloPolicy SloPolicy::serving_defaults() {
   return p;
 }
 
+Status SloPolicy::validate() const {
+  if (window == 0 || min_samples > window)
+    return Status::invalid_argument(
+        "SloPolicy window " + std::to_string(window) + " must be >= 1 and >= min_samples " +
+        std::to_string(min_samples) +
+        ": latency, error and eviction rates are judged only once the window "
+        "holds min_samples feeds");
+  return Status::ok();
+}
+
 HealthMonitor::HealthMonitor(std::uint32_t shards, SloPolicy policy,
                              MetricsRegistry* metrics)
     : policy_(policy) {
   ACGPU_CHECK(shards >= 1, "HealthMonitor needs at least one shard");
-  policy_.window = std::max(1u, policy_.window);
+  const Status valid = policy_.validate();
+  ACGPU_CHECK(valid.is_ok(), valid.message());
   shards_.reserve(shards);
   for (std::uint32_t k = 0; k < shards; ++k) {
     auto s = std::make_unique<PerShard>();

@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "util/error.h"
+
 namespace acgpu::telemetry {
 
 class MetricsRegistry;
@@ -69,7 +71,8 @@ struct SloPolicy {
 
   /// Sliding-window size in feeds (latency percentiles + error rate).
   std::uint32_t window = 256;
-  /// Latency/rate dimensions abstain below this many windowed samples.
+  /// Latency/rate dimensions abstain below this many windowed samples, so
+  /// it must not exceed `window`.
   std::uint32_t min_samples = 16;
 
   /// Any target set => the monitor is worth standing up.
@@ -82,6 +85,10 @@ struct SloPolicy {
   /// Targets sized for the simulated serving demos: p99 feed under 50 ms /
   /// 250 ms, queue under 64 / 256 chunks, error rate under 5% / 25%.
   static SloPolicy serving_defaults();
+
+  /// kInvalidArgument for a zero window, or a min_samples the window can
+  /// never hold (those dimensions would never be judged).
+  Status validate() const;
 };
 
 /// Point-in-time view of one shard's window (health.<k>.* mirrors it).

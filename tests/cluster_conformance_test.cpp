@@ -24,7 +24,7 @@ ClusterOptions sweep_cluster(std::uint32_t devices) {
   opt.device.memory_bytes = 64u << 20;
   opt.engine.threads_per_block = 64;
   opt.admission = serve::AdmissionPolicy::kAutoFlush;
-  opt.coalesce_bytes = 2048;
+  opt.queue.coalesce_bytes = 2048;
   return opt;
 }
 

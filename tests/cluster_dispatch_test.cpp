@@ -110,8 +110,8 @@ TEST(ClusterDispatch, EveryForcePolicyIsExactOnTheSessionPath) {
       ClusterOptions opt = wired(dispatcher, devices);
       // A short queue of small superbatches: the serve layer routes several
       // batches per session instead of one at drain.
-      opt.max_queue_chunks = 4;
-      opt.coalesce_bytes = 1024;
+      opt.queue.max_queue_chunks = 4;
+      opt.queue.coalesce_bytes = 1024;
       Router router = make_router(opt);
       const serve::SessionId a = router.open().value();
       const serve::SessionId b = router.open().value();

@@ -179,6 +179,29 @@ TEST(ClusterObservabilityTest, ExplicitPostmortemRequiresARecorder) {
 
 // --- SLO monitor driving placement -----------------------------------------
 
+TEST(ClusterObservabilityTest, SloWindowSmallerThanMinSamplesIsRejected) {
+  // Latency, error and eviction targets are judged only once a shard's
+  // window holds min_samples feeds, so a window of 8 under the default 16
+  // would leave a 2 ns p99 target unjudged forever.
+  cluster::ClusterOptions opt = base_options(2);
+  opt.slo.feed_p99_ns = {1, 2};
+  opt.slo.window = 8;
+  const Status s = opt.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("window 8"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("min_samples 16"), std::string::npos) << s.message();
+  EXPECT_EQ(cluster::Router::create(patterns(), opt).status().code(),
+            StatusCode::kInvalidArgument);
+  opt.slo.window = 0;
+  EXPECT_EQ(opt.validate().code(), StatusCode::kInvalidArgument);
+  opt.slo.window = 16;
+  EXPECT_TRUE(opt.validate().is_ok());
+  // With no target set no monitor stands up, and the window goes unused.
+  opt.slo = {};
+  opt.slo.window = 0;
+  EXPECT_TRUE(opt.validate().is_ok());
+}
+
 TEST(ClusterObservabilityTest, PlacementShiftsAwayFromAnSloBreachedShard) {
   cluster::ClusterOptions opt = base_options(2);
   opt.slo.error_rate = {0.05, 0.25};

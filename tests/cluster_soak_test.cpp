@@ -39,7 +39,7 @@ TEST(ClusterSoak, DeviceFailureMidSoakLosesNothing) {
   opt.engine.threads_per_block = 64;
   opt.background = true;  // every shard runs its own pump thread
   opt.max_sessions_per_shard = kSessions;  // no LRU eviction mid-soak
-  opt.coalesce_bytes = 64u << 10;
+  opt.queue.coalesce_bytes = 64u << 10;
   auto router =
       Router::create(ac::PatternSet({"he", "she", "his", "hers", "ab"}), opt);
   ASSERT_TRUE(router.is_ok()) << router.status().to_string();

@@ -535,9 +535,65 @@ TEST(GpucheckRecorder, ReportSerializesToJson) {
   EXPECT_NE(text.str().find("shared-oob"), std::string::npos);
 }
 
+// --- the launch's own geometry ----------------------------------------------
+
+struct GeometryRun {
+  AuditReport report;
+  gpusim::Metrics metrics;
+};
+
+/// One warp loads 128 contiguous global bytes (128 / segment transactions)
+/// and stages them into shared words 32 words apart (every lane in one bank
+/// on a 16- or 32-bank chip), then reads them back after a barrier.
+GeometryRun stage_strided(const GpuConfig& cfg) {
+  DeviceMemory mem(4096);
+  const DevAddr src = mem.alloc(128);
+  Recorder recorder;
+  LaunchOptions options;
+  options.mode = gpusim::SimMode::Functional;
+  options.observer = &recorder;
+  const gpusim::LaunchResult launched = gpusim::launch(
+      cfg, mem, nullptr, LaunchDims{1, 32, 32 * 128},
+      [=](Warp& w) -> WarpTask {
+        w.mask_all();
+        for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = src + l * 4;
+        co_await w.global_load_u32();
+        for (std::uint32_t l = 0; l < w.lane_count; ++l) w.addr[l] = l * 128;
+        co_await w.shared_store_u32();
+        co_await w.barrier();
+        co_await w.shared_load_u32();
+      },
+      options);
+  return {recorder.take_report(), launched.metrics};
+}
+
+TEST(GpucheckRecorder, AuditsTheBankAndSegmentGeometryOfTheLaunch) {
+  // The Recorder costs accesses on the chip the launch simulates: a chip
+  // with 32 banks resolved per full warp and 32-byte segments must audit at
+  // the degree and transaction count gpusim charges it, not at the GTX
+  // 285's 16 banks, 16-lane groups and 128-byte segments.
+  GpuConfig wide = small_config();
+  wide.shared_banks = 32;
+  wide.shared_conflict_group = 32;
+  wide.coalesce_segment_bytes = 32;
+  for (const GpuConfig& cfg : {small_config(), wide}) {
+    const GeometryRun run = stage_strided(cfg);
+    EXPECT_EQ(run.report.bank.max_degree, run.metrics.shared_max_degree);
+    EXPECT_EQ(run.report.coalescing.load_transactions,
+              run.metrics.global_transactions);
+    EXPECT_TRUE(run.report.clean());
+  }
+  const GeometryRun gt200 = stage_strided(small_config());
+  EXPECT_EQ(gt200.report.bank.max_degree, 16u);
+  EXPECT_EQ(gt200.report.coalescing.load_transactions, 1u);
+  const GeometryRun wide_run = stage_strided(wide);
+  EXPECT_EQ(wide_run.report.bank.max_degree, 32u);
+  EXPECT_EQ(wide_run.report.coalescing.load_transactions, 4u);
+}
+
 TEST(GpucheckRecorder, HazardCapKeepsCountingOccurrences) {
   DeviceMemory mem(4096);
-  Recorder recorder(RecorderOptions{.max_hazards = 2});
+  Recorder recorder(/*max_hazards=*/2);
   LaunchOptions options;
   options.mode = gpusim::SimMode::Functional;
   options.observer = &recorder;

@@ -67,7 +67,6 @@ TEST(HostcheckAudit, RepeatedScansOnOneEngineStayClean) {
   EngineOptions eo;
   eo.batch_bytes = 1024;
   eo.match_capacity = 4096;
-  eo.host_observer = &recorder;
   DeviceOptions dopt;
   dopt.host_observer = &recorder;
   Result<Device> device = Device::create(dopt);
@@ -122,10 +121,9 @@ TEST(HostcheckAudit, PackedBatchesAnnotateTheBytesThatMoved) {
   const kernels::DeviceDfa ddfa(mem, dfa);
   pipeline::PipelineOptions opt;
   opt.batch_bytes = 1024;  // 4 KB splits evenly into four 1 KB batches
-  opt.host_observer = &recorder;
   gpusim::GpuConfig cfg = gpusim::GpuConfig::gtx285();
   cfg.num_sms = 4;
-  auto run = pipeline::MatchPipeline(cfg, mem, ddfa, opt).run(text);
+  auto run = pipeline::MatchPipeline(cfg, mem, ddfa, opt, &recorder).run(text);
   ASSERT_TRUE(run.is_ok()) << run.status().to_string();
   const std::vector<pipeline::BatchTrace>& batches = run.value().batches;
   ASSERT_EQ(batches.size(), 4u);

@@ -345,12 +345,14 @@ TEST(Pipeline, TimedModeReportsThroughputWithoutMatches) {
 // minimises an upload-bound pipeline's makespan over the link ----
 
 /// A Timed gtx285 run of `text` against byte_path_patterns().
-PipelineResult split_run(const std::string& text, PipelineOptions opt = {}) {
+PipelineResult split_run(const std::string& text, PipelineOptions opt = {},
+                         gpusim::HostObserver* host_observer = nullptr) {
   gpusim::DeviceMemory mem(64u << 20);
   const ac::Dfa dfa = ac::build_dfa(byte_path_patterns(), 8);
   kernels::DeviceDfa ddfa(mem, dfa);
   opt.mode = gpusim::SimMode::Timed;
-  auto got = MatchPipeline(gpusim::GpuConfig::gtx285(), mem, ddfa, opt).run(text);
+  auto got = MatchPipeline(gpusim::GpuConfig::gtx285(), mem, ddfa, opt, host_observer)
+                 .run(text);
   EXPECT_TRUE(got.is_ok()) << got.status().to_string();
   return got.is_ok() ? std::move(got.value()) : PipelineResult{};
 }
@@ -426,8 +428,7 @@ TEST(PipelineBatchSplit, RunAllocatesOneUploadBufferPerBatchUpToTheStreamCount) 
     hostcheck::Recorder recorder;
     PipelineOptions opt;
     opt.streams = 4;
-    opt.host_observer = &recorder;
-    const PipelineResult r = split_run(random_bytes(text_bytes, 10), opt);
+    const PipelineResult r = split_run(random_bytes(text_bytes, 10), opt, &recorder);
     std::map<std::uint64_t, gpusim::HostOpRecord> ops;         // by op id
     std::map<std::uint64_t, std::set<std::uint32_t>> writers;  // by address
     for (const hostcheck::HostTrace::Record& record : recorder.trace().records) {

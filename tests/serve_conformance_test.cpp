@@ -27,8 +27,8 @@ ServeOptions conformance_options(Rng& rng) {
   opt.engine.streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
   opt.engine.batch_bytes = 1 + rng.next_below(4096);
   // Small service bounds so coalescing and auto-flush both fire mid-run.
-  opt.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
-  opt.coalesce_bytes = 1 + rng.next_below(2048);
+  opt.queue.max_queue_chunks = 2 + static_cast<std::uint32_t>(rng.next_below(15));
+  opt.queue.coalesce_bytes = 1 + rng.next_below(2048);
   opt.admission = AdmissionPolicy::kAutoFlush;
   return opt;
 }

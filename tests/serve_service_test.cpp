@@ -66,7 +66,7 @@ TEST(ServeService, UnknownAndClosedIdsAreInvalidArgument) {
 
 TEST(ServeService, RejectPolicyAnswersOverloadedAndPumpMakesRoom) {
   ServeOptions opt = fast_options();
-  opt.max_queue_chunks = 2;
+  opt.queue.max_queue_chunks = 2;
   opt.admission = AdmissionPolicy::kReject;
   StreamService srv = make_service({"ab"}, opt);
   const SessionId id = srv.open().value();
@@ -85,7 +85,7 @@ TEST(ServeService, RejectPolicyAnswersOverloadedAndPumpMakesRoom) {
 
 TEST(ServeService, AutoFlushNeverRejects) {
   ServeOptions opt = fast_options();
-  opt.max_queue_chunks = 1;
+  opt.queue.max_queue_chunks = 1;
   opt.admission = AdmissionPolicy::kAutoFlush;
   StreamService srv = make_service({"ab"}, opt);
   const SessionId id = srv.open().value();
@@ -274,7 +274,7 @@ TEST(ServeOptionsValidation, RejectsZeroSessionsAndZeroQueues) {
   opt.max_sessions = 0;
   EXPECT_FALSE(opt.validate().is_ok());
   opt = fast_options();
-  opt.max_queue_chunks = 0;
+  opt.queue.max_queue_chunks = 0;
   EXPECT_FALSE(opt.validate().is_ok());
   EXPECT_TRUE(fast_options().validate().is_ok());
 }

@@ -57,7 +57,7 @@ TEST(ServeSnapshot, ExportImportPreservesIdStateAndUnpolledMatches) {
 
 TEST(ServeSnapshot, ExportRequiresDrainedSession) {
   ServeOptions opt = fast_options();
-  opt.max_queue_chunks = 64;
+  opt.queue.max_queue_chunks = 64;
   StreamService srv = make_service({"ab"}, opt);
   const SessionId id = srv.open().value();
   ASSERT_TRUE(srv.feed(id, "abab").is_ok());

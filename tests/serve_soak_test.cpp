@@ -35,8 +35,8 @@ TEST(ServeSoak, SixtyFourSessionsBoundedQueueCleanDrain) {
   opt.engine.threads_per_block = 64;
   opt.background = true;            // one worker owns the engine
   opt.max_sessions = kSessions;     // exactly enough: no eviction mid-soak
-  opt.max_queue_chunks = 4;         // tiny queue -> rejection is near-certain
-  opt.coalesce_bytes = 8 * kChunk;
+  opt.queue.max_queue_chunks = 4;         // tiny queue -> rejection is near-certain
+  opt.queue.coalesce_bytes = 8 * kChunk;
   auto service = StreamService::create(
       ac::PatternSet({"he", "she", "his", "hers", "ab"}), opt);
   ASSERT_TRUE(service.is_ok()) << service.status().to_string();

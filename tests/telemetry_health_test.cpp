@@ -8,6 +8,7 @@
 
 #include "telemetry/health.h"
 #include "telemetry/metrics_registry.h"
+#include "util/error.h"
 
 namespace acgpu::telemetry {
 namespace {
@@ -98,6 +99,24 @@ TEST(HealthMonitorTest, EvictionRateUsesTumblingWindows) {
   mon.observe_feed(0, 1000, true);
   EXPECT_EQ(mon.evaluate(0), HealthState::kDegraded);
   EXPECT_DOUBLE_EQ(mon.shard_health(0).eviction_rate, 0.5);
+}
+
+TEST(HealthMonitorTest, RejectsAWindowThatCannotHoldMinSamples) {
+  // Latency, error and eviction targets are judged only once the window
+  // holds min_samples feeds: a window of 8 under the default 16 would leave
+  // a 2 ns p99 target unjudged forever, and a zero window holds nothing.
+  SloPolicy p;
+  p.feed_p99_ns = {1, 2};
+  p.window = 8;
+  EXPECT_THROW(HealthMonitor(1, p), Error);
+  p.window = 0;
+  p.min_samples = 0;
+  EXPECT_THROW(HealthMonitor(1, p), Error);
+  p.window = 16;
+  p.min_samples = 16;
+  HealthMonitor mon(1, p);
+  for (int i = 0; i < 16; ++i) mon.observe_feed(0, 1e6, true);
+  EXPECT_EQ(mon.evaluate(0), HealthState::kUnhealthy);
 }
 
 TEST(HealthMonitorTest, WorstBreachedDimensionWins) {
